@@ -22,7 +22,9 @@ import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
 
 from microhol import _accel_py  # noqa: E402
 
@@ -93,6 +95,8 @@ def bench_eval(backend, seed: int, rounds: int) -> float:
 
 def bench_end_to_end(pure: bool, trials: int, seed: int) -> float:
     env = dict(os.environ)
+    paths = [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
     if pure:
         env["MICROHOL_PURE"] = "1"
     else:
@@ -111,7 +115,7 @@ def bench_end_to_end(pure: bool, trials: int, seed: int) -> float:
         capture_output=True,
         text=True,
         check=True,
-        cwd=os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."),
+        cwd=ROOT,
     )
     return float(out.stdout.strip().splitlines()[-1])
 

@@ -3,8 +3,10 @@
 Two interchangeable implementations exist: a Cython extension
 (``_accel_c``) and a pure-Python module (``_accel_py``).  Both provide
 
-* ``alpha_canon(term) -> bytes`` -- de Bruijn canonical encoding,
-* ``alpha_equal(t, u) -> bool``  -- direct alpha-equivalence walk,
+* ``alpha_canon(term) -> bytes`` -- de Bruijn canonical encoding, the
+  key of the total term order and of assumption sets,
+* ``alpha_equal(t, u) -> bool``  -- alpha-equivalence by a walk over
+  both terms that skips shared subterms; ``syntax.alpha_equiv`` uses it,
 * ``run_program(prog, env) -> int`` -- finite-model evaluator step,
 
 with bit-identical results; the agreement is enforced by tests.  The

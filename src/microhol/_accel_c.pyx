@@ -125,7 +125,9 @@ cdef bint _ty_eq(a, b) except? 2:
     return True
 
 
-cdef bint _alpha(t, u, dict tenv, dict uenv, Py_ssize_t depth) except? 2:
+cdef bint _alpha(t, u, dict tenv, dict uenv, Py_ssize_t depth, bint sync) except? 2:
+    if t is u and sync:
+        return True
     cdef Py_ssize_t kt = t.KIND
     if kt != u.KIND:
         return False
@@ -138,9 +140,9 @@ cdef bint _alpha(t, u, dict tenv, dict uenv, Py_ssize_t depth) except? 2:
     if kt == 1:
         return t.name == u.name and _ty_eq(t.ty, u.ty)
     if kt == 2:
-        if not _alpha(t.rator, u.rator, tenv, uenv, depth):
+        if not _alpha(t.rator, u.rator, tenv, uenv, depth, sync):
             return False
-        return _alpha(t.rand, u.rand, tenv, uenv, depth)
+        return _alpha(t.rand, u.rand, tenv, uenv, depth, sync)
     tv = t.bvar
     uv = u.bvar
     if not _ty_eq(tv.ty, uv.ty):
@@ -150,7 +152,7 @@ cdef bint _alpha(t, u, dict tenv, dict uenv, Py_ssize_t depth) except? 2:
     tenv[tv] = depth
     uenv[uv] = depth
     try:
-        return _alpha(t.body, u.body, tenv, uenv, depth + 1)
+        return _alpha(t.body, u.body, tenv, uenv, depth + 1, sync and tv == uv)
     finally:
         if tsaved is None:
             del tenv[tv]
@@ -163,10 +165,8 @@ cdef bint _alpha(t, u, dict tenv, dict uenv, Py_ssize_t depth) except? 2:
 
 
 def alpha_equal(t, u):
-    """Alpha-equivalence without building canonical encodings."""
-    if t is u:
-        return True
-    return _alpha(t, u, {}, {}, 0)
+    """Alpha-equivalence by a walk over both terms, without encodings."""
+    return _alpha(t, u, {}, {}, 0, True)
 
 
 cdef long long _run(tuple prog, list env) except? -1:

@@ -120,7 +120,12 @@ def _ty_eq(a, b):
     return all(_ty_eq(x, y) for x, y in zip(a.args, b.args))
 
 
-def _alpha(t, u, tenv, uenv, depth):
+def _alpha(t, u, tenv, uenv, depth, sync):
+    # `sync`: every binder pair opened so far is the same variable, so both
+    # sides see the same bound variables at the same levels and a shared
+    # subterm is alpha-equivalent to itself without a walk.
+    if t is u and sync:
+        return True
     kt = t.KIND
     if kt != u.KIND:
         return False
@@ -133,8 +138,8 @@ def _alpha(t, u, tenv, uenv, depth):
     if kt == 1:
         return t.name == u.name and _ty_eq(t.ty, u.ty)
     if kt == 2:
-        return _alpha(t.rator, u.rator, tenv, uenv, depth) and _alpha(
-            t.rand, u.rand, tenv, uenv, depth
+        return _alpha(t.rator, u.rator, tenv, uenv, depth, sync) and _alpha(
+            t.rand, u.rand, tenv, uenv, depth, sync
         )
     tv, uv = t.bvar, u.bvar
     if not _ty_eq(tv.ty, uv.ty):
@@ -144,7 +149,7 @@ def _alpha(t, u, tenv, uenv, depth):
     tenv[tv] = depth
     uenv[uv] = depth
     try:
-        return _alpha(t.body, u.body, tenv, uenv, depth + 1)
+        return _alpha(t.body, u.body, tenv, uenv, depth + 1, sync and tv == uv)
     finally:
         if tsaved is None:
             del tenv[tv]
@@ -157,10 +162,8 @@ def _alpha(t, u, tenv, uenv, depth):
 
 
 def alpha_equal(t, u):
-    """Alpha-equivalence without building canonical encodings."""
-    if t is u:
-        return True
-    return _alpha(t, u, {}, {}, 0)
+    """Alpha-equivalence by a walk over both terms, without encodings."""
+    return _alpha(t, u, {}, {}, 0, True)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,38 @@ _AXIOMS = {
 }
 
 
+# Argument count of each command: (least, most), most None for no limit.
+# TYPE and TERM read the rest of the line as one type or term.
+_ARITY = {
+    "TYPE": (1, None),
+    "TERM": (1, None),
+    "REFL": (1, 1),
+    "TRANS": (2, 2),
+    "MKCOMB": (2, 2),
+    "ABS": (2, 2),
+    "BETA": (1, 1),
+    "ASSUME": (1, 1),
+    "EQMP": (2, 2),
+    "DEDUCT": (2, 2),
+    "INSTTYPE": (1, None),
+    "INST": (1, None),
+    "AXIOM": (1, 1),
+    "DEFINE": (2, 2),
+    "TYPEDEF": (4, 4),
+    "SND": (1, 1),
+    "THM": (2, None),
+}
+
+
+def _check_arity(no: int, cmd: str, toks: list[str]):
+    least, most = _ARITY.get(cmd, (0, None))  # unknown: rejected later
+    if least <= len(toks) and (most is None or len(toks) <= most):
+        return
+    wanted = str(least) if most is not None else f"at least {least}"
+    noun = "argument" if wanted == "1" else "arguments"
+    raise ReplayError(no, f"{cmd} takes {wanted} {noun}, got {len(toks)}")
+
+
 class _Replay:
     def __init__(self, theory: Theory):
         self.theory = theory
@@ -213,6 +245,8 @@ def check_article(
 
 
 def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleReport):
+    toks = rest.split()
+    _check_arity(no, cmd, toks)
     theory = replay.theory
     if cmd == "TYPE":
         ty = parse_type(rest, theory)
@@ -222,7 +256,6 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
         t = parse_term(rest, theory)
         kernel.check_term(theory, t)
         return ("term", t)
-    toks = rest.split()
     if cmd == "REFL":
         return ("thm", kernel.refl(replay.term(toks[0], no)))
     if cmd == "TRANS":

@@ -7,11 +7,16 @@ combinations immediately.  Two variables are the same variable exactly
 when both name and type coincide; the same name at two types denotes two
 unrelated variables.
 
-Alpha-equivalence, the total term order, and assumption-set keys all go
-through a de Bruijn canonical byte encoding provided by the accelerator
-backend (compiled when available, pure Python otherwise).  Node classes
-expose a small integer ``KIND`` tag so the backends can dispatch without
-importing this module.
+Combinations and abstractions cache their free-variable set on first
+use, so `vfree_in` is a membership test and substitution returns any
+subtree that mentions no substituted variable without walking it.
+Alpha-equivalence walks the two terms side by side and stops at
+physically shared subterms while every binder pair opened so far is the
+same variable.  The total term order and assumption-set keys go through
+a de Bruijn canonical byte encoding, cached only on nodes with no binder
+in scope.  Both come from the accelerator backend (compiled when
+available, pure Python otherwise).  Node classes expose a small integer
+``KIND`` tag so the backends can dispatch without importing this module.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from ._accel import alpha_canon
+from ._accel import alpha_canon, alpha_equal
 
 __all__ = [
     "HolError",
@@ -268,7 +273,7 @@ Const.KIND = 1
 
 
 class Comb(Term):
-    __slots__ = ("rator", "rand", "ty", "_h", "_canon")
+    __slots__ = ("rator", "rand", "ty", "_h", "_canon", "_fvs")
 
     def __init__(self, rator: Term, rand: Term):
         rty = rator.ty
@@ -283,6 +288,7 @@ class Comb(Term):
         object.__setattr__(self, "ty", rty.args[1])
         object.__setattr__(self, "_h", None)
         object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_fvs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Comb is immutable")
@@ -314,7 +320,7 @@ Comb.KIND = 2
 
 
 class Abs(Term):
-    __slots__ = ("bvar", "body", "ty", "_h", "_canon")
+    __slots__ = ("bvar", "body", "ty", "_h", "_canon", "_fvs")
 
     def __init__(self, bvar: Var, body: Term):
         if not isinstance(bvar, Var):
@@ -324,6 +330,7 @@ class Abs(Term):
         object.__setattr__(self, "ty", fn(bvar.ty, body.ty))
         object.__setattr__(self, "_h", None)
         object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_fvs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Abs is immutable")
@@ -413,24 +420,32 @@ def dest_abs(t: Term) -> tuple[Var, Term]:
 # Free variables and fresh names
 
 
-def free_vars(t: Term) -> set[Var]:
-    """The variables with an unbound occurrence in t."""
-    out: set[Var] = set()
-    _collect_frees(t, out, [])
-    return out
+_NO_FREES: frozenset = frozenset()
 
 
-def _collect_frees(t: Term, out: set[Var], bound: list[Var]):
+def free_vars(t: Term) -> frozenset[Var]:
+    """The variables with an unbound occurrence in t.
+
+    Cached on Comb/Abs nodes.  A node reuses a child's set when that set
+    already covers the rest, so a chain of nodes over the same variables
+    shares one set, and every closed term shares `_NO_FREES`."""
     if isinstance(t, Var):
-        if t not in bound:
-            out.add(t)
-    elif isinstance(t, Comb):
-        _collect_frees(t.rator, out, bound)
-        _collect_frees(t.rand, out, bound)
-    elif isinstance(t, Abs):
-        bound.append(t.bvar)
-        _collect_frees(t.body, out, bound)
-        bound.pop()
+        return frozenset((t,))
+    if isinstance(t, Const):
+        return _NO_FREES
+    fvs = t._fvs
+    if fvs is not None:
+        return fvs
+    if isinstance(t, Comb):
+        a = free_vars(t.rator)
+        b = free_vars(t.rand)
+        fvs = a if b <= a else (b if a <= b else a | b)
+    else:
+        fvs = free_vars(t.body)
+        if t.bvar in fvs:
+            fvs = fvs - {t.bvar} or _NO_FREES
+    object.__setattr__(t, "_fvs", fvs)
+    return fvs
 
 
 def free_vars_list(t: Term) -> list[Var]:
@@ -442,11 +457,7 @@ def vfree_in(v: Var, t: Term) -> bool:
     """True iff v occurs free in t."""
     if isinstance(t, Var):
         return t == v
-    if isinstance(t, Const):
-        return False
-    if isinstance(t, Comb):
-        return vfree_in(v, t.rator) or vfree_in(v, t.rand)
-    return t.bvar != v and vfree_in(v, t.body)
+    return v in free_vars(t)
 
 
 def variant(avoid: Iterable[Term], v: Var) -> Var:
@@ -527,19 +538,17 @@ def vsubst(s: Substitution, t: Term) -> Term:
 def _vsubst(sub: dict[Var, Term], t: Term) -> Term:
     if isinstance(t, Var):
         return sub.get(t, t)
-    if isinstance(t, Const):
+    if isinstance(t, Const) or free_vars(t).isdisjoint(sub):
         return t
     if isinstance(t, Comb):
         f = _vsubst(sub, t.rator)
         a = _vsubst(sub, t.rand)
         return t if f is t.rator and a is t.rand else Comb(f, a)
     v = t.bvar
+    # Some substituted variable is free in t, so this substitution is
+    # non-empty and changes the body.
     sub2 = {x: im for x, im in sub.items() if x != v}
-    if not sub2:
-        return t
     body = _vsubst(sub2, t.body)
-    if body is t.body:
-        return t
     # Renaming is needed exactly when some image brings in a free occurrence
     # of the binder while its own variable really occurs in the body.
     if any(vfree_in(v, im) and vfree_in(x, t.body) for x, im in sub2.items()):
@@ -608,9 +617,7 @@ def _inst(env: list[tuple[Var, Var]], tyin: Mapping[str, HolType], t: Term) -> T
 
 def alpha_equiv(t: Term, u: Term) -> bool:
     """True iff t and u differ only by consistent renaming of bound variables."""
-    if t is u:
-        return True
-    return term_order_key(t) == term_order_key(u)
+    return t is u or alpha_equal(t, u)
 
 
 def term_order_key(t: Term) -> bytes:
@@ -628,7 +635,7 @@ def term_order_key(t: Term) -> bytes:
 
 def term_compare(t: Term, u: Term) -> int:
     """Total order on alpha-classes: negative, zero, or positive."""
-    a, b = alpha_canon(t), alpha_canon(u)
+    a, b = term_order_key(t), term_order_key(u)
     return -1 if a < b else (0 if a == b else 1)
 
 

@@ -14,6 +14,8 @@ from microhol.syntax import (
     mk_eq,
 )
 
+from .oracles import oracle_free_vars
+
 BASE_TYPES = (BOOL, IND, TyVar("A"), TyVar("B"))
 
 base_types = st.sampled_from(BASE_TYPES)
@@ -55,3 +57,34 @@ def typed_terms(draw, ty=None, depth=4):
 
 
 bool_terms = typed_terms(ty=BOOL)
+
+
+@st.composite
+def shared_pairs(draw):
+    """Two terms of one type built around one shared subterm object.
+
+    Each layer wraps both sides in binders that are equal, renamed or
+    (for a repeated binder) shadowing, or applies both to one function
+    variable, so the pair is alpha-equivalent or not depending on
+    whether a renamed binder captures a free variable of the shared
+    subterm.  Binders are often the shared subterm's own free variables,
+    so capture happens."""
+    s = draw(typed_terms(depth=3))
+    t = u = s
+    frees = sorted(oracle_free_vars(s), key=lambda v: (v.name, repr(v.ty)))
+
+    def binder():
+        if frees and draw(st.booleans()):
+            return draw(st.sampled_from(frees))
+        return Var(draw(st.sampled_from(_VAR_NAMES)), draw(base_types))
+
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("same", "renamed", "comb")))
+        if op == "comb":
+            f = Var("f", fn(t.ty, draw(base_types)))
+            t, u = Comb(f, t), Comb(f, u)
+            continue
+        a = binder()
+        b = a if op == "same" else Var(draw(st.sampled_from(_VAR_NAMES)), a.ty)
+        t, u = Abs(a, t), Abs(b, u)
+    return (u, t) if draw(st.booleans()) else (t, u)

@@ -16,6 +16,8 @@ from microhol.kernel import Theory
 from microhol.semantics import Model, _Compiler
 from microhol.syntax import BOOL, IND, Abs, Comb, Var, fn, mk_abs, mk_comb, mk_eq
 
+from .strategies import shared_pairs
+
 try:
     from microhol import _accel_c
 except ImportError:
@@ -67,6 +69,12 @@ class TestAgreement:
         for a, b in ((t, u), (t, w), (u, w)):
             assert _accel_py.alpha_equal(a, b) == _accel_c.alpha_equal(a, b)
 
+    @given(shared_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_alpha_equal_shadowed_binders_identical(self, pair):
+        t, u = pair
+        assert _accel_py.alpha_equal(t, u) == _accel_c.alpha_equal(t, u)
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=150, deadline=None)
     def test_run_program_identical(self, seed):
@@ -104,6 +112,22 @@ class TestAgreement:
             env={"MICROHOL_PURE": "1", "PATH": "/usr/bin:/bin"},
         )
         assert out.stdout.strip() == "pure"
+
+
+def test_alpha_equal_shadowing_examples():
+    x, y, z = Var("x", BOOL), Var("y", BOOL), Var("z", BOOL)
+    # each body object is shared by both sides of its case
+    xz, xy = mk_eq(x, z), mk_eq(x, y)
+    cases = [
+        (mk_abs(x, mk_abs(x, xz)), mk_abs(y, mk_abs(x, xz)), True),
+        (mk_abs(x, mk_abs(x, xy)), mk_abs(y, mk_abs(x, xy)), False),
+        (mk_abs(x, mk_abs(y, xy)), mk_abs(y, mk_abs(x, xy)), False),
+        (mk_abs(x, mk_abs(y, xy)), mk_abs(x, mk_abs(y, xy)), True),
+    ]
+    backends = [_accel_py] + ([_accel_c] if _accel_c is not None else [])
+    for t, u, want in cases:
+        for backend in backends:
+            assert backend.alpha_equal(t, u) == want
 
 
 class TestEncodingShape:

@@ -193,6 +193,50 @@ class TestValidation:
         assert check_article(text, thy).ok
 
 
+# Each command with its last argument missing.
+_SHORT_COMMANDS = [
+    "TYPE",
+    "TERM",
+    "REFL",
+    "TRANS 1",
+    "MKCOMB 1",
+    "ABS 1",
+    "BETA",
+    "ASSUME",
+    "EQMP 1",
+    "DEDUCT 1",
+    "INSTTYPE",
+    "INST",
+    "AXIOM",
+    "DEFINE c",
+    "TYPEDEF ty mk dest",
+    "SND",
+    "THM 1",
+]
+
+
+class TestArity:
+    @pytest.mark.parametrize("line", _SHORT_COMMANDS)
+    def test_missing_argument_is_a_line_numbered_failure(self, line, tmp_path, capsys):
+        from microhol.cli import main
+
+        path = tmp_path / "short.art"
+        path.write_text(art(Theory(), line))
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr()
+        assert "error at line 3:" in out.out
+        assert "Traceback" not in out.out + out.err
+
+    def test_extra_argument_rejected(self):
+        thy = Theory()
+        rep = check_article(art(thy, "TERM x:bool", "REFL 1 1"), thy)
+        assert not rep.ok
+        assert rep.failures[0] == {
+            "line": 4,
+            "message": "REFL: line 2: REFL takes 1 argument, got 2",
+        }
+
+
 class TestDeterminism:
     def test_two_replays_identical(self):
         thy1, thy2 = Theory(), Theory()

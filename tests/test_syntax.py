@@ -40,7 +40,7 @@ from .oracles import (
     oracle_inst_type,
     oracle_vsubst,
 )
-from .strategies import hol_types, typed_terms
+from .strategies import hol_types, shared_pairs, typed_terms
 
 x_bool = Var("x", BOOL)
 y_bool = Var("y", BOOL)
@@ -271,6 +271,67 @@ class TestTermCompare:
     @settings(max_examples=150, deadline=None)
     def test_compare_zero_iff_alpha(self, t, u):
         assert (term_compare(t, u) == 0) == alpha_equiv(t, u)
+
+
+class TestSharedStructure:
+    """Free-variable caching and the shared-subterm alpha walk, on pairs
+    of terms sharing one subterm object under equal, renamed and
+    shadowing binders.  The oracles walk every node and read no cache."""
+
+    @given(shared_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_alpha_equiv_agrees_with_order_key(self, pair):
+        t, u = pair
+        want = oracle_alpha(t, u)
+        assert alpha_equiv(t, u) == want
+        assert (term_order_key(t) == term_order_key(u)) == want
+
+    @given(shared_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_free_vars_match_uncached_walk(self, pair):
+        for t in pair:
+            assert free_vars(t) == oracle_free_vars(t)
+            for v in oracle_free_vars(t) | {x_bool, y_bool}:
+                assert vfree_in(v, t) == (v in oracle_free_vars(t))
+
+    @given(shared_pairs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_vsubst_matches_uncached_reference(self, pair, data):
+        t, u = pair
+        frees = sorted(oracle_free_vars(t), key=debruijn)
+        if not frees:
+            return
+        v = data.draw(st.sampled_from(frees))
+        # images mentioning the pair's binders force capture and renaming
+        image = data.draw(typed_terms(ty=v.ty, depth=2))
+        s = {v: image}
+        for w in (t, u):
+            got = vsubst(Substitution.of_terms(s), w)
+            assert alpha_equiv(got, oracle_vsubst(s, w))
+            assert free_vars(got) == oracle_free_vars(got)
+
+    @given(typed_terms(depth=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cache_filled_under_binder_serves_bare_use(self, body, data):
+        frees = sorted(oracle_free_vars(body), key=debruijn)
+        x = data.draw(st.sampled_from(frees)) if frees else x_bool
+        lam = mk_abs(x, body)
+        # fill body's cache through the abstraction, then use body bare
+        assert free_vars(lam) == oracle_free_vars(lam)
+        assert free_vars(body) == oracle_free_vars(body)
+        image = data.draw(typed_terms(ty=x.ty, depth=2))
+        s = {x: image}
+        sub = Substitution.of_terms(s)
+        for t in (lam, body, mk_comb(mk_comb(eq_const(lam.ty), lam), lam)):
+            got = vsubst(sub, t)
+            want = oracle_vsubst(s, t)
+            assert alpha_equiv(got, want) and oracle_alpha(got, want)
+        assert vsubst(sub, lam) is lam
+        # the bare body is compared correctly against its renamed copy
+        y = Var("fresh", x.ty)
+        renamed = vsubst(Substitution.of_terms({x: y}), body)
+        assert alpha_equiv(mk_abs(x, body), mk_abs(y, renamed))
+        assert alpha_equiv(body, renamed) == (x not in oracle_free_vars(body))
 
 
 class TestMisc:
