@@ -22,7 +22,7 @@ authority.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import kernel
@@ -34,13 +34,14 @@ from .bootstrap import (
     conv_rule,
     dest_disj,
     exhaustive_conv,
-    first_conv,
+    indexed_first_conv,
     is_conj,
     is_disj,
     is_exists,
     is_forall,
     is_imp,
     is_neg,
+    lhs,
     mk_conj,
     mk_disj,
     mk_exists,
@@ -684,15 +685,19 @@ class MesonTrace:
         return "\n".join(lines)
 
 
+def _rewrite_conv(equations: list[Theorem]):
+    """Rewrite anywhere with the equations, then beta-reduce, to a fixed
+    point; at each node only the equations whose left side has the
+    node's head constant and argument count are tried."""
+    rules = [(lhs(th), rewr_conv(th)) for th in equations]
+    return exhaustive_conv(indexed_first_conv(rules + [(None, try_beta)]))
+
+
 class _Clausifier:
     def __init__(self, logic: Logic, lemmas: _NormLemmas):
         self.logic = logic
-        self.nnf_conv = exhaustive_conv(
-            first_conv([rewr_conv(t) for t in lemmas.nnf] + [try_beta])
-        )
-        self.pull_conv = exhaustive_conv(
-            first_conv([rewr_conv(t) for t in lemmas.pull] + [try_beta])
-        )
+        self.nnf_conv = _rewrite_conv(lemmas.nnf)
+        self.pull_conv = _rewrite_conv(lemmas.pull)
         self.skolems: list[SkolemEntry] = []
         self._fresh = 0
 
@@ -766,14 +771,10 @@ def _term_to_fo(t: Term, universals: set[Var], skolems: list[SkolemEntry], copy)
     )
 
 
-def _atom_to_fo(t: Term, universals, skolems, copy):
-    return _term_to_fo(t, universals, skolems, copy)
-
-
 def _lit_of(t: Term, universals, skolems, copy=0):
     if is_neg(t):
-        return (False, _atom_to_fo(t.rand, universals, skolems, copy))
-    return (True, _atom_to_fo(t, universals, skolems, copy))
+        return (False, _term_to_fo(t.rand, universals, skolems, copy))
+    return (True, _term_to_fo(t, universals, skolems, copy))
 
 
 def _fo_rename(fo, copy):
@@ -849,23 +850,22 @@ def clausify(logic: Logic, p: Term, source: str = "formula") -> ClauseSet:
 
 
 class _Search:
-    def __init__(self, clauses: list[Clause], log: list[str]):
+    def __init__(self, clauses: list[Clause]):
         self.clauses = clauses
         self.copies = 0
-        self.log = log
 
     def new_copy(self) -> int:
         self.copies += 1
         return self.copies
 
-    def prove_goals(self, goals, path, depth, theta, trace):
+    def prove_goals(self, goals, path, depth, theta):
         """Refute every goal literal; yields extended substitutions."""
         if not goals:
             yield theta, []
             return
         first, rest = goals[0], goals[1:]
         for theta2, node in self.prove(first, path, depth, theta):
-            for theta3, nodes in self.prove_goals(rest, path, depth, theta2, trace):
+            for theta3, nodes in self.prove_goals(rest, path, depth, theta2):
                 yield theta3, [node] + nodes
 
     def prove(self, goal, path, depth, theta):
@@ -897,7 +897,7 @@ class _Search:
                 ]
                 new_path = path + [goal]
                 for theta3, nodes in self.prove_goals(
-                    new_goals, new_path, depth - 1, theta2, None
+                    new_goals, new_path, depth - 1, theta2
                 ):
                     yield theta3, ("ext", goal, ci, li, copy, nodes)
 
@@ -972,14 +972,20 @@ class _Rebuild:
             else:
                 th = self.refute(next(child_iter), path_terms + [goal_term])
             refuters[term_order_key(lt)] = th
+        return prove_hyp(inst, _falsify(self.logic, inst.conclusion, refuters))
 
-        def falsify(d: Term) -> Theorem:
-            if is_disj(d):
-                l, r = dest_disj(d)
-                return self.logic.disj_cases(assume(d), falsify(l), falsify(r))
-            return refuters[term_order_key(d)]
 
-        return prove_hyp(inst, falsify(inst.conclusion))
+def _falsify(logic: Logic, d: Term, refuters: dict[bytes, Theorem]) -> Theorem:
+    """{d} |- F for a disjunction d, by cases down to its literals, each
+    refuted by the theorem keyed by its order key.  (A module function,
+    not a closure: a closure calling itself is a reference cycle, which
+    would keep every theorem it reaches alive until a full collection.)"""
+    if is_disj(d):
+        l, r = dest_disj(d)
+        return logic.disj_cases(
+            assume(d), _falsify(logic, l, refuters), _falsify(logic, r, refuters)
+        )
+    return refuters[term_order_key(d)]
 
 
 def _describe_steps(node, out: list[str], rebuild: _Rebuild, indent=0):
@@ -1025,24 +1031,26 @@ def meson(
     if not goal_clauses:
         raise OutOfFragment("the negated goal produced no clauses")
 
-    trace = MesonTrace(
-        clauses=[
-            f"{c.source}: "
-            + " \\/ ".join(print_term(t) for t in _flatten_disj(c.thm.conclusion))
-            for c in clauses
-        ],
-        skolems=[print_term(s.witness) for s in cl.skolems],
-        steps=[],
-        depth_bound=depth_bound,
-    )
+    def make_trace(depth_used: Optional[int] = None) -> MesonTrace:
+        return MesonTrace(
+            clauses=[
+                f"{c.source}: "
+                + " \\/ ".join(print_term(t) for t in _flatten_disj(c.thm.conclusion))
+                for c in clauses
+            ],
+            skolems=[print_term(s.witness) for s in cl.skolems],
+            steps=[],
+            depth_bound=depth_bound,
+            depth_used=depth_used,
+        )
 
     for depth in range(1, depth_bound + 1):
         for start_idx in goal_clauses:
-            search = _Search(clauses, trace.steps)
+            search = _Search(clauses)
             start = clauses[start_idx]
             copy = search.new_copy()
             goals = [(p, _fo_rename(a, copy)) for p, a in start.lits]
-            for theta, nodes in search.prove_goals(goals, [], depth, {}, None):
+            for theta, nodes in search.prove_goals(goals, [], depth, {}):
                 rebuild = _Rebuild(logic, clauses, cl.skolems, theta)
                 mapping = {
                     v: rebuild.hol_of(("v", (v, copy))) for v in start.universals
@@ -1052,22 +1060,17 @@ def meson(
                 lit_terms = _flatten_disj(inst.conclusion)
                 for lt, node in zip(lit_terms, nodes):
                     refuters[term_order_key(lt)] = rebuild.refute(node, [])
-
-                def falsify(d: Term) -> Theorem:
-                    if is_disj(d):
-                        l, r = dest_disj(d)
-                        return logic.disj_cases(assume(d), falsify(l), falsify(r))
-                    return refuters[term_order_key(d)]
-
-                contradiction = prove_hyp(inst, falsify(inst.conclusion))
+                contradiction = prove_hyp(
+                    inst, _falsify(logic, inst.conclusion, refuters)
+                )
                 result = logic.ccontr(problem.goal, contradiction)
-                trace.depth_used = depth
-                for lt, node in zip(lit_terms, nodes):
+                if not want_trace:
+                    return result
+                trace = make_trace(depth)
+                for node in nodes:
                     _describe_steps(node, trace.steps, rebuild)
-                if want_trace:
-                    return result, trace
-                return result
-    raise DepthExhausted(depth_bound, trace)
+                return result, trace
+    raise DepthExhausted(depth_bound, make_trace())
 
 
 # ---------------------------------------------------------------------------
@@ -1183,7 +1186,6 @@ class Prover:
     """Bundles a Logic with the (re)usable clausification lemma base."""
 
     logic: Logic
-    _lemmas: Optional[_NormLemmas] = field(default=None, repr=False)
 
     def taut(self, p: Term) -> Theorem:
         return taut(self.logic, p)

@@ -79,6 +79,7 @@ __all__ = [
     "then_conv",
     "repeat_conv",
     "first_conv",
+    "indexed_first_conv",
     "rewr_conv",
     "exhaustive_conv",
     "beta_norm_conv",
@@ -399,6 +400,31 @@ def first_conv(convs):
     return go
 
 
+def _match(p: Term, t: Term, tyenv, tenv) -> bool:
+    """First-order matching of a rewrite pattern, extending the maps."""
+    if isinstance(p, Var):
+        prev = tenv.get(p)
+        if prev is not None:
+            return alpha_equiv(prev, t)
+        if type_match(p.ty, t.ty, tyenv) is None:
+            return False
+        tenv[p] = t
+        return True
+    if isinstance(p, Const):
+        return (
+            isinstance(t, Const)
+            and t.name == p.name
+            and type_match(p.ty, t.ty, tyenv) is not None
+        )
+    if isinstance(p, Comb):
+        return (
+            isinstance(t, Comb)
+            and _match(p.rator, t.rator, tyenv, tenv)
+            and _match(p.rand, t.rand, tyenv, tenv)
+        )
+    raise HolError("rewrite patterns must not contain abstractions")
+
+
 def rewr_conv(eq_th: Theorem):
     """Left-to-right rewriting with a closed equation theorem.
 
@@ -410,33 +436,10 @@ def rewr_conv(eq_th: Theorem):
         raise HolError("rewrite equations must have no assumptions")
     pat = lhs(eq_th)
 
-    def match(p: Term, t: Term, tyenv, tenv) -> bool:
-        if isinstance(p, Var):
-            prev = tenv.get(p)
-            if prev is not None:
-                return alpha_equiv(prev, t)
-            if type_match(p.ty, t.ty, tyenv) is None:
-                return False
-            tenv[p] = t
-            return True
-        if isinstance(p, Const):
-            return (
-                isinstance(t, Const)
-                and t.name == p.name
-                and type_match(p.ty, t.ty, tyenv) is not None
-            )
-        if isinstance(p, Comb):
-            return (
-                isinstance(t, Comb)
-                and match(p.rator, t.rator, tyenv, tenv)
-                and match(p.rand, t.rand, tyenv, tenv)
-            )
-        raise HolError("rewrite patterns must not contain abstractions")
-
     def go(t: Term) -> Theorem:
         tyenv: dict[str, HolType] = {}
         tenv: dict[Var, Term] = {}
-        if not match(pat, t, tyenv, tenv):
+        if not _match(pat, t, tyenv, tenv):
             raise Inapplicable
         th = inst_type_rule(Substitution.of_types(tyenv), eq_th)
         mapping = {
@@ -454,38 +457,89 @@ def rewr_conv(eq_th: Theorem):
 _REWRITE_LIMIT = 100_000
 
 
+def _head_key(t: Term):
+    """(head constant's name, argument count), or None for another head."""
+    n = 0
+    while isinstance(t, Comb):
+        t = t.rator
+        n += 1
+    return (t.name, n) if isinstance(t, Const) else None
+
+
+def indexed_first_conv(rules):
+    """``first_conv`` over (pattern, conv) pairs, trying at a term only
+    the rules whose pattern can match it.
+
+    A pattern with a constant head matches only terms with that head
+    constant applied to as many arguments, so those rules are bucketed by
+    that key.  A rule whose pattern is None or has any other head goes
+    into every bucket.  Buckets keep the list order, so the rule that
+    applies is the one ``first_conv`` over the whole list would pick.
+    """
+    keys = [None if pat is None else _head_key(pat) for pat, _ in rules]
+
+    def bucket(key):
+        return first_conv(
+            [conv for k, (_, conv) in zip(keys, rules) if k is None or k == key]
+        )
+
+    buckets = {key: bucket(key) for key in keys if key is not None}
+    rest = bucket(None)
+
+    def go(t: Term) -> Theorem:
+        return buckets.get(_head_key(t), rest)(t)
+
+    return go
+
+
 def exhaustive_conv(conv):
     """Apply a conversion anywhere, repeatedly, until a fixed point.
 
     One pass works bottom-up and then repeats the conversion at each
-    node; passes repeat while anything changes.
+    node; passes repeat while anything changes.  A subterm where nothing
+    was rewritten produces no theorem: congruence rules are built only
+    above a change, with ``refl`` for the unchanged side, and a term that
+    is already normal costs one ``refl``.
     """
 
-    def onepass(t: Term) -> Theorem:
+    def onepass(t: Term) -> Theorem | None:
         if isinstance(t, Comb):
-            th = mk_comb_rule(onepass(t.rator), onepass(t.rand))
+            lth = onepass(t.rator)
+            rth = onepass(t.rand)
+            if lth is None and rth is None:
+                th = None
+            else:
+                th = mk_comb_rule(lth or refl(t.rator), rth or refl(t.rand))
         elif isinstance(t, Abs):
-            th = abs_rule(t.bvar, onepass(t.body))
+            bth = onepass(t.body)
+            th = None if bth is None else abs_rule(t.bvar, bth)
         else:
-            th = refl(t)
+            th = None
+        current = t if th is None else rhs(th)
         for _ in range(_REWRITE_LIMIT):
             try:
-                th = trans(th, conv(rhs(th)))
+                step = conv(current)
             except Inapplicable:
                 return th
+            th = step if th is None else trans(th, step)
+            current = rhs(step)
         raise HolError("rewriting did not terminate at a node")
 
     def go(t: Term) -> Theorem:
-        th = refl(t)
+        th = None
         current = t
         for _ in range(_REWRITE_LIMIT):
             step = onepass(current)
+            if step is None:
+                break
             new = rhs(step)
             if alpha_equiv(new, current):
-                return th
-            th = trans(th, step)
+                break
+            th = step if th is None else trans(th, step)
             current = new
-        raise HolError("rewriting did not terminate")
+        else:
+            raise HolError("rewriting did not terminate")
+        return refl(t) if th is None else th
 
     return go
 
@@ -620,7 +674,21 @@ class Logic:
 
     Construction defines the constants (it must run on a fresh theory)
     and eagerly proves the small lemma base the derived rules lean on:
-    |- T, excluded middle, the connective value tables, and F-elimination.
+    |- T, excluded middle, the connective value tables, F-elimination,
+    and the schemas of the hot derived rules, proved once over variables
+    p, q, r and P : A -> bool:
+
+    * {p, q} |- p /\\ q for ``conj``;
+    * {p /\\ q} |- p and {p /\\ q} |- q for ``conjunct1``/``conjunct2``;
+    * {p ==> q} |- p = (p /\\ q) for ``mp``;
+    * |- ((p /\\ q) = p) = (p ==> q) for ``disch``;
+    * {(!) P} |- P x for ``spec``;
+    * {p \\/ q} |- (p ==> r) ==> (q ==> r) ==> r for ``disj_cases``.
+
+    A call instantiates its schema and cuts the premises in with
+    ``prove_hyp`` instead of unfolding the connectives' definitions
+    again, so it costs a handful of primitive inferences and returns the
+    same sequent the unfolding derivation gave.
     """
 
     def __init__(self, theory: Theory):
@@ -645,9 +713,43 @@ class Logic:
         th2 = self.eqt_elim(assume(mk_eq(p, TRUE)))
         self._eqt_pth = deduct_antisym(th2, th1)
 
+        # {(!) P} |- P x, for P : A -> bool
+        a_ty = TyVar("A")
+        cap_p = Var("P", fn(a_ty, BOOL))
+        th1 = eq_mp(assume(mk_comb(sig.forall.const, cap_p)), self.forall_eq(cap_p))
+        th2 = ap_thm(th1, Var("x", a_ty))
+        self._spec_pth = self.eqt_elim(trans(th2, try_beta(rhs(th2))))
+
         # {F} |- p
         fth = eq_mp(assume(FALSE), self._f_def)
         self._f_elim_pth = self.spec(p, fth)
+
+        q = Var("q", BOOL)
+        pq = mk_conj(p, q)
+        # {p, q} |- p /\ q
+        f = Var("f", _B2)
+        thp = self.eqt_intro(assume(p))
+        thq = self.eqt_intro(assume(q))
+        th_abs = abs_rule(f, mk_comb_rule(ap_term(f, thp), thq))
+        self._conj_pth = eq_mp(th_abs, sym(self.conj_eq(p, q)))
+        # {p /\ q} |- p and {p /\ q} |- q, by applying both sides of the
+        # unfolded conjunction to a selector \a b. a (or b)
+        expanded = eq_mp(assume(pq), self.conj_eq(p, q))
+        a = Var("a", BOOL)
+        b = Var("b", BOOL)
+        self._conjunct_pths = tuple(
+            self.eqt_elim(both_sides(ap_thm(expanded, sel), beta_n(3)))
+            for sel in (mk_abs(a, mk_abs(b, a)), mk_abs(a, mk_abs(b, b)))
+        )
+        # {p ==> q} |- p = (p /\ q)
+        self._mp_pth = sym(eq_mp(assume(mk_imp(p, q)), self.imp_eq(p, q)))
+        # |- ((p /\ q) = p) = (p ==> q)
+        self._disch_pth = sym(self.imp_eq(p, q))
+        # {p \/ q} |- (p ==> r) ==> (q ==> r) ==> r
+        r = Var("r", BOOL)
+        self._disj_cases_pth = self.spec(
+            r, eq_mp(assume(mk_disj(p, q)), self.or_eq(p, q))
+        )
 
         self.EXCLUDED_MIDDLE = self._prove_excluded_middle()
         self.tables = self._prove_value_tables()
@@ -704,50 +806,39 @@ class Logic:
 
     # -- conjunction
 
-    def conj(self, th1: Theorem, th2: Theorem) -> Theorem:
-        p = Var("p", BOOL)
-        q = Var("q", BOOL)
-        f = Var("f", _B2)
-        thp = self.eqt_intro(assume(p))
-        thq = self.eqt_intro(assume(q))
-        th_ap = mk_comb_rule(ap_term(f, thp), thq)
-        th_abs = abs_rule(f, th_ap)
-        pth = eq_mp(th_abs, sym(self.conj_eq(p, q)))
-        inst = inst_rule(
-            Substitution.of_terms({p: th1.conclusion, q: th2.conclusion}), pth
+    def _inst_pq(self, pth: Theorem, p: Term, q: Term) -> Theorem:
+        return inst_rule(
+            Substitution.of_terms({Var("p", BOOL): p, Var("q", BOOL): q}), pth
         )
+
+    def conj(self, th1: Theorem, th2: Theorem) -> Theorem:
+        inst = self._inst_pq(self._conj_pth, th1.conclusion, th2.conclusion)
         return prove_hyp(th2, prove_hyp(th1, inst))
 
-    def _conjunct(self, th: Theorem, first: bool) -> Theorem:
+    def _conjunct(self, th: Theorem, which: int) -> Theorem:
         p, q = dest_conj(th.conclusion)
-        a = Var("a", BOOL)
-        b = Var("b", BOOL)
-        sel = mk_abs(a, mk_abs(b, a if first else b))
-        expanded = eq_mp(assume(th.conclusion), self.conj_eq(p, q))
-        applied = ap_thm(expanded, sel)
-        reduced = both_sides(applied, beta_n(3))
-        out = self.eqt_elim(reduced)
-        return prove_hyp(th, out)
+        return prove_hyp(th, self._inst_pq(self._conjunct_pths[which], p, q))
 
     def conjunct1(self, th: Theorem) -> Theorem:
-        return self._conjunct(th, True)
+        return self._conjunct(th, 0)
 
     def conjunct2(self, th: Theorem) -> Theorem:
-        return self._conjunct(th, False)
+        return self._conjunct(th, 1)
 
     # -- implication
 
     def mp(self, th_imp: Theorem, th_ant: Theorem) -> Theorem:
+        # Cutting th_ant into {p ==> q, p} |- q would drop p from th_imp's
+        # assumptions; going through p = (p /\ q) keeps their union.
         p, q = dest_imp(th_imp.conclusion)
-        th1 = eq_mp(th_imp, self.imp_eq(p, q))  # G |- (p /\ q) = p
-        th2 = eq_mp(th_ant, sym(th1))
-        return self.conjunct2(th2)
+        th1 = prove_hyp(th_imp, self._inst_pq(self._mp_pth, p, q))
+        return self.conjunct2(eq_mp(th_ant, th1))  # via G u A |- p /\ q
 
     def disch(self, a: Term, th: Theorem) -> Theorem:
         th1 = self.conj(assume(a), th)
         th2 = self.conjunct1(assume(mk_conj(a, th.conclusion)))
         th3 = deduct_antisym(th1, th2)  # G \ {a} |- (a /\ q) = a
-        return eq_mp(th3, sym(self.imp_eq(a, th.conclusion)))
+        return eq_mp(th3, self._inst_pq(self._disch_pth, a, th.conclusion))
 
     def undisch(self, th: Theorem) -> Theorem:
         p, _ = dest_imp(th.conclusion)
@@ -769,10 +860,10 @@ class Logic:
         ):
             raise IllTyped(f"spec needs a universal theorem: {th!r}")
         pred = c.rand
-        th1 = eq_mp(th, self.forall_eq(pred))
-        th2 = ap_thm(th1, t)
-        th3 = trans(th2, try_beta(rhs(th2)))
-        th4 = self.eqt_elim(th3)
+        a = dest_pred_ty(pred)
+        pth = inst_type_rule(Substitution.of_types({"A": a}), self._spec_pth)
+        mapping = {Var("P", pred.ty): pred, Var("x", a): t}
+        th4 = prove_hyp(th, inst_rule(Substitution.of_terms(mapping), pth))
         if isinstance(pred, Abs):
             return eq_mp(th4, beta_conv(th4.conclusion))
         return th4
@@ -879,8 +970,9 @@ class Logic:
             raise kernel.Mismatch("disjunction branches prove different goals")
         p, q = dest_disj(th.conclusion)
         r = th1.conclusion
-        exp = eq_mp(th, self.or_eq(p, q))
-        sp = self.spec(r, exp)
+        pqr = {Var("p", BOOL): p, Var("q", BOOL): q, Var("r", BOOL): r}
+        inst = inst_rule(Substitution.of_terms(pqr), self._disj_cases_pth)
+        sp = prove_hyp(th, inst)  # G |- (p ==> r) ==> (q ==> r) ==> r
         return self.mp(self.mp(sp, self.disch(p, th1)), self.disch(q, th2))
 
     def ccontr(self, p: Term, th: Theorem) -> Theorem:

@@ -373,6 +373,9 @@ def main(argv=None) -> int:
     except HolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a front door reports, it never shows a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -525,6 +525,8 @@ class Theory:
         with self._lock:
             if name in self.type_constructors:
                 raise DuplicateName(f"type {name!r} already defined")
+            if abs_name == rep_name:
+                raise DuplicateName(f"abs and rep of {name!r} are both {abs_name!r}")
             for cname in (abs_name, rep_name):
                 if cname in self.term_constants:
                     raise DuplicateName(f"constant {cname!r} already defined")

@@ -16,7 +16,10 @@ Equality denotes the curried delta function and choice picks the least
 element of a predicate's support (least carrier element when the
 support is empty).  Terms are compiled once per type assignment into
 small integer programs; the program runner is the hot kernel and lives
-in the accelerator backend.
+in the accelerator backend.  A defined constant is folded to a literal:
+its body is closed (the kernel rejects free variables in definitions),
+so the compiler evaluates it once, at each type it is used at, instead
+of rebuilding its function table on every run.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .syntax import (
     TyApp,
     TyVar,
     Var,
+    fn,
     inst_type,
     type_match,
     type_vars_of_term,
@@ -149,7 +153,8 @@ class _Compiler:
 
     Slot numbering is shared across everything compiled by one instance,
     so a batch of sequent parts can be evaluated against one environment
-    list.  Carrier sizes (and defined-type supports) are cached per type.
+    list.  Carrier sizes, defined-type supports and the programs of
+    constants are cached per type.
     """
 
     def __init__(self, model: Model, type_sizes: Mapping[str, int], theory: Theory):
@@ -160,6 +165,15 @@ class _Compiler:
         self.n_slots = 0
         self._size_cache: dict[HolType, int] = {}
         self._typedef_cache: dict[HolType, tuple[int, ...]] = {}
+        self._const_cache: dict[tuple[str, HolType], tuple] = {}
+
+    def _scratch(self) -> "_Compiler":
+        """A compiler with its own slots and this one's caches."""
+        sub = _Compiler(self.model, self.type_sizes, self.theory)
+        sub._size_cache = self._size_cache
+        sub._typedef_cache = self._typedef_cache
+        sub._const_cache = self._const_cache
+        return sub
 
     # -- carriers
 
@@ -205,7 +219,7 @@ class _Compiler:
         tyin = dict(zip(info.tyvars, ty.args))
         pred = inst_type(Substitution.of_types(tyin), info.predicate)
         rep_size = self.size_of(pred.ty.args[0])
-        sub = _Compiler(self.model, self.type_sizes, self.theory)
+        sub = self._scratch()
         x = Var("r?", pred.ty.args[0])
         prog = sub.compile(Comb(pred, x))
         slot = sub.slots[x]
@@ -242,8 +256,8 @@ class _Compiler:
 
     def _equality_value(self, arg_ty: HolType) -> int:
         n = self.size_of(arg_ty)
-        self.size_of(fn_ty(arg_ty, fn_ty(arg_ty, BOOL)))
-        delta_carrier = self.size_of(fn_ty(arg_ty, BOOL))
+        self.size_of(fn(arg_ty, fn(arg_ty, BOOL)))
+        delta_carrier = self.size_of(fn(arg_ty, BOOL))
         value = 0
         mul = 1
         for a in range(n):
@@ -253,8 +267,8 @@ class _Compiler:
 
     def _choice_value(self, arg_ty: HolType) -> int:
         n = self.size_of(arg_ty)
-        self.size_of(fn_ty(fn_ty(arg_ty, BOOL), arg_ty))
-        preds = self.size_of(fn_ty(arg_ty, BOOL))
+        self.size_of(fn(fn(arg_ty, BOOL), arg_ty))
+        preds = self.size_of(fn(arg_ty, BOOL))
         value = 0
         mul = 1
         for p in range(preds):
@@ -289,6 +303,14 @@ class _Compiler:
             raise UninterpretableConstant(f"constant {c.name!r} at bad type {c.ty!r}")
 
     def compile_const(self, t: Const) -> tuple:
+        key = (t.name, t.ty)
+        prog = self._const_cache.get(key)
+        if prog is None:
+            prog = self._compile_const(t)
+            self._const_cache[key] = prog
+        return prog
+
+    def _compile_const(self, t: Const) -> tuple:
         name, ty = t.name, t.ty
         if name == "=":
             shape = type_match(self.theory.term_constants["="], ty)
@@ -309,7 +331,10 @@ class _Compiler:
         tyin = type_match(self.theory.term_constants[name], ty)
         if tyin is None:
             raise UninterpretableConstant(f"constant {name!r} at bad type {ty!r}")
-        return self.compile(inst_type(Substitution.of_types(tyin), rhs), None)
+        # The body is closed, so its value needs no environment of ours.
+        sub = self._scratch()
+        body = sub.compile(inst_type(Substitution.of_types(tyin), rhs))
+        return (1, run_program(body, [0] * sub.n_slots))
 
     # -- terms
 
@@ -369,10 +394,6 @@ def _restore(bound: dict, key, saved):
         bound.pop(key, None)
     else:
         bound[key] = saved
-
-
-def fn_ty(a: HolType, b: HolType) -> TyApp:
-    return TyApp("fun", (a, b))
 
 
 def carrier_size(

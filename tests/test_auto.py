@@ -4,12 +4,15 @@ import random
 import pytest
 
 from microhol import kernel
+from microhol import bootstrap
 from microhol.auto import (
     DepthExhausted,
     FirstOrderProblem,
     NotATautology,
     NotPropositional,
     OutOfFragment,
+    _NormLemmas,
+    _rewrite_conv,
     add_equality_axioms,
     clausify,
     meson,
@@ -18,6 +21,12 @@ from microhol.auto import (
 from microhol.bootstrap import (
     FALSE,
     TRUE,
+    Inapplicable,
+    first_conv,
+    indexed_first_conv,
+    lhs,
+    rhs,
+    try_beta,
     mk_conj,
     mk_disj,
     mk_exists,
@@ -37,6 +46,8 @@ from microhol.semantics import (
 from microhol.syntax import (
     BOOL,
     IND,
+    Abs,
+    Comb,
     Var,
     alpha_equiv,
     fn,
@@ -45,6 +56,7 @@ from microhol.syntax import (
     mk_eq,
 )
 
+from .oracles import node_by_node_exhaustive_conv
 from .problems import PROBLEMS
 
 p = Var("p", BOOL)
@@ -52,6 +64,10 @@ q = Var("q", BOOL)
 r = Var("r", BOOL)
 x = Var("x", IND)
 y = Var("y", IND)
+
+# kernel inferences meson makes on paper-displayed-formula once the
+# clausifier lemmas exist
+PAPER_FORMULA_INFERENCES = 2_752
 
 
 class TestTaut:
@@ -400,3 +416,94 @@ class TestMesonStress:
             )
             assert verdict.valid
         assert proved >= 1
+
+
+def _formulas(seed, n):
+    rng = random.Random(seed)
+    return [_random_formula(rng, 2 if i % 2 else 3, [], [0]) for i in range(n)]
+
+
+def _subterms(t):
+    yield t
+    if isinstance(t, Comb):
+        yield from _subterms(t.rator)
+        yield from _subterms(t.rand)
+    elif isinstance(t, Abs):
+        yield from _subterms(t.body)
+
+
+class TestRewritingSkipsUnchanged:
+    """The clausifier's rewriting against the node-by-node loop it replaced."""
+
+    def _convs(self, logic, which):
+        equations = getattr(_NormLemmas.get(logic), which)
+        new = _rewrite_conv(equations)
+        old = node_by_node_exhaustive_conv(
+            first_conv([bootstrap.rewr_conv(th) for th in equations] + [try_beta])
+        )
+        return new, old
+
+    def test_same_normal_forms(self, logic):
+        nnf_new, nnf_old = self._convs(logic, "nnf")
+        pull_new, pull_old = self._convs(logic, "pull")
+        for formula in _formulas(81, 12):
+            nnf = rhs(nnf_new(formula))
+            assert nnf == rhs(nnf_old(formula))
+            pulled = rhs(pull_new(nnf))
+            assert pulled == rhs(pull_old(nnf))
+
+    def test_normal_term_costs_one_inference(self, logic):
+        nnf_new, _ = self._convs(logic, "nnf")
+        for formula in _formulas(5, 6):
+            normal = rhs(nnf_new(formula))
+            with kernel.tracing() as log:
+                th = nnf_new(normal)
+            assert [name for name, _, _ in log] == ["refl"]
+            assert th.conclusion == mk_eq(normal, normal)
+
+    def test_indexed_rules_pick_the_first_applicable(self, logic):
+        lemmas = _NormLemmas.get(logic)
+        for equations in (lemmas.nnf, lemmas.pull):
+            picked = []
+
+            def tagged(i, conv):
+                def go(t):
+                    th = conv(t)
+                    picked.append(i)
+                    return th
+
+                return go
+
+            convs = [tagged(i, bootstrap.rewr_conv(th)) for i, th in enumerate(equations)]
+            convs.append(tagged(len(equations), try_beta))
+            indexed = indexed_first_conv(
+                [(lhs(th), c) for th, c in zip(equations, convs)] + [(None, convs[-1])]
+            )
+            flat = first_conv(convs)
+            nnf = _rewrite_conv(lemmas.nnf)
+            terms = []
+            for formula in _formulas(17, 10):
+                terms += list(_subterms(formula))
+                terms += list(_subterms(rhs(nnf(formula))))
+            hits = 0
+            for t in terms:
+                results = []
+                for conv in (indexed, flat):
+                    picked.clear()
+                    try:
+                        th = conv(t)
+                    except Inapplicable:
+                        th = None
+                    results.append((list(picked), th and rhs(th)))
+                assert results[0] == results[1]
+                hits += results[0][1] is not None
+            assert hits > 0
+
+    def test_paper_formula_inference_count(self, logic):
+        # rewriting node by node and unfolding the connectives on every
+        # derived-rule call took 61,508 inferences here
+        name, prob, depth = next(p for p in PROBLEMS if p[0] == "paper-displayed-formula")
+        _NormLemmas.get(logic)
+        with kernel.tracing() as log:
+            meson(logic, prob, depth_bound=depth)
+        assert len(log) < 2 * PAPER_FORMULA_INFERENCES

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -32,14 +33,19 @@ from microhol.syntax import (
     Abs,
     Comb,
     Const,
+    HolError,
     Substitution,
+    TyVar,
     Var,
     alpha_equiv,
     fn,
     mk_abs,
     mk_comb,
     mk_eq,
+    term_order_key,
 )
+
+from .oracles import UnfoldingRules
 
 p = Var("p", BOOL)
 q = Var("q", BOOL)
@@ -231,3 +237,88 @@ class TestSoundnessOfDerived:
         th = kernel.axiom_extensionality()
         verdict = is_valid(theorem_sequent(th), Model(ind_size=2), theory=logic.theory)
         assert verdict.valid
+
+
+r = Var("r", BOOL)
+
+
+class TestSchemaRules:
+    """The rules that instantiate pre-proved schemas give the sequents the
+    per-call unfolding derivations gave, assumption for assumption."""
+
+    FORMULAS = (p, q, r, mk_conj(p, q), mk_imp(p, q), mk_neg(p), mk_disj(q, r))
+
+    @staticmethod
+    def same(a, b):
+        assert alpha_equiv(a.conclusion, b.conclusion)
+        assert [term_order_key(h) for h in a.assumptions] == [
+            term_order_key(h) for h in b.assumptions
+        ]
+
+    def pool(self, old, concl):
+        """Theorems concluding `concl` under assorted assumption sets,
+        including ones that hold `concl` itself or other formulas."""
+        base = [assume(concl), old.conjunct1(assume(mk_conj(concl, r)))]
+        out = []
+        for th in base:
+            out.append(th)
+            for h in self.FORMULAS[:5]:
+                if h != concl:
+                    out.append(old.conjunct2(old.conj(assume(h), th)))
+        return out
+
+    def test_conj_and_conjuncts(self, logic):
+        old = UnfoldingRules(logic)
+        rng = random.Random(3)
+        for _ in range(40):
+            th1 = rng.choice(self.pool(old, rng.choice(self.FORMULAS)))
+            th2 = rng.choice(self.pool(old, rng.choice(self.FORMULAS)))
+            both = logic.conj(th1, th2)
+            self.same(both, old.conj(th1, th2))
+            self.same(logic.conjunct1(both), old.conjunct1(both))
+            self.same(logic.conjunct2(both), old.conjunct2(both))
+
+    def test_mp_keeps_every_assumption(self, logic):
+        old = UnfoldingRules(logic)
+        for ante, cons in ((p, q), (mk_conj(p, q), r), (q, p), (p, p)):
+            for th_imp in self.pool(old, mk_imp(ante, cons)):
+                for th_ant in self.pool(old, ante):
+                    self.same(logic.mp(th_imp, th_ant), old.mp(th_imp, th_ant))
+
+    def test_disch(self, logic):
+        old = UnfoldingRules(logic)
+        for a in self.FORMULAS:
+            for th in self.pool(old, q) + self.pool(old, a):
+                self.same(logic.disch(a, th), old.disch(a, th))
+
+    def test_spec(self, logic):
+        old = UnfoldingRules(logic)
+        P = Var("P", fn(IND, BOOL))
+        R = Var("R", fn(IND, fn(IND, BOOL)))
+        A = TyVar("A")
+        universals = (
+            mk_forall(x, mk_comb(P, x)),
+            mk_forall(x, mk_forall(y, mk_comb(mk_comb(R, x), y))),
+            mk_comb(Const("forall", fn(fn(IND, BOOL), BOOL)), P),
+        )
+        for u in universals:
+            for th in self.pool(old, u):
+                for t in (x, y, Var("k", IND)):
+                    self.same(logic.spec(t, th), old.spec(t, th))
+        poly = assume(mk_forall(Var("a", A), mk_eq(Var("a", A), Var("a", A))))
+        self.same(logic.spec(Var("b", A), poly), old.spec(Var("b", A), poly))
+
+    def test_disj_cases(self, logic):
+        old = UnfoldingRules(logic)
+        for th in self.pool(old, mk_disj(p, q)):
+            for concl in (r, p, mk_imp(p, q)):
+                th1 = old.mp(assume(mk_imp(p, concl)), assume(p))
+                th2 = old.mp(assume(mk_imp(q, concl)), assume(q))
+                th2 = old.conjunct2(old.conj(assume(mk_imp(p, q)), th2))
+                for a, b in ((th1, th2), (th2, th1)):
+                    self.same(logic.disj_cases(th, a, b), old.disj_cases(th, a, b))
+
+    def test_spec_type_mismatch_rejected(self, logic):
+        for spec in (logic.spec, UnfoldingRules(logic).spec):
+            with pytest.raises(HolError):
+                spec(p, assume(mk_forall(x, mk_eq(x, x))))

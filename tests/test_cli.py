@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,27 @@ class TestStats:
         assert main(["stats", refl_article, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["articles"][0]["line_count"] == 3
+
+
+class TestNoTraceback:
+    def test_deeply_nested_input_is_an_error_not_a_crash(self):
+        # the parser recurses once per `~`; 3,000 of them overflow the
+        # interpreter's stack
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from microhol.cli import main; sys.exit(main(sys.argv[1:]))",
+                "parse",
+                "~" * 3000 + "p",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ")

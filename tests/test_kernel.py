@@ -401,6 +401,23 @@ class TestTypeDefinition:
         with pytest.raises(MalformedInhabitation):
             new_basic_type_definition(thy, "t2", "mk2", "dest2", th)
 
+    def test_abs_and_rep_must_differ(self, logic):
+        # one name for both would leave the signature with only the rep
+        # type while the theorems used the constant at the abs type too
+        thy = Theory()
+        from microhol.bootstrap import install_logic
+
+        lg = install_logic(thy)
+        pred = self._one_point_pred(lg)
+        inhab = _pred_holds(lg, pred, Const("T", BOOL))
+        with pytest.raises(DuplicateName):
+            new_basic_type_definition(thy, "t", "f", "f", inhab)
+        assert not thy.has_constant("f")
+        assert "t" not in thy.type_constructors
+        event = kernel.DefinitionEvent("type-definition", ("t", "f", "f"), pred, Const("T", BOOL))
+        with pytest.raises(DuplicateName):
+            Theory.replay([event])
+
     def test_reusing_builtin_name(self, logic):
         thy = Theory()
         from microhol.bootstrap import install_logic

@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microhol import kernel
-from microhol.bootstrap import FALSE, TRUE, install_logic, mk_neg
+from microhol.bootstrap import (
+    FALSE,
+    TRUE,
+    install_logic,
+    mk_conj,
+    mk_disj,
+    mk_exists,
+    mk_forall,
+    mk_imp,
+    mk_neg,
+)
 from microhol.fuzz import RULE_IDS, TermGen, alpha_variant, make_generator, weakened_abs_generator
 from microhol.kernel import Theory, assume, new_basic_definition, refl
 from microhol.semantics import (
@@ -43,6 +53,7 @@ from microhol.syntax import (
     vsubst,
 )
 
+from .oracles import unfolded_eval_term
 from .strategies import typed_terms
 
 x = Var("x", BOOL)
@@ -156,6 +167,53 @@ class TestEvalTerm:
         # ~F evaluates true by unfolding not and F
         v = Valuation(Model())
         assert eval_term(mk_neg(FALSE), v, theory) == TRUE_ELEM
+
+
+class TestDefinedConstantsFolded:
+    """eval_term folds each defined constant to its value; the reference
+    compiles the definition's body at every occurrence instead."""
+
+    @staticmethod
+    def formula(rng, depth, scope):
+        a = TyVar("A")
+        if depth == 0 or rng.random() < 0.2:
+            roll = rng.randrange(6)
+            if roll == 0:
+                return rng.choice((TRUE, FALSE, Var("b", BOOL)))
+            if roll == 1 or not scope:
+                return mk_eq(Var("u", a), Var("v", a))
+            v = rng.choice(scope)
+            if v.ty == a:
+                return mk_eq(v, Var("u", a))
+            return mk_comb(Var("P", fn(IND, BOOL)), v)
+        op = rng.randrange(7)
+        if op < 2:
+            v = Var(f"x{depth}", rng.choice((IND, a)))
+            body = TestDefinedConstantsFolded.formula(rng, depth - 1, scope + [v])
+            return (mk_forall, mk_exists)[op](v, body)
+        if op == 2:
+            return mk_neg(TestDefinedConstantsFolded.formula(rng, depth - 1, scope))
+        l = TestDefinedConstantsFolded.formula(rng, depth - 1, scope)
+        r = TestDefinedConstantsFolded.formula(rng, depth - 1, scope)
+        return (mk_conj, mk_disj, mk_imp, mk_eq)[op - 3](l, r)
+
+    def test_matches_unfolded_reference_under_every_valuation(self, theory):
+        from microhol.syntax import free_vars
+
+        rng = random.Random(11)
+        model = Model(ind_size=2)
+        checked = 0
+        for _ in range(12):
+            t = self.formula(rng, 3, [])
+            for size in (1, 2):
+                tysizes = {"A": size}
+                fvs = sorted(free_vars(t), key=lambda v: v.name)
+                sizes = [carrier_size(v.ty, model, tysizes, theory) for v in fvs]
+                for values in itertools.product(*(range(n) for n in sizes)):
+                    v = Valuation(model, tysizes, dict(zip(fvs, values)))
+                    assert eval_term(t, v, theory) == unfolded_eval_term(t, v, theory)
+                    checked += 1
+        assert checked > 100
 
 
 class TestSequents:
