@@ -176,6 +176,8 @@ def _union(a: tuple[_Keyed, ...], b: tuple[_Keyed, ...]) -> tuple[_Keyed, ...]:
 
 
 def _remove(hyps: tuple[_Keyed, ...], t: Term) -> tuple[_Keyed, ...]:
+    if not hyps:
+        return hyps
     key = term_order_key(t)
     return tuple(h for h in hyps if h[0] != key)
 

@@ -1,5 +1,7 @@
-"""Concrete syntax: a hand-rolled lexer/parser and a precedence-aware
-printer for types and terms.
+"""Concrete syntax: a parser and a precedence-aware printer for types
+and terms.  One compiled regular expression splits the source into
+token strings; the parser reads them by index and works out a token's
+line and column only when it reports an error there.
 
 Types are written `A -> B` (right-associative) with single capital
 letters (optionally digits) as type variables and lowercase names as
@@ -20,7 +22,7 @@ parentheses, so `parse(print(t))` is alpha-identical to `t` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .syntax import (
     BOOL,
@@ -88,60 +90,44 @@ _MONO_OPS = {"and": _BOOL2, "or": _BOOL2, "imp": _BOOL2, "not": fn(BOOL, BOOL)}
 # ---------------------------------------------------------------------------
 # Lexer
 
+_SPACE = " \t\r\n"
+# One token after optional whitespace: the multi-character operators
+# before the punctuation they start with, then identifiers, then any
+# other single character, which _lex rejects.  `\w` is exactly
+# `str.isalnum()` or `_`, so `[\w']*` continues an identifier as
+# intended, but `[^\W\d]` also starts one at characters such as `²` and
+# `½` that are not `str.isalpha()`; _lex checks first characters itself.
+# Scans stop before trailing whitespace, where the pattern cannot match:
+# a search would retry it at every remaining position.
+_TOKEN = re.compile(
+    f"[{_SPACE}]*" + r"(==>|<=>|\|-|->|/\\|\\/|[\\().:,=~!?@]|[^\W\d][\w']*|.)", re.DOTALL
+)
+_PUNCT = frozenset(("==>", "<=>", "|-", "->", "/\\", "\\/", *"\\().:,=~!?@"))
+_EOF = ""
+_NOT_IDENT = _PUNCT | {_EOF}
+# End-of-input entries after the last token: the parser looks at most two
+# tokens past its position, so lookahead never needs a bounds check.
+_EOF_PAD = 3
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # 'ident' | 'punct' | 'eof'
-    text: str
-    line: int
-    col: int
 
-
-_MULTI = ("==>", "<=>", "|-", "->", "/\\", "\\/")
-_SINGLE = "\\().:,=~!?@"
-
-
-def _lex(src: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        matched = None
-        for op in _MULTI:
-            if src.startswith(op, i):
-                matched = op
-                break
-        if matched:
-            toks.append(_Tok("punct", matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if c in _SINGLE:
-            toks.append(_Tok("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+def _lex(src: str) -> list[str]:
+    """The token texts of `src`, followed by `_EOF_PAD` end-of-input entries."""
+    toks = _TOKEN.findall(src, 0, len(src.rstrip(_SPACE)))
+    bad = [
+        t for t in set(toks).difference(_PUNCT) if not (t[0].isalpha() or t[0] == "_")
+    ]
+    if bad:
+        i = min(map(toks.index, bad))
+        raise ParseError(f"unexpected character {toks[i][0]!r}", *_position(src, i))
+    toks += [_EOF] * _EOF_PAD
     return toks
+
+
+def _position(src: str, i: int) -> tuple[int, int]:
+    """Line and column, from 1, of token `i` of `src` (past the last: the end)."""
+    starts = [m.start(1) for m in _TOKEN.finditer(src, 0, len(src.rstrip(_SPACE)))]
+    offset = starts[i] if i < len(starts) else len(src)
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 def _is_tyvar_name(name: str) -> bool:
@@ -149,19 +135,38 @@ def _is_tyvar_name(name: str) -> bool:
     return name[0].isupper() and (len(name) == 1 or name[1:].isdigit())
 
 
+# Binding strength, loosest first; shared by the parser and the printer.
+_BINDER = 0
+_IFF = 1
+_IMP = 2
+_DISJ = 3
+_CONJ = 4
+_NEG = 5
+_EQ = 6
+_APP = 7
+_ATOM = 8
+
+# Infix connective token -> binding strength; all are right-associative.
+_INFIX_LEVEL = {"<=>": _IFF, "==>": _IMP, "\\/": _DISJ, "/\\": _CONJ}
+
+
 class _Unresolved:
     """A polymorphic constant awaiting type inference from its arguments."""
 
-    __slots__ = ("name", "generic", "tok")
+    __slots__ = ("name", "generic", "at")
 
-    def __init__(self, name: str, generic: HolType, tok: _Tok):
+    def __init__(self, name: str, generic: HolType, at: int):
         self.name = name
         self.generic = generic
-        self.tok = tok
+        self.at = at
 
 
 class _Parser:
+    """Recursive descent over the token list; a token is named by its index,
+    whose line and column are worked out only when an error is raised."""
+
     def __init__(self, src: str, theory=None, free_default: HolType | None = None):
+        self.src = src
         self.toks = _lex(src)
         self.pos = 0
         self.theory = theory
@@ -170,186 +175,165 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Tok:
-        tok = self.toks[self.pos]
+    def next(self) -> str:
+        text = self.toks[self.pos]
         self.pos += 1
-        return tok
+        return text
 
-    def expect(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.text != text or tok.kind == "eof":
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return tok
+    def expect(self, text: str):
+        found = self.next()
+        if found != text:
+            self.fail(f"expected {text!r}, found {found or 'end of input'!r}", self.pos - 1)
 
-    def fail(self, message: str, tok: _Tok | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def where(self, at: int | None = None) -> tuple[int, int]:
+        return _position(self.src, self.pos if at is None else at)
+
+    def fail(self, message: str, at: int | None = None):
+        raise ParseError(message, *self.where(at))
+
+    def whole(self, rule, what: str):
+        """Run `rule`, which must consume every token."""
+        try:
+            result = rule()
+        except RecursionError:
+            raise ParseError("input nested too deeply", *self.where()) from None
+        found = self.toks[self.pos]
+        if found != _EOF:
+            self.fail(f"unexpected {found!r} after {what}")
+        return result
 
     # -- types
 
-    def type_arity(self, name: str, tok: _Tok) -> int:
+    def type_arity(self, name: str, at: int) -> int:
         if self.theory is not None:
             arity = self.theory.type_constructors.get(name)
             if arity is None:
-                self.fail(f"unknown type constructor {name!r}", tok)
+                self.fail(f"unknown type constructor {name!r}", at)
             return arity
         return _BUILTIN_TYPE_ARITIES.get(name, 0)
 
     def parse_type(self) -> HolType:
         left = self.parse_tyapp()
-        if self.peek().text == "->":
-            self.next()
+        if self.toks[self.pos] == "->":
+            self.pos += 1
             return fn(left, self.parse_type())
         return left
 
     def parse_tyapp(self) -> HolType:
-        tok = self.peek()
-        if tok.kind == "ident" and not _is_tyvar_name(tok.text):
-            self.next()
-            arity = self.type_arity(tok.text, tok)
+        at = self.pos
+        name = self.toks[at]
+        if name not in _NOT_IDENT and not _is_tyvar_name(name):
+            self.pos += 1
+            arity = self.type_arity(name, at)
             args = tuple(self.parse_atomty() for _ in range(arity))
-            return TyApp(tok.text, args)
+            return TyApp(name, args)
         return self.parse_atomty()
 
     def parse_atomty(self) -> HolType:
-        tok = self.next()
-        if tok.text == "(":
+        at = self.pos
+        text = self.next()
+        if text == "(":
             ty = self.parse_type()
             self.expect(")")
             return ty
-        if tok.kind == "ident":
-            if _is_tyvar_name(tok.text):
-                return TyVar(tok.text)
-            arity = self.type_arity(tok.text, tok)
+        if text not in _NOT_IDENT:
+            if _is_tyvar_name(text):
+                return TyVar(text)
+            arity = self.type_arity(text, at)
             if arity:
-                self.fail(
-                    f"type constructor {tok.text!r} expects {arity} arguments", tok
-                )
-            return TyApp(tok.text)
-        self.fail(f"expected a type, found {tok.text!r}", tok)
+                self.fail(f"type constructor {text!r} expects {arity} arguments", at)
+            return TyApp(text)
+        self.fail(f"expected a type, found {text!r}", at)
 
     # -- terms
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.text == "\\" or (
-            tok.text in ("!", "?", "@") and self.peek(1).kind == "ident"
-        ):
-            if self.peek(1).kind == "ident" and self.peek(2).text == ":":
+        text, after = self.toks[self.pos], self.toks[self.pos + 1]
+        if text == "\\" or (text in ("!", "?", "@") and after not in _NOT_IDENT):
+            if after not in _NOT_IDENT and self.toks[self.pos + 2] == ":":
                 return self.parse_binder()
-            self.fail(
-                "binder annotations are mandatory (write \\x:ty. body)", tok
-            )
-        return self.parse_iff()
+            self.fail("binder annotations are mandatory (write \\x:ty. body)")
+        return self.parse_infix(_IFF)
 
     def parse_binder(self) -> Term:
-        tok = self.next()
-        name = self.next()
+        at = self.pos
+        binder, name = self.next(), self.next()
         self.expect(":")
         ty = self.parse_type()
         self.expect(".")
-        v = Var(name.text, ty)
+        v = Var(name, ty)
         self.binders.append(v)
         try:
             body = self.parse_term()
         finally:
             self.binders.pop()
-        if tok.text == "\\":
+        if binder == "\\":
             return mk_abs(v, body)
-        if tok.text == "@":
+        if binder == "@":
             sel = Const("@", fn(fn(ty, BOOL), ty))
             return mk_comb(sel, mk_abs(v, body))
-        cname = "forall" if tok.text == "!" else "exists"
-        self.require_constant(cname, tok)
+        cname = "forall" if binder == "!" else "exists"
+        self.require_constant(cname, at)
         if body.ty != BOOL:
-            self.fail(f"{tok.text} body must be boolean", tok)
+            self.fail(f"{binder} body must be boolean", at)
         quant = Const(cname, fn(fn(ty, BOOL), BOOL))
         return mk_comb(quant, mk_abs(v, body))
 
-    def require_constant(self, name: str, tok: _Tok):
+    def require_constant(self, name: str, at: int):
         if self.theory is None or not self.theory.has_constant(name):
-            raise UnknownConstant(
-                f"{tok.line}:{tok.col}: constant {name!r} is not in the theory"
-            )
+            line, col = self.where(at)
+            raise UnknownConstant(f"{line}:{col}: constant {name!r} is not in the theory")
 
-    def _binop(self, cname: str, l: Term, r: Term, tok: _Tok) -> Term:
-        if l.ty != BOOL or r.ty != BOOL:
-            self.fail(f"{tok.text} needs boolean operands", tok)
-        self.require_constant(cname, tok)
-        return mk_comb(mk_comb(Const(cname, _BOOL2), l), r)
-
-    def parse_iff(self) -> Term:
-        left = self.parse_imp()
-        tok = self.peek()
-        if tok.text == "<=>":
-            self.next()
-            right = self.parse_iff()
-            if left.ty != BOOL or right.ty != BOOL:
-                self.fail("<=> needs boolean operands", tok)
-            return mk_eq(left, right)
-        return left
-
-    def parse_imp(self) -> Term:
-        left = self.parse_disj()
-        tok = self.peek()
-        if tok.text == "==>":
-            self.next()
-            return self._binop("imp", left, self.parse_imp(), tok)
-        return left
-
-    def parse_disj(self) -> Term:
-        left = self.parse_conj()
-        tok = self.peek()
-        if tok.text == "\\/":
-            self.next()
-            return self._binop("or", left, self.parse_disj(), tok)
-        return left
-
-    def parse_conj(self) -> Term:
+    def parse_infix(self, min_level: int) -> Term:
+        """Infix connectives binding at least `min_level` tightly (precedence
+        climbing; each level is right-associative)."""
         left = self.parse_neg()
-        tok = self.peek()
-        if tok.text == "/\\":
-            self.next()
-            return self._binop("and", left, self.parse_conj(), tok)
-        return left
+        while True:
+            at = self.pos
+            op = self.toks[self.pos]
+            level = _INFIX_LEVEL.get(op, 0)
+            if level < min_level:
+                return left
+            self.pos += 1
+            right = self.parse_infix(level)
+            if left.ty != BOOL or right.ty != BOOL:
+                self.fail(f"{op} needs boolean operands", at)
+            if op == "<=>":
+                left = mk_eq(left, right)
+            else:
+                cname = _OP_CONSTS[op]
+                self.require_constant(cname, at)
+                left = mk_comb(mk_comb(Const(cname, _BOOL2), left), right)
 
     def parse_neg(self) -> Term:
-        tok = self.peek()
-        if tok.text == "~":
-            self.next()
+        at = self.pos
+        if self.toks[self.pos] == "~":
+            self.pos += 1
             operand = self.parse_neg()
             if operand.ty != BOOL:
-                self.fail("~ needs a boolean operand", tok)
-            self.require_constant("not", tok)
+                self.fail("~ needs a boolean operand", at)
+            self.require_constant("not", at)
             return mk_comb(Const("not", fn(BOOL, BOOL)), operand)
         return self.parse_eq()
 
     def parse_eq(self) -> Term:
         left = self.parse_app()
-        tok = self.peek()
-        if tok.text == "=":
-            self.next()
+        at = self.pos
+        if self.toks[self.pos] == "=":
+            self.pos += 1
             right = self.parse_app()
-            left = self._resolve_now(left, tok)
-            right = self._resolve_now(right, tok)
+            left = self._resolve_now(left)
+            right = self._resolve_now(right)
             if left.ty != right.ty:
-                self.fail(
-                    f"equation sides have different types", tok
-                )
+                self.fail("equation sides have different types", at)
             return mk_eq(left, right)
-        return self._resolve_now(left, tok) if isinstance(left, _Unresolved) else left
-
-    _ATOM_STARTS = ("(",)
+        return self._resolve_now(left)
 
     def parse_app(self):
         items = [self.parse_atom()]
         while True:
-            tok = self.peek()
-            if tok.text == "(" or tok.kind == "ident":
+            text = self.toks[self.pos]
+            if text == "(" or text not in _NOT_IDENT:
                 items.append(self.parse_atom())
             else:
                 break
@@ -360,7 +344,7 @@ class _Parser:
         args = items[1:]
         for i, a in enumerate(args):
             if isinstance(a, _Unresolved):
-                args[i] = self._resolve_now(a, a.tok)
+                args[i] = self._resolve_now(a)
         if isinstance(head, _Unresolved):
             if not args:
                 return head  # may be resolved by an enclosing equation
@@ -371,15 +355,14 @@ class _Parser:
                     break
                 if type_match(remaining.args[0], a.ty, env) is None:
                     self.fail(
-                        f"argument type does not fit constant {head.name!r}",
-                        head.tok,
+                        f"argument type does not fit constant {head.name!r}", head.at
                     )
                 remaining = remaining.args[1]
             inst = type_subst(env, head.generic)
             if type_vars_of_type(inst):
                 self.fail(
                     f"cannot infer the type of constant {head.name!r}; annotate it",
-                    head.tok,
+                    head.at,
                 )
             head = Const(head.name, inst)
         result = head
@@ -387,64 +370,64 @@ class _Parser:
             try:
                 result = mk_comb(result, a)
             except IllTyped as exc:
-                raise ParseError(str(exc), self.peek().line, self.peek().col) from None
+                raise ParseError(str(exc), *self.where()) from None
         return result
 
-    def _resolve_now(self, item, tok) -> Term:
+    def _resolve_now(self, item) -> Term:
         if not isinstance(item, _Unresolved):
             return item
         if not type_vars_of_type(item.generic):
             return Const(item.name, item.generic)
         self.fail(
-            f"cannot infer the type of constant {item.name!r}; annotate it",
-            item.tok,
+            f"cannot infer the type of constant {item.name!r}; annotate it", item.at
         )
 
     def parse_atom(self):
-        tok = self.next()
-        if tok.text == "(":
-            nxt = self.peek()
-            if nxt.text in _OP_CONSTS and self.peek(1).text in (")", ":"):
-                self.next()
-                cname = _OP_CONSTS[nxt.text]
+        at = self.pos
+        text = self.next()
+        if text == "(":
+            op = self.toks[self.pos]
+            if op in _OP_CONSTS and self.toks[self.pos + 1] in (")", ":"):
+                self.pos += 1
+                cname = _OP_CONSTS[op]
                 ann = None
-                if self.peek().text == ":":
-                    self.next()
+                if self.toks[self.pos] == ":":
+                    self.pos += 1
                     ann = self.parse_type()
                 self.expect(")")
-                return self._operator_const(nxt, cname, ann)
+                return self._operator_const(op, at + 1, cname, ann)
             term = self.parse_term()
             self.expect(")")
             return term
-        if tok.kind == "ident":
+        if text not in _NOT_IDENT:
             ann = None
-            if self.peek().text == ":":
-                self.next()
+            if self.toks[self.pos] == ":":
+                self.pos += 1
                 ann = self.parse_type()
-            return self._ident(tok, ann)
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+            return self._ident(text, at, ann)
+        self.fail(f"expected a term, found {text or 'end of input'!r}", at)
 
-    def _operator_const(self, tok: _Tok, cname: str, ann: HolType | None):
-        if tok.text == "<=>":
+    def _operator_const(self, op: str, at: int, cname: str, ann: HolType | None):
+        if op == "<=>":
             generic = _BOOL2
         elif cname in _MONO_OPS:
-            self.require_constant(cname, tok)
+            self.require_constant(cname, at)
             generic = _MONO_OPS[cname]
         else:
-            generic = self._generic_of(cname, tok)
+            generic = self._generic_of(cname, at)
         if ann is None:
             if type_vars_of_type(generic):
-                return _Unresolved(cname, generic, tok)
+                return _Unresolved(cname, generic, at)
             if cname in ("forall", "exists"):
-                self.require_constant(cname, tok)
+                self.require_constant(cname, at)
             return Const(cname, generic)
         if type_match(generic, ann) is None:
-            self.fail(f"{ann!r} is not an instance of {cname!r}'s type", tok)
+            self.fail(f"{ann!r} is not an instance of {cname!r}'s type", at)
         if cname in ("forall", "exists"):
-            self.require_constant(cname, tok)
+            self.require_constant(cname, at)
         return Const(cname, ann)
 
-    def _generic_of(self, name: str, tok: _Tok) -> HolType:
+    def _generic_of(self, name: str, at: int) -> HolType:
         if name == "=":
             a = TyVar("A")
             return fn(a, fn(a, BOOL))
@@ -453,11 +436,10 @@ class _Parser:
             return fn(fn(a, BOOL), a)
         if name in ("forall", "exists"):
             return fn(fn(TyVar("A"), BOOL), BOOL)
-        self.require_constant(name, tok)
+        self.require_constant(name, at)
         return self.theory.constant_type(name)
 
-    def _ident(self, tok: _Tok, ann: HolType | None):
-        name = tok.text
+    def _ident(self, name: str, at: int, ann: HolType | None):
         if ann is None:
             for v in reversed(self.binders):
                 if v.name == name:
@@ -465,59 +447,49 @@ class _Parser:
             if self.theory is not None and self.theory.has_constant(name):
                 generic = self.theory.constant_type(name)
                 if type_vars_of_type(generic):
-                    return _Unresolved(name, generic, tok)
+                    return _Unresolved(name, generic, at)
                 return Const(name, generic)
             if self.free_default is not None:
                 return Var(name, self.free_default)
-            self.fail(f"unannotated free name {name!r}", tok)
+            self.fail(f"unannotated free name {name!r}", at)
         if self.theory is not None and self.theory.has_constant(name):
             generic = self.theory.constant_type(name)
             if type_match(generic, ann) is not None:
                 return Const(name, ann)
-            self.fail(f"{name!r} is a constant and {ann!r} does not fit it", tok)
+            self.fail(f"{name!r} is a constant and {ann!r} does not fit it", at)
         return Var(name, ann)
+
+    def parse_sequent(self) -> tuple[tuple[Term, ...], Term]:
+        hyps: list[Term] = []
+        if self.toks[self.pos] != "|-":
+            while True:
+                hyps.append(self.parse_term())
+                at = self.pos
+                text = self.next()
+                if text == "|-":
+                    break
+                if text != ",":
+                    self.fail(f"expected ',' or '|-', found {text!r}", at)
+        else:
+            self.pos += 1
+        return tuple(hyps), self.parse_term()
 
 
 def parse_type(src: str, theory=None) -> HolType:
     p = _Parser(src, theory)
-    ty = p.parse_type()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.fail(f"unexpected {tok.text!r} after type", tok)
-    return ty
+    return p.whole(p.parse_type, "type")
 
 
 def parse_term(src: str, theory=None, free_default: HolType | None = None) -> Term:
     p = _Parser(src, theory, free_default)
-    t = p.parse_term()
-    if isinstance(t, _Unresolved):
-        p.fail(f"cannot infer the type of constant {t.name!r}; annotate it", t.tok)
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.fail(f"unexpected {tok.text!r} after term", tok)
-    return t
+    return p.whole(p.parse_term, "term")
 
 
 def parse_sequent(
     src: str, theory=None, free_default: HolType | None = None
 ) -> tuple[tuple[Term, ...], Term]:
     p = _Parser(src, theory, free_default)
-    hyps: list[Term] = []
-    if p.peek().text != "|-":
-        while True:
-            hyps.append(p.parse_term())
-            tok = p.next()
-            if tok.text == "|-":
-                break
-            if tok.text != ",":
-                p.fail(f"expected ',' or '|-', found {tok.text!r}", tok)
-    else:
-        p.next()
-    concl = p.parse_term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.fail(f"unexpected {tok.text!r} after sequent", tok)
-    return tuple(hyps), concl
+    return p.whole(p.parse_sequent, "sequent")
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +508,6 @@ def print_type(ty: HolType, prec: int = 0) -> str:
     s = ty.con + " " + " ".join(print_type(a, 2) for a in ty.args)
     return f"({s})" if prec >= 2 else s
 
-
-_BINDER = 0
-_IFF = 1
-_IMP = 2
-_DISJ = 3
-_CONJ = 4
-_NEG = 5
-_EQ = 6
-_APP = 7
-_ATOM = 8
 
 _INFIX = {"imp": ("==>", _IMP), "or": ("\\/", _DISJ), "and": ("/\\", _CONJ)}
 

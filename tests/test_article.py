@@ -237,6 +237,25 @@ class TestArity:
         }
 
 
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["TERM " + "~" * 3000 + "(p:bool)"],
+            ["TERM " + "(" * 3000 + "p:bool" + ")" * 3000],
+            ["TYPE " + "(" * 3000 + "bool" + ")" * 3000],
+            ["TERM p:bool", "REFL 1", "THM 2 |- " + "~" * 3000 + "(p:bool)"],
+        ],
+    )
+    def test_too_deep_is_a_line_numbered_failure(self, lines):
+        thy = install_logic(Theory()).theory
+        rep = check_article(art(thy, *lines), thy)
+        assert not rep.ok
+        failure = rep.failures[0]
+        assert failure["line"] == 2 + len(lines)
+        assert "input nested too deeply" in failure["message"]
+
+
 class TestDeterminism:
     def test_two_replays_identical(self):
         thy1, thy2 = Theory(), Theory()

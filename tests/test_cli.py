@@ -146,25 +146,51 @@ class TestStats:
         assert payload["articles"][0]["line_count"] == 3
 
 
+def _run_cli(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from microhol.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv,
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 class TestNoTraceback:
     def test_deeply_nested_input_is_an_error_not_a_crash(self):
         # the parser recurses once per `~`; 3,000 of them overflow the
-        # interpreter's stack
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from microhol.cli import main; sys.exit(main(sys.argv[1:]))",
-                "parse",
-                "~" * 3000 + "p",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 2
+        # interpreter's stack, which is reported as a parse error
+        proc = _run_cli("parse", "~" * 3000 + "p")
+        assert proc.returncode == 1
         assert "Traceback" not in proc.stdout + proc.stderr
-        assert proc.stderr.startswith("error: ")
+        assert proc.stdout.startswith("parse error: 1:")
+        assert "input nested too deeply" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parse", "(" * 3000 + "p:bool" + ")" * 3000],
+            ["parse", "--json", "!x:bool. " * 3000 + "x"],
+            ["parse", "--type", "(" * 3000 + "bool" + ")" * 3000],
+        ],
+    )
+    def test_deep_nesting_at_3000_levels(self, argv):
+        proc = _run_cli(*argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "1:" in proc.stdout and "input nested too deeply" in proc.stdout
+
+    def test_unexpected_exception_is_reported(self, monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("microhol.cli.cmd_parse", crash)
+        assert main(["parse", "x"]) == 2
+        assert capsys.readouterr().err == "error: RuntimeError: boom\n"

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microhol import surface
 from microhol.fuzz import TermGen
 from microhol.surface import (
     ParseError,
@@ -28,6 +30,13 @@ from microhol.syntax import (
     mk_abs,
     mk_comb,
     mk_eq,
+)
+
+from .oracles import (
+    legacy_lex,
+    legacy_parse_sequent,
+    legacy_parse_term,
+    legacy_parse_type,
 )
 
 
@@ -170,3 +179,158 @@ class TestRoundTrip:
         t = parse_term(src, theory)
         assert print_term(t) == "!x:ind. x = x"
         assert parse_term(print_term(t), theory) == t
+
+
+# Surface tokens, whitespace, stray characters, and characters on either
+# side of the identifier rules: `é` and `λ` are letters, `²` and `½` are
+# alphanumeric but not letters, `'` may only continue an identifier.
+_PIECES = [
+    "==>", "<=>", "|-", "->", "/\\", "\\/", *"\\().:,=~!?@",
+    " ", "\t", "\r", "\n", "\x0c", "\u00a0",
+    "x", "p", "T", "A", "A1", "bool", "ind", "fun", "é", "λ", "²", "½", "'", "_",
+    "1", "#", "<", "/", "|", "-", "$",
+]
+_BOOL2 = fn(BOOL, fn(BOOL, BOOL))
+
+
+def _formula(g, rng, depth):
+    """A boolean term using every connective, over TermGen atoms."""
+    r = rng.random()
+    if depth <= 0 or r < 0.25:
+        return g.term(BOOL, rng.randrange(0, 4))
+    if r < 0.35:
+        return mk_comb(Const("not", fn(BOOL, BOOL)), _formula(g, rng, depth - 1))
+    if r < 0.45:
+        v = g.var(g.small_type())
+        q = Const(rng.choice(("forall", "exists")), fn(fn(v.ty, BOOL), BOOL))
+        return mk_comb(q, mk_abs(v, _formula(g, rng, depth - 1)))
+    left, right = _formula(g, rng, depth - 1), _formula(g, rng, depth - 1)
+    op = rng.choice(("and", "or", "imp", "="))
+    if op == "=":
+        return mk_eq(left, right)
+    return mk_comb(mk_comb(Const(op, _BOOL2), left), right)
+
+
+def _edited(rng, src):
+    """`src` with a few pieces inserted, spans deleted or tokens swapped."""
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(src) + 1)
+        r = rng.random()
+        if r < 0.4:
+            src = src[:i] + rng.choice(_PIECES) + src[i:]
+        elif r < 0.7:
+            src = src[:i] + src[i + rng.randrange(1, 4):]
+        else:
+            old, new = rng.sample(("/\\", "\\/", "==>", "<=>", "=", "~", "(", ")"), 2)
+            src = src.replace(old, new, 1)
+    return src
+
+
+def _tokens(src):
+    toks = surface._lex(src)
+    n = len(toks) - surface._EOF_PAD
+    kinds = ["punct" if t in surface._PUNCT else "ident" for t in toks[:n]] + ["eof"]
+    return [(k, t, *surface._position(src, i)) for i, (k, t) in enumerate(zip(kinds, toks))]
+
+
+def _legacy_tokens(src):
+    return [(t.kind, t.text, t.line, t.col) for t in legacy_lex(src)]
+
+
+def _outcome(parse, *args, **kw):
+    """("ok", value) or ("error", type, message, line, col)."""
+    try:
+        return ("ok", parse(*args, **kw))
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc),
+                getattr(exc, "line", None), getattr(exc, "col", None))
+
+
+def _same_terms(a, b):
+    return alpha_equiv(a, b) and a.ty == b.ty
+
+
+def _assert_matches_legacy(src):
+    assert _outcome(_tokens, src) == _outcome(_legacy_tokens, src), src
+    for theory in (_roundtrip_theory(), None):
+        for free_default in (None, BOOL):
+            new = _outcome(parse_term, src, theory, free_default)
+            old = _outcome(legacy_parse_term, src, theory, free_default)
+            if new[0] == old[0] == "ok":
+                assert _same_terms(new[1], old[1]), src
+            else:
+                assert new == old, src
+            new = _outcome(parse_sequent, src, theory, free_default)
+            old = _outcome(legacy_parse_sequent, src, theory, free_default)
+            if new[0] == old[0] == "ok":
+                (h1, c1), (h2, c2) = new[1], old[1]
+                assert len(h1) == len(h2) and all(map(_same_terms, h1, h2)), src
+                assert _same_terms(c1, c2), src
+            else:
+                assert new == old, src
+        assert _outcome(parse_type, src, theory) == _outcome(legacy_parse_type, src, theory), src
+
+
+class TestAgainstLegacyFrontEnd:
+    """The regex tokenizer and the precedence-climbing parser give the
+    tokens, positions, trees and errors of the per-character lexer and the
+    one-method-per-level parser kept in `oracles`."""
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_printed_and_edited_text(self, seed):
+        rng = random.Random(seed)
+        g = TermGen(rng, max_free=4)
+        hyps = [_formula(g, rng, 2) for _ in range(rng.randrange(0, 3))]
+        concl = _formula(g, rng, rng.randrange(0, 4))
+        for src in (
+            print_term(concl),
+            print_sequent(hyps, concl),
+            print_type(g.small_type()),
+        ):
+            _assert_matches_legacy(src)
+            _assert_matches_legacy(_edited(rng, src))
+
+    @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_random_strings(self, src):
+        _assert_matches_legacy(src)
+
+    @pytest.mark.parametrize(
+        "src",
+        ["x\u00b2 = x\u00b2", "\u00b2x", "\u00bd", "x\u00bd'", "a\n  b \u00b2", "\u00e9\u03bb'1_", "p\n\t/\\ #"],
+    )
+    def test_identifier_edges(self, src):
+        _assert_matches_legacy(src)
+
+
+class TestTrailingWhitespace:
+    def test_is_scanned_once(self):
+        # a search retrying the token pattern at every trailing blank
+        # takes time quadratic in their number
+        blanks = " \n" * 25_000
+        start = time.perf_counter()
+        assert parse_term("(p:bool)" + blanks, _roundtrip_theory()) == Var("p", BOOL)
+        with pytest.raises(ParseError) as err:
+            parse_term("(p:bool" + blanks, _roundtrip_theory())
+        assert (err.value.line, err.value.col) == (25_001, 1)
+        assert time.perf_counter() - start < 2.0
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "parse,src",
+        [
+            (parse_term, "~" * 3000 + "p"),
+            (parse_term, "(" * 3000 + "p" + ")" * 3000),
+            (parse_sequent, "|- " + "(" * 3000 + "p" + ")" * 3000),
+            (parse_type, "(" * 3000 + "bool" + ")" * 3000),
+            (parse_type, "bool -> " * 3000 + "bool"),
+        ],
+    )
+    def test_is_a_parse_error(self, parse, src):
+        with pytest.raises(ParseError) as err:
+            parse(src, _roundtrip_theory())
+        assert "input nested too deeply" in str(err.value)
+        assert err.value.line == 1 and 1 < err.value.col <= len(src)
+
