@@ -1,30 +1,221 @@
-"""Backend selector for the hot kernels.
-
-Two interchangeable implementations exist: a Cython extension
-(``_accel_c``) and a pure-Python module (``_accel_py``).  Both provide
+"""The hot kernels, in pure Python.
 
 * ``alpha_canon(term) -> bytes`` -- de Bruijn canonical encoding, the
   key of the total term order and of assumption sets,
 * ``alpha_equal(t, u) -> bool``  -- alpha-equivalence by a walk over
   both terms that skips shared subterms; ``syntax.alpha_equiv`` uses it,
-* ``run_program(prog, env) -> int`` -- finite-model evaluator step,
+* ``run_program(prog, env) -> int`` -- finite-model evaluator step.
 
-with bit-identical results; the agreement is enforced by tests.  The
-compiled backend is preferred when importable.  Set ``MICROHOL_PURE=1``
-to force the pure backend (the benchmark and the fallback tests do).
+Dispatches on the ``KIND`` tag carried by the syntax node classes
+(0=Var, 1=Const, 2=Comb, 3=Abs; types: 0=TyVar, 1=TyApp) so it does not
+import the syntax module.
+
+Canonical term encoding (big-endian u32 lengths and indices):
+
+    type:  0x01 name            | 0x02 name u32(nargs) args...
+    term:  0x10 u32(debruijn)   bound variable, 0 = innermost binder
+           0x11 name type       free variable
+           0x12 name type       constant
+           0x13 rator rand      combination
+           0x14 bvar-type body  abstraction
+    name:  u32(len) utf8-bytes
 """
 
-import os
+# Reported by `microhol stats` and the benchmark.
+BACKEND = "pure"
 
-if os.environ.get("MICROHOL_PURE"):
-    from . import _accel_py as _impl
-else:
+
+def _enc_type(ty, out):
+    enc = ty._enc
+    if enc is not None:
+        out += enc
+        return
+    start = len(out)
+    if ty.KIND == 0:
+        out.append(0x01)
+        name = ty.name.encode()
+        out += len(name).to_bytes(4, "big")
+        out += name
+    else:
+        out.append(0x02)
+        name = ty.con.encode()
+        out += len(name).to_bytes(4, "big")
+        out += name
+        args = ty.args
+        out += len(args).to_bytes(4, "big")
+        for a in args:
+            _enc_type(a, out)
+    object.__setattr__(ty, "_enc", bytes(out[start:]))
+
+
+def _enc_term(t, out, env, depth):
+    kind = t.KIND
+    # With no binder in scope the encoding of this subtree is context-free
+    # and worth caching on the node (combinations and abstractions only).
+    cacheable = kind >= 2 and not env
+    if cacheable:
+        cached = t._canon
+        if cached is not None:
+            out += cached
+            return
+        start = len(out)
+        if kind == 2:
+            out.append(0x13)
+            _enc_term(t.rator, out, env, depth)
+            _enc_term(t.rand, out, env, depth)
+        else:
+            out.append(0x14)
+            v = t.bvar
+            _enc_type(v.ty, out)
+            env[v] = depth
+            _enc_term(t.body, out, env, depth + 1)
+            del env[v]
+        object.__setattr__(t, "_canon", bytes(out[start:]))
+        return
+    if kind == 0:
+        level = env.get(t)
+        if level is None:
+            out.append(0x11)
+            name = t.name.encode()
+            out += len(name).to_bytes(4, "big")
+            out += name
+            _enc_type(t.ty, out)
+        else:
+            out.append(0x10)
+            out += (depth - level - 1).to_bytes(4, "big")
+    elif kind == 1:
+        out.append(0x12)
+        name = t.name.encode()
+        out += len(name).to_bytes(4, "big")
+        out += name
+        _enc_type(t.ty, out)
+    elif kind == 2:
+        out.append(0x13)
+        _enc_term(t.rator, out, env, depth)
+        _enc_term(t.rand, out, env, depth)
+    else:
+        out.append(0x14)
+        v = t.bvar
+        _enc_type(v.ty, out)
+        saved = env.get(v)
+        env[v] = depth
+        _enc_term(t.body, out, env, depth + 1)
+        if saved is None:
+            del env[v]
+        else:
+            env[v] = saved
+
+
+def alpha_canon(t):
+    """Canonical de Bruijn byte encoding of a term."""
+    out = bytearray()
+    _enc_term(t, out, {}, 0)
+    return bytes(out)
+
+
+def _ty_eq(a, b):
+    if a is b:
+        return True
+    ka = a.KIND
+    if ka != b.KIND:
+        return False
+    if ka == 0:
+        return a.name == b.name
+    if a.con != b.con or len(a.args) != len(b.args):
+        return False
+    return all(_ty_eq(x, y) for x, y in zip(a.args, b.args))
+
+
+def _alpha(t, u, tenv, uenv, depth, sync):
+    # `sync`: every binder pair opened so far is the same variable, so both
+    # sides see the same bound variables at the same levels and a shared
+    # subterm is alpha-equivalent to itself without a walk.
+    if t is u and sync:
+        return True
+    kt = t.KIND
+    if kt != u.KIND:
+        return False
+    if kt == 0:
+        tl = tenv.get(t)
+        ul = uenv.get(u)
+        if tl is None and ul is None:
+            return t.name == u.name and _ty_eq(t.ty, u.ty)
+        return tl == ul
+    if kt == 1:
+        return t.name == u.name and _ty_eq(t.ty, u.ty)
+    if kt == 2:
+        return _alpha(t.rator, u.rator, tenv, uenv, depth, sync) and _alpha(
+            t.rand, u.rand, tenv, uenv, depth, sync
+        )
+    tv, uv = t.bvar, u.bvar
+    if not _ty_eq(tv.ty, uv.ty):
+        return False
+    tsaved = tenv.get(tv)
+    usaved = uenv.get(uv)
+    tenv[tv] = depth
+    uenv[uv] = depth
     try:
-        from . import _accel_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _accel_py as _impl
+        return _alpha(t.body, u.body, tenv, uenv, depth + 1, sync and tv == uv)
+    finally:
+        if tsaved is None:
+            del tenv[tv]
+        else:
+            tenv[tv] = tsaved
+        if usaved is None:
+            del uenv[uv]
+        else:
+            uenv[uv] = usaved
 
-alpha_canon = _impl.alpha_canon
-alpha_equal = _impl.alpha_equal
-run_program = _impl.run_program
-BACKEND = _impl.BACKEND
+
+def alpha_equal(t, u):
+    """Alpha-equivalence by a walk over both terms, without encodings."""
+    return _alpha(t, u, {}, {}, 0, True)
+
+
+# ---------------------------------------------------------------------------
+# Finite-model evaluation
+#
+# Programs are nested tuples of small ints produced by semantics._Compiler:
+#
+#   (0, slot)                      read variable slot
+#   (1, value)                     literal element index
+#   (2, f, a, cod)                 apply: digit a of f in base cod
+#   (3, slot, dom, cod, body)      build a function table by enumeration
+#   (4, a, b)                      equality test -> 0/1
+#   (5, a)                         partial equality: the table of (= a)
+#   (6, p)                         choice: least element of the support
+#   (7, slot, arg, body)           beta shortcut: bind slot, eval body
+
+
+def run_program(prog, env):
+    """Evaluate one compiled term under an environment of element indices."""
+    tag = prog[0]
+    if tag == 0:
+        return env[prog[1]]
+    if tag == 1:
+        return prog[1]
+    if tag == 2:
+        f = run_program(prog[1], env)
+        a = run_program(prog[2], env)
+        cod = prog[3]
+        return (f // cod**a) % cod
+    if tag == 3:
+        _, slot, dom, cod, body = prog
+        acc = 0
+        mul = 1
+        for elem in range(dom):
+            env[slot] = elem
+            acc += run_program(body, env) * mul
+            mul *= cod
+        return acc
+    if tag == 4:
+        return 1 if run_program(prog[1], env) == run_program(prog[2], env) else 0
+    if tag == 5:
+        return 1 << run_program(prog[1], env)
+    if tag == 6:
+        p = run_program(prog[1], env)
+        return (p & -p).bit_length() - 1 if p else 0
+    if tag == 7:
+        env[prog[1]] = run_program(prog[2], env)
+        return run_program(prog[3], env)
+    raise ValueError(f"bad opcode {tag}")

@@ -240,6 +240,9 @@ def check_article(
             slot = _execute(replay, no, cmd, rest, report)
         except (HolError, ValueError) as exc:
             return fail(src_line, f"{cmd}: {exc}")
+        except RecursionError:
+            # The term walkers recurse once per level of nesting.
+            return fail(src_line, f"{cmd}: term nested too deeply")
         replay.slots[no] = slot
     return report
 

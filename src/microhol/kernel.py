@@ -85,7 +85,6 @@ __all__ = [
     "new_basic_type_definition",
     "check_type",
     "check_term",
-    "sequent_of",
     "tracing",
     "replay_trace",
     "PRIMITIVE_RULES",
@@ -231,10 +230,6 @@ class Theorem:
 
 def _mk(hyps: tuple[_Keyed, ...], concl: Term, flag: bool) -> Theorem:
     return Theorem(hyps, concl, flag, _token=_RULE_TOKEN)
-
-
-def sequent_of(th: Theorem) -> tuple[tuple[Term, ...], Term]:
-    return th.assumptions, th.conclusion
 
 
 def _check_theorem(th, what="argument"):

@@ -16,7 +16,7 @@ Equality denotes the curried delta function and choice picks the least
 element of a predicate's support (least carrier element when the
 support is empty).  Terms are compiled once per type assignment into
 small integer programs; the program runner is the hot kernel and lives
-in the accelerator backend.  A defined constant is folded to a literal:
+in ``_accel``.  A defined constant is folded to a literal:
 its body is closed (the kernel rejects free variables in definitions),
 so the compiler evaluates it once, at each type it is used at, instead
 of rebuilding its function table on every run.
@@ -24,9 +24,10 @@ of rebuilding its function table on every run.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ._accel import run_program
 from .kernel import Theorem, Theory
@@ -339,7 +340,7 @@ class _Compiler:
     # -- terms
 
     def compile(self, t: Term, bound: dict[Var, int] | None = None) -> tuple:
-        """Compile a term to an integer program (see _accel_py docs)."""
+        """Compile a term to an integer program (opcodes in ``_accel``)."""
         if bound is None:
             bound = {}
         if isinstance(t, Var):
@@ -515,22 +516,58 @@ class _SequentBatch:
         return {v: val for (v, _), val in zip(self.free, values)}
 
 
-def _type_assignments(
-    tyvars: Sequence[str], sizes: Sequence[int]
-) -> Iterator[dict[str, int]]:
-    if not tyvars:
-        yield {}
-        return
-    import itertools
+def _search(
+    sequents: Sequence[Sequent],
+    n_prem: int,
+    model: Model,
+    theory: Theory,
+    limit: int,
+    samples: int,
+    rng: random.Random,
+) -> tuple[bool, int, Optional[tuple]]:
+    """Look for a valuation under which the first `n_prem` sequents hold
+    and the one after them fails.
 
-    for combo in itertools.product(sizes, repeat=len(tyvars)):
-        yield dict(zip(tyvars, combo))
+    Every valuation is enumerated when there are at most `limit` of them;
+    otherwise `samples` valuations are drawn from `rng`.  Returns whether
+    the search was exhaustive, the number of valuations evaluated, and the
+    first failure as (type assignment, batch, values), or None.  Raises
+    CarrierOverflow when a carrier exceeds the model's cap.
+    """
+    tyvars: set[str] = set()
+    for hyps, concl in sequents:
+        for t in (*hyps, concl):
+            tyvars |= type_vars_of_term(t)
+    tyvar_list = sorted(tyvars)
+    batches = []
+    total = 0
+    for sizes in itertools.product(model.tyvar_sizes, repeat=len(tyvar_list)):
+        tyassign = dict(zip(tyvar_list, sizes))
+        batch = _SequentBatch(sequents, model, tyassign, theory)
+        batches.append((tyassign, batch))
+        total += batch.space()
 
-
-def _iter_assignments(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    import itertools
-
-    return itertools.product(*(range(s) for s in sizes))
+    # The sequent after the premises is checked first: when it holds (the
+    # common case for a sound rule) no premise needs evaluating.
+    evaluations = 0
+    if total <= limit:
+        for tyassign, batch in batches:
+            for values in itertools.product(*(range(s) for s in batch.sizes)):
+                batch.set_assignment(values)
+                evaluations += 1
+                if not batch.holds(n_prem) and all(
+                    batch.holds(i) for i in range(n_prem)
+                ):
+                    return True, evaluations, (tyassign, batch, values)
+        return True, evaluations, None
+    for _ in range(samples):
+        tyassign, batch = batches[rng.randrange(len(batches))]
+        values = [rng.randrange(size) for size in batch.sizes]
+        batch.set_assignment(values)
+        evaluations += 1
+        if not batch.holds(n_prem) and all(batch.holds(i) for i in range(n_prem)):
+            return False, evaluations, (tyassign, batch, values)
+    return False, evaluations, None
 
 
 def is_valid(
@@ -543,49 +580,18 @@ def is_valid(
 ) -> Verdict:
     """Decide validity by enumerating valuations, or sample when the
     valuation space exceeds the budget (a stochastic verdict)."""
-    theory = theory or Theory()
-    hyps, concl = s
-    tyvars: set[str] = set()
-    for t in (*hyps, concl):
-        tyvars |= type_vars_of_term(t)
-    tyvar_list = sorted(tyvars)
-
-    batches = []
-    total = 0
-    for tyassign in _type_assignments(tyvar_list, model.tyvar_sizes):
-        batch = _SequentBatch([s], model, tyassign, theory)
-        batches.append((tyassign, batch))
-        total += batch.space()
-
-    checked = 0
-    if total <= budget:
-        for tyassign, batch in batches:
-            for values in _iter_assignments(batch.sizes):
-                batch.set_assignment(values)
-                checked += 1
-                if not batch.holds(0):
-                    return Verdict(
-                        False,
-                        True,
-                        checked,
-                        Counterexample(dict(tyassign), batch.assignment(values)),
-                    )
-        return Verdict(True, True, checked)
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        tyassign, batch = batches[rng.randrange(len(batches))]
-        values = [rng.randrange(size) for size in batch.sizes]
-        batch.set_assignment(values)
-        checked += 1
-        if not batch.holds(0):
-            return Verdict(
-                False,
-                False,
-                checked,
-                Counterexample(dict(tyassign), batch.assignment(values)),
-            )
-    return Verdict(True, False, checked)
+    exhaustive, checked, failure = _search(
+        [s], 0, model, theory or Theory(), budget, samples, random.Random(seed)
+    )
+    if failure is None:
+        return Verdict(True, exhaustive, checked)
+    tyassign, batch, values = failure
+    return Verdict(
+        False,
+        exhaustive,
+        checked,
+        Counterexample(dict(tyassign), batch.assignment(values)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -660,27 +666,22 @@ def fuzz_rule_soundness(
     for trial in range(trials):
         model = models[trial % len(models)]
         inst = instance_generator(rng)
-        sequents = [*inst.premises, inst.conclusion]
-        tyvars: set[str] = set()
-        for hyps, concl in sequents:
-            for t in (*hyps, concl):
-                tyvars |= type_vars_of_term(t)
-        tyvar_list = sorted(tyvars)
-
         try:
-            batches = []
-            total = 0
-            for tyassign in _type_assignments(tyvar_list, model.tyvar_sizes):
-                batch = _SequentBatch(sequents, model, tyassign, theory)
-                batches.append((tyassign, batch))
-                total += batch.space()
+            _, count, failure = _search(
+                [*inst.premises, inst.conclusion],
+                len(inst.premises),
+                model,
+                theory,
+                exhaustive_limit,
+                sample_count,
+                rng,
+            )
         except CarrierOverflow:
             skipped += 1
             continue
-
-        n_prem = len(inst.premises)
-
-        def record(tyassign, batch, values):
+        evaluations += count
+        if failure is not None:
+            tyassign, batch, values = failure
             bad.append(
                 FuzzCounterexample(
                     trial=trial,
@@ -692,34 +693,6 @@ def fuzz_rule_soundness(
                     ).render(),
                 )
             )
-
-        # The conclusion is checked first: when it holds (the common case
-        # for a sound rule) the implication is satisfied outright and no
-        # premise needs evaluating.
-        if total <= exhaustive_limit:
-            for tyassign, batch in batches:
-                for values in _iter_assignments(batch.sizes):
-                    batch.set_assignment(values)
-                    evaluations += 1
-                    if not batch.holds(n_prem) and all(
-                        batch.holds(i) for i in range(n_prem)
-                    ):
-                        record(tyassign, batch, values)
-                        break
-                else:
-                    continue
-                break
-        else:
-            for _ in range(sample_count):
-                tyassign, batch = batches[rng.randrange(len(batches))]
-                values = [rng.randrange(size) for size in batch.sizes]
-                batch.set_assignment(values)
-                evaluations += 1
-                if not batch.holds(n_prem) and all(
-                    batch.holds(i) for i in range(n_prem)
-                ):
-                    record(tyassign, batch, values)
-                    break
 
     return FuzzReport(
         rule=rule_id,

@@ -14,9 +14,9 @@ Alpha-equivalence walks the two terms side by side and stops at
 physically shared subterms while every binder pair opened so far is the
 same variable.  The total term order and assumption-set keys go through
 a de Bruijn canonical byte encoding, cached only on nodes with no binder
-in scope.  Both come from the accelerator backend (compiled when
-available, pure Python otherwise).  Node classes expose a small integer
-``KIND`` tag so the backends can dispatch without importing this module.
+in scope.  Both live in ``_accel`` with the other hot kernel.  Node
+classes expose a small integer ``KIND`` tag so ``_accel`` can dispatch
+without importing this module.
 """
 
 from __future__ import annotations

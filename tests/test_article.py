@@ -16,6 +16,15 @@ def art(theory, *lines):
     return f"{FORMAT_HEADER}\ntheory {theory.fingerprint()}\n{body}\n"
 
 
+def deep_comb_chain(depth):
+    """Article lines proving f (f ... (f x)) = f (f ... (f x)), `depth`
+    applications deep, by MKCOMB, then TRANS of that theorem with itself."""
+    lines = ["TERM f:bool->bool", "TERM x:bool", "REFL 1", "REFL 2"]
+    lines += [f"MKCOMB 3 {no}" for no in range(4, 4 + depth)]
+    lines.append(f"TRANS {len(lines)} {len(lines)}")
+    return lines
+
+
 class TestBasics:
     def test_refl_article(self):
         thy = Theory()
@@ -254,6 +263,17 @@ class TestDeepNesting:
         failure = rep.failures[0]
         assert failure["line"] == 2 + len(lines)
         assert "input nested too deeply" in failure["message"]
+
+    def test_kernel_depth_is_a_line_numbered_failure(self):
+        # the terms are built without recursion; comparing them in TRANS
+        # recurses once per application
+        thy = Theory()
+        lines = deep_comb_chain(3000)
+        rep = check_article(art(thy, *lines), thy)
+        assert not rep.ok
+        assert rep.failures == [
+            {"line": 2 + len(lines), "message": "TRANS: term nested too deeply"}
+        ]
 
 
 class TestDeterminism:

@@ -10,6 +10,8 @@ from microhol.article import FORMAT_HEADER
 from microhol.cli import main
 from microhol.kernel import Theory
 
+from .test_article import art, deep_comb_chain
+
 
 @pytest.fixture()
 def refl_article(tmp_path):
@@ -186,6 +188,15 @@ class TestNoTraceback:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stdout + proc.stderr
         assert "1:" in proc.stdout and "input nested too deeply" in proc.stdout
+
+    def test_kernel_depth_is_a_failed_check(self, tmp_path):
+        lines = deep_comb_chain(3000)
+        path = tmp_path / "deep.art"
+        path.write_text(art(Theory(), *lines))
+        proc = _run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert f"error at line {2 + len(lines)}: TRANS: term nested too deeply" in proc.stdout
 
     def test_unexpected_exception_is_reported(self, monkeypatch, capsys):
         def crash(args):

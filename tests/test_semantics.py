@@ -26,6 +26,7 @@ from microhol.semantics import (
     Model,
     UnassignedTypeVar,
     UnassignedVariable,
+    RuleInstance,
     UninterpretableConstant,
     Valuation,
     carrier_size,
@@ -409,3 +410,123 @@ class TestFuzzer:
         th = kernel.deduct_antisym(th1, th2)
         verdict = is_valid(theorem_sequent(th), Model(), theory=theory)
         assert verdict.valid
+
+
+class TestValuationSearchGolden:
+    """`is_valid` and `fuzz_rule_soundness` share one valuation search.
+
+    Fixed-seed values recorded when each had its own copy of the search:
+    the shared one must make the same RNG draws in the same order (the
+    fuzzer's `rng` also drives its instance generator), count the same
+    evaluations and find the same counterexamples.
+    """
+
+    # the weakened abstraction instance's premise and conclusion, by type
+    WEAKENED = {
+        "ind": (
+            "(x:ind) = (y:ind) |- (x:ind) = (y:ind)",
+            "(x:ind) = (y:ind) |- (\\x:ind. x) = (\\x:ind. (y:ind))",
+        ),
+        "bool": (
+            "(x:bool) <=> (y:bool) |- (x:bool) <=> (y:bool)",
+            "(x:bool) <=> (y:bool) |- (\\x:bool. x) = (\\x:bool. (y:bool))",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "limit, evaluations, expected",
+        [
+            (
+                100_000,
+                12,
+                [(1, "ind", 0), (2, "ind", 0), (4, "ind", 0), (5, "ind", 0),
+                 (7, "bool", 0), (8, "ind", 0), (10, "bool", 0), (11, "ind", 0)],
+            ),
+            (
+                1,
+                32,
+                [(1, "ind", 1), (2, "ind", 2), (3, "bool", 1), (4, "bool", 0),
+                 (5, "ind", 2), (7, "ind", 0), (8, "ind", 1), (9, "bool", 0),
+                 (10, "ind", 0), (11, "bool", 1)],
+            ),
+        ],
+    )
+    def test_weakened_abs(self, limit, evaluations, expected):
+        rep = fuzz_rule_soundness(
+            "weakened-abs", weakened_abs_generator, 12, seed=3,
+            exhaustive_limit=limit, sample_count=20,
+        )
+        assert (rep.evaluations, rep.skipped_overflow) == (evaluations, 0)
+        got = [
+            (c.trial, c.label, c.premises, c.conclusion, c.valuation)
+            for c in rep.counterexamples
+        ]
+        assert got == [
+            (
+                trial,
+                "abs-without-side-condition",
+                (self.WEAKENED[ty][0],),
+                self.WEAKENED[ty][1],
+                f"{{x:={v}, y:={v}}}",
+            )
+            for trial, ty, v in expected
+        ]
+
+    @pytest.mark.parametrize(
+        "rule, small_cap, limit, evaluations, skipped",
+        [
+            ("trans", False, 100_000, 10275, 0),
+            ("trans", True, 100_000, 24192, 8),
+            ("inst_type", False, 100_000, 595, 0),
+            ("inst_type", True, 100_000, 7032, 3),
+            ("trans", False, 1, 800, 0),
+            ("trans", True, 1, 700, 5),
+            ("inst_type", False, 1, 705, 0),
+            ("inst_type", True, 1, 720, 4),
+        ],
+    )
+    def test_sound_rules(self, rule, small_cap, limit, evaluations, skipped):
+        model = Model(ind_size=3, cap=16) if small_cap else None
+        rep = fuzz_rule_soundness(
+            rule, make_generator(rule), 40, model=model, seed=11,
+            exhaustive_limit=limit, sample_count=20,
+        )
+        assert (rep.evaluations, rep.skipped_overflow) == (evaluations, skipped)
+        assert rep.counterexamples == ()
+
+    @pytest.mark.parametrize("limit, evaluations", [(100_000, 28), (1, 82)])
+    def test_failing_premise_is_no_counterexample(self, limit, evaluations):
+        # the generated premises are theorems, so only an instance like this
+        # one shows that the premises are checked at all
+        eq = ((), mk_eq(xi, Var("j", IND)))
+        rep = fuzz_rule_soundness(
+            "premise-is-conclusion", lambda rng: RuleInstance((eq,), eq), 6, seed=3,
+            exhaustive_limit=limit, sample_count=20,
+        )
+        assert (rep.evaluations, rep.skipped_overflow, rep.counterexamples) == (
+            evaluations, 0, ()
+        )
+
+    @pytest.mark.parametrize(
+        "weakened, budget, exhaustive, checked, counterexample",
+        [
+            (True, 100_000, True, 2, "[A:=2] {x:=0, y:=0}"),
+            (True, 1, False, 2, "[A:=3] {x:=1, y:=1}"),
+            (False, 100_000, True, 6, None),
+            (False, 1, False, 50, None),
+        ],
+    )
+    def test_is_valid(self, weakened, budget, exhaustive, checked, counterexample):
+        xa, ya = Var("x", TyVar("A")), Var("y", TyVar("A"))
+        if weakened:  # {x = y} |- (\x. x) = (\x. y)
+            seq = ((mk_eq(xa, ya),), mk_eq(mk_abs(xa, xa), mk_abs(xa, ya)))
+        else:
+            seq = ((), mk_eq(mk_abs(xa, ya), mk_abs(xa, ya)))
+        v = is_valid(seq, Model(), budget=budget, samples=50, seed=4, theory=Theory())
+        assert (v.valid, v.exhaustive, v.checked) == (not weakened, exhaustive, checked)
+        assert (v.counterexample and v.counterexample.render()) == counterexample
+
+    def test_is_valid_overflow_propagates(self):
+        f = Var("f", fn(fn(IND, IND), BOOL))
+        with pytest.raises(CarrierOverflow):
+            is_valid(((), mk_eq(f, f)), Model(ind_size=3, cap=16), theory=Theory())
