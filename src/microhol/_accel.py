@@ -1,10 +1,12 @@
-"""The hot kernels, in pure Python.
+"""The hot alpha kernels, in pure Python.
 
 * ``alpha_canon(term) -> bytes`` -- de Bruijn canonical encoding, the
   key of the total term order and of assumption sets,
 * ``alpha_equal(t, u) -> bool``  -- alpha-equivalence by a walk over
-  both terms that skips shared subterms; ``syntax.alpha_equiv`` uses it,
-* ``run_program(prog, env) -> int`` -- finite-model evaluator step.
+  both terms that skips shared subterms; ``syntax.alpha_equiv`` uses it.
+
+The finite-model evaluator is not here: ``semantics`` compiles terms to
+closures, and ``run_program`` below only runs one of them.
 
 Dispatches on the ``KIND`` tag carried by the syntax node classes
 (0=Var, 1=Const, 2=Comb, 3=Abs; types: 0=TyVar, 1=TyApp) so it does not
@@ -174,48 +176,14 @@ def alpha_equal(t, u):
 
 # ---------------------------------------------------------------------------
 # Finite-model evaluation
-#
-# Programs are nested tuples of small ints produced by semantics._Compiler:
-#
-#   (0, slot)                      read variable slot
-#   (1, value)                     literal element index
-#   (2, f, a, cod)                 apply: digit a of f in base cod
-#   (3, slot, dom, cod, body)      build a function table by enumeration
-#   (4, a, b)                      equality test -> 0/1
-#   (5, a)                         partial equality: the table of (= a)
-#   (6, p)                         choice: least element of the support
-#   (7, slot, arg, body)           beta shortcut: bind slot, eval body
 
 
 def run_program(prog, env):
-    """Evaluate one compiled term under an environment of element indices."""
-    tag = prog[0]
-    if tag == 0:
-        return env[prog[1]]
-    if tag == 1:
-        return prog[1]
-    if tag == 2:
-        f = run_program(prog[1], env)
-        a = run_program(prog[2], env)
-        cod = prog[3]
-        return (f // cod**a) % cod
-    if tag == 3:
-        _, slot, dom, cod, body = prog
-        acc = 0
-        mul = 1
-        for elem in range(dom):
-            env[slot] = elem
-            acc += run_program(body, env) * mul
-            mul *= cod
-        return acc
-    if tag == 4:
-        return 1 if run_program(prog[1], env) == run_program(prog[2], env) else 0
-    if tag == 5:
-        return 1 << run_program(prog[1], env)
-    if tag == 6:
-        p = run_program(prog[1], env)
-        return (p & -p).bit_length() - 1 if p else 0
-    if tag == 7:
-        env[prog[1]] = run_program(prog[2], env)
-        return run_program(prog[3], env)
-    raise ValueError(f"bad opcode {tag}")
+    """Run a term compiled by ``semantics._Compiler`` (a closure) under an
+    environment of element indices.
+
+    ``semantics`` evaluates single terms through this entry point:
+    ``eval_term``, defined-constant folding and defined-type supports.  Its
+    valuation search calls the compiled closures directly.
+    """
+    return prog(env)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .kernel import (
+    STANDARD_DEFINITIONS,
     Theorem,
     Theory,
     abs_rule,
@@ -578,79 +579,29 @@ class LogicSignature:
 
 
 def _define_signature(theory: Theory) -> LogicSignature:
+    """Define the logical constants: the bodies the axioms rely on come from
+    the kernel, in this order, and `or` is defined here."""
     p = Var("p", BOOL)
     q = Var("q", BOOL)
     r = Var("r", BOOL)
-    a = TyVar("A")
-    b = TyVar("B")
 
-    t_def = new_basic_definition(theory, "T", mk_eq(mk_abs(p, p), mk_abs(p, p)))
+    def define(name: str) -> Theorem:
+        return new_basic_definition(theory, name, STANDARD_DEFINITIONS[name])
 
-    f2 = Var("f", _B2)
-    and_def = new_basic_definition(
-        theory,
-        "and",
-        mk_abs(
-            p,
-            mk_abs(
-                q,
-                mk_eq(
-                    mk_abs(f2, mk_comb(mk_comb(f2, p), q)),
-                    mk_abs(f2, mk_comb(mk_comb(f2, TRUE), TRUE)),
-                ),
-            ),
-        ),
-    )
-    imp_def = new_basic_definition(
-        theory, "imp", mk_abs(p, mk_abs(q, mk_eq(mk_conj(p, q), p)))
-    )
-
-    cap_p = Var("P", fn(a, BOOL))
-    x = Var("x", a)
-    forall_def = new_basic_definition(
-        theory, "forall", mk_abs(cap_p, mk_eq(cap_p, mk_abs(x, TRUE)))
-    )
-    exists_def = new_basic_definition(
-        theory,
-        "exists",
-        mk_abs(
-            cap_p,
-            mk_forall(q, mk_imp(mk_forall(x, mk_imp(mk_comb(cap_p, x), q)), q)),
-        ),
-    )
+    t_def = define("T")
+    and_def = define("and")
+    imp_def = define("imp")
+    forall_def = define("forall")
+    exists_def = define("exists")
     or_def = new_basic_definition(
         theory,
         "or",
         mk_abs(p, mk_abs(q, mk_forall(r, mk_imp(mk_imp(p, r), mk_imp(mk_imp(q, r), r))))),
     )
-    f_def = new_basic_definition(theory, "F", mk_forall(p, p))
-    not_def = new_basic_definition(theory, "not", mk_abs(p, mk_imp(p, FALSE)))
-
-    f1 = Var("f", fn(a, b))
-    x1 = Var("x1", a)
-    x2 = Var("x2", a)
-    one_one_def = new_basic_definition(
-        theory,
-        "ONE_ONE",
-        mk_abs(
-            f1,
-            mk_forall(
-                x1,
-                mk_forall(
-                    x2,
-                    mk_imp(
-                        mk_eq(mk_comb(f1, x1), mk_comb(f1, x2)), mk_eq(x1, x2)
-                    ),
-                ),
-            ),
-        ),
-    )
-    y = Var("y", b)
-    onto_def = new_basic_definition(
-        theory,
-        "ONTO",
-        mk_abs(f1, mk_forall(y, mk_exists(x, mk_eq(y, mk_comb(f1, x))))),
-    )
+    f_def = define("F")
+    not_def = define("not")
+    one_one_def = define("ONE_ONE")
+    onto_def = define("ONTO")
 
     def dc(name: str, th: Theorem) -> DefinedConstant:
         return DefinedConstant(Const(name, theory.constant_type(name)), th)

@@ -20,7 +20,8 @@ import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional
 
 from .syntax import (
     BOOL,
@@ -88,6 +89,7 @@ __all__ = [
     "tracing",
     "replay_trace",
     "PRIMITIVE_RULES",
+    "STANDARD_DEFINITIONS",
 ]
 
 
@@ -132,7 +134,8 @@ class DuplicateName(HolError):
 
 
 class MissingDefinitions(HolError):
-    """An axiom was requested before bootstrap defined its constants."""
+    """An axiom was requested in a theory that does not define its
+    constants as bootstrap does."""
 
 
 class MalformedInhabitation(HolError):
@@ -568,10 +571,118 @@ def axiom_extensionality() -> Theorem:
     return _mk((), mk_eq(mk_abs(x, mk_comb(t, x)), t), False)
 
 
+def _standard_definitions() -> dict[str, Term]:
+    """The bodies the axioms rely on: the constants choice and infinity
+    name, and every constant those bodies use (bootstrap defines these)."""
+    a, b = TyVar("A"), TyVar("B")
+    b2 = fn(BOOL, fn(BOOL, BOOL))
+    p, q = Var("p", BOOL), Var("q", BOOL)
+    true = Const("T", BOOL)
+
+    def binapp(name, l, r):
+        return mk_comb(mk_comb(Const(name, b2), l), r)
+
+    def binder(name, v, body):
+        return mk_comb(Const(name, fn(fn(v.ty, BOOL), BOOL)), mk_abs(v, body))
+
+    f2 = Var("f", b2)
+    cap_p = Var("P", fn(a, BOOL))
+    x = Var("x", a)
+    f1 = Var("f", fn(a, b))
+    x1, x2 = Var("x1", a), Var("x2", a)
+    y = Var("y", b)
+    return {
+        "T": mk_eq(mk_abs(p, p), mk_abs(p, p)),
+        "and": mk_abs(
+            p,
+            mk_abs(
+                q,
+                mk_eq(
+                    mk_abs(f2, mk_comb(mk_comb(f2, p), q)),
+                    mk_abs(f2, mk_comb(mk_comb(f2, true), true)),
+                ),
+            ),
+        ),
+        "imp": mk_abs(p, mk_abs(q, mk_eq(binapp("and", p, q), p))),
+        "forall": mk_abs(cap_p, mk_eq(cap_p, mk_abs(x, true))),
+        "exists": mk_abs(
+            cap_p,
+            binder(
+                "forall",
+                q,
+                binapp(
+                    "imp",
+                    binder("forall", x, binapp("imp", mk_comb(cap_p, x), q)),
+                    q,
+                ),
+            ),
+        ),
+        "F": binder("forall", p, p),
+        "not": mk_abs(p, binapp("imp", p, Const("F", BOOL))),
+        "ONE_ONE": mk_abs(
+            f1,
+            binder(
+                "forall",
+                x1,
+                binder(
+                    "forall",
+                    x2,
+                    binapp(
+                        "imp",
+                        mk_eq(mk_comb(f1, x1), mk_comb(f1, x2)),
+                        mk_eq(x1, x2),
+                    ),
+                ),
+            ),
+        ),
+        "ONTO": mk_abs(
+            f1, binder("forall", y, binder("exists", x, mk_eq(y, mk_comb(f1, x))))
+        ),
+    }
+
+
+STANDARD_DEFINITIONS: Mapping[str, Term] = MappingProxyType(_standard_definitions())
+
+
+def _constant_names(t: Term) -> list[str]:
+    if isinstance(t, Const):
+        return [t.name] if t.name in STANDARD_DEFINITIONS else []
+    if isinstance(t, Var):
+        return []
+    if isinstance(t, Comb):
+        return _constant_names(t.rator) + _constant_names(t.rand)
+    return _constant_names(t.body)
+
+
+def _require_standard(theory: Theory, names: tuple[str, ...], axiom: str):
+    """Raise unless each named constant, and each constant its standard body
+    uses, is defined in `theory` by a body alpha-equal to the standard one.
+
+    An axiom states a fact about the bootstrap meaning of the constants it
+    names; with another body (say ``imp`` defined as ``\\p q. q``) it
+    would be false."""
+    todo = list(names)
+    done = set()
+    while todo:
+        name = todo.pop(0)
+        if name in done:
+            continue
+        done.add(name)
+        body = theory.definitions.get(name)
+        if body is None:
+            raise MissingDefinitions(f"{axiom} needs the bootstrap constant {name!r}")
+        standard = STANDARD_DEFINITIONS[name]
+        if not alpha_equiv(body, standard):
+            raise MissingDefinitions(
+                f"{axiom} needs {name!r} with its bootstrap definition, "
+                "not another body"
+            )
+        todo += _constant_names(standard)
+
+
 def axiom_choice(theory: Theory) -> Theorem:
     """|- P x ==> P ((@) P)."""
-    if not theory.has_constant("imp"):
-        raise MissingDefinitions("axiom_choice needs the bootstrap constant 'imp'")
+    _require_standard(theory, ("imp",), "axiom_choice")
     a = TyVar("A")
     p = Var("P", fn(a, BOOL))
     x = Var("x", a)
@@ -585,9 +696,9 @@ def axiom_infinity(theory: Theory) -> Theorem:
     """|- ?f:ind->ind. ONE_ONE f /\\ ~(ONTO f), flagged `uses-infinity`."""
     from .syntax import IND
 
-    for name in ("exists", "and", "not", "ONE_ONE", "ONTO"):
-        if not theory.has_constant(name):
-            raise MissingDefinitions(f"axiom_infinity needs bootstrap constant {name!r}")
+    _require_standard(
+        theory, ("exists", "and", "not", "ONE_ONE", "ONTO"), "axiom_infinity"
+    )
     ii = fn(IND, IND)
     inst = {"A": IND, "B": IND}
     f = Var("f", ii)

@@ -14,12 +14,16 @@ index in the carrier's fixed well-ordering:
 
 Equality denotes the curried delta function and choice picks the least
 element of a predicate's support (least carrier element when the
-support is empty).  Terms are compiled once per type assignment into
-small integer programs; the program runner is the hot kernel and lives
-in ``_accel``.  A defined constant is folded to a literal:
-its body is closed (the kernel rejects free variables in definitions),
-so the compiler evaluates it once, at each type it is used at, instead
-of rebuilding its function table on every run.
+support is empty).  Terms are compiled once per type assignment,
+straight to Python closures: one closure per node, reading variables
+from an environment list by slot (after Feeley & Lapalme, "Using
+Closures for Code Generation", 1987).  A validity check compiles each
+distinct term object once per type assignment and runs its valuation
+loop here, without an interpreter in between.  A defined constant is
+folded to a literal: its body is closed (the kernel rejects free
+variables in definitions), so the compiler evaluates it once, at each
+type it is used at, instead of rebuilding its function table on every
+run.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from ._accel import run_program
@@ -46,7 +51,7 @@ from .syntax import (
     fn,
     inst_type,
     type_match,
-    type_vars_of_term,
+    type_vars_of_type,
 )
 
 __all__ = [
@@ -99,6 +104,9 @@ class EmptyCarrier(HolError):
 FALSE_ELEM = 0
 TRUE_ELEM = 1
 
+# The theory of calls given none: the compiler only reads it.
+_EMPTY_THEORY = Theory()
+
 Sequent = tuple[tuple[Term, ...], Term]
 
 
@@ -146,27 +154,60 @@ def encode_table(entries: Sequence[int], cod: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Compilation of terms to integer programs
+# Compilation of terms to closures
+
+
+def _literal(value: int) -> Callable[[list], int]:
+    return lambda env: value
+
+
+def _fun_args(ty: HolType) -> Optional[tuple[HolType, HolType]]:
+    if isinstance(ty, TyApp) and ty.con == "fun":
+        return ty.args
+    return None
+
+
+def _fixed_arg_type(c: Const) -> Optional[HolType]:
+    """The `A` of `=` at A -> A -> bool or of `@` at (A -> bool) -> A, or
+    None when the constant is not at an instance of that type."""
+    outer = _fun_args(c.ty)
+    if outer is None:
+        return None
+    a, pred = outer if c.name == "=" else reversed(outer)
+    inner = _fun_args(pred)
+    if inner is None or inner[0] != a or inner[1] != BOOL:
+        return None
+    return a
 
 
 class _Compiler:
     """Compiles terms for one model and one type-variable assignment.
 
-    Slot numbering is shared across everything compiled by one instance,
-    so a batch of sequent parts can be evaluated against one environment
-    list.  Carrier sizes, defined-type supports and the programs of
-    constants are cached per type.
+    A compiled term is a closure from an environment list to an element
+    index, one closure per node.  Slot numbering is shared across
+    everything compiled by one instance, so a batch of sequent parts can be
+    evaluated against one environment list.  The variables in `free` take
+    slots 0..len(free)-1 in that order; any other free variable gets the
+    next slot when first compiled, and each binder a fresh one.  Carrier
+    sizes, defined-type supports and the closures of constants are cached
+    per type.
     """
 
-    def __init__(self, model: Model, type_sizes: Mapping[str, int], theory: Theory):
+    def __init__(
+        self,
+        model: Model,
+        type_sizes: Mapping[str, int],
+        theory: Theory,
+        free: Sequence[Var] = (),
+    ):
         self.model = model
         self.type_sizes = type_sizes
         self.theory = theory
-        self.slots: dict[Var, int] = {}
-        self.n_slots = 0
+        self.slots: dict[Var, int] = {v: i for i, v in enumerate(free)}
+        self.n_slots = len(self.slots)
         self._size_cache: dict[HolType, int] = {}
         self._typedef_cache: dict[HolType, tuple[int, ...]] = {}
-        self._const_cache: dict[tuple[str, HolType], tuple] = {}
+        self._const_cache: dict[tuple[str, HolType], Callable[[list], int]] = {}
 
     def _scratch(self) -> "_Compiler":
         """A compiler with its own slots and this one's caches."""
@@ -299,33 +340,30 @@ class _Compiler:
     def _check_fixed(self, c: Const):
         """Reject hand-built `=`/`@` constants at non-instance types, which
         would otherwise compare or choose across distinct carriers."""
-        generic = self.theory.term_constants[c.name]
-        if type_match(generic, c.ty) is None:
+        if _fixed_arg_type(c) is None:
             raise UninterpretableConstant(f"constant {c.name!r} at bad type {c.ty!r}")
 
-    def compile_const(self, t: Const) -> tuple:
+    def compile_const(self, t: Const) -> Callable[[list], int]:
         key = (t.name, t.ty)
         prog = self._const_cache.get(key)
         if prog is None:
-            prog = self._compile_const(t)
+            prog = _literal(self._const_value(t))
             self._const_cache[key] = prog
         return prog
 
-    def _compile_const(self, t: Const) -> tuple:
+    def _const_value(self, t: Const) -> int:
         name, ty = t.name, t.ty
-        if name == "=":
-            shape = type_match(self.theory.term_constants["="], ty)
-            if shape is None:
-                raise UninterpretableConstant(f"equality at bad type {ty!r}")
-            return (1, self._equality_value(shape["A"]))
-        if name == "@":
-            shape = type_match(self.theory.term_constants["@"], ty)
-            if shape is None:
-                raise UninterpretableConstant(f"choice at bad type {ty!r}")
-            return (1, self._choice_value(shape["A"]))
+        if name == "=" or name == "@":
+            arg_ty = _fixed_arg_type(t)
+            if arg_ty is None:
+                what = "equality" if name == "=" else "choice"
+                raise UninterpretableConstant(f"{what} at bad type {ty!r}")
+            if name == "=":
+                return self._equality_value(arg_ty)
+            return self._choice_value(arg_ty)
         for info in self.theory.typedefs.values():
             if name in (info.abs_name, info.rep_name):
-                return (1, self._abs_rep_values(ty, name))
+                return self._abs_rep_values(ty, name)
         rhs = self.theory.definitions.get(name)
         if rhs is None:
             raise UninterpretableConstant(f"constant {name!r} has no definition")
@@ -335,19 +373,21 @@ class _Compiler:
         # The body is closed, so its value needs no environment of ours.
         sub = self._scratch()
         body = sub.compile(inst_type(Substitution.of_types(tyin), rhs))
-        return (1, run_program(body, [0] * sub.n_slots))
+        return run_program(body, [0] * sub.n_slots)
 
     # -- terms
 
-    def compile(self, t: Term, bound: dict[Var, int] | None = None) -> tuple:
-        """Compile a term to an integer program (opcodes in ``_accel``)."""
+    def compile(
+        self, t: Term, bound: dict[Var, int] | None = None
+    ) -> Callable[[list], int]:
+        """Compile a term to a closure over the environment list."""
         if bound is None:
             bound = {}
         if isinstance(t, Var):
             slot = bound.get(t)
             if slot is None:
                 slot = self.slot_of(t)
-            return (0, slot)
+            return itemgetter(slot)
         if isinstance(t, Const):
             return self.compile_const(t)
         if isinstance(t, Comb):
@@ -358,14 +398,17 @@ class _Compiler:
                 and f.rator.name == "="
             ):
                 self._check_fixed(f.rator)
-                return (4, self.compile(f.rand, bound), self.compile(a, bound))
+                lhs = self.compile(f.rand, bound)
+                rhs = self.compile(a, bound)
+                return lambda env: 1 if lhs(env) == rhs(env) else 0
             if isinstance(f, Const) and f.name == "=":
                 self._check_fixed(f)
                 self.size_of(t.ty)
-                return (5, self.compile(a, bound))
+                arg = self.compile(a, bound)
+                return lambda env: 1 << arg(env)
             if isinstance(f, Const) and f.name == "@":
                 self._check_fixed(f)
-                return (6, self.compile(a, bound))
+                return _choose(self.compile(a, bound))
             if isinstance(f, Abs):
                 # Beta shortcut: semantically the table entry at the argument.
                 slot = self.fresh_slot()
@@ -374,10 +417,15 @@ class _Compiler:
                 bound[f.bvar] = slot
                 body = self.compile(f.body, bound)
                 _restore(bound, f.bvar, saved)
-                return (7, slot, arg, body)
+                return _beta(slot, arg, body)
             self.size_of(f.ty)
             cod = self.size_of(t.ty)
-            return (2, self.compile(f, bound), self.compile(a, bound), cod)
+            fun = self.compile(f, bound)
+            arg = self.compile(a, bound)
+            if cod == 2:
+                return lambda env: (fun(env) >> arg(env)) & 1
+            powers = _powers(cod, self.size_of(a.ty))
+            return lambda env: fun(env) // powers[arg(env)] % cod
         # Abstraction: enumerate the domain carrier.
         self.size_of(t.ty)
         dom = self.size_of(t.bvar.ty)
@@ -387,7 +435,53 @@ class _Compiler:
         bound[t.bvar] = slot
         body = self.compile(t.body, bound)
         _restore(bound, t.bvar, saved)
-        return (3, slot, dom, cod, body)
+        return _table(slot, dom, cod, body)
+
+
+def _powers(base: int, n: int) -> tuple[int, ...]:
+    return tuple(base**i for i in range(n))
+
+
+def _choose(pred: Callable[[list], int]) -> Callable[[list], int]:
+    def choose(env):
+        p = pred(env)
+        return (p & -p).bit_length() - 1 if p else 0
+
+    return choose
+
+
+def _beta(slot: int, arg, body) -> Callable[[list], int]:
+    def beta(env):
+        env[slot] = arg(env)
+        return body(env)
+
+    return beta
+
+
+def _table(slot: int, dom: int, cod: int, body) -> Callable[[list], int]:
+    """The function table of `\\v. body`, v in `slot` ranging over `dom`."""
+    if cod == 2:
+        bits = tuple(enumerate(_powers(2, dom)))
+
+        def table(env):
+            acc = 0
+            for elem, bit in bits:
+                env[slot] = elem
+                if body(env):
+                    acc |= bit
+            return acc
+
+        return table
+    digits = tuple(enumerate(_powers(cod, dom)))
+
+    def table(env):
+        acc = 0
+        for elem, mul in digits:
+            env[slot] = elem
+            acc += body(env) * mul
+        return acc
+
+    return table
 
 
 def _restore(bound: dict, key, saved):
@@ -404,7 +498,7 @@ def carrier_size(
     theory: Theory | None = None,
 ) -> int:
     """Cardinality of the carrier denoted by ty."""
-    comp = _Compiler(model, type_sizes or {}, theory or Theory())
+    comp = _Compiler(model, type_sizes or {}, theory or _EMPTY_THEORY)
     return comp.size_of(ty)
 
 
@@ -421,7 +515,7 @@ def eval_type(ty: HolType, v: Valuation, theory: Theory | None = None) -> range:
 def eval_term(t: Term, v: Valuation, theory: Theory | None = None) -> int:
     """The element denoted by t under the valuation (an index; see module
     docs for how function tables are packed)."""
-    theory = theory or Theory()
+    theory = theory or _EMPTY_THEORY
     comp = _Compiler(v.model, v.type_sizes, theory)
     prog = comp.compile(t)
     env = [0] * comp.n_slots
@@ -474,23 +568,34 @@ class Verdict:
 
 
 class _SequentBatch:
-    """A group of sequents compiled against one shared environment."""
+    """A group of sequents compiled against one shared environment.
+
+    The free variables `free` take slots 0..n-1, so a valuation listed in
+    that order is stored with one slice assignment.  Each distinct term
+    object is compiled once: a premise's assumptions are usually the same
+    objects as the conclusion's.
+    """
 
     def __init__(
         self,
         sequents: Sequence[Sequent],
+        free: Sequence[Var],
         model: Model,
         type_sizes: Mapping[str, int],
         theory: Theory,
     ):
-        comp = _Compiler(model, type_sizes, theory)
+        comp = _Compiler(model, type_sizes, theory, free)
+        compiled: dict[int, Callable[[list], int]] = {}
+        for hyps, concl in sequents:
+            for t in (*hyps, concl):
+                if id(t) not in compiled:
+                    compiled[id(t)] = comp.compile(t)
         self.compiled = [
-            ([comp.compile(h) for h in hyps], comp.compile(concl))
+            ([compiled[id(h)] for h in hyps], compiled[id(concl)])
             for hyps, concl in sequents
         ]
-        self.free = sorted(comp.slots.items(), key=lambda kv: (kv[0].name, kv[1]))
-        self.sizes = [comp.size_of(v.ty) for v, _ in self.free]
-        self.slots = [slot for _, slot in self.free]
+        self.free = free
+        self.sizes = [comp.size_of(v.ty) for v in free]
         self.env = [0] * comp.n_slots
 
     def space(self) -> int:
@@ -500,20 +605,46 @@ class _SequentBatch:
         return n
 
     def set_assignment(self, values: Sequence[int]):
-        env = self.env
-        for slot, value in zip(self.slots, values):
-            env[slot] = value
+        self.env[: len(values)] = values
 
     def holds(self, i: int) -> bool:
         hyps, concl = self.compiled[i]
         env = self.env
         for h in hyps:
-            if run_program(h, env) == FALSE_ELEM:
+            if h(env) == FALSE_ELEM:
                 return True
-        return run_program(concl, env) == TRUE_ELEM
+        return concl(env) == TRUE_ELEM
 
     def assignment(self, values: Sequence[int]) -> dict[Var, int]:
-        return {v: val for (v, _), val in zip(self.free, values)}
+        return dict(zip(self.free, values))
+
+
+def _scan(t: Term, bound: dict[Var, int], free: dict[Var, None], types: set):
+    """Add the free variables of `t` to `free` in the order in which
+    `_Compiler.compile` first reaches them, and its leaf types to `types`."""
+    if isinstance(t, Var):
+        types.add(t.ty)
+        if t not in bound:
+            free.setdefault(t)
+    elif isinstance(t, Const):
+        types.add(t.ty)
+    elif isinstance(t, Comb):
+        f = t.rator
+        if isinstance(f, Abs):  # a beta redex compiles its argument first
+            _scan(t.rand, bound, free, types)
+            _scan(f, bound, free, types)
+        else:
+            _scan(f, bound, free, types)
+            _scan(t.rand, bound, free, types)
+    else:
+        v = t.bvar
+        types.add(v.ty)
+        bound[v] = bound.get(v, 0) + 1
+        _scan(t.body, bound, free, types)
+        if bound[v] == 1:
+            del bound[v]
+        else:
+            bound[v] -= 1
 
 
 def _search(
@@ -533,32 +664,47 @@ def _search(
     the search was exhaustive, the number of valuations evaluated, and the
     first failure as (type assignment, batch, values), or None.  Raises
     CarrierOverflow when a carrier exceeds the model's cap.
+
+    Free variables are ordered by name, ties by first occurrence; the
+    valuations are enumerated in the lexicographic order of that list.
     """
+    terms = {id(t): t for hyps, concl in sequents for t in (*hyps, concl)}
+    free: dict[Var, None] = {}
+    types: set[HolType] = set()
+    for t in terms.values():
+        _scan(t, {}, free, types)
     tyvars: set[str] = set()
-    for hyps, concl in sequents:
-        for t in (*hyps, concl):
-            tyvars |= type_vars_of_term(t)
+    for ty in types:
+        tyvars |= type_vars_of_type(ty)
     tyvar_list = sorted(tyvars)
+    free_list = sorted(free, key=lambda v: v.name)
     batches = []
     total = 0
     for sizes in itertools.product(model.tyvar_sizes, repeat=len(tyvar_list)):
         tyassign = dict(zip(tyvar_list, sizes))
-        batch = _SequentBatch(sequents, model, tyassign, theory)
+        batch = _SequentBatch(sequents, free_list, model, tyassign, theory)
         batches.append((tyassign, batch))
         total += batch.space()
 
     # The sequent after the premises is checked first: when it holds (the
     # common case for a sound rule) no premise needs evaluating.
     evaluations = 0
+    n = len(free_list)
     if total <= limit:
         for tyassign, batch in batches:
-            for values in itertools.product(*(range(s) for s in batch.sizes)):
-                batch.set_assignment(values)
+            env = batch.env
+            hyps, concl = batch.compiled[n_prem]
+            for values in itertools.product(*map(range, batch.sizes)):
+                env[:n] = values
                 evaluations += 1
-                if not batch.holds(n_prem) and all(
-                    batch.holds(i) for i in range(n_prem)
-                ):
-                    return True, evaluations, (tyassign, batch, values)
+                for h in hyps:
+                    if not h(env):  # a false assumption: the sequent holds
+                        break
+                else:
+                    if concl(env) != TRUE_ELEM and all(
+                        batch.holds(i) for i in range(n_prem)
+                    ):
+                        return True, evaluations, (tyassign, batch, values)
         return True, evaluations, None
     for _ in range(samples):
         tyassign, batch = batches[rng.randrange(len(batches))]
@@ -581,7 +727,7 @@ def is_valid(
     """Decide validity by enumerating valuations, or sample when the
     valuation space exceeds the budget (a stochastic verdict)."""
     exhaustive, checked, failure = _search(
-        [s], 0, model, theory or Theory(), budget, samples, random.Random(seed)
+        [s], 0, model, theory or _EMPTY_THEORY, budget, samples, random.Random(seed)
     )
     if failure is None:
         return Verdict(True, exhaustive, checked)
@@ -630,6 +776,9 @@ class FuzzReport:
         return not self.counterexamples
 
 
+_DEFAULT_MODELS = (Model(1), Model(2), Model(3))
+
+
 def fuzz_rule_soundness(
     rule_id: str,
     instance_generator: Callable[[random.Random], RuleInstance],
@@ -649,15 +798,13 @@ def fuzz_rule_soundness(
     never raised.  Instances whose carriers overflow the cap are counted
     and skipped.
     """
-    from .surface import print_sequent
-
     if model is None:
-        models: tuple[Model, ...] = (Model(1), Model(2), Model(3))
+        models: tuple[Model, ...] = _DEFAULT_MODELS
     elif isinstance(model, Model):
         models = (model,)
     else:
         models = tuple(model)
-    theory = theory or Theory()
+    theory = theory or _EMPTY_THEORY
     rng = random.Random(seed)
     evaluations = 0
     skipped = 0
@@ -681,6 +828,8 @@ def fuzz_rule_soundness(
             continue
         evaluations += count
         if failure is not None:
+            from .surface import print_sequent
+
             tyassign, batch, values = failure
             bad.append(
                 FuzzCounterexample(

@@ -14,7 +14,7 @@ Alpha-equivalence walks the two terms side by side and stops at
 physically shared subterms while every binder pair opened so far is the
 same variable.  The total term order and assumption-set keys go through
 a de Bruijn canonical byte encoding, cached only on nodes with no binder
-in scope.  Both live in ``_accel`` with the other hot kernel.  Node
+in scope.  Both live in ``_accel``.  Node
 classes expose a small integer ``KIND`` tag so ``_accel`` can dispatch
 without importing this module.
 """

@@ -9,12 +9,16 @@ the tests were computed with these and then frozen.
 The second part keeps the earlier, slower implementations of paths that
 were later made to skip work: the rewriting loop that builds a theorem
 at every node, the derived rules that unfold the definitions of /\\ and
-==> on every call, and the evaluator that compiles a defined constant's
-body at every occurrence, and the front end that lexed character by
-character and parsed each infix connective at its own level.  The faster
-paths must give the same results.
+==> on every call, the evaluator that compiled terms to opcode tuples for
+an interpreter (with a variant that compiles a defined constant's body at
+every occurrence) and the valuation search around it, and the front end
+that lexed character by character and parsed each infix connective at
+its own level.  The faster paths must give the same results.
 """
 
+from __future__ import annotations
+
+import itertools
 from dataclasses import dataclass
 
 from microhol.bootstrap import (
@@ -42,7 +46,15 @@ from microhol.kernel import (
     refl,
     trans,
 )
-from microhol.semantics import UnassignedVariable, _Compiler
+from microhol.semantics import (
+    TRUE_ELEM,
+    CarrierOverflow,
+    EmptyCarrier,
+    UnassignedTypeVar,
+    UnassignedVariable,
+    UninterpretableConstant,
+    encode_table,
+)
 from microhol.surface import (
     _BOOL2,
     _BUILTIN_TYPE_ARITIES,
@@ -52,7 +64,6 @@ from microhol.surface import (
     UnknownConstant,
     _is_tyvar_name,
 )
-from microhol._accel import run_program
 from microhol.syntax import (
     BOOL,
     Abs,
@@ -74,6 +85,7 @@ from microhol.syntax import (
     mk_eq,
     type_match,
     type_subst,
+    type_vars_of_term,
     type_vars_of_type,
 )
 
@@ -288,7 +300,322 @@ class UnfoldingRules:
         return self.mp(self.mp(sp, self.disch(p, th1)), self.disch(q, th2))
 
 
-class _UnfoldingCompiler(_Compiler):
+# ---------------------------------------------------------------------------
+# The evaluator before closures: terms compiled to nested opcode tuples and
+# run by an interpreter, with the valuation search that drove it.  The
+# closure compiler in `semantics` must agree with it on every value, every
+# enumeration order and every counterexample.
+
+class ReferenceCompiler:
+    """Compiles terms for one model and one type-variable assignment.
+
+    Slot numbering is shared across everything compiled by one instance,
+    so a batch of sequent parts can be evaluated against one environment
+    list.  Carrier sizes, defined-type supports and the programs of
+    constants are cached per type.
+    """
+
+    def __init__(self, model: Model, type_sizes: Mapping[str, int], theory: Theory):
+        self.model = model
+        self.type_sizes = type_sizes
+        self.theory = theory
+        self.slots: dict[Var, int] = {}
+        self.n_slots = 0
+        self._size_cache: dict[HolType, int] = {}
+        self._typedef_cache: dict[HolType, tuple[int, ...]] = {}
+        self._const_cache: dict[tuple[str, HolType], tuple] = {}
+
+    def _scratch(self) -> "ReferenceCompiler":
+        """A compiler with its own slots and this one's caches."""
+        sub = ReferenceCompiler(self.model, self.type_sizes, self.theory)
+        sub._size_cache = self._size_cache
+        sub._typedef_cache = self._typedef_cache
+        sub._const_cache = self._const_cache
+        return sub
+
+    # -- carriers
+
+    def size_of(self, ty: HolType) -> int:
+        cached = self._size_cache.get(ty)
+        if cached is not None:
+            return cached
+        size = self._size_of(ty)
+        self._size_cache[ty] = size
+        return size
+
+    def _size_of(self, ty: HolType) -> int:
+        if isinstance(ty, TyVar):
+            size = self.type_sizes.get(ty.name)
+            if size is None:
+                raise UnassignedTypeVar(f"type variable {ty.name} is unassigned")
+            return size
+        if ty.con == "bool":
+            return 2
+        if ty.con == "ind":
+            return self.model.ind_size
+        if ty.con == "fun":
+            dom = self.size_of(ty.args[0])
+            cod = self.size_of(ty.args[1])
+            size = 1
+            for _ in range(dom):
+                size *= cod
+                if size > self.model.cap:
+                    raise CarrierOverflow(
+                        f"function carrier exceeds cap {self.model.cap}"
+                    )
+            return size
+        return len(self.typedef_support(ty))
+
+    def typedef_support(self, ty: TyApp) -> tuple[int, ...]:
+        """Indices of the representing carrier satisfying the predicate."""
+        cached = self._typedef_cache.get(ty)
+        if cached is not None:
+            return cached
+        info = self.theory.typedefs.get(ty.con)
+        if info is None:
+            raise UninterpretableConstant(f"type constructor {ty.con!r} has no model")
+        tyin = dict(zip(info.tyvars, ty.args))
+        pred = inst_type(Substitution.of_types(tyin), info.predicate)
+        rep_size = self.size_of(pred.ty.args[0])
+        sub = self._scratch()
+        x = Var("r?", pred.ty.args[0])
+        prog = sub.compile(Comb(pred, x))
+        slot = sub.slots[x]
+        env = [0] * sub.n_slots
+        support = []
+        for r in range(rep_size):
+            env[slot] = r
+            if run_reference(prog, env) == TRUE_ELEM:
+                support.append(r)
+        if not support:
+            raise EmptyCarrier(
+                f"predicate for type {ty.con!r} has empty support in this model"
+            )
+        out = tuple(support)
+        self._typedef_cache[ty] = out
+        return out
+
+    # -- slots
+
+    def slot_of(self, v: Var) -> int:
+        slot = self.slots.get(v)
+        if slot is None:
+            slot = self.n_slots
+            self.slots[v] = slot
+            self.n_slots += 1
+        return slot
+
+    def fresh_slot(self) -> int:
+        slot = self.n_slots
+        self.n_slots += 1
+        return slot
+
+    # -- constants with fixed interpretations
+
+    def _equality_value(self, arg_ty: HolType) -> int:
+        n = self.size_of(arg_ty)
+        self.size_of(fn(arg_ty, fn(arg_ty, BOOL)))
+        delta_carrier = self.size_of(fn(arg_ty, BOOL))
+        value = 0
+        mul = 1
+        for a in range(n):
+            value += (1 << a) * mul
+            mul *= delta_carrier
+        return value
+
+    def _choice_value(self, arg_ty: HolType) -> int:
+        n = self.size_of(arg_ty)
+        self.size_of(fn(fn(arg_ty, BOOL), arg_ty))
+        preds = self.size_of(fn(arg_ty, BOOL))
+        value = 0
+        mul = 1
+        for p in range(preds):
+            least = (p & -p).bit_length() - 1 if p else 0
+            value += least * mul
+            mul *= n
+        return value
+
+    def _abs_rep_values(self, cty: HolType, name: str) -> int:
+        """Table for a type-definition's abs or rep constant."""
+        dom_ty, cod_ty = cty.args
+        self.size_of(cty)
+        cod = self.size_of(cod_ty)
+        if isinstance(cod_ty, TyApp) and cod_ty.con in self.theory.typedefs and (
+            self.theory.typedefs[cod_ty.con].abs_name == name
+        ):
+            # abs: representing carrier -> new type
+            support = self.typedef_support(cod_ty)
+            index = {r: i for i, r in enumerate(support)}
+            entries = [index.get(r, 0) for r in range(self.size_of(dom_ty))]
+        else:
+            # rep: new type -> representing carrier
+            support = self.typedef_support(dom_ty)
+            entries = list(support)
+        return encode_table(entries, cod)
+
+    def _check_fixed(self, c: Const):
+        """Reject hand-built `=`/`@` constants at non-instance types, which
+        would otherwise compare or choose across distinct carriers."""
+        generic = self.theory.term_constants[c.name]
+        if type_match(generic, c.ty) is None:
+            raise UninterpretableConstant(f"constant {c.name!r} at bad type {c.ty!r}")
+
+    def compile_const(self, t: Const) -> tuple:
+        key = (t.name, t.ty)
+        prog = self._const_cache.get(key)
+        if prog is None:
+            prog = self._compile_const(t)
+            self._const_cache[key] = prog
+        return prog
+
+    def _compile_const(self, t: Const) -> tuple:
+        name, ty = t.name, t.ty
+        if name == "=":
+            shape = type_match(self.theory.term_constants["="], ty)
+            if shape is None:
+                raise UninterpretableConstant(f"equality at bad type {ty!r}")
+            return (1, self._equality_value(shape["A"]))
+        if name == "@":
+            shape = type_match(self.theory.term_constants["@"], ty)
+            if shape is None:
+                raise UninterpretableConstant(f"choice at bad type {ty!r}")
+            return (1, self._choice_value(shape["A"]))
+        for info in self.theory.typedefs.values():
+            if name in (info.abs_name, info.rep_name):
+                return (1, self._abs_rep_values(ty, name))
+        rhs = self.theory.definitions.get(name)
+        if rhs is None:
+            raise UninterpretableConstant(f"constant {name!r} has no definition")
+        tyin = type_match(self.theory.term_constants[name], ty)
+        if tyin is None:
+            raise UninterpretableConstant(f"constant {name!r} at bad type {ty!r}")
+        # The body is closed, so its value needs no environment of ours.
+        sub = self._scratch()
+        body = sub.compile(inst_type(Substitution.of_types(tyin), rhs))
+        return (1, run_reference(body, [0] * sub.n_slots))
+
+    # -- terms
+
+    def compile(self, t: Term, bound: dict[Var, int] | None = None) -> tuple:
+        """Compile a term to an integer program (opcodes at `run_reference`)."""
+        if bound is None:
+            bound = {}
+        if isinstance(t, Var):
+            slot = bound.get(t)
+            if slot is None:
+                slot = self.slot_of(t)
+            return (0, slot)
+        if isinstance(t, Const):
+            return self.compile_const(t)
+        if isinstance(t, Comb):
+            f, a = t.rator, t.rand
+            if (
+                isinstance(f, Comb)
+                and isinstance(f.rator, Const)
+                and f.rator.name == "="
+            ):
+                self._check_fixed(f.rator)
+                return (4, self.compile(f.rand, bound), self.compile(a, bound))
+            if isinstance(f, Const) and f.name == "=":
+                self._check_fixed(f)
+                self.size_of(t.ty)
+                return (5, self.compile(a, bound))
+            if isinstance(f, Const) and f.name == "@":
+                self._check_fixed(f)
+                return (6, self.compile(a, bound))
+            if isinstance(f, Abs):
+                # Beta shortcut: semantically the table entry at the argument.
+                slot = self.fresh_slot()
+                arg = self.compile(a, bound)
+                saved = bound.get(f.bvar)
+                bound[f.bvar] = slot
+                body = self.compile(f.body, bound)
+                _restore_bound(bound, f.bvar, saved)
+                return (7, slot, arg, body)
+            self.size_of(f.ty)
+            cod = self.size_of(t.ty)
+            return (2, self.compile(f, bound), self.compile(a, bound), cod)
+        # Abstraction: enumerate the domain carrier.
+        self.size_of(t.ty)
+        dom = self.size_of(t.bvar.ty)
+        cod = self.size_of(t.body.ty)
+        slot = self.fresh_slot()
+        saved = bound.get(t.bvar)
+        bound[t.bvar] = slot
+        body = self.compile(t.body, bound)
+        _restore_bound(bound, t.bvar, saved)
+        return (3, slot, dom, cod, body)
+
+
+def _restore_bound(bound, key, saved):
+    if saved is None:
+        bound.pop(key, None)
+    else:
+        bound[key] = saved
+
+
+# Programs are nested tuples of small ints:
+#
+#   (0, slot)                      read variable slot
+#   (1, value)                     literal element index
+#   (2, f, a, cod)                 apply: digit a of f in base cod
+#   (3, slot, dom, cod, body)      build a function table by enumeration
+#   (4, a, b)                      equality test -> 0/1
+#   (5, a)                         partial equality: the table of (= a)
+#   (6, p)                         choice: least element of the support
+#   (7, slot, arg, body)           beta shortcut: bind slot, eval body
+
+
+def run_reference(prog, env):
+    """Evaluate one compiled term under an environment of element indices."""
+    tag = prog[0]
+    if tag == 0:
+        return env[prog[1]]
+    if tag == 1:
+        return prog[1]
+    if tag == 2:
+        f = run_reference(prog[1], env)
+        a = run_reference(prog[2], env)
+        cod = prog[3]
+        return (f // cod**a) % cod
+    if tag == 3:
+        _, slot, dom, cod, body = prog
+        acc = 0
+        mul = 1
+        for elem in range(dom):
+            env[slot] = elem
+            acc += run_reference(body, env) * mul
+            mul *= cod
+        return acc
+    if tag == 4:
+        return 1 if run_reference(prog[1], env) == run_reference(prog[2], env) else 0
+    if tag == 5:
+        return 1 << run_reference(prog[1], env)
+    if tag == 6:
+        p = run_reference(prog[1], env)
+        return (p & -p).bit_length() - 1 if p else 0
+    if tag == 7:
+        env[prog[1]] = run_reference(prog[2], env)
+        return run_reference(prog[3], env)
+    raise ValueError(f"bad opcode {tag}")
+
+
+def _run_assigned(comp, prog, v):
+    env = [0] * comp.n_slots
+    for var, slot in comp.slots.items():
+        if var not in v.term_assignment:
+            raise UnassignedVariable(f"variable {var.name} is unassigned")
+        env[slot] = v.term_assignment[var]
+    return run_reference(prog, env)
+
+
+def reference_eval_term(t, v, theory):
+    """eval_term by the opcode compiler and its interpreter."""
+    comp = ReferenceCompiler(v.model, v.type_sizes, theory)
+    return _run_assigned(comp, comp.compile(t), v)
+
+
+class _UnfoldingCompiler(ReferenceCompiler):
     """Compiles a defined constant's body inline at every occurrence."""
 
     def compile_const(self, t):
@@ -304,13 +631,83 @@ class _UnfoldingCompiler(_Compiler):
 def unfolded_eval_term(t, v, theory):
     """eval_term without folding defined constants to literals."""
     comp = _UnfoldingCompiler(v.model, v.type_sizes, theory)
-    prog = comp.compile(t)
-    env = [0] * comp.n_slots
-    for var, slot in comp.slots.items():
-        if var not in v.term_assignment:
-            raise UnassignedVariable(f"variable {var.name} is unassigned")
-        env[slot] = v.term_assignment[var]
-    return run_program(prog, env)
+    return _run_assigned(comp, comp.compile(t), v)
+
+
+class _ReferenceBatch:
+    """A group of sequents compiled against one shared environment."""
+
+    def __init__(self, sequents, model, type_sizes, theory):
+        comp = ReferenceCompiler(model, type_sizes, theory)
+        self.compiled = [
+            ([comp.compile(h) for h in hyps], comp.compile(concl))
+            for hyps, concl in sequents
+        ]
+        self.free = sorted(comp.slots.items(), key=lambda kv: (kv[0].name, kv[1]))
+        self.sizes = [comp.size_of(v.ty) for v, _ in self.free]
+        self.slots = [slot for _, slot in self.free]
+        self.env = [0] * comp.n_slots
+
+    def space(self):
+        n = 1
+        for s in self.sizes:
+            n *= s
+        return n
+
+    def set_assignment(self, values):
+        env = self.env
+        for slot, value in zip(self.slots, values):
+            env[slot] = value
+
+    def holds(self, i):
+        hyps, concl = self.compiled[i]
+        env = self.env
+        for h in hyps:
+            if run_reference(h, env) == 0:
+                return True
+        return run_reference(concl, env) == 1
+
+    def assignment(self, values):
+        return {v: val for (v, _), val in zip(self.free, values)}
+
+
+def reference_search(sequents, n_prem, model, theory, limit, samples, rng):
+    """`semantics._search` as it was with one opcode program per sequent
+    part: returns (exhaustive, evaluations, failure), where failure is
+    (type assignment, {variable: value}) or None."""
+    tyvars = set()
+    for hyps, concl in sequents:
+        for t in (*hyps, concl):
+            tyvars |= type_vars_of_term(t)
+    tyvar_list = sorted(tyvars)
+    batches = []
+    total = 0
+    for sizes in itertools.product(model.tyvar_sizes, repeat=len(tyvar_list)):
+        tyassign = dict(zip(tyvar_list, sizes))
+        batch = _ReferenceBatch(sequents, model, tyassign, theory)
+        batches.append((tyassign, batch))
+        total += batch.space()
+
+    def fails(batch):
+        return not batch.holds(n_prem) and all(batch.holds(i) for i in range(n_prem))
+
+    evaluations = 0
+    if total <= limit:
+        for tyassign, batch in batches:
+            for values in itertools.product(*(range(s) for s in batch.sizes)):
+                batch.set_assignment(values)
+                evaluations += 1
+                if fails(batch):
+                    return True, evaluations, (tyassign, batch.assignment(values))
+        return True, evaluations, None
+    for _ in range(samples):
+        tyassign, batch = batches[rng.randrange(len(batches))]
+        values = [rng.randrange(size) for size in batch.sizes]
+        batch.set_assignment(values)
+        evaluations += 1
+        if fails(batch):
+            return False, evaluations, (tyassign, batch.assignment(values))
+    return False, evaluations, None
 
 
 # ---------------------------------------------------------------------------

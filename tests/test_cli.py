@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -40,6 +41,19 @@ class TestCheck:
         path = tmp_path / "bad.art"
         path.write_text(bad)
         assert main(["check", str(path)]) == 1
+
+    def test_choice_after_hostile_imp_fails(self, tmp_path, capsys):
+        # imp := \p q. q would make AXIOM choice state |- P x ==> P (@P)
+        # with a false meaning; the axiom must refuse the theory.
+        thy = Theory()
+        text = (
+            f"{FORMAT_HEADER}\ntheory {thy.fingerprint()}\n"
+            "1. TERM \\p:bool. \\q:bool. q\n2. DEFINE imp 1\n3. AXIOM choice\n"
+        )
+        path = tmp_path / "hostile.art"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 1
+        assert "line 5: AXIOM: axiom_choice needs 'imp'" in capsys.readouterr().out
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.art"]) == 2
@@ -128,6 +142,30 @@ class TestFuzzCommand:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_all_rules_pinned(self, capsys):
+        # Evaluations per rule, and the whole output, as recorded before
+        # the evaluator compiled terms to closures.
+        args = ["fuzz", "--rule", "all", "--trials", "400", "--seed", "7", "--json"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        got = {r["rule"]: (r["evaluations"], r["skipped_overflow"]) for r in payload["rules"]}
+        assert got == {
+            "refl": (7444, 0),
+            "trans": (395620, 0),
+            "mk_comb": (572150, 0),
+            "abs": (14389, 0),
+            "beta": (14089, 0),
+            "assume": (18212, 0),
+            "eq_mp": (60958, 0),
+            "deduct_antisym": (233577, 0),
+            "inst_type": (179628, 1),
+            "inst": (132049, 0),
+        }
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c0573f292a481906290c93d3fbeb6694ef69ec5360d7be8e29dc18e8a0811d5b"
+        )
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("MICROHOL_SEED", "99")

@@ -290,6 +290,55 @@ class TestAxioms:
         with pytest.raises(MissingDefinitions):
             axiom_choice(Theory())
 
+    def test_choice_refuses_imp_with_another_body(self):
+        # With imp := \p q. q the axiom would read |- P x ==> P (@P), which
+        # the model [A:=1] {P:=0, x:=0} refutes.
+        thy = Theory()
+        p, q = Var("p", BOOL), Var("q", BOOL)
+        new_basic_definition(thy, "imp", mk_abs(p, mk_abs(q, q)))
+        with pytest.raises(MissingDefinitions, match="'imp'"):
+            axiom_choice(thy)
+        with pytest.raises(MissingDefinitions, match="'imp'"):
+            axiom_choice(Theory.replay(thy.definition_log))
+
+    @staticmethod
+    def standard_theory(**hostile):
+        """The standard definitions in bootstrap order, some replaced."""
+        thy = Theory()
+        for name, body in kernel.STANDARD_DEFINITIONS.items():
+            new_basic_definition(thy, name, hostile.get(name, body))
+        return thy
+
+    def test_standard_bodies_without_bootstrap(self):
+        thy = self.standard_theory()
+        assert axiom_choice(thy).conclusion == axiom_choice(
+            Theory.replay(thy.definition_log)
+        ).conclusion
+        assert axiom_infinity(Theory.replay(thy.definition_log)).uses_infinity
+
+    @pytest.mark.parametrize(
+        "name, axiom",
+        [("T", axiom_choice), ("and", axiom_choice), ("F", axiom_infinity),
+         ("forall", axiom_infinity), ("ONTO", axiom_infinity)],
+    )
+    def test_constants_used_by_standard_bodies_are_checked(self, name, axiom):
+        # Choice names neither T nor and, and infinity names neither F nor
+        # forall, but the bodies they name use them.
+        p, q = Var("p", BOOL), Var("q", BOOL)
+        ty = kernel.STANDARD_DEFINITIONS[name].ty
+        if ty == BOOL:
+            other = mk_eq(mk_abs(p, p), mk_abs(p, mk_eq(p, p)))
+        elif name == "and":
+            other = mk_abs(p, mk_abs(q, q))
+        else:
+            f = Var("f", ty.args[0])
+            other = mk_abs(f, mk_eq(f, f))
+        thy = self.standard_theory(**{name: other})
+        with pytest.raises(MissingDefinitions, match=repr(name)):
+            axiom(thy)
+        with pytest.raises(MissingDefinitions, match=repr(name)):
+            axiom(Theory.replay(thy.definition_log))
+
     def test_infinity_flagged(self, theory):
         th = axiom_infinity(theory)
         assert th.uses_infinity

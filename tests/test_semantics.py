@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -38,11 +39,13 @@ from microhol.semantics import (
     is_valid,
     theorem_sequent,
 )
+from microhol.semantics import _search
 from microhol.syntax import (
     BOOL,
     IND,
     Const,
     Substitution,
+    TyApp,
     TyVar,
     Var,
     alpha_equiv,
@@ -54,7 +57,13 @@ from microhol.syntax import (
     vsubst,
 )
 
-from .oracles import unfolded_eval_term
+from .oracles import (
+    ReferenceCompiler,
+    reference_eval_term,
+    reference_search,
+    run_reference,
+    unfolded_eval_term,
+)
 from .strategies import typed_terms
 
 x = Var("x", BOOL)
@@ -164,6 +173,28 @@ class TestEvalTerm:
         with pytest.raises(UninterpretableConstant):
             eval_term(mk_comb(bad, pred), Valuation(Model()), Theory())
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Const("=", TyVar("A")),
+            Const("@", TyVar("A")),
+            Const("=", fn(IND, fn(IND, IND))),
+            Const("@", fn(fn(IND, BOOL), BOOL)),
+            mk_comb(Const("=", fn(IND, TyVar("B"))), xi),
+            mk_comb(Const("@", fn(TyVar("B"), IND)), Var("p", TyVar("B"))),
+            mk_comb(mk_comb(Const("=", fn(BOOL, fn(BOOL, IND))), x), x),
+            mk_comb(mk_comb(Const("=", fn(BOOL, fn(TyVar("A"), BOOL))), x), Var("a", TyVar("A"))),
+        ],
+    )
+    def test_fixed_constant_at_bad_type_rejected(self, t):
+        from microhol.syntax import free_vars
+
+        v = Valuation(Model(), {"A": 2, "B": 2}, {u: 0 for u in free_vars(t)})
+        with pytest.raises(UninterpretableConstant):
+            eval_term(t, v, Theory())
+        with pytest.raises(UninterpretableConstant):
+            reference_eval_term(t, v, Theory())
+
     def test_defined_constants_unfold(self, theory):
         # ~F evaluates true by unfolding not and F
         v = Valuation(Model())
@@ -243,6 +274,25 @@ class TestSequents:
         verdict = is_valid(seq, Model(ind_size=3), budget=10, samples=50, theory=theory)
         assert not verdict.exhaustive
         assert verdict.checked <= 50
+
+
+class TestAxiomsNeedStandardDefinitions:
+    def test_choice_over_hostile_imp_would_be_false(self):
+        # What axiom_choice would state after imp := \p q. q is refuted in
+        # a finite model, so the kernel must refuse to state it.
+        thy = Theory()
+        p, q = Var("p", BOOL), Var("q", BOOL)
+        new_basic_definition(thy, "imp", mk_abs(p, mk_abs(q, q)))
+        a = TyVar("A")
+        cap_p, xa = Var("P", fn(a, BOOL)), Var("x", a)
+        select = mk_comb(Const("@", fn(fn(a, BOOL), a)), cap_p)
+        imp = Const("imp", fn(BOOL, fn(BOOL, BOOL)))
+        stmt = mk_comb(mk_comb(imp, mk_comb(cap_p, xa)), mk_comb(cap_p, select))
+        verdict = is_valid(((), stmt), Model(), theory=thy)
+        assert not verdict.valid
+        assert verdict.counterexample.render() == "[A:=1] {P:=0, x:=0}"
+        with pytest.raises(kernel.MissingDefinitions):
+            kernel.axiom_choice(thy)
 
 
 class TestSemanticInvariants:
@@ -530,3 +580,195 @@ class TestValuationSearchGolden:
         f = Var("f", fn(fn(IND, IND), BOOL))
         with pytest.raises(CarrierOverflow):
             is_valid(((), mk_eq(f, f)), Model(ind_size=3, cap=16), theory=Theory())
+
+
+class TestClosuresMatchReference:
+    """The closure compiler against the opcode compiler and its interpreter
+    it replaced (`oracles.ReferenceCompiler`, `oracles.run_reference`)."""
+
+    SIZES = (1, 2, 3)
+
+    @pytest.fixture(scope="class")
+    def typedef_theory(self):
+        # ident A: the functions A -> A equal to the identity, carved by
+        # the closed predicate (=) (\p. p); one element at every size.
+        thy = Theory()
+        install_logic(thy)
+        p = Var("p", TyVar("A"))
+        kernel.new_basic_type_definition(
+            thy, "ident", "mk_id", "dest_id", refl(mk_abs(p, p))
+        )
+        return thy
+
+    def agree(self, t, theory, model=Model(ind_size=2)):
+        """Compare both evaluators on `t` under every valuation, at every
+        assignment of SIZES to its type variables; returns the count."""
+        from microhol.semantics import _Compiler
+        from microhol.syntax import free_vars, type_vars_of_term
+
+        tyvars = sorted(type_vars_of_term(t))
+        fvs = sorted(free_vars(t), key=lambda v: v.name)
+        checked = 0
+        for sizes in itertools.product(self.SIZES, repeat=len(tyvars)):
+            tysizes = dict(zip(tyvars, sizes))
+            comps = []
+            for make in (_Compiler, ReferenceCompiler):
+                comp = make(model, tysizes, theory)
+                try:
+                    prog = comp.compile(t)
+                    carriers = [range(comp.size_of(v.ty)) for v in fvs]
+                except CarrierOverflow:
+                    prog = carriers = None
+                comps.append((comp, prog, carriers))
+            (comp, prog, carriers), (ref, ref_prog, ref_carriers) = comps
+            assert carriers == ref_carriers
+            if prog is None:
+                continue
+            env = [0] * comp.n_slots
+            ref_env = [0] * ref.n_slots
+            for values in itertools.product(*carriers):
+                for v, value in zip(fvs, values):
+                    env[comp.slots[v]] = value
+                    ref_env[ref.slots[v]] = value
+                assert prog(env) == run_reference(ref_prog, ref_env), (t, tysizes)
+                checked += 1
+        return checked
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_termgen_terms(self, seed):
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(6):
+            g = TermGen(rng, max_free=3)
+            ty = rng.choice((BOOL, IND, TyVar("A"), fn(IND, BOOL), fn(TyVar("A"), IND)))
+            checked += self.agree(g.term(ty, 4), Theory())
+        assert checked > 0
+
+    def test_fixed_constants_redexes_and_definitions(self, typedef_theory):
+        a = TyVar("A")
+        u, v = Var("u", a), Var("v", a)
+        f = Var("f", fn(a, a))
+        p = Var("P", fn(a, BOOL))
+        b = Var("b", BOOL)
+        terms = [
+            mk_eq(u, v),
+            mk_comb(Const("=", fn(a, fn(a, BOOL))), u),  # (=) u
+            mk_comb(Const("@", fn(fn(a, BOOL), a)), p),
+            mk_comb(Const("@", fn(fn(a, BOOL), a)), mk_abs(u, mk_eq(u, v))),
+            mk_comb(mk_abs(u, mk_comb(f, u)), mk_comb(f, v)),  # beta redex
+            mk_comb(mk_abs(b, mk_abs(u, mk_eq(u, v))), mk_eq(u, v)),
+            mk_forall(u, mk_imp(mk_comb(p, u), mk_exists(v, mk_eq(u, v)))),
+            mk_neg(mk_conj(b, mk_disj(mk_comb(p, v), FALSE))),
+        ]
+        ident = TyApp("ident", (a,))
+        mk_id = Const("mk_id", fn(fn(a, a), ident))
+        dest_id = Const("dest_id", fn(ident, fn(a, a)))
+        w = Var("w", ident)
+        terms += [
+            mk_comb(dest_id, mk_comb(mk_id, f)),  # abs off the support
+            mk_eq(mk_comb(mk_id, mk_comb(dest_id, w)), w),
+            mk_comb(mk_comb(dest_id, w), u),
+        ]
+        for t in terms:
+            assert self.agree(t, typedef_theory) > 0, t
+
+
+class TestSearchMatchesReference:
+    """`_search` enumerates, samples and reports exactly as the search
+    around the opcode evaluator did (`oracles.reference_search`)."""
+
+    @staticmethod
+    def compare(sequents, n_prem, model, theory, limit, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        try:
+            exhaustive, count, failure = _search(
+                sequents, n_prem, model, theory, limit, 20, rng
+            )
+        except CarrierOverflow:
+            with pytest.raises(CarrierOverflow):
+                reference_search(sequents, n_prem, model, theory, limit, 20, ref_rng)
+            return None
+        want = reference_search(sequents, n_prem, model, theory, limit, 20, ref_rng)
+        if failure is not None:
+            tyassign, batch, values = failure
+            failure = (tyassign, batch.assignment(values))
+        assert (exhaustive, count, failure) == want
+        assert rng.random() == ref_rng.random()
+        return count
+
+    @pytest.mark.parametrize("rule", RULE_IDS)
+    @pytest.mark.parametrize("limit", [100_000, 1])
+    def test_rule_instances(self, rule, limit):
+        gen = make_generator(rule)
+        total = 0
+        for seed in range(12):
+            inst = gen(random.Random(seed))
+            sequents = [*inst.premises, inst.conclusion]
+            model = Model(ind_size=seed % 3 + 1)
+            count = self.compare(
+                sequents, len(inst.premises), model, Theory(), limit, seed
+            )
+            total += count or 0
+        assert total > 0
+
+    def test_weakened_abs_counterexamples(self):
+        for seed in range(12):
+            inst = weakened_abs_generator(random.Random(seed))
+            for limit in (100_000, 1):
+                self.compare(
+                    [*inst.premises, inst.conclusion], 1, Model(), Theory(), limit, seed
+                )
+
+
+class TestSharedNameOrder:
+    """Two free variables named x, one bool and one ind: valuations list
+    them by name, then by the order in which compilation first reaches
+    them, which decides the enumeration order, the number of evaluations
+    and the counterexample.  Expected values are those of the opcode
+    evaluator's search."""
+
+    xb, xi, i, y = Var("x", BOOL), Var("x", IND), Var("i", IND), Var("y", BOOL)
+    differ = mk_neg(mk_eq(xi, i))
+    SEQUENTS = {
+        "bool-first": ((), mk_imp(xb, differ)),
+        "ind-first": ((), mk_disj(differ, mk_neg(xb))),
+        # a beta redex is compiled argument first
+        "redex-argument-first": ((), mk_comb(mk_abs(y, mk_imp(xb, y)), differ)),
+        "hypothesis-first": ((xb,), differ),
+    }
+
+    @pytest.mark.parametrize(
+        "name, budget, exhaustive, checked, counterexample",
+        [
+            ("bool-first", 100_000, True, 4, "{i:=0, x:=1, x:=0}"),
+            ("bool-first", 1, False, 1, "{i:=2, x:=1, x:=2}"),
+            ("ind-first", 100_000, True, 2, "{i:=0, x:=0, x:=1}"),
+            ("ind-first", 1, False, 7, "{i:=0, x:=0, x:=1}"),
+            ("redex-argument-first", 100_000, True, 2, "{i:=0, x:=0, x:=1}"),
+            ("redex-argument-first", 1, False, 7, "{i:=0, x:=0, x:=1}"),
+            ("hypothesis-first", 100_000, True, 4, "{i:=0, x:=1, x:=0}"),
+            ("hypothesis-first", 1, False, 1, "{i:=2, x:=1, x:=2}"),
+        ],
+    )
+    def test_is_valid(self, theory, name, budget, exhaustive, checked, counterexample):
+        seq = self.SEQUENTS[name]
+        v = is_valid(seq, Model(ind_size=3), budget=budget, samples=40, seed=5, theory=theory)
+        assert (v.valid, v.exhaustive, v.checked) == (False, exhaustive, checked)
+        assert v.counterexample.render() == counterexample
+        TestSearchMatchesReference.compare([seq], 0, Model(ind_size=3), theory, budget, 5)
+
+
+class TestNoReferenceCycles:
+    def test_one_trial_of_every_rule_leaves_no_cycle(self):
+        # Closures that refer to themselves (a self-recursive nested
+        # helper, say) would leave garbage for the cycle collector on
+        # every compile.
+        gc.collect()
+        gc.disable()
+        try:
+            for rule in RULE_IDS:
+                fuzz_rule_soundness(rule, make_generator(rule), 1, model=Model(2), seed=5)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
