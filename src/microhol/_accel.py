@@ -10,7 +10,9 @@ closures, and ``run_program`` below only runs one of them.
 
 Dispatches on the ``KIND`` tag carried by the syntax node classes
 (0=Var, 1=Const, 2=Comb, 3=Abs; types: 0=TyVar, 1=TyApp) so it does not
-import the syntax module.
+import the syntax module.  Types are interned, so two types are equal
+exactly when they are the same object, and each distinct type's encoding
+is computed once and cached on it.
 
 Canonical term encoding (big-endian u32 lengths and indices):
 
@@ -115,19 +117,6 @@ def alpha_canon(t):
     return bytes(out)
 
 
-def _ty_eq(a, b):
-    if a is b:
-        return True
-    ka = a.KIND
-    if ka != b.KIND:
-        return False
-    if ka == 0:
-        return a.name == b.name
-    if a.con != b.con or len(a.args) != len(b.args):
-        return False
-    return all(_ty_eq(x, y) for x, y in zip(a.args, b.args))
-
-
 def _alpha(t, u, tenv, uenv, depth, sync):
     # `sync`: every binder pair opened so far is the same variable, so both
     # sides see the same bound variables at the same levels and a shared
@@ -141,16 +130,16 @@ def _alpha(t, u, tenv, uenv, depth, sync):
         tl = tenv.get(t)
         ul = uenv.get(u)
         if tl is None and ul is None:
-            return t.name == u.name and _ty_eq(t.ty, u.ty)
+            return t.name == u.name and t.ty is u.ty
         return tl == ul
     if kt == 1:
-        return t.name == u.name and _ty_eq(t.ty, u.ty)
+        return t.name == u.name and t.ty is u.ty
     if kt == 2:
         return _alpha(t.rator, u.rator, tenv, uenv, depth, sync) and _alpha(
             t.rand, u.rand, tenv, uenv, depth, sync
         )
     tv, uv = t.bvar, u.bvar
-    if not _ty_eq(tv.ty, uv.ty):
+    if tv.ty is not uv.ty:
         return False
     tsaved = tenv.get(tv)
     usaved = uenv.get(uv)

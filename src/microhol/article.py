@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import kernel
 from .kernel import Theorem, Theory
@@ -35,7 +34,6 @@ from .surface import parse_sequent, parse_term, parse_type, print_sequent
 from .syntax import (
     HolError,
     HolType,
-    Substitution,
     Term,
     Var,
     alpha_equiv,
@@ -289,7 +287,7 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
         mapping: dict[str, HolType] = {}
         for name, ref in _split_pairs(toks[1:], no):
             mapping[name] = replay.type_(ref, no)
-        return ("thm", kernel.inst_type_rule(Substitution.of_types(mapping), th))
+        return ("thm", kernel.inst_type_rule(mapping, th))
     if cmd == "INST":
         th = replay.thm(toks[0], no)
         mapping: dict[Var, Term] = {}
@@ -298,7 +296,7 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
             if not isinstance(v, Var):
                 raise ReplayError(no, f"INST domain line {vref} is not a variable")
             mapping[v] = replay.term(tref, no)
-        return ("thm", kernel.inst_rule(Substitution.of_terms(mapping), th))
+        return ("thm", kernel.inst_rule(mapping, th))
     if cmd == "AXIOM":
         name = toks[0]
         if name not in _AXIOMS:

@@ -64,10 +64,10 @@ from .syntax import (
     Const,
     HolError,
     HolType,
-    Substitution,
     Term,
     TyApp,
     Var,
+    fn,
     free_vars,
     is_eq,
     mk_comb,
@@ -185,9 +185,7 @@ def _taut_reconstruct(logic, p, order, asg) -> Theorem:
         v, rest = order[0], order[1:]
         th_t = _taut_reconstruct(logic, p, rest, {**asg, v: _assign_true(logic, v)})
         th_f = _taut_reconstruct(logic, p, rest, {**asg, v: _assign_false(logic, v)})
-        em = inst_rule(
-            Substitution.of_terms({Var("t", BOOL): v}), logic.EXCLUDED_MIDDLE
-        )
+        em = inst_rule({Var("t", BOOL): v}, logic.EXCLUDED_MIDDLE)
         return logic.disj_cases(em, th_t, th_f)
     value, th = _eval_formula(logic, p, asg)
     if not value:
@@ -378,13 +376,13 @@ def _eta_quant(logic: Logic, quant: Const, pred: Term) -> Theorem:
     a = pred.ty.args[0]
     b = pred.ty.args[1]
     ext = kernel.axiom_extensionality()
-    ext = inst_type_rule(Substitution.of_types({"A": a, "B": b}), ext)
+    ext = inst_type_rule({"A": a, "B": b}, ext)
     tvar = Var("t", pred.ty)
     xvar = Var("x", a)
     fresh = variant([pred], xvar)
     if fresh != xvar:
-        ext = inst_rule(Substitution.of_terms({xvar: fresh}), ext)
-    ext = inst_rule(Substitution.of_terms({tvar: pred}), ext)
+        ext = inst_rule({xvar: fresh}, ext)
+    ext = inst_rule({tvar: pred}, ext)
     return ap_term(quant, ext)
 
 
@@ -400,9 +398,9 @@ def _not_forall_thm(logic: Logic) -> Theorem:
     from .syntax import TyVar
 
     alpha = TyVar("A")
-    P = Var("P", _fn(alpha, BOOL))
+    P = Var("P", fn(alpha, BOOL))
     x = Var("x", alpha)
-    forall_p = mk_comb(Const("forall", _fn(_fn(alpha, BOOL), BOOL)), P)
+    forall_p = mk_comb(Const("forall", fn(fn(alpha, BOOL), BOOL)), P)
     goal = mk_exists(x, mk_neg(mk_comb(P, x)))
 
     # {~(!)P} |- ?x. ~(P x)
@@ -431,9 +429,9 @@ def _not_exists_thm(logic: Logic) -> Theorem:
     from .syntax import TyVar
 
     alpha = TyVar("A")
-    P = Var("P", _fn(alpha, BOOL))
+    P = Var("P", fn(alpha, BOOL))
     x = Var("x", alpha)
-    exists_p = mk_comb(Const("exists", _fn(_fn(alpha, BOOL), BOOL)), P)
+    exists_p = mk_comb(Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
     goal = mk_forall(x, mk_neg(mk_comb(P, x)))
 
     # {~(?)P} |- !x. ~(P x)
@@ -443,7 +441,7 @@ def _not_exists_thm(logic: Logic) -> Theorem:
 
     # {!x. ~(P x)} |- ~((?) P)
     v = Var("v", alpha)
-    eta = _eta_quant(logic, Const("exists", _fn(_fn(alpha, BOOL), BOOL)), P)
+    eta = _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
     expanded = eq_mp(assume(exists_p), sym(eta))  # {(?)P} |- ? (\x. P x)
     body = logic.mp(
         logic.not_elim(logic.spec(v, assume(goal))), assume(mk_comb(P, v))
@@ -454,28 +452,22 @@ def _not_exists_thm(logic: Logic) -> Theorem:
     return kernel.deduct_antisym(bwd, fwd)
 
 
-def _fn(a, b):
-    return TyApp("fun", (a, b))
-
-
 def _pull_theorems(logic: Logic) -> list[Theorem]:
     """The eight quantifier-pull equations, e.g.
     |- ((!) P \\/ q) = !x. P x \\/ q."""
     from .syntax import TyVar
 
     alpha = TyVar("A")
-    P = Var("P", _fn(alpha, BOOL))
+    P = Var("P", fn(alpha, BOOL))
     q = Var("q", BOOL)
     x = Var("x", alpha)
-    forall_p = mk_comb(Const("forall", _fn(_fn(alpha, BOOL), BOOL)), P)
-    exists_p = mk_comb(Const("exists", _fn(_fn(alpha, BOOL), BOOL)), P)
+    forall_p = mk_comb(Const("forall", fn(fn(alpha, BOOL), BOOL)), P)
+    exists_p = mk_comb(Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
     px = mk_comb(P, x)
     out = []
 
     def em_cases(goal_if_q: Theorem, goal_if_nq: Theorem) -> Theorem:
-        em = inst_rule(
-            Substitution.of_terms({Var("t", BOOL): q}), logic.EXCLUDED_MIDDLE
-        )
+        em = inst_rule({Var("t", BOOL): q}, logic.EXCLUDED_MIDDLE)
         return logic.disj_cases(em, goal_if_q, goal_if_nq)
 
     # (!) P \/ q  =  !x. P x \/ q
@@ -512,7 +504,7 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
     lhs_t = mk_disj(exists_p, q)
     rhs_t = mk_exists(x, mk_disj(px, q))
     v = Var("v", alpha)
-    eta_e = _eta_quant(logic, Const("exists", _fn(_fn(alpha, BOOL), BOOL)), P)
+    eta_e = _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
     pv = mk_comb(P, v)
     wit = logic.exists_intro(rhs_t, v, logic.disj1(assume(pv), q))
     caseA = logic.choose(v, eq_mp(assume(exists_p), sym(eta_e)), wit)
@@ -526,7 +518,7 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
         logic.disj1(
             eq_mp(
                 logic.exists_intro(mk_exists(x, px), v, assume(pv)),
-                _eta_quant(logic, Const("exists", _fn(_fn(alpha, BOOL), BOOL)), P),
+                _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P),
             ),
             q,
         ),
@@ -551,7 +543,7 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
             q,
             eq_mp(
                 logic.exists_intro(mk_exists(x, px), v, assume(pv)),
-                _eta_quant(logic, Const("exists", _fn(_fn(alpha, BOOL), BOOL)), P),
+                _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P),
             ),
         ),
     )
@@ -604,7 +596,7 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
             logic.exists_intro(
                 mk_exists(x, px), v, logic.conjunct1(assume(mk_conj(pv, q)))
             ),
-            _eta_quant(logic, Const("exists", _fn(_fn(alpha, BOOL), BOOL)), P),
+            _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P),
         ),
         logic.conjunct2(assume(mk_conj(pv, q))),
     )
@@ -626,7 +618,7 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
             logic.exists_intro(
                 mk_exists(x, px), v, logic.conjunct2(assume(mk_conj(q, pv)))
             ),
-            _eta_quant(logic, Const("exists", _fn(_fn(alpha, BOOL), BOOL)), P),
+            _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P),
         ),
     )
     bwd = logic.choose(v, assume(rhs_t), back_body)
@@ -719,7 +711,7 @@ class _Clausifier:
             return self._decompose(self.logic.spec(v, th), universals + (v,), source)
         if is_exists(concl):
             witness = mk_comb(
-                Const("@", _fn(concl.rand.ty, concl.rand.ty.args[0])), concl.rand
+                Const("@", fn(concl.rand.ty, concl.rand.ty.args[0])), concl.rand
             )
             params = tuple(v for v in universals if v in free_vars(witness))
             self.skolems.append(SkolemEntry(len(self.skolems), witness, params))
@@ -928,7 +920,7 @@ class _Rebuild:
         if sym_[0] == "sk":
             entry = self.skolems[sym_[1]]
             mapping = dict(zip(entry.params, args))
-            return vsubst(Substitution.of_terms(mapping), entry.witness)
+            return vsubst(mapping, entry.witness)
         head = Const(sym_[1], sym_[2]) if sym_[0] == "c" else Var(sym_[1], sym_[2])
         out: Term = head
         for a in args:
@@ -958,7 +950,7 @@ class _Rebuild:
         mapping = {}
         for v in clause.universals:
             mapping[v] = self.hol_of(("v", (v, copy)))
-        inst = inst_rule(Substitution.of_terms(mapping), clause.thm)
+        inst = inst_rule(mapping, clause.thm)
         goal_term = self.lit_term(goal)
         refuters: dict[bytes, Theorem] = {}
         lit_terms = _flatten_disj(inst.conclusion)
@@ -1055,7 +1047,7 @@ def meson(
                 mapping = {
                     v: rebuild.hol_of(("v", (v, copy))) for v in start.universals
                 }
-                inst = inst_rule(Substitution.of_terms(mapping), start.thm)
+                inst = inst_rule(mapping, start.thm)
                 refuters: dict[bytes, Theorem] = {}
                 lit_terms = _flatten_disj(inst.conclusion)
                 for lt, node in zip(lit_terms, nodes):

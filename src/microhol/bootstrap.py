@@ -42,7 +42,6 @@ from .syntax import (
     HolError,
     HolType,
     IllTyped,
-    Substitution,
     Term,
     TyVar,
     Var,
@@ -277,7 +276,7 @@ def beta_conv(t: Term) -> Theorem:
     if t.rand == x:
         return beta(t)
     prim = beta(mk_comb(t.rator, x))
-    return inst_rule(Substitution.of_terms({x: t.rand}), prim)
+    return inst_rule({x: t.rand}, prim)
 
 
 def prove_hyp(ath: Theorem, bth: Theorem) -> Theorem:
@@ -442,12 +441,9 @@ def rewr_conv(eq_th: Theorem):
         tenv: dict[Var, Term] = {}
         if not _match(pat, t, tyenv, tenv):
             raise Inapplicable
-        th = inst_type_rule(Substitution.of_types(tyenv), eq_th)
-        mapping = {
-            inst_type(Substitution.of_types(tyenv), v): image
-            for v, image in tenv.items()
-        }
-        th = inst_rule(Substitution.of_terms(mapping), th)
+        th = inst_type_rule(tyenv, eq_th)
+        mapping = {inst_type(tyenv, v): image for v, image in tenv.items()}
+        th = inst_rule(mapping, th)
         if not alpha_equiv(lhs(th), t):
             raise Inapplicable  # a nonlinear pattern mismatch
         return th
@@ -714,13 +710,13 @@ class Logic:
     def eqt_intro(self, th: Theorem) -> Theorem:
         """From |- p conclude |- p = T."""
         p = Var("p", BOOL)
-        pth = inst_rule(Substitution.of_terms({p: th.conclusion}), self._eqt_pth)
+        pth = inst_rule({p: th.conclusion}, self._eqt_pth)
         return eq_mp(th, pth)
 
     def contr(self, p: Term, th: Theorem) -> Theorem:
         """From |- F conclude |- p."""
         q = Var("p", BOOL)
-        inst = inst_rule(Substitution.of_terms({q: p}), self._f_elim_pth)
+        inst = inst_rule({q: p}, self._f_elim_pth)
         return prove_hyp(th, inst)
 
     # -- definitional unfolding conversions
@@ -745,22 +741,20 @@ class Logic:
     def forall_eq(self, pred: Term) -> Theorem:
         """|- (!) pred = (pred = \\x. T)."""
         a = dest_pred_ty(pred)
-        def_i = inst_type_rule(Substitution.of_types({"A": a}), self._forall_def)
+        def_i = inst_type_rule({"A": a}, self._forall_def)
         th = ap_thm(def_i, pred)
         return trans(th, try_beta(rhs(th)))
 
     def exists_eq(self, pred: Term) -> Theorem:
         a = dest_pred_ty(pred)
-        def_i = inst_type_rule(Substitution.of_types({"A": a}), self._exists_def)
+        def_i = inst_type_rule({"A": a}, self._exists_def)
         th = ap_thm(def_i, pred)
         return trans(th, try_beta(rhs(th)))
 
     # -- conjunction
 
     def _inst_pq(self, pth: Theorem, p: Term, q: Term) -> Theorem:
-        return inst_rule(
-            Substitution.of_terms({Var("p", BOOL): p, Var("q", BOOL): q}), pth
-        )
+        return inst_rule({Var("p", BOOL): p, Var("q", BOOL): q}, pth)
 
     def conj(self, th1: Theorem, th2: Theorem) -> Theorem:
         inst = self._inst_pq(self._conj_pth, th1.conclusion, th2.conclusion)
@@ -812,9 +806,9 @@ class Logic:
             raise IllTyped(f"spec needs a universal theorem: {th!r}")
         pred = c.rand
         a = dest_pred_ty(pred)
-        pth = inst_type_rule(Substitution.of_types({"A": a}), self._spec_pth)
+        pth = inst_type_rule({"A": a}, self._spec_pth)
         mapping = {Var("P", pred.ty): pred, Var("x", a): t}
-        th4 = prove_hyp(th, inst_rule(Substitution.of_terms(mapping), pth))
+        th4 = prove_hyp(th, inst_rule(mapping, pth))
         if isinstance(pred, Abs):
             return eq_mp(th4, beta_conv(th4.conclusion))
         return th4
@@ -836,7 +830,7 @@ class Logic:
         qv, body = dest_forall(rhs(eqth))
         avoid = list(th.assumptions) + [th.conclusion, etm]
         q = variant(avoid, qv)
-        ante = vsubst(Substitution.of_terms({qv: q}), dest_imp(body)[0])
+        ante = vsubst({qv: q}, dest_imp(body)[0])
         th1 = assume(ante)
         th2 = self.spec(witness, th1)
         if isinstance(pred, Abs):
@@ -872,11 +866,11 @@ class Logic:
         """From |- ?x. p conclude |- p[(@x. p)/x] (choice-based witness)."""
         pred = th.conclusion.rand
         a = pred.ty.args[0]
-        ax = inst_type_rule(Substitution.of_types({"A": a}), axiom_choice(self.theory))
+        ax = inst_type_rule({"A": a}, axiom_choice(self.theory))
         p0 = Var("P", fn(a, BOOL))
         x0 = Var("x", a)
         xf = variant([pred], Var("x", a))
-        ax = inst_rule(Substitution.of_terms({p0: pred, x0: xf}), ax)
+        ax = inst_rule({p0: pred, x0: xf}, ax)
         gen_ax = self.gen(xf, ax)  # |- !x. pred x ==> pred (@ pred)
         target = dest_imp(ax.conclusion)[1]  # pred (@ pred)
         th1 = eq_mp(th, self.exists_eq(pred))
@@ -922,7 +916,7 @@ class Logic:
         p, q = dest_disj(th.conclusion)
         r = th1.conclusion
         pqr = {Var("p", BOOL): p, Var("q", BOOL): q, Var("r", BOOL): r}
-        inst = inst_rule(Substitution.of_terms(pqr), self._disj_cases_pth)
+        inst = inst_rule(pqr, self._disj_cases_pth)
         sp = prove_hyp(th, inst)  # G |- (p ==> r) ==> (q ==> r) ==> r
         return self.mp(self.mp(sp, self.disch(p, th1)), self.disch(q, th2))
 
@@ -930,9 +924,7 @@ class Logic:
         """Classical contradiction: from G u {~p} |- F conclude G |- p."""
         np = mk_neg(p)
         th1 = self.disch(np, th)
-        em = inst_rule(
-            Substitution.of_terms({Var("t", BOOL): p}), self.EXCLUDED_MIDDLE
-        )
+        em = inst_rule({Var("t", BOOL): p}, self.EXCLUDED_MIDDLE)
         case1 = assume(p)
         case2 = self.contr(p, self.mp(th1, assume(np)))
         return self.disj_cases(em, case1, case2)
@@ -959,10 +951,10 @@ class Logic:
         def select_fact(pred: Term, witness: Term, wth: Theorem) -> Theorem:
             """From |- body[witness] conclude |- body[@ pred] (beta-reduced)."""
             ax = axiom_choice(self.theory)
-            ax = inst_type_rule(Substitution.of_types({"A": BOOL}), ax)
+            ax = inst_type_rule({"A": BOOL}, ax)
             p0 = Var("P", fn(BOOL, BOOL))
             x0 = Var("x", BOOL)
-            ax = inst_rule(Substitution.of_terms({p0: pred, x0: witness}), ax)
+            ax = inst_rule({p0: pred, x0: witness}, ax)
             ax = conv_rule(rator_conv(rand_conv(try_beta)), ax)
             ax = conv_rule(rand_conv(try_beta), ax)
             return self.mp(ax, wth)

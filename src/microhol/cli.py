@@ -316,6 +316,20 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; argparse reports a bad one as a usage
+    error (exit 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="microhol",
@@ -342,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove-meson", help="prove a first-order problem file")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--depth", type=_count, default=20)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--equality-axioms", action="store_true",
                    help="add reflexivity/symmetry/transitivity/congruence axioms")
@@ -351,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="fuzz the primitive rules for soundness")
     p.add_argument("--rule", default="all")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ind-size", type=int, default=None)
     p.add_argument("--cap", type=int, default=1 << 16)

@@ -26,7 +26,6 @@ from .syntax import (
     Const,
     HolError,
     HolType,
-    Substitution,
     Term,
     TyVar,
     Var,
@@ -164,7 +163,7 @@ def alpha_variant(rng: random.Random, t: Term) -> Term:
         v = t.bvar
         if rng.random() < 0.6:
             v2 = variant([body], Var(v.name + "_" + str(rng.randrange(3)), v.ty))
-            return Abs(v2, vsubst(Substitution.of_terms({v: v2}), body))
+            return Abs(v2, vsubst({v: v2}, body))
         return Abs(v, body)
     return t
 
@@ -286,8 +285,7 @@ def _gen_inst_type(rng):
     for name in sorted(type_vars_of_term(th.conclusion) | {"A"}):
         if rng.random() < 0.8:
             mapping[name] = g.small_type()
-    s = Substitution.of_types(mapping)
-    return _instance((th,), kernel.inst_type_rule(s, th), "inst_type")
+    return _instance((th,), kernel.inst_type_rule(mapping, th), "inst_type")
 
 
 def _gen_inst(rng):
@@ -301,8 +299,7 @@ def _gen_inst(rng):
     for v in frees:
         if rng.random() < 0.6:
             mapping[v] = g.term(v.ty, rng.randrange(0, 3))
-    s = Substitution.of_terms(mapping)
-    return _instance((th,), kernel.inst_rule(s, th), "inst")
+    return _instance((th,), kernel.inst_rule(mapping, th), "inst")
 
 
 _GENERATORS = {
@@ -418,7 +415,7 @@ def random_kernel_walk(
                 th = kernel.deduct_antisym(pick(), pick())
             elif action == 8:
                 mapping = {"A": g.small_type(), "B": g.small_type()}
-                th = kernel.inst_type_rule(Substitution.of_types(mapping), pick())
+                th = kernel.inst_type_rule(mapping, pick())
             else:
                 base = pick()
                 frees = sorted(
@@ -432,7 +429,7 @@ def random_kernel_walk(
                     for v in frees
                     if rng.random() < 0.5
                 }
-                th = kernel.inst_rule(Substitution.of_terms(mapping), base)
+                th = kernel.inst_rule(mapping, base)
         except HolError:
             report.rejections += 1
             continue

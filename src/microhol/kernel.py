@@ -31,7 +31,6 @@ from .syntax import (
     HolError,
     HolType,
     IllTyped,
-    Substitution,
     Term,
     TyApp,
     TyVar,
@@ -402,24 +401,26 @@ def deduct_antisym(th1: Theorem, th2: Theorem) -> Theorem:
 
 
 @_traced
-def inst_type_rule(s: Substitution, th: Theorem) -> Theorem:
-    """Substitute types in parallel throughout a sequent."""
+def inst_type_rule(tyin: Mapping[str, HolType], th: Theorem) -> Theorem:
+    """Substitute types for type variables in parallel throughout a sequent."""
     _check_theorem(th)
-    concl = inst_type(s, th.conclusion)
+    concl = inst_type(tyin, th.conclusion)
     hyps: tuple[_Keyed, ...] = ()
     for _, h in th._hyps:
-        hyps = _insert(hyps, inst_type(s, h))
+        hyps = _insert(hyps, inst_type(tyin, h))
     return _mk(hyps, concl, th._uses_infinity)
 
 
 @_traced
-def inst_rule(s: Substitution, th: Theorem) -> Theorem:
-    """Substitute terms in parallel throughout a sequent."""
+def inst_rule(theta: Mapping[Var, Term], th: Theorem) -> Theorem:
+    """Substitute terms for variables in parallel throughout a sequent.
+
+    `vsubst` refuses the map unless every image has its variable's type."""
     _check_theorem(th)
-    concl = vsubst(s, th.conclusion)
+    concl = vsubst(theta, th.conclusion)
     hyps: tuple[_Keyed, ...] = ()
     for _, h in th._hyps:
-        hyps = _insert(hyps, vsubst(s, h))
+        hyps = _insert(hyps, vsubst(theta, h))
     return _mk(hyps, concl, th._uses_infinity)
 
 

@@ -43,7 +43,6 @@ from .syntax import (
     Const,
     HolError,
     HolType,
-    Substitution,
     Term,
     TyApp,
     TyVar,
@@ -259,7 +258,7 @@ class _Compiler:
         if info is None:
             raise UninterpretableConstant(f"type constructor {ty.con!r} has no model")
         tyin = dict(zip(info.tyvars, ty.args))
-        pred = inst_type(Substitution.of_types(tyin), info.predicate)
+        pred = inst_type(tyin, info.predicate)
         rep_size = self.size_of(pred.ty.args[0])
         sub = self._scratch()
         x = Var("r?", pred.ty.args[0])
@@ -372,7 +371,7 @@ class _Compiler:
             raise UninterpretableConstant(f"constant {name!r} at bad type {ty!r}")
         # The body is closed, so its value needs no environment of ours.
         sub = self._scratch()
-        body = sub.compile(inst_type(Substitution.of_types(tyin), rhs))
+        body = sub.compile(inst_type(tyin, rhs))
         return run_program(body, [0] * sub.n_slots)
 
     # -- terms

@@ -1,11 +1,14 @@
 """Simply typed lambda syntax: HOL types, terms, and the term operations
 everything else is built on.
 
-Terms carry their type intrinsically (computed once at construction), so
-`type_of` is a field read and the node constructors can reject ill-typed
-combinations immediately.  Two variables are the same variable exactly
-when both name and type coincide; the same name at two types denotes two
-unrelated variables.
+Types are interned: `TyVar` and `TyApp` return the one existing object for
+a name or for a (constructor, arguments) pair, so type equality and
+hashing are identity, and each distinct type carries one cached encoding.
+Terms are not interned.  They carry their type intrinsically (computed
+once at construction), so `type_of` is a field read and the node
+constructors can reject ill-typed combinations immediately.  Two
+variables are the same variable exactly when both name and type
+coincide; the same name at two types denotes two unrelated variables.
 
 Combinations and abstractions cache their free-variable set on first
 use, so `vfree_in` is a membership test and substitution returns any
@@ -14,9 +17,9 @@ Alpha-equivalence walks the two terms side by side and stops at
 physically shared subterms while every binder pair opened so far is the
 same variable.  The total term order and assumption-set keys go through
 a de Bruijn canonical byte encoding, cached only on nodes with no binder
-in scope.  Both live in ``_accel``.  Node
-classes expose a small integer ``KIND`` tag so ``_accel`` can dispatch
-without importing this module.
+in scope.  Both live in ``_accel``.  Node and type classes expose a small
+integer ``KIND`` tag so ``_accel`` can dispatch without importing this
+module.
 """
 
 from __future__ import annotations
@@ -83,62 +86,58 @@ class IllTyped(HolError):
 class HolType:
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise AttributeError("HolType is immutable")
+
     def __repr__(self):
         from .surface import print_type
 
         return f"<hol_type {print_type(self)}>"
 
 
-@dataclass(frozen=True, repr=False, eq=False, slots=True)
+# Every type ever built, keyed by a type variable's name or by a type
+# application's (con, args): equal types are one object, so type equality
+# and hashing are identity.  `setdefault` keeps that true when two threads
+# build the same type at once.
+_TYPES: dict = {}
+
+
 class TyVar(HolType):
-    name: str
-    _h: int | None = field(default=None, init=False, repr=False, compare=False)
-    _enc: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("name", "_enc")
+    KIND = 0
 
-    def __eq__(self, other):
-        return self is other or (type(other) is TyVar and self.name == other.name)
+    def __new__(cls, name: str):
+        ty = _TYPES.get(name)
+        if ty is None:
+            ty = object.__new__(cls)
+            object.__setattr__(ty, "name", name)
+            object.__setattr__(ty, "_enc", None)
+            ty = _TYPES.setdefault(name, ty)
+        return ty
 
-    def __hash__(self):
-        h = self._h
-        if h is None:
-            h = hash((TyVar, self.name))
-            object.__setattr__(self, "_h", h)
-        return h
-
-
-TyVar.KIND = 0
+    def __reduce__(self):  # copies and unpickled types are the interned one
+        return (TyVar, (self.name,))
 
 
-@dataclass(frozen=True, repr=False, eq=False, slots=True)
 class TyApp(HolType):
-    con: str
-    args: tuple[HolType, ...] = ()
-    _h: int | None = field(default=None, init=False, repr=False, compare=False)
-    _enc: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("con", "args", "_enc")
+    KIND = 1
 
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
+    def __new__(cls, con: str, args: Iterable[HolType] = ()):
+        args = tuple(args)
+        key = (con, args)
+        ty = _TYPES.get(key)
+        if ty is None:
+            ty = object.__new__(cls)
+            object.__setattr__(ty, "con", con)
+            object.__setattr__(ty, "args", args)
+            object.__setattr__(ty, "_enc", None)
+            ty = _TYPES.setdefault(key, ty)
+        return ty
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is TyApp
-            and hash(self) == hash(other)
-            and self.con == other.con
-            and self.args == other.args
-        )
+    def __reduce__(self):
+        return (TyApp, (self.con, self.args))
 
-    def __hash__(self):
-        h = self._h
-        if h is None:
-            h = hash((TyApp, self.con, self.args))
-            object.__setattr__(self, "_h", h)
-        return h
-
-
-TyApp.KIND = 1
 
 BOOL = TyApp("bool")
 IND = TyApp("ind")
@@ -177,7 +176,7 @@ def type_subst(mapping: Mapping[str, HolType], ty: HolType) -> HolType:
         a2 = type_subst(mapping, a)
         changed = changed or a2 is not a
         args.append(a2)
-    return TyApp(ty.con, tuple(args)) if changed else ty
+    return TyApp(ty.con, args) if changed else ty
 
 
 def type_match(
@@ -198,7 +197,7 @@ def type_match(
         if bound is None:
             env[pattern.name] = target
             return env
-        return env if bound == target else None
+        return env if bound is target else None
     if (
         not isinstance(target, TyApp)
         or pattern.con != target.con
@@ -234,7 +233,7 @@ class Var(Term):
         if self is other:
             return True
         return (
-            type(other) is Var and self.name == other.name and self.ty == other.ty
+            type(other) is Var and self.name == other.name and self.ty is other.ty
         )
 
     def __hash__(self):
@@ -258,7 +257,7 @@ class Const(Term):
         if self is other:
             return True
         return (
-            type(other) is Const and self.name == other.name and self.ty == other.ty
+            type(other) is Const and self.name == other.name and self.ty is other.ty
         )
 
     def __hash__(self):
@@ -279,7 +278,7 @@ class Comb(Term):
         rty = rator.ty
         if not (isinstance(rty, TyApp) and rty.con == "fun"):
             raise IllTyped(f"rator is not a function: {rator!r}")
-        if rty.args[0] != rand.ty:
+        if rty.args[0] is not rand.ty:
             raise IllTyped(
                 f"operand type {rand.ty!r} does not match domain {rty.args[0]!r}"
             )
@@ -384,7 +383,7 @@ def eq_const(ty: HolType) -> Const:
 
 
 def mk_eq(lhs: Term, rhs: Term) -> Comb:
-    if lhs.ty != rhs.ty:
+    if lhs.ty is not rhs.ty:
         raise IllTyped(f"equation sides have types {lhs.ty!r} and {rhs.ty!r}")
     return Comb(Comb(eq_const(lhs.ty), lhs), rhs)
 
@@ -488,48 +487,36 @@ def type_vars_of_term(t: Term) -> set[str]:
 # Substitution
 
 
-@dataclass(frozen=True, eq=False)
 class Substitution:
-    """A parallel substitution: type variables to types, variables to terms.
+    """Older spellings of the two substitution maps: each returns a plain
+    dict, which `vsubst`, `inst_type` and the kernel's instantiation rules
+    take directly."""
 
-    Each term image must have exactly the type of the variable it replaces
-    after the type part is applied, so applying a well-formed substitution
-    can never produce an ill-typed term.
-    """
-
-    type_part: dict[str, HolType]
-    term_part: dict[Var, Term]
-
-    def __post_init__(self):
-        for v, image in self.term_part.items():
-            if not isinstance(v, Var):
-                raise IllTyped(f"substitution domain entry is not a variable: {v!r}")
-            expected = type_subst(self.type_part, v.ty)
-            if image.ty != expected:
-                raise IllTyped(
-                    f"substitution image for {v.name} has type {image.ty!r}, "
-                    f"expected {expected!r}"
-                )
-
-    @classmethod
-    def of_terms(cls, mapping: Mapping[Var, Term]) -> "Substitution":
-        return cls({}, dict(mapping))
-
-    @classmethod
-    def of_types(cls, mapping: Mapping[str, HolType]) -> "Substitution":
-        return cls(dict(mapping), {})
+    of_terms = staticmethod(dict)  # Mapping[Var, Term] -> dict
+    of_types = staticmethod(dict)  # Mapping[str, HolType] -> dict
 
 
-def vsubst(s: Substitution, t: Term) -> Term:
+def vsubst(theta: Mapping[Var, Term], t: Term) -> Term:
     """Simultaneous capture-avoiding substitution of terms for variables.
 
-    Bound variables are renamed to primed variants exactly when a
-    substitution image would otherwise capture them.  Unchanged subtrees
-    are shared with the input.
+    Every key must be a variable and every image must have its type, so a
+    substitution can never produce an ill-typed term (or turn a boolean
+    assumption into a non-boolean one).  This is checked for every entry,
+    including those whose variable does not occur in t.  Bound variables
+    are renamed to primed variants exactly when a substitution image would
+    otherwise capture them.  Unchanged subtrees are shared with the input.
     """
-    if s.type_part:
-        raise IllTyped("vsubst requires a substitution with empty type part")
-    sub = {v: im for v, im in s.term_part.items() if v != im}
+    sub = {}
+    for v, im in theta.items():
+        if not isinstance(v, Var):
+            raise IllTyped(f"substitution domain entry is not a variable: {v!r}")
+        if im.ty is not v.ty:
+            raise IllTyped(
+                f"substitution image for {v.name} has type {im.ty!r}, "
+                f"expected {v.ty!r}"
+            )
+        if v != im:
+            sub[v] = im
     if not sub:
         return t
     return _vsubst(sub, t)
@@ -563,23 +550,21 @@ class _Clash(Exception):
         self.var = var
 
 
-def inst_type(s: Substitution, t: Term) -> Term:
+def inst_type(tyin: Mapping[str, HolType], t: Term) -> Term:
     """Apply a type substitution throughout a term.
 
     A binder is renamed when instantiation would identify it with a
     distinct free variable of the body (same name, types made equal).
     """
-    if s.term_part:
-        raise IllTyped("inst_type requires a substitution with empty term part")
-    if not s.type_part:
+    if not tyin:
         return t
-    return _inst([], s.type_part, t)
+    return _inst([], tyin, t)
 
 
 def _inst(env: list[tuple[Var, Var]], tyin: Mapping[str, HolType], t: Term) -> Term:
     if isinstance(t, Var):
         ty2 = type_subst(tyin, t.ty)
-        t2 = t if ty2 == t.ty else Var(t.name, ty2)
+        t2 = t if ty2 is t.ty else Var(t.name, ty2)
         for old, new in env:
             if new == t2:
                 if old == t:
@@ -588,7 +573,7 @@ def _inst(env: list[tuple[Var, Var]], tyin: Mapping[str, HolType], t: Term) -> T
         return t2
     if isinstance(t, Const):
         ty2 = type_subst(tyin, t.ty)
-        return t if ty2 == t.ty else Const(t.name, ty2)
+        return t if ty2 is t.ty else Const(t.name, ty2)
     if isinstance(t, Comb):
         f = _inst(env, tyin, t.rator)
         a = _inst(env, tyin, t.rand)

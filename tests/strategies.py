@@ -24,6 +24,16 @@ hol_types = st.recursive(
     base_types, lambda sub: st.builds(fn, sub, sub), max_leaves=4
 )
 
+# A type's structure as plain data, for building the same type twice: a
+# type variable's name, or (constructor, tuple of argument shapes).
+type_shapes = st.recursive(
+    st.sampled_from(("A", "B", "bool", ("bool", ()), ("ind", ()))),
+    lambda sub: st.tuples(
+        st.sampled_from(("fun", "prod", "bool")), st.lists(sub, max_size=3).map(tuple)
+    ),
+    max_leaves=6,
+)
+
 _VAR_NAMES = ("x", "y", "z", "u")
 
 

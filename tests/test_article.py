@@ -193,6 +193,17 @@ class TestValidation:
         assert not rep.ok
         assert "ASSUME" in rep.failures[0]["message"]
 
+    def test_ill_typed_inst_is_a_line_numbered_failure(self, tmp_path, capsys):
+        from microhol.cli import main
+
+        lines = ["TERM x:bool", "ASSUME 1", "TERM y:ind", "INST 2 1=3"]
+        path = tmp_path / "ill_typed.art"
+        path.write_text(art(Theory(), *lines))
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr()
+        assert "error at line 6: INST: substitution image for x has type" in out.out
+        assert "Traceback" not in out.out + out.err
+
     def test_comments_and_blanks_ignored(self):
         thy = Theory()
         text = (

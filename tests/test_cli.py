@@ -186,6 +186,9 @@ class TestStats:
         assert payload["articles"][0]["line_count"] == 3
 
 
+_SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
 def _run_cli(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -235,6 +238,22 @@ class TestNoTraceback:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stdout + proc.stderr
         assert f"error at line {2 + len(lines)}: TRANS: term nested too deeply" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--rule", "refl", "--trials", "-5"],
+            ["fuzz", "--rule", "refl", "--trials", "five"],
+            ["prove-meson", "--depth", "-1", str(_SAMPLES / "syllogism.fol")],
+        ],
+    )
+    def test_negative_count_is_a_usage_error(self, argv):
+        proc = _run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage: microhol ")
+        assert "expected a non-negative integer" in proc.stderr
 
     def test_unexpected_exception_is_reported(self, monkeypatch, capsys):
         def crash(args):

@@ -246,6 +246,19 @@ class TestInstRules:
         merged = inst_rule(Substitution.of_terms({y: x}), both)
         assert len(merged.assumptions) == 1
 
+    # An ill-typed map would make {x:bool} |- x into {} |- y:ind, a
+    # "theorem" that is not boolean; every entry is checked, used or not.
+    @pytest.mark.parametrize(
+        "th",
+        [assume(x), assume(y), refl(y)],
+        ids=["variable-occurs", "variable-absent", "no-assumptions"],
+    )
+    def test_ill_typed_map_rejected(self, th):
+        from microhol.syntax import IllTyped
+
+        with pytest.raises(IllTyped):
+            inst_rule({x: Var("y", IND)}, th)
+
 
 class TestNoForgery:
     def test_direct_construction_rejected(self):

@@ -40,7 +40,7 @@ from .oracles import (
     oracle_inst_type,
     oracle_vsubst,
 )
-from .strategies import hol_types, shared_pairs, typed_terms
+from .strategies import hol_types, shared_pairs, type_shapes, typed_terms
 
 x_bool = Var("x", BOOL)
 y_bool = Var("y", BOOL)
@@ -154,9 +154,18 @@ class TestVsubst:
         s = Substitution.of_terms({y_bool: x_bool})
         assert vsubst(s, t) is t
 
-    def test_ill_typed_rejected_at_construction(self):
+    def test_ill_typed_map_rejected(self):
+        # refused by vsubst and by the kernel rule, even where x is not free
+        from microhol.kernel import assume, inst_rule
+
+        s = Substitution.of_terms({x_bool: x_ind})
+        for t in (x_bool, y_bool, mk_abs(x_bool, x_bool)):
+            with pytest.raises(IllTyped):
+                vsubst(s, t)
         with pytest.raises(IllTyped):
-            Substitution.of_terms({x_bool: x_ind})
+            inst_rule(s, assume(x_bool))
+        with pytest.raises(IllTyped):
+            vsubst({mk_comb(Var("f", fn(BOOL, BOOL)), x_bool): y_bool}, x_bool)
 
     @given(typed_terms(depth=5), typed_terms(ty=BOOL, depth=3))
     @settings(max_examples=150, deadline=None)
@@ -353,3 +362,62 @@ class TestMisc:
     def test_tyapp_arity_shapes(self):
         assert TyApp("bool") == TyApp("bool", ())
         assert fn(BOOL, IND).args == (BOOL, IND)
+
+
+def _build_type(shape):
+    """The type a shape from `type_shapes` describes, built afresh."""
+    if isinstance(shape, str):
+        return TyVar(shape)
+    con, args = shape
+    return TyApp(con, [_build_type(a) for a in args])
+
+
+class TestInternedTypes:
+    def test_constructors_return_one_object(self):
+        assert TyVar("A") is TyVar("A")
+        assert TyApp("fun", [BOOL, BOOL]) is fn(BOOL, BOOL)
+        assert TyApp("bool") is BOOL is TyApp("bool", ())
+        assert TyVar("A") is not TyVar("B")
+        assert TyVar("bool") is not BOOL
+
+    def test_parser_and_substitutions_reuse_types(self):
+        from microhol.surface import parse_term, parse_type
+        from microhol.syntax import type_subst
+
+        assert parse_type("bool -> ind") is fn(BOOL, IND)
+        assert parse_type("A") is TyVar("A")
+        a = TyVar("A")
+        assert type_subst({"A": BOOL}, fn(a, a)) is fn(BOOL, BOOL)
+        t = parse_term("\\x:A. (f:A -> B) x")
+        u = inst_type({"A": BOOL, "B": IND}, t)
+        assert u.ty is fn(BOOL, IND)
+        assert u.bvar.ty is BOOL and u.body.rator.ty is fn(BOOL, IND)
+        eq = parse_term("(x:bool) = (x:bool)").rator.rator
+        assert eq.ty is fn(BOOL, fn(BOOL, BOOL))
+
+    @pytest.mark.parametrize("ty", [TyVar("A"), BOOL, fn(BOOL, IND)])
+    @pytest.mark.parametrize("attr", ["name", "con", "args", "_enc", "other"])
+    def test_immutable(self, ty, attr):
+        with pytest.raises(AttributeError):
+            setattr(ty, attr, None)
+
+    def test_copies_are_the_interned_object(self):
+        import copy
+        import pickle
+
+        v = Var("x", fn(TyVar("A"), BOOL))
+        round_trip = lambda o: pickle.loads(pickle.dumps(o))  # noqa: E731
+        for clone in (copy.copy, copy.deepcopy, round_trip):
+            assert clone(v.ty) is v.ty
+            assert clone(v).ty is v.ty
+
+    def test_equality_and_hashing_are_identity(self):
+        assert {fn(BOOL, IND): 1}[TyApp("fun", (BOOL, IND))] == 1
+        types = {TyVar("A"), TyVar("A"), fn(IND, IND), TyApp("fun", [IND, IND])}
+        assert len(types) == 2
+
+    @given(type_shapes, type_shapes)
+    @settings(max_examples=200, deadline=None)
+    def test_same_structure_same_object(self, s1, s2):
+        assert _build_type(s1) is _build_type(s1)
+        assert (_build_type(s1) is _build_type(s2)) == (s1 == s2)
