@@ -22,8 +22,8 @@ authority.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from . import kernel
 from .bootstrap import (
@@ -315,10 +315,20 @@ def _strip_app(t: Term) -> tuple[Term, list[Term]]:
 
 @dataclass
 class _NormLemmas:
-    """The rewrite equations behind clausification, proved once per Logic."""
+    """The rewrite equations behind clausification, proved once per Logic,
+    and the two rewriting conversions built from them.  The conversions
+    are built here, once, rather than per clausification: each holds a
+    self-calling closure, a reference cycle that would otherwise be left
+    to the cycle collector on every call."""
 
     nnf: list
     pull: list
+    nnf_conv: Callable = field(init=False, repr=False)
+    pull_conv: Callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.nnf_conv = _rewrite_conv(self.nnf)
+        self.pull_conv = _rewrite_conv(self.pull)
 
     @classmethod
     def get(cls, logic: Logic) -> "_NormLemmas":
@@ -686,10 +696,23 @@ def _rewrite_conv(equations: list[Theorem]):
 
 
 class _Clausifier:
+    """Turns an assumed formula into clause theorems: rewrite to negation
+    normal form, pull quantifiers out and distribute \\/ over /\\ (one
+    `pull_conv` run over the whole formula), then strip the prefix.
+
+    Each leaf clause is already pull-normal, so it is returned as it is.
+    `exhaustive_conv` runs to a fixed point, so every subterm of the
+    pulled formula is normal.  Every pull pattern is linear and every
+    application in it has a constant head (\\/, /\\, ! or ?).  Stripping
+    only ever takes subterms (`conjunct1/2`) or substitutes a term that
+    no pattern's head matches and that makes no beta redex: a fresh
+    variable (`spec`) or an @-term (`select_rule`).
+    """
+
     def __init__(self, logic: Logic, lemmas: _NormLemmas):
         self.logic = logic
-        self.nnf_conv = _rewrite_conv(lemmas.nnf)
-        self.pull_conv = _rewrite_conv(lemmas.pull)
+        self.nnf_conv = lemmas.nnf_conv
+        self.pull_conv = lemmas.pull_conv
         self.skolems: list[SkolemEntry] = []
         self._fresh = 0
 
@@ -720,13 +743,7 @@ class _Clausifier:
             return self._decompose(
                 self.logic.conjunct1(th), universals, source
             ) + self._decompose(self.logic.conjunct2(th), universals, source)
-        # re-distribute: stripping may have exposed conjunctions under \/
-        redone = conv_rule(self.pull_conv, th)
-        if is_conj(redone.conclusion) or is_forall(redone.conclusion) or is_exists(
-            redone.conclusion
-        ):
-            return self._decompose(redone, universals, source)
-        return [(redone, universals, source)]
+        return [(th, universals, source)]
 
 
 def _flatten_disj(t: Term) -> list[Term]:
@@ -904,6 +921,9 @@ class _Rebuild:
         self.skolems = skolems
         self.theta = theta
         self.residuals: dict = {}
+        # (skolem index, *argument terms) -> the instantiated witness, so
+        # each Skolem instance is built (and its encoding cached) once
+        self.skolem_terms: dict = {}
 
     def hol_of(self, fo) -> Term:
         fo = _walk(fo, self.theta)
@@ -918,9 +938,13 @@ class _Rebuild:
         sym_ = fo[1]
         args = [self.hol_of(a) for a in fo[2]]
         if sym_[0] == "sk":
-            entry = self.skolems[sym_[1]]
-            mapping = dict(zip(entry.params, args))
-            return vsubst(mapping, entry.witness)
+            key = (sym_[1], *args)
+            got = self.skolem_terms.get(key)
+            if got is None:
+                entry = self.skolems[sym_[1]]
+                got = vsubst(dict(zip(entry.params, args)), entry.witness)
+                self.skolem_terms[key] = got
+            return got
         head = Const(sym_[1], sym_[2]) if sym_[0] == "c" else Var(sym_[1], sym_[2])
         out: Term = head
         for a in args:

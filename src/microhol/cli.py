@@ -316,18 +316,26 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """A non-negative integer option; argparse reports a bad one as a usage
-    error (exit 2)."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
-    return n
+def _int_option(lo: int, hi: int | None, what: str):
+    """An integer option in [lo, hi] (hi None: no upper bound); argparse
+    reports a bad one as a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = lo - 1
+        if n < lo or (hi is not None and n > hi):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return n
+
+    return parse
+
+
+_count = _int_option(0, None, "a non-negative integer")
+# the bounds `semantics.Model` accepts
+_ind_size = _int_option(1, None, "a positive integer")
+_cap = _int_option(2, 1 << 31, "an integer in [2, 2**31]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default="all")
     p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ind-size", type=int, default=None)
-    p.add_argument("--cap", type=int, default=1 << 16)
+    p.add_argument("--ind-size", type=_ind_size, default=None)
+    p.add_argument("--cap", type=_cap, default=1 << 16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_fuzz)
 

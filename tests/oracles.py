@@ -8,7 +8,8 @@ the tests were computed with these and then frozen.
 
 The second part keeps the earlier, slower implementations of paths that
 were later made to skip work: the rewriting loop that builds a theorem
-at every node, the derived rules that unfold the definitions of /\\ and
+at every node, the clausifier that rewrote every stripped clause again,
+the derived rules that unfold the definitions of /\\ and
 ==> on every call, the evaluator that compiled terms to opcode tuples for
 an interpreter (with a variant that compiles a defined constant's body at
 every occurrence) and the valuation search around it, and the front end
@@ -21,15 +22,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from microhol.auto import SkolemEntry, _Clausifier, _NormLemmas
 from microhol.bootstrap import (
     Inapplicable,
     ap_thm,
     beta_conv,
     beta_n,
     both_sides,
+    conv_rule,
     dest_conj,
     dest_disj,
     dest_imp,
+    is_conj,
+    is_exists,
+    is_forall,
     mk_conj,
     prove_hyp,
     rhs,
@@ -79,6 +85,7 @@ from microhol.syntax import (
     Var,
     alpha_equiv,
     fn,
+    free_vars,
     inst_type,
     mk_abs,
     mk_comb,
@@ -234,6 +241,44 @@ def node_by_node_exhaustive_conv(conv):
         raise HolError("rewriting did not terminate")
 
     return go
+
+
+class RedecomposingClausifier(_Clausifier):
+    """The clausifier as it was: every clause left after stripping went
+    through `pull_conv` again, and was decomposed again if that exposed a
+    conjunction or a quantifier."""
+
+    def _decompose(self, th, universals, source):
+        concl = th.conclusion
+        if is_forall(concl):
+            bv = concl.rand.bvar
+            v = self.fresh_var(bv, [concl, *th.assumptions])
+            return self._decompose(self.logic.spec(v, th), universals + (v,), source)
+        if is_exists(concl):
+            witness = mk_comb(
+                Const("@", fn(concl.rand.ty, concl.rand.ty.args[0])), concl.rand
+            )
+            params = tuple(v for v in universals if v in free_vars(witness))
+            self.skolems.append(SkolemEntry(len(self.skolems), witness, params))
+            return self._decompose(self.logic.select_rule(th), universals, source)
+        if is_conj(concl):
+            return self._decompose(
+                self.logic.conjunct1(th), universals, source
+            ) + self._decompose(self.logic.conjunct2(th), universals, source)
+        redone = conv_rule(self.pull_conv, th)
+        if is_conj(redone.conclusion) or is_forall(redone.conclusion) or is_exists(
+            redone.conclusion
+        ):
+            return self._decompose(redone, universals, source)
+        return [(redone, universals, source)]
+
+
+def redecomposing_clausify(logic, p):
+    """(clause theorems with their universals, Skolem entries) for an
+    assumed formula, by the re-running clausifier."""
+    cl = RedecomposingClausifier(logic, _NormLemmas.get(logic))
+    clauses = [(th, universals) for th, universals, _ in cl.clause_theorems(assume(p), "formula")]
+    return clauses, cl.skolems
 
 
 class UnfoldingRules:

@@ -1,7 +1,11 @@
+import gc
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microhol import kernel
 from microhol import bootstrap
@@ -12,6 +16,7 @@ from microhol.auto import (
     NotPropositional,
     OutOfFragment,
     _NormLemmas,
+    _flatten_disj,
     _rewrite_conv,
     add_equality_axioms,
     clausify,
@@ -24,6 +29,12 @@ from microhol.bootstrap import (
     Inapplicable,
     first_conv,
     indexed_first_conv,
+    is_conj,
+    is_disj,
+    is_exists,
+    is_forall,
+    is_imp,
+    is_neg,
     lhs,
     rhs,
     try_beta,
@@ -51,12 +62,14 @@ from microhol.syntax import (
     Var,
     alpha_equiv,
     fn,
+    is_eq,
     mk_abs,
     mk_comb,
     mk_eq,
 )
+from microhol.surface import print_term
 
-from .oracles import node_by_node_exhaustive_conv
+from .oracles import node_by_node_exhaustive_conv, redecomposing_clausify
 from .problems import PROBLEMS
 
 p = Var("p", BOOL)
@@ -68,6 +81,12 @@ y = Var("y", IND)
 # kernel inferences meson makes on paper-displayed-formula once the
 # clausifier lemmas exist
 PAPER_FORMULA_INFERENCES = 2_752
+
+# sha256 of `_suite_transcript`, recorded before leaf clauses were taken
+# as they are and before Skolem instances were shared
+SUITE_TRANSCRIPT_SHA256 = (
+    "82afe54d458fbcd534cb2f77897b0fc967691ae016b7d02dd76122e04c6fc321"
+)
 
 
 class TestTaut:
@@ -507,3 +526,86 @@ class TestRewritingSkipsUnchanged:
         with kernel.tracing() as log:
             meson(logic, prob, depth_bound=depth)
         assert len(log) < 2 * PAPER_FORMULA_INFERENCES
+
+
+def _suite_transcript(logic) -> str:
+    """Every suite problem's proved conclusion, assumptions and trace."""
+    lines = []
+    for name, prob, depth in PROBLEMS:
+        th, trace = meson(logic, prob, depth_bound=depth, want_trace=True)
+        lines.append(f"== {name}")
+        lines.append(print_term(th.conclusion))
+        lines += [f"assume {print_term(a)}" for a in th.assumptions]
+        lines.append(trace.render())
+    return "\n".join(lines)
+
+
+class TestMesonOutputPinned:
+    def test_suite_transcript_unchanged(self, logic):
+        digest = hashlib.sha256(_suite_transcript(logic).encode()).hexdigest()
+        assert digest == SUITE_TRANSCRIPT_SHA256
+
+
+def _is_literal(t):
+    atom = t.rand if is_neg(t) else t
+    return not (
+        is_neg(atom)
+        or is_conj(atom)
+        or is_disj(atom)
+        or is_imp(atom)
+        or is_forall(atom)
+        or is_exists(atom)
+        or (is_eq(atom) and atom.rand.ty == BOOL)
+    )
+
+
+def _check_clause_form(logic, formula):
+    """Each clause theorem is pull-normal and a disjunction of literals,
+    and equals what the clausifier that re-normalised every clause gave."""
+    cs = clausify(logic, formula)
+    ref_clauses, ref_skolems = redecomposing_clausify(logic, formula)
+    assert [
+        (c.thm.conclusion, c.thm.assumptions, c.universals) for c in cs.clauses
+    ] == [(th.conclusion, th.assumptions, u) for th, u in ref_clauses]
+    assert [(sk.witness, sk.params) for sk in cs.skolems] == [
+        (sk.witness, sk.params) for sk in ref_skolems
+    ]
+    pull = _NormLemmas.get(logic).pull_conv
+    for c in cs.clauses:
+        concl = c.thm.conclusion
+        with kernel.tracing() as log:
+            th = pull(concl)
+        assert [name for name, _, _ in log] == ["refl"]
+        assert th.conclusion == mk_eq(concl, concl)
+        assert all(_is_literal(t) for t in _flatten_disj(concl)), print_term(concl)
+
+
+class TestClauseForm:
+    """Leaf clauses are returned without another `pull_conv` run."""
+
+    @given(st.integers(0, 10**9), st.sampled_from((2, 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_formulas(self, logic, seed, depth):
+        _check_clause_form(logic, _random_formula(random.Random(seed), depth, [], [0]))
+
+    @pytest.mark.parametrize("name,prob,depth", PROBLEMS, ids=[n for n, _, _ in PROBLEMS])
+    def test_suite_problems(self, logic, name, prob, depth):
+        for formula in (*prob.axioms, mk_neg(prob.goal)):
+            _check_clause_form(logic, formula)
+
+
+class TestNoReferenceCycles:
+    def test_meson_and_clausify_leave_no_cycle(self, logic):
+        # The rewriting conversions hold a self-calling closure; built per
+        # call, each meson or clausify left ~119 objects to the collector.
+        name, prob, depth = next(p for p in PROBLEMS if p[0] == "paper-displayed-formula")
+        _NormLemmas.get(logic)
+        gc.collect()
+        gc.disable()
+        try:
+            meson(logic, prob, depth_bound=depth, want_trace=True)
+            clausify(logic, mk_neg(prob.goal))
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0

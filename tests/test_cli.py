@@ -255,6 +255,32 @@ class TestNoTraceback:
         assert proc.stderr.startswith("usage: microhol ")
         assert "expected a non-negative integer" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "option,value,expected",
+        [
+            ("--ind-size", "0", "expected a positive integer"),
+            ("--ind-size", "-1", "expected a positive integer"),
+            ("--cap", "1", "expected an integer in [2, 2**31]"),
+            ("--cap", "0", "expected an integer in [2, 2**31]"),
+            ("--cap", "-1", "expected an integer in [2, 2**31]"),
+            ("--cap", str((1 << 31) + 1), "expected an integer in [2, 2**31]"),
+        ],
+    )
+    def test_model_bounds_are_usage_errors(self, option, value, expected):
+        # Model rejects these with ValueError; argparse must catch them first
+        proc = _run_cli("fuzz", "--rule", "refl", "--trials", "3", option, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: microhol ")
+        assert f"argument {option}: {expected}" in proc.stderr
+        assert "ValueError" not in proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_model_bounds_accepted_at_their_limits(self, capsys):
+        for extra in (["--ind-size", "1", "--cap", "2"], ["--cap", str(1 << 31)]):
+            assert main(["fuzz", "--rule", "refl", "--trials", "2", *extra]) == 0
+        capsys.readouterr()
+
     def test_unexpected_exception_is_reported(self, monkeypatch, capsys):
         def crash(args):
             raise RuntimeError("boom")
