@@ -1,7 +1,7 @@
 """Proof search that returns kernel theorems.
 
-``taut`` decides propositional formulas by exhaustive truth-table
-evaluation through the semantics module; when the formula is a
+``taut`` decides propositional formulas with `semantics.is_valid`, the
+exhaustive valuation search the fuzzer also uses; when the formula is a
 tautology it reconstructs a kernel proof by case-splitting each
 variable with excluded middle and evaluating the formula with the
 proved connective tables.
@@ -11,7 +11,9 @@ proved connective tables.
 constants or free variables).  The problem is clausified through
 proof-producing normalization: kernel rewrites to negation normal form,
 prenexing, universal stripping by specialization, and skolemization via
-the choice operator.  The search runs on a lightweight clause
+the choice operator.  Of the eight prenexing equations, the four with
+the quantifier on the left are proved and the other four are their
+mirror images, derived by commuting the connective.  The search runs on a lightweight clause
 representation; a successful refutation is replayed through the kernel
 as a case analysis over clause instances, so every result is an
 ordinary theorem `axioms |- goal`.  Search and reconstruction are two
@@ -21,7 +23,6 @@ authority.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,11 +52,12 @@ from .bootstrap import (
     mk_select,
     prove_hyp,
     rewr_conv,
+    rhs,
     sym,
     try_beta,
 )
 from .kernel import Theorem, assume, eq_mp, inst_rule, inst_type_rule
-from .semantics import Model, Valuation, eval_term
+from .semantics import Model, is_valid
 from .surface import print_term
 from .syntax import (
     BOOL,
@@ -66,6 +68,7 @@ from .syntax import (
     HolType,
     Term,
     TyApp,
+    TyVar,
     Var,
     fn,
     free_vars,
@@ -84,7 +87,6 @@ __all__ = [
     "DepthExhausted",
     "FirstOrderProblem",
     "MesonTrace",
-    "Prover",
     "taut",
     "clausify",
     "meson",
@@ -121,6 +123,16 @@ MAX_TAUT_VARS = 16
 # Propositional tautologies
 
 
+def _connective_args(t: Term) -> Optional[tuple[Term, ...]]:
+    """The operands of a negation or a binary connective (= on bool
+    included), or None when `t` is neither."""
+    if is_neg(t):
+        return (t.rand,)
+    if is_conj(t) or is_disj(t) or is_imp(t) or (is_eq(t) and t.rand.ty == BOOL):
+        return (t.rator.rand, t.rand)
+    return None
+
+
 def _prop_vars(t: Term, out: dict[Var, None]):
     if isinstance(t, Var):
         if t.ty != BOOL:
@@ -131,42 +143,36 @@ def _prop_vars(t: Term, out: dict[Var, None]):
         if t.ty == BOOL and t.name in ("T", "F"):
             return
         raise NotPropositional(f"constant {print_term(t)} is not propositional")
-    if is_neg(t):
-        _prop_vars(t.rand, out)
-        return
-    if is_conj(t) or is_disj(t) or is_imp(t):
-        _prop_vars(t.rator.rand, out)
-        _prop_vars(t.rand, out)
-        return
-    if is_eq(t) and t.rand.ty == BOOL:
-        _prop_vars(t.rator.rand, out)
-        _prop_vars(t.rand, out)
-        return
-    raise NotPropositional(f"not a propositional formula: {print_term(t)}")
+    args = _connective_args(t)
+    if args is None:
+        raise NotPropositional(f"not a propositional formula: {print_term(t)}")
+    for a in args:
+        _prop_vars(a, out)
 
 
 def taut(logic: Logic, p: Term) -> Theorem:
     """|- p for a propositional tautology, by kernel case-splitting.
 
-    The decision itself comes from exhaustive finite-model evaluation;
-    the kernel reconstruction only runs once the truth table is known
-    full of trues.  Raises NotATautology with a falsifying assignment.
+    The decision itself is `is_valid`'s exhaustive valuation search; the
+    kernel reconstruction only runs once the truth table is known full of
+    trues.  Raises NotATautology with the first falsifying assignment,
+    variables taken in name order and false before true.
     """
     if p.ty != BOOL:
         raise NotPropositional("goal must be boolean")
     vars_: dict[Var, None] = {}
     _prop_vars(p, vars_)
-    order = sorted(vars_, key=lambda v: v.name)
-    if len(order) > MAX_TAUT_VARS:
+    if len(vars_) > MAX_TAUT_VARS:
         raise NotPropositional(f"more than {MAX_TAUT_VARS} variables")
 
-    model = Model(ind_size=1)
-    for bits in itertools.product((False, True), repeat=len(order)):
-        v = Valuation(model, {}, {var: int(b) for var, b in zip(order, bits)})
-        if eval_term(p, v, logic.theory) != 1:
-            raise NotATautology({var.name: b for var, b in zip(order, bits)})
+    verdict = is_valid(
+        ((), p), Model(ind_size=1), budget=2**MAX_TAUT_VARS, theory=logic.theory
+    )
+    if not verdict.valid:
+        assignment = verdict.counterexample.assignment
+        raise NotATautology({var.name: bool(e) for var, e in assignment.items()})
 
-    return _taut_reconstruct(logic, p, order, {})
+    return _taut_reconstruct(logic, p, sorted(vars_, key=lambda v: v.name), {})
 
 
 def _assign_true(logic: Logic, v: Var) -> tuple[bool, Theorem]:
@@ -194,39 +200,25 @@ def _taut_reconstruct(logic, p, order, asg) -> Theorem:
 
 
 def _eval_formula(logic, t, asg) -> tuple[bool, Theorem]:
-    """Evaluate under an assignment, returning (value, G |- t = T/F)."""
+    """Evaluate a propositional formula under an assignment, returning
+    (value, G |- t = T/F); the value is read off the connective table."""
     if isinstance(t, Var):
-        return asg[t][0], asg[t][1]
+        return asg[t]
     if isinstance(t, Const):
         if t.name == "T":
             return True, logic.eqt_intro(logic.TRUTH)
         return False, logic._prove_eqf(FALSE, assume(FALSE))
     if is_neg(t):
         val, th = _eval_formula(logic, t.rand, asg)
-        combined = ap_term(t.rator, th)
-        table = logic.tables[("not", (val,))]
-        return not val, kernel.trans(combined, table)
-    if is_eq(t) and t.rand.ty == BOOL:
-        opname = "iff"
-    elif is_conj(t):
-        opname = "and"
-    elif is_disj(t):
-        opname = "or"
-    elif is_imp(t):
-        opname = "imp"
+        th = kernel.trans(ap_term(t.rator, th), logic.tables[("not", (val,))])
     else:
-        raise NotPropositional(f"not propositional: {print_term(t)}")
-    lval, lth = _eval_formula(logic, t.rator.rand, asg)
-    rval, rth = _eval_formula(logic, t.rand, asg)
-    combined = kernel.mk_comb_rule(ap_term(t.rator.rator, lth), rth)
-    table = logic.tables[(opname, (lval, rval))]
-    value = {
-        "and": lval and rval,
-        "or": lval or rval,
-        "imp": (not lval) or rval,
-        "iff": lval == rval,
-    }[opname]
-    return value, kernel.trans(combined, table)
+        op = t.rator.rator
+        lval, lth = _eval_formula(logic, t.rator.rand, asg)
+        rval, rth = _eval_formula(logic, t.rand, asg)
+        combined = kernel.mk_comb_rule(ap_term(op, lth), rth)
+        opname = "iff" if op.name == "=" else op.name
+        th = kernel.trans(combined, logic.tables[(opname, (lval, rval))])
+    return rhs(th) == TRUE, th
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +248,10 @@ def _is_individual(ty: HolType) -> bool:
 
 
 def _check_formula(t: Term, bound: list[Var]):
-    if is_neg(t):
-        _check_formula(t.rand, bound)
-        return
-    if is_conj(t) or is_disj(t) or is_imp(t) or (is_eq(t) and t.rand.ty == BOOL):
-        _check_formula(t.rator.rand, bound)
-        _check_formula(t.rand, bound)
+    args = _connective_args(t)
+    if args is not None:
+        for a in args:
+            _check_formula(a, bound)
         return
     if is_forall(t) or is_exists(t):
         v = t.rand.bvar
@@ -405,8 +395,6 @@ def _forall_var(logic: Logic, pred_var: Var, th: Theorem) -> Theorem:
 
 def _not_forall_thm(logic: Logic) -> Theorem:
     """|- ~((!) P) = ?x. ~(P x)."""
-    from .syntax import TyVar
-
     alpha = TyVar("A")
     P = Var("P", fn(alpha, BOOL))
     x = Var("x", alpha)
@@ -436,8 +424,6 @@ def _not_forall_thm(logic: Logic) -> Theorem:
 
 def _not_exists_thm(logic: Logic) -> Theorem:
     """|- ~((?) P) = !x. ~(P x)."""
-    from .syntax import TyVar
-
     alpha = TyVar("A")
     P = Var("P", fn(alpha, BOOL))
     x = Var("x", alpha)
@@ -464,21 +450,38 @@ def _not_exists_thm(logic: Logic) -> Theorem:
 
 def _pull_theorems(logic: Logic) -> list[Theorem]:
     """The eight quantifier-pull equations, e.g.
-    |- ((!) P \\/ q) = !x. P x \\/ q."""
-    from .syntax import TyVar
-
+    |- ((!) P \\/ q) = !x. P x \\/ q.  The four with the quantifier on
+    the left are proved; each is followed by its mirror image
+    |- (q \\/ (!) P) = !x. q \\/ P x, derived from it by commuting the
+    connective outside and under the binder."""
     alpha = TyVar("A")
     P = Var("P", fn(alpha, BOOL))
+    p = Var("p", BOOL)
     q = Var("q", BOOL)
     x = Var("x", alpha)
-    forall_p = mk_comb(Const("forall", fn(fn(alpha, BOOL), BOOL)), P)
-    exists_p = mk_comb(Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
+    v = Var("v", alpha)
+    forall_c = Const("forall", fn(fn(alpha, BOOL), BOOL))
+    exists_c = Const("exists", fn(fn(alpha, BOOL), BOOL))
+    forall_p = mk_comb(forall_c, P)
+    exists_p = mk_comb(exists_c, P)
     px = mk_comb(P, x)
-    out = []
+    pv = mk_comb(P, v)
+    eta_e = _eta_quant(logic, exists_c, P)
+    or_comm = taut(logic, mk_eq(mk_disj(p, q), mk_disj(q, p)))
+    and_comm = taut(logic, mk_eq(mk_conj(p, q), mk_conj(q, p)))
 
-    def em_cases(goal_if_q: Theorem, goal_if_nq: Theorem) -> Theorem:
-        em = inst_rule({Var("t", BOOL): q}, logic.EXCLUDED_MIDDLE)
-        return logic.disj_cases(em, goal_if_q, goal_if_nq)
+    def mirrored(prime: Theorem, swap: Theorem) -> list[Theorem]:
+        """[|- Q P op q = Q x. P x op q, |- q op Q P = Q x. q op P x],
+        given swap: |- (p op q) = (q op p)."""
+        left, right = lhs(prime), prime.conclusion.rand
+        swap_left = inst_rule({p: left.rand, q: left.rator.rand}, swap)
+        body = right.rand.body
+        swap_body = inst_rule({p: body.rator.rand, q: body.rand}, swap)
+        mirror = kernel.trans(
+            kernel.trans(swap_left, prime),
+            ap_term(right.rator, kernel.abs_rule(x, swap_body)),
+        )
+        return [prime, mirror]
 
     # (!) P \/ q  =  !x. P x \/ q
     lhs_t = mk_disj(forall_p, q)
@@ -492,30 +495,13 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
         logic.contr(px, logic.mp(logic.not_elim(assume(mk_neg(q))), assume(q))),
     )  # {rhs, ~q} |- P x
     nq_case = logic.disj1(_forall_var(logic, P, logic.gen(x, inner)), q)
-    bwd = em_cases(logic.disj2(forall_p, assume(q)), nq_case)
-    out.append(kernel.deduct_antisym(bwd, fwd))
-
-    # q \/ (!) P  =  !x. q \/ P x
-    lhs_t = mk_disj(q, forall_p)
-    rhs_t = mk_forall(x, mk_disj(q, px))
-    b1 = logic.disj1(assume(q), px)
-    b2 = logic.disj2(q, logic.spec(x, assume(forall_p)))
-    fwd = logic.gen(x, logic.disj_cases(assume(lhs_t), b1, b2))
-    inner = logic.disj_cases(
-        logic.spec(x, assume(rhs_t)),
-        logic.contr(px, logic.mp(logic.not_elim(assume(mk_neg(q))), assume(q))),
-        assume(px),
-    )
-    nq_case = logic.disj2(q, _forall_var(logic, P, logic.gen(x, inner)))
-    bwd = em_cases(logic.disj1(assume(q), forall_p), nq_case)
-    out.append(kernel.deduct_antisym(bwd, fwd))
+    em = inst_rule({Var("t", BOOL): q}, logic.EXCLUDED_MIDDLE)
+    bwd = logic.disj_cases(em, logic.disj2(forall_p, assume(q)), nq_case)
+    out = mirrored(kernel.deduct_antisym(bwd, fwd), or_comm)
 
     # (?) P \/ q  =  ?x. P x \/ q
     lhs_t = mk_disj(exists_p, q)
     rhs_t = mk_exists(x, mk_disj(px, q))
-    v = Var("v", alpha)
-    eta_e = _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
-    pv = mk_comb(P, v)
     wit = logic.exists_intro(rhs_t, v, logic.disj1(assume(pv), q))
     caseA = logic.choose(v, eq_mp(assume(exists_p), sym(eta_e)), wit)
     anyx = mk_select(x, TRUE)
@@ -526,39 +512,12 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
     back_body = logic.disj_cases(
         assume(mk_disj(pv, q)),
         logic.disj1(
-            eq_mp(
-                logic.exists_intro(mk_exists(x, px), v, assume(pv)),
-                _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P),
-            ),
-            q,
+            eq_mp(logic.exists_intro(mk_exists(x, px), v, assume(pv)), eta_e), q
         ),
         logic.disj2(exists_p, assume(q)),
     )
     bwd = logic.choose(v, assume(rhs_t), back_body)
-    out.append(kernel.deduct_antisym(bwd, fwd))
-
-    # q \/ (?) P  =  ?x. q \/ P x
-    lhs_t = mk_disj(q, exists_p)
-    rhs_t = mk_exists(x, mk_disj(q, px))
-    wit = logic.exists_intro(rhs_t, v, logic.disj2(q, assume(pv)))
-    caseB2 = logic.choose(v, eq_mp(assume(exists_p), sym(eta_e)), wit)
-    caseA2 = logic.exists_intro(
-        rhs_t, anyx, logic.disj1(assume(q), mk_comb(P, anyx))
-    )
-    fwd = logic.disj_cases(assume(lhs_t), caseA2, caseB2)
-    back_body = logic.disj_cases(
-        assume(mk_disj(q, pv)),
-        logic.disj1(assume(q), exists_p),
-        logic.disj2(
-            q,
-            eq_mp(
-                logic.exists_intro(mk_exists(x, px), v, assume(pv)),
-                _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P),
-            ),
-        ),
-    )
-    bwd = logic.choose(v, assume(rhs_t), back_body)
-    out.append(kernel.deduct_antisym(bwd, fwd))
+    out += mirrored(kernel.deduct_antisym(bwd, fwd), or_comm)
 
     # (!) P /\ q  =  !x. P x /\ q
     lhs_t = mk_conj(forall_p, q)
@@ -574,23 +533,7 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
         logic, P, logic.gen(x, logic.conjunct1(logic.spec(x, assume(rhs_t))))
     )
     bwd = logic.conj(allp, logic.conjunct2(logic.spec(x, assume(rhs_t))))
-    out.append(kernel.deduct_antisym(bwd, fwd))
-
-    # q /\ (!) P  =  !x. q /\ P x
-    lhs_t = mk_conj(q, forall_p)
-    rhs_t = mk_forall(x, mk_conj(q, px))
-    fwd = logic.gen(
-        x,
-        logic.conj(
-            logic.conjunct1(assume(lhs_t)),
-            logic.spec(x, logic.conjunct2(assume(lhs_t))),
-        ),
-    )
-    allp = _forall_var(
-        logic, P, logic.gen(x, logic.conjunct2(logic.spec(x, assume(rhs_t))))
-    )
-    bwd = logic.conj(logic.conjunct1(logic.spec(x, assume(rhs_t))), allp)
-    out.append(kernel.deduct_antisym(bwd, fwd))
+    out += mirrored(kernel.deduct_antisym(bwd, fwd), and_comm)
 
     # (?) P /\ q  =  ?x. P x /\ q
     lhs_t = mk_conj(exists_p, q)
@@ -606,34 +549,12 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
             logic.exists_intro(
                 mk_exists(x, px), v, logic.conjunct1(assume(mk_conj(pv, q)))
             ),
-            _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P),
+            eta_e,
         ),
         logic.conjunct2(assume(mk_conj(pv, q))),
     )
     bwd = logic.choose(v, assume(rhs_t), back_body)
-    out.append(kernel.deduct_antisym(bwd, fwd))
-
-    # q /\ (?) P  =  ?x. q /\ P x
-    lhs_t = mk_conj(q, exists_p)
-    rhs_t = mk_exists(x, mk_conj(q, px))
-    wit = logic.exists_intro(
-        rhs_t, v, logic.conj(logic.conjunct1(assume(lhs_t)), assume(pv))
-    )
-    fwd = logic.choose(
-        v, eq_mp(logic.conjunct2(assume(lhs_t)), sym(eta_e)), wit
-    )
-    back_body = logic.conj(
-        logic.conjunct1(assume(mk_conj(q, pv))),
-        eq_mp(
-            logic.exists_intro(
-                mk_exists(x, px), v, logic.conjunct2(assume(mk_conj(q, pv)))
-            ),
-            _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P),
-        ),
-    )
-    bwd = logic.choose(v, assume(rhs_t), back_body)
-    out.append(kernel.deduct_antisym(bwd, fwd))
-
+    out += mirrored(kernel.deduct_antisym(bwd, fwd), and_comm)
     return out
 
 
@@ -719,6 +640,18 @@ class _Clausifier:
     def fresh_var(self, base: Var, avoid: list[Term]) -> Var:
         self._fresh += 1
         return variant(avoid, Var(f"{base.name}_{self._fresh}", base.ty))
+
+    def clauses(self, t: Term, source: str) -> list[Clause]:
+        """The clauses of the formula `t`, assumed; their literals refer to
+        every Skolem term found so far."""
+        out = []
+        for th, universals, src in self.clause_theorems(assume(t), source):
+            uset = set(universals)
+            lits = tuple(
+                _lit_of(x, uset, self.skolems) for x in _flatten_disj(th.conclusion)
+            )
+            out.append(Clause(th, universals, lits, src))
+        return out
 
     def clause_theorems(self, th: Theorem, source: str) -> list[tuple[Theorem, tuple[Var, ...]]]:
         """Normalize one assumed formula into clause theorems."""
@@ -842,16 +775,8 @@ def clausify(logic: Logic, p: Term, source: str = "formula") -> ClauseSet:
     choice, and distribution, all proof-producing.  The clause theorems
     carry `p` as their only assumption."""
     _check_formula(p, [])
-    lemmas = _NormLemmas.get(logic)
-    cl = _Clausifier(logic, lemmas)
-    out = ClauseSet(clauses=[], skolems=cl.skolems)
-    for th, universals, src in cl.clause_theorems(assume(p), source):
-        uset = set(universals)
-        lits = tuple(
-            _lit_of(t, uset, cl.skolems, 0) for t in _flatten_disj(th.conclusion)
-        )
-        out.clauses.append(Clause(th, universals, lits, src))
-    return out
+    cl = _Clausifier(logic, _NormLemmas.get(logic))
+    return ClauseSet(clauses=cl.clauses(p, source), skolems=cl.skolems)
 
 
 # ---------------------------------------------------------------------------
@@ -956,37 +881,36 @@ class _Rebuild:
         t = self.hol_of(atom)
         return t if pos else mk_neg(t)
 
-    def _pair_false(self, pos_t: Term, neg_t: Term) -> Theorem:
-        """{pos, ~pos} |- F."""
+    def _clash(self, a: Term, b: Term) -> Theorem:
+        """{a, b} |- F for complementary literals, in either order."""
+        neg_t, pos_t = (a, b) if is_neg(a) else (b, a)
         return self.logic.mp(self.logic.not_elim(assume(neg_t)), assume(pos_t))
 
     def refute(self, node, path_terms) -> Theorem:
-        kind = node[0]
-        if kind == "red":
+        """{goal literal, ancestors, clause instances} |- F for one node."""
+        if node[0] == "red":
             _, goal, i = node
-            g = self.lit_term(goal)
-            p = path_terms[i]
-            if is_neg(g):
-                return self._pair_false(p, g)
-            return self._pair_false(g, p)
+            return self._clash(self.lit_term(goal), path_terms[i])
         _, goal, ci, li, copy, children = node
-        clause = self.clauses[ci]
-        mapping = {}
-        for v in clause.universals:
-            mapping[v] = self.hol_of(("v", (v, copy)))
+        return self.close(self.clauses[ci], copy, children, path_terms, goal, li)
+
+    def close(self, clause, copy, children, path_terms, goal=None, li=None) -> Theorem:
+        """{clause's assumptions, goal, path} |- F for `copy` of the clause:
+        the literal at `li` clashes with `goal`, and `children` refute the
+        others in order, below `path_terms` plus the goal.  Meson's start
+        clause has no goal."""
+        mapping = {v: self.hol_of(("v", (v, copy))) for v in clause.universals}
         inst = inst_rule(mapping, clause.thm)
-        goal_term = self.lit_term(goal)
+        if goal is not None:
+            goal_term = self.lit_term(goal)
+            path_terms = path_terms + [goal_term]
         refuters: dict[bytes, Theorem] = {}
-        lit_terms = _flatten_disj(inst.conclusion)
         child_iter = iter(children)
-        for j, lt in enumerate(lit_terms):
+        for j, lt in enumerate(_flatten_disj(inst.conclusion)):
             if j == li:
-                if is_neg(lt):
-                    th = self._pair_false(goal_term, lt)
-                else:
-                    th = self._pair_false(lt, goal_term)
+                th = self._clash(lt, goal_term)
             else:
-                th = self.refute(next(child_iter), path_terms + [goal_term])
+                th = self.refute(next(child_iter), path_terms)
             refuters[term_order_key(lt)] = th
         return prove_hyp(inst, _falsify(self.logic, inst.conclusion, refuters))
 
@@ -1027,22 +951,12 @@ def meson(
     """Prove `axioms |- goal` by refuting axioms + ~goal with bounded,
     iteratively deepened model elimination, then replaying the closed
     tableau through the kernel.  Raises DepthExhausted on failure."""
-    lemmas = _NormLemmas.get(logic)
-    cl = _Clausifier(logic, lemmas)
+    cl = _Clausifier(logic, _NormLemmas.get(logic))
     clauses: list[Clause] = []
-
-    def add_formula(t: Term, source: str):
-        for th, universals, src in cl.clause_theorems(assume(t), source):
-            uset = set(universals)
-            lits = tuple(
-                _lit_of(x, uset, cl.skolems, 0) for x in _flatten_disj(th.conclusion)
-            )
-            clauses.append(Clause(th, universals, lits, src))
-
     for i, ax in enumerate(problem.axioms):
-        add_formula(ax, f"axiom {i}")
+        clauses += cl.clauses(ax, f"axiom {i}")
     n_axiom_clauses = len(clauses)
-    add_formula(mk_neg(problem.goal), "negated goal")
+    clauses += cl.clauses(mk_neg(problem.goal), "negated goal")
     goal_clauses = list(range(n_axiom_clauses, len(clauses)))
     if not goal_clauses:
         raise OutOfFragment("the negated goal produced no clauses")
@@ -1068,17 +982,7 @@ def meson(
             goals = [(p, _fo_rename(a, copy)) for p, a in start.lits]
             for theta, nodes in search.prove_goals(goals, [], depth, {}):
                 rebuild = _Rebuild(logic, clauses, cl.skolems, theta)
-                mapping = {
-                    v: rebuild.hol_of(("v", (v, copy))) for v in start.universals
-                }
-                inst = inst_rule(mapping, start.thm)
-                refuters: dict[bytes, Theorem] = {}
-                lit_terms = _flatten_disj(inst.conclusion)
-                for lt, node in zip(lit_terms, nodes):
-                    refuters[term_order_key(lt)] = rebuild.refute(node, [])
-                contradiction = prove_hyp(
-                    inst, _falsify(logic, inst.conclusion, refuters)
-                )
+                contradiction = rebuild.close(start, copy, nodes, [])
                 result = logic.ccontr(problem.goal, contradiction)
                 if not want_trace:
                     return result
@@ -1097,15 +1001,14 @@ def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
     """Append reflexivity/symmetry/transitivity plus congruence schemes
     for every function and predicate symbol used with equality's type."""
     eq_types: set[HolType] = set()
-    fun_syms: dict[tuple, tuple] = {}
-    pred_syms: dict[tuple, tuple] = {}
+    fun_syms: dict[Term, int] = {}  # head symbol -> arity
+    pred_syms: dict[Term, int] = {}
 
     def scan_formula(t: Term):
-        if is_neg(t):
-            scan_formula(t.rand)
-        elif is_conj(t) or is_disj(t) or is_imp(t) or (is_eq(t) and t.rand.ty == BOOL):
-            scan_formula(t.rator.rand)
-            scan_formula(t.rand)
+        subformulas = _connective_args(t)
+        if subformulas is not None:
+            for a in subformulas:
+                scan_formula(a)
         elif is_forall(t) or is_exists(t):
             scan_formula(t.rand.body)
         else:
@@ -1113,20 +1016,14 @@ def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
                 eq_types.add(t.rand.ty)
             head, args = _strip_app(t)
             if args and not is_eq(t):
-                pred_syms[(head.__class__.__name__, getattr(head, "name"), head.ty)] = (
-                    head,
-                    len(args),
-                )
+                pred_syms[head] = len(args)
             for a in args:
                 scan_term(a)
 
     def scan_term(t: Term):
         head, args = _strip_app(t)
         if args:
-            fun_syms[(head.__class__.__name__, getattr(head, "name"), head.ty)] = (
-                head,
-                len(args),
-            )
+            fun_syms[head] = len(args)
         for a in args:
             scan_term(a)
 
@@ -1140,20 +1037,11 @@ def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
         x = Var("eqx", ty)
         y = Var("eqy", ty)
         z = Var("eqz", ty)
-        extra.append(mk_forall(x, mk_eq(x, x)))
-        extra.append(mk_forall(x, mk_forall(y, mk_imp(mk_eq(x, y), mk_eq(y, x)))))
+        extra.append(_list_forall([x], mk_eq(x, x)))
+        extra.append(_list_forall([x, y], mk_imp(mk_eq(x, y), mk_eq(y, x))))
         extra.append(
-            mk_forall(
-                x,
-                mk_forall(
-                    y,
-                    mk_forall(
-                        z,
-                        mk_imp(
-                            mk_conj(mk_eq(x, y), mk_eq(y, z)), mk_eq(x, z)
-                        ),
-                    ),
-                ),
+            _list_forall(
+                [x, y, z], mk_imp(mk_conj(mk_eq(x, y), mk_eq(y, z)), mk_eq(x, z))
             )
         )
 
@@ -1181,33 +1069,21 @@ def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
             concl = mk_imp(appx, appy)
         else:
             concl = mk_eq(appx, appy)
-        body = mk_imp(eqs, concl)
-        for v in reversed(xs + ys):
-            body = mk_forall(v, body)
-        return body
+        return _list_forall(xs + ys, mk_imp(eqs, concl))
 
-    for head, arity in fun_syms.values():
+    for head, arity in fun_syms.items():
         c = congruence(head, arity, is_pred=False)
         if c is not None:
             extra.append(c)
-    for head, arity in pred_syms.values():
+    for head, arity in pred_syms.items():
         c = congruence(head, arity, is_pred=True)
         if c is not None:
             extra.append(c)
     return FirstOrderProblem(problem.axioms + tuple(extra), problem.goal)
 
 
-@dataclass
-class Prover:
-    """Bundles a Logic with the (re)usable clausification lemma base."""
-
-    logic: Logic
-
-    def taut(self, p: Term) -> Theorem:
-        return taut(self.logic, p)
-
-    def meson(self, problem: FirstOrderProblem, depth_bound: int = 20, **kw):
-        return meson(self.logic, problem, depth_bound, **kw)
-
-    def clausify(self, p: Term) -> ClauseSet:
-        return clausify(self.logic, p)
+def _list_forall(vs: list[Var], body: Term) -> Term:
+    """!v1 ... vn. body"""
+    for v in reversed(vs):
+        body = mk_forall(v, body)
+    return body

@@ -721,35 +721,39 @@ class Logic:
 
     # -- definitional unfolding conversions
 
+    @staticmethod
+    def _unfold2(defn: Theorem, p: Term, q: Term) -> Theorem:
+        """|- c p q = body[p, q] from |- c = \\p q. body."""
+        th = ap_thm(ap_thm(defn, p), q)
+        return trans(th, beta_n(2)(rhs(th)))
+
     def conj_eq(self, p: Term, q: Term) -> Theorem:
         """|- (p /\\ q) = ((\\f. f p q) = (\\f. f T T))."""
-        th = ap_thm(ap_thm(self._and_def, p), q)
-        return trans(th, beta_n(2)(rhs(th)))
+        return self._unfold2(self._and_def, p, q)
 
     def imp_eq(self, p: Term, q: Term) -> Theorem:
-        th = ap_thm(ap_thm(self._imp_def, p), q)
-        return trans(th, beta_n(2)(rhs(th)))
+        return self._unfold2(self._imp_def, p, q)
 
     def or_eq(self, p: Term, q: Term) -> Theorem:
-        th = ap_thm(ap_thm(self._or_def, p), q)
-        return trans(th, beta_n(2)(rhs(th)))
+        return self._unfold2(self._or_def, p, q)
 
     def neg_eq(self, p: Term) -> Theorem:
         th = ap_thm(self._not_def, p)
         return trans(th, beta_n(1)(rhs(th)))
 
-    def forall_eq(self, pred: Term) -> Theorem:
-        """|- (!) pred = (pred = \\x. T)."""
-        a = dest_pred_ty(pred)
-        def_i = inst_type_rule({"A": a}, self._forall_def)
+    @staticmethod
+    def _unfold_binder(defn: Theorem, pred: Term) -> Theorem:
+        """|- c pred = body[pred] from |- c = \\P. body, c at pred's type."""
+        def_i = inst_type_rule({"A": dest_pred_ty(pred)}, defn)
         th = ap_thm(def_i, pred)
         return trans(th, try_beta(rhs(th)))
 
+    def forall_eq(self, pred: Term) -> Theorem:
+        """|- (!) pred = (pred = \\x. T)."""
+        return self._unfold_binder(self._forall_def, pred)
+
     def exists_eq(self, pred: Term) -> Theorem:
-        a = dest_pred_ty(pred)
-        def_i = inst_type_rule({"A": a}, self._exists_def)
-        th = ap_thm(def_i, pred)
-        return trans(th, try_beta(rhs(th)))
+        return self._unfold_binder(self._exists_def, pred)
 
     # -- conjunction
 
@@ -893,18 +897,15 @@ class Logic:
     # -- disjunction
 
     def disj1(self, th: Theorem, q: Term) -> Theorem:
-        p = th.conclusion
-        r = variant(list(th.assumptions) + [p, q], Var("r", BOOL))
-        th1 = self.mp(assume(mk_imp(p, r)), th)
-        th2 = self.disch(mk_imp(q, r), th1)
-        th3 = self.disch(mk_imp(p, r), th2)
-        th4 = self.gen(r, th3)
-        return eq_mp(th4, sym(self.or_eq(p, q)))
+        return self._disj_intro(th.conclusion, q, th)
 
     def disj2(self, p: Term, th: Theorem) -> Theorem:
-        q = th.conclusion
+        return self._disj_intro(p, th.conclusion, th)
+
+    def _disj_intro(self, p: Term, q: Term, th: Theorem) -> Theorem:
+        """|- p \\/ q from `th`, which proves p or q."""
         r = variant(list(th.assumptions) + [p, q], Var("r", BOOL))
-        th1 = self.mp(assume(mk_imp(q, r)), th)
+        th1 = self.mp(assume(mk_imp(th.conclusion, r)), th)
         th2 = self.disch(mk_imp(q, r), th1)
         th3 = self.disch(mk_imp(p, r), th2)
         th4 = self.gen(r, th3)

@@ -462,6 +462,14 @@ class TypeDefInfo:
     abs_name: str
     rep_name: str
 
+    @classmethod
+    def carve(cls, pred: Term, witness: Term, abs_name: str, rep_name: str):
+        """The type carved out by a closed predicate `pred`."""
+        if free_vars(pred):
+            raise MalformedInhabitation("carving predicate must be closed")
+        tyvars = tuple(sorted(type_vars_of_term(pred)))
+        return cls(tyvars, witness.ty, pred, abs_name, rep_name)
+
 
 _A = TyVar("A")
 
@@ -539,25 +547,21 @@ class Theory:
 
     @classmethod
     def replay(cls, events: Iterable[DefinitionEvent]) -> "Theory":
-        """Reconstruct the signature from a definition log."""
+        """Reconstruct the signature from a definition log.  A constant
+        goes through `new_basic_definition`, which logs it; a type's
+        predicate must be closed, as `new_basic_type_definition` requires."""
         thy = cls()
         for ev in events:
             if ev.kind == "constant-definition":
                 (name,) = ev.names
-                thy._register_constant(name, ev.term.ty, ev.term)
+                new_basic_definition(thy, name, ev.term)
             elif ev.kind == "type-definition":
                 name, abs_name, rep_name = ev.names
-                info = TypeDefInfo(
-                    tyvars=tuple(sorted(type_vars_of_term(ev.term))),
-                    rep_type=ev.witness.ty,
-                    predicate=ev.term,
-                    abs_name=abs_name,
-                    rep_name=rep_name,
-                )
+                info = TypeDefInfo.carve(ev.term, ev.witness, abs_name, rep_name)
                 thy._register_typedef(name, abs_name, rep_name, info)
+                thy.definition_log.append(ev)
             else:
                 raise HolError(f"unknown definition event kind {ev.kind!r}")
-            thy.definition_log.append(ev)
         return thy
 
 
@@ -726,8 +730,6 @@ def new_basic_definition(theory: Theory, name: str, rhs: Term) -> Theorem:
             f"type variables of {name!r}'s body do not all occur in its type"
         )
     with theory._lock:
-        if theory.has_constant(name):
-            raise DuplicateName(f"constant {name!r} already defined")
         theory._register_constant(name, rhs.ty, rhs)
         theory.definition_log.append(
             DefinitionEvent("constant-definition", (name,), rhs)
@@ -753,11 +755,8 @@ def new_basic_type_definition(
     if not isinstance(concl, Comb):
         raise MalformedInhabitation("inhabitation conclusion must be P w")
     pred, witness = concl.rator, concl.rand
-    if free_vars(pred):
-        raise MalformedInhabitation("carving predicate must be closed")
-    rep_ty = witness.ty
-    tyvars = tuple(sorted(type_vars_of_term(pred)))
-    info = TypeDefInfo(tyvars, rep_ty, pred, abs_name, rep_name)
+    info = TypeDefInfo.carve(pred, witness, abs_name, rep_name)
+    tyvars, rep_ty = info.tyvars, info.rep_type
     with theory._lock:
         theory._register_typedef(name, abs_name, rep_name, info)
         theory.definition_log.append(

@@ -540,6 +540,41 @@ def _suite_transcript(logic) -> str:
     return "\n".join(lines)
 
 
+NORM_LEMMAS = [
+    # nnf
+    r"~~(p:bool) <=> (p:bool)",
+    r"~((p:bool) /\ (q:bool)) <=> ~(p:bool) \/ ~(q:bool)",
+    r"~((p:bool) \/ (q:bool)) <=> ~(p:bool) /\ ~(q:bool)",
+    r"(p:bool) ==> (q:bool) <=> ~(p:bool) \/ (q:bool)",
+    r"((p:bool) <=> (q:bool)) <=> (~(p:bool) \/ (q:bool)) /\ (~(q:bool) \/ (p:bool))",
+    r"~(!:(A -> bool) -> bool) (P:A -> bool) <=> (?x:A. ~(P:A -> bool) x)",
+    r"~(?:(A -> bool) -> bool) (P:A -> bool) <=> (!x:A. ~(P:A -> bool) x)",
+    # pull: each quantifier-left equation, then its mirror image
+    r"(!:(A -> bool) -> bool) (P:A -> bool) \/ (q:bool) <=> (!x:A. (P:A -> bool) x \/ (q:bool))",
+    r"(q:bool) \/ (!:(A -> bool) -> bool) (P:A -> bool) <=> (!x:A. (q:bool) \/ (P:A -> bool) x)",
+    r"(?:(A -> bool) -> bool) (P:A -> bool) \/ (q:bool) <=> (?x:A. (P:A -> bool) x \/ (q:bool))",
+    r"(q:bool) \/ (?:(A -> bool) -> bool) (P:A -> bool) <=> (?x:A. (q:bool) \/ (P:A -> bool) x)",
+    r"(!:(A -> bool) -> bool) (P:A -> bool) /\ (q:bool) <=> (!x:A. (P:A -> bool) x /\ (q:bool))",
+    r"(q:bool) /\ (!:(A -> bool) -> bool) (P:A -> bool) <=> (!x:A. (q:bool) /\ (P:A -> bool) x)",
+    r"(?:(A -> bool) -> bool) (P:A -> bool) /\ (q:bool) <=> (?x:A. (P:A -> bool) x /\ (q:bool))",
+    r"(q:bool) /\ (?:(A -> bool) -> bool) (P:A -> bool) <=> (?x:A. (q:bool) /\ (P:A -> bool) x)",
+    # pull: distribution
+    r"(p:bool) \/ (q:bool) /\ (r:bool) <=> ((p:bool) \/ (q:bool)) /\ ((p:bool) \/ (r:bool))",
+    r"(q:bool) /\ (r:bool) \/ (p:bool) <=> ((q:bool) \/ (p:bool)) /\ ((r:bool) \/ (p:bool))",
+]
+
+
+class TestLemmaBasePinned:
+    def test_equations_in_order(self, logic):
+        # `indexed_first_conv` tries equations in list order, so the order
+        # is part of what clausification does
+        lemmas = _NormLemmas.build(logic)
+        assert (len(lemmas.nnf), len(lemmas.pull)) == (7, 10)
+        for th, expected in zip(lemmas.nnf + lemmas.pull, NORM_LEMMAS, strict=True):
+            assert th.assumptions == ()
+            assert print_term(th.conclusion) == expected
+
+
 class TestMesonOutputPinned:
     def test_suite_transcript_unchanged(self, logic):
         digest = hashlib.sha256(_suite_transcript(logic).encode()).hexdigest()

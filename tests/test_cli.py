@@ -92,6 +92,18 @@ class TestProveTaut:
         asg = payload["assignment"]
         assert not (asg["p"] and asg["q"])
 
+    @pytest.mark.parametrize(
+        "term, expected",
+        [
+            ("p /\\ q", '{"assignment":{"p":false,"q":false},"proved":false}'),
+            ("p \\/ ~q", '{"assignment":{"p":false,"q":true},"proved":false}'),
+        ],
+    )
+    def test_first_falsifying_assignment_pinned(self, term, expected, capsys):
+        # the first assignment in name order, false before true
+        assert main(["prove-taut", term, "--json"]) == 1
+        assert capsys.readouterr().out == expected + "\n"
+
     def test_non_propositional(self, capsys):
         assert main(["prove-taut", "!x:bool. x"]) == 2
 

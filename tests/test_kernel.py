@@ -409,6 +409,46 @@ class TestDefinitions:
         assert replayed.constant_type("c") == fn(BOOL, BOOL)
 
 
+class TestReplayChecks:
+    """A replayed log passes the checks of the definitional rules."""
+
+    def test_constant_body_with_free_variable(self):
+        # replayed unchecked, `c` was registered and evaluated to 0
+        event = kernel.DefinitionEvent("constant-definition", ("c",), x)
+        with pytest.raises(NotClosed):
+            Theory.replay([event])
+
+    def test_constant_body_with_escaping_type_variable(self):
+        v = Var("v", TyVar("A"))
+        body = mk_eq(mk_abs(v, v), mk_abs(v, v))  # bool, with A inside
+        event = kernel.DefinitionEvent("constant-definition", ("c",), body)
+        with pytest.raises(TypeVarEscape):
+            Theory.replay([event])
+
+    def test_duplicate_constant(self):
+        event = kernel.DefinitionEvent("constant-definition", ("c",), mk_abs(x, x))
+        with pytest.raises(DuplicateName):
+            Theory.replay([event, event])
+
+    def test_type_predicate_with_free_variable(self):
+        b = Var("b", BOOL)
+        pred = mk_abs(b, mk_eq(b, y))
+        event = kernel.DefinitionEvent(
+            "type-definition", ("t", "mk_t", "dest_t"), pred, Const("T", BOOL)
+        )
+        with pytest.raises(MalformedInhabitation):
+            Theory.replay([event])
+
+    def test_replayed_log_is_the_original(self):
+        thy = Theory()
+        c = Const("c", fn(BOOL, BOOL))
+        new_basic_definition(thy, "c", mk_abs(x, x))
+        new_basic_definition(thy, "d", mk_abs(x, mk_comb(c, x)))
+        replayed = Theory.replay(thy.definition_log)
+        assert replayed.definition_log == thy.definition_log
+        assert replayed.definitions == thy.definitions
+
+
 class TestTypeDefinition:
     def _one_point_pred(self, logic):
         # P = \b:bool. b = T carves a one-element type out of bool
