@@ -9,7 +9,8 @@ primitive calls.  FALSE is defined literally as `!p:bool. p`.
 Conversions are functions from a term t to a theorem `|- t = t'`; they
 raise ``Inapplicable`` to signal "no change here", and the combinators
 interpret that.  All conversion results are hypothesis-free, which is
-what lets ``abs_conv`` pass the abstraction rule's side condition.
+what lets ``exhaustive_conv`` rewrite under a binder past the abstraction
+rule's side condition.
 """
 
 from __future__ import annotations
@@ -67,24 +68,17 @@ __all__ = [
     "ap_term",
     "ap_thm",
     "sym",
-    "alpha_link",
     "beta_conv",
     "prove_hyp",
     "conv_rule",
-    "all_conv",
     "try_beta",
     "rand_conv",
     "rator_conv",
-    "abs_conv",
-    "then_conv",
-    "repeat_conv",
     "first_conv",
     "indexed_first_conv",
     "rewr_conv",
     "exhaustive_conv",
-    "beta_norm_conv",
     "head_beta",
-    "head_beta_norm",
     "beta_n",
     "both_sides",
     "lhs",
@@ -103,7 +97,6 @@ __all__ = [
     "dest_imp",
     "dest_neg",
     "dest_forall",
-    "dest_exists",
     "is_conj",
     "is_disj",
     "is_imp",
@@ -226,12 +219,6 @@ def dest_forall(t) -> tuple[Var, Term]:
     return t.rand.bvar, t.rand.body
 
 
-def dest_exists(t) -> tuple[Var, Term]:
-    if not _is_binder("exists", t):
-        raise IllTyped(f"not an existential: {t!r}")
-    return t.rand.bvar, t.rand.body
-
-
 def lhs(th: Theorem) -> Term:
     return dest_eq(th.conclusion)[0]
 
@@ -260,11 +247,6 @@ def sym(th: Theorem) -> Theorem:
     op = th.conclusion.rator.rator
     lth = refl(l)
     return eq_mp(lth, mk_comb_rule(ap_term(op, th), lth))
-
-
-def alpha_link(t: Term, u: Term) -> Theorem:
-    """|- t = u for alpha-equivalent terms."""
-    return trans(refl(t), refl(u))
 
 
 def beta_conv(t: Term) -> Theorem:
@@ -297,10 +279,6 @@ class Inapplicable(HolError):
     """A conversion made no change at this term."""
 
 
-def all_conv(t: Term) -> Theorem:
-    return refl(t)
-
-
 def try_beta(t: Term) -> Theorem:
     if isinstance(t, Comb) and isinstance(t.rator, Abs):
         return beta_conv(t)
@@ -325,44 +303,6 @@ def rator_conv(conv):
     return go
 
 
-def abs_conv(conv):
-    def go(t: Term) -> Theorem:
-        if not isinstance(t, Abs):
-            raise Inapplicable
-        return abs_rule(t.bvar, conv(t.body))
-
-    return go
-
-
-def then_conv(c1, c2):
-    def go(t: Term) -> Theorem:
-        th1 = c1(t)
-        th2 = c2(rhs(th1))
-        return trans(th1, th2)
-
-    return go
-
-
-def repeat_conv(c):
-    """Apply c at this term until it reports no change."""
-
-    def go(t: Term) -> Theorem:
-        th = None
-        current = t
-        for _ in range(_REWRITE_LIMIT):
-            try:
-                step = c(current)
-            except Inapplicable:
-                if th is None:
-                    raise
-                return th
-            th = step if th is None else trans(th, step)
-            current = rhs(th)
-        raise HolError("conversion did not terminate")
-
-    return go
-
-
 def head_beta(t: Term) -> Theorem:
     """Contract the leftmost-outermost redex on the application spine,
     leaving argument subterms untouched."""
@@ -371,9 +311,6 @@ def head_beta(t: Term) -> Theorem:
             return beta_conv(t)
         return rator_conv(head_beta)(t)
     raise Inapplicable
-
-
-head_beta_norm = repeat_conv(head_beta)
 
 
 def beta_n(n: int):
@@ -539,9 +476,6 @@ def exhaustive_conv(conv):
         return refl(t) if th is None else th
 
     return go
-
-
-beta_norm_conv = exhaustive_conv(try_beta)
 
 
 def both_sides(th: Theorem, conv) -> Theorem:
@@ -816,16 +750,6 @@ class Logic:
         if isinstance(pred, Abs):
             return eq_mp(th4, beta_conv(th4.conclusion))
         return th4
-
-    def gen_list(self, xs, th: Theorem) -> Theorem:
-        for x in reversed(list(xs)):
-            th = self.gen(x, th)
-        return th
-
-    def spec_list(self, ts, th: Theorem) -> Theorem:
-        for t in ts:
-            th = self.spec(t, th)
-        return th
 
     def exists_intro(self, etm: Term, witness: Term, th: Theorem) -> Theorem:
         """From |- p[witness/x] conclude |- ?x. p (etm is the target)."""

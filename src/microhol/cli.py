@@ -18,7 +18,6 @@ import time
 from . import __version__
 from ._accel import BACKEND
 from .article import (
-    ArticleReport,
     FingerprintMismatch,
     article_stats,
     check_article,
@@ -34,16 +33,21 @@ from .syntax import BOOL, HolError
 DEFAULT_SEED = 0
 
 
+def _print_json(payload) -> None:
+    """The one form of every --json report: sorted keys, no spaces."""
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("MICROHOL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise HolError(f"MICROHOL_SEED must be an integer, got {env!r}") from None
 
 
 def _bootstrapped():
@@ -64,12 +68,9 @@ def cmd_check(args) -> int:
             return 2
         t0 = time.monotonic()
         try:
-            theory = standard_theory_for(text)
+            report = check_article(text, standard_theory_for(text))
         except FingerprintMismatch as exc:
-            report = ArticleReport(ok=False, line_count=0)
-            report.failures.append({"line": 2, "message": str(exc)})
-        else:
-            report = check_article(text, theory)
+            report = exc.report
         elapsed = time.monotonic() - t0
         ok = ok and report.ok
         if args.json:
@@ -79,7 +80,7 @@ def cmd_check(args) -> int:
             print(report.render())
         print(f"checked {path} in {elapsed:.3f}s", file=sys.stderr)
     if args.json:
-        print(json.dumps({"articles": payloads}, sort_keys=True, separators=(",", ":")))
+        _print_json({"articles": payloads})
     return 0 if ok else 1
 
 
@@ -89,23 +90,20 @@ def cmd_parse(args) -> int:
         if args.type:
             ty = parse_type(args.source, theory)
             if args.json:
-                print(json.dumps({"ok": True, "type": print_type(ty)},
-                                 sort_keys=True, separators=(",", ":")))
+                _print_json({"ok": True, "type": print_type(ty)})
             else:
                 print(print_type(ty))
         else:
             t = parse_term(args.source, theory)
             if args.json:
-                payload = {"ok": True, "term": print_term(t), "type": print_type(t.ty)}
-                print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+                _print_json({"ok": True, "term": print_term(t), "type": print_type(t.ty)})
             else:
                 print(print_term(t))
                 print(f": {print_type(t.ty)}", file=sys.stderr)
         return 0
     except HolError as exc:
         if args.json:
-            print(json.dumps({"ok": False, "error": str(exc)},
-                             sort_keys=True, separators=(",", ":")))
+            _print_json({"ok": False, "error": str(exc)})
         else:
             print(f"parse error: {exc}")
         return 1
@@ -125,8 +123,7 @@ def cmd_prove_taut(args) -> int:
         th = taut(logic, goal)
     except NotATautology as exc:
         if args.json:
-            payload = {"proved": False, "assignment": exc.assignment}
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+            _print_json({"proved": False, "assignment": exc.assignment})
         else:
             print(f"not a tautology: {exc}")
         return 1
@@ -135,8 +132,7 @@ def cmd_prove_taut(args) -> int:
         return 2
     print(f"proved in {time.monotonic()-t0:.3f}s", file=sys.stderr)
     if args.json:
-        payload = {"proved": True, "theorem": print_sequent(th.assumptions, th.conclusion)}
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json({"proved": True, "theorem": print_sequent(th.assumptions, th.conclusion)})
     else:
         print(print_sequent(th.assumptions, th.conclusion))
     return 0
@@ -185,8 +181,7 @@ def cmd_prove_meson(args) -> int:
             trace = None
     except DepthExhausted as exc:
         if args.json:
-            payload = {"proved": False, "depth_bound": exc.depth}
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+            _print_json({"proved": False, "depth_bound": exc.depth})
         else:
             print(f"depth exhausted: {exc}")
             if args.trace:
@@ -204,7 +199,7 @@ def cmd_prove_meson(args) -> int:
         if trace is not None:
             payload["depth_used"] = trace.depth_used
             payload["steps"] = trace.steps
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json(payload)
     else:
         print(print_sequent(th.assumptions, th.conclusion))
         if trace is not None:
@@ -262,7 +257,7 @@ def cmd_fuzz(args) -> int:
                 for r in reports
             ],
         }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _print_json(payload)
     else:
         for r in reports:
             status = "ok" if r.ok else f"{len(r.counterexamples)} COUNTEREXAMPLES"
@@ -294,8 +289,7 @@ def cmd_stats(args) -> int:
                 for cmd, n in stats["commands"].items():
                     print(f"  {cmd:10s} {n}")
         if args.json:
-            print(json.dumps({"articles": payloads}, sort_keys=True,
-                             separators=(",", ":")))
+            _print_json({"articles": payloads})
         return 0
     theory, logic = _bootstrapped()
     info = {
@@ -307,7 +301,7 @@ def cmd_stats(args) -> int:
         "fingerprint": theory.fingerprint(),
     }
     if args.json:
-        print(json.dumps(info, sort_keys=True, separators=(",", ":")))
+        _print_json(info)
     else:
         print(f"microhol {__version__} (backend: {BACKEND})")
         print(f"bootstrapped theory fingerprint: {info['fingerprint']}")

@@ -331,7 +331,6 @@ def weakened_abs_generator(rng) -> RuleInstance:
     the assumptions; the resulting sequent is not valid, and the fuzzer
     must find a concrete counterexample.
     """
-    g = TermGen(rng)
     ty = IND if rng.random() < 0.7 else BOOL
     x = Var("x", ty)
     y = Var("y", ty)

@@ -464,7 +464,10 @@ class TypeDefInfo:
 
     @classmethod
     def carve(cls, pred: Term, witness: Term, abs_name: str, rep_name: str):
-        """The type carved out by a closed predicate `pred`."""
+        """The type carved out by a closed predicate `pred` on the type of
+        `witness`."""
+        if not (isinstance(witness, Term) and pred.ty == fn(witness.ty, BOOL)):
+            raise MalformedInhabitation("witness must have the predicate's domain type")
         if free_vars(pred):
             raise MalformedInhabitation("carving predicate must be closed")
         tyvars = tuple(sorted(type_vars_of_term(pred)))

@@ -786,7 +786,6 @@ def fuzz_rule_soundness(
     seed: int = 0,
     exhaustive_limit: int = 100_000,
     sample_count: int = 1_000,
-    theory: Theory | None = None,
 ) -> FuzzReport:
     """Check `premises all hold => conclusion holds` on random instances.
 
@@ -803,7 +802,6 @@ def fuzz_rule_soundness(
         models = (model,)
     else:
         models = tuple(model)
-    theory = theory or _EMPTY_THEORY
     rng = random.Random(seed)
     evaluations = 0
     skipped = 0
@@ -817,7 +815,7 @@ def fuzz_rule_soundness(
                 [*inst.premises, inst.conclusion],
                 len(inst.premises),
                 model,
-                theory,
+                _EMPTY_THEORY,
                 exhaustive_limit,
                 sample_count,
                 rng,

@@ -25,7 +25,7 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from ._accel import alpha_canon, alpha_equal
 
@@ -43,18 +43,14 @@ __all__ = [
     "BOOL",
     "IND",
     "fn",
-    "dest_fn",
     "mk_comb",
     "mk_abs",
     "mk_eq",
     "eq_const",
     "is_eq",
     "dest_eq",
-    "dest_comb",
-    "dest_abs",
     "type_of",
     "free_vars",
-    "free_vars_list",
     "vfree_in",
     "variant",
     "type_vars_of_type",
@@ -67,7 +63,6 @@ __all__ = [
     "alpha_equiv",
     "term_compare",
     "term_order_key",
-    "iter_subterms",
 ]
 
 
@@ -146,12 +141,6 @@ IND = TyApp("ind")
 def fn(dom: HolType, cod: HolType) -> TyApp:
     """The function type dom -> cod."""
     return TyApp("fun", (dom, cod))
-
-
-def dest_fn(ty: HolType) -> tuple[HolType, HolType]:
-    if isinstance(ty, TyApp) and ty.con == "fun":
-        return ty.args[0], ty.args[1]
-    raise IllTyped(f"not a function type: {ty!r}")
 
 
 def type_vars_of_type(ty: HolType) -> set[str]:
@@ -403,18 +392,6 @@ def dest_eq(t: Term) -> tuple[Term, Term]:
     return t.rator.rand, t.rand
 
 
-def dest_comb(t: Term) -> tuple[Term, Term]:
-    if not isinstance(t, Comb):
-        raise IllTyped(f"not a combination: {t!r}")
-    return t.rator, t.rand
-
-
-def dest_abs(t: Term) -> tuple[Var, Term]:
-    if not isinstance(t, Abs):
-        raise IllTyped(f"not an abstraction: {t!r}")
-    return t.bvar, t.body
-
-
 # ---------------------------------------------------------------------------
 # Free variables and fresh names
 
@@ -445,11 +422,6 @@ def free_vars(t: Term) -> frozenset[Var]:
             fvs = fvs - {t.bvar} or _NO_FREES
     object.__setattr__(t, "_fvs", fvs)
     return fvs
-
-
-def free_vars_list(t: Term) -> list[Var]:
-    """Free variables in deterministic (name, type-encoding) order."""
-    return sorted(free_vars(t), key=lambda v: (v.name, alpha_canon(v)))
 
 
 def vfree_in(v: Var, t: Term) -> bool:
@@ -622,15 +594,3 @@ def term_compare(t: Term, u: Term) -> int:
     """Total order on alpha-classes: negative, zero, or positive."""
     a, b = term_order_key(t), term_order_key(u)
     return -1 if a < b else (0 if a == b else 1)
-
-
-def iter_subterms(t: Term) -> Iterator[Term]:
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        yield u
-        if isinstance(u, Comb):
-            stack.append(u.rator)
-            stack.append(u.rand)
-        elif isinstance(u, Abs):
-            stack.append(u.body)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from microhol.article import (
@@ -204,6 +207,21 @@ class TestValidation:
         assert "error at line 6: INST: substitution image for x has type" in out.out
         assert "Traceback" not in out.out + out.err
 
+    def test_mismatch_reported_at_the_theory_line(self, tmp_path, capsys):
+        from microhol.cli import main
+
+        path = tmp_path / "other.art"
+        path.write_text(f"{FORMAT_HEADER}\n# built elsewhere\n\ntheory {'1' * 64}\n")
+        assert main(["check", "--json", str(path)]) == 1
+        (report,) = json.loads(capsys.readouterr().out)["articles"]
+        assert report["failures"] == [
+            {
+                "line": 4,
+                "message": f"article requires theory {'1' * 64}; neither the "
+                "fresh nor the bootstrapped standard theory matches",
+            }
+        ]
+
     def test_comments_and_blanks_ignored(self):
         thy = Theory()
         text = (
@@ -235,6 +253,94 @@ _SHORT_COMMANDS = [
 ]
 
 
+# Line 5 of an article whose lines 1-4 hold a type, a variable, a term
+# that is not a variable, and a theorem; each with its exact failure.
+_ARITY_PREFIX = ["TYPE bool", "TERM x:bool", "TERM (\\y:bool. y) (x:bool)", "REFL 2"]
+_FAILURES = [
+    ("TYPE", "TYPE: line 5: TYPE takes at least 1 arguments, got 0"),
+    ("TERM", "TERM: line 5: TERM takes at least 1 arguments, got 0"),
+    ("REFL", "REFL: line 5: REFL takes 1 argument, got 0"),
+    ("REFL 2 2", "REFL: line 5: REFL takes 1 argument, got 2"),
+    ("REFL 4", "REFL: line 5: line 4 holds a thm, expected a term"),
+    ("REFL 5", "REFL: line 5: reference 5 is not strictly earlier"),
+    ("REFL 0", "REFL: line 5: no line 0"),
+    ("TRANS 4", "TRANS: line 5: TRANS takes 2 arguments, got 1"),
+    ("TRANS 4 4 4", "TRANS: line 5: TRANS takes 2 arguments, got 3"),
+    ("TRANS 2 4", "TRANS: line 5: line 2 holds a term, expected a thm"),
+    ("TRANS 4 5", "TRANS: line 5: reference 5 is not strictly earlier"),
+    ("TRANS 0 4", "TRANS: line 5: no line 0"),
+    ("MKCOMB 4", "MKCOMB: line 5: MKCOMB takes 2 arguments, got 1"),
+    ("MKCOMB 4 4 4", "MKCOMB: line 5: MKCOMB takes 2 arguments, got 3"),
+    ("MKCOMB 4 2", "MKCOMB: line 5: line 2 holds a term, expected a thm"),
+    ("MKCOMB 5 4", "MKCOMB: line 5: reference 5 is not strictly earlier"),
+    ("MKCOMB 4 0", "MKCOMB: line 5: no line 0"),
+    ("ABS 2", "ABS: line 5: ABS takes 2 arguments, got 1"),
+    ("ABS 2 4 4", "ABS: line 5: ABS takes 2 arguments, got 3"),
+    ("ABS 4 4", "ABS: line 5: line 4 holds a thm, expected a term"),
+    ("ABS 2 2", "ABS: line 5: line 2 holds a term, expected a thm"),
+    ("ABS 2 5", "ABS: line 5: reference 5 is not strictly earlier"),
+    ("ABS 0 4", "ABS: line 5: no line 0"),
+    ("ABS 3 9", "ABS: line 5: ABS needs a variable TERM line"),
+    ("BETA", "BETA: line 5: BETA takes 1 argument, got 0"),
+    ("BETA 3 3", "BETA: line 5: BETA takes 1 argument, got 2"),
+    ("BETA 4", "BETA: line 5: line 4 holds a thm, expected a term"),
+    ("BETA 5", "BETA: line 5: reference 5 is not strictly earlier"),
+    ("BETA 0", "BETA: line 5: no line 0"),
+    ("ASSUME", "ASSUME: line 5: ASSUME takes 1 argument, got 0"),
+    ("ASSUME 2 2", "ASSUME: line 5: ASSUME takes 1 argument, got 2"),
+    ("ASSUME 4", "ASSUME: line 5: line 4 holds a thm, expected a term"),
+    ("ASSUME 5", "ASSUME: line 5: reference 5 is not strictly earlier"),
+    ("ASSUME 0", "ASSUME: line 5: no line 0"),
+    ("EQMP 4", "EQMP: line 5: EQMP takes 2 arguments, got 1"),
+    ("EQMP 4 4 4", "EQMP: line 5: EQMP takes 2 arguments, got 3"),
+    ("EQMP 1 4", "EQMP: line 5: line 1 holds a type, expected a thm"),
+    ("EQMP 4 6", "EQMP: line 5: reference 6 is not strictly earlier"),
+    ("EQMP 4 0", "EQMP: line 5: no line 0"),
+    ("DEDUCT 4", "DEDUCT: line 5: DEDUCT takes 2 arguments, got 1"),
+    ("DEDUCT 4 4 4", "DEDUCT: line 5: DEDUCT takes 2 arguments, got 3"),
+    ("DEDUCT 4 3", "DEDUCT: line 5: line 3 holds a term, expected a thm"),
+    ("DEDUCT 5 4", "DEDUCT: line 5: reference 5 is not strictly earlier"),
+    ("DEDUCT 0 4", "DEDUCT: line 5: no line 0"),
+    ("INSTTYPE", "INSTTYPE: line 5: INSTTYPE takes at least 1 arguments, got 0"),
+    ("INSTTYPE 2 A=1", "INSTTYPE: line 5: line 2 holds a term, expected a thm"),
+    ("INSTTYPE 4 A=2", "INSTTYPE: line 5: line 2 holds a term, expected a type"),
+    ("INSTTYPE 4 A=5", "INSTTYPE: line 5: reference 5 is not strictly earlier"),
+    ("INSTTYPE 0 A=1", "INSTTYPE: line 5: no line 0"),
+    ("INSTTYPE 4 A", "INSTTYPE: line 5: malformed substitution pair 'A'"),
+    ("INST", "INST: line 5: INST takes at least 1 arguments, got 0"),
+    ("INST 2 2=2", "INST: line 5: line 2 holds a term, expected a thm"),
+    ("INST 4 2=4", "INST: line 5: line 4 holds a thm, expected a term"),
+    ("INST 5 2=2", "INST: line 5: reference 5 is not strictly earlier"),
+    ("INST 4 0=2", "INST: line 5: no line 0"),
+    ("INST 4 3=2", "INST: line 5: INST domain line 3 is not a variable"),
+    ("INST 4 2", "INST: line 5: malformed substitution pair '2'"),
+    ("AXIOM", "AXIOM: line 5: AXIOM takes 1 argument, got 0"),
+    ("AXIOM choice choice", "AXIOM: line 5: AXIOM takes 1 argument, got 2"),
+    ("AXIOM nope", "AXIOM: line 5: unknown axiom 'nope'"),
+    ("DEFINE c", "DEFINE: line 5: DEFINE takes 2 arguments, got 1"),
+    ("DEFINE c 3 3", "DEFINE: line 5: DEFINE takes 2 arguments, got 3"),
+    ("DEFINE c 4", "DEFINE: line 5: line 4 holds a thm, expected a term"),
+    ("DEFINE c 5", "DEFINE: line 5: reference 5 is not strictly earlier"),
+    ("DEFINE c 0", "DEFINE: line 5: no line 0"),
+    ("TYPEDEF t mk dest", "TYPEDEF: line 5: TYPEDEF takes 4 arguments, got 3"),
+    ("TYPEDEF t mk dest 4 4", "TYPEDEF: line 5: TYPEDEF takes 4 arguments, got 5"),
+    ("TYPEDEF t mk dest 2", "TYPEDEF: line 5: line 2 holds a term, expected a thm"),
+    ("TYPEDEF t mk dest 5", "TYPEDEF: line 5: reference 5 is not strictly earlier"),
+    ("TYPEDEF t mk dest 0", "TYPEDEF: line 5: no line 0"),
+    ("SND", "SND: line 5: SND takes 1 argument, got 0"),
+    ("SND 4 4", "SND: line 5: SND takes 1 argument, got 2"),
+    ("SND 4", "SND: line 5: line 4 is not a TYPEDEF line"),
+    ("SND 5", "SND: line 5: reference 5 is not strictly earlier"),
+    ("SND 0", "SND: line 5: line 0 is not a TYPEDEF line"),
+    ("THM 4", "THM: line 5: THM takes at least 2 arguments, got 1"),
+    ("THM 2 |- (x:bool)", "THM: line 5: line 2 holds a term, expected a thm"),
+    ("THM 5 |- (x:bool)", "THM: line 5: reference 5 is not strictly earlier"),
+    ("THM 0 |- (x:bool)", "THM: line 5: no line 0"),
+    ("FOO", "FOO: line 5: unknown command 'FOO'"),
+    ("FOO 1 2", "FOO: line 5: unknown command 'FOO'"),
+]
+
+
 class TestArity:
     @pytest.mark.parametrize("line", _SHORT_COMMANDS)
     def test_missing_argument_is_a_line_numbered_failure(self, line, tmp_path, capsys):
@@ -246,6 +352,27 @@ class TestArity:
         out = capsys.readouterr()
         assert "error at line 3:" in out.out
         assert "Traceback" not in out.out + out.err
+
+    @pytest.mark.parametrize("line, message", _FAILURES)
+    def test_exact_failure(self, line, message):
+        thy = Theory()
+        rep = check_article(art(thy, *_ARITY_PREFIX, line), thy)
+        assert rep.failures == [{"line": 7, "message": message}]
+
+    def test_every_command_is_covered(self):
+        from microhol.article import _COMMANDS
+
+        covered = {line.split()[0] for line, _ in _FAILURES}
+        assert covered == set(_COMMANDS) | {"FOO"}
+
+    def test_readme_lists_the_table(self):
+        from pathlib import Path
+
+        from microhol.article import _COMMANDS
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        listing = readme.split("Commands: ", 1)[1].split(".\n", 1)[0]
+        assert re.findall(r"`([A-Z]+)[^`]*`", listing) == list(_COMMANDS)
 
     def test_extra_argument_rejected(self):
         thy = Theory()

@@ -201,9 +201,11 @@ class TestStats:
 _SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, **environ):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = dict(
+        os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), **environ
+    )
     return subprocess.run(
         [
             sys.executable,
@@ -219,6 +221,12 @@ def _run_cli(*argv):
 
 
 class TestNoTraceback:
+    def test_bad_seed_variable_is_a_usage_error(self):
+        proc = _run_cli("fuzz", "--rule", "refl", "--trials", "2", MICROHOL_SEED="abc")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: MICROHOL_SEED must be an integer, got 'abc'\n"
+
     def test_deeply_nested_input_is_an_error_not_a_crash(self):
         # the parser recurses once per `~`; 3,000 of them overflow the
         # interpreter's stack, which is reported as a parse error

@@ -439,6 +439,18 @@ class TestReplayChecks:
         with pytest.raises(MalformedInhabitation):
             Theory.replay([event])
 
+    @pytest.mark.parametrize("witness", [Var("w", IND), None])
+    def test_type_witness_outside_the_predicate_domain(self, witness):
+        # a witness of type ind used to give a bool predicate the
+        # representation type ind; no witness at all raised AttributeError
+        b = Var("b", BOOL)
+        pred = mk_abs(b, mk_eq(b, b))
+        event = kernel.DefinitionEvent(
+            "type-definition", ("t", "mk_t", "dest_t"), pred, witness
+        )
+        with pytest.raises(MalformedInhabitation):
+            Theory.replay([event])
+
     def test_replayed_log_is_the_original(self):
         thy = Theory()
         c = Const("c", fn(BOOL, BOOL))
