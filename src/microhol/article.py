@@ -57,7 +57,10 @@ __all__ = [
 
 FORMAT_HEADER = "microhol-article 1"
 
-_LINE_RE = re.compile(r"^(\d+)\.\s+([A-Z]+)(?:\s+(.*))?$")
+# Line numbers and references are plain ASCII decimals with no leading
+# zero, sign or digit separator, so each line has exactly one spelling.
+_LINE_RE = re.compile(r"^([1-9][0-9]*)\.\s+([A-Z]+)(?:\s+(.*))?$")
+_REF_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 class ReplayError(HolError):
@@ -161,6 +164,8 @@ class _Replay:
         self.pending_second: dict[int, Theorem] = {}
 
     def ref(self, tok: str, line: int, kind: str):
+        if not _REF_RE.fullmatch(tok):
+            raise ReplayError(line, f"bad line reference {tok!r}")
         n = int(tok)
         if n >= line:
             raise DanglingReference(
@@ -253,7 +258,7 @@ def check_article(text: str, theory: Theory) -> ArticleReport:
         report.line_count = expected_no
         try:
             slot = _execute(replay, no, cmd, m.group(3) or "", report)
-        except (HolError, ValueError) as exc:
+        except HolError as exc:
             return report.fail(src_line, f"{cmd}: {exc}")
         except RecursionError:
             # The term walkers recurse once per level of nesting.

@@ -11,7 +11,9 @@ deduplicated, so alpha-equivalent assumptions are considered equal when
 sequents are combined (union) or discharged (removal).
 
 The ``Theory`` is the only mutable object here.  Inference rules never
-touch it; the definitional operations serialize on an internal lock.
+touch it.  Its signature grows only through the two definitional rules,
+`new_basic_definition` and `new_basic_type_definition`, which serialize
+on an internal lock.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .syntax import (
     BOOL,
@@ -444,7 +446,8 @@ PRIMITIVE_RULES = {
 
 @dataclass(frozen=True)
 class DefinitionEvent:
-    """One definitional extension; the ordered log replays to a Theory."""
+    """One definitional extension, as logged by the rule that made it;
+    `Theory.fingerprint` hashes the ordered log."""
 
     kind: str  # "constant-definition" | "type-definition"
     names: tuple[str, ...]
@@ -481,8 +484,9 @@ class Theory:
     """Type constructors, term constants, and the definition log.
 
     Starts with exactly bool/ind/fun and the constants ``=`` (equality at
-    A -> A -> bool) and ``@`` (choice at (A -> bool) -> A).  Names are
-    never redefined.
+    A -> A -> bool) and ``@`` (choice at (A -> bool) -> A).  Only
+    `new_basic_definition` and `new_basic_type_definition` extend it, and
+    names are never redefined.
     """
 
     def __init__(self):
@@ -521,51 +525,6 @@ class Theory:
             if ev.witness is not None:
                 h.update(b"\x03" + term_order_key(ev.witness))
         return h.hexdigest()
-
-    # Registration is private to the definitional operations (and replay).
-
-    def _register_constant(self, name: str, generic: HolType, rhs: Term):
-        with self._lock:
-            if name in self.term_constants:
-                raise DuplicateName(f"constant {name!r} already defined")
-            self.term_constants[name] = generic
-            self.definitions[name] = rhs
-
-    def _register_typedef(
-        self, name: str, abs_name: str, rep_name: str, info: TypeDefInfo
-    ):
-        with self._lock:
-            if name in self.type_constructors:
-                raise DuplicateName(f"type {name!r} already defined")
-            if abs_name == rep_name:
-                raise DuplicateName(f"abs and rep of {name!r} are both {abs_name!r}")
-            for cname in (abs_name, rep_name):
-                if cname in self.term_constants:
-                    raise DuplicateName(f"constant {cname!r} already defined")
-            self.type_constructors[name] = len(info.tyvars)
-            newty = TyApp(name, tuple(TyVar(a) for a in info.tyvars))
-            self.term_constants[abs_name] = fn(info.rep_type, newty)
-            self.term_constants[rep_name] = fn(newty, info.rep_type)
-            self.typedefs[name] = info
-
-    @classmethod
-    def replay(cls, events: Iterable[DefinitionEvent]) -> "Theory":
-        """Reconstruct the signature from a definition log.  A constant
-        goes through `new_basic_definition`, which logs it; a type's
-        predicate must be closed, as `new_basic_type_definition` requires."""
-        thy = cls()
-        for ev in events:
-            if ev.kind == "constant-definition":
-                (name,) = ev.names
-                new_basic_definition(thy, name, ev.term)
-            elif ev.kind == "type-definition":
-                name, abs_name, rep_name = ev.names
-                info = TypeDefInfo.carve(ev.term, ev.witness, abs_name, rep_name)
-                thy._register_typedef(name, abs_name, rep_name, info)
-                thy.definition_log.append(ev)
-            else:
-                raise HolError(f"unknown definition event kind {ev.kind!r}")
-        return thy
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +692,10 @@ def new_basic_definition(theory: Theory, name: str, rhs: Term) -> Theorem:
             f"type variables of {name!r}'s body do not all occur in its type"
         )
     with theory._lock:
-        theory._register_constant(name, rhs.ty, rhs)
+        if name in theory.term_constants:
+            raise DuplicateName(f"constant {name!r} already defined")
+        theory.term_constants[name] = rhs.ty
+        theory.definitions[name] = rhs
         theory.definition_log.append(
             DefinitionEvent("constant-definition", (name,), rhs)
         )
@@ -759,15 +721,25 @@ def new_basic_type_definition(
         raise MalformedInhabitation("inhabitation conclusion must be P w")
     pred, witness = concl.rator, concl.rand
     info = TypeDefInfo.carve(pred, witness, abs_name, rep_name)
-    tyvars, rep_ty = info.tyvars, info.rep_type
+    rep_ty = info.rep_type
+    newty = TyApp(name, tuple(TyVar(a) for a in info.tyvars))
+    abs_c = Const(abs_name, fn(rep_ty, newty))
+    rep_c = Const(rep_name, fn(newty, rep_ty))
     with theory._lock:
-        theory._register_typedef(name, abs_name, rep_name, info)
+        if name in theory.type_constructors:
+            raise DuplicateName(f"type {name!r} already defined")
+        if abs_name == rep_name:
+            raise DuplicateName(f"abs and rep of {name!r} are both {abs_name!r}")
+        for cname in (abs_name, rep_name):
+            if cname in theory.term_constants:
+                raise DuplicateName(f"constant {cname!r} already defined")
+        theory.type_constructors[name] = len(info.tyvars)
+        theory.term_constants[abs_name] = abs_c.ty
+        theory.term_constants[rep_name] = rep_c.ty
+        theory.typedefs[name] = info
         theory.definition_log.append(
             DefinitionEvent("type-definition", (name, abs_name, rep_name), pred, witness)
         )
-    newty = TyApp(name, tuple(TyVar(a) for a in tyvars))
-    abs_c = Const(abs_name, fn(rep_ty, newty))
-    rep_c = Const(rep_name, fn(newty, rep_ty))
     flag = inhabitation.uses_infinity
     a = Var("a", newty)
     th1 = _mk((), mk_eq(mk_comb(abs_c, mk_comb(rep_c, a)), a), flag)

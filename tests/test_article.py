@@ -374,6 +374,28 @@ class TestArity:
         listing = readme.split("Commands: ", 1)[1].split(".\n", 1)[0]
         assert re.findall(r"`([A-Z]+)[^`]*`", listing) == list(_COMMANDS)
 
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("١. TERM x:bool", 3, "unparsable line: '١. TERM x:bool'"),
+            ("1. TERM x:bool\n2. REFL +1", 4, "REFL: line 2: bad line reference '+1'"),
+            ("1. TERM x:bool\n2. REFL ١", 4, "REFL: line 2: bad line reference '١'"),
+            ("1. TERM x:bool\n2. REFL 0_1", 4, "REFL: line 2: bad line reference '0_1'"),
+            ("1. TERM x:bool\n2. REFL 01", 4, "REFL: line 2: bad line reference '01'"),
+        ],
+        ids=["arabic_indic_line", "plus_sign", "arabic_indic_ref", "underscore", "leading_zero"],
+    )
+    def test_numbers_are_plain_ascii_decimals(self, body, line, message, tmp_path, capsys):
+        from microhol.cli import main
+
+        path = tmp_path / "number.art"
+        text = f"{FORMAT_HEADER}\ntheory {Theory().fingerprint()}\n{body}\n"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr()
+        assert f"error at line {line}: {message}" in out.out
+        assert "Traceback" not in out.out + out.err
+
     def test_extra_argument_rejected(self):
         thy = Theory()
         rep = check_article(art(thy, "TERM x:bool", "REFL 1 1"), thy)

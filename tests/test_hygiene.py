@@ -1,6 +1,7 @@
 """Source hygiene, checked with the `ast` module (the project has no
 linter): every import in the package is used, every `__all__` name is
-defined, and every top-level function and class has a user."""
+defined, every top-level function and class has a user, and a theory's
+signature is written only by the two definitional rules."""
 
 import ast
 from collections import Counter
@@ -80,6 +81,60 @@ def _references(tree: ast.AST) -> Counter:
     return out
 
 
+# A theory's signature and its definition log, and the only functions
+# that may write them: in the package, one way into the signature.
+SIGNATURE_FIELDS = {
+    "term_constants", "type_constructors", "definitions", "typedefs", "definition_log",
+}
+SIGNATURE_WRITERS = {
+    "kernel.py:Theory.__init__",
+    "kernel.py:new_basic_definition",
+    "kernel.py:new_basic_type_definition",
+}
+_MUTATORS = {
+    "append", "extend", "insert", "update", "setdefault", "pop", "popitem", "clear", "remove",
+}
+
+
+def _is_field(node: ast.AST) -> bool:
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in SIGNATURE_FIELDS
+
+
+def _writes_field(node: ast.AST) -> bool:
+    """An item of a signature field assigned or deleted, the field itself
+    rebound, or a mutating method called on it."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        return any(_is_field(t) for t in node.targets)
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return _is_field(node.target)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MUTATORS
+        and _is_field(node.func.value)
+    )
+
+
+def _signature_writers(tree: ast.Module) -> dict[str, int]:
+    """Dotted name of each function that writes a signature field -> the
+    line of its first write."""
+    out: dict[str, int] = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if _writes_field(child):
+                out.setdefault(scope, child.lineno)
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
 def _unused_definitions(module: ast.Module, references: Counter) -> list[ast.AST]:
     """Top-level functions and classes of `module` that `references`
     (counted over every user, the module included) names only inside
@@ -122,6 +177,21 @@ def test_every_function_and_class_has_a_user():
     assert not unused, "defined but never used:\n" + "\n".join(unused)
 
 
+def test_only_the_definitional_rules_write_the_signature():
+    writers = {
+        f"{path.name}:{scope}": line
+        for path in MODULES
+        for scope, line in _signature_writers(_tree(path)).items()
+    }
+    stray = [
+        f"{name} (line {line})"
+        for name, line in writers.items()
+        if name not in SIGNATURE_WRITERS
+    ]
+    assert not stray, "signature written outside the rules:\n" + "\n".join(stray)
+    assert set(writers) == SIGNATURE_WRITERS
+
+
 def test_checks_catch_what_they_are_for():
     tree = ast.parse(
         "import itertools\nfrom .semantics import Valuation, eval_term\n"
@@ -134,3 +204,13 @@ def test_checks_catch_what_they_are_for():
         "__all__ = ['f', 'g']\ndef f(n): return f(n - 1)\ndef g(): return h\ndef h(): pass\n"
     )
     assert [d.name for d in _unused_definitions(tree, _references(tree))] == ["f", "g"]
+    tree = ast.parse(
+        "class Theory:\n"
+        "    def _add(self, n, t): self.term_constants[n] = t\n"
+        "    def replay(cls, evs):\n"
+        "        thy = cls(); thy.definition_log.append(evs[0]); return thy\n"
+        "def drop(thy, n): del thy.definitions[n]\n"
+        "def grow(thy, d): thy.typedefs.update(d); thy.type_constructors['t'] = 0\n"
+        "def read(thy, n): return thy.term_constants[n], thy.definition_log[-1]\n"
+    )
+    assert sorted(_signature_writers(tree)) == ["Theory._add", "Theory.replay", "drop", "grow"]
