@@ -1,9 +1,12 @@
 """The hot alpha kernels, in pure Python.
 
 * ``alpha_canon(term) -> bytes`` -- de Bruijn canonical encoding, the
-  key of the total term order and of assumption sets,
-* ``alpha_equal(t, u) -> bool``  -- alpha-equivalence by a walk over
-  both terms that skips shared subterms; ``syntax.alpha_equiv`` uses it.
+  key of the total term order (``syntax.term_order_key``),
+* ``alpha_order(t, u) -> int``   -- the sign of comparing the two
+  encodings, by a walk over both terms that builds neither; the kernel
+  keeps assumption sets sorted by it,
+* ``alpha_equal(t, u) -> bool``  -- alpha-equivalence, the same walk
+  returning 0; ``syntax.alpha_equiv`` uses it.
 
 The finite-model evaluator is not here: ``semantics`` compiles terms to
 closures, and ``run_program`` below only runs one of them.
@@ -117,50 +120,85 @@ def alpha_canon(t):
     return bytes(out)
 
 
-def _alpha(t, u, tenv, uenv, depth, sync):
-    # `sync`: every binder pair opened so far is the same variable, so both
-    # sides see the same bound variables at the same levels and a shared
-    # subterm is alpha-equivalent to itself without a walk.
+def _type_enc(ty):
+    enc = ty._enc
+    if enc is None:
+        _enc_type(ty, bytearray())
+        enc = ty._enc
+    return enc
+
+
+def _order(t, u, tenv, uenv, depth, sync):
+    # Compares the encodings component by component; every component is
+    # self-delimiting, so the first differing one decides.  `sync`: every
+    # binder pair opened so far is the same variable, so both sides see the
+    # same bound variables at the same levels and a shared subterm equals
+    # itself without a walk.
     if t is u and sync:
-        return True
+        return 0
     kt = t.KIND
-    if kt != u.KIND:
-        return False
+    ku = u.KIND
+    # Tags: bound var 0x10 < free var 0x11 < const < comb < abs, so a
+    # bound variable ranks below every KIND.
     if kt == 0:
         tl = tenv.get(t)
+        if tl is not None:
+            kt = -1
+    if ku == 0:
         ul = uenv.get(u)
-        if tl is None and ul is None:
-            return t.name == u.name and t.ty is u.ty
-        return tl == ul
-    if kt == 1:
-        return t.name == u.name and t.ty is u.ty
+        if ul is not None:
+            ku = -1
+    if kt != ku:
+        return -1 if kt < ku else 1
+    if kt == -1:
+        # de Bruijn index is depth - level - 1: the deeper binder is less.
+        return (ul > tl) - (ul < tl)
     if kt == 2:
-        return _alpha(t.rator, u.rator, tenv, uenv, depth, sync) and _alpha(
+        return _order(t.rator, u.rator, tenv, uenv, depth, sync) or _order(
             t.rand, u.rand, tenv, uenv, depth, sync
         )
-    tv, uv = t.bvar, u.bvar
-    if tv.ty is not uv.ty:
-        return False
-    tsaved = tenv.get(tv)
-    usaved = uenv.get(uv)
-    tenv[tv] = depth
-    uenv[uv] = depth
-    try:
-        return _alpha(t.body, u.body, tenv, uenv, depth + 1, sync and tv == uv)
-    finally:
-        if tsaved is None:
-            del tenv[tv]
-        else:
-            tenv[tv] = tsaved
-        if usaved is None:
-            del uenv[uv]
-        else:
-            uenv[uv] = usaved
+    if kt == 3:
+        tv, uv = t.bvar, u.bvar
+        if tv.ty is not uv.ty:
+            a, b = _type_enc(tv.ty), _type_enc(uv.ty)
+            return -1 if a < b else 1
+        tsaved = tenv.get(tv)
+        usaved = uenv.get(uv)
+        tenv[tv] = depth
+        uenv[uv] = depth
+        try:
+            return _order(t.body, u.body, tenv, uenv, depth + 1, sync and tv == uv)
+        finally:
+            if tsaved is None:
+                del tenv[tv]
+            else:
+                tenv[tv] = tsaved
+            if usaved is None:
+                del uenv[uv]
+            else:
+                uenv[uv] = usaved
+    # Free variable or constant: the name, length of its UTF-8 first,
+    # then the type.
+    if t.name != u.name:
+        a, b = t.name.encode(), u.name.encode()
+        if len(a) != len(b):
+            return -1 if len(a) < len(b) else 1
+        return -1 if a < b else 1
+    if t.ty is u.ty:
+        return 0
+    a, b = _type_enc(t.ty), _type_enc(u.ty)
+    return -1 if a < b else 1
+
+
+def alpha_order(t, u):
+    """The sign of ``alpha_canon(t)`` compared with ``alpha_canon(u)``:
+    -1, 0 or 1, by a walk over both terms that builds neither encoding."""
+    return _order(t, u, {}, {}, 0, True)
 
 
 def alpha_equal(t, u):
-    """Alpha-equivalence by a walk over both terms, without encodings."""
-    return _alpha(t, u, {}, {}, 0, True)
+    """Alpha-equivalence: the order walk finds no difference."""
+    return alpha_order(t, u) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,19 @@ __all__ = [
 FORMAT_HEADER = "microhol-article 1"
 
 # Line numbers and references are plain ASCII decimals with no leading
-# zero, sign or digit separator, so each line has exactly one spelling.
-_LINE_RE = re.compile(r"^([1-9][0-9]*)\.\s+([A-Z]+)(?:\s+(.*))?$")
+# zero, sign or digit separator, and fields are separated by ASCII spaces
+# and tabs only, so each line has exactly one spelling.  A line's ends are
+# stripped of `_BLANKS` (ASCII, with the CR of a CRLF line end).
+_BLANKS = " \t\r"
+_LINE_RE = re.compile(r"^([1-9][0-9]*)\.[ \t]+([A-Z]+)(?:[ \t]+(.*))?$")
+_SEP_RE = re.compile(r"[ \t]+")
 _REF_RE = re.compile(r"0|[1-9][0-9]*")
+
+
+def _fields(rest: str, maxsplit: int = -1) -> list[str]:
+    """`rest`, which has no blank at either end, split at runs of ASCII
+    spaces and tabs, at most `maxsplit` times if that is positive."""
+    return _SEP_RE.split(rest, max(maxsplit, 0)) if rest else []
 
 
 class ReplayError(HolError):
@@ -187,7 +197,7 @@ class _Replay:
 
     def arguments(self, no: int, cmd: str, kinds: list[str], rest: str) -> list:
         """The arguments of line `no`, resolved in table order."""
-        toks = rest.split()
+        toks = _fields(rest)
         least = len(kinds) - (kinds[-1] == "pairs")
         most = None if kinds[-1] in ("pairs", "text") else len(kinds)
         if len(toks) < least or (most is not None and len(toks) > most):
@@ -197,7 +207,7 @@ class _Replay:
         args = []
         for i, kind in enumerate(kinds):
             if kind == "text":
-                args.append(rest.split(None, i)[i])
+                args.append(_fields(rest, i)[i] if i else rest)
             elif kind == "pairs":
                 bad = [tok for tok in toks[i:] if "=" not in tok]
                 if bad:
@@ -221,14 +231,14 @@ def _read_header(text: str) -> tuple[list[tuple[int, str]], int, str]:
     Raises ReplayError at a missing or malformed header line."""
     body = []
     for i, raw in enumerate(text.split("\n"), start=1):
-        s = raw.strip()
+        s = raw.strip(_BLANKS)
         if s and not s.startswith("#"):
             body.append((i, s))
     if not body or body[0][1] != FORMAT_HEADER:
         raise ReplayError(body[0][0] if body else 1, "missing or bad format header")
     if len(body) < 2 or not body[1][1].startswith("theory "):
         raise ReplayError(body[1][0] if len(body) > 1 else 1, "missing theory fingerprint")
-    return body, body[1][0], body[1][1].split(None, 1)[1].strip()
+    return body, body[1][0], _fields(body[1][1], 1)[1]
 
 
 def check_article(text: str, theory: Theory) -> ArticleReport:
@@ -356,7 +366,7 @@ def article_stats(text: str) -> dict:
     commands: dict[str, int] = {}
     count = 0
     for raw in text.split("\n"):
-        s = raw.strip()
+        s = raw.strip(_BLANKS)
         m = _LINE_RE.match(s)
         if m:
             count += 1

@@ -6,9 +6,11 @@ demands a module-private token, and the class cannot be subclassed.  In
 Python this guard is conventional rather than absolute, but it makes any
 accidental forgery impossible and any deliberate one loud and greppable.
 
-Assumption lists are kept sorted by the canonical alpha-encoding and
-deduplicated, so alpha-equivalent assumptions are considered equal when
-sequents are combined (union) or discharged (removal).
+Assumption lists are kept sorted by ``alpha_order`` and deduplicated, so
+alpha-equivalent assumptions are considered equal when sequents are
+combined (union) or discharged (removal).  ``alpha_order`` agrees with
+the canonical alpha-encoding (``term_order_key``), so the stored order is
+the encoding's order and no encoding is built.
 
 The ``Theory`` is the only mutable object here.  Inference rules never
 touch it.  Its signature grows only through the two definitional rules,
@@ -22,9 +24,11 @@ import hashlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cmp_to_key
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
+from ._accel import alpha_order
 from .syntax import (
     BOOL,
     Abs,
@@ -145,28 +149,24 @@ class MalformedInhabitation(HolError):
 
 _RULE_TOKEN = object()
 
-# Keyed assumption: (canonical encoding, term).  Lists of these stay sorted
-# by key and duplicate-free.
-_Keyed = tuple[bytes, Term]
+# Assumption tuples stay sorted by `alpha_order`, which agrees with the
+# canonical encoding, and hold one term per alpha-class.  Where two
+# alpha-equivalent terms meet, the one from the first operand is kept.
 
 
-def _keyed(t: Term) -> _Keyed:
-    return (term_order_key(t), t)
-
-
-def _union(a: tuple[_Keyed, ...], b: tuple[_Keyed, ...]) -> tuple[_Keyed, ...]:
+def _union(a: tuple[Term, ...], b: tuple[Term, ...]) -> tuple[Term, ...]:
     if not a:
         return b
     if not b:
         return a
-    out: list[_Keyed] = []
+    out: list[Term] = []
     i = j = 0
     while i < len(a) and j < len(b):
-        ka, kb = a[i][0], b[j][0]
-        if ka < kb:
+        c = alpha_order(a[i], b[j])
+        if c < 0:
             out.append(a[i])
             i += 1
-        elif kb < ka:
+        elif c > 0:
             out.append(b[j])
             j += 1
         else:
@@ -178,15 +178,18 @@ def _union(a: tuple[_Keyed, ...], b: tuple[_Keyed, ...]) -> tuple[_Keyed, ...]:
     return tuple(out)
 
 
-def _remove(hyps: tuple[_Keyed, ...], t: Term) -> tuple[_Keyed, ...]:
-    if not hyps:
-        return hyps
-    key = term_order_key(t)
-    return tuple(h for h in hyps if h[0] != key)
+def _remove(hyps: tuple[Term, ...], t: Term) -> tuple[Term, ...]:
+    return tuple(h for h in hyps if not alpha_equiv(h, t))
 
 
-def _insert(hyps: tuple[_Keyed, ...], t: Term) -> tuple[_Keyed, ...]:
-    return _union(hyps, (_keyed(t),))
+def _sorted_unique(hyps) -> tuple[Term, ...]:
+    """One sort (stable, so the first of alpha-equivalent terms leads)
+    and one pass that drops adjacent alpha-duplicates."""
+    out: list[Term] = []
+    for h in sorted(hyps, key=cmp_to_key(alpha_order)):
+        if not out or alpha_order(out[-1], h):
+            out.append(h)
+    return tuple(out)
 
 
 class Theorem:
@@ -216,7 +219,7 @@ class Theorem:
 
     @property
     def assumptions(self) -> tuple[Term, ...]:
-        return tuple(t for _, t in self._hyps)
+        return self._hyps
 
     @property
     def conclusion(self) -> Term:
@@ -232,7 +235,7 @@ class Theorem:
         return f"<theorem {print_sequent(self.assumptions, self.conclusion)}>"
 
 
-def _mk(hyps: tuple[_Keyed, ...], concl: Term, flag: bool) -> Theorem:
+def _mk(hyps: tuple[Term, ...], concl: Term, flag: bool) -> Theorem:
     return Theorem(hyps, concl, flag, _token=_RULE_TOKEN)
 
 
@@ -279,9 +282,9 @@ def replay_trace(log) -> bool:
         again = PRIMITIVE_RULES[name](*args)
         if not alpha_equiv(again.conclusion, result.conclusion):
             return False
-        ka = [term_order_key(t) for t in again.assumptions]
-        kb = [term_order_key(t) for t in result.assumptions]
-        if ka != kb:
+        # Both tuples are in alpha_order, so they match pairwise.
+        ha, hb = again.assumptions, result.assumptions
+        if len(ha) != len(hb) or not all(map(alpha_equiv, ha, hb)):
             return False
     return True
 
@@ -340,7 +343,7 @@ def abs_rule(x: Var, th: Theorem) -> Theorem:
         raise IllTyped("abs_rule binder must be a variable")
     if not is_eq(th.conclusion):
         raise NotAnEquation("abs_rule needs an equation")
-    for _, h in th._hyps:
+    for h in th._hyps:
         if vfree_in(x, h):
             raise VarFreeInHyps(f"{x.name} occurs free in an assumption")
     a, b = dest_eq(th.conclusion)
@@ -369,7 +372,7 @@ def assume(p: Term) -> Theorem:
         raise IllTyped(f"assume expects a term, got {p!r}")
     if p.ty != BOOL:
         raise NotBoolean("assumptions must be boolean")
-    return _mk((_keyed(p),), p, False)
+    return _mk((p,), p, False)
 
 
 @_traced
@@ -407,9 +410,7 @@ def inst_type_rule(tyin: Mapping[str, HolType], th: Theorem) -> Theorem:
     """Substitute types for type variables in parallel throughout a sequent."""
     _check_theorem(th)
     concl = inst_type(tyin, th.conclusion)
-    hyps: tuple[_Keyed, ...] = ()
-    for _, h in th._hyps:
-        hyps = _insert(hyps, inst_type(tyin, h))
+    hyps = _sorted_unique(inst_type(tyin, h) for h in th._hyps)
     return _mk(hyps, concl, th._uses_infinity)
 
 
@@ -420,9 +421,7 @@ def inst_rule(theta: Mapping[Var, Term], th: Theorem) -> Theorem:
     `vsubst` refuses the map unless every image has its variable's type."""
     _check_theorem(th)
     concl = vsubst(theta, th.conclusion)
-    hyps: tuple[_Keyed, ...] = ()
-    for _, h in th._hyps:
-        hyps = _insert(hyps, vsubst(theta, h))
+    hyps = _sorted_unique(vsubst(theta, h) for h in th._hyps)
     return _mk(hyps, concl, th._uses_infinity)
 
 

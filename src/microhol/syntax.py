@@ -15,9 +15,10 @@ use, so `vfree_in` is a membership test and substitution returns any
 subtree that mentions no substituted variable without walking it.
 Alpha-equivalence walks the two terms side by side and stops at
 physically shared subterms while every binder pair opened so far is the
-same variable.  The total term order and assumption-set keys go through
-a de Bruijn canonical byte encoding, cached only on nodes with no binder
-in scope.  Both live in ``_accel``.  Node and type classes expose a small
+same variable.  The total term order is the same walk, and agrees with a
+de Bruijn canonical byte encoding, the key where a stored value is
+needed, cached only on nodes with no binder in scope.  All three live in
+``_accel``.  Node and type classes expose a small
 integer ``KIND`` tag so ``_accel`` can dispatch without importing this
 module.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ._accel import alpha_canon, alpha_equal
+from ._accel import alpha_canon, alpha_equal, alpha_order
 
 __all__ = [
     "HolError",
@@ -591,6 +592,6 @@ def term_order_key(t: Term) -> bytes:
 
 
 def term_compare(t: Term, u: Term) -> int:
-    """Total order on alpha-classes: negative, zero, or positive."""
-    a, b = term_order_key(t), term_order_key(u)
-    return -1 if a < b else (0 if a == b else 1)
+    """Total order on alpha-classes: -1, 0 or 1, the order of the
+    encodings (``term_order_key``), found without building them."""
+    return alpha_order(t, u)

@@ -1,9 +1,16 @@
-"""The hot kernels in ``microhol._accel``: encoding shape and the
-shared-subterm alpha walk under shadowing binders."""
+"""The hot kernels in ``microhol._accel``: encoding shape, the order
+walk against the encoding, and the shared-subterm alpha walk under
+shadowing binders."""
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
 
 import microhol
 from microhol import _accel
-from microhol.syntax import BOOL, Var, mk_abs, mk_eq
+from microhol.syntax import BOOL, TyVar, Var, mk_abs, mk_eq
+
+from .strategies import shared_pairs, typed_terms
 
 
 def test_backend_is_pure():
@@ -39,3 +46,41 @@ class TestEncodingShape:
         assert _accel.alpha_canon(mk_abs(x, x)) != _accel.alpha_canon(
             mk_abs(Var("y", BOOL), x)
         )
+
+
+def _encoding_order(t, u):
+    a, b = _accel.alpha_canon(t), _accel.alpha_canon(u)
+    return (a > b) - (a < b)
+
+
+class TestAlphaOrder:
+    @given(st.one_of(st.tuples(typed_terms(), typed_terms()), shared_pairs()))
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_encoding(self, pair):
+        t, u = pair
+        assert _accel.alpha_order(t, u) == _encoding_order(t, u)
+        assert _accel.alpha_order(u, t) == -_accel.alpha_order(t, u)
+        assert _accel.alpha_equal(t, u) == (_accel.alpha_canon(t) == _accel.alpha_canon(u))
+
+    # Cases a walk that compares names as strings, binders by name, or
+    # types by name would get wrong; the first term is the lesser.
+    A, B = TyVar("A"), TyVar("B")
+    x, y = Var("x", BOOL), Var("y", BOOL)
+    xa, xb = Var("x", A), Var("x", B)
+
+    @pytest.mark.parametrize(
+        "t, u",
+        [
+            (Var("b", BOOL), Var("aa", BOOL)),
+            (Var("ab", BOOL), Var("\u00e9", BOOL)),
+            (mk_abs(x, x), mk_abs(x, y)),
+            (mk_abs(x, mk_abs(x, x)), mk_abs(y, mk_abs(x, y))),
+            (mk_abs(xa, mk_eq(xa, xa)), mk_abs(xb, mk_eq(xb, xb))),
+        ],
+        ids=["length-before-bytes", "utf8-length", "bound-before-free", "shadowed", "binder-type"],
+    )
+    def test_fixed_cases(self, t, u):
+        assert _encoding_order(t, u) == -1
+        assert _accel.alpha_order(t, u) == -1
+        assert _accel.alpha_order(u, t) == 1
+        assert _accel.alpha_order(t, t) == 0

@@ -396,6 +396,29 @@ class TestArity:
         assert f"error at line {line}: {message}" in out.out
         assert "Traceback" not in out.out + out.err
 
+    def test_separators_are_ascii(self, tmp_path, capsys):
+        from microhol.cli import main
+
+        fp = Theory().fingerprint()
+        path = tmp_path / "spaces.art"
+        path.write_text(
+            f"{FORMAT_HEADER}\ntheory {fp}\n1.\tTERM x:bool\n2. REFL \t1 \r\n"
+            "3. THM 2\t|- (x:bool)\t= (x:bool)\n",
+            encoding="utf-8",
+        )
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        for body, line, message in [
+            ("1.\u00a0TERM x:bool", 3, "unparsable line: '1.\\xa0TERM x:bool'"),
+            ("1. TERM x:bool\n2. REFL\u20031", 4, "unparsable line: '2. REFL\\u20031'"),
+            ("1. TERM x:bool\n2. REFL 1\u2003", 4, "REFL: line 2: bad line reference '1\\u2003'"),
+        ]:
+            path.write_text(f"{FORMAT_HEADER}\ntheory {fp}\n{body}\n", encoding="utf-8")
+            assert main(["check", str(path)]) == 1
+            out = capsys.readouterr()
+            assert f"error at line {line}: {message}" in out.out
+            assert "Traceback" not in out.out + out.err
+
     def test_extra_argument_rejected(self):
         thy = Theory()
         rep = check_article(art(thy, "TERM x:bool", "REFL 1 1"), thy)

@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -565,6 +566,31 @@ class TestHygiene:
         th = deduct_antisym(assume(p), assume(q))
         keys = [term_order_key(h) for h in th.assumptions]
         assert keys == sorted(set(keys))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_assumptions_stay_in_encoding_order(self, data):
+        """Random chains of the rules that build assumption tuples keep
+        them strictly increasing in the encoding's order."""
+        atom = typed_terms(ty=BOOL, depth=3)
+        pool = [assume(data.draw(atom)) for _ in range(3)]
+        for _ in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(("deduct", "inst", "inst_type", "trans")))
+            th = data.draw(st.sampled_from(pool))
+            if op == "deduct":
+                th = deduct_antisym(th, data.draw(st.sampled_from(pool)))
+            elif op == "inst":
+                v = Var(data.draw(st.sampled_from(("x", "y", "z", "u"))), BOOL)
+                th = inst_rule({v: data.draw(atom)}, th)
+            elif op == "inst_type":
+                th = inst_type_rule({"A": data.draw(st.sampled_from((BOOL, IND, TyVar("B"))))}, th)
+            else:
+                th = deduct_antisym(th, assume(data.draw(atom)))
+                right = th.conclusion.rand
+                th = trans(th, deduct_antisym(assume(right), data.draw(st.sampled_from(pool))))
+            keys = [term_order_key(h) for h in th.assumptions]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            pool.append(th)
 
     def test_full_audit(self, theory):
         th = trans(assume(eq(x, y)), assume(eq(y, z)))
