@@ -32,8 +32,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 
 from . import kernel
+from ._accel import alpha_order
 from .kernel import Theorem, Theory
 from .surface import parse_sequent, parse_term, parse_type, print_sequent
 from .syntax import (
@@ -41,7 +43,6 @@ from .syntax import (
     Term,
     Var,
     alpha_equiv,
-    term_order_key,
 )
 
 __all__ = [
@@ -327,7 +328,10 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
     produced = print_sequent(th.assumptions, th.conclusion)
     if not alpha_equiv(concl, th.conclusion):
         raise ReplayError(no, f"conclusion mismatch: produced {produced}")
-    if sorted(map(term_order_key, hyps)) != sorted(map(term_order_key, th.assumptions)):
+    # th.assumptions is sorted by alpha_order with no two alpha-equal, so
+    # the sorted hyps must match it pairwise; a repeated hyp fails on length
+    hyps = sorted(hyps, key=cmp_to_key(alpha_order))
+    if len(hyps) != len(th.assumptions) or not all(map(alpha_equiv, hyps, th.assumptions)):
         raise ReplayError(no, f"assumption mismatch: produced {produced}")
     report.theorems.append(produced)
     report.uses_infinity.append(th.uses_infinity)

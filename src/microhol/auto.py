@@ -70,6 +70,7 @@ from .syntax import (
     TyApp,
     TyVar,
     Var,
+    alpha_equiv,
     fn,
     free_vars,
     is_eq,
@@ -847,7 +848,8 @@ class _Rebuild:
         self.theta = theta
         self.residuals: dict = {}
         # (skolem index, *argument terms) -> the instantiated witness, so
-        # each Skolem instance is built (and its encoding cached) once
+        # each Skolem instance is built once and shared by every literal
+        # that holds it
         self.skolem_terms: dict = {}
 
     def hol_of(self, fo) -> Term:
@@ -904,28 +906,35 @@ class _Rebuild:
         if goal is not None:
             goal_term = self.lit_term(goal)
             path_terms = path_terms + [goal_term]
-        refuters: dict[bytes, Theorem] = {}
+        lits = _flatten_disj(inst.conclusion)
+        ths = []
         child_iter = iter(children)
-        for j, lt in enumerate(_flatten_disj(inst.conclusion)):
+        for j, lt in enumerate(lits):
             if j == li:
-                th = self._clash(lt, goal_term)
+                ths.append(self._clash(lt, goal_term))
             else:
-                th = self.refute(next(child_iter), path_terms)
-            refuters[term_order_key(lt)] = th
+                ths.append(self.refute(next(child_iter), path_terms))
+        # Alpha-equal literals of the instance all take the refuter of the
+        # last of them.
+        refuters: dict[int, Theorem] = {}
+        for j, lt in enumerate(lits):
+            k = next(k for k in reversed(range(j, len(lits))) if alpha_equiv(lt, lits[k]))
+            refuters[id(lt)] = ths[k]
         return prove_hyp(inst, _falsify(self.logic, inst.conclusion, refuters))
 
 
-def _falsify(logic: Logic, d: Term, refuters: dict[bytes, Theorem]) -> Theorem:
+def _falsify(logic: Logic, d: Term, refuters: dict[int, Theorem]) -> Theorem:
     """{d} |- F for a disjunction d, by cases down to its literals, each
-    refuted by the theorem keyed by its order key.  (A module function,
-    not a closure: a closure calling itself is a reference cycle, which
-    would keep every theorem it reaches alive until a full collection.)"""
+    refuted by the theorem keyed by its id: the literal objects are those
+    `_flatten_disj(d)` returned.  (A module function, not a closure: a
+    closure calling itself is a reference cycle, which would keep every
+    theorem it reaches alive until a full collection.)"""
     if is_disj(d):
         l, r = dest_disj(d)
         return logic.disj_cases(
             assume(d), _falsify(logic, l, refuters), _falsify(logic, r, refuters)
         )
-    return refuters[term_order_key(d)]
+    return refuters[id(d)]
 
 
 def _describe_steps(node, out: list[str], rebuild: _Rebuild, indent=0):

@@ -478,6 +478,8 @@ def vsubst(theta: Mapping[Var, Term], t: Term) -> Term:
     including those whose variable does not occur in t.  Bound variables
     are renamed to primed variants exactly when a substitution image would
     otherwise capture them.  Unchanged subtrees are shared with the input.
+    Each distinct subterm object is substituted once per call, so a
+    subterm shared in the input stays shared in the output.
     """
     sub = {}
     for v, im in theta.items():
@@ -492,30 +494,44 @@ def vsubst(theta: Mapping[Var, Term], t: Term) -> Term:
             sub[v] = im
     if not sub:
         return t
-    return _vsubst(sub, t)
+    return _vsubst(sub, t, {})
 
 
-def _vsubst(sub: dict[Var, Term], t: Term) -> Term:
+def _vsubst(sub: dict[Var, Term], t: Term, memo: dict[int, Term]) -> Term:
+    # `memo` maps id() of a Comb/Abs node of the input to its result under
+    # `sub`, so it holds only while `sub` is the same: a binder that shadows
+    # a key or must be renamed starts a fresh one.
     if isinstance(t, Var):
         return sub.get(t, t)
     if isinstance(t, Const) or free_vars(t).isdisjoint(sub):
         return t
+    out = memo.get(id(t))
+    if out is not None:
+        return out
     if isinstance(t, Comb):
-        f = _vsubst(sub, t.rator)
-        a = _vsubst(sub, t.rand)
-        return t if f is t.rator and a is t.rand else Comb(f, a)
-    v = t.bvar
-    # Some substituted variable is free in t, so this substitution is
-    # non-empty and changes the body.
-    sub2 = {x: im for x, im in sub.items() if x != v}
-    body = _vsubst(sub2, t.body)
-    # Renaming is needed exactly when some image brings in a free occurrence
-    # of the binder while its own variable really occurs in the body.
-    if any(vfree_in(v, im) and vfree_in(x, t.body) for x, im in sub2.items()):
-        v2 = variant([body], v)
-        sub2[v] = v2
-        return Abs(v2, _vsubst(sub2, t.body))
-    return Abs(v, body)
+        f = _vsubst(sub, t.rator, memo)
+        a = _vsubst(sub, t.rand, memo)
+        out = t if f is t.rator and a is t.rand else Comb(f, a)
+    else:
+        v = t.bvar
+        # Some substituted variable is free in t, so this substitution is
+        # non-empty and changes the body.
+        if v in sub:
+            sub2 = {x: im for x, im in sub.items() if x != v}
+            body = _vsubst(sub2, t.body, {})
+        else:
+            sub2 = sub
+            body = _vsubst(sub, t.body, memo)
+        # Renaming is needed exactly when some image brings in a free
+        # occurrence of the binder while its own variable really occurs in
+        # the body.
+        if any(vfree_in(v, im) and vfree_in(x, t.body) for x, im in sub2.items()):
+            v2 = variant([body], v)
+            out = Abs(v2, _vsubst({**sub2, v: v2}, t.body, {}))
+        else:
+            out = Abs(v, body)
+    memo[id(t)] = out
+    return out
 
 
 class _Clash(Exception):
@@ -565,7 +581,7 @@ def _inst(env: list[tuple[Var, Var]], tyin: Mapping[str, HolType], t: Term) -> T
         inst_frees = [_inst([], tyin, fv) for fv in free_vars(t.body)]
         fresh = variant(inst_frees, y2)
         z = Var(fresh.name, y.ty)
-        renamed = Abs(z, _vsubst({y: z}, t.body))
+        renamed = Abs(z, _vsubst({y: z}, t.body, {}))
         return _inst(env, tyin, renamed)
 
 

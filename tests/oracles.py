@@ -7,8 +7,9 @@ freshens every binder before substituting naively.  Expected values in
 the tests were computed with these and then frozen.
 
 The second part keeps the earlier, slower implementations of paths that
-were later made to skip work: the rewriting loop that builds a theorem
-at every node, the clausifier that rewrote every stripped clause again,
+were later made to skip work: substitution that walks a shared subterm
+once per occurrence, the rewriting loop that builds a theorem at every
+node, the clausifier that rewrote every stripped clause again,
 the derived rules that unfold the definitions of /\\ and
 ==> on every call, the evaluator that compiled terms to opcode tuples for
 an interpreter (with a variant that compiles a defined constant's body at
@@ -94,6 +95,8 @@ from microhol.syntax import (
     type_subst,
     type_vars_of_term,
     type_vars_of_type,
+    variant,
+    vfree_in,
 )
 
 
@@ -207,6 +210,32 @@ def oracle_inst_type(tyin, t):
 
 # ---------------------------------------------------------------------------
 # Earlier implementations of paths that now skip work
+
+
+def legacy_vsubst(theta, t):
+    """vsubst as it was: the same renaming rule, but no memo, so a subterm
+    object that occurs n times is substituted n times and gives n copies."""
+    sub = {v: im for v, im in theta.items() if v != im}
+    return _legacy_vsubst(sub, t) if sub else t
+
+
+def _legacy_vsubst(sub, t):
+    if isinstance(t, Var):
+        return sub.get(t, t)
+    if isinstance(t, Const) or free_vars(t).isdisjoint(sub):
+        return t
+    if isinstance(t, Comb):
+        f = _legacy_vsubst(sub, t.rator)
+        a = _legacy_vsubst(sub, t.rand)
+        return t if f is t.rator and a is t.rand else Comb(f, a)
+    v = t.bvar
+    sub2 = {x: im for x, im in sub.items() if x != v}
+    body = _legacy_vsubst(sub2, t.body)
+    if any(vfree_in(v, im) and vfree_in(x, t.body) for x, im in sub2.items()):
+        v2 = variant([body], v)
+        sub2[v] = v2
+        return Abs(v2, _legacy_vsubst(sub2, t.body))
+    return Abs(v, body)
 
 
 def node_by_node_exhaustive_conv(conv):

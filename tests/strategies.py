@@ -98,3 +98,51 @@ def shared_pairs(draw):
         b = a if op == "same" else Var(draw(st.sampled_from(_VAR_NAMES)), a.ty)
         t, u = Abs(a, t), Abs(b, u)
     return (u, t) if draw(st.booleans()) else (t, u)
+
+
+@st.composite
+def dag_substitutions(draw):
+    """A term in which one subterm object occurs many times, and a
+    substitution for some of its free variables.
+
+    Each layer applies a function variable to two occurrences of the term
+    so far, or wraps it once.  An occurrence may sit under a binder that
+    the substitution replaces (shadowing), one free in an image (capture,
+    so the binder is renamed) or some other binder, so one object is
+    reached under different substitutions."""
+    s = draw(typed_terms(depth=3))
+    frees = sorted(oracle_free_vars(s), key=lambda v: (v.name, repr(v.ty)))
+    sub = {}
+    for v in frees:
+        if draw(st.booleans()):
+            sub[v] = draw(
+                st.one_of(
+                    typed_terms(ty=v.ty, depth=2),
+                    st.sampled_from(_VAR_NAMES).map(lambda n, ty=v.ty: Var(n, ty)),
+                )
+            )
+    shadowing = sorted(sub, key=lambda v: (v.name, repr(v.ty)))
+    capturing = sorted(
+        {w for im in sub.values() for w in oracle_free_vars(im)},
+        key=lambda v: (v.name, repr(v.ty)),
+    )
+
+    def occurrence(t):
+        op = draw(st.sampled_from(("bare", "shadow", "capture", "other")))
+        if op == "shadow" and shadowing:
+            return Abs(draw(st.sampled_from(shadowing)), t)
+        if op == "capture" and capturing:
+            return Abs(draw(st.sampled_from(capturing)), t)
+        if op == "other":
+            return Abs(Var(draw(st.sampled_from(_VAR_NAMES)), draw(base_types)), t)
+        return t
+
+    t = s
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            t = occurrence(t)
+            continue
+        a, b = occurrence(t), occurrence(t)
+        g = Var("g", fn(a.ty, fn(b.ty, draw(base_types))))
+        t = Comb(Comb(g, a), b)
+    return sub, t

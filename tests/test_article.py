@@ -66,6 +66,45 @@ class TestBasics:
         text = art(thy, "TERM x:bool", "ASSUME 1", "THM 2 |- (x:bool)")
         assert not check_article(text, thy).ok
 
+    # {p, (\x. x) q} |- p <=> (\x. x) q, then a THM line for it
+    TWO_HYPS = [
+        "TERM p:bool",
+        "TERM (\\x:bool. x) (q:bool)",
+        "ASSUME 1",
+        "ASSUME 2",
+        "DEDUCT 3 4",
+    ]
+    TWO_HYPS_CONCL = "(p:bool) = (\\x:bool. x) (q:bool)"
+
+    def _check_two_hyps(self, hyps):
+        thy = Theory()
+        return check_article(art(thy, *self.TWO_HYPS, f"THM 5 {hyps} |- {self.TWO_HYPS_CONCL}"), thy)
+
+    def test_reordered_hyps_pass(self):
+        assert self._check_two_hyps("(\\x:bool. x) (q:bool), (p:bool)").ok
+
+    def test_alpha_renamed_hyps_pass(self):
+        assert self._check_two_hyps("(p:bool), (\\z:bool. z) (q:bool)").ok
+
+    @pytest.mark.parametrize(
+        "hyps",
+        [
+            "(p:bool), (p:bool), (\\x:bool. x) (q:bool)",
+            "(p:bool), (\\x:bool. x) (q:bool), (\\z:bool. z) (q:bool)",
+            "(p:bool)",
+            "(\\x:bool. x) (q:bool), (q:bool)",
+        ],
+    )
+    def test_duplicated_or_missing_hyp_fails(self, hyps):
+        rep = self._check_two_hyps(hyps)
+        assert rep.failures == [
+            {
+                "line": 8,
+                "message": "THM: line 6: assumption mismatch: produced "
+                "(p:bool), (\\x:bool. x) (q:bool) |- (p:bool) <=> (\\x:bool. x) (q:bool)",
+            }
+        ]
+
     def test_all_commands(self):
         thy = Theory()
         install_logic(thy)

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microhol import kernel
-from microhol import bootstrap
+from microhol import bootstrap, kernel, syntax
 from microhol.auto import (
+    Clause,
     DepthExhausted,
     FirstOrderProblem,
     NotATautology,
     NotPropositional,
     OutOfFragment,
+    SkolemEntry,
     _NormLemmas,
+    _Rebuild,
     _flatten_disj,
     _rewrite_conv,
     add_equality_axioms,
@@ -59,6 +61,7 @@ from microhol.syntax import (
     IND,
     Abs,
     Comb,
+    Const,
     Var,
     alpha_equiv,
     fn,
@@ -67,7 +70,7 @@ from microhol.syntax import (
     mk_comb,
     mk_eq,
 )
-from microhol.surface import print_term
+from microhol.surface import print_sequent, print_term
 
 from .oracles import node_by_node_exhaustive_conv, redecomposing_clausify
 from .problems import PROBLEMS
@@ -579,6 +582,75 @@ class TestMesonOutputPinned:
     def test_suite_transcript_unchanged(self, logic):
         digest = hashlib.sha256(_suite_transcript(logic).encode()).hexdigest()
         assert digest == SUITE_TRANSCRIPT_SHA256
+
+
+# kernel inferences of one pass of the suite once the clausifier lemmas
+# exist, the same before and after reconstruction stopped encoding terms
+SUITE_INFERENCES = 12_617
+
+
+def _rebuild_with_duplicate_literal(logic):
+    """Close a tableau by hand over the clause  P (@y. Q y) \\/ P (@z. Q z),
+    whose two literals are alpha-equal with different binder names.  The
+    goal clashes with the second literal; the first is extended by a
+    clause that assumes  ~P (@y. Q y) /\\ r."""
+    P = Var("P", fn(IND, BOOL))
+    Q = Var("Q", fn(IND, BOOL))
+    z = Var("z", IND)
+    sel = Const("@", fn(fn(IND, BOOL), IND))
+    wy = mk_comb(sel, mk_abs(y, mk_comb(Q, y)))
+    wz = mk_comb(sel, mk_abs(z, mk_comb(Q, z)))
+    py, pz = mk_comb(P, wy), mk_comb(P, wz)
+    atom = ("f", ("w", "P", P.ty), (("f", ("sk", 0), ()),))
+    clauses = [
+        Clause(kernel.assume(mk_disj(py, pz)), (), ((True, atom), (True, atom)), "axiom 0"),
+        Clause(
+            logic.conjunct1(kernel.assume(mk_conj(mk_neg(py), r))),
+            (),
+            ((False, atom),),
+            "axiom 1",
+        ),
+        Clause(kernel.assume(mk_neg(py)), (), ((False, atom),), "negated goal"),
+    ]
+    rebuild = _Rebuild(logic, clauses, [SkolemEntry(0, wy, ())], {})
+    nodes = [("ext", (False, atom), 0, 1, 2, [("ext", (True, atom), 1, 0, 3, [])])]
+    return rebuild.close(clauses[2], 1, nodes, [])
+
+
+class TestReconstructionPinned:
+    """Meson reconstruction makes no term encoding; its inferences and its
+    choice among alpha-equal literals are those recorded before."""
+
+    def test_suite_makes_no_encoding(self, monkeypatch):
+        logic = bootstrap.install_logic(kernel.Theory())
+        _NormLemmas.get(logic)
+        encodings = []
+        real = syntax.alpha_canon
+        monkeypatch.setattr(syntax, "alpha_canon", lambda t: encodings.append(t) or real(t))
+        with kernel.tracing() as log:
+            for name, prob, depth in PROBLEMS:
+                meson(logic, prob, depth_bound=depth)
+        assert encodings == []
+        assert len(log) == SUITE_INFERENCES
+
+    def test_repeated_literal_sequent(self, logic):
+        P = Var("P", fn(IND, BOOL))
+        a = Var("a", IND)
+        axiom = mk_forall(x, mk_disj(mk_comb(P, x), mk_comb(P, x)))
+        th = meson(logic, FirstOrderProblem((axiom,), mk_comb(P, a)))
+        assert print_sequent(th.assumptions, th.conclusion) == (
+            "!x:ind. (P:ind -> bool) x \\/ (P:ind -> bool) x |- (P:ind -> bool) (a:ind)"
+        )
+
+    def test_alpha_equal_literals_take_the_last_refuter(self, logic):
+        # both literals are refuted by the goal clash, so the extension
+        # clause's assumption does not reach the result
+        th = _rebuild_with_duplicate_literal(logic)
+        assert print_sequent(th.assumptions, th.conclusion) == (
+            "~(P:ind -> bool) (@y:ind. (Q:ind -> bool) y), "
+            "(P:ind -> bool) (@y:ind. (Q:ind -> bool) y) \\/ "
+            "(P:ind -> bool) (@z:ind. (Q:ind -> bool) z) |- F"
+        )
 
 
 def _is_literal(t):

@@ -35,12 +35,19 @@ from microhol.syntax import (
 
 from .oracles import (
     debruijn,
+    legacy_vsubst,
     oracle_alpha,
     oracle_free_vars,
     oracle_inst_type,
     oracle_vsubst,
 )
-from .strategies import hol_types, shared_pairs, type_shapes, typed_terms
+from .strategies import (
+    dag_substitutions,
+    hol_types,
+    shared_pairs,
+    type_shapes,
+    typed_terms,
+)
 
 x_bool = Var("x", BOOL)
 y_bool = Var("y", BOOL)
@@ -341,6 +348,91 @@ class TestSharedStructure:
         renamed = vsubst(Substitution.of_terms({x: y}), body)
         assert alpha_equiv(mk_abs(x, body), mk_abs(y, renamed))
         assert alpha_equiv(body, renamed) == (x not in oracle_free_vars(body))
+
+
+def _assert_siblings_shared(t, out):
+    """Walk t and its substitution result in step: wherever t applies a
+    function to one object twice (`g s s`), the result's two arguments are
+    one object too."""
+    stack = [(t, out)]
+    seen = set()
+    while stack:
+        a, b = stack.pop()
+        if (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if isinstance(a, Comb):
+            if isinstance(a.rator, Comb) and a.rator.rand is a.rand:
+                assert b.rator.rand is b.rand
+            stack += [(a.rator, b.rator), (a.rand, b.rand)]
+        elif isinstance(a, Abs):
+            stack.append((a.body, b.body))
+
+
+class TestVsubstOnDags:
+    """`vsubst` substitutes each distinct subterm object once per call:
+    the result equals the memo-free walk's, bound names included, and
+    keeps the input's sharing."""
+
+    @given(dag_substitutions())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_legacy_and_keeps_sharing(self, case):
+        sub, t = case
+        got = vsubst(sub, t)
+        assert got == legacy_vsubst(sub, t)
+        assert alpha_equiv(got, oracle_vsubst(sub, t))
+        _assert_siblings_shared(t, got)
+
+    @given(shared_pairs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_pairs_match_legacy(self, pair, data):
+        t, u = pair
+        g = Var("g", fn(t.ty, fn(t.ty, BOOL)))
+        both = mk_comb(mk_comb(g, t), u)
+        frees = sorted(oracle_free_vars(both), key=debruijn)
+        names = ["x", "y", "z", "u"]
+        sub = {}
+        for v in frees:
+            if data.draw(st.booleans()):
+                # a bare variable named like the pair's binders forces capture
+                sub[v] = data.draw(
+                    st.one_of(
+                        typed_terms(ty=v.ty, depth=2),
+                        st.sampled_from(names).map(lambda n, ty=v.ty: Var(n, ty)),
+                    )
+                )
+        for w in (t, u, both, mk_comb(mk_comb(g, t), t)):
+            got = vsubst(sub, w)
+            assert got == legacy_vsubst(sub, w)
+            _assert_siblings_shared(w, got)
+
+    @given(dag_substitutions(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_free_key_returns_input(self, case, data):
+        _, t = case
+        frees = oracle_free_vars(t)
+        keys = data.draw(
+            st.lists(st.builds(Var, st.sampled_from(["x", "y", "z", "u", "g"]), hol_types))
+        )
+        sub = {v: data.draw(typed_terms(ty=v.ty, depth=2)) for v in keys if v not in frees}
+        assert vsubst(sub, t) is t
+
+    def test_shadowing_and_renaming_binders(self):
+        # [y/x, y/z] on  g (\x. s) (\y. s) s  with s = h x z: the first copy
+        # substitutes z only (x is shadowed), the second renames y
+        h = Var("h", fn(BOOL, fn(BOOL, BOOL)))
+        z_bool = Var("z", BOOL)
+        s = mk_comb(mk_comb(h, x_bool), z_bool)
+        g = Var("g", fn(fn(BOOL, BOOL), fn(fn(BOOL, BOOL), fn(BOOL, BOOL))))
+        t = mk_comb(mk_comb(mk_comb(g, mk_abs(x_bool, s)), mk_abs(y_bool, s)), s)
+        sub = {x_bool: y_bool, z_bool: y_bool}
+        got = vsubst(sub, t)
+        assert got == legacy_vsubst(sub, t)
+        shadowed, renamed, bare = got.rator.rator.rand, got.rator.rand, got.rand
+        hyy = mk_comb(mk_comb(h, y_bool), y_bool)
+        assert shadowed == mk_abs(x_bool, mk_comb(mk_comb(h, x_bool), y_bool))
+        assert renamed == mk_abs(Var("y'", BOOL), hyy)
+        assert bare == hyy
 
 
 class TestMisc:
