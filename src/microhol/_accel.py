@@ -1,10 +1,11 @@
 """The hot alpha kernels, in pure Python.
 
-* ``alpha_canon(term) -> bytes`` -- de Bruijn canonical encoding, the
-  key of the total term order (``syntax.term_order_key``),
+* ``alpha_canon(term) -> bytes`` -- de Bruijn canonical encoding, built
+  afresh on each call; only ``Theory.fingerprint`` hashes it (through
+  ``syntax.term_order_key``),
 * ``alpha_order(t, u) -> int``   -- the sign of comparing the two
-  encodings, by a walk over both terms that builds neither; the kernel
-  keeps assumption sets sorted by it,
+  encodings, by a walk over both terms that builds neither; it is the
+  package's one term order (kernel assumptions, sorts, ``term_compare``),
 * ``alpha_equal(t, u) -> bool``  -- alpha-equivalence, the same walk
   returning 0; ``syntax.alpha_equiv`` uses it.
 
@@ -57,28 +58,6 @@ def _enc_type(ty, out):
 
 def _enc_term(t, out, env, depth):
     kind = t.KIND
-    # With no binder in scope the encoding of this subtree is context-free
-    # and worth caching on the node (combinations and abstractions only).
-    cacheable = kind >= 2 and not env
-    if cacheable:
-        cached = t._canon
-        if cached is not None:
-            out += cached
-            return
-        start = len(out)
-        if kind == 2:
-            out.append(0x13)
-            _enc_term(t.rator, out, env, depth)
-            _enc_term(t.rand, out, env, depth)
-        else:
-            out.append(0x14)
-            v = t.bvar
-            _enc_type(v.ty, out)
-            env[v] = depth
-            _enc_term(t.body, out, env, depth + 1)
-            del env[v]
-        object.__setattr__(t, "_canon", bytes(out[start:]))
-        return
     if kind == 0:
         level = env.get(t)
         if level is None:

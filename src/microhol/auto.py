@@ -24,9 +24,11 @@ authority.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from typing import Callable, Optional
 
 from . import kernel
+from ._accel import alpha_order
 from .bootstrap import (
     FALSE,
     Logic,
@@ -76,7 +78,6 @@ from .syntax import (
     is_eq,
     mk_comb,
     mk_eq,
-    term_order_key,
     variant,
     vsubst,
 )
@@ -1042,7 +1043,8 @@ def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
         return problem
 
     extra: list[Term] = []
-    for ty in sorted(eq_types, key=lambda t: term_order_key(Var("_", t))):
+    probes = sorted((Var("_", ty) for ty in eq_types), key=cmp_to_key(alpha_order))
+    for ty in (v.ty for v in probes):
         x = Var("eqx", ty)
         y = Var("eqy", ty)
         z = Var("eqz", ty)

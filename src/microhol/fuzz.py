@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from . import kernel
+from ._accel import alpha_order
 from .kernel import Theorem, Theory, assume, refl
 from .semantics import RuleInstance, theorem_sequent
 from .syntax import (
@@ -29,12 +31,12 @@ from .syntax import (
     Term,
     TyVar,
     Var,
+    alpha_equiv,
     fn,
     free_vars,
     mk_abs,
     mk_comb,
     mk_eq,
-    term_order_key,
     type_vars_of_term,
     variant,
     vfree_in,
@@ -293,7 +295,7 @@ def _gen_inst(rng):
     th = _pool_theorem(g, rng)
     frees = sorted(
         set().union(*(free_vars(t) for t in (*th.assumptions, th.conclusion))),
-        key=term_order_key,
+        key=cmp_to_key(alpha_order),
     )
     mapping: dict[Var, Term] = {}
     for v in frees:
@@ -376,12 +378,11 @@ def random_kernel_walk(
     g = TermGen(rng, max_free=6)
     report = WalkReport(steps=steps)
 
-    false_keys = set()
+    false_terms = ()
     if theory.has_constant("F"):
-        false_keys.add(term_order_key(Const("F", BOOL)))
         p = Var("p", BOOL)
         forall = Const("forall", fn(fn(BOOL, BOOL), BOOL))
-        false_keys.add(term_order_key(mk_comb(forall, mk_abs(p, p))))
+        false_terms = (Const("F", BOOL), mk_comb(forall, mk_abs(p, p)))
 
     pool: list[Theorem] = list(extra_theorems)
     pool.append(kernel.axiom_extensionality())
@@ -421,7 +422,7 @@ def random_kernel_walk(
                     set().union(
                         *(free_vars(t) for t in (*base.assumptions, base.conclusion))
                     ),
-                    key=term_order_key,
+                    key=cmp_to_key(alpha_order),
                 )
                 mapping = {
                     v: g.term(v.ty, rng.randrange(0, 3))
@@ -434,7 +435,7 @@ def random_kernel_walk(
             continue
 
         report.successes += 1
-        if not th.assumptions and term_order_key(th.conclusion) in false_keys:
+        if not th.assumptions and any(alpha_equiv(th.conclusion, f) for f in false_terms):
             report.false_derived = True
             if report.first_false_step is None:
                 report.first_false_step = step

@@ -10,7 +10,8 @@ Assumption lists are kept sorted by ``alpha_order`` and deduplicated, so
 alpha-equivalent assumptions are considered equal when sequents are
 combined (union) or discharged (removal).  ``alpha_order`` agrees with
 the canonical alpha-encoding (``term_order_key``), so the stored order is
-the encoding's order and no encoding is built.
+the encoding's order and no encoding is built.  The encoding itself is
+built only by ``Theory.fingerprint``, which hashes its bytes.
 
 The ``Theory`` is the only mutable object here.  Inference rules never
 touch it.  Its signature grows only through the two definitional rules,
@@ -464,17 +465,6 @@ class TypeDefInfo:
     abs_name: str
     rep_name: str
 
-    @classmethod
-    def carve(cls, pred: Term, witness: Term, abs_name: str, rep_name: str):
-        """The type carved out by a closed predicate `pred` on the type of
-        `witness`."""
-        if not (isinstance(witness, Term) and pred.ty == fn(witness.ty, BOOL)):
-            raise MalformedInhabitation("witness must have the predicate's domain type")
-        if free_vars(pred):
-            raise MalformedInhabitation("carving predicate must be closed")
-        tyvars = tuple(sorted(type_vars_of_term(pred)))
-        return cls(tyvars, witness.ty, pred, abs_name, rep_name)
-
 
 _A = TyVar("A")
 
@@ -718,10 +708,13 @@ def new_basic_type_definition(
     concl = inhabitation.conclusion
     if not isinstance(concl, Comb):
         raise MalformedInhabitation("inhabitation conclusion must be P w")
+    # Every conclusion is boolean, so `Comb` typing gives P : ty(w) -> bool.
     pred, witness = concl.rator, concl.rand
-    info = TypeDefInfo.carve(pred, witness, abs_name, rep_name)
-    rep_ty = info.rep_type
-    newty = TyApp(name, tuple(TyVar(a) for a in info.tyvars))
+    if free_vars(pred):
+        raise MalformedInhabitation("carving predicate must be closed")
+    tyvars = tuple(sorted(type_vars_of_term(pred)))
+    rep_ty = witness.ty
+    newty = TyApp(name, tuple(TyVar(a) for a in tyvars))
     abs_c = Const(abs_name, fn(rep_ty, newty))
     rep_c = Const(rep_name, fn(newty, rep_ty))
     with theory._lock:
@@ -732,10 +725,10 @@ def new_basic_type_definition(
         for cname in (abs_name, rep_name):
             if cname in theory.term_constants:
                 raise DuplicateName(f"constant {cname!r} already defined")
-        theory.type_constructors[name] = len(info.tyvars)
+        theory.type_constructors[name] = len(tyvars)
         theory.term_constants[abs_name] = abs_c.ty
         theory.term_constants[rep_name] = rep_c.ty
-        theory.typedefs[name] = info
+        theory.typedefs[name] = TypeDefInfo(tyvars, rep_ty, pred, abs_name, rep_name)
         theory.definition_log.append(
             DefinitionEvent("type-definition", (name, abs_name, rep_name), pred, witness)
         )

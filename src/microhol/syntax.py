@@ -16,11 +16,10 @@ subtree that mentions no substituted variable without walking it.
 Alpha-equivalence walks the two terms side by side and stops at
 physically shared subterms while every binder pair opened so far is the
 same variable.  The total term order is the same walk, and agrees with a
-de Bruijn canonical byte encoding, the key where a stored value is
-needed, cached only on nodes with no binder in scope.  All three live in
-``_accel``.  Node and type classes expose a small
-integer ``KIND`` tag so ``_accel`` can dispatch without importing this
-module.
+de Bruijn canonical byte encoding, which is built, uncached, only where
+its bytes are a stored value: the theory fingerprint.  All three live in
+``_accel``.  Node and type classes expose a small integer ``KIND`` tag
+so ``_accel`` can dispatch without importing this module.
 """
 
 from __future__ import annotations
@@ -262,7 +261,7 @@ Const.KIND = 1
 
 
 class Comb(Term):
-    __slots__ = ("rator", "rand", "ty", "_h", "_canon", "_fvs")
+    __slots__ = ("rator", "rand", "ty", "_h", "_fvs")
 
     def __init__(self, rator: Term, rand: Term):
         rty = rator.ty
@@ -276,7 +275,6 @@ class Comb(Term):
         object.__setattr__(self, "rand", rand)
         object.__setattr__(self, "ty", rty.args[1])
         object.__setattr__(self, "_h", None)
-        object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_fvs", None)
 
     def __setattr__(self, name, value):
@@ -299,17 +297,12 @@ class Comb(Term):
             object.__setattr__(self, "_h", h)
         return h
 
-    def __repr__(self):
-        from .surface import print_term
-
-        return f"<term {print_term(self)}>"
-
 
 Comb.KIND = 2
 
 
 class Abs(Term):
-    __slots__ = ("bvar", "body", "ty", "_h", "_canon", "_fvs")
+    __slots__ = ("bvar", "body", "ty", "_h", "_fvs")
 
     def __init__(self, bvar: Var, body: Term):
         if not isinstance(bvar, Var):
@@ -318,7 +311,6 @@ class Abs(Term):
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "ty", fn(bvar.ty, body.ty))
         object.__setattr__(self, "_h", None)
-        object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_fvs", None)
 
     def __setattr__(self, name, value):
@@ -340,11 +332,6 @@ class Abs(Term):
             h = hash((Abs, self.bvar, self.body))
             object.__setattr__(self, "_h", h)
         return h
-
-    def __repr__(self):
-        from .surface import print_term
-
-        return f"<term {print_term(self)}>"
 
 
 Abs.KIND = 3
@@ -596,15 +583,9 @@ def alpha_equiv(t: Term, u: Term) -> bool:
 
 def term_order_key(t: Term) -> bytes:
     """Canonical de Bruijn encoding; equal keys iff alpha-equivalent terms.
-
-    Cached on Comb/Abs nodes (the encoding is context-free), so repeated
-    ordering and deduplication of shared structure costs one traversal."""
-    canon = getattr(t, "_canon", None)
-    if canon is None:
-        canon = alpha_canon(t)
-        if isinstance(t, (Comb, Abs)):
-            object.__setattr__(t, "_canon", canon)
-    return canon
+    A stored value: ``Theory.fingerprint`` hashes it.  Terms are ordered
+    by ``term_compare``, which builds no encoding."""
+    return alpha_canon(t)
 
 
 def term_compare(t: Term, u: Term) -> int:

@@ -62,6 +62,7 @@ from microhol.syntax import (
     Abs,
     Comb,
     Const,
+    TyVar,
     Var,
     alpha_equiv,
     fn,
@@ -333,6 +334,22 @@ class TestMeson:
         assert len(with_eq.axioms) > 2
         th = meson(logic, with_eq, depth_bound=6)
         assert alpha_equiv(th.conclusion, mk_comb(P, b))
+
+    def test_equality_axioms_in_type_order(self):
+        # The reflexivity axioms follow the order of `Var("_", ty)`
+        # encodings: type variables before constructors, shorter names
+        # first (so B before AA, unlike a plain string sort).
+        types = (IND, TyVar("B"), TyVar("AA"))
+        eqs = tuple(mk_eq(Var("a", ty), Var("b", ty)) for ty in types)
+        prob = FirstOrderProblem(eqs[1:], eqs[0])
+        extra = add_equality_axioms(prob).axioms[len(prob.axioms) :]
+        refl_types = [
+            ax.rand.bvar.ty
+            for ax in extra
+            if is_forall(ax) and ax.rand.body == mk_eq(ax.rand.bvar, ax.rand.bvar)
+        ]
+        want = sorted(types, key=lambda ty: syntax.term_order_key(Var("_", ty)))
+        assert refl_types == want == [TyVar("B"), TyVar("AA"), IND]
 
     def test_fragment_rejected(self, logic):
         g = Var("g", fn(IND, IND))

@@ -1,7 +1,8 @@
 """Source hygiene, checked with the `ast` module (the project has no
 linter): every import in the package is used, every `__all__` name is
-defined, every top-level function and class has a user, and a theory's
-signature is written only by the two definitional rules."""
+defined, every top-level function and class has a user, a theory's
+signature is written only by the two definitional rules, and only the
+theory fingerprint builds a term's byte encoding."""
 
 import ast
 from collections import Counter
@@ -117,9 +118,9 @@ def _writes_field(node: ast.AST) -> bool:
     )
 
 
-def _signature_writers(tree: ast.Module) -> dict[str, int]:
-    """Dotted name of each function that writes a signature field -> the
-    line of its first write."""
+def _scopes(tree: ast.Module, hit) -> dict[str, int]:
+    """Dotted name of each function or class (`""` for the module) whose
+    own code holds a node for which `hit` is true -> the line of the first."""
     out: dict[str, int] = {}
 
     def visit(node, scope):
@@ -127,12 +128,40 @@ def _signature_writers(tree: ast.Module) -> dict[str, int]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if _writes_field(child):
+            if hit(child):
                 out.setdefault(scope, child.lineno)
             visit(child, scope)
 
     visit(tree, "")
     return out
+
+
+def _signature_writers(tree: ast.Module) -> dict[str, int]:
+    """Each function that writes a signature field -> its first write."""
+    return _scopes(tree, _writes_field)
+
+
+# The term encoding is a stored value only where the fingerprint hashes it;
+# everything else orders terms by the `alpha_order` walk.  Each encoder may
+# be named (called, or passed as a sort key) only by these functions.
+ENCODER_USERS = {
+    "term_order_key": {"kernel.py:Theory.fingerprint"},
+    "alpha_canon": {"syntax.py:term_order_key"},
+}
+
+
+def _names(name: str, strings: bool = False):
+    """A test for nodes that name `name`: a variable or an attribute, and
+    with `strings` also a string (`getattr`, `__slots__`)."""
+
+    def hit(node):
+        return (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (strings and isinstance(node, ast.Constant) and node.value == name)
+        )
+
+    return hit
 
 
 def _unused_definitions(module: ast.Module, references: Counter) -> list[ast.AST]:
@@ -192,6 +221,25 @@ def test_only_the_definitional_rules_write_the_signature():
     assert set(writers) == SIGNATURE_WRITERS
 
 
+@pytest.mark.parametrize("name", sorted(ENCODER_USERS))
+def test_only_the_fingerprint_encodes_terms(name):
+    users = {
+        f"{path.name}:{scope}"
+        for path in MODULES
+        for scope in _scopes(_tree(path), _names(name))
+    }
+    assert users == ENCODER_USERS[name], f"{name} named by {sorted(users)}"
+
+
+def test_no_encoding_cache_on_terms():
+    stray = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        for line in _scopes(_tree(path), _names("_canon", strings=True)).values()
+    ]
+    assert not stray, "a `_canon` slot or attribute is back:\n" + "\n".join(stray)
+
+
 def test_checks_catch_what_they_are_for():
     tree = ast.parse(
         "import itertools\nfrom .semantics import Valuation, eval_term\n"
@@ -214,3 +262,17 @@ def test_checks_catch_what_they_are_for():
         "def read(thy, n): return thy.term_constants[n], thy.definition_log[-1]\n"
     )
     assert sorted(_signature_writers(tree)) == ["Theory._add", "Theory.replay", "drop", "grow"]
+    tree = ast.parse(
+        "class Theory:\n"
+        "    def fingerprint(self): return term_order_key(self.t)\n"
+        "def by_key(ts): return sorted(ts, key=syntax.term_order_key)\n"
+        "def key(t):\n"
+        "    c = t._canon\n"
+        "    return c or alpha_canon(t)\n"
+        "class Comb:\n"
+        "    __slots__ = ('rator', '_canon')\n"
+    )
+    assert sorted(_scopes(tree, _names("term_order_key"))) == ["Theory.fingerprint", "by_key"]
+    assert sorted(_scopes(tree, _names("alpha_canon"))) == ["key"]
+    assert _scopes(tree, _names("_canon")) == {"key": 5}
+    assert _scopes(tree, _names("_canon", strings=True)) == {"key": 5, "Comb": 8}

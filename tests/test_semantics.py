@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microhol import kernel
+from microhol import fuzz, kernel
 from microhol.bootstrap import (
     FALSE,
     TRUE,
@@ -18,7 +18,14 @@ from microhol.bootstrap import (
     mk_imp,
     mk_neg,
 )
-from microhol.fuzz import RULE_IDS, TermGen, alpha_variant, make_generator, weakened_abs_generator
+from microhol.fuzz import (
+    RULE_IDS,
+    TermGen,
+    alpha_variant,
+    make_generator,
+    random_kernel_walk,
+    weakened_abs_generator,
+)
 from microhol.kernel import Theory, assume, new_basic_definition, refl
 from microhol.semantics import (
     FALSE_ELEM,
@@ -460,6 +467,41 @@ class TestFuzzer:
         th = kernel.deduct_antisym(th1, th2)
         verdict = is_valid(theorem_sequent(th), Model(), theory=theory)
         assert verdict.valid
+
+
+class TestRandomKernelWalk:
+    """The walk's |- F detector, fed a forged theorem through its `refl`."""
+
+    @staticmethod
+    def _walk(monkeypatch, theory, forged, steps):
+        monkeypatch.setattr(fuzz, "refl", lambda t: forged)
+        return random_kernel_walk(theory, steps=steps, seed=3)
+
+    @pytest.mark.parametrize("which", ["F", "forall"])
+    def test_false_theorem_reported_at_its_first_step(self, monkeypatch, theory, which):
+        q = Var("q", BOOL)
+        forall = Const("forall", fn(fn(BOOL, BOOL), BOOL))
+        # The walk knows |- !p. p; a renamed binder must still be caught.
+        false = {"F": FALSE, "forall": mk_comb(forall, mk_abs(q, q))}[which]
+        forged = kernel._mk((), false, False)
+        report = self._walk(monkeypatch, theory, forged, 40)
+        assert report.false_derived
+        first = report.first_false_step
+        # A walk's steps do not depend on its length: cut before `first`,
+        # it sees no |- F; cut just after, it sees it at `first`.
+        assert not self._walk(monkeypatch, theory, forged, first).false_derived
+        again = self._walk(monkeypatch, theory, forged, first + 1)
+        assert again.false_derived and again.first_false_step == first
+
+    @pytest.mark.parametrize("which", ["assumed F", "T"])
+    def test_other_theorems_are_not_false(self, monkeypatch, theory, which):
+        forged = {
+            "assumed F": kernel._mk((FALSE,), FALSE, False),
+            "T": kernel._mk((), TRUE, False),
+        }[which]
+        report = self._walk(monkeypatch, theory, forged, 40)
+        assert not report.false_derived and report.first_false_step is None
+        assert report.successes > 0
 
 
 class TestValuationSearchGolden:

@@ -32,6 +32,7 @@ from microhol.syntax import (
     variant,
     vsubst,
 )
+from microhol.surface import print_term
 
 from .oracles import (
     debruijn,
@@ -454,6 +455,13 @@ class TestMisc:
     def test_tyapp_arity_shapes(self):
         assert TyApp("bool") == TyApp("bool", ())
         assert fn(BOOL, IND).args == (BOOL, IND)
+
+    def test_repr_wraps_print_term(self):
+        f = Var("f", fn(IND, BOOL))
+        terms = (x_ind, Const("T", BOOL), mk_comb(f, x_ind), mk_abs(x_ind, mk_comb(f, x_ind)))
+        assert [type(t) for t in terms] == [Var, Const, Comb, Abs]
+        for t in terms:
+            assert repr(t) == f"<term {print_term(t)}>"
 
 
 def _build_type(shape):
