@@ -786,13 +786,51 @@ def clausify(logic: Logic, p: Term, source: str = "formula") -> ClauseSet:
 
 
 class _Search:
+    """Model elimination over one clause list: goals are refuted by
+    reduction against a complementary ancestor on the path, or by
+    extension with a fresh copy of a clause that has a complementary
+    literal.
+
+    Extension tries a goal only against the clause literals that can
+    unify with it.  Those are indexed once, by polarity, predicate
+    symbol and arity, keeping clause and literal order in each bucket; a
+    literal whose atom is a variable goes into every bucket of its
+    polarity, and a goal whose atom is (bound to) a variable is tried
+    against every literal of the other polarity.  Literals left out
+    would fail `_unify` without consuming a copy number, so the copies,
+    the solutions and their order are those of trying every literal.
+    """
+
     def __init__(self, clauses: list[Clause]):
         self.clauses = clauses
         self.copies = 0
+        # (polarity, atom key or None, (clause index, literal index,
+        # atom, the clause's other literals)), in clause and literal order
+        entries = [
+            (
+                lpos,
+                None if latom[0] == "v" else (lpos, latom[1], len(latom[2])),
+                (ci, li, latom, clause.lits[:li] + clause.lits[li + 1 :]),
+            )
+            for ci, clause in enumerate(clauses)
+            for li, (lpos, latom) in enumerate(clause.lits)
+        ]
+        self.by_polarity = {
+            pos: [e for p, _, e in entries if p == pos] for pos in (True, False)
+        }
+        self.variable_atoms = {
+            pos: [e for p, k, e in entries if p == pos and k is None]
+            for pos in (True, False)
+        }
+        self.buckets = {
+            key: [e for p, k, e in entries if p == key[0] and k in (None, key)]
+            for key in {k for _, k, _ in entries if k is not None}
+        }
 
-    def new_copy(self) -> int:
-        self.copies += 1
-        return self.copies
+    def start(self, clause: Clause) -> list:
+        """The goals of a fresh search from `clause`, as copy 1."""
+        self.copies = 1
+        return [(p, _fo_rename(a, 1)) for p, a in clause.lits]
 
     def prove_goals(self, goals, path, depth, theta):
         """Refute every goal literal; yields extended substitutions."""
@@ -815,27 +853,27 @@ class _Search:
                 yield theta2, ("red", goal, i)
         if depth <= 0:
             return
-        # extension against every complementary clause literal
-        for ci, clause in enumerate(self.clauses):
-            for li, (lpos, latom) in enumerate(clause.lits):
-                if lpos == pos:
-                    continue
-                copy = self.copies + 1
-                renamed = _fo_rename(latom, copy)
-                theta2 = _unify(atom, renamed, theta)
-                if theta2 is None:
-                    continue
-                self.copies = copy
-                new_goals = [
-                    (p2, _fo_rename(a2, copy))
-                    for j, (p2, a2) in enumerate(clause.lits)
-                    if j != li
-                ]
-                new_path = path + [goal]
-                for theta3, nodes in self.prove_goals(
-                    new_goals, new_path, depth - 1, theta2
-                ):
-                    yield theta3, ("ext", goal, ci, li, copy, nodes)
+        # extension against every complementary clause literal that can unify
+        walked = _walk(atom, theta)
+        if walked[0] == "v":
+            candidates = self.by_polarity[not pos]
+        else:
+            candidates = self.buckets.get(
+                (not pos, walked[1], len(walked[2])), self.variable_atoms[not pos]
+            )
+        for ci, li, latom, others in candidates:
+            copy = self.copies + 1
+            renamed = _fo_rename(latom, copy)
+            theta2 = _unify(atom, renamed, theta)
+            if theta2 is None:
+                continue
+            self.copies = copy
+            new_goals = [(p2, _fo_rename(a2, copy)) for p2, a2 in others]
+            new_path = path + [goal]
+            for theta3, nodes in self.prove_goals(
+                new_goals, new_path, depth - 1, theta2
+            ):
+                yield theta3, ("ext", goal, ci, li, copy, nodes)
 
 
 # -- reconstruction
@@ -984,15 +1022,14 @@ def meson(
             depth_used=depth_used,
         )
 
+    search = _Search(clauses)
     for depth in range(1, depth_bound + 1):
         for start_idx in goal_clauses:
-            search = _Search(clauses)
             start = clauses[start_idx]
-            copy = search.new_copy()
-            goals = [(p, _fo_rename(a, copy)) for p, a in start.lits]
+            goals = search.start(start)
             for theta, nodes in search.prove_goals(goals, [], depth, {}):
                 rebuild = _Rebuild(logic, clauses, cl.skolems, theta)
-                contradiction = rebuild.close(start, copy, nodes, [])
+                contradiction = rebuild.close(start, 1, nodes, [])
                 result = logic.ccontr(problem.goal, contradiction)
                 if not want_trace:
                     return result

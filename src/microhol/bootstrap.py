@@ -434,18 +434,29 @@ def exhaustive_conv(conv):
     was rewritten produces no theorem: congruence rules are built only
     above a change, with ``refl`` for the unchanged side, and a term that
     is already normal costs one ``refl``.
+
+    Within one call, a subterm object a pass found irreducible is not
+    visited again, in that pass or a later one: ``refl`` and ``inst_rule``
+    keep unchanged subterms as the same objects, so later passes meet
+    them again.  The memo maps ``id`` to the object, which keeps it alive
+    and its id unique, and it ends with the call.  It assumes ``conv`` is
+    a function of its argument and makes no inference when it raises
+    ``Inapplicable``, as a conversion built from ``rewr_conv`` with linear
+    patterns and ``try_beta`` does.
     """
 
-    def onepass(t: Term) -> Theorem | None:
+    def onepass(t: Term, normal: dict) -> Theorem | None:
+        if id(t) in normal:
+            return None
         if isinstance(t, Comb):
-            lth = onepass(t.rator)
-            rth = onepass(t.rand)
+            lth = onepass(t.rator, normal)
+            rth = onepass(t.rand, normal)
             if lth is None and rth is None:
                 th = None
             else:
                 th = mk_comb_rule(lth or refl(t.rator), rth or refl(t.rand))
         elif isinstance(t, Abs):
-            bth = onepass(t.body)
+            bth = onepass(t.body, normal)
             th = None if bth is None else abs_rule(t.bvar, bth)
         else:
             th = None
@@ -454,6 +465,8 @@ def exhaustive_conv(conv):
             try:
                 step = conv(current)
             except Inapplicable:
+                if th is None:
+                    normal[id(t)] = t
                 return th
             th = step if th is None else trans(th, step)
             current = rhs(step)
@@ -462,8 +475,9 @@ def exhaustive_conv(conv):
     def go(t: Term) -> Theorem:
         th = None
         current = t
+        normal: dict[int, Term] = {}
         for _ in range(_REWRITE_LIMIT):
-            step = onepass(current)
+            step = onepass(current, normal)
             if step is None:
                 break
             new = rhs(step)

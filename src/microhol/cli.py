@@ -27,7 +27,14 @@ from .bootstrap import install_logic
 from .fuzz import RULE_IDS, make_generator
 from .kernel import Theory
 from .semantics import Model, fuzz_rule_soundness
-from .surface import parse_term, parse_type, print_sequent, print_term, print_type
+from .surface import (
+    ParseError,
+    parse_term,
+    parse_type,
+    print_sequent,
+    print_term,
+    print_type,
+)
 from .syntax import BOOL, HolError
 
 DEFAULT_SEED = 0
@@ -148,14 +155,24 @@ def _read_problem(path: str, theory):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("AXIOM "):
-                axioms.append(parse_term(line[6:], theory))
-            elif line.startswith("GOAL "):
-                if goal is not None:
-                    raise HolError(f"line {lineno}: more than one GOAL")
-                goal = parse_term(line[5:], theory)
-            else:
+            keyword, space, text = line.partition(" ")
+            if keyword not in ("AXIOM", "GOAL") or not space:
                 raise HolError(f"line {lineno}: expected AXIOM or GOAL")
+            if keyword == "GOAL" and goal is not None:
+                raise HolError(f"line {lineno}: more than one GOAL")
+            try:
+                t = parse_term(text, theory)
+                FirstOrderProblem((), t)  # the fragment check, for this line alone
+            except HolError as exc:
+                if isinstance(exc, ParseError) and exc.line:
+                    # the column in the file line, past its indent and keyword
+                    col = len(raw) - len(raw.lstrip()) + len(keyword) + 1 + exc.col
+                    raise ParseError(exc.message, lineno, col) from None
+                raise HolError(f"line {lineno}: {exc}") from None
+            if keyword == "GOAL":
+                goal = t
+            else:
+                axioms.append(t)
     if goal is None:
         raise HolError("problem file has no GOAL line")
     return FirstOrderProblem(tuple(axioms), goal)

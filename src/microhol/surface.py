@@ -60,6 +60,7 @@ __all__ = [
 class ParseError(HolError):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(f"{line}:{col}: {message}" if line else message)
+        self.message = message
         self.line = line
         self.col = col
 

@@ -271,14 +271,19 @@ class Comb(Term):
             raise IllTyped(
                 f"operand type {rand.ty!r} does not match domain {rty.args[0]!r}"
             )
-        object.__setattr__(self, "rator", rator)
-        object.__setattr__(self, "rand", rand)
-        object.__setattr__(self, "ty", rty.args[1])
-        object.__setattr__(self, "_h", None)
-        object.__setattr__(self, "_fvs", None)
+        _set_rator(self, rator)
+        _set_rand(self, rand)
+        _set_comb_ty(self, rty.args[1])
+        _set_comb_h(self, None)
+        _set_comb_fvs(self, None)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("Comb is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # through the checked constructor
+        return (Comb, (self.rator, self.rand))
 
     def __eq__(self, other):
         if self is other:
@@ -294,11 +299,18 @@ class Comb(Term):
         h = self._h
         if h is None:
             h = hash((Comb, self.rator, self.rand))
-            object.__setattr__(self, "_h", h)
+            _set_comb_h(self, h)
         return h
 
 
 Comb.KIND = 2
+# The slots' own setters: the constructor writes through these, bypassing
+# the `__setattr__` that makes a built node immutable.
+_set_rator = Comb.rator.__set__
+_set_rand = Comb.rand.__set__
+_set_comb_ty = Comb.ty.__set__
+_set_comb_h = Comb._h.__set__
+_set_comb_fvs = Comb._fvs.__set__
 
 
 class Abs(Term):
@@ -307,14 +319,19 @@ class Abs(Term):
     def __init__(self, bvar: Var, body: Term):
         if not isinstance(bvar, Var):
             raise IllTyped("abstraction binder must be a variable")
-        object.__setattr__(self, "bvar", bvar)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "ty", fn(bvar.ty, body.ty))
-        object.__setattr__(self, "_h", None)
-        object.__setattr__(self, "_fvs", None)
+        _set_bvar(self, bvar)
+        _set_body(self, body)
+        _set_abs_ty(self, fn(bvar.ty, body.ty))
+        _set_abs_h(self, None)
+        _set_abs_fvs(self, None)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("Abs is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (Abs, (self.bvar, self.body))
 
     def __eq__(self, other):
         if self is other:
@@ -330,11 +347,16 @@ class Abs(Term):
         h = self._h
         if h is None:
             h = hash((Abs, self.bvar, self.body))
-            object.__setattr__(self, "_h", h)
+            _set_abs_h(self, h)
         return h
 
 
 Abs.KIND = 3
+_set_bvar = Abs.bvar.__set__
+_set_body = Abs.body.__set__
+_set_abs_ty = Abs.ty.__set__
+_set_abs_h = Abs._h.__set__
+_set_abs_fvs = Abs._fvs.__set__
 
 
 def type_of(t: Term) -> HolType:
@@ -404,11 +426,12 @@ def free_vars(t: Term) -> frozenset[Var]:
         a = free_vars(t.rator)
         b = free_vars(t.rand)
         fvs = a if b <= a else (b if a <= b else a | b)
+        _set_comb_fvs(t, fvs)
     else:
         fvs = free_vars(t.body)
         if t.bvar in fvs:
             fvs = fvs - {t.bvar} or _NO_FREES
-    object.__setattr__(t, "_fvs", fvs)
+        _set_abs_fvs(t, fvs)
     return fvs
 
 

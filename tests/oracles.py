@@ -9,7 +9,9 @@ the tests were computed with these and then frozen.
 The second part keeps the earlier, slower implementations of paths that
 were later made to skip work: substitution that walks a shared subterm
 once per occurrence, the rewriting loop that builds a theorem at every
-node, the clausifier that rewrote every stripped clause again,
+node and the one that revisits subterms an earlier pass found
+irreducible, the model elimination search that tries every
+complementary literal, the clausifier that rewrote every stripped clause again,
 the derived rules that unfold the definitions of /\\ and
 ==> on every call, the evaluator that compiled terms to opcode tuples for
 an interpreter (with a variant that compiles a defined constant's body at
@@ -23,7 +25,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from microhol.auto import SkolemEntry, _Clausifier, _NormLemmas
+from microhol.auto import (
+    SkolemEntry,
+    _Clausifier,
+    _fo_rename,
+    _NormLemmas,
+    _Search,
+    _unify,
+)
 from microhol.bootstrap import (
     Inapplicable,
     ap_thm,
@@ -270,6 +279,91 @@ def node_by_node_exhaustive_conv(conv):
         raise HolError("rewriting did not terminate")
 
     return go
+
+
+def unmemoised_exhaustive_conv(conv):
+    """exhaustive_conv before it remembered irreducible subterms: each
+    pass visits every node again, including those an earlier pass found
+    irreducible."""
+    limit = 100_000
+
+    def onepass(t):
+        if isinstance(t, Comb):
+            lth = onepass(t.rator)
+            rth = onepass(t.rand)
+            if lth is None and rth is None:
+                th = None
+            else:
+                th = mk_comb_rule(lth or refl(t.rator), rth or refl(t.rand))
+        elif isinstance(t, Abs):
+            bth = onepass(t.body)
+            th = None if bth is None else abs_rule(t.bvar, bth)
+        else:
+            th = None
+        current = t if th is None else rhs(th)
+        for _ in range(limit):
+            try:
+                step = conv(current)
+            except Inapplicable:
+                return th
+            th = step if th is None else trans(th, step)
+            current = rhs(step)
+        raise HolError("rewriting did not terminate at a node")
+
+    def go(t):
+        th = None
+        current = t
+        for _ in range(limit):
+            step = onepass(current)
+            if step is None:
+                break
+            new = rhs(step)
+            if alpha_equiv(new, current):
+                break
+            th = step if th is None else trans(th, step)
+            current = new
+        else:
+            raise HolError("rewriting did not terminate")
+        return refl(t) if th is None else th
+
+    return go
+
+
+class UnindexedSearch(_Search):
+    """Model elimination as it was before extension candidates were
+    indexed: every complementary literal of every clause is renamed and
+    unified in turn."""
+
+    def prove(self, goal, path, depth, theta):
+        pos, atom = goal
+        for i, (ppos, patom) in enumerate(path):
+            if ppos == pos:
+                continue
+            theta2 = _unify(atom, patom, theta)
+            if theta2 is not None:
+                yield theta2, ("red", goal, i)
+        if depth <= 0:
+            return
+        for ci, clause in enumerate(self.clauses):
+            for li, (lpos, latom) in enumerate(clause.lits):
+                if lpos == pos:
+                    continue
+                copy = self.copies + 1
+                renamed = _fo_rename(latom, copy)
+                theta2 = _unify(atom, renamed, theta)
+                if theta2 is None:
+                    continue
+                self.copies = copy
+                new_goals = [
+                    (p2, _fo_rename(a2, copy))
+                    for j, (p2, a2) in enumerate(clause.lits)
+                    if j != li
+                ]
+                new_path = path + [goal]
+                for theta3, nodes in self.prove_goals(
+                    new_goals, new_path, depth - 1, theta2
+                ):
+                    yield theta3, ("ext", goal, ci, li, copy, nodes)
 
 
 class RedecomposingClausifier(_Clausifier):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microhol import bootstrap, kernel, syntax
+from microhol import auto, bootstrap, kernel, syntax
 from microhol.auto import (
     Clause,
     DepthExhausted,
@@ -16,8 +16,10 @@ from microhol.auto import (
     NotPropositional,
     OutOfFragment,
     SkolemEntry,
+    _Clausifier,
     _NormLemmas,
     _Rebuild,
+    _Search,
     _flatten_disj,
     _rewrite_conv,
     add_equality_axioms,
@@ -73,7 +75,12 @@ from microhol.syntax import (
 )
 from microhol.surface import print_sequent, print_term
 
-from .oracles import node_by_node_exhaustive_conv, redecomposing_clausify
+from .oracles import (
+    UnindexedSearch,
+    node_by_node_exhaustive_conv,
+    redecomposing_clausify,
+    unmemoised_exhaustive_conv,
+)
 from .problems import PROBLEMS
 
 p = Var("p", BOOL)
@@ -546,6 +553,166 @@ class TestRewritingSkipsUnchanged:
         with kernel.tracing() as log:
             meson(logic, prob, depth_bound=depth)
         assert len(log) < 2 * PAPER_FORMULA_INFERENCES
+
+
+def _logged(conv, t):
+    """conv(t), and the rules it called with their printed results."""
+    with kernel.tracing() as log:
+        th = conv(t)
+    return th, [(name, print_sequent(r.assumptions, r.conclusion)) for name, _, r in log]
+
+
+# `rewr_conv` attempts over one suite pass: 5,571 while every pass
+# revisited irreducible subterms, 3,507 since
+SUITE_REWRITE_ATTEMPTS_MAX = 3_600
+
+
+class TestRewritingMemo:
+    """Rewriting that skips subterms an earlier pass found irreducible,
+    against the loop that visits them again."""
+
+    def _pair(self, logic, which):
+        equations = getattr(_NormLemmas.get(logic), which)
+        rules = [(lhs(th), bootstrap.rewr_conv(th)) for th in equations]
+        old = unmemoised_exhaustive_conv(indexed_first_conv(rules + [(None, try_beta)]))
+        return getattr(_NormLemmas.get(logic), f"{which}_conv"), old
+
+    def _check(self, logic, formulas):
+        nnf_new, nnf_old = self._pair(logic, "nnf")
+        pull_new, pull_old = self._pair(logic, "pull")
+        for formula in formulas:
+            for new, old in ((nnf_new, nnf_old), (pull_new, pull_old)):
+                th, log = _logged(new, formula)
+                th_old, log_old = _logged(old, formula)
+                assert log == log_old
+                assert th.conclusion == th_old.conclusion
+                assert th.assumptions == th_old.assumptions
+                formula = rhs(th)
+
+    def test_random_formulas_same_derivation(self, logic):
+        self._check(logic, _formulas(81, 12) + _formulas(23, 12))
+
+    def test_suite_formulas_same_derivation(self, logic):
+        self._check(
+            logic,
+            [f for _, prob, _ in PROBLEMS for f in (*prob.axioms, mk_neg(prob.goal))],
+        )
+
+    def test_suite_rewrite_attempts(self, monkeypatch):
+        attempts = [0]
+        real = auto.rewr_conv
+
+        def counting(eq_th):
+            go = real(eq_th)
+
+            def attempt(t):
+                attempts[0] += 1
+                return go(t)
+
+            return attempt
+
+        monkeypatch.setattr(auto, "rewr_conv", counting)
+        logic = bootstrap.install_logic(kernel.Theory())
+        _NormLemmas.get(logic)
+        attempts[0] = 0
+        for name, prob, depth in PROBLEMS:
+            meson(logic, prob, depth_bound=depth)
+        assert 0 < attempts[0] <= SUITE_REWRITE_ATTEMPTS_MAX
+
+
+def _meson_clauses(logic, prob):
+    """The clauses meson searches for `prob`, and its start clauses."""
+    cl = _Clausifier(logic, _NormLemmas.get(logic))
+    clauses = []
+    for i, ax in enumerate(prob.axioms):
+        clauses += cl.clauses(ax, f"axiom {i}")
+    n_axiom_clauses = len(clauses)
+    clauses += cl.clauses(mk_neg(prob.goal), "negated goal")
+    return clauses, range(n_axiom_clauses, len(clauses))
+
+
+def _solutions(search, start, depth, n):
+    """The first n (theta, nodes, copies) of a search from `start`."""
+    goals = search.start(start)
+    return [
+        (theta, nodes, search.copies)
+        for theta, nodes in itertools.islice(search.prove_goals(goals, [], depth, {}), n)
+    ]
+
+
+_PX = ("w", "P", fn(IND, BOOL))
+_Q = ("w", "Q", fn(IND, fn(IND, BOOL)))
+_R = ("w", "r", BOOL)
+_F = ("w", "f", fn(IND, IND))
+_A = ("w", "a", IND)
+_B = ("w", "b", IND)
+
+
+def _random_clauses(rng):
+    """3-6 clauses over P at two arities, Q, a proposition r and a
+    boolean variable atom p; the first clause has a literal p."""
+    xs = [Var(n, IND) for n in "xyz"]
+    p_ = Var("p", BOOL)
+
+    def term(d):
+        roll = rng.random()
+        if roll < 0.45:
+            return ("v", (rng.choice(xs), 0))
+        if roll < 0.7 or d == 0:
+            return ("f", rng.choice((_A, _B)), ())
+        return ("f", _F, (term(d - 1),))
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.3:
+            return ("f", _PX, (term(1),))
+        if roll < 0.4:
+            return ("f", _PX, (term(1), term(1)))
+        if roll < 0.6:
+            return ("f", _Q, (term(1), term(1)))
+        if roll < 0.75:
+            return ("f", _R, ())
+        return ("v", (p_, 0))
+
+    clauses = []
+    for i in range(rng.randint(3, 6)):
+        lits = [(rng.random() < 0.5, atom()) for _ in range(rng.randint(1, 3))]
+        if i == 0:
+            lits[0] = (rng.random() < 0.5, ("v", (p_, 0)))
+        clauses.append(Clause(None, (), tuple(lits), f"clause {i}"))
+    return clauses
+
+
+class TestSearchIndex:
+    """Extension through the literal index, against trying every
+    complementary literal."""
+
+    def test_suite_start_clauses(self, logic):
+        for name, prob, depth in PROBLEMS:
+            clauses, starts = _meson_clauses(logic, prob)
+            new, old = _Search(clauses), UnindexedSearch(clauses)
+            for d in range(1, depth + 1):
+                found = False
+                for ci in starts:
+                    got = _solutions(new, clauses[ci], d, 3)
+                    assert got == _solutions(old, clauses[ci], d, 3), (name, d, ci)
+                    found = found or bool(got)
+                if found:
+                    break
+            assert found, name
+
+    def test_random_clause_sets(self):
+        rng = random.Random(5)
+        solved = 0
+        for _ in range(100):
+            clauses = _random_clauses(rng)
+            new, old = _Search(clauses), UnindexedSearch(clauses)
+            for start in clauses:
+                for depth in (1, 2):  # a variable atom unifies with any
+                    got = _solutions(new, start, depth, 4)
+                    assert got == _solutions(old, start, depth, 4)
+                    solved += bool(got)
+        assert solved > 100
 
 
 def _suite_transcript(logic) -> str:

@@ -220,6 +220,35 @@ def _run_cli(*argv, **environ):
     )
 
 
+class TestProblemFileErrors:
+    """A bad .fol line is reported at its line in the file, with parse
+    errors at their column in that line."""
+
+    @pytest.mark.parametrize(
+        "lines,expected",
+        [
+            (
+                ["# syllogism", "AXIOM (P:ind -> bool) (a:ind)", "  AXIOM ((P:ind -> bool) (a:ind)"],
+                "error: 3:33: expected ')', found 'end of input'",
+            ),
+            (["", "GOAL (P:ind -> bool) (a:bool)"], "error: 2:30: operand type"),
+            (
+                ["AXIOM (P:ind -> bool) (a:ind)", "AXIOM !p:bool. p"],
+                "error: line 2: quantification over (p:bool) is not first-order",
+            ),
+            (["GOAL (a:ind)"], "error: line 1: problem parts must be boolean"),
+        ],
+        ids=["unbalanced", "ill-typed", "higher-order", "not-boolean"],
+    )
+    def test_error_carries_the_file_line(self, tmp_path, lines, expected):
+        path = tmp_path / "p.fol"
+        path.write_text("\n".join(lines + ["GOAL (P:ind -> bool) (a:ind)"]) + "\n")
+        proc = _run_cli("prove-meson", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(expected)
+
+
 class TestNoTraceback:
     def test_bad_seed_variable_is_a_usage_error(self):
         proc = _run_cli("fuzz", "--rule", "refl", "--trials", "2", MICROHOL_SEED="abc")

@@ -506,10 +506,28 @@ class TestInternedTypes:
         import pickle
 
         v = Var("x", fn(TyVar("A"), BOOL))
+        f = Var("f", fn(v.ty, IND))
+        comb = mk_comb(f, v)
+        lam = mk_abs(v, comb)
         round_trip = lambda o: pickle.loads(pickle.dumps(o))  # noqa: E731
         for clone in (copy.copy, copy.deepcopy, round_trip):
             assert clone(v.ty) is v.ty
             assert clone(v).ty is v.ty
+            for t in (comb, lam):
+                u = clone(t)
+                assert type(u) is type(t) and u == t and u.ty is t.ty
+                assert free_vars(u) == free_vars(t)
+
+    def test_unpickling_goes_through_the_checked_constructor(self):
+        f = Var("f", fn(IND, BOOL))
+        for t, forged in (
+            (mk_comb(f, x_ind), (f, x_bool)),
+            (mk_abs(x_ind, x_ind), (Const("T", BOOL), x_bool)),
+        ):
+            rebuild, args = t.__reduce__()
+            assert rebuild(*args) == t
+            with pytest.raises(IllTyped):
+                rebuild(*forged)
 
     def test_equality_and_hashing_are_identity(self):
         assert {fn(BOOL, IND): 1}[TyApp("fun", (BOOL, IND))] == 1
@@ -521,3 +539,17 @@ class TestInternedTypes:
     def test_same_structure_same_object(self, s1, s2):
         assert _build_type(s1) is _build_type(s1)
         assert (_build_type(s1) is _build_type(s2)) == (s1 == s2)
+
+
+@pytest.mark.parametrize("kind", ["Comb", "Abs"])
+@pytest.mark.parametrize("slot", ["rator", "rand", "bvar", "body", "ty", "_h", "_fvs", "other"])
+def test_term_nodes_are_immutable(kind, slot):
+    x = Var("x", IND)
+    t = mk_comb(Var("f", fn(IND, BOOL)), x) if kind == "Comb" else mk_abs(x, x)
+    hash(t), free_vars(t)
+    before = [getattr(t, s) for s in type(t).__slots__]
+    with pytest.raises(AttributeError):
+        setattr(t, slot, Var("y", IND))
+    with pytest.raises(AttributeError):
+        delattr(t, slot)
+    assert [getattr(t, s) for s in type(t).__slots__] == before
