@@ -168,11 +168,51 @@ _COMMANDS = {
 }
 
 
+def _sequent_parts(text: str) -> list[str] | None:
+    """The hypothesis texts and then the conclusion text of a sequent,
+    split at its one `|-` and at commas and stripped, or None if that
+    split leaves an empty part or `|-` occurs twice.  No term contains
+    either token, so if every part parses as a term, the sequent parses
+    as exactly those terms."""
+    left, sep, right = text.partition("|-")
+    if not sep or "|-" in right:
+        return None
+    parts = left.split(",") if left.strip(_BLANKS) else []
+    parts.append(right)
+    parts = [part.strip(_BLANKS) for part in parts]
+    return parts if all(parts) else None
+
+
 class _Replay:
     def __init__(self, theory: Theory):
         self.theory = theory
         self.slots: dict[int, tuple[str, object]] = {}
         self.pending_second: dict[int, Theorem] = {}
+        # exact TERM line text -> the term parsed from it under the
+        # current signature; emptied whenever a definitional rule changes
+        # that.  It holds only terms that the slots hold too.
+        self.parsed: dict[str, Term] = {}
+
+    def term(self, text: str) -> Term:
+        t = self.parsed.get(text)
+        if t is None:
+            t = self.parsed[text] = parse_term(text, self.theory)
+        return t
+
+    def sequent(self, text: str) -> tuple[tuple[Term, ...], Term]:
+        """The sequent `text`, from parsed TERM lines if each part is one,
+        else parsed whole, so an error is reported as the parser reports it."""
+        parts = _sequent_parts(text)
+        if parts is not None:
+            terms = []
+            for part in parts:
+                t = self.parsed.get(part)
+                if t is None:
+                    break
+                terms.append(t)
+            else:
+                return tuple(terms[:-1]), terms[-1]
+        return parse_sequent(text, self.theory)
 
     def ref(self, tok: str, line: int, kind: str):
         if not _REF_RE.fullmatch(tok):
@@ -292,7 +332,7 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
         kernel.check_type(theory, ty)
         return ("type", ty)
     if cmd == "TERM":
-        t = parse_term(args[0], theory)
+        t = replay.term(args[0])
         kernel.check_term(theory, t)
         return ("term", t)
     if cmd == "INSTTYPE":
@@ -313,8 +353,10 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
             raise ReplayError(no, f"unknown axiom {args[0]!r}")
         return ("thm", _AXIOMS[args[0]](theory))
     if cmd == "DEFINE":
+        replay.parsed.clear()
         return ("thm", kernel.new_basic_definition(theory, *args))
     if cmd == "TYPEDEF":
+        replay.parsed.clear()
         th1, th2 = kernel.new_basic_type_definition(theory, *args)
         # the line itself holds the abs/rep bijection; SND fetches the
         # second theorem (the predicate characterization)
@@ -324,7 +366,7 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
         return ("thm", args[0])
     # THM
     th, sequent = args
-    hyps, concl = parse_sequent(sequent, theory)
+    hyps, concl = replay.sequent(sequent)
     produced = print_sequent(th.assumptions, th.conclusion)
     if not alpha_equiv(concl, th.conclusion):
         raise ReplayError(no, f"conclusion mismatch: produced {produced}")

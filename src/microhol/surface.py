@@ -16,8 +16,11 @@ Binder annotations are mandatory; free variables are written annotated,
 `(/\\)`, and so on.
 
 Printing is deterministic with canonical spacing and minimal
-parentheses, so `parse(print(t))` is alpha-identical to `t` and
-`print(parse(s))` is a fixed point.
+parentheses, so `print(parse(s))` is a fixed point, and `parse(print(t))`
+is alpha-identical to `t` unless `t` has a free variable with the name of
+a constant of the theory whose type fits it: under the bootstrapped
+logic, `Var("T", bool)` prints as `(T:bool)`, which reads back as the
+constant `T`.
 """
 
 from __future__ import annotations
@@ -214,6 +217,16 @@ class _Parser:
         return _BUILTIN_TYPE_ARITIES.get(name, 0)
 
     def parse_type(self) -> HolType:
+        at = self.pos
+        name = self.toks[at]
+        if name not in _NOT_IDENT and self.toks[at + 1] != "->":
+            # one token and no arrow: a type variable or a nullary constructor
+            if _is_tyvar_name(name):
+                self.pos += 1
+                return TyVar(name)
+            if not self.type_arity(name, at):
+                self.pos += 1
+                return TyApp(name)
         left = self.parse_tyapp()
         if self.toks[self.pos] == "->":
             self.pos += 1
@@ -248,13 +261,36 @@ class _Parser:
 
     # -- terms
 
-    def parse_term(self) -> Term:
-        text, after = self.toks[self.pos], self.toks[self.pos + 1]
-        if text == "\\" or (text in ("!", "?", "@") and after not in _NOT_IDENT):
-            if after not in _NOT_IDENT and self.toks[self.pos + 2] == ":":
+    def parse_term(self, min_level: int = _BINDER) -> Term:
+        """A term whose infix connectives bind at least `min_level` tightly
+        (precedence climbing; each level is right-associative).  Only a
+        whole term, at `_BINDER`, may be a binder."""
+        toks = self.toks
+        text = toks[self.pos]
+        if min_level == _BINDER and (
+            text == "\\" or (text in ("!", "?", "@") and toks[self.pos + 1] not in _NOT_IDENT)
+        ):
+            if toks[self.pos + 1] not in _NOT_IDENT and toks[self.pos + 2] == ":":
                 return self.parse_binder()
             self.fail("binder annotations are mandatory (write \\x:ty. body)")
-        return self.parse_infix(_IFF)
+        left = self.parse_neg() if text == "~" else self.parse_eq()
+        while True:
+            at = self.pos
+            op = toks[at]
+            # -1: not an infix connective, so below every level
+            level = _INFIX_LEVEL.get(op, -1)
+            if level < min_level:
+                return left
+            self.pos += 1
+            right = self.parse_term(level)
+            if left.ty != BOOL or right.ty != BOOL:
+                self.fail(f"{op} needs boolean operands", at)
+            if op == "<=>":
+                left = mk_eq(left, right)
+            else:
+                cname = _OP_CONSTS[op]
+                self.require_constant(cname, at)
+                left = mk_comb(mk_comb(Const(cname, _BOOL2), left), right)
 
     def parse_binder(self) -> Term:
         at = self.pos
@@ -285,37 +321,15 @@ class _Parser:
             line, col = self.where(at)
             raise UnknownConstant(f"{line}:{col}: constant {name!r} is not in the theory")
 
-    def parse_infix(self, min_level: int) -> Term:
-        """Infix connectives binding at least `min_level` tightly (precedence
-        climbing; each level is right-associative)."""
-        left = self.parse_neg()
-        while True:
-            at = self.pos
-            op = self.toks[self.pos]
-            level = _INFIX_LEVEL.get(op, 0)
-            if level < min_level:
-                return left
-            self.pos += 1
-            right = self.parse_infix(level)
-            if left.ty != BOOL or right.ty != BOOL:
-                self.fail(f"{op} needs boolean operands", at)
-            if op == "<=>":
-                left = mk_eq(left, right)
-            else:
-                cname = _OP_CONSTS[op]
-                self.require_constant(cname, at)
-                left = mk_comb(mk_comb(Const(cname, _BOOL2), left), right)
-
     def parse_neg(self) -> Term:
+        """`~`, the current token, applied to a negation or an equation."""
         at = self.pos
-        if self.toks[self.pos] == "~":
-            self.pos += 1
-            operand = self.parse_neg()
-            if operand.ty != BOOL:
-                self.fail("~ needs a boolean operand", at)
-            self.require_constant("not", at)
-            return mk_comb(Const("not", fn(BOOL, BOOL)), operand)
-        return self.parse_eq()
+        self.pos += 1
+        operand = self.parse_neg() if self.toks[self.pos] == "~" else self.parse_eq()
+        if operand.ty != BOOL:
+            self.fail("~ needs a boolean operand", at)
+        self.require_constant("not", at)
+        return mk_comb(Const("not", fn(BOOL, BOOL)), operand)
 
     def parse_eq(self) -> Term:
         left = self.parse_app()
@@ -332,13 +346,13 @@ class _Parser:
 
     def parse_app(self):
         items = [self.parse_atom()]
-        while True:
+        text = self.toks[self.pos]
+        while text == "(" or text not in _NOT_IDENT:
+            items.append(self.parse_atom())
             text = self.toks[self.pos]
-            if text == "(" or text not in _NOT_IDENT:
-                items.append(self.parse_atom())
-            else:
-                break
-        return self._fold_app(items)
+        # a lone atom stays as it is: an unresolved constant may be
+        # resolved by an enclosing equation
+        return items[0] if len(items) == 1 else self._fold_app(items)
 
     def _fold_app(self, items):
         head = items[0]
@@ -347,8 +361,6 @@ class _Parser:
             if isinstance(a, _Unresolved):
                 args[i] = self._resolve_now(a)
         if isinstance(head, _Unresolved):
-            if not args:
-                return head  # may be resolved by an enclosing equation
             env: dict[str, HolType] = {}
             remaining = head.generic
             for a in args:
@@ -387,6 +399,17 @@ class _Parser:
         at = self.pos
         text = self.next()
         if text == "(":
+            name = self.toks[self.pos]
+            if self.toks[self.pos + 1] == ":" and name not in _NOT_IDENT:
+                # `(name:ty)`, as the printer writes free variables and
+                # constants; anything else after the type takes the
+                # general path from the name again
+                self.pos += 2
+                ann = self.parse_type()
+                if self.toks[self.pos] == ")":
+                    self.pos += 1
+                    return self._ident(name, at + 1, ann)
+                self.pos = at + 1
             op = self.toks[self.pos]
             if op in _OP_CONSTS and self.toks[self.pos + 1] in (")", ":"):
                 self.pos += 1

@@ -1,17 +1,28 @@
+import hashlib
+import importlib.util
 import json
+import random
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microhol.article import (
     FORMAT_HEADER,
     FingerprintMismatch,
+    _Replay,
     article_stats,
     check_article,
     standard_theory_for,
 )
 from microhol.bootstrap import install_logic
 from microhol.kernel import Theory
+from microhol.surface import parse_sequent, parse_term, print_sequent, print_term
+from microhol.syntax import HolError
+
+from .strategies import bool_terms
 
 
 def art(theory, *lines):
@@ -557,3 +568,117 @@ class TestStats:
         stats = article_stats(text)
         assert stats["line_count"] == 3
         assert stats["commands"] == {"REFL": 1, "TERM": 1, "TRANS": 1}
+
+
+def _replay(theory, *lines):
+    return check_article(art(theory, *lines), theory)
+
+
+class TestParseMemo:
+    """A replay parses each distinct term text once, and forgets what it
+    parsed whenever a definition changes what a name means."""
+
+    def test_define_empties_the_memo(self):
+        # before line 4, `(c:bool)` is a variable; after it, the constant
+        rep = _replay(
+            Theory(),
+            "TERM (c:bool)",
+            "ASSUME 1",
+            "TERM (\\x:bool. x) = (\\x:bool. x)",
+            "DEFINE c 3",
+            "THM 2 (c:bool) |- (c:bool)",
+        )
+        assert rep.failures == [
+            {
+                "line": 7,
+                "message": "THM: line 5: conclusion mismatch: produced (c:bool) |- (c:bool)",
+            }
+        ]
+
+    def test_typedef_empties_the_memo(self):
+        # after line 5, `mk` is the abs constant, which no `bool` fits
+        rep = _replay(
+            Theory(),
+            "TERM (mk:bool)",
+            "ASSUME 1",
+            "TERM \\p:bool. p",
+            "REFL 3",
+            "TYPEDEF idty mk dest 4",
+            "THM 2 (mk:bool) |- (mk:bool)",
+        )
+        assert rep.failures == [
+            {
+                "line": 8,
+                "message": "THM: 1:2: 'mk' is a constant and <hol_type bool> does not fit it",
+            }
+        ]
+
+    def test_a_repeated_text_gives_the_same_term(self):
+        thy = Theory()
+        replay = _Replay(thy)
+        t = replay.term("(p:bool) = (q:bool)")
+        assert replay.term("(p:bool) = (q:bool)") is t
+        hyps, concl = replay.sequent("(p:bool) = (q:bool) |- (p:bool) = (q:bool)")
+        assert len(hyps) == 1 and hyps[0] is t and concl is t
+
+    def test_seed_1_benchmark_report_is_unchanged(self):
+        # the report of the article the benchmark replays, pinned before
+        # the memo and the parser's fast paths were added
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "article_gen", root / "perfbench" / "article_gen.py"
+        )
+        article_gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(article_gen)
+        rep = check_article(article_gen.generate(1, 2000), Theory())
+        assert rep.ok
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+            "34f49dfa5fc36a496ddf50f95f996dddba17dd152ca670647099123eb9a119db"
+        )
+
+
+def _outcome(parse, *args):
+    """("ok", value) or ("error", type, message, line, col)."""
+    try:
+        return ("ok", parse(*args))
+    except HolError as exc:
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "col", None))
+
+
+def _spaced(rng, text):
+    """`text` with the blanks around its commas and `|-` varied."""
+    for token in (",", "|-"):
+        pieces = text.split(token)
+        text = pieces[0]
+        for piece in pieces[1:]:
+            before, after = rng.choice(("", " ", "\t", "  ")), rng.choice(("", " ", " \t"))
+            text += before + token + after + piece.lstrip(" ")
+    return rng.choice(("", " ")) + text + rng.choice(("", " \t"))
+
+
+class TestMemoAgainstParser:
+    @given(st.lists(bool_terms, max_size=3), bool_terms, st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_sequents_read_as_the_parser_reads_them(self, theory, hyps, concl, seed):
+        rng = random.Random(seed)
+        p, q = print_term(concl), print_term(hyps[0] if hyps else concl)
+        printed = print_sequent(hyps, concl)
+        texts = [
+            printed,
+            _spaced(rng, printed),
+            f"{p} |- {q} |- {p}",
+            f", {p} |- {q}",
+            f"{p} |-",
+            f"({p}, {q}) |- {p}",
+        ]
+        for text in texts:
+            replay = _Replay(theory)
+            for part in (p, q, *map(print_term, hyps)):
+                replay.parsed.setdefault(part, parse_term(part, theory))
+            memo = _outcome(replay.sequent, text)
+            assert memo == _outcome(parse_sequent, text, theory), text
+        # every part of the printed sequent is in the memo: nothing is parsed
+        memo_hyps, memo_concl = replay.sequent(_spaced(rng, printed))
+        assert memo_concl is replay.parsed[p]
+        assert all(h is replay.parsed[print_term(g)] for h, g in zip(memo_hyps, hyps))

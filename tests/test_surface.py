@@ -173,6 +173,13 @@ class TestRoundTrip:
         assert t2 == t, s
         assert print_term(t2) == s
 
+    def test_free_variable_with_a_constant_name_reads_back_as_the_constant(self):
+        # the exception to parse(print(t)) == t: an annotated name that
+        # the theory has as a constant of a fitting type is the constant
+        theory = _roundtrip_theory()
+        assert print_term(Var("T", BOOL)) == "(T:bool)"
+        assert parse_term("(T:bool)", theory) == Const("T", BOOL)
+
     def test_print_parse_modulo_whitespace(self):
         theory = _roundtrip_theory()
         src = "!x:ind.   x =    x"
@@ -334,3 +341,9 @@ class TestDeepNesting:
         assert "input nested too deeply" in str(err.value)
         assert err.value.line == 1 and 1 < err.value.col <= len(src)
 
+    def test_deep_printed_application_reads_back(self):
+        # f (f (... x)), written as the printer writes it, 180 deep
+        f, t = Var("f", fn(IND, IND)), Var("x", IND)
+        for _ in range(180):
+            t = Comb(f, t)
+        assert parse_term(print_term(t), _roundtrip_theory()) == t
