@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 from . import kernel
-from ._accel import alpha_order
 from .kernel import Theorem, Theory
 from .surface import parse_sequent, parse_term, parse_type, print_sequent
 from .syntax import (
@@ -43,6 +42,7 @@ from .syntax import (
     Term,
     Var,
     alpha_equiv,
+    term_compare,
 )
 
 __all__ = [
@@ -370,9 +370,9 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
     produced = print_sequent(th.assumptions, th.conclusion)
     if not alpha_equiv(concl, th.conclusion):
         raise ReplayError(no, f"conclusion mismatch: produced {produced}")
-    # th.assumptions is sorted by alpha_order with no two alpha-equal, so
+    # th.assumptions is sorted by term_compare with no two alpha-equal, so
     # the sorted hyps must match it pairwise; a repeated hyp fails on length
-    hyps = sorted(hyps, key=cmp_to_key(alpha_order))
+    hyps = sorted(hyps, key=cmp_to_key(term_compare))
     if len(hyps) != len(th.assumptions) or not all(map(alpha_equiv, hyps, th.assumptions)):
         raise ReplayError(no, f"assumption mismatch: produced {produced}")
     report.theorems.append(produced)

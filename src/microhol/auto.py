@@ -28,7 +28,6 @@ from functools import cmp_to_key
 from typing import Callable, Optional
 
 from . import kernel
-from ._accel import alpha_order
 from .bootstrap import (
     FALSE,
     Logic,
@@ -78,6 +77,7 @@ from .syntax import (
     is_eq,
     mk_comb,
     mk_eq,
+    term_compare,
     variant,
     vsubst,
 )
@@ -1080,7 +1080,7 @@ def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
         return problem
 
     extra: list[Term] = []
-    probes = sorted((Var("_", ty) for ty in eq_types), key=cmp_to_key(alpha_order))
+    probes = sorted((Var("_", ty) for ty in eq_types), key=cmp_to_key(term_compare))
     for ty in (v.ty for v in probes):
         x = Var("eqx", ty)
         y = Var("eqy", ty)

@@ -15,8 +15,7 @@ import os
 import sys
 import time
 
-from . import __version__
-from ._accel import BACKEND
+from . import BACKEND, __version__
 from .article import (
     FingerprintMismatch,
     article_stats,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from . import kernel
-from ._accel import alpha_order
 from .kernel import Theorem, Theory, assume, refl
 from .semantics import RuleInstance, theorem_sequent
 from .syntax import (
@@ -37,6 +36,7 @@ from .syntax import (
     mk_abs,
     mk_comb,
     mk_eq,
+    term_compare,
     type_vars_of_term,
     variant,
     vfree_in,
@@ -295,7 +295,7 @@ def _gen_inst(rng):
     th = _pool_theorem(g, rng)
     frees = sorted(
         set().union(*(free_vars(t) for t in (*th.assumptions, th.conclusion))),
-        key=cmp_to_key(alpha_order),
+        key=cmp_to_key(term_compare),
     )
     mapping: dict[Var, Term] = {}
     for v in frees:
@@ -422,7 +422,7 @@ def random_kernel_walk(
                     set().union(
                         *(free_vars(t) for t in (*base.assumptions, base.conclusion))
                     ),
-                    key=cmp_to_key(alpha_order),
+                    key=cmp_to_key(term_compare),
                 )
                 mapping = {
                     v: g.term(v.ty, rng.randrange(0, 3))

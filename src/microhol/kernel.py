@@ -6,12 +6,15 @@ demands a module-private token, and the class cannot be subclassed.  In
 Python this guard is conventional rather than absolute, but it makes any
 accidental forgery impossible and any deliberate one loud and greppable.
 
-Assumption lists are kept sorted by ``alpha_order`` and deduplicated, so
+Assumption lists are kept sorted by ``term_compare`` and deduplicated, so
 alpha-equivalent assumptions are considered equal when sequents are
-combined (union) or discharged (removal).  ``alpha_order`` agrees with
+combined (union) or discharged (removal).  ``term_compare`` agrees with
 the canonical alpha-encoding (``term_order_key``), so the stored order is
 the encoding's order and no encoding is built.  The encoding itself is
 built only by ``Theory.fingerprint``, which hashes its bytes.
+
+This module and ``syntax`` are the trusted base: it imports only
+``syntax`` from the package, and ``surface`` inside a ``__repr__``.
 
 The ``Theory`` is the only mutable object here.  Inference rules never
 touch it.  Its signature grows only through the two definitional rules,
@@ -29,9 +32,9 @@ from functools import cmp_to_key
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from ._accel import alpha_order
 from .syntax import (
     BOOL,
+    IND,
     Abs,
     Comb,
     Const,
@@ -51,7 +54,9 @@ from .syntax import (
     mk_abs,
     mk_comb,
     mk_eq,
+    term_compare,
     term_order_key,
+    type_match,
     type_subst,
     type_vars_of_term,
     type_vars_of_type,
@@ -150,7 +155,7 @@ class MalformedInhabitation(HolError):
 
 _RULE_TOKEN = object()
 
-# Assumption tuples stay sorted by `alpha_order`, which agrees with the
+# Assumption tuples stay sorted by `term_compare`, which agrees with the
 # canonical encoding, and hold one term per alpha-class.  Where two
 # alpha-equivalent terms meet, the one from the first operand is kept.
 
@@ -163,7 +168,7 @@ def _union(a: tuple[Term, ...], b: tuple[Term, ...]) -> tuple[Term, ...]:
     out: list[Term] = []
     i = j = 0
     while i < len(a) and j < len(b):
-        c = alpha_order(a[i], b[j])
+        c = term_compare(a[i], b[j])
         if c < 0:
             out.append(a[i])
             i += 1
@@ -187,8 +192,8 @@ def _sorted_unique(hyps) -> tuple[Term, ...]:
     """One sort (stable, so the first of alpha-equivalent terms leads)
     and one pass that drops adjacent alpha-duplicates."""
     out: list[Term] = []
-    for h in sorted(hyps, key=cmp_to_key(alpha_order)):
-        if not out or alpha_order(out[-1], h):
+    for h in sorted(hyps, key=cmp_to_key(term_compare)):
+        if not out or term_compare(out[-1], h):
             out.append(h)
     return tuple(out)
 
@@ -283,7 +288,7 @@ def replay_trace(log) -> bool:
         again = PRIMITIVE_RULES[name](*args)
         if not alpha_equiv(again.conclusion, result.conclusion):
             return False
-        # Both tuples are in alpha_order, so they match pairwise.
+        # Both tuples are in term_compare order, so they match pairwise.
         ha, hb = again.assumptions, result.assumptions
         if len(ha) != len(hb) or not all(map(alpha_equiv, ha, hb)):
             return False
@@ -650,8 +655,6 @@ def axiom_choice(theory: Theory) -> Theorem:
 
 def axiom_infinity(theory: Theory) -> Theorem:
     """|- ?f:ind->ind. ONE_ONE f /\\ ~(ONTO f), flagged `uses-infinity`."""
-    from .syntax import IND
-
     _require_standard(
         theory, ("exists", "and", "not", "ONE_ONE", "ONTO"), "axiom_infinity"
     )
@@ -768,8 +771,6 @@ def check_type(theory: Theory, ty: HolType):
 
 
 def _is_instance_of(generic: HolType, ty: HolType) -> bool:
-    from .syntax import type_match
-
     return type_match(generic, ty) is not None
 
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
-from ._accel import run_program
 from .kernel import Theorem, Theory
 from .syntax import (
     BOOL,
@@ -268,7 +267,7 @@ class _Compiler:
         support = []
         for r in range(rep_size):
             env[slot] = r
-            if run_program(prog, env) == TRUE_ELEM:
+            if prog(env) == TRUE_ELEM:
                 support.append(r)
         if not support:
             raise EmptyCarrier(
@@ -372,7 +371,7 @@ class _Compiler:
         # The body is closed, so its value needs no environment of ours.
         sub = self._scratch()
         body = sub.compile(inst_type(tyin, rhs))
-        return run_program(body, [0] * sub.n_slots)
+        return body([0] * sub.n_slots)
 
     # -- terms
 
@@ -528,7 +527,7 @@ def eval_term(t: Term, v: Valuation, theory: Theory | None = None) -> int:
                 f"assignment {value} for {var.name} outside carrier of size {size}"
             )
         env[slot] = value
-    return run_program(prog, env)
+    return prog(env)
 
 
 def holds_sequent(s: Sequent, v: Valuation, theory: Theory | None = None) -> bool:

@@ -446,7 +446,7 @@ class _Parser:
                 self.require_constant(cname, at)
             return Const(cname, generic)
         if type_match(generic, ann) is None:
-            self.fail(f"{ann!r} is not an instance of {cname!r}'s type", at)
+            self.fail(f"{print_type(ann)} is not an instance of {cname!r}'s type", at)
         if cname in ("forall", "exists"):
             self.require_constant(cname, at)
         return Const(cname, ann)
@@ -480,7 +480,7 @@ class _Parser:
             generic = self.theory.constant_type(name)
             if type_match(generic, ann) is not None:
                 return Const(name, ann)
-            self.fail(f"{name!r} is a constant and {ann!r} does not fit it", at)
+            self.fail(f"{name!r} is a constant and {print_type(ann)} does not fit it", at)
         return Var(name, ann)
 
     def parse_sequent(self) -> tuple[tuple[Term, ...], Term]:

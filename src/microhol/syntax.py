@@ -17,17 +17,16 @@ Alpha-equivalence walks the two terms side by side and stops at
 physically shared subterms while every binder pair opened so far is the
 same variable.  The total term order is the same walk, and agrees with a
 de Bruijn canonical byte encoding, which is built, uncached, only where
-its bytes are a stored value: the theory fingerprint.  All three live in
-``_accel``.  Node and type classes expose a small integer ``KIND`` tag
-so ``_accel`` can dispatch without importing this module.
+its bytes are a stored value: the theory fingerprint.
+
+This module and ``kernel`` are the trusted base; it imports no other
+module of the package except ``surface``, inside the ``__repr__``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
-
-from ._accel import alpha_canon, alpha_equal, alpha_order
 
 __all__ = [
     "HolError",
@@ -99,7 +98,6 @@ _TYPES: dict = {}
 
 class TyVar(HolType):
     __slots__ = ("name", "_enc")
-    KIND = 0
 
     def __new__(cls, name: str):
         ty = _TYPES.get(name)
@@ -116,7 +114,6 @@ class TyVar(HolType):
 
 class TyApp(HolType):
     __slots__ = ("con", "args", "_enc")
-    KIND = 1
 
     def __new__(cls, con: str, args: Iterable[HolType] = ()):
         args = tuple(args)
@@ -233,9 +230,6 @@ class Var(Term):
         return h
 
 
-Var.KIND = 0
-
-
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Const(Term):
     name: str
@@ -255,9 +249,6 @@ class Const(Term):
             h = hash((Const, self.name, self.ty))
             object.__setattr__(self, "_h", h)
         return h
-
-
-Const.KIND = 1
 
 
 class Comb(Term):
@@ -303,7 +294,6 @@ class Comb(Term):
         return h
 
 
-Comb.KIND = 2
 # The slots' own setters: the constructor writes through these, bypassing
 # the `__setattr__` that makes a built node immutable.
 _set_rator = Comb.rator.__set__
@@ -351,7 +341,6 @@ class Abs(Term):
         return h
 
 
-Abs.KIND = 3
 _set_bvar = Abs.bvar.__set__
 _set_body = Abs.body.__set__
 _set_abs_ty = Abs.ty.__set__
@@ -388,11 +377,15 @@ def mk_eq(lhs: Term, rhs: Term) -> Comb:
 
 
 def is_eq(t: Term) -> bool:
+    """An application of `=` at type A -> A -> bool: a constant named `=`
+    at any other type makes no equation."""
     return (
         isinstance(t, Comb)
+        and t.ty is BOOL
         and isinstance(t.rator, Comb)
         and isinstance(t.rator.rator, Const)
         and t.rator.rator.name == "="
+        and t.rator.rand.ty is t.rand.ty
     )
 
 
@@ -596,22 +589,154 @@ def _inst(env: list[tuple[Var, Var]], tyin: Mapping[str, HolType], t: Term) -> T
 
 
 # ---------------------------------------------------------------------------
-# Alpha-equivalence and term ordering
+# Alpha-equivalence, the term order and the canonical encoding
+#
+# Canonical term encoding (big-endian u32 lengths and indices):
+#
+#     type:  0x01 name            | 0x02 name u32(nargs) args...
+#     term:  0x10 u32(debruijn)   bound variable, 0 = innermost binder
+#            0x11 name type       free variable
+#            0x12 name type       constant
+#            0x13 rator rand      combination
+#            0x14 bvar-type body  abstraction
+#     name:  u32(len) utf8-bytes
+#
+# Each distinct type's encoding is computed once and cached in its `_enc`
+# slot.  Where two terms differ in node class, the order walk compares
+# these tags, so its order is the encoding's: a bound variable (0x10)
+# ranks below every node class.
+
+_TAG = {Var: 0x11, Const: 0x12, Comb: 0x13, Abs: 0x14}
+
+
+def _enc_name(name: str, out: bytearray):
+    b = name.encode()
+    out += len(b).to_bytes(4, "big")
+    out += b
+
+
+def _type_enc(ty: HolType) -> bytes:
+    enc = ty._enc
+    if enc is None:
+        out = bytearray()
+        if type(ty) is TyVar:
+            out.append(0x01)
+            _enc_name(ty.name, out)
+        else:
+            out.append(0x02)
+            _enc_name(ty.con, out)
+            out += len(ty.args).to_bytes(4, "big")
+            for a in ty.args:
+                out += _type_enc(a)
+        enc = bytes(out)
+        object.__setattr__(ty, "_enc", enc)
+    return enc
+
+
+def _enc_term(t: Term, out: bytearray, env: dict[Var, int], depth: int):
+    cls = type(t)
+    if cls is Comb:
+        out.append(0x13)
+        _enc_term(t.rator, out, env, depth)
+        _enc_term(t.rand, out, env, depth)
+    elif cls is Abs:
+        out.append(0x14)
+        v = t.bvar
+        out += _type_enc(v.ty)
+        saved = env.get(v)
+        env[v] = depth
+        _enc_term(t.body, out, env, depth + 1)
+        if saved is None:
+            del env[v]
+        else:
+            env[v] = saved
+    else:
+        level = env.get(t) if cls is Var else None
+        if level is None:
+            out.append(_TAG[cls])
+            _enc_name(t.name, out)
+            out += _type_enc(t.ty)
+        else:
+            out.append(0x10)
+            out += (depth - level - 1).to_bytes(4, "big")
+
+
+def _order(t: Term, u: Term, tenv: dict, uenv: dict, depth: int, sync: bool) -> int:
+    # Compares the encodings component by component; every component is
+    # self-delimiting, so the first differing one decides.  `sync`: every
+    # binder pair opened so far is the same variable, so both sides see the
+    # same bound variables at the same levels and a shared subterm equals
+    # itself without a walk.
+    if t is u and sync:
+        return 0
+    cls = type(t)
+    if cls is not type(u):
+        kt = 0x10 if cls is Var and t in tenv else _TAG[cls]
+        ku = 0x10 if type(u) is Var and u in uenv else _TAG[type(u)]
+        return -1 if kt < ku else 1
+    if cls is Comb:
+        return _order(t.rator, u.rator, tenv, uenv, depth, sync) or _order(
+            t.rand, u.rand, tenv, uenv, depth, sync
+        )
+    if cls is Abs:
+        tv, uv = t.bvar, u.bvar
+        if tv.ty is not uv.ty:
+            a, b = _type_enc(tv.ty), _type_enc(uv.ty)
+            return -1 if a < b else 1
+        tsaved = tenv.get(tv)
+        usaved = uenv.get(uv)
+        tenv[tv] = depth
+        uenv[uv] = depth
+        try:
+            return _order(t.body, u.body, tenv, uenv, depth + 1, sync and tv == uv)
+        finally:
+            if tsaved is None:
+                del tenv[tv]
+            else:
+                tenv[tv] = tsaved
+            if usaved is None:
+                del uenv[uv]
+            else:
+                uenv[uv] = usaved
+    if cls is Var:
+        tl = tenv.get(t)
+        ul = uenv.get(u)
+        if tl is not None or ul is not None:
+            # A bound variable is less than a free one; between two bound
+            # ones the de Bruijn index, depth - level - 1, decides.
+            if tl is None:
+                return 1
+            if ul is None:
+                return -1
+            return (ul > tl) - (ul < tl)
+    # Free variable or constant: the name, length of its UTF-8 first,
+    # then the type.
+    if t.name != u.name:
+        a, b = t.name.encode(), u.name.encode()
+        if len(a) != len(b):
+            return -1 if len(a) < len(b) else 1
+        return -1 if a < b else 1
+    if t.ty is u.ty:
+        return 0
+    a, b = _type_enc(t.ty), _type_enc(u.ty)
+    return -1 if a < b else 1
 
 
 def alpha_equiv(t: Term, u: Term) -> bool:
     """True iff t and u differ only by consistent renaming of bound variables."""
-    return t is u or alpha_equal(t, u)
+    return t is u or _order(t, u, {}, {}, 0, True) == 0
 
 
 def term_order_key(t: Term) -> bytes:
     """Canonical de Bruijn encoding; equal keys iff alpha-equivalent terms.
     A stored value: ``Theory.fingerprint`` hashes it.  Terms are ordered
     by ``term_compare``, which builds no encoding."""
-    return alpha_canon(t)
+    out = bytearray()
+    _enc_term(t, out, {}, 0)
+    return bytes(out)
 
 
 def term_compare(t: Term, u: Term) -> int:
     """Total order on alpha-classes: -1, 0 or 1, the order of the
     encodings (``term_order_key``), found without building them."""
-    return alpha_order(t, u)
+    return _order(t, u, {}, {}, 0, True)

@@ -79,6 +79,7 @@ from microhol.surface import (
     ParseError,
     UnknownConstant,
     _is_tyvar_name,
+    print_type,
 )
 from microhol.syntax import (
     BOOL,
@@ -1229,7 +1230,7 @@ class LegacyParser:
                 self.require_constant(cname, tok)
             return Const(cname, generic)
         if type_match(generic, ann) is None:
-            self.fail(f"{ann!r} is not an instance of {cname!r}'s type", tok)
+            self.fail(f"{print_type(ann)} is not an instance of {cname!r}'s type", tok)
         if cname in ("forall", "exists"):
             self.require_constant(cname, tok)
         return Const(cname, ann)
@@ -1264,7 +1265,7 @@ class LegacyParser:
             generic = self.theory.constant_type(name)
             if type_match(generic, ann) is not None:
                 return Const(name, ann)
-            self.fail(f"{name!r} is a constant and {ann!r} does not fit it", tok)
+            self.fail(f"{name!r} is a constant and {print_type(ann)} does not fit it", tok)
         return Var(name, ann)
 
 

@@ -1,14 +1,22 @@
-"""The hot kernels in ``microhol._accel``: encoding shape, the order
-walk against the encoding, and the shared-subterm alpha walk under
-shadowing binders."""
+"""The term order, alpha-equivalence and the canonical encoding of
+``microhol.syntax``: encoding shape, the order walk against the encoding,
+and the shared-subterm alpha walk under shadowing binders."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import microhol
-from microhol import _accel
-from microhol.syntax import BOOL, TyVar, Var, mk_abs, mk_eq
+from microhol.syntax import (
+    BOOL,
+    TyVar,
+    Var,
+    alpha_equiv,
+    mk_abs,
+    mk_eq,
+    term_compare,
+    term_order_key,
+)
 
 from .strategies import shared_pairs, typed_terms
 
@@ -28,7 +36,7 @@ def test_alpha_equal_shadowing_examples():
         (mk_abs(x, mk_abs(y, xy)), mk_abs(x, mk_abs(y, xy)), True),
     ]
     for t, u, want in cases:
-        assert _accel.alpha_equal(t, u) == want
+        assert alpha_equiv(t, u) == want
 
 
 class TestEncodingShape:
@@ -36,20 +44,20 @@ class TestEncodingShape:
         x = Var("x", BOOL)
         y = Var("y", BOOL)
         two = mk_abs(x, mk_abs(y, x))
-        enc = _accel.alpha_canon(two)
+        enc = term_order_key(two)
         # outer binder referenced from under one intervening binder: index 1
         assert enc[0] == 0x14
         assert enc.endswith((1).to_bytes(4, "big"))
 
     def test_free_vs_bound_distinct(self):
         x = Var("x", BOOL)
-        assert _accel.alpha_canon(mk_abs(x, x)) != _accel.alpha_canon(
+        assert term_order_key(mk_abs(x, x)) != term_order_key(
             mk_abs(Var("y", BOOL), x)
         )
 
 
 def _encoding_order(t, u):
-    a, b = _accel.alpha_canon(t), _accel.alpha_canon(u)
+    a, b = term_order_key(t), term_order_key(u)
     return (a > b) - (a < b)
 
 
@@ -58,9 +66,9 @@ class TestAlphaOrder:
     @settings(max_examples=500, deadline=None)
     def test_agrees_with_encoding(self, pair):
         t, u = pair
-        assert _accel.alpha_order(t, u) == _encoding_order(t, u)
-        assert _accel.alpha_order(u, t) == -_accel.alpha_order(t, u)
-        assert _accel.alpha_equal(t, u) == (_accel.alpha_canon(t) == _accel.alpha_canon(u))
+        assert term_compare(t, u) == _encoding_order(t, u)
+        assert term_compare(u, t) == -term_compare(t, u)
+        assert alpha_equiv(t, u) == (term_order_key(t) == term_order_key(u))
 
     # Cases a walk that compares names as strings, binders by name, or
     # types by name would get wrong; the first term is the lesser.
@@ -81,6 +89,6 @@ class TestAlphaOrder:
     )
     def test_fixed_cases(self, t, u):
         assert _encoding_order(t, u) == -1
-        assert _accel.alpha_order(t, u) == -1
-        assert _accel.alpha_order(u, t) == 1
-        assert _accel.alpha_order(t, t) == 0
+        assert term_compare(t, u) == -1
+        assert term_compare(u, t) == 1
+        assert term_compare(t, t) == 0

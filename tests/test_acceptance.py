@@ -269,12 +269,16 @@ print(json.dumps({
 def test_criterion_6_article_throughput():
     """A generated article with 10^5 inferences checks in <= 10 s within
     512 MB, and two replays give byte-identical JSON reports."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(
         [sys.executable, "-c", _ARTICLE_SCRIPT, str(ARTICLE_INFERENCES)],
         capture_output=True,
         text=True,
         check=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        cwd=root,
+        env=env,
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["ok"], "the generated article must replay"

@@ -609,7 +609,7 @@ class TestParseMemo:
         assert rep.failures == [
             {
                 "line": 8,
-                "message": "THM: 1:2: 'mk' is a constant and <hol_type bool> does not fit it",
+                "message": "THM: 1:2: 'mk' is a constant and bool does not fit it",
             }
         ]
 

@@ -809,8 +809,10 @@ class TestReconstructionPinned:
         logic = bootstrap.install_logic(kernel.Theory())
         _NormLemmas.get(logic)
         encodings = []
-        real = syntax.alpha_canon
-        monkeypatch.setattr(syntax, "alpha_canon", lambda t: encodings.append(t) or real(t))
+        real = syntax._enc_term
+        monkeypatch.setattr(
+            syntax, "_enc_term", lambda t, *rest: encodings.append(t) or real(t, *rest)
+        )
         with kernel.tracing() as log:
             for name, prob, depth in PROBLEMS:
                 meson(logic, prob, depth_bound=depth)

@@ -1,8 +1,10 @@
 """Source hygiene, checked with the `ast` module (the project has no
 linter): every import in the package is used, every `__all__` name is
 defined, every top-level function and class has a user, a theory's
-signature is written only by the two definitional rules, and only the
-theory fingerprint builds a term's byte encoding."""
+signature is written only by the two definitional rules, only the
+theory fingerprint builds a term's byte encoding, and the trusted base
+(`kernel.py` and `syntax.py`) stands on its own: it imports nothing else
+of the package outside a `__repr__`, and only the kernel makes theorems."""
 
 import ast
 from collections import Counter
@@ -118,21 +120,25 @@ def _writes_field(node: ast.AST) -> bool:
     )
 
 
+def _scoped_nodes(node: ast.AST, scope: str = ""):
+    """(scope, node) for every node in the code of `node`'s functions and
+    classes, scope being the dotted name of the innermost function or
+    class holding it (`""` for the module)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped_nodes(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        yield scope, child
+        yield from _scoped_nodes(child, scope)
+
+
 def _scopes(tree: ast.Module, hit) -> dict[str, int]:
     """Dotted name of each function or class (`""` for the module) whose
     own code holds a node for which `hit` is true -> the line of the first."""
     out: dict[str, int] = {}
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if hit(child):
-                out.setdefault(scope, child.lineno)
-            visit(child, scope)
-
-    visit(tree, "")
+    for scope, node in _scoped_nodes(tree):
+        if hit(node):
+            out.setdefault(scope, node.lineno)
     return out
 
 
@@ -142,12 +148,58 @@ def _signature_writers(tree: ast.Module) -> dict[str, int]:
 
 
 # The term encoding is a stored value only where the fingerprint hashes it;
-# everything else orders terms by the `alpha_order` walk.  Each encoder may
+# everything else orders terms by the `term_compare` walk.  Each encoder may
 # be named (called, or passed as a sort key) only by these functions.
+# `alpha_canon` is bound, by import alone, in the `_accel` stub the
+# benchmark's tracer wraps, and no module names it.
 ENCODER_USERS = {
     "term_order_key": {"kernel.py:Theory.fingerprint"},
-    "alpha_canon": {"syntax.py:term_order_key"},
+    "alpha_canon": set(),
 }
+
+# The trusted base and the package modules each may import: `surface`
+# only inside a `__repr__`, to print.
+TRUSTED_IMPORTS = {"kernel.py": {"syntax"}, "syntax.py": set()}
+# What only the kernel may name: its theorem maker and the constructor's token.
+KERNEL_PRIVATE = ("_mk", "_RULE_TOKEN")
+
+
+def _package_imports(node: ast.AST) -> set[str]:
+    """The package modules an import statement brings in."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            parts = node.module.split(".") if node.module else []
+        elif node.module and node.module.split(".")[0] == "microhol":
+            parts = node.module.split(".")[1:]
+        else:
+            return set()
+        return {parts[0]} if parts else {alias.name for alias in node.names}
+    if isinstance(node, ast.Import):
+        return {
+            alias.name.split(".")[1]
+            for alias in node.names
+            if alias.name.startswith("microhol.")
+        }
+    return set()
+
+
+def _untrusted_imports(tree: ast.Module, allowed: set[str]) -> list[str]:
+    """`scope: module` for each package import outside `allowed`, apart
+    from `surface` inside a `__repr__`."""
+    return sorted(
+        f"{scope}: {module}"
+        for scope, node in _scoped_nodes(tree)
+        for module in _package_imports(node)
+        if module not in allowed
+        and not (module == "surface" and scope.split(".")[-1] == "__repr__")
+    )
+
+
+def _makes_theorems(node: ast.AST) -> bool:
+    """A node that names a kernel-private maker or calls `Theorem(`."""
+    if any(_names(name)(node) for name in KERNEL_PRIVATE):
+        return True
+    return isinstance(node, ast.Call) and _names("Theorem")(node.func)
 
 
 def _names(name: str, strings: bool = False):
@@ -231,6 +283,41 @@ def test_only_the_fingerprint_encodes_terms(name):
     assert users == ENCODER_USERS[name], f"{name} named by {sorted(users)}"
 
 
+@pytest.mark.parametrize("name", sorted(TRUSTED_IMPORTS))
+def test_trusted_base_imports_no_other_module(name):
+    stray = _untrusted_imports(_tree(PACKAGE / name), TRUSTED_IMPORTS[name])
+    assert not stray, f"{name} imports outside the trusted base:\n" + "\n".join(stray)
+
+
+def test_only_the_kernel_makes_theorems():
+    stray = [
+        f"{path.name}:{line} ({scope or 'module'})"
+        for path in MODULES
+        if path.name != "kernel.py"
+        for scope, line in _scopes(_tree(path), _makes_theorems).items()
+    ]
+    assert not stray, "theorems made outside the kernel:\n" + "\n".join(stray)
+
+
+def test_no_module_imports_accel():
+    stray = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        for line in _scopes(_tree(path), lambda n: "_accel" in _package_imports(n)).values()
+    ]
+    assert not stray, "`_accel` imported:\n" + "\n".join(stray)
+
+
+def test_no_kind_tags():
+    # the term walkers dispatch on the node classes themselves
+    stray = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        for line in _scopes(_tree(path), _names("KIND")).values()
+    ]
+    assert not stray, "a `KIND` tag is back:\n" + "\n".join(stray)
+
+
 def test_no_encoding_cache_on_terms():
     stray = [
         f"{path.name}:{line}"
@@ -276,3 +363,29 @@ def test_checks_catch_what_they_are_for():
     assert sorted(_scopes(tree, _names("alpha_canon"))) == ["key"]
     assert _scopes(tree, _names("_canon")) == {"key": 5}
     assert _scopes(tree, _names("_canon", strings=True)) == {"key": 5, "Comb": 8}
+    tree = ast.parse(
+        "from .syntax import BOOL\n"
+        "from . import fuzz\n"
+        "import microhol.auto\n"
+        "from ._accel import alpha_canon\n"
+        "class Theorem:\n"
+        "    def __repr__(self):\n"
+        "        from .surface import print_sequent\n"
+        "    def show(self):\n"
+        "        from .surface import print_term\n"
+    )
+    assert _untrusted_imports(tree, {"syntax"}) == [
+        ": _accel", ": auto", ": fuzz", "Theorem.show: surface",
+    ]
+    assert _scopes(tree, lambda n: "_accel" in _package_imports(n)) == {"": 4}
+    tree = ast.parse(
+        "def forge(c): return kernel._mk((), c, False)\n"
+        "def token(c): return Theorem((), c, _token=_RULE_TOKEN)\n"
+        "def build(c): return kernel.Theorem((), c)\n"
+        "def check(th): return isinstance(th, Theorem)\n"
+        "class Var:\n"
+        "    KIND = 0\n"
+        "Const.KIND = 1\n"
+    )
+    assert sorted(_scopes(tree, _makes_theorems)) == ["build", "forge", "token"]
+    assert _scopes(tree, _names("KIND")) == {"Var": 6, "": 7}

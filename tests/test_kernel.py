@@ -66,6 +66,14 @@ def eq(a, b):
     return mk_eq(a, b)
 
 
+# `=` at bool -> (bool -> bool) -> bool: `bad_eq` is boolean but relates
+# terms of two types, so it is no equation.
+ident = mk_abs(x, x)
+bad_eq = mk_comb(
+    mk_comb(Const("=", fn(BOOL, fn(fn(BOOL, BOOL), BOOL))), eq(ident, ident)), ident
+)
+
+
 class TestRefl:
     def test_simple(self):
         th = refl(x)
@@ -103,6 +111,10 @@ class TestTrans:
     def test_not_equation(self):
         with pytest.raises(NotAnEquation):
             trans(assume(x), assume(eq(x, y)))
+
+    def test_equality_constant_at_a_mixed_type(self):
+        with pytest.raises(NotAnEquation):
+            trans(assume(bad_eq), refl(ident))
 
 
 class TestMkCombRule:
@@ -195,6 +207,12 @@ class TestEqMp:
     def test_mismatch(self):
         with pytest.raises(Mismatch):
             eq_mp(assume(x), assume(eq(y, z)))
+
+    def test_equality_constant_at_a_mixed_type(self):
+        # without the type check this returns {bad_eq} |- \x:bool. x,
+        # a sequent whose conclusion has type bool -> bool
+        with pytest.raises(NotAnEquation):
+            eq_mp(refl(ident), assume(bad_eq))
 
 
 class TestDeductAntisym:

@@ -101,6 +101,14 @@ class TestTermParsing:
         assert err.value.line == 1
         assert err.value.col > 1
 
+    def test_errors_print_types_in_the_surface_syntax(self, theory):
+        with pytest.raises(ParseError) as err:
+            parse_term("(T:ind)", theory)
+        assert str(err.value).endswith("'T' is a constant and ind does not fit it")
+        with pytest.raises(ParseError) as err:
+            parse_term("(/\\:ind -> bool)", theory)
+        assert "ind -> bool is not an instance of 'and''s type" in str(err.value)
+
     def test_binder_sugar(self, theory):
         t = parse_term("!x:ind. x = x", theory)
         assert t.rator == Const("forall", fn(fn(IND, BOOL), BOOL))
