@@ -21,7 +21,12 @@ A TYPEDEF line holds the abs/rep bijection theorem; SND on that line
 number retrieves the second (predicate characterization) theorem.
 Lines are numbered consecutively from 1 and may only reference strictly
 earlier lines (the proof is a DAG unfolded in order).  THM declares an
-expected sequent, compared modulo alpha-equivalence.
+expected sequent.  If the theory has no definitions and the text is the
+line's theorem exactly as `print_sequent` writes it, THM accepts it
+without parsing: over that signature the printing reads back as the
+theorem.  Any other text is parsed and compared modulo
+alpha-equivalence.  Each distinct TERM text is parsed and audited once
+per signature.
 
 Replay produces theorems exclusively through kernel calls; the first
 failure aborts the run and is reported with its line number.
@@ -168,51 +173,23 @@ _COMMANDS = {
 }
 
 
-def _sequent_parts(text: str) -> list[str] | None:
-    """The hypothesis texts and then the conclusion text of a sequent,
-    split at its one `|-` and at commas and stripped, or None if that
-    split leaves an empty part or `|-` occurs twice.  No term contains
-    either token, so if every part parses as a term, the sequent parses
-    as exactly those terms."""
-    left, sep, right = text.partition("|-")
-    if not sep or "|-" in right:
-        return None
-    parts = left.split(",") if left.strip(_BLANKS) else []
-    parts.append(right)
-    parts = [part.strip(_BLANKS) for part in parts]
-    return parts if all(parts) else None
-
-
 class _Replay:
     def __init__(self, theory: Theory):
         self.theory = theory
         self.slots: dict[int, tuple[str, object]] = {}
         self.pending_second: dict[int, Theorem] = {}
-        # exact TERM line text -> the term parsed from it under the
-        # current signature; emptied whenever a definitional rule changes
-        # that.  It holds only terms that the slots hold too.
+        # exact TERM line text -> the term parsed and audited from it
+        # under the current signature; emptied whenever a definitional
+        # rule changes that.  It holds only terms that the slots hold too.
         self.parsed: dict[str, Term] = {}
 
     def term(self, text: str) -> Term:
         t = self.parsed.get(text)
         if t is None:
-            t = self.parsed[text] = parse_term(text, self.theory)
+            t = parse_term(text, self.theory)
+            kernel.check_term(self.theory, t)
+            self.parsed[text] = t
         return t
-
-    def sequent(self, text: str) -> tuple[tuple[Term, ...], Term]:
-        """The sequent `text`, from parsed TERM lines if each part is one,
-        else parsed whole, so an error is reported as the parser reports it."""
-        parts = _sequent_parts(text)
-        if parts is not None:
-            terms = []
-            for part in parts:
-                t = self.parsed.get(part)
-                if t is None:
-                    break
-                terms.append(t)
-            else:
-                return tuple(terms[:-1]), terms[-1]
-        return parse_sequent(text, self.theory)
 
     def ref(self, tok: str, line: int, kind: str):
         if not _REF_RE.fullmatch(tok):
@@ -332,9 +309,7 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
         kernel.check_type(theory, ty)
         return ("type", ty)
     if cmd == "TERM":
-        t = replay.term(args[0])
-        kernel.check_term(theory, t)
-        return ("term", t)
+        return ("term", replay.term(args[0]))
     if cmd == "INSTTYPE":
         th, pairs = args
         types = {name: replay.ref(ref, no, "type") for name, ref in pairs}
@@ -365,16 +340,23 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
     if cmd == "SND":
         return ("thm", args[0])
     # THM
-    th, sequent = args
-    hyps, concl = replay.sequent(sequent)
+    th, text = args
     produced = print_sequent(th.assumptions, th.conclusion)
-    if not alpha_equiv(concl, th.conclusion):
-        raise ReplayError(no, f"conclusion mismatch: produced {produced}")
-    # th.assumptions is sorted by term_compare with no two alpha-equal, so
-    # the sorted hyps must match it pairwise; a repeated hyp fails on length
-    hyps = sorted(hyps, key=cmp_to_key(term_compare))
-    if len(hyps) != len(th.assumptions) or not all(map(alpha_equiv, hyps, th.assumptions)):
-        raise ReplayError(no, f"assumption mismatch: produced {produced}")
+    # A theory with no definitions has only the constants `=` and `@`, and
+    # no variable can have either name, so the parser would read the
+    # theorem's own printing back as the theorem: that text is accepted
+    # unread, even nested deeper than the parser reads.
+    if text != produced or theory.definition_log:
+        hyps, concl = parse_sequent(text, theory)
+        if not alpha_equiv(concl, th.conclusion):
+            raise ReplayError(no, f"conclusion mismatch: produced {produced}")
+        # th.assumptions is sorted by term_compare with no two alpha-equal, so
+        # the sorted hyps must match it pairwise; a repeated hyp fails on length
+        hyps = sorted(hyps, key=cmp_to_key(term_compare))
+        if len(hyps) != len(th.assumptions) or not all(
+            map(alpha_equiv, hyps, th.assumptions)
+        ):
+            raise ReplayError(no, f"assumption mismatch: produced {produced}")
     report.theorems.append(produced)
     report.uses_infinity.append(th.uses_infinity)
     return ("thm", th)

@@ -17,10 +17,16 @@ Binder annotations are mandatory; free variables are written annotated,
 
 Printing is deterministic with canonical spacing and minimal
 parentheses, so `print(parse(s))` is a fixed point, and `parse(print(t))`
-is alpha-identical to `t` unless `t` has a free variable with the name of
-a constant of the theory whose type fits it: under the bootstrapped
-logic, `Var("T", bool)` prints as `(T:bool)`, which reads back as the
-constant `T`.
+is `t` itself, with three exceptions.  A free variable with the name of a
+constant of the theory does not read back: under the bootstrapped logic
+`Var("T", bool)` prints as `(T:bool)`, which reads back as the constant
+`T`, and `Var("not", bool)` as `(not:bool)`, which is a `ParseError`.
+Nor does a bound variable with a constant's name that is used under an
+inner binder of that name and another type, because it prints as a free
+one does: in `\\not:bool. ?not:ind -> ind. v`, where `v` is the outer
+`not`, `v` prints as `(not:bool)`.  And input nested deeper than the
+parser's recursion allows, about 250 applications `f (f (... x))` from a
+fresh interpreter, is a `ParseError`.
 """
 
 from __future__ import annotations
@@ -558,6 +564,9 @@ def _pt(t: Term, prec: int, binders: list[Var]) -> str:
                 break
         return f"({t.name}:{print_type(t.ty)})"
     if isinstance(t, Const):
+        if t.name in ("T", "F") and any(v.name == t.name for v in binders):
+            # bare, it would read back as the bound variable
+            return f"({t.name}:{print_type(t.ty)})"
         return _pconst(t)
     if isinstance(t, Abs):
         s = _pbinder("\\", t.bvar, t.body, binders)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microhol import article, kernel
 from microhol.article import (
     FORMAT_HEADER,
     FingerprintMismatch,
@@ -18,9 +19,16 @@ from microhol.article import (
     standard_theory_for,
 )
 from microhol.bootstrap import install_logic
+from microhol.fuzz import alpha_variant
 from microhol.kernel import Theory
-from microhol.surface import parse_sequent, parse_term, print_sequent, print_term
-from microhol.syntax import HolError
+from microhol.surface import (
+    ParseError,
+    parse_sequent,
+    parse_term,
+    print_sequent,
+    print_term,
+)
+from microhol.syntax import BOOL, Comb, Var, fn, mk_eq
 
 from .strategies import bool_terms
 
@@ -618,8 +626,6 @@ class TestParseMemo:
         replay = _Replay(thy)
         t = replay.term("(p:bool) = (q:bool)")
         assert replay.term("(p:bool) = (q:bool)") is t
-        hyps, concl = replay.sequent("(p:bool) = (q:bool) |- (p:bool) = (q:bool)")
-        assert len(hyps) == 1 and hyps[0] is t and concl is t
 
     def test_seed_1_benchmark_report_is_unchanged(self):
         # the report of the article the benchmark replays, pinned before
@@ -637,48 +643,92 @@ class TestParseMemo:
         )
 
 
-def _outcome(parse, *args):
-    """("ok", value) or ("error", type, message, line, col)."""
-    try:
-        return ("ok", parse(*args))
-    except HolError as exc:
-        return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None),
-                getattr(exc, "col", None))
+def _counted(monkeypatch, name):
+    """The first arguments of every call of `article`'s `name` from now on."""
+    calls = []
+    real = getattr(article, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(article, name, counting)
+    return calls
 
 
-def _spaced(rng, text):
-    """`text` with the blanks around its commas and `|-` varied."""
-    for token in (",", "|-"):
-        pieces = text.split(token)
-        text = pieces[0]
-        for piece in pieces[1:]:
-            before, after = rng.choice(("", " ", "\t", "  ")), rng.choice(("", " ", " \t"))
-            text += before + token + after + piece.lstrip(" ")
-    return rng.choice(("", " ")) + text + rng.choice(("", " \t"))
+class TestThmText:
+    """Over a theory with no definitions, a THM text that is the theorem's
+    own printing is accepted unparsed; any other text is parsed."""
 
-
-class TestMemoAgainstParser:
-    @given(st.lists(bool_terms, max_size=3), bool_terms, st.integers(0, 10**9))
+    @given(bool_terms, bool_terms, st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
-    def test_sequents_read_as_the_parser_reads_them(self, theory, hyps, concl, seed):
+    def test_printed_respaced_and_renamed_texts_agree(self, p, q, seed):
+        th = kernel.deduct_antisym(kernel.assume(p), kernel.assume(q))
+        printed = print_sequent(th.assumptions, th.conclusion)
         rng = random.Random(seed)
-        p, q = print_term(concl), print_term(hyps[0] if hyps else concl)
-        printed = print_sequent(hyps, concl)
-        texts = [
-            printed,
-            _spaced(rng, printed),
-            f"{p} |- {q} |- {p}",
-            f", {p} |- {q}",
-            f"{p} |-",
-            f"({p}, {q}) |- {p}",
+        renamed = print_sequent(
+            [alpha_variant(rng, h) for h in th.assumptions],
+            alpha_variant(rng, th.conclusion),
+        )
+        reports = []
+        for text in (printed, printed.replace("|- ", "|-  "), renamed):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _counted(mp, "parse_sequent")
+                rep = _replay(
+                    Theory(),
+                    f"TERM {print_term(p)}",
+                    f"TERM {print_term(q)}",
+                    "ASSUME 1",
+                    "ASSUME 2",
+                    "DEDUCT 3 4",
+                    f"THM 5 {text}",
+                )
+            assert calls == ([] if text == printed else [text])
+            reports.append(rep.to_json())
+        assert rep.ok
+        # the respaced text is always parsed: the others report as it does
+        assert reports == [reports[1]] * 3
+
+    def test_the_seed_1_benchmark_article_parses_no_sequent(self, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "article_gen", root / "perfbench" / "article_gen.py"
+        )
+        article_gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(article_gen)
+        text = article_gen.generate(1, 2000)
+        calls = _counted(monkeypatch, "parse_sequent")
+        rep = check_article(text, Theory())
+        assert rep.ok and len(rep.theorems) == 2000
+        assert calls == []
+
+    def test_a_printed_theorem_deeper_than_the_parser_reads_is_accepted(self):
+        lines = deep_comb_chain(300)[:-1]
+        f, t = Var("f", fn(BOOL, BOOL)), Var("x", BOOL)
+        for _ in range(300):
+            t = Comb(f, t)
+        text = print_sequent((), mk_eq(t, t))
+        with pytest.raises(ParseError, match="input nested too deeply"):
+            parse_sequent(text, Theory())
+        rep = _replay(Theory(), *lines, f"THM {len(lines)} {text}")
+        assert rep.ok and rep.theorems == [text]
+
+    def test_a_truth_constant_under_a_binder_of_its_name(self, theory):
+        text = "|- (\\T:ind. (T:bool)) = (\\T:ind. (T:bool))"
+        rep = _replay(theory, "TERM \\T:ind. (T:bool)", "REFL 1", f"THM 2 {text}")
+        assert rep.ok and rep.theorems == [text]
+
+    def test_a_theory_with_definitions_parses_every_text(self, monkeypatch):
+        # `t` names a constant here, so the axiom's free variable `t` prints
+        # as `(t:A -> B)`, which reads back as the constant
+        thy = Theory()
+        kernel.new_basic_definition(thy, "t", parse_term("\\x:A. @y:B. y = y", thy))
+        ext = kernel.axiom_extensionality()
+        text = print_sequent(ext.assumptions, ext.conclusion)
+        assert text == "|- (\\x:A. (t:A -> B) x) = (t:A -> B)"
+        calls = _counted(monkeypatch, "parse_sequent")
+        rep = _replay(thy, "AXIOM extensionality", f"THM 1 {text}")
+        assert calls == [text]
+        assert rep.failures == [
+            {"line": 4, "message": f"THM: line 2: conclusion mismatch: produced {text}"}
         ]
-        for text in texts:
-            replay = _Replay(theory)
-            for part in (p, q, *map(print_term, hyps)):
-                replay.parsed.setdefault(part, parse_term(part, theory))
-            memo = _outcome(replay.sequent, text)
-            assert memo == _outcome(parse_sequent, text, theory), text
-        # every part of the printed sequent is in the memo: nothing is parsed
-        memo_hyps, memo_concl = replay.sequent(_spaced(rng, printed))
-        assert memo_concl is replay.parsed[p]
-        assert all(h is replay.parsed[print_term(g)] for h, g in zip(memo_hyps, hyps))

@@ -30,6 +30,7 @@ from microhol.syntax import (
     mk_abs,
     mk_comb,
     mk_eq,
+    type_match,
 )
 
 from .oracles import (
@@ -166,6 +167,41 @@ def _roundtrip_theory():
     return _ROUNDTRIP_THEORY[0]
 
 
+_SMALL_TYPES = (BOOL, IND, TyVar("A"), fn(BOOL, BOOL), fn(IND, BOOL))
+
+
+@st.composite
+def _constant_terms(draw, theory, ty, bound, depth):
+    """A term of type `ty` over the theory's constants, with free variables
+    named `x` or `y` and binders named as constants too; `bound` holds
+    the binders in scope, innermost last.  A constant-named binder is not
+    used under an inner binder of its name, where it prints as a free
+    variable would."""
+    names = [n for n in theory.term_constants if n[0].isalpha()]
+    visible = [
+        v
+        for i, v in enumerate(bound)
+        if v.ty is ty
+        and (v.name not in names or all(w.name != v.name for w in bound[i + 1 :]))
+    ]
+    consts = [
+        Const(n, ty)
+        for n, generic in theory.term_constants.items()
+        if type_match(generic, ty) is not None
+    ]
+    leaves = [Var(n, ty) for n in ("x", "y")] + visible + consts
+    choice = draw(st.integers(0, 3)) if depth > 0 else 0
+    if choice == 0:
+        return draw(st.sampled_from(leaves))
+    if choice == 1 and getattr(ty, "con", None) == "fun":
+        v = Var(draw(st.sampled_from(names + ["x", "y"])), ty.args[0])
+        body = draw(_constant_terms(theory, ty.args[1], (*bound, v), depth - 1))
+        return Abs(v, body)
+    arg = draw(st.sampled_from(_SMALL_TYPES))
+    f = draw(_constant_terms(theory, fn(arg, ty), bound, depth - 1))
+    return Comb(f, draw(_constant_terms(theory, arg, bound, depth - 1)))
+
+
 class TestRoundTrip:
     @given(st.integers(0, 10**9))
     @settings(max_examples=300, deadline=None)
@@ -187,6 +223,30 @@ class TestRoundTrip:
         theory = _roundtrip_theory()
         assert print_term(Var("T", BOOL)) == "(T:bool)"
         assert parse_term("(T:bool)", theory) == Const("T", BOOL)
+
+    def test_truth_constant_under_a_binder_of_its_name(self):
+        theory = _roundtrip_theory()
+        t = parse_term("\\T:ind. (T:bool)", theory)
+        assert t == Abs(Var("T", IND), Const("T", BOOL))
+        assert print_term(t) == "\\T:ind. (T:bool)"
+        assert parse_term(print_term(t), theory) == t
+
+    def test_a_shadowed_constant_named_binder_prints_as_a_free_variable(self):
+        # the other exception: the outer `not` under an inner `not` binder
+        outer = Var("not", BOOL)
+        quant = Const("exists", fn(fn(fn(IND, IND), BOOL), BOOL))
+        t = Abs(outer, Comb(quant, Abs(Var("not", fn(IND, IND)), outer)))
+        assert print_term(t) == "\\not:bool. ?not:ind -> ind. (not:bool)"
+        with pytest.raises(ParseError):
+            parse_term(print_term(t), _roundtrip_theory())
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_constants_and_binders_named_as_constants(self, data):
+        theory = _roundtrip_theory()
+        t = data.draw(_constant_terms(theory, BOOL, (), 4))
+        s = print_term(t)
+        assert parse_term(s, theory) == t, s
 
     def test_print_parse_modulo_whitespace(self):
         theory = _roundtrip_theory()
