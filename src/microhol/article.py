@@ -25,8 +25,15 @@ expected sequent.  If the theory has no definitions and the text is the
 line's theorem exactly as `print_sequent` writes it, THM accepts it
 without parsing: over that signature the printing reads back as the
 theorem.  Any other text is parsed and compared modulo
-alpha-equivalence.  Each distinct TERM text is parsed and audited once
-per signature.
+alpha-equivalence.
+
+One replay (one `check_article` call) remembers, and forgets when it
+returns:
+- each distinct TERM text, with the term parsed from it;
+- each distinct variable and constant the audit of those terms passed;
+- the printing of each assumption and conclusion object of a THM line.
+The first two depend on the signature, so each DEFINE and TYPEDEF line
+forgets them; a printing depends on the term alone and is kept.
 
 Replay produces theorems exclusively through kernel calls; the first
 failure aborts the run and is reported with its line number.
@@ -40,8 +47,9 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 from . import kernel
+from .audit import check_term, check_type
 from .kernel import Theorem, Theory
-from .surface import parse_sequent, parse_term, parse_type, print_sequent
+from .surface import parse_sequent, parse_term, parse_type, print_term, sequent_text
 from .syntax import (
     HolError,
     Term,
@@ -75,8 +83,12 @@ _REF_RE = re.compile(r"0|[1-9][0-9]*")
 
 def _fields(rest: str, maxsplit: int = -1) -> list[str]:
     """`rest`, which has no blank at either end, split at runs of ASCII
-    spaces and tabs, at most `maxsplit` times if that is positive."""
-    return _SEP_RE.split(rest, max(maxsplit, 0)) if rest else []
+    spaces and tabs, at most `maxsplit` times if that is not negative."""
+    if not rest:
+        return []
+    if maxsplit == 0:
+        return [rest]
+    return _SEP_RE.split(rest, max(maxsplit, 0))
 
 
 class ReplayError(HolError):
@@ -178,18 +190,34 @@ class _Replay:
         self.theory = theory
         self.slots: dict[int, tuple[str, object]] = {}
         self.pending_second: dict[int, Theorem] = {}
-        # exact TERM line text -> the term parsed and audited from it
-        # under the current signature; emptied whenever a definitional
-        # rule changes that.  It holds only terms that the slots hold too.
+        # exact TERM line text -> the term parsed and audited from it, and
+        # the variables and constants that audit passed, under the current
+        # signature; both are emptied whenever a definitional rule changes
+        # that.  `parsed` holds only terms that the slots hold too.
         self.parsed: dict[str, Term] = {}
+        self.audited: set[Term] = set()
+        # id of a THM line's assumption or conclusion -> (it, its printing);
+        # holding the term keeps its id from being reused
+        self.printed: dict[int, tuple[Term, str]] = {}
 
     def term(self, text: str) -> Term:
         t = self.parsed.get(text)
         if t is None:
             t = parse_term(text, self.theory)
-            kernel.check_term(self.theory, t)
+            check_term(self.theory, t, self.audited)
             self.parsed[text] = t
         return t
+
+    def forget_signature(self):
+        """Drop what depends on the signature, which is about to change."""
+        self.parsed.clear()
+        self.audited.clear()
+
+    def print_part(self, t: Term) -> str:
+        got = self.printed.get(id(t))
+        if got is None:
+            got = self.printed[id(t)] = (t, print_term(t))
+        return got[1]
 
     def ref(self, tok: str, line: int, kind: str):
         if not _REF_RE.fullmatch(tok):
@@ -214,25 +242,27 @@ class _Replay:
         return got[1]
 
     def arguments(self, no: int, cmd: str, kinds: list[str], rest: str) -> list:
-        """The arguments of line `no`, resolved in table order."""
-        toks = _fields(rest)
-        least = len(kinds) - (kinds[-1] == "pairs")
-        most = None if kinds[-1] in ("pairs", "text") else len(kinds)
+        """The arguments of line `no`, resolved in table order.  The line is
+        split only into as many fields as its kinds take (and one more, to
+        see an extra argument); a trailing text is the rest of the line."""
+        n, last = len(kinds), kinds[-1]
+        toks = _fields(rest, -1 if last == "pairs" else n - (last == "text"))
+        least = n - (last == "pairs")
+        most = None if last in ("pairs", "text") else n
         if len(toks) < least or (most is not None and len(toks) > most):
             wanted = str(least) if most is not None else f"at least {least}"
             noun = "argument" if wanted == "1" else "arguments"
-            raise ReplayError(no, f"{cmd} takes {wanted} {noun}, got {len(toks)}")
+            got = len(_fields(rest))
+            raise ReplayError(no, f"{cmd} takes {wanted} {noun}, got {got}")
         args = []
         for i, kind in enumerate(kinds):
-            if kind == "text":
-                args.append(_fields(rest, i)[i] if i else rest)
+            if kind in ("text", "name"):
+                args.append(toks[i])
             elif kind == "pairs":
                 bad = [tok for tok in toks[i:] if "=" not in tok]
                 if bad:
                     raise ReplayError(no, f"malformed substitution pair {bad[0]!r}")
                 args.append([tok.split("=", 1) for tok in toks[i:]])
-            elif kind == "name":
-                args.append(toks[i])
             elif kind == "var":
                 v = self.ref(toks[i], no, "term")
                 if not isinstance(v, Var):
@@ -306,7 +336,7 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
     theory = replay.theory
     if cmd == "TYPE":
         ty = parse_type(args[0], theory)
-        kernel.check_type(theory, ty)
+        check_type(theory, ty)
         return ("type", ty)
     if cmd == "TERM":
         return ("term", replay.term(args[0]))
@@ -328,10 +358,10 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
             raise ReplayError(no, f"unknown axiom {args[0]!r}")
         return ("thm", _AXIOMS[args[0]](theory))
     if cmd == "DEFINE":
-        replay.parsed.clear()
+        replay.forget_signature()
         return ("thm", kernel.new_basic_definition(theory, *args))
     if cmd == "TYPEDEF":
-        replay.parsed.clear()
+        replay.forget_signature()
         th1, th2 = kernel.new_basic_type_definition(theory, *args)
         # the line itself holds the abs/rep bijection; SND fetches the
         # second theorem (the predicate characterization)
@@ -341,7 +371,9 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
         return ("thm", args[0])
     # THM
     th, text = args
-    produced = print_sequent(th.assumptions, th.conclusion)
+    produced = sequent_text(
+        [replay.print_part(h) for h in th.assumptions], replay.print_part(th.conclusion)
+    )
     # A theory with no definitions has only the constants `=` and `@`, and
     # no variable can have either name, so the parser would read the
     # theorem's own printing back as the theorem: that text is accepted

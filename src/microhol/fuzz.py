@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from . import kernel
+from .audit import check_theorem
 from .kernel import Theorem, Theory, assume, refl
 from .semantics import RuleInstance, theorem_sequent
 from .syntax import (
@@ -440,7 +441,7 @@ def random_kernel_walk(
             if report.first_false_step is None:
                 report.first_false_step = step
         if audit_every and report.successes % audit_every == 0:
-            kernel.check_theorem(theory, th)
+            check_theorem(theory, th)
             report.audited += 1
         if len(pool) < 400:
             pool.append(th)

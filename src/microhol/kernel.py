@@ -13,8 +13,18 @@ the canonical alpha-encoding (``term_order_key``), so the stored order is
 the encoding's order and no encoding is built.  The encoding itself is
 built only by ``Theory.fingerprint``, which hashes its bytes.
 
+Every theorem records the theory it depends on (``Theorem.theory``):
+``None`` for `refl`, `beta`, `assume` and extensionality, which hold in
+every theory, and the theory for a definition, a type definition and
+the choice and infinity axioms.  The one-premise rules keep their
+premise's theory, and a rule that combines theorems, or a type
+definition from an inhabitation theorem, refuses theorems from two
+different theories: a constant may mean one thing in one theory and
+another in the next.
+
 This module and ``syntax`` are the trusted base: it imports only
 ``syntax`` from the package, and ``surface`` inside a ``__repr__``.
+The well-formedness audits live outside it, in ``audit``.
 
 The ``Theory`` is the only mutable object here.  Inference rules never
 touch it.  Its signature grows only through the two definitional rules,
@@ -56,7 +66,6 @@ from .syntax import (
     mk_eq,
     term_compare,
     term_order_key,
-    type_match,
     type_subst,
     type_vars_of_term,
     type_vars_of_type,
@@ -77,6 +86,7 @@ __all__ = [
     "DuplicateName",
     "MissingDefinitions",
     "MalformedInhabitation",
+    "TheoryMismatch",
     "Theorem",
     "DefinitionEvent",
     "Theory",
@@ -95,8 +105,6 @@ __all__ = [
     "axiom_infinity",
     "new_basic_definition",
     "new_basic_type_definition",
-    "check_type",
-    "check_term",
     "tracing",
     "replay_trace",
     "PRIMITIVE_RULES",
@@ -153,6 +161,10 @@ class MalformedInhabitation(HolError):
     pass
 
 
+class TheoryMismatch(HolError):
+    """Theorems of two different theories were combined."""
+
+
 _RULE_TOKEN = object()
 
 # Assumption tuples stay sorted by `term_compare`, which agrees with the
@@ -206,16 +218,17 @@ class Theorem:
     under every rule and excludes a theorem from finite-model checks.
     """
 
-    __slots__ = ("_hyps", "_concl", "_uses_infinity")
+    __slots__ = ("_hyps", "_concl", "_uses_infinity", "_thy")
 
-    def __init__(self, hyps, concl, uses_infinity=False, *, _token=None):
+    def __init__(self, hyps, concl, uses_infinity=False, thy=None, *, _token=None):
         if _token is not _RULE_TOKEN:
             raise KernelViolation(
                 "Theorem values can only be made by kernel inference rules"
             )
-        object.__setattr__(self, "_hyps", hyps)
-        object.__setattr__(self, "_concl", concl)
-        object.__setattr__(self, "_uses_infinity", uses_infinity)
+        _set_hyps(self, hyps)
+        _set_concl(self, concl)
+        _set_uses_infinity(self, uses_infinity)
+        _set_thy(self, thy)
 
     def __init_subclass__(cls, **kwargs):
         raise TypeError("Theorem cannot be subclassed")
@@ -235,14 +248,40 @@ class Theorem:
     def uses_infinity(self) -> bool:
         return self._uses_infinity
 
+    @property
+    def theory(self) -> Optional[Theory]:
+        """The theory whose definitions or axioms the theorem depends on,
+        or None if it holds in every theory."""
+        return self._thy
+
     def __repr__(self):
         from .surface import print_sequent
 
         return f"<theorem {print_sequent(self.assumptions, self.conclusion)}>"
 
 
-def _mk(hyps: tuple[Term, ...], concl: Term, flag: bool) -> Theorem:
-    return Theorem(hyps, concl, flag, _token=_RULE_TOKEN)
+# The slots' own setters: the constructor writes through these, bypassing
+# the `__setattr__` that makes a theorem immutable.
+_set_hyps = Theorem._hyps.__set__
+_set_concl = Theorem._concl.__set__
+_set_uses_infinity = Theorem._uses_infinity.__set__
+_set_thy = Theorem._thy.__set__
+
+
+def _mk(
+    hyps: tuple[Term, ...], concl: Term, flag: bool, thy: Optional[Theory] = None
+) -> Theorem:
+    return Theorem(hyps, concl, flag, thy, _token=_RULE_TOKEN)
+
+
+def _join(th1: Theorem, th2: Theorem) -> Optional[Theory]:
+    """The theory a theorem made from `th1` and `th2` depends on."""
+    a, b = th1._thy, th2._thy
+    if a is None or a is b:
+        return b
+    if b is None:
+        return a
+    raise TheoryMismatch("the theorems come from two different theories")
 
 
 def _check_theorem(th, what="argument"):
@@ -322,6 +361,7 @@ def trans(th1: Theorem, th2: Theorem) -> Theorem:
         _union(th1._hyps, th2._hyps),
         mk_eq(a, c),
         th1._uses_infinity or th2._uses_infinity,
+        _join(th1, th2),
     )
 
 
@@ -338,6 +378,7 @@ def mk_comb_rule(th1: Theorem, th2: Theorem) -> Theorem:
         _union(th1._hyps, th2._hyps),
         mk_eq(mk_comb(f, a), mk_comb(g, b)),
         th1._uses_infinity or th2._uses_infinity,
+        _join(th1, th2),
     )
 
 
@@ -353,7 +394,9 @@ def abs_rule(x: Var, th: Theorem) -> Theorem:
         if vfree_in(x, h):
             raise VarFreeInHyps(f"{x.name} occurs free in an assumption")
     a, b = dest_eq(th.conclusion)
-    return _mk(th._hyps, mk_eq(mk_abs(x, a), mk_abs(x, b)), th._uses_infinity)
+    return _mk(
+        th._hyps, mk_eq(mk_abs(x, a), mk_abs(x, b)), th._uses_infinity, th._thy
+    )
 
 
 @_traced
@@ -392,7 +435,10 @@ def eq_mp(th1: Theorem, th2: Theorem) -> Theorem:
     if not alpha_equiv(th1.conclusion, p2):
         raise Mismatch("eq_mp premise does not match the equation's left side")
     return _mk(
-        _union(th1._hyps, th2._hyps), q, th1._uses_infinity or th2._uses_infinity
+        _union(th1._hyps, th2._hyps),
+        q,
+        th1._uses_infinity or th2._uses_infinity,
+        _join(th1, th2),
     )
 
 
@@ -408,6 +454,7 @@ def deduct_antisym(th1: Theorem, th2: Theorem) -> Theorem:
         hyps,
         mk_eq(th1.conclusion, th2.conclusion),
         th1._uses_infinity or th2._uses_infinity,
+        _join(th1, th2),
     )
 
 
@@ -417,7 +464,7 @@ def inst_type_rule(tyin: Mapping[str, HolType], th: Theorem) -> Theorem:
     _check_theorem(th)
     concl = inst_type(tyin, th.conclusion)
     hyps = _sorted_unique(inst_type(tyin, h) for h in th._hyps)
-    return _mk(hyps, concl, th._uses_infinity)
+    return _mk(hyps, concl, th._uses_infinity, th._thy)
 
 
 @_traced
@@ -428,7 +475,7 @@ def inst_rule(theta: Mapping[Var, Term], th: Theorem) -> Theorem:
     _check_theorem(th)
     concl = vsubst(theta, th.conclusion)
     hyps = _sorted_unique(vsubst(theta, h) for h in th._hyps)
-    return _mk(hyps, concl, th._uses_infinity)
+    return _mk(hyps, concl, th._uses_infinity, th._thy)
 
 
 PRIMITIVE_RULES = {
@@ -650,7 +697,7 @@ def axiom_choice(theory: Theory) -> Theorem:
     imp = theory.mk_const("imp")
     select = Const("@", fn(fn(a, BOOL), a))
     concl = mk_comb(mk_comb(imp, mk_comb(p, x)), mk_comb(p, mk_comb(select, p)))
-    return _mk((), concl, False)
+    return _mk((), concl, False, theory)
 
 
 def axiom_infinity(theory: Theory) -> Theorem:
@@ -668,7 +715,7 @@ def axiom_infinity(theory: Theory) -> Theorem:
         mk_comb(theory.mk_const("not"), onto),
     )
     concl = mk_comb(theory.mk_const("exists", {"A": ii}), mk_abs(f, body))
-    return _mk((), concl, True)
+    return _mk((), concl, True, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +738,7 @@ def new_basic_definition(theory: Theory, name: str, rhs: Term) -> Theorem:
         theory.definition_log.append(
             DefinitionEvent("constant-definition", (name,), rhs)
         )
-    return _mk((), mk_eq(Const(name, rhs.ty), rhs), False)
+    return _mk((), mk_eq(Const(name, rhs.ty), rhs), False, theory)
 
 
 def new_basic_type_definition(
@@ -706,6 +753,8 @@ def new_basic_type_definition(
     Returns |- abs (rep a) = a and |- P r = (rep (abs r) = r).
     """
     _check_theorem(inhabitation, "inhabitation proof")
+    if inhabitation._thy is not None and inhabitation._thy is not theory:
+        raise TheoryMismatch("the inhabitation theorem comes from another theory")
     if inhabitation.assumptions:
         raise MalformedInhabitation("inhabitation theorem must have no assumptions")
     concl = inhabitation.conclusion
@@ -737,7 +786,7 @@ def new_basic_type_definition(
         )
     flag = inhabitation.uses_infinity
     a = Var("a", newty)
-    th1 = _mk((), mk_eq(mk_comb(abs_c, mk_comb(rep_c, a)), a), flag)
+    th1 = _mk((), mk_eq(mk_comb(abs_c, mk_comb(rep_c, a)), a), flag, theory)
     r = Var("r", rep_ty)
     th2 = _mk(
         (),
@@ -746,65 +795,6 @@ def new_basic_type_definition(
             mk_eq(mk_comb(rep_c, mk_comb(abs_c, r)), r),
         ),
         flag,
+        theory,
     )
     return th1, th2
-
-
-# ---------------------------------------------------------------------------
-# Well-formedness audits (used by tests and the article checker)
-
-
-def check_type(theory: Theory, ty: HolType):
-    """Raise unless every constructor is registered with matching arity."""
-    if isinstance(ty, TyVar):
-        return
-    arity = theory.type_constructors.get(ty.con)
-    if arity is None:
-        raise HolError(f"unregistered type constructor {ty.con!r}")
-    if arity != len(ty.args):
-        raise IllTyped(
-            f"type constructor {ty.con!r} expects {arity} arguments, "
-            f"got {len(ty.args)}"
-        )
-    for a in ty.args:
-        check_type(theory, a)
-
-
-def _is_instance_of(generic: HolType, ty: HolType) -> bool:
-    return type_match(generic, ty) is not None
-
-
-def check_term(theory: Theory, t: Term):
-    """Full-tree audit: registered types, constant instances, local typing."""
-    if isinstance(t, Var):
-        check_type(theory, t.ty)
-    elif isinstance(t, Const):
-        check_type(theory, t.ty)
-        if not theory.has_constant(t.name):
-            raise HolError(f"unregistered constant {t.name!r}")
-        if not _is_instance_of(theory.constant_type(t.name), t.ty):
-            raise IllTyped(
-                f"constant {t.name!r} at {t.ty!r} is not an instance of its "
-                "generic type"
-            )
-    elif isinstance(t, Comb):
-        check_term(theory, t.rator)
-        check_term(theory, t.rand)
-        if not (
-            isinstance(t.rator.ty, TyApp)
-            and t.rator.ty.con == "fun"
-            and t.rator.ty.args[0] == t.rand.ty
-        ):
-            raise IllTyped("combination violates the domain-match invariant")
-    else:
-        check_term(theory, t.bvar)
-        check_term(theory, t.body)
-
-
-def check_theorem(theory: Theory, th: Theorem):
-    """Audit a theorem: all parts well-typed, boolean where required."""
-    _check_theorem(th)
-    for part in (*th.assumptions, th.conclusion):
-        check_term(theory, part)
-        if part.ty != BOOL:
-            raise NotBoolean("sequent part is not boolean")

@@ -32,6 +32,7 @@ fresh interpreter, is a `ParseError`.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from .syntax import (
     BOOL,
@@ -63,6 +64,7 @@ __all__ = [
     "print_type",
     "print_term",
     "print_sequent",
+    "sequent_text",
 ]
 
 
@@ -526,8 +528,12 @@ def parse_sequent(
 # Printing
 
 
+@cache
 def print_type(ty: HolType, prec: int = 0) -> str:
-    """prec 0: arrows bare; 1: left of an arrow; 2: constructor argument."""
+    """prec 0: arrows bare; 1: left of an arrow; 2: constructor argument.
+
+    Types are interned and live as long as the process, so each one's
+    text at each precedence is worked out once and kept with it."""
     if isinstance(ty, TyVar):
         return ty.name
     if ty.con == "fun":
@@ -547,8 +553,13 @@ def print_term(t: Term) -> str:
 
 
 def print_sequent(hyps, concl) -> str:
-    left = ", ".join(print_term(h) for h in hyps)
-    return f"{left} |- {print_term(concl)}" if left else f"|- {print_term(concl)}"
+    return sequent_text([print_term(h) for h in hyps], print_term(concl))
+
+
+def sequent_text(hyp_texts, concl_text: str) -> str:
+    """The printing of a sequent whose parts print as the texts given."""
+    left = ", ".join(hyp_texts)
+    return f"{left} |- {concl_text}" if left else f"|- {concl_text}"
 
 
 def _binder_token(name: str) -> str:

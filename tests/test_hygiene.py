@@ -4,7 +4,8 @@ defined, every top-level function and class has a user, a theory's
 signature is written only by the two definitional rules, only the
 theory fingerprint builds a term's byte encoding, and the trusted base
 (`kernel.py` and `syntax.py`) stands on its own: it imports nothing else
-of the package outside a `__repr__`, and only the kernel makes theorems."""
+of the package outside a `__repr__`, only the kernel makes theorems, and
+the kernel holds no well-formedness audit, which makes none."""
 
 import ast
 from collections import Counter
@@ -287,6 +288,13 @@ def test_only_the_fingerprint_encodes_terms(name):
 def test_trusted_base_imports_no_other_module(name):
     stray = _untrusted_imports(_tree(PACKAGE / name), TRUSTED_IMPORTS[name])
     assert not stray, f"{name} imports outside the trusted base:\n" + "\n".join(stray)
+
+
+def test_the_kernel_defines_no_audit():
+    defined = sorted(_defined(_tree(PACKAGE / "kernel.py")))
+    audits = [name for name in defined if name.startswith("check_")]
+    assert not audits, f"kernel.py defines audits: {audits}"
+    assert {"check_type", "check_term", "check_theorem"} <= _defined(_tree(PACKAGE / "audit.py"))
 
 
 def test_only_the_kernel_makes_theorems():

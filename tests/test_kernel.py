@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from microhol import kernel
+from microhol.audit import check_theorem
 from microhol.kernel import (
     DuplicateName,
     KernelViolation,
@@ -16,6 +17,7 @@ from microhol.kernel import (
     NotClosed,
     Theorem,
     Theory,
+    TheoryMismatch,
     TypeVarEscape,
     VarFreeInHyps,
     abs_rule,
@@ -24,7 +26,6 @@ from microhol.kernel import (
     axiom_extensionality,
     axiom_infinity,
     beta,
-    check_theorem,
     deduct_antisym,
     eq_mp,
     inst_rule,
@@ -575,6 +576,81 @@ def _pred_holds(lg, pred, witness):
     truth_eq = lg.eqt_intro(kernel.refl(witness))  # |- (w = w) = T
     chained = kernel.trans(reduced, truth_eq)  # |- pred w = T
     return lg.eqt_elim(chained)
+
+
+class TestTheories:
+    """A theorem depends on no theory or on one, and no rule mixes two."""
+
+    @staticmethod
+    def two_definitions():
+        # c is `I = I` in A and `I = (\\x. I = I)` in B, I being \\x:bool. x
+        a, b = Theory(), Theory()
+        def_a = new_basic_definition(a, "c", eq(ident, ident))
+        def_b = new_basic_definition(b, "c", eq(ident, mk_abs(x, eq(ident, ident))))
+        return a, b, def_a, def_b
+
+    def test_two_theories_give_no_false_theorem(self):
+        from microhol.bootstrap import sym
+
+        a, _, def_a, def_b = self.two_definitions()
+        flipped = sym(def_a)
+        assert flipped.theory is a
+        # without the tag: |- (\\x. x) = (\\x. (\\x. x) = (\\x. x))
+        with pytest.raises(TheoryMismatch):
+            eq_mp(refl(ident), trans(flipped, def_b))
+
+    @pytest.mark.parametrize("rule", ["trans", "mk_comb_rule", "eq_mp", "deduct_antisym"])
+    def test_two_premise_rules_refuse_two_theories(self, rule):
+        # premises from A and from B that pass every other check of the rule
+        from microhol.bootstrap import sym
+
+        _, _, def_a, def_b = self.two_definitions()
+        eq_bool = Const("=", fn(BOOL, fn(BOOL, BOOL)))
+        premises = {
+            "trans": (sym(def_a), def_b),
+            "mk_comb_rule": (abs_rule(y, def_a), def_b),
+            "eq_mp": (
+                def_a,
+                mk_comb_rule(mk_comb_rule(refl(eq_bool), def_b), refl(eq(ident, ident))),
+            ),
+            "deduct_antisym": (def_a, def_b),
+        }[rule]
+        with pytest.raises(TheoryMismatch):
+            getattr(kernel, rule)(*premises)
+
+    def test_tags(self):
+        a, _, def_a, _ = self.two_definitions()
+        for th in (refl(x), beta(mk_comb(ident, x)), assume(x), axiom_extensionality()):
+            assert th.theory is None
+        assert def_a.theory is a
+        assert deduct_antisym(assume(x), def_a).theory is a
+        assert deduct_antisym(def_a, def_a).theory is a
+        c = def_a.conclusion.rator.rand
+        assert inst_rule({}, def_a).theory is a
+        assert inst_type_rule({}, def_a).theory is a
+        assert abs_rule(y, mk_comb_rule(refl(ident), refl(c))).theory is None
+        assert abs_rule(y, mk_comb_rule(refl(mk_abs(y, y)), def_a)).theory is a
+
+    def test_axioms_and_type_definitions_belong_to_their_theory(self):
+        from microhol.bootstrap import install_logic
+
+        thy = Theory()
+        lg = install_logic(thy)
+        assert axiom_choice(thy).theory is thy
+        assert axiom_infinity(thy).theory is thy
+        pred = mk_abs(Var("b", BOOL), mk_eq(Var("b", BOOL), Const("T", BOOL)))
+        inhab = _pred_holds(lg, pred, Const("T", BOOL))
+        assert inhab.theory is thy
+        with pytest.raises(TheoryMismatch):
+            new_basic_type_definition(Theory(), "unit", "mk_unit", "dest_unit", inhab)
+        th1, th2 = new_basic_type_definition(thy, "unit", "mk_unit", "dest_unit", inhab)
+        assert th1.theory is thy and th2.theory is thy
+
+    def test_theory_is_read_only(self):
+        _, b, _, def_b = self.two_definitions()
+        with pytest.raises(AttributeError):
+            def_b.theory = None
+        assert def_b.theory is b
 
 
 class TestHygiene:
