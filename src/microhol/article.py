@@ -27,13 +27,14 @@ without parsing: over that signature the printing reads back as the
 theorem.  Any other text is parsed and compared modulo
 alpha-equivalence.
 
-One replay (one `check_article` call) remembers, and forgets when it
-returns:
+The parser checks every name and type constructor of a TERM or TYPE
+line against the theory's signature as it stands, and nothing checks
+them again.  One replay (one `check_article` call) remembers, and
+forgets when it returns:
 - each distinct TERM text, with the term parsed from it;
-- each distinct variable and constant the audit of those terms passed;
 - the printing of each assumption and conclusion object of a THM line.
-The first two depend on the signature, so each DEFINE and TYPEDEF line
-forgets them; a printing depends on the term alone and is kept.
+A parse depends on the signature, so each DEFINE and TYPEDEF line
+forgets the first; a printing depends on the term alone and is kept.
 
 Replay produces theorems exclusively through kernel calls; the first
 failure aborts the run and is reported with its line number.
@@ -47,7 +48,6 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 from . import kernel
-from .audit import check_term, check_type
 from .kernel import Theorem, Theory
 from .surface import parse_sequent, parse_term, parse_type, print_term, sequent_text
 from .syntax import (
@@ -190,12 +190,10 @@ class _Replay:
         self.theory = theory
         self.slots: dict[int, tuple[str, object]] = {}
         self.pending_second: dict[int, Theorem] = {}
-        # exact TERM line text -> the term parsed and audited from it, and
-        # the variables and constants that audit passed, under the current
-        # signature; both are emptied whenever a definitional rule changes
-        # that.  `parsed` holds only terms that the slots hold too.
+        # exact TERM line text -> the term parsed from it under the current
+        # signature; emptied whenever a definitional rule changes that.
+        # `parsed` holds only terms that the slots hold too.
         self.parsed: dict[str, Term] = {}
-        self.audited: set[Term] = set()
         # id of a THM line's assumption or conclusion -> (it, its printing);
         # holding the term keeps its id from being reused
         self.printed: dict[int, tuple[Term, str]] = {}
@@ -203,15 +201,12 @@ class _Replay:
     def term(self, text: str) -> Term:
         t = self.parsed.get(text)
         if t is None:
-            t = parse_term(text, self.theory)
-            check_term(self.theory, t, self.audited)
-            self.parsed[text] = t
+            t = self.parsed[text] = parse_term(text, self.theory)
         return t
 
     def forget_signature(self):
         """Drop what depends on the signature, which is about to change."""
         self.parsed.clear()
-        self.audited.clear()
 
     def print_part(self, t: Term) -> str:
         got = self.printed.get(id(t))
@@ -335,9 +330,7 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
         return ("thm", getattr(kernel, rule)(*args))
     theory = replay.theory
     if cmd == "TYPE":
-        ty = parse_type(args[0], theory)
-        check_type(theory, ty)
-        return ("type", ty)
+        return ("type", parse_type(args[0], theory))
     if cmd == "TERM":
         return ("term", replay.term(args[0]))
     if cmd == "INSTTYPE":

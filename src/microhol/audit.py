@@ -1,15 +1,17 @@
-"""Well-formedness audits: types, terms and theorems checked against a
-theory's signature.
+"""Audits of kernel output: types, terms and theorems checked against a
+theory's signature, and the replay of a recorded inference trace.
 
 An audit makes no theorem, so it lies outside the trusted base.  The
-kernel builds only well-typed terms; an audit checks what arrives from
-elsewhere, a parsed article line or a fuzzer's theorem, against the
-constructors and constants one theory has registered.
+kernel builds only well-typed terms, and the parser checks what it reads
+against the signature; an audit checks that a fuzzer's or the kernel's
+theorem uses only the constructors and constants one theory has
+registered, or that a trace of rule calls reproduces its results.
 """
 
 from __future__ import annotations
 
-from .kernel import KernelViolation, NotBoolean, Theorem, Theory
+from .kernel import PRIMITIVE_RULES, KernelViolation, NotBoolean, Theorem, Theory
+from .surface import print_type
 from .syntax import (
     BOOL,
     Abs,
@@ -19,12 +21,12 @@ from .syntax import (
     HolType,
     IllTyped,
     Term,
-    TyApp,
     TyVar,
+    alpha_equiv,
     type_match,
 )
 
-__all__ = ["check_type", "check_term", "check_theorem"]
+__all__ = ["check_type", "check_term", "check_theorem", "replay_trace"]
 
 
 def check_type(theory: Theory, ty: HolType):
@@ -43,38 +45,27 @@ def check_type(theory: Theory, ty: HolType):
         check_type(theory, a)
 
 
-def check_term(theory: Theory, t: Term, audited: set[Term] | None = None):
-    """Full-tree audit: registered types, constant instances, local typing.
-
-    `audited` holds `Var` and `Const` leaves that have passed this audit
-    against the theory's signature as it stands: they are not audited
-    again, and each leaf that passes is added.  Every `Comb` and `Abs`
-    node is checked."""
-    if audited is None:
-        audited = set()
+def check_term(theory: Theory, t: Term):
+    """Raise unless every variable and constant has registered types and
+    every constant is registered at an instance of its generic type.  A
+    combination needs no check of its own: `Comb` refuses a rand outside
+    its rator's domain when it is built."""
     if isinstance(t, Comb):
-        check_term(theory, t.rator, audited)
-        check_term(theory, t.rand, audited)
-        if not (
-            isinstance(t.rator.ty, TyApp)
-            and t.rator.ty.con == "fun"
-            and t.rator.ty.args[0] == t.rand.ty
-        ):
-            raise IllTyped("combination violates the domain-match invariant")
+        check_term(theory, t.rator)
+        check_term(theory, t.rand)
     elif isinstance(t, Abs):
-        check_term(theory, t.bvar, audited)
-        check_term(theory, t.body, audited)
-    elif t not in audited:
+        check_term(theory, t.bvar)
+        check_term(theory, t.body)
+    else:
         check_type(theory, t.ty)
         if isinstance(t, Const):
             if not theory.has_constant(t.name):
                 raise HolError(f"unregistered constant {t.name!r}")
             if type_match(theory.constant_type(t.name), t.ty) is None:
                 raise IllTyped(
-                    f"constant {t.name!r} at {t.ty!r} is not an instance of its "
-                    "generic type"
+                    f"constant {t.name!r} at {print_type(t.ty)} is not an instance "
+                    "of its generic type"
                 )
-        audited.add(t)
 
 
 def check_theorem(theory: Theory, th: Theorem):
@@ -85,3 +76,16 @@ def check_theorem(theory: Theory, th: Theorem):
         check_term(theory, part)
         if part.ty != BOOL:
             raise NotBoolean("sequent part is not boolean")
+
+
+def replay_trace(log) -> bool:
+    """Re-run a recorded trace; True iff every step reproduces its result."""
+    for name, args, result in log:
+        again = PRIMITIVE_RULES[name](*args)
+        if not alpha_equiv(again.conclusion, result.conclusion):
+            return False
+        # Both tuples are in term_compare order, so they match pairwise.
+        ha, hb = again.assumptions, result.assumptions
+        if len(ha) != len(hb) or not all(map(alpha_equiv, ha, hb)):
+            return False
+    return True

@@ -24,7 +24,8 @@ another in the next.
 
 This module and ``syntax`` are the trusted base: it imports only
 ``syntax`` from the package, and ``surface`` inside a ``__repr__``.
-The well-formedness audits live outside it, in ``audit``.
+The well-formedness audits and the replay of a recorded trace live
+outside it, in ``audit``.
 
 The ``Theory`` is the only mutable object here.  Inference rules never
 touch it.  Its signature grows only through the two definitional rules,
@@ -106,7 +107,6 @@ __all__ = [
     "new_basic_definition",
     "new_basic_type_definition",
     "tracing",
-    "replay_trace",
     "PRIMITIVE_RULES",
     "STANDARD_DEFINITIONS",
 ]
@@ -319,19 +319,6 @@ def _traced(fn_: Callable) -> Callable:
     wrapper.__name__ = name
     wrapper.__doc__ = fn_.__doc__
     return wrapper
-
-
-def replay_trace(log) -> bool:
-    """Re-run a recorded trace; True iff every step reproduces its result."""
-    for name, args, result in log:
-        again = PRIMITIVE_RULES[name](*args)
-        if not alpha_equiv(again.conclusion, result.conclusion):
-            return False
-        # Both tuples are in term_compare order, so they match pairwise.
-        ha, hb = again.assumptions, result.assumptions
-        if len(ha) != len(hb) or not all(map(alpha_equiv, ha, hb)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ Binder annotations are mandatory; free variables are written annotated,
 `(x:bool)`.  Partially applied operators use the atom forms `(=:ty)`,
 `(/\\)`, and so on.
 
+Over a theory, the parser is where input meets the signature: every
+constant is built at an instance of the theory's type for it, a
+connective token naming its boolean instance, and every type constructor
+is a registered one applied to its arity.  With no theory, `=` and `@`
+are the only constants, and every type constructor but `fun` is nullary.
+
 Printing is deterministic with canonical spacing and minimal
 parentheses, so `print(parse(s))` is a fixed point, and `parse(print(t))`
 is `t` itself, with three exceptions.  A free variable with the name of a
@@ -82,7 +88,7 @@ class UnknownConstant(HolError):
 
 _BUILTIN_TYPE_ARITIES = {"bool": 0, "ind": 0, "fun": 2}
 
-# Surface operator token -> kernel constant name (None: resolve specially).
+# Surface operator token -> kernel constant name.
 _OP_CONSTS = {
     "/\\": "and",
     "\\/": "or",
@@ -96,7 +102,14 @@ _OP_CONSTS = {
 }
 
 _BOOL2 = fn(BOOL, fn(BOOL, BOOL))
+# The type each connective token names: the printer writes only these
+# instances with the token, and the parser builds them from it.
 _MONO_OPS = {"and": _BOOL2, "or": _BOOL2, "imp": _BOOL2, "not": fn(BOOL, BOOL)}
+# What the parser knows of constants with no theory: `=` and `@`.
+_BUILTIN_CONSTANTS = {
+    "=": fn(TyVar("A"), fn(TyVar("A"), BOOL)),
+    "@": fn(fn(TyVar("A"), BOOL), TyVar("A")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +309,8 @@ class _Parser:
             if op == "<=>":
                 left = mk_eq(left, right)
             else:
-                cname = _OP_CONSTS[op]
-                self.require_constant(cname, at)
-                left = mk_comb(mk_comb(Const(cname, _BOOL2), left), right)
+                conn = self.const_at(_OP_CONSTS[op], _BOOL2, at)
+                left = mk_comb(mk_comb(conn, left), right)
 
     def parse_binder(self) -> Term:
         at = self.pos
@@ -314,20 +326,23 @@ class _Parser:
             self.binders.pop()
         if binder == "\\":
             return mk_abs(v, body)
-        if binder == "@":
-            sel = Const("@", fn(fn(ty, BOOL), ty))
-            return mk_comb(sel, mk_abs(v, body))
-        cname = "forall" if binder == "!" else "exists"
-        self.require_constant(cname, at)
+        # `@x:ty. p` is of type ty; `!x:ty. p` and `?x:ty. p` are boolean
+        result = ty if binder == "@" else BOOL
+        quant = self.const_at(_OP_CONSTS[binder], fn(fn(ty, BOOL), result), at)
         if body.ty != BOOL:
             self.fail(f"{binder} body must be boolean", at)
-        quant = Const(cname, fn(fn(ty, BOOL), BOOL))
         return mk_comb(quant, mk_abs(v, body))
 
-    def require_constant(self, name: str, at: int):
-        if self.theory is None or not self.theory.has_constant(name):
-            line, col = self.where(at)
-            raise UnknownConstant(f"{line}:{col}: constant {name!r} is not in the theory")
+    def const_at(
+        self, name: str, ty: HolType, at: int, generic: HolType | None = None
+    ) -> Const:
+        """The constant `name` at `ty`, which must be an instance of
+        `generic`, by default the type the theory gives `name`."""
+        if generic is None:
+            generic = self._generic_of(name, at)
+        if type_match(generic, ty) is None:
+            self.fail(f"{print_type(ty)} is not an instance of {name!r}'s type", at)
+        return Const(name, ty)
 
     def parse_neg(self) -> Term:
         """`~`, the current token, applied to a negation or an equation."""
@@ -336,8 +351,7 @@ class _Parser:
         operand = self.parse_neg() if self.toks[self.pos] == "~" else self.parse_eq()
         if operand.ty != BOOL:
             self.fail("~ needs a boolean operand", at)
-        self.require_constant("not", at)
-        return mk_comb(Const("not", fn(BOOL, BOOL)), operand)
+        return mk_comb(self.const_at("not", _MONO_OPS["not"], at), operand)
 
     def parse_eq(self) -> Term:
         left = self.parse_app()
@@ -440,36 +454,24 @@ class _Parser:
         self.fail(f"expected a term, found {text or 'end of input'!r}", at)
 
     def _operator_const(self, op: str, at: int, cname: str, ann: HolType | None):
-        if op == "<=>":
-            generic = _BOOL2
-        elif cname in _MONO_OPS:
-            self.require_constant(cname, at)
-            generic = _MONO_OPS[cname]
-        else:
-            generic = self._generic_of(cname, at)
+        # `<=>` is `=` at bool, which every theory has
+        generic = _BOOL2 if op == "<=>" else self._generic_of(cname, at)
         if ann is None:
-            if type_vars_of_type(generic):
+            # a connective names its boolean instance, as the printer writes it
+            ann = _MONO_OPS.get(cname, generic)
+            if type_vars_of_type(ann):
                 return _Unresolved(cname, generic, at)
-            if cname in ("forall", "exists"):
-                self.require_constant(cname, at)
-            return Const(cname, generic)
-        if type_match(generic, ann) is None:
-            self.fail(f"{print_type(ann)} is not an instance of {cname!r}'s type", at)
-        if cname in ("forall", "exists"):
-            self.require_constant(cname, at)
-        return Const(cname, ann)
+        return self.const_at(cname, ann, at, generic)
 
     def _generic_of(self, name: str, at: int) -> HolType:
-        if name == "=":
-            a = TyVar("A")
-            return fn(a, fn(a, BOOL))
-        if name == "@":
-            a = TyVar("A")
-            return fn(fn(a, BOOL), a)
-        if name in ("forall", "exists"):
-            return fn(fn(TyVar("A"), BOOL), BOOL)
-        self.require_constant(name, at)
-        return self.theory.constant_type(name)
+        """The theory's type for the constant `name`; with no theory, the
+        type of `=` or `@`, the two constants every theory has."""
+        known = _BUILTIN_CONSTANTS if self.theory is None else self.theory.term_constants
+        generic = known.get(name)
+        if generic is None:
+            line, col = self.where(at)
+            raise UnknownConstant(f"{line}:{col}: constant {name!r} is not in the theory")
+        return generic
 
     def _ident(self, name: str, at: int, ann: HolType | None):
         if ann is None:

@@ -882,7 +882,9 @@ def reference_search(sequents, n_prem, model, theory, limit, samples, rng):
 # ---------------------------------------------------------------------------
 # The front end before the regex tokenizer: a per-character lexer making
 # one token object per token, and one parser method per infix level.
-# Kept verbatim, apart from names, so tests can compare tokens, trees and
+# Kept verbatim, apart from names and two rules it now shares with the
+# parser: `(!)` and `(?)` need the theory's `forall` and `exists`, and the
+# body of `@x:ty. p` must be boolean.  Tests compare tokens, trees and
 # error messages with it.
 
 @dataclass(frozen=True)
@@ -1052,6 +1054,8 @@ class LegacyParser:
         if tok.text == "\\":
             return mk_abs(v, body)
         if tok.text == "@":
+            if body.ty != BOOL:
+                self.fail("@ body must be boolean", tok)
             sel = Const("@", fn(fn(ty, BOOL), ty))
             return mk_comb(sel, mk_abs(v, body))
         cname = "forall" if tok.text == "!" else "exists"
@@ -1242,8 +1246,6 @@ class LegacyParser:
         if name == "@":
             a = TyVar("A")
             return fn(fn(a, BOOL), a)
-        if name in ("forall", "exists"):
-            return fn(fn(TyVar("A"), BOOL), BOOL)
         self.require_constant(name, tok)
         return self.theory.constant_type(name)
 

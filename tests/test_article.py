@@ -545,7 +545,8 @@ class TestDeterminism:
 
 class TestNoKernelBypass:
     def test_replay_goes_through_primitives_only(self):
-        from microhol.kernel import PRIMITIVE_RULES, tracing, replay_trace
+        from microhol.audit import replay_trace
+        from microhol.kernel import PRIMITIVE_RULES, tracing
         from microhol.syntax import alpha_equiv
 
         thy = Theory()
@@ -583,10 +584,9 @@ def _replay(theory, *lines):
 
 
 class TestParseMemo:
-    """A replay parses and audits each distinct term text once, audits each
-    distinct variable and constant once, and forgets both whenever a
-    definition changes what a name means.  It prints each distinct THM
-    part once."""
+    """A replay parses each distinct term text once, and forgets the parses
+    whenever a definition changes what a name means.  It prints each
+    distinct THM part once."""
 
     def test_define_empties_the_memo(self):
         # before line 4, `(c:bool)` is a variable; after it, the constant
@@ -623,25 +623,15 @@ class TestParseMemo:
             }
         ]
 
-    def test_define_between_identical_texts_audits_afresh(self, monkeypatch):
-        audits = []
-        real = article.check_term
-
-        def spy(theory, t, audited):
-            before = set(audited)
-            real(theory, t, audited)
-            audits.append((before, set(audited)))
-
-        monkeypatch.setattr(article, "check_term", spy)
+    def test_define_between_identical_texts_parses_afresh(self, monkeypatch):
         body = "(\\x:bool. x) = (\\x:bool. x)"
+        parsed = _counted(monkeypatch, "parse_term")
         rep = _replay(Theory(), f"TERM {body}", "DEFINE c 1", f"TERM {body}", "REFL 3")
-        assert rep.ok
-        leaves = {Var("x", BOOL), Const("=", fn(fn(BOOL, BOOL), fn(fn(BOOL, BOOL), BOOL)))}
-        assert audits == [(set(), leaves), (set(), leaves)]
-        # with no DEFINE between, the second text is neither parsed nor audited
-        audits.clear()
+        assert rep.ok and parsed == [body, body]
+        # with no DEFINE between, the second text is not parsed
+        parsed.clear()
         rep = _replay(Theory(), f"TERM {body}", "REFL 1", f"TERM {body}", "REFL 3")
-        assert rep.ok and audits == [(set(), leaves)]
+        assert rep.ok and parsed == [body]
 
     def test_a_repeated_text_gives_the_same_term(self):
         thy = Theory()

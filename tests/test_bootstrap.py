@@ -17,7 +17,8 @@ from microhol.bootstrap import (
     mk_neg,
     sym,
 )
-from microhol.kernel import DuplicateName, Theory, VarFreeInHyps, assume, refl, tracing, replay_trace
+from microhol.audit import replay_trace
+from microhol.kernel import DuplicateName, Theory, VarFreeInHyps, assume, refl, tracing
 from microhol.semantics import (
     FALSE_ELEM,
     TRUE_ELEM,

@@ -279,6 +279,25 @@ class TestNoTraceback:
         assert "Traceback" not in proc.stdout + proc.stderr
         assert "1:" in proc.stdout and "input nested too deeply" in proc.stdout
 
+    def test_a_connective_the_theory_lacks_is_a_failed_check(self, tmp_path):
+        # `and` defined at bool: the token `/\` names no constant of the theory
+        path = tmp_path / "and.art"
+        path.write_text(
+            art(
+                Theory(),
+                "TERM (\\x:bool. x) = (\\x:bool. x)",
+                "DEFINE and 1",
+                "TERM (p:bool) /\\ (q:bool)",
+            )
+        )
+        proc = _run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout.endswith(
+            "error at line 5: TERM: 1:10: bool -> bool -> bool is not an instance "
+            "of 'and''s type\n"
+        )
+
     def test_kernel_depth_is_a_failed_check(self, tmp_path):
         lines = deep_comb_chain(3000)
         path = tmp_path / "deep.art"

@@ -5,7 +5,8 @@ signature is written only by the two definitional rules, only the
 theory fingerprint builds a term's byte encoding, and the trusted base
 (`kernel.py` and `syntax.py`) stands on its own: it imports nothing else
 of the package outside a `__repr__`, only the kernel makes theorems, and
-the kernel holds no well-formedness audit, which makes none."""
+the kernel holds no audit, which makes none; and article replay leaves
+the check of parsed input against the signature to the parser."""
 
 import ast
 from collections import Counter
@@ -163,6 +164,8 @@ ENCODER_USERS = {
 TRUSTED_IMPORTS = {"kernel.py": {"syntax"}, "syntax.py": set()}
 # What only the kernel may name: its theorem maker and the constructor's token.
 KERNEL_PRIVATE = ("_mk", "_RULE_TOKEN")
+# What makes no theorem and so lives in `audit.py`, not the kernel.
+AUDITS = ("check_type", "check_term", "check_theorem", "replay_trace")
 
 
 def _package_imports(node: ast.AST) -> set[str]:
@@ -292,9 +295,15 @@ def test_trusted_base_imports_no_other_module(name):
 
 def test_the_kernel_defines_no_audit():
     defined = sorted(_defined(_tree(PACKAGE / "kernel.py")))
-    audits = [name for name in defined if name.startswith("check_")]
+    audits = [name for name in defined if name.startswith("check_") or name in AUDITS]
     assert not audits, f"kernel.py defines audits: {audits}"
-    assert {"check_type", "check_term", "check_theorem"} <= _defined(_tree(PACKAGE / "audit.py"))
+    assert set(AUDITS) <= _defined(_tree(PACKAGE / "audit.py"))
+
+
+def test_the_parser_alone_checks_article_input():
+    # a parsed article line meets the signature in the parser, once
+    stray = _scopes(_tree(PACKAGE / "article.py"), lambda n: "audit" in _package_imports(n))
+    assert not stray, f"article.py imports `audit`: {stray}"
 
 
 def test_only_the_kernel_makes_theorems():
@@ -386,6 +395,16 @@ def test_checks_catch_what_they_are_for():
         ": _accel", ": auto", ": fuzz", "Theorem.show: surface",
     ]
     assert _scopes(tree, lambda n: "_accel" in _package_imports(n)) == {"": 4}
+    tree = ast.parse(
+        "from .audit import check_term\n"
+        "import microhol.audit as a\n"
+        "from . import audit\n"
+        "from .auditing import x\n"
+        "def f():\n"
+        "    from microhol.audit import check_type\n"
+    )
+    assert _scopes(tree, lambda n: "audit" in _package_imports(n)) == {"": 1, "f": 6}
+    assert sum("audit" in _package_imports(n) for n in ast.walk(tree)) == 4
     tree = ast.parse(
         "def forge(c): return kernel._mk((), c, False)\n"
         "def token(c): return Theorem((), c, _token=_RULE_TOKEN)\n"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from microhol import kernel
-from microhol.audit import check_theorem
+from microhol.audit import check_theorem, replay_trace
 from microhol.kernel import (
     DuplicateName,
     KernelViolation,
@@ -34,7 +34,6 @@ from microhol.kernel import (
     new_basic_definition,
     new_basic_type_definition,
     refl,
-    replay_trace,
     tracing,
     trans,
 )

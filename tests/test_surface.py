@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microhol import surface
+from microhol.audit import check_term, check_type
 from microhol.fuzz import TermGen
+from microhol.kernel import Theory, new_basic_definition
 from microhol.surface import (
     ParseError,
     UnknownConstant,
@@ -91,8 +93,6 @@ class TestTermParsing:
         assert t.rator.rand == Var("p", BOOL)
 
     def test_unknown_constant_in_binder(self):
-        from microhol.kernel import Theory
-
         with pytest.raises(UnknownConstant):
             parse_term("!x:bool. x", Theory())  # no bootstrap: no forall
 
@@ -161,7 +161,6 @@ _ROUNDTRIP_THEORY = []
 def _roundtrip_theory():
     if not _ROUNDTRIP_THEORY:
         from microhol.bootstrap import install_logic
-        from microhol.kernel import Theory
 
         _ROUNDTRIP_THEORY.append(install_logic(Theory()).theory)
     return _ROUNDTRIP_THEORY[0]
@@ -415,3 +414,98 @@ class TestDeepNesting:
         for _ in range(180):
             t = Comb(f, t)
         assert parse_term(print_term(t), _roundtrip_theory()) == t
+
+
+_REDEFINED_THEORY = []
+
+
+def _redefined_theory():
+    """A fresh theory with `and` and `not` defined at bool, and `forall`
+    at bool by a body over ind: no connective token names its constant."""
+    if not _REDEFINED_THEORY:
+        thy = Theory()
+        for name, ty in (("and", BOOL), ("not", BOOL), ("forall", IND)):
+            x = Var("x", ty)
+            new_basic_definition(thy, name, mk_eq(mk_abs(x, x), mk_abs(x, x)))
+        _REDEFINED_THEORY.append(thy)
+    return _REDEFINED_THEORY[0]
+
+
+# The six connective forms the redefined theory has no constant for.
+_CONNECTIVE_FORMS = [
+    ("(p:bool) /\\ (q:bool)", "1:10: bool -> bool -> bool is not an instance of 'and''s type"),
+    ("~(p:bool)", "1:1: bool -> bool is not an instance of 'not''s type"),
+    ("!x:bool. x", "1:1: (bool -> bool) -> bool is not an instance of 'forall''s type"),
+    ("(/\\)", "1:2: bool -> bool -> bool is not an instance of 'and''s type"),
+    ("(~)", "1:2: bool -> bool is not an instance of 'not''s type"),
+    (
+        "(!:(bool->bool)->bool)",
+        "1:2: (bool -> bool) -> bool is not an instance of 'forall''s type",
+    ),
+]
+_TYPE_TEXTS = [
+    "bool", "ind", "A", "bool -> bool", "bool -> bool -> bool",
+    "(bool -> bool) -> bool", "(ind -> bool) -> bool", "(A -> bool) -> bool",
+]
+# Connective forms, bare and annotated: `{a}` and `{b}` are operands,
+# `{ty}` a type.
+_FORM_TEMPLATES = [
+    "{a} /\\ {b}", "{a} \\/ {b}", "{a} ==> {b}", "{a} <=> {b}", "~{a}",
+    "!x:{ty}. {a}", "?x:{ty}. {a}", "@x:{ty}. {a}",
+    "(/\\)", "(/\\:{ty})", "(~)", "(~:{ty})", "(==>:{ty}) {a}",
+    "(!)", "(!:{ty})", "(?) (P:{ty})", "(!) (P:ind -> bool)", "(=:{ty})", "(<=>:{ty})",
+]
+_OPERANDS = ["p", "(p:bool)", "x", "(x:{ty})", "T", "(T:{ty})", "and", "(not:{ty})"]
+
+
+@st.composite
+def _signature_sources(draw):
+    """A printed random formula or sequent, or a connective form."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10**9)))
+        g = TermGen(rng, max_free=4)
+        hyps = [_formula(g, rng, 2) for _ in range(rng.randrange(0, 3))]
+        concl = _formula(g, rng, rng.randrange(0, 4))
+        return draw(st.sampled_from((print_term(concl), print_sequent(hyps, concl))))
+    a, b = (draw(st.sampled_from(_OPERANDS)) for _ in range(2))
+    src = draw(st.sampled_from(_FORM_TEMPLATES)).format(a=a, b=b, ty="{ty}")
+    return src.format(ty=draw(st.sampled_from(_TYPE_TEXTS)))
+
+
+class TestSignature:
+    """Over a theory, the parser builds each constant at an instance of the
+    theory's type for it, and each type with registered constructors."""
+
+    @pytest.mark.parametrize("src,message", _CONNECTIVE_FORMS)
+    def test_a_connective_the_theory_lacks_is_refused(self, src, message):
+        with pytest.raises(ParseError) as err:
+            parse_term(src, _redefined_theory())
+        assert str(err.value) == message
+        assert err.value.line == 1 and err.value.col >= 1
+
+    @pytest.mark.parametrize("src", ["(!) (P:ind->bool)", "(?) (P:ind->bool)"])
+    def test_a_quantifier_atom_needs_the_quantifier(self, src):
+        with pytest.raises(UnknownConstant, match="1:2: constant '(forall|exists)'"):
+            parse_term(src, Theory())
+
+    @given(
+        _signature_sources(),
+        st.sampled_from(_TYPE_TEXTS + ["bool -> A1", "fun bool ind", "ind bool", "w bool"]),
+        st.sampled_from((None, BOOL)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_whatever_parses_passes_the_audit(self, src, type_text, free_default):
+        for theory in (_roundtrip_theory(), _redefined_theory()):
+            for parse in (parse_term, parse_sequent):
+                try:
+                    parsed = parse(src, theory, free_default)
+                except (ParseError, UnknownConstant):
+                    continue
+                hyps, concl = parsed if parse is parse_sequent else ((), parsed)
+                for t in (*hyps, concl):
+                    check_term(theory, t)
+            try:
+                ty = parse_type(type_text, theory)
+            except ParseError:
+                continue
+            check_type(theory, ty)
