@@ -15,8 +15,6 @@ rule's side condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernel
 from .kernel import (
     STANDARD_DEFINITIONS,
@@ -61,8 +59,6 @@ from .syntax import (
 
 __all__ = [
     "Inapplicable",
-    "DefinedConstant",
-    "LogicSignature",
     "Logic",
     "install_logic",
     "ap_term",
@@ -499,76 +495,33 @@ def both_sides(th: Theorem, conv) -> Theorem:
 
 
 # ---------------------------------------------------------------------------
-# The signature and the Logic object
+# The Logic object
+
+# The logical constants in the order they are defined, which the theory's
+# fingerprint records.
+_CONSTANTS = ("T", "and", "imp", "forall", "exists", "or", "F", "not", "ONE_ONE", "ONTO")
 
 
-@dataclass(frozen=True)
-class DefinedConstant:
-    const: Const
-    definition: Theorem  # |- const = rhs
-
-
-@dataclass(frozen=True)
-class LogicSignature:
-    T: DefinedConstant
-    conj: DefinedConstant
-    imp: DefinedConstant
-    forall: DefinedConstant
-    exists: DefinedConstant
-    disj: DefinedConstant
-    F: DefinedConstant
-    neg: DefinedConstant
-    one_one: DefinedConstant
-    onto: DefinedConstant
-
-
-def _define_signature(theory: Theory) -> LogicSignature:
+def _define_constants(theory: Theory) -> dict[str, Theorem]:
     """Define the logical constants: the bodies the axioms rely on come from
-    the kernel, in this order, and `or` is defined here."""
+    the kernel, and `or` is defined here."""
     p = Var("p", BOOL)
     q = Var("q", BOOL)
     r = Var("r", BOOL)
-
-    def define(name: str) -> Theorem:
-        return new_basic_definition(theory, name, STANDARD_DEFINITIONS[name])
-
-    t_def = define("T")
-    and_def = define("and")
-    imp_def = define("imp")
-    forall_def = define("forall")
-    exists_def = define("exists")
-    or_def = new_basic_definition(
-        theory,
-        "or",
-        mk_abs(p, mk_abs(q, mk_forall(r, mk_imp(mk_imp(p, r), mk_imp(mk_imp(q, r), r))))),
-    )
-    f_def = define("F")
-    not_def = define("not")
-    one_one_def = define("ONE_ONE")
-    onto_def = define("ONTO")
-
-    def dc(name: str, th: Theorem) -> DefinedConstant:
-        return DefinedConstant(Const(name, theory.constant_type(name)), th)
-
-    return LogicSignature(
-        T=dc("T", t_def),
-        conj=dc("and", and_def),
-        imp=dc("imp", imp_def),
-        forall=dc("forall", forall_def),
-        exists=dc("exists", exists_def),
-        disj=dc("or", or_def),
-        F=dc("F", f_def),
-        neg=dc("not", not_def),
-        one_one=dc("ONE_ONE", one_one_def),
-        onto=dc("ONTO", onto_def),
-    )
+    bodies = {
+        **STANDARD_DEFINITIONS,
+        "or": mk_abs(p, mk_abs(q, mk_forall(r, mk_imp(mk_imp(p, r), mk_imp(mk_imp(q, r), r))))),
+    }
+    return {name: new_basic_definition(theory, name, bodies[name]) for name in _CONSTANTS}
 
 
 class Logic:
-    """The bootstrapped logic: signature handles plus derived rules.
+    """The bootstrapped logic: the defining theorems plus derived rules.
 
     Construction defines the constants (it must run on a fresh theory)
-    and eagerly proves the small lemma base the derived rules lean on:
+    and keeps each one's defining theorem |- c = body in ``defs``, keyed
+    by the constant's name; the constant itself is ``lhs(defs[name])``.
+    It eagerly proves the small lemma base the derived rules lean on:
     |- T, excluded middle, the connective value tables, F-elimination,
     and the schemas of the hot derived rules, proved once over variables
     p, q, r and P : A -> bool:
@@ -588,20 +541,11 @@ class Logic:
 
     def __init__(self, theory: Theory):
         self.theory = theory
-        self.signature = _define_signature(theory)
-        sig = self.signature
-
-        self._and_def = sig.conj.definition
-        self._imp_def = sig.imp.definition
-        self._or_def = sig.disj.definition
-        self._not_def = sig.neg.definition
-        self._forall_def = sig.forall.definition
-        self._exists_def = sig.exists.definition
-        self._f_def = sig.F.definition
+        self.defs = _define_constants(theory)
 
         # |- T
         p = Var("p", BOOL)
-        self.TRUTH = eq_mp(refl(mk_abs(p, p)), sym(sig.T.definition))
+        self.TRUTH = eq_mp(refl(mk_abs(p, p)), sym(self.defs["T"]))
 
         # |- p = (p = T), the workhorse behind EQT_INTRO
         th1 = deduct_antisym(assume(p), self.TRUTH)
@@ -611,12 +555,12 @@ class Logic:
         # {(!) P} |- P x, for P : A -> bool
         a_ty = TyVar("A")
         cap_p = Var("P", fn(a_ty, BOOL))
-        th1 = eq_mp(assume(mk_comb(sig.forall.const, cap_p)), self.forall_eq(cap_p))
+        th1 = eq_mp(assume(mk_comb(lhs(self.defs["forall"]), cap_p)), self.forall_eq(cap_p))
         th2 = ap_thm(th1, Var("x", a_ty))
         self._spec_pth = self.eqt_elim(trans(th2, try_beta(rhs(th2))))
 
         # {F} |- p
-        fth = eq_mp(assume(FALSE), self._f_def)
+        fth = eq_mp(assume(FALSE), self.defs["F"])
         self._f_elim_pth = self.spec(p, fth)
 
         q = Var("q", BOOL)
@@ -677,16 +621,16 @@ class Logic:
 
     def conj_eq(self, p: Term, q: Term) -> Theorem:
         """|- (p /\\ q) = ((\\f. f p q) = (\\f. f T T))."""
-        return self._unfold2(self._and_def, p, q)
+        return self._unfold2(self.defs["and"], p, q)
 
     def imp_eq(self, p: Term, q: Term) -> Theorem:
-        return self._unfold2(self._imp_def, p, q)
+        return self._unfold2(self.defs["imp"], p, q)
 
     def or_eq(self, p: Term, q: Term) -> Theorem:
-        return self._unfold2(self._or_def, p, q)
+        return self._unfold2(self.defs["or"], p, q)
 
     def neg_eq(self, p: Term) -> Theorem:
-        th = ap_thm(self._not_def, p)
+        th = ap_thm(self.defs["not"], p)
         return trans(th, beta_n(1)(rhs(th)))
 
     @staticmethod
@@ -698,10 +642,10 @@ class Logic:
 
     def forall_eq(self, pred: Term) -> Theorem:
         """|- (!) pred = (pred = \\x. T)."""
-        return self._unfold_binder(self._forall_def, pred)
+        return self._unfold_binder(self.defs["forall"], pred)
 
     def exists_eq(self, pred: Term) -> Theorem:
-        return self._unfold_binder(self._exists_def, pred)
+        return self._unfold_binder(self.defs["exists"], pred)
 
     # -- conjunction
 
@@ -736,10 +680,6 @@ class Logic:
         th2 = self.conjunct1(assume(mk_conj(a, th.conclusion)))
         th3 = deduct_antisym(th1, th2)  # G \ {a} |- (a /\ q) = a
         return eq_mp(th3, self._inst_pq(self._disch_pth, a, th.conclusion))
-
-    def undisch(self, th: Theorem) -> Theorem:
-        p, _ = dest_imp(th.conclusion)
-        return self.mp(th, assume(p))
 
     # -- quantifiers
 
@@ -867,13 +807,6 @@ class Logic:
         case1 = assume(p)
         case2 = self.contr(p, self.mp(th1, assume(np)))
         return self.disj_cases(em, case1, case2)
-
-    def eq_imp_rule(self, th: Theorem) -> tuple[Theorem, Theorem]:
-        """From |- p = q conclude (|- p ==> q, |- q ==> p)."""
-        p, q = dest_eq(th.conclusion)
-        fwd = self.disch(p, eq_mp(assume(p), th))
-        bwd = self.disch(q, eq_mp(assume(q), sym(th)))
-        return fwd, bwd
 
     # -- excluded middle via choice
 

@@ -64,11 +64,8 @@ __all__ = [
     "Valuation",
     "Sequent",
     "carrier_size",
-    "eval_type",
-    "decode_table",
     "encode_table",
     "eval_term",
-    "holds_sequent",
     "Verdict",
     "is_valid",
     "theorem_sequent",
@@ -133,15 +130,6 @@ class Valuation:
     model: Model
     type_sizes: Mapping[str, int] = field(default_factory=dict)
     term_assignment: Mapping[Var, int] = field(default_factory=dict)
-
-
-def decode_table(value: int, dom: int, cod: int) -> tuple[int, ...]:
-    """Unpack a function-table index into its entries."""
-    out = []
-    for _ in range(dom):
-        out.append(value % cod)
-        value //= cod
-    return tuple(out)
 
 
 def encode_table(entries: Sequence[int], cod: int) -> int:
@@ -500,12 +488,6 @@ def carrier_size(
     return comp.size_of(ty)
 
 
-def eval_type(ty: HolType, v: Valuation, theory: Theory | None = None) -> range:
-    """The carrier denoted by ty under the valuation: its elements are
-    the indices 0..n-1 in the carrier's fixed well-ordering."""
-    return range(carrier_size(ty, v.model, v.type_sizes, theory))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation of single terms and sequents
 
@@ -528,15 +510,6 @@ def eval_term(t: Term, v: Valuation, theory: Theory | None = None) -> int:
             )
         env[slot] = value
     return prog(env)
-
-
-def holds_sequent(s: Sequent, v: Valuation, theory: Theory | None = None) -> bool:
-    """True iff some assumption is false or the conclusion is true."""
-    hyps, concl = s
-    for h in hyps:
-        if eval_term(h, v, theory) == FALSE_ELEM:
-            return True
-    return eval_term(concl, v, theory) == TRUE_ELEM
 
 
 def theorem_sequent(th: Theorem) -> Sequent:

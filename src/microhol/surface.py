@@ -206,15 +206,18 @@ class _Parser:
         return text
 
     def expect(self, text: str):
-        found = self.next()
-        if found != text:
-            self.fail(f"expected {text!r}, found {found or 'end of input'!r}", self.pos - 1)
+        if self.next() != text:
+            self.fail_expected(repr(text), self.pos - 1)
 
     def where(self, at: int | None = None) -> tuple[int, int]:
         return _position(self.src, self.pos if at is None else at)
 
     def fail(self, message: str, at: int | None = None):
         raise ParseError(message, *self.where(at))
+
+    def fail_expected(self, what: str, at: int):
+        """Fail at token `at`, which is not `what`, naming the token."""
+        self.fail(f"expected {what}, found {self.toks[at] or 'end of input'!r}", at)
 
     def whole(self, rule, what: str):
         """Run `rule`, which must consume every token."""
@@ -278,7 +281,7 @@ class _Parser:
             if arity:
                 self.fail(f"type constructor {text!r} expects {arity} arguments", at)
             return TyApp(text)
-        self.fail(f"expected a type, found {text!r}", at)
+        self.fail_expected("a type", at)
 
     # -- terms
 
@@ -451,7 +454,7 @@ class _Parser:
                 self.pos += 1
                 ann = self.parse_type()
             return self._ident(text, at, ann)
-        self.fail(f"expected a term, found {text or 'end of input'!r}", at)
+        self.fail_expected("a term", at)
 
     def _operator_const(self, op: str, at: int, cname: str, ann: HolType | None):
         # `<=>` is `=` at bool, which every theory has
@@ -503,7 +506,7 @@ class _Parser:
                 if text == "|-":
                     break
                 if text != ",":
-                    self.fail(f"expected ',' or '|-', found {text!r}", at)
+                    self.fail_expected("',' or '|-'", at)
         else:
             self.pos += 1
         return tuple(hyps), self.parse_term()

@@ -2,8 +2,9 @@
 
 Nothing in the first part shares code with the package's
 alpha-equivalence or substitution paths: the de Bruijn converter below
-builds plain tuples with its own traversal, and the substitution oracle
-freshens every binder before substituting naively.  Expected values in
+builds plain tuples with its own traversal, the substitution oracle
+freshens every binder before substituting naively, and the table
+decoder unpacks the evaluator's function tables digit by digit.  Expected values in
 the tests were computed with these and then frozen.
 
 The second part keeps the earlier, slower implementations of paths that
@@ -216,6 +217,16 @@ def oracle_inst_type(tyin, t):
     can never identify a binder with a free variable)."""
     fresh = _freshen(t, {}, _Counter())
     return _plain_inst(dict(tyin), fresh)
+
+
+def decode_table(value: int, dom: int, cod: int) -> tuple[int, ...]:
+    """Unpack a function-table index into its `dom` entries, least
+    significant digit first: the inverse of `semantics.encode_table`."""
+    out = []
+    for _ in range(dom):
+        out.append(value % cod)
+        value //= cod
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,7 +1034,7 @@ class LegacyParser:
                     f"type constructor {tok.text!r} expects {arity} arguments", tok
                 )
             return TyApp(tok.text)
-        self.fail(f"expected a type, found {tok.text!r}", tok)
+        self.fail(f"expected a type, found {tok.text or 'end of input'!r}", tok)
 
     # -- terms
 
@@ -1303,7 +1314,7 @@ def legacy_parse_sequent(
             if tok.text == "|-":
                 break
             if tok.text != ",":
-                p.fail(f"expected ',' or '|-', found {tok.text!r}", tok)
+                p.fail(f"expected ',' or '|-', found {tok.text or 'end of input'!r}", tok)
     else:
         p.next()
     concl = p.parse_term()

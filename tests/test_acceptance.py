@@ -100,9 +100,9 @@ def test_criterion_2_false_never_derived(logic):
     extras = (
         logic.TRUTH,
         logic.EXCLUDED_MIDDLE,
-        logic.signature.F.definition,
-        logic.signature.conj.definition,
-        logic.signature.neg.definition,
+        logic.defs["F"],
+        logic.defs["and"],
+        logic.defs["not"],
         kernel.axiom_choice(logic.theory),
     )
     report = random_kernel_walk(

@@ -9,6 +9,7 @@ from microhol.bootstrap import (
     TRUE,
     beta_conv,
     install_logic,
+    lhs,
     mk_conj,
     mk_disj,
     mk_exists,
@@ -70,26 +71,22 @@ class TestInstallation:
             install_logic(theory)
 
     def test_signature_handles(self, logic):
-        sig = logic.signature
-        assert sig.F.const.name == "F"
-        assert sig.conj.definition.assumptions == ()
+        assert list(logic.defs) == [
+            "T", "and", "imp", "forall", "exists", "or", "F", "not", "ONE_ONE", "ONTO",
+        ]
+        for name, th in logic.defs.items():
+            assert th.assumptions == ()
+            assert lhs(th) == Const(name, logic.theory.constant_type(name))
 
     def test_t_true_under_every_valuation(self, theory):
         for n in (1, 2, 3):
             assert eval_term(TRUE, Valuation(Model(ind_size=n)), theory) == TRUE_ELEM
 
     def test_definitional_theorems_valid(self, logic):
-        for dc in (
-            logic.signature.T,
-            logic.signature.conj,
-            logic.signature.imp,
-            logic.signature.disj,
-            logic.signature.F,
-            logic.signature.neg,
-        ):
-            verdict = is_valid(theorem_sequent(dc.definition), Model(ind_size=2),
+        for name in ("T", "and", "imp", "or", "F", "not"):
+            verdict = is_valid(theorem_sequent(logic.defs[name]), Model(ind_size=2),
                                theory=logic.theory)
-            assert verdict.valid, dc.const.name
+            assert verdict.valid, name
 
 
 class TestTruthTables:
@@ -170,7 +167,7 @@ class TestDerivedRules:
 
     def test_disch_undisch_roundtrip(self, logic):
         th = logic.disch(p, assume(p))
-        again = logic.undisch(th)
+        again = logic.mp(th, assume(p))
         assert again.conclusion == p
         assert again.assumptions == (p,)
 
@@ -207,11 +204,6 @@ class TestDerivedRules:
         th = logic.ccontr(p, to_f)
         assert th.conclusion == p
         assert th.assumptions == (p,)
-
-    def test_eq_imp_rule(self, logic):
-        fwd, bwd = logic.eq_imp_rule(assume(mk_eq(p, q)))
-        assert fwd.conclusion == mk_imp(p, q)
-        assert bwd.conclusion == mk_imp(q, p)
 
 
 class TestSoundnessOfDerived:

@@ -155,6 +155,22 @@ class TestSequents:
         assert concl == Const("T", BOOL)
 
 
+@pytest.mark.parametrize(
+    "parse, src, message",
+    [
+        (parse_type, "(", "1:2: expected a type, found 'end of input'"),
+        (parse_term, "(x:bool", "1:8: expected ')', found 'end of input'"),
+        (parse_term, "~", "1:2: expected a term, found 'end of input'"),
+        (parse_sequent, "(p:bool)", "1:9: expected ',' or '|-', found 'end of input'"),
+    ],
+    ids=["type", "close-paren", "term", "sequent"],
+)
+def test_end_of_input_is_named(parse, src, message):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == message
+
+
 _ROUNDTRIP_THEORY = []
 
 
