@@ -13,9 +13,13 @@ proof-producing normalization: kernel rewrites to negation normal form,
 prenexing, universal stripping by specialization, and skolemization via
 the choice operator.  Of the eight prenexing equations, the four with
 the quantifier on the left are proved and the other four are their
-mirror images, derived by commuting the connective.  The search runs on a lightweight clause
-representation; a successful refutation is replayed through the kernel
-as a case analysis over clause instances, so every result is an
+mirror images, derived by commuting the connective.  The search runs
+on a lightweight clause representation; a successful refutation is
+replayed through the kernel as equations to F: a literal L of a clause
+instance, refuted by {L} u G |- F, gives G |- L = F; the literals'
+equations are joined through |- (F \\/ F) = F into G |- d = F for the
+whole instance d, which cuts d from the refutation; and the negated
+goal's equation |- ~goal = F yields the goal.  So every result is an
 ordinary theorem `axioms |- goal`.  Search and reconstruction are two
 routes to the same answer: the kernel accepts no step on the search's
 authority.
@@ -182,10 +186,7 @@ def _assign_true(logic: Logic, v: Var) -> tuple[bool, Theorem]:
 
 
 def _assign_false(logic: Logic, v: Var) -> tuple[bool, Theorem]:
-    nv = mk_neg(v)
-    to_f = logic.mp(logic.not_elim(assume(nv)), assume(v))  # {~v, v} |- F
-    from_f = logic.contr(v, assume(FALSE))  # {F} |- v
-    return False, kernel.deduct_antisym(from_f, to_f)  # {~v} |- v = F
+    return False, logic.eqf_intro(v, logic.clash(v))  # {~v} |- v = F
 
 
 def _taut_reconstruct(logic, p, order, asg) -> Theorem:
@@ -209,7 +210,7 @@ def _eval_formula(logic, t, asg) -> tuple[bool, Theorem]:
     if isinstance(t, Const):
         if t.name == "T":
             return True, logic.eqt_intro(logic.TRUTH)
-        return False, logic._prove_eqf(FALSE, assume(FALSE))
+        return False, logic.eqf_intro(FALSE, assume(FALSE))
     if is_neg(t):
         val, th = _eval_formula(logic, t.rand, asg)
         th = kernel.trans(ap_term(t.rator, th), logic.tables[("not", (val,))])
@@ -924,8 +925,7 @@ class _Rebuild:
 
     def _clash(self, a: Term, b: Term) -> Theorem:
         """{a, b} |- F for complementary literals, in either order."""
-        neg_t, pos_t = (a, b) if is_neg(a) else (b, a)
-        return self.logic.mp(self.logic.not_elim(assume(neg_t)), assume(pos_t))
+        return self.logic.clash(b if is_neg(a) else a)
 
     def refute(self, node, path_terms) -> Theorem:
         """{goal literal, ancestors, clause instances} |- F for one node."""
@@ -959,21 +959,28 @@ class _Rebuild:
         for j, lt in enumerate(lits):
             k = next(k for k in reversed(range(j, len(lits))) if alpha_equiv(lt, lits[k]))
             refuters[id(lt)] = ths[k]
-        return prove_hyp(inst, _falsify(self.logic, inst.conclusion, refuters))
+        # Cut d in with prove_hyp rather than rewrite inst with d = F: a
+        # refuter's assumption alpha-equal to d is then discharged by inst.
+        d = inst.conclusion
+        return prove_hyp(inst, eq_mp(assume(d), _falsify(self.logic, d, refuters)))
 
 
 def _falsify(logic: Logic, d: Term, refuters: dict[int, Theorem]) -> Theorem:
-    """{d} |- F for a disjunction d, by cases down to its literals, each
-    refuted by the theorem keyed by its id: the literal objects are those
-    `_flatten_disj(d)` returned.  (A module function, not a closure: a
-    closure calling itself is a reference cycle, which would keep every
-    theorem it reaches alive until a full collection.)"""
+    """G |- d = F for a disjunction d.  Each literal L is refuted by the
+    theorem {L} u G_L |- F keyed by its id (the literal objects are those
+    `_flatten_disj(d)` returned), which gives G_L \\ {L} |- L = F; each
+    \\/ node joins its two sides through |- (F \\/ F) = F.  (A module
+    function, not a closure: a closure calling itself is a reference
+    cycle, which would keep every theorem it reaches alive until a full
+    collection.)"""
     if is_disj(d):
         l, r = dest_disj(d)
-        return logic.disj_cases(
-            assume(d), _falsify(logic, l, refuters), _falsify(logic, r, refuters)
+        both = kernel.mk_comb_rule(
+            ap_term(d.rator.rator, _falsify(logic, l, refuters)),
+            _falsify(logic, r, refuters),
         )
-    return refuters[id(d)]
+        return kernel.trans(both, logic.tables[("or", (False, False))])
+    return logic.eqf_intro(d, refuters[id(d)])
 
 
 def _describe_steps(node, out: list[str], rebuild: _Rebuild, indent=0):

@@ -531,7 +531,10 @@ class Logic:
     * {p ==> q} |- p = (p /\\ q) for ``mp``;
     * |- ((p /\\ q) = p) = (p ==> q) for ``disch``;
     * {(!) P} |- P x for ``spec``;
-    * {p \\/ q} |- (p ==> r) ==> (q ==> r) ==> r for ``disj_cases``.
+    * {p \\/ q} |- (p ==> r) ==> (q ==> r) ==> r for ``disj_cases``;
+    * {~p, p} |- F for ``clash``;
+    * |- (~p = F) = p for ``ccontr``;
+    * {(?) P} |- P ((@) P) for ``select_rule``.
 
     A call instantiates its schema and cuts the premises in with
     ``prove_hyp`` instead of unfolding the connectives' definitions
@@ -593,6 +596,20 @@ class Logic:
         self.EXCLUDED_MIDDLE = self._prove_excluded_middle()
         self.tables = self._prove_value_tables()
 
+        # {~p, p} |- F
+        np = mk_neg(p)
+        self._clash_pth = self.mp(self.not_elim(assume(np)), assume(p))
+        # |- (~p = F) = p, by cases on p \/ ~p for the right-to-left half
+        em = inst_rule({Var("t", BOOL): p}, self.EXCLUDED_MIDDLE)
+        refuted = self.contr(p, eq_mp(assume(np), assume(mk_eq(np, FALSE))))
+        to_p = self.disj_cases(em, assume(p), refuted)  # {~p = F} |- p
+        self._ccontr_pth = deduct_antisym(self.eqf_intro(np, self._clash_pth), to_p)
+        # {(?) P} |- P ((@) P), from the choice axiom |- P x ==> P ((@) P)
+        ax = axiom_choice(theory)
+        th1 = eq_mp(assume(mk_comb(lhs(self.defs["exists"]), cap_p)), self.exists_eq(cap_p))
+        th2 = self.spec(dest_imp(ax.conclusion)[1], th1)
+        self._select_pth = self.mp(th2, self.gen(Var("x", a_ty), ax))
+
     # -- equality/truth plumbing
 
     def eqt_elim(self, th: Theorem) -> Theorem:
@@ -610,6 +627,14 @@ class Logic:
         q = Var("p", BOOL)
         inst = inst_rule({q: p}, self._f_elim_pth)
         return prove_hyp(th, inst)
+
+    def eqf_intro(self, p: Term, th: Theorem) -> Theorem:
+        """From G |- F conclude G \\ {p} |- p = F."""
+        return deduct_antisym(inst_rule({Var("p", BOOL): p}, self._f_elim_pth), th)
+
+    def clash(self, p: Term) -> Theorem:
+        """{~p, p} |- F."""
+        return inst_rule({Var("p", BOOL): p}, self._clash_pth)
 
     # -- definitional unfolding conversions
 
@@ -747,20 +772,12 @@ class Logic:
     def select_rule(self, th: Theorem) -> Theorem:
         """From |- ?x. p conclude |- p[(@x. p)/x] (choice-based witness)."""
         pred = th.conclusion.rand
-        a = pred.ty.args[0]
-        ax = inst_type_rule({"A": a}, axiom_choice(self.theory))
-        p0 = Var("P", fn(a, BOOL))
-        x0 = Var("x", a)
-        xf = variant([pred], Var("x", a))
-        ax = inst_rule({p0: pred, x0: xf}, ax)
-        gen_ax = self.gen(xf, ax)  # |- !x. pred x ==> pred (@ pred)
-        target = dest_imp(ax.conclusion)[1]  # pred (@ pred)
-        th1 = eq_mp(th, self.exists_eq(pred))
-        th2 = self.spec(target, th1)
-        th3 = self.mp(th2, gen_ax)
+        a = dest_pred_ty(pred)
+        pth = inst_type_rule({"A": a}, self._select_pth)
+        th1 = prove_hyp(th, inst_rule({Var("P", fn(a, BOOL)): pred}, pth))
         if isinstance(pred, Abs):
-            return conv_rule(try_beta, th3)
-        return th3
+            return conv_rule(try_beta, th1)
+        return th1
 
     # -- negation
 
@@ -801,12 +818,8 @@ class Logic:
 
     def ccontr(self, p: Term, th: Theorem) -> Theorem:
         """Classical contradiction: from G u {~p} |- F conclude G |- p."""
-        np = mk_neg(p)
-        th1 = self.disch(np, th)
-        em = inst_rule({Var("t", BOOL): p}, self.EXCLUDED_MIDDLE)
-        case1 = assume(p)
-        case2 = self.contr(p, self.mp(th1, assume(np)))
-        return self.disj_cases(em, case1, case2)
+        pth = inst_rule({Var("p", BOOL): p}, self._ccontr_pth)
+        return eq_mp(self.eqf_intro(mk_neg(p), th), pth)
 
     # -- excluded middle via choice
 
@@ -855,23 +868,18 @@ class Logic:
 
     # -- the connective value tables
 
-    def _prove_eqf(self, term: Term, th_to_f: Theorem) -> Theorem:
-        """From {term} |- F conclude |- term = F."""
-        th_from_f = self.contr(term, assume(FALSE))
-        return deduct_antisym(th_from_f, th_to_f)
-
     def _prove_value_tables(self) -> dict[tuple[str, tuple[bool, ...]], Theorem]:
         tables: dict[tuple[str, tuple[bool, ...]], Theorem] = {}
         truth = self.TRUTH
         # and
         tables[("and", (True, True))] = self.eqt_intro(self.conj(truth, truth))
-        tables[("and", (True, False))] = self._prove_eqf(
+        tables[("and", (True, False))] = self.eqf_intro(
             mk_conj(TRUE, FALSE), self.conjunct2(assume(mk_conj(TRUE, FALSE)))
         )
-        tables[("and", (False, True))] = self._prove_eqf(
+        tables[("and", (False, True))] = self.eqf_intro(
             mk_conj(FALSE, TRUE), self.conjunct1(assume(mk_conj(FALSE, TRUE)))
         )
-        tables[("and", (False, False))] = self._prove_eqf(
+        tables[("and", (False, False))] = self.eqf_intro(
             mk_conj(FALSE, FALSE), self.conjunct1(assume(mk_conj(FALSE, FALSE)))
         )
         # or
@@ -879,12 +887,12 @@ class Logic:
         tables[("or", (True, False))] = self.eqt_intro(self.disj1(truth, FALSE))
         tables[("or", (False, True))] = self.eqt_intro(self.disj2(FALSE, truth))
         ff = mk_disj(FALSE, FALSE)
-        tables[("or", (False, False))] = self._prove_eqf(
+        tables[("or", (False, False))] = self.eqf_intro(
             ff, self.disj_cases(assume(ff), assume(FALSE), assume(FALSE))
         )
         # imp
         tables[("imp", (True, True))] = self.eqt_intro(self.disch(TRUE, truth))
-        tables[("imp", (True, False))] = self._prove_eqf(
+        tables[("imp", (True, False))] = self.eqf_intro(
             mk_imp(TRUE, FALSE), self.mp(assume(mk_imp(TRUE, FALSE)), truth)
         )
         tables[("imp", (False, True))] = self.eqt_intro(self.disch(FALSE, truth))
@@ -893,15 +901,15 @@ class Logic:
         )
         # iff (equality on bool)
         tables[("iff", (True, True))] = self.eqt_intro(refl(TRUE))
-        tables[("iff", (True, False))] = self._prove_eqf(
+        tables[("iff", (True, False))] = self.eqf_intro(
             mk_eq(TRUE, FALSE), eq_mp(truth, assume(mk_eq(TRUE, FALSE)))
         )
-        tables[("iff", (False, True))] = self._prove_eqf(
+        tables[("iff", (False, True))] = self.eqf_intro(
             mk_eq(FALSE, TRUE), eq_mp(truth, sym(assume(mk_eq(FALSE, TRUE))))
         )
         tables[("iff", (False, False))] = self.eqt_intro(refl(FALSE))
         # not
-        tables[("not", (True,))] = self._prove_eqf(
+        tables[("not", (True,))] = self.eqf_intro(
             mk_neg(TRUE), self.mp(self.not_elim(assume(mk_neg(TRUE))), truth)
         )
         tables[("not", (False,))] = self.eqt_intro(

@@ -14,11 +14,13 @@ node and the one that revisits subterms an earlier pass found
 irreducible, the model elimination search that tries every
 complementary literal, the clausifier that rewrote every stripped clause again,
 the derived rules that unfold the definitions of /\\ and
-==> on every call, the evaluator that compiled terms to opcode tuples for
-an interpreter (with a variant that compiles a defined constant's body at
-every occurrence) and the valuation search around it, and the front end
-that lexed character by character and parsed each infix connective at
-its own level.  The faster paths must give the same results.
+==> on every call, `ccontr` by cases on excluded middle and
+`select_rule` through the choice axiom on every call, the evaluator
+that compiled terms to opcode tuples for an interpreter (with a
+variant that compiles a defined constant's body at every occurrence)
+and the valuation search around it, and the front end that lexed
+character by character and parsed each infix connective at its own
+level.  The faster paths must give the same results.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from microhol.bootstrap import (
     is_exists,
     is_forall,
     mk_conj,
+    mk_neg,
     prove_hyp,
     rhs,
     sym,
@@ -56,9 +59,11 @@ from microhol.bootstrap import (
 from microhol.kernel import (
     abs_rule,
     assume,
+    axiom_choice,
     deduct_antisym,
     eq_mp,
     inst_rule,
+    inst_type_rule,
     mk_comb_rule,
     refl,
     trans,
@@ -478,6 +483,38 @@ class UnfoldingRules:
         p, q = dest_disj(th.conclusion)
         sp = self.spec(th1.conclusion, eq_mp(th, self.logic.or_eq(p, q)))
         return self.mp(self.mp(sp, self.disch(p, th1)), self.disch(q, th2))
+
+
+def excluded_middle_ccontr(logic, p, th):
+    """`Logic.ccontr` as it was derived on every call: discharge ~p, then
+    cases on p \\/ ~p."""
+    np = mk_neg(p)
+    th1 = logic.disch(np, th)
+    em = inst_rule({Var("t", BOOL): p}, logic.EXCLUDED_MIDDLE)
+    case1 = assume(p)
+    case2 = logic.contr(p, logic.mp(th1, assume(np)))
+    return logic.disj_cases(em, case1, case2)
+
+
+def choice_axiom_select_rule(logic, th):
+    """`Logic.select_rule` as it was derived on every call: the choice
+    axiom at the predicate, generalised, and cut against the unfolded
+    existential."""
+    pred = th.conclusion.rand
+    a = pred.ty.args[0]
+    ax = inst_type_rule({"A": a}, axiom_choice(logic.theory))
+    p0 = Var("P", fn(a, BOOL))
+    x0 = Var("x", a)
+    xf = variant([pred], Var("x", a))
+    ax = inst_rule({p0: pred, x0: xf}, ax)
+    gen_ax = logic.gen(xf, ax)  # |- !x. pred x ==> pred (@ pred)
+    target = dest_imp(ax.conclusion)[1]  # pred (@ pred)
+    th1 = eq_mp(th, logic.exists_eq(pred))
+    th2 = logic.spec(target, th1)
+    th3 = logic.mp(th2, gen_ax)
+    if isinstance(pred, Abs):
+        return conv_rule(try_beta, th3)
+    return th3
 
 
 # ---------------------------------------------------------------------------

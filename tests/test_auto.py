@@ -90,8 +90,9 @@ x = Var("x", IND)
 y = Var("y", IND)
 
 # kernel inferences meson makes on paper-displayed-formula once the
-# clausifier lemmas exist
-PAPER_FORMULA_INFERENCES = 2_752
+# clausifier lemmas exist; 2,734 when refutations were replayed by
+# disj_cases and ccontr went through excluded middle
+PAPER_FORMULA_INFERENCES = 1_183
 
 # sha256 of `_suite_transcript`, recorded before leaf clauses were taken
 # as they are and before Skolem instances were shared
@@ -552,7 +553,7 @@ class TestRewritingSkipsUnchanged:
         _NormLemmas.get(logic)
         with kernel.tracing() as log:
             meson(logic, prob, depth_bound=depth)
-        assert len(log) < 2 * PAPER_FORMULA_INFERENCES
+        assert len(log) == PAPER_FORMULA_INFERENCES
 
 
 def _logged(conv, t):
@@ -769,8 +770,9 @@ class TestMesonOutputPinned:
 
 
 # kernel inferences of one pass of the suite once the clausifier lemmas
-# exist, the same before and after reconstruction stopped encoding terms
-SUITE_INFERENCES = 12_617
+# exist; 12,617 when refuted literals were eliminated by disj_cases
+# chains rather than turned into L = F equations
+SUITE_INFERENCES = 6_055
 
 
 def _rebuild_with_duplicate_literal(logic):

@@ -1,7 +1,9 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from microhol import kernel
 from microhol.bootstrap import (
@@ -19,10 +21,12 @@ from microhol.bootstrap import (
     sym,
 )
 from microhol.audit import replay_trace
+from microhol.fuzz import alpha_variant
 from microhol.kernel import DuplicateName, Theory, VarFreeInHyps, assume, refl, tracing
 from microhol.semantics import (
     FALSE_ELEM,
     TRUE_ELEM,
+    CarrierOverflow,
     Model,
     Valuation,
     eval_term,
@@ -46,8 +50,10 @@ from microhol.syntax import (
     mk_eq,
     term_order_key,
 )
+from microhol.surface import print_sequent
 
-from .oracles import UnfoldingRules
+from .oracles import UnfoldingRules, choice_axiom_select_rule, excluded_middle_ccontr
+from .strategies import base_types, bool_terms, typed_terms
 
 p = Var("p", BOOL)
 q = Var("q", BOOL)
@@ -315,3 +321,117 @@ class TestSchemaRules:
         for spec in (logic.spec, UnfoldingRules(logic).spec):
             with pytest.raises(HolError):
                 spec(p, assume(mk_forall(x, mk_eq(x, x))))
+
+
+def _printed(th):
+    return print_sequent(th.assumptions, th.conclusion)
+
+
+class TestSchemas:
+    """The lemma base the schema rules instantiate, sequent for sequent."""
+
+    def test_printed_sequents(self, logic):
+        schemas = [
+            logic._f_elim_pth,
+            logic._conj_pth,
+            *logic._conjunct_pths,
+            logic._mp_pth,
+            logic._disch_pth,
+            logic._spec_pth,
+            logic._disj_cases_pth,
+            logic._clash_pth,
+            logic._ccontr_pth,
+            logic._select_pth,
+        ]
+        assert [_printed(th) for th in schemas] == [
+            "F |- (p:bool)",
+            "(p:bool), (q:bool) |- (p:bool) /\\ (q:bool)",
+            "(p:bool) /\\ (q:bool) |- (p:bool)",
+            "(p:bool) /\\ (q:bool) |- (q:bool)",
+            "(p:bool) ==> (q:bool) |- (p:bool) <=> (p:bool) /\\ (q:bool)",
+            "|- ((p:bool) /\\ (q:bool) <=> (p:bool)) <=> (p:bool) ==> (q:bool)",
+            "(!:(A -> bool) -> bool) (P:A -> bool) |- (P:A -> bool) (x:A)",
+            "(p:bool) \\/ (q:bool) |- ((p:bool) ==> (r:bool)) ==> "
+            "((q:bool) ==> (r:bool)) ==> (r:bool)",
+            "(p:bool), ~(p:bool) |- F",
+            "|- (~(p:bool) <=> F) <=> (p:bool)",
+            "(?:(A -> bool) -> bool) (P:A -> bool) |- "
+            "(P:A -> bool) ((@:(A -> bool) -> A) (P:A -> bool))",
+        ]
+
+    def test_clash_and_eqf_intro(self, logic):
+        assert _printed(logic.clash(mk_conj(q, p))) == (
+            "~((q:bool) /\\ (p:bool)), (q:bool) /\\ (p:bool) |- F"
+        )
+        assert _printed(logic.eqf_intro(p, logic.clash(p))) == "~(p:bool) |- (p:bool) <=> F"
+
+
+def _valid(logic, th) -> bool:
+    """th's sequent holds in a two-element model (True when a carrier is
+    too large to enumerate: the printed-sequent check still applies)."""
+    try:
+        verdict = is_valid(
+            theorem_sequent(th), Model(ind_size=2), budget=4096, samples=200,
+            theory=logic.theory,
+        )
+    except CarrierOverflow:
+        return True
+    return verdict.valid
+
+
+# Goals over the random terms' variable names and over the schemas' own
+# (p, P, x), so instantiating a schema meets name clashes.
+_goals = st.one_of(bool_terms, bool_terms.map(lambda t: mk_disj(p, t)))
+
+
+@st.composite
+def _predicates(draw):
+    ty = draw(base_types)
+    pred = draw(typed_terms(ty=fn(ty, BOOL), depth=3))
+    if draw(st.booleans()):
+        v = Var("x", ty)
+        own = Var("P", fn(ty, BOOL))
+        pred = mk_abs(v, mk_disj(mk_comb(own, v), mk_comb(pred, v)))
+    return pred
+
+
+class TestContradictionAndChoice:
+    """`ccontr` and `select_rule` instantiate one schema each; they give
+    the sequents the derivations through excluded middle and through the
+    choice axiom gave, and sound ones."""
+
+    @staticmethod
+    def under(logic, th, hyps):
+        for h in hyps:
+            th = logic.conjunct2(logic.conj(assume(h), th))
+        return th
+
+    @given(_goals, st.lists(bool_terms, max_size=2), st.integers(0, 3), st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_ccontr(self, logic, goal, hyps, shape, seed):
+        rng = random.Random(seed)
+        np = mk_neg(goal)
+        if shape == 0:  # no ~p to discharge
+            th = assume(FALSE)
+        else:
+            ant = assume(goal)
+            if shape == 2:
+                ant = logic.conjunct1(assume(mk_conj(goal, q)))
+            th = logic.mp(logic.not_elim(assume(np)), ant)
+            if shape == 3:  # ~p also held as an alpha-variant
+                hyps = [*hyps, mk_neg(alpha_variant(rng, goal))]
+        th = self.under(logic, th, hyps)
+        new = logic.ccontr(goal, th)
+        assert _printed(new) == _printed(excluded_middle_ccontr(logic, goal, th))
+        assert _valid(logic, new)
+
+    @given(_predicates(), st.lists(bool_terms, max_size=2), st.booleans(), st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_select_rule(self, logic, pred, hyps, variant_hyp, seed):
+        ex = mk_comb(Const("exists", fn(pred.ty, BOOL)), pred)
+        if variant_hyp:
+            hyps = [*hyps, alpha_variant(random.Random(seed), ex)]
+        th = self.under(logic, assume(ex), hyps)
+        new = logic.select_rule(th)
+        assert _printed(new) == _printed(choice_axiom_select_rule(logic, th))
+        assert _valid(logic, new)
