@@ -11,9 +11,13 @@ proved connective tables.
 constants or free variables).  The problem is clausified through
 proof-producing normalization: kernel rewrites to negation normal form,
 prenexing, universal stripping by specialization, and skolemization via
-the choice operator.  Of the eight prenexing equations, the four with
-the quantifier on the left are proved and the other four are their
-mirror images, derived by commuting the connective.  The search runs
+the choice operator.  The quantifier lemmas behind these rewrites use
+each existential premise through its chosen witness (`select_rule`),
+not by eliminating it at a fresh variable.  Of the eight prenexing
+equations, the four with the quantifier on the left are proved and the
+other four are their mirror images, derived by commuting the
+connective.  T and F are atoms to the search, which is given |- T or
+|- ~F as a unit clause where either occurs.  The search runs
 on a lightweight clause representation; a successful refutation is
 replayed through the kernel as equations to F: a literal L of a clause
 instance, refuted by {L} u G |- F, gives G |- L = F; the literals'
@@ -54,11 +58,9 @@ from .bootstrap import (
     mk_forall,
     mk_imp,
     mk_neg,
-    mk_select,
     prove_hyp,
     rewr_conv,
     rhs,
-    sym,
     try_beta,
 )
 from .kernel import Theorem, assume, eq_mp, inst_rule, inst_type_rule
@@ -374,26 +376,14 @@ class _NormLemmas:
         return cls(nnf=props + quants, pull=pulls + dists)
 
 
-def _eta_quant(logic: Logic, quant: Const, pred: Term) -> Theorem:
-    """|- quant (\\x. pred x) = quant pred (eta through a binder)."""
-    a = pred.ty.args[0]
-    b = pred.ty.args[1]
-    ext = kernel.axiom_extensionality()
-    ext = inst_type_rule({"A": a, "B": b}, ext)
-    tvar = Var("t", pred.ty)
-    xvar = Var("x", a)
-    fresh = variant([pred], xvar)
-    if fresh != xvar:
-        ext = inst_rule({xvar: fresh}, ext)
-    ext = inst_rule({tvar: pred}, ext)
-    return ap_term(quant, ext)
-
-
-def _forall_var(logic: Logic, pred_var: Var, th: Theorem) -> Theorem:
+def _forall_var(pred: Var, th: Theorem) -> Theorem:
     """Repackage G |- !x. P x (an explicit abstraction over an application)
-    as G |- (!) P when P is a plain variable."""
-    quant = th.conclusion.rator
-    return eq_mp(th, _eta_quant(logic, quant, pred_var))
+    as G |- (!) P for a predicate variable P, through the eta axiom
+    |- (\\x. t x) = t."""
+    a, b = pred.ty.args
+    eta = inst_type_rule({"A": a, "B": b}, kernel.axiom_extensionality())
+    eta = inst_rule({Var("t", pred.ty): pred}, eta)
+    return eq_mp(th, ap_term(th.conclusion.rator, eta))
 
 
 def _not_forall_thm(logic: Logic) -> Theorem:
@@ -401,26 +391,21 @@ def _not_forall_thm(logic: Logic) -> Theorem:
     alpha = TyVar("A")
     P = Var("P", fn(alpha, BOOL))
     x = Var("x", alpha)
+    px = mk_comb(P, x)
     forall_p = mk_comb(Const("forall", fn(fn(alpha, BOOL), BOOL)), P)
-    goal = mk_exists(x, mk_neg(mk_comb(P, x)))
+    goal = mk_exists(x, mk_neg(px))
 
     # {~(!)P} |- ?x. ~(P x)
-    ng = mk_neg(goal)
-    step1 = logic.exists_intro(goal, x, assume(mk_neg(mk_comb(P, x))))
-    step2 = logic.mp(logic.not_elim(assume(ng)), step1)  # {ng, ~Px} |- F
-    step3 = logic.ccontr(mk_comb(P, x), step2)  # {ng} |- P x
-    step4 = _forall_var(logic, P, logic.gen(x, step3))  # {ng} |- (!) P
-    step5 = logic.mp(logic.not_elim(assume(mk_neg(forall_p))), step4)
-    fwd = logic.ccontr(goal, step5)  # {~(!)P} |- goal
+    some = logic.exists_intro(goal, x, assume(mk_neg(px)))  # {~P x} |- goal
+    px_th = logic.ccontr(px, prove_hyp(some, logic.clash(goal)))  # {~goal} |- P x
+    allp = _forall_var(P, logic.gen(x, px_th))  # {~goal} |- (!) P
+    fwd = logic.ccontr(goal, prove_hyp(allp, logic.clash(forall_p)))
 
-    # {?x. ~(P x)} |- ~((!) P)
-    v = Var("v", alpha)
-    body = logic.mp(
-        logic.not_elim(assume(mk_neg(mk_comb(P, v)))),
-        logic.spec(v, assume(forall_p)),
-    )  # {~Pv, (!)P} |- F
-    body = logic.not_intro(logic.disch(forall_p, body))  # {~Pv} |- ~(!)P
-    bwd = logic.choose(v, assume(goal), body)
+    # {?x. ~(P x)} |- ~((!) P), at the witness @x. ~(P x)
+    npw = logic.select_rule(assume(goal))
+    pw = logic.spec(npw.conclusion.rand.rand, assume(forall_p))
+    refuted = prove_hyp(pw, prove_hyp(npw, logic.clash(pw.conclusion)))
+    bwd = logic.not_intro(logic.disch(forall_p, refuted))
 
     return kernel.deduct_antisym(bwd, fwd)
 
@@ -430,23 +415,20 @@ def _not_exists_thm(logic: Logic) -> Theorem:
     alpha = TyVar("A")
     P = Var("P", fn(alpha, BOOL))
     x = Var("x", alpha)
+    px = mk_comb(P, x)
     exists_p = mk_comb(Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
-    goal = mk_forall(x, mk_neg(mk_comb(P, x)))
+    goal = mk_forall(x, mk_neg(px))
 
     # {~(?)P} |- !x. ~(P x)
-    w1 = logic.exists_intro(exists_p, x, assume(mk_comb(P, x)))  # {Px} |- (?)P
-    w2 = logic.mp(logic.not_elim(assume(mk_neg(exists_p))), w1)
-    fwd = logic.gen(x, logic.not_intro(logic.disch(mk_comb(P, x), w2)))
+    some = logic.exists_intro(exists_p, x, assume(px))  # {P x} |- (?) P
+    refuted = prove_hyp(some, logic.clash(exists_p))  # {~(?)P, P x} |- F
+    fwd = logic.gen(x, logic.not_intro(logic.disch(px, refuted)))
 
-    # {!x. ~(P x)} |- ~((?) P)
-    v = Var("v", alpha)
-    eta = _eta_quant(logic, Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
-    expanded = eq_mp(assume(exists_p), sym(eta))  # {(?)P} |- ? (\x. P x)
-    body = logic.mp(
-        logic.not_elim(logic.spec(v, assume(goal))), assume(mk_comb(P, v))
-    )  # {goal, P v} |- F
-    elim = logic.choose(v, expanded, body)  # {goal, (?)P} |- F
-    bwd = logic.not_intro(logic.disch(exists_p, elim))
+    # {!x. ~(P x)} |- ~((?) P), at the witness (@) P
+    pw = logic.select_rule(assume(exists_p))
+    npw = logic.spec(pw.conclusion.rand, assume(goal))
+    refuted = prove_hyp(pw, prove_hyp(npw, logic.clash(pw.conclusion)))
+    bwd = logic.not_intro(logic.disch(exists_p, refuted))
 
     return kernel.deduct_antisym(bwd, fwd)
 
@@ -456,20 +438,17 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
     |- ((!) P \\/ q) = !x. P x \\/ q.  The four with the quantifier on
     the left are proved; each is followed by its mirror image
     |- (q \\/ (!) P) = !x. q \\/ P x, derived from it by commuting the
-    connective outside and under the binder."""
+    connective outside and under the binder.  An existential premise is
+    used through its chosen witness (`select_rule`), so the existential
+    cases need no eta step."""
     alpha = TyVar("A")
     P = Var("P", fn(alpha, BOOL))
     p = Var("p", BOOL)
     q = Var("q", BOOL)
     x = Var("x", alpha)
-    v = Var("v", alpha)
-    forall_c = Const("forall", fn(fn(alpha, BOOL), BOOL))
-    exists_c = Const("exists", fn(fn(alpha, BOOL), BOOL))
-    forall_p = mk_comb(forall_c, P)
-    exists_p = mk_comb(exists_c, P)
+    forall_p = mk_comb(Const("forall", fn(fn(alpha, BOOL), BOOL)), P)
+    exists_p = mk_comb(Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
     px = mk_comb(P, x)
-    pv = mk_comb(P, v)
-    eta_e = _eta_quant(logic, exists_c, P)
     or_comm = taut(logic, mk_eq(mk_disj(p, q), mk_disj(q, p)))
     and_comm = taut(logic, mk_eq(mk_conj(p, q), mk_conj(q, p)))
 
@@ -493,33 +472,30 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
     b2 = logic.disj2(px, assume(q))
     fwd = logic.gen(x, logic.disj_cases(assume(lhs_t), b1, b2))
     inner = logic.disj_cases(
-        logic.spec(x, assume(rhs_t)),
-        assume(px),
-        logic.contr(px, logic.mp(logic.not_elim(assume(mk_neg(q))), assume(q))),
+        logic.spec(x, assume(rhs_t)), assume(px), logic.contr(px, logic.clash(q))
     )  # {rhs, ~q} |- P x
-    nq_case = logic.disj1(_forall_var(logic, P, logic.gen(x, inner)), q)
+    nq_case = logic.disj1(_forall_var(P, logic.gen(x, inner)), q)
     em = inst_rule({Var("t", BOOL): q}, logic.EXCLUDED_MIDDLE)
     bwd = logic.disj_cases(em, logic.disj2(forall_p, assume(q)), nq_case)
     out = mirrored(kernel.deduct_antisym(bwd, fwd), or_comm)
 
-    # (?) P \/ q  =  ?x. P x \/ q
+    # (?) P \/ q  =  ?x. P x \/ q, both ways at the premise's witness
     lhs_t = mk_disj(exists_p, q)
     rhs_t = mk_exists(x, mk_disj(px, q))
-    wit = logic.exists_intro(rhs_t, v, logic.disj1(assume(pv), q))
-    caseA = logic.choose(v, eq_mp(assume(exists_p), sym(eta_e)), wit)
-    anyx = mk_select(x, TRUE)
-    caseB = logic.exists_intro(
-        rhs_t, anyx, logic.disj2(mk_comb(P, anyx), assume(q))
+    pw = logic.select_rule(assume(exists_p))  # {(?) P} |- P w
+    w = pw.conclusion.rand
+    fwd = logic.disj_cases(
+        assume(lhs_t),
+        logic.exists_intro(rhs_t, w, logic.disj1(pw, q)),
+        logic.exists_intro(rhs_t, w, logic.disj2(pw.conclusion, assume(q))),
     )
-    fwd = logic.disj_cases(assume(lhs_t), caseA, caseB)
-    back_body = logic.disj_cases(
-        assume(mk_disj(pv, q)),
-        logic.disj1(
-            eq_mp(logic.exists_intro(mk_exists(x, px), v, assume(pv)), eta_e), q
-        ),
+    some = logic.select_rule(assume(rhs_t))  # {rhs} |- P u \/ q
+    pu = dest_disj(some.conclusion)[0]
+    bwd = logic.disj_cases(
+        some,
+        logic.disj1(logic.exists_intro(exists_p, pu.rand, assume(pu)), q),
         logic.disj2(exists_p, assume(q)),
     )
-    bwd = logic.choose(v, assume(rhs_t), back_body)
     out += mirrored(kernel.deduct_antisym(bwd, fwd), or_comm)
 
     # (!) P /\ q  =  !x. P x /\ q
@@ -532,31 +508,22 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
             logic.conjunct2(assume(lhs_t)),
         ),
     )
-    allp = _forall_var(
-        logic, P, logic.gen(x, logic.conjunct1(logic.spec(x, assume(rhs_t))))
-    )
+    allp = _forall_var(P, logic.gen(x, logic.conjunct1(logic.spec(x, assume(rhs_t)))))
     bwd = logic.conj(allp, logic.conjunct2(logic.spec(x, assume(rhs_t))))
     out += mirrored(kernel.deduct_antisym(bwd, fwd), and_comm)
 
-    # (?) P /\ q  =  ?x. P x /\ q
+    # (?) P /\ q  =  ?x. P x /\ q, both ways at the premise's witness
     lhs_t = mk_conj(exists_p, q)
     rhs_t = mk_exists(x, mk_conj(px, q))
-    wit = logic.exists_intro(
-        rhs_t, v, logic.conj(assume(pv), logic.conjunct2(assume(lhs_t)))
+    pw = logic.select_rule(logic.conjunct1(assume(lhs_t)))  # {lhs} |- P w
+    fwd = logic.exists_intro(
+        rhs_t, pw.conclusion.rand, logic.conj(pw, logic.conjunct2(assume(lhs_t)))
     )
-    fwd = logic.choose(
-        v, eq_mp(logic.conjunct1(assume(lhs_t)), sym(eta_e)), wit
+    some = logic.select_rule(assume(rhs_t))  # {rhs} |- P u /\ q
+    pu = logic.conjunct1(some)
+    bwd = logic.conj(
+        logic.exists_intro(exists_p, pu.conclusion.rand, pu), logic.conjunct2(some)
     )
-    back_body = logic.conj(
-        eq_mp(
-            logic.exists_intro(
-                mk_exists(x, px), v, logic.conjunct1(assume(mk_conj(pv, q)))
-            ),
-            eta_e,
-        ),
-        logic.conjunct2(assume(mk_conj(pv, q))),
-    )
-    bwd = logic.choose(v, assume(rhs_t), back_body)
     out += mirrored(kernel.deduct_antisym(bwd, fwd), and_comm)
     return out
 
@@ -1015,6 +982,15 @@ def meson(
     goal_clauses = list(range(n_axiom_clauses, len(clauses)))
     if not goal_clauses:
         raise OutOfFragment("the negated goal produced no clauses")
+    # The search takes T and F for opaque atoms: where one occurs, |- T or
+    # |- ~F joins as a unit clause, after the others so none is renumbered.
+    atoms = {atom for c in clauses for _, atom in c.lits}
+    for const in (TRUE, FALSE):
+        if _term_to_fo(const, set(), [], 0) in atoms:
+            th = logic.TRUTH if const == TRUE else logic.eqt_elim(
+                logic.tables[("not", (False,))]
+            )
+            clauses.append(Clause(th, (), (_lit_of(th.conclusion, set(), []),), "truth"))
 
     def make_trace(depth_used: Optional[int] = None) -> MesonTrace:
         return MesonTrace(

@@ -53,7 +53,6 @@ from .syntax import (
     mk_eq,
     type_match,
     variant,
-    vfree_in,
     vsubst,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "mk_neg",
     "mk_forall",
     "mk_exists",
-    "mk_select",
     "dest_conj",
     "dest_disj",
     "dest_imp",
@@ -133,10 +131,6 @@ def mk_forall(v: Var, body: Term) -> Term:
 
 def mk_exists(v: Var, body: Term) -> Term:
     return mk_comb(Const("exists", fn(fn(v.ty, BOOL), BOOL)), mk_abs(v, body))
-
-
-def mk_select(v: Var, body: Term) -> Term:
-    return mk_comb(Const("@", fn(fn(v.ty, BOOL), v.ty)), mk_abs(v, body))
 
 
 def _is_binapp(name: str, t: Term) -> bool:
@@ -746,28 +740,6 @@ class Logic:
         th4 = self.disch(ante, th3)
         th5 = self.gen(q, th4)
         return eq_mp(th5, sym(eqth))
-
-    def choose(self, v: Var, th_ex: Theorem, th_body: Theorem) -> Theorem:
-        """Existential elimination: from |- ?x. p and p[v/x] |- r (v fresh)
-        conclude |- r."""
-        pred = th_ex.conclusion.rand
-        if not isinstance(pred, Abs):
-            raise IllTyped("choose needs an explicit existential abstraction")
-        instance = beta_conv(mk_comb(pred, v))  # |- pred v = p[v/x]
-        r = th_body.conclusion
-        for h in th_body.assumptions:
-            if vfree_in(v, h) and not alpha_equiv(h, rhs(instance)):
-                raise kernel.VarFreeInHyps(
-                    f"{v.name} occurs free in a retained assumption"
-                )
-        if vfree_in(v, r) or vfree_in(v, th_ex.conclusion):
-            raise kernel.VarFreeInHyps(f"{v.name} occurs free in the conclusion")
-        th1 = eq_mp(th_ex, self.exists_eq(pred))
-        th2 = self.spec(r, th1)  # G |- (!x. pred x ==> r) ==> r
-        th3 = self.disch(rhs(instance), th_body)  # D |- p[v/x] ==> r
-        th4 = conv_rule(rator_conv(rand_conv(lambda t: sym(instance))), th3)
-        th5 = self.gen(v, th4)  # D |- !v. pred v ==> r
-        return self.mp(th2, th5)
 
     def select_rule(self, th: Theorem) -> Theorem:
         """From |- ?x. p conclude |- p[(@x. p)/x] (choice-based witness)."""

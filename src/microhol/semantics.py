@@ -60,6 +60,7 @@ __all__ = [
     "EmptyCarrier",
     "FALSE_ELEM",
     "TRUE_ELEM",
+    "TYVAR_SIZES",
     "Model",
     "Valuation",
     "Sequent",
@@ -105,22 +106,22 @@ _EMPTY_THEORY = Theory()
 Sequent = tuple[tuple[Term, ...], Term]
 
 
+# The carrier sizes a validity check offers each type variable.
+TYVAR_SIZES = (1, 2, 3)
+
+
 @dataclass(frozen=True)
 class Model:
-    """Finite carriers: an ind size, a carrier cap, and the candidate
-    carrier sizes offered to type variables during validity checks."""
+    """Finite carriers: an ind size and a carrier cap."""
 
     ind_size: int = 3
     cap: int = 1 << 16
-    tyvar_sizes: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self):
         if self.ind_size < 1:
             raise ValueError("ind carrier must be nonempty")
         if not (2 <= self.cap <= 1 << 31):
             raise ValueError("cap must lie in [2, 2**31]")
-        if any(s < 1 for s in self.tyvar_sizes):
-            raise ValueError("type-variable carriers must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -651,7 +652,7 @@ def _search(
     free_list = sorted(free, key=lambda v: v.name)
     batches = []
     total = 0
-    for sizes in itertools.product(model.tyvar_sizes, repeat=len(tyvar_list)):
+    for sizes in itertools.product(TYVAR_SIZES, repeat=len(tyvar_list)):
         tyassign = dict(zip(tyvar_list, sizes))
         batch = _SequentBatch(sequents, free_list, model, tyassign, theory)
         batches.append((tyassign, batch))

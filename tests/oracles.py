@@ -70,6 +70,7 @@ from microhol.kernel import (
 )
 from microhol.semantics import (
     TRUE_ELEM,
+    TYVAR_SIZES,
     CarrierOverflow,
     EmptyCarrier,
     UnassignedTypeVar,
@@ -899,7 +900,7 @@ def reference_search(sequents, n_prem, model, theory, limit, samples, rng):
     tyvar_list = sorted(tyvars)
     batches = []
     total = 0
-    for sizes in itertools.product(model.tyvar_sizes, repeat=len(tyvar_list)):
+    for sizes in itertools.product(TYVAR_SIZES, repeat=len(tyvar_list)):
         tyassign = dict(zip(tyvar_list, sizes))
         batch = _ReferenceBatch(sequents, model, tyassign, theory)
         batches.append((tyassign, batch))

@@ -364,6 +364,25 @@ class TestMeson:
         with pytest.raises(OutOfFragment):
             FirstOrderProblem((), mk_forall(g, mk_eq(g, g)))
 
+    @pytest.mark.parametrize(
+        "goal",
+        [
+            TRUE,
+            mk_neg(FALSE),
+            mk_imp(p, TRUE),
+            mk_forall(x, mk_disj(mk_comb(Var("P", fn(IND, BOOL)), x), TRUE)),
+        ],
+        ids=["T", "not-F", "p-imp-T", "forall-or-T"],
+    )
+    def test_truth_constants(self, logic, goal):
+        # the search takes T and F for atoms; |- T or |- ~F joins as a
+        # unit clause after the problem's own
+        th, trace = meson(logic, FirstOrderProblem((), goal), want_trace=True)
+        assert th.assumptions == ()
+        assert alpha_equiv(th.conclusion, goal)
+        assert trace.clauses[-1] in ("truth: T", "truth: ~F")
+        assert trace.depth_used == 1
+
     def test_suite_theorems_model_valid(self, logic):
         # the whole reconstruction chain lands on finite-model-valid
         # sequents for every suite problem
@@ -762,6 +781,12 @@ class TestLemmaBasePinned:
             assert th.assumptions == ()
             assert print_term(th.conclusion) == expected
 
+    def test_inference_count(self):
+        logic = bootstrap.install_logic(kernel.Theory())
+        with kernel.tracing() as log:
+            _NormLemmas.build(logic)
+        assert len(log) == NORM_LEMMA_INFERENCES
+
 
 class TestMesonOutputPinned:
     def test_suite_transcript_unchanged(self, logic):
@@ -773,6 +798,11 @@ class TestMesonOutputPinned:
 # exist; 12,617 when refuted literals were eliminated by disj_cases
 # chains rather than turned into L = F equations
 SUITE_INFERENCES = 6_055
+
+# kernel inferences of `_NormLemmas.build` on a fresh Logic; 4,713 when
+# existential premises were eliminated by unfolding `?` at a fresh
+# variable and contradictions reached F through `not_elim` and `mp`
+NORM_LEMMA_INFERENCES = 4_266
 
 
 def _rebuild_with_duplicate_literal(logic):

@@ -186,15 +186,11 @@ class TestDerivedRules:
         assert out.conclusion == p
         assert out.assumptions == (p,)
 
-    def test_exists_and_choose(self, logic):
+    def test_exists_intro(self, logic):
         pv = Var("P", fn(IND, BOOL))
         goal = mk_exists(x, mk_comb(pv, x))
         intro = logic.exists_intro(goal, y, assume(mk_comb(pv, y)))
         assert alpha_equiv(intro.conclusion, goal)
-        w = Var("w", IND)
-        body = logic.exists_intro(goal, w, assume(mk_comb(pv, w)))
-        out = logic.choose(w, intro, body)
-        assert alpha_equiv(out.conclusion, goal)
 
     def test_select_rule(self, logic):
         pv = Var("P", fn(IND, BOOL))

@@ -1,7 +1,7 @@
 """Source hygiene, checked with the `ast` module (the project has no
 linter): every import in the package is used, every `__all__` name is
 defined, every top-level function and class and every public method has
-a user in the package or the benchmark, a theory's
+a user in the package or the benchmark, every parameter is read, a theory's
 signature is written only by the two definitional rules, only the
 theory fingerprint builds a term's byte encoding, and the trusted base
 (`kernel.py` and `syntax.py`) stands on its own: it imports nothing else
@@ -251,6 +251,48 @@ def _unused_definitions(module: ast.Module, references: Counter) -> list[str]:
     return out
 
 
+def _reads(node: ast.AST) -> set[str]:
+    """The names `node`'s code reads: loaded, or updated in place (`+=`)."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.target.id
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name))
+    }
+
+
+def _functions(node: ast.AST, scope: str = ""):
+    """(dotted name, node) for every function and method in `node`'s code."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{scope}.{child.name}" if scope else child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, scope)
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """`function: parameter` for each parameter its function's body never
+    reads, apart from `self`, `cls`, `_`-prefixed names and the parameters
+    of dunder methods, whose signatures their protocol fixes."""
+    out = []
+    for name, node in _functions(tree):
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p]
+        reads = set().union(*map(_reads, node.body))
+        out += [
+            f"{name}: {p}"
+            for p in params
+            if p not in reads and p not in ("self", "cls") and not p.startswith("_")
+        ]
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     tree = _tree(path)
@@ -282,6 +324,13 @@ def test_every_function_and_class_has_a_user():
     assert not stray, "no user in the package or the benchmark:\n" + "\n".join(stray)
     stale = sorted(set(UNUSED_BY_DESIGN) - unused)
     assert not stale, f"kept as unused, but used or gone: {stale}"
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.name}: {entry}" for path in MODULES for entry in _unread_parameters(_tree(path))
+    ]
+    assert not unread, "parameters never read:\n" + "\n".join(unread)
 
 
 def test_only_the_definitional_rules_write_the_signature():
@@ -384,6 +433,19 @@ def test_checks_catch_what_they_are_for():
         "C().used()\n"
     )
     assert _unused_definitions(tree, _references(tree)) == ["f", "g", "C.gone"]
+    tree = ast.parse(
+        "def f(a, b, _c, *args, d=1, **kw): return a + d\n"
+        "def g(out): out += b'x'\n"
+        "def h(x):\n"
+        "    def inner(y): return x\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def m(self, n): return self\n"
+        "    @classmethod\n"
+        "    def k(cls, n): return n\n"
+        "    def __exit__(self, *exc): pass\n"
+    )
+    assert _unread_parameters(tree) == ["f: b", "f: args", "f: kw", "h.inner: y", "C.m: n"]
     tree = ast.parse(
         "class Theory:\n"
         "    def _add(self, n, t): self.term_constants[n] = t\n"
