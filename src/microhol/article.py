@@ -29,12 +29,10 @@ alpha-equivalence.
 
 The parser checks every name and type constructor of a TERM or TYPE
 line against the theory's signature as it stands, and nothing checks
-them again.  One replay (one `check_article` call) remembers, and
-forgets when it returns:
-- each distinct TERM text, with the term parsed from it;
-- the printing of each assumption and conclusion object of a THM line.
-A parse depends on the signature, so each DEFINE and TYPEDEF line
-forgets the first; a printing depends on the term alone and is kept.
+them again.  One replay (one `check_article` call) remembers each
+distinct TERM text, with the term parsed from it, and forgets it when it
+returns.  A parse depends on the signature, so each DEFINE and TYPEDEF
+line forgets them all.
 
 Replay produces theorems exclusively through kernel calls; the first
 failure aborts the run and is reported with its line number.
@@ -49,7 +47,7 @@ from functools import cmp_to_key
 
 from . import kernel
 from .kernel import Theorem, Theory
-from .surface import parse_sequent, parse_term, parse_type, print_term, sequent_text
+from .surface import parse_sequent, parse_term, parse_type, print_sequent
 from .syntax import (
     HolError,
     Term,
@@ -194,9 +192,6 @@ class _Replay:
         # signature; emptied whenever a definitional rule changes that.
         # `parsed` holds only terms that the slots hold too.
         self.parsed: dict[str, Term] = {}
-        # id of a THM line's assumption or conclusion -> (it, its printing);
-        # holding the term keeps its id from being reused
-        self.printed: dict[int, tuple[Term, str]] = {}
 
     def term(self, text: str) -> Term:
         t = self.parsed.get(text)
@@ -207,12 +202,6 @@ class _Replay:
     def forget_signature(self):
         """Drop what depends on the signature, which is about to change."""
         self.parsed.clear()
-
-    def print_part(self, t: Term) -> str:
-        got = self.printed.get(id(t))
-        if got is None:
-            got = self.printed[id(t)] = (t, print_term(t))
-        return got[1]
 
     def ref(self, tok: str, line: int, kind: str):
         if not _REF_RE.fullmatch(tok):
@@ -364,9 +353,7 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
         return ("thm", args[0])
     # THM
     th, text = args
-    produced = sequent_text(
-        [replay.print_part(h) for h in th.assumptions], replay.print_part(th.conclusion)
-    )
+    produced = print_sequent(th.assumptions, th.conclusion)
     # A theory with no definitions has only the constants `=` and `@`, and
     # no variable can have either name, so the parser would read the
     # theorem's own printing back as the theorem: that text is accepted

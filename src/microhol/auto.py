@@ -386,6 +386,12 @@ def _forall_var(pred: Var, th: Theorem) -> Theorem:
     return eq_mp(th, ap_term(th.conclusion.rator, eta))
 
 
+def _not_intro(logic: Logic, p: Term, th: Theorem) -> Theorem:
+    """From G u {p} |- F conclude G |- ~p, through p = F and |- ~F = T."""
+    neg = ap_term(Const("not", fn(BOOL, BOOL)), logic.eqf_intro(p, th))  # ~p = ~F
+    return logic.eqt_elim(kernel.trans(neg, logic.tables[("not", (False,))]))
+
+
 def _not_forall_thm(logic: Logic) -> Theorem:
     """|- ~((!) P) = ?x. ~(P x)."""
     alpha = TyVar("A")
@@ -405,7 +411,7 @@ def _not_forall_thm(logic: Logic) -> Theorem:
     npw = logic.select_rule(assume(goal))
     pw = logic.spec(npw.conclusion.rand.rand, assume(forall_p))
     refuted = prove_hyp(pw, prove_hyp(npw, logic.clash(pw.conclusion)))
-    bwd = logic.not_intro(logic.disch(forall_p, refuted))
+    bwd = _not_intro(logic, forall_p, refuted)
 
     return kernel.deduct_antisym(bwd, fwd)
 
@@ -422,13 +428,13 @@ def _not_exists_thm(logic: Logic) -> Theorem:
     # {~(?)P} |- !x. ~(P x)
     some = logic.exists_intro(exists_p, x, assume(px))  # {P x} |- (?) P
     refuted = prove_hyp(some, logic.clash(exists_p))  # {~(?)P, P x} |- F
-    fwd = logic.gen(x, logic.not_intro(logic.disch(px, refuted)))
+    fwd = logic.gen(x, _not_intro(logic, px, refuted))
 
     # {!x. ~(P x)} |- ~((?) P), at the witness (@) P
     pw = logic.select_rule(assume(exists_p))
     npw = logic.spec(pw.conclusion.rand, assume(goal))
     refuted = prove_hyp(pw, prove_hyp(npw, logic.clash(pw.conclusion)))
-    bwd = logic.not_intro(logic.disch(exists_p, refuted))
+    bwd = _not_intro(logic, exists_p, refuted)
 
     return kernel.deduct_antisym(bwd, fwd)
 
@@ -658,19 +664,19 @@ def _flatten_disj(t: Term) -> list[Term]:
 # FO representation: ("v", var_key) | ("f", symbol, args-tuple)
 
 
-def _term_to_fo(t: Term, universals: set[Var], skolems: list[SkolemEntry], copy):
+def _term_to_fo(t: Term, universals: set[Var], skolems: list[SkolemEntry]):
     for sk in skolems:
         if t == sk.witness:
             return (
                 "f",
                 ("sk", sk.index),
-                tuple(_term_to_fo(p, universals, skolems, copy) for p in sk.params),
+                tuple(_term_to_fo(p, universals, skolems) for p in sk.params),
             )
     if isinstance(t, Var) and t in universals:
-        return ("v", (t, copy))
+        return ("v", (t, 0))
     head, args = _strip_app(t)
     if isinstance(head, Var) and head in universals and not args:
-        return ("v", (head, copy))
+        return ("v", (head, 0))
     sym_: tuple
     if isinstance(head, Const):
         sym_ = ("c", head.name, head.ty)
@@ -679,14 +685,14 @@ def _term_to_fo(t: Term, universals: set[Var], skolems: list[SkolemEntry], copy)
     return (
         "f",
         sym_,
-        tuple(_term_to_fo(a, universals, skolems, copy) for a in args),
+        tuple(_term_to_fo(a, universals, skolems) for a in args),
     )
 
 
-def _lit_of(t: Term, universals, skolems, copy=0):
+def _lit_of(t: Term, universals, skolems):
     if is_neg(t):
-        return (False, _term_to_fo(t.rand, universals, skolems, copy))
-    return (True, _term_to_fo(t, universals, skolems, copy))
+        return (False, _term_to_fo(t.rand, universals, skolems))
+    return (True, _term_to_fo(t, universals, skolems))
 
 
 def _fo_rename(fo, copy):
@@ -740,13 +746,13 @@ def _unify(a, b, theta):
     return theta
 
 
-def clausify(logic: Logic, p: Term, source: str = "formula") -> ClauseSet:
+def clausify(logic: Logic, p: Term) -> ClauseSet:
     """Clausify an assumed formula: NNF, prenex pulls, skolemization via
     choice, and distribution, all proof-producing.  The clause theorems
     carry `p` as their only assumption."""
     _check_formula(p, [])
     cl = _Clausifier(logic, _NormLemmas.get(logic))
-    return ClauseSet(clauses=cl.clauses(p, source), skolems=cl.skolems)
+    return ClauseSet(clauses=cl.clauses(p, "formula"), skolems=cl.skolems)
 
 
 # ---------------------------------------------------------------------------
@@ -986,7 +992,7 @@ def meson(
     # |- ~F joins as a unit clause, after the others so none is renumbered.
     atoms = {atom for c in clauses for _, atom in c.lits}
     for const in (TRUE, FALSE):
-        if _term_to_fo(const, set(), [], 0) in atoms:
+        if _term_to_fo(const, set(), []) in atoms:
             th = logic.TRUTH if const == TRUE else logic.eqt_elim(
                 logic.tables[("not", (False,))]
             )

@@ -54,19 +54,6 @@ __all__ = [
     "random_kernel_walk",
 ]
 
-RULE_IDS = (
-    "refl",
-    "trans",
-    "mk_comb",
-    "abs",
-    "beta",
-    "assume",
-    "eq_mp",
-    "deduct_antisym",
-    "inst_type",
-    "inst",
-)
-
 _TYVARS = (TyVar("A"), TyVar("B"))
 _VAR_NAMES = ("x", "y", "z", "u", "v", "w")
 
@@ -317,6 +304,7 @@ _GENERATORS = {
     "inst_type": _gen_inst_type,
     "inst": _gen_inst,
 }
+RULE_IDS = tuple(_GENERATORS)
 
 
 def make_generator(rule_id: str):

@@ -13,11 +13,14 @@ the canonical alpha-encoding (``term_order_key``), so the stored order is
 the encoding's order and no encoding is built.  The encoding itself is
 built only by ``Theory.fingerprint``, which hashes its bytes.
 
-Every theorem records the theory it depends on (``Theorem.theory``):
-``None`` for `refl`, `beta`, `assume` and extensionality, which hold in
-every theory, and the theory for a definition, a type definition and
-the choice and infinity axioms.  The one-premise rules keep their
-premise's theory, and a rule that combines theorems, or a type
+A theorem's four parts are its immutable slots: ``assumptions``,
+``conclusion``, ``uses_infinity`` and ``theory``.  The theory is the one
+whose definitions or axioms the theorem depends on: ``None`` for `refl`,
+`beta`, `assume` and extensionality, which hold in every theory, and the
+theory for a definition, a type definition and the choice and infinity
+axioms.  The rules that take premises all state their result's
+provenance in one helper, `_derive`: flagged if a premise is, and of the
+premises' one theory.  A rule that combines theorems, or a type
 definition from an inhabitation theorem, refuses theorems from two
 different theories: a constant may mean one thing in one theory and
 another in the next.
@@ -213,46 +216,29 @@ def _sorted_unique(hyps) -> tuple[Term, ...]:
 class Theorem:
     """A sequent (assumptions |- conclusion) produced by the kernel.
 
-    Instances are immutable and safe to share.  ``uses_infinity`` marks
-    derivations that touched the infinity axiom; the flag is monotone
-    under every rule and excludes a theorem from finite-model checks.
-    """
+    ``uses_infinity`` marks derivations that touched the infinity axiom;
+    the flag is monotone under every rule and excludes a theorem from
+    finite-model checks."""
 
-    __slots__ = ("_hyps", "_concl", "_uses_infinity", "_thy")
+    __slots__ = ("assumptions", "conclusion", "uses_infinity", "theory")
 
     def __init__(self, hyps, concl, uses_infinity=False, thy=None, *, _token=None):
         if _token is not _RULE_TOKEN:
             raise KernelViolation(
                 "Theorem values can only be made by kernel inference rules"
             )
-        _set_hyps(self, hyps)
-        _set_concl(self, concl)
+        _set_assumptions(self, hyps)
+        _set_conclusion(self, concl)
         _set_uses_infinity(self, uses_infinity)
-        _set_thy(self, thy)
+        _set_theory(self, thy)
 
     def __init_subclass__(cls, **kwargs):
         raise TypeError("Theorem cannot be subclassed")
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("Theorem is immutable")
 
-    @property
-    def assumptions(self) -> tuple[Term, ...]:
-        return self._hyps
-
-    @property
-    def conclusion(self) -> Term:
-        return self._concl
-
-    @property
-    def uses_infinity(self) -> bool:
-        return self._uses_infinity
-
-    @property
-    def theory(self) -> Optional[Theory]:
-        """The theory whose definitions or axioms the theorem depends on,
-        or None if it holds in every theory."""
-        return self._thy
+    __delattr__ = __setattr__
 
     def __repr__(self):
         from .surface import print_sequent
@@ -262,10 +248,10 @@ class Theorem:
 
 # The slots' own setters: the constructor writes through these, bypassing
 # the `__setattr__` that makes a theorem immutable.
-_set_hyps = Theorem._hyps.__set__
-_set_concl = Theorem._concl.__set__
-_set_uses_infinity = Theorem._uses_infinity.__set__
-_set_thy = Theorem._thy.__set__
+_set_assumptions = Theorem.assumptions.__set__
+_set_conclusion = Theorem.conclusion.__set__
+_set_uses_infinity = Theorem.uses_infinity.__set__
+_set_theory = Theorem.theory.__set__
 
 
 def _mk(
@@ -274,14 +260,19 @@ def _mk(
     return Theorem(hyps, concl, flag, thy, _token=_RULE_TOKEN)
 
 
-def _join(th1: Theorem, th2: Theorem) -> Optional[Theory]:
-    """The theory a theorem made from `th1` and `th2` depends on."""
-    a, b = th1._thy, th2._thy
-    if a is None or a is b:
-        return b
-    if b is None:
-        return a
-    raise TheoryMismatch("the theorems come from two different theories")
+def _derive(
+    hyps: tuple[Term, ...], concl: Term, th1: Theorem, th2: Optional[Theorem] = None
+) -> Theorem:
+    """The theorem `hyps |- concl` inferred from `th1` (and `th2`): flagged
+    if a premise is, and of the premises' one theory, if they have one."""
+    flag, thy = th1.uses_infinity, th1.theory
+    if th2 is not None:
+        flag = flag or th2.uses_infinity
+        if thy is None:
+            thy = th2.theory
+        elif th2.theory is not None and th2.theory is not thy:
+            raise TheoryMismatch("the theorems come from two different theories")
+    return _mk(hyps, concl, flag, thy)
 
 
 def _check_theorem(th, what="argument"):
@@ -307,6 +298,10 @@ def tracing():
         _trace_log = saved
 
 
+# The ten primitive rules by name, filled in by `_traced` as it wraps each.
+PRIMITIVE_RULES: dict[str, Callable[..., Theorem]] = {}
+
+
 def _traced(fn_: Callable) -> Callable:
     name = fn_.__name__
 
@@ -318,6 +313,7 @@ def _traced(fn_: Callable) -> Callable:
 
     wrapper.__name__ = name
     wrapper.__doc__ = fn_.__doc__
+    PRIMITIVE_RULES[name] = wrapper
     return wrapper
 
 
@@ -344,12 +340,8 @@ def trans(th1: Theorem, th2: Theorem) -> Theorem:
     b2, c = dest_eq(th2.conclusion)
     if not alpha_equiv(b, b2):
         raise MiddleMismatch("middle terms are not alpha-equivalent")
-    return _mk(
-        _union(th1._hyps, th2._hyps),
-        mk_eq(a, c),
-        th1._uses_infinity or th2._uses_infinity,
-        _join(th1, th2),
-    )
+    hyps = _union(th1.assumptions, th2.assumptions)
+    return _derive(hyps, mk_eq(a, c), th1, th2)
 
 
 @_traced
@@ -361,12 +353,8 @@ def mk_comb_rule(th1: Theorem, th2: Theorem) -> Theorem:
         raise NotAnEquation("mk_comb_rule needs two equations")
     f, g = dest_eq(th1.conclusion)
     a, b = dest_eq(th2.conclusion)
-    return _mk(
-        _union(th1._hyps, th2._hyps),
-        mk_eq(mk_comb(f, a), mk_comb(g, b)),
-        th1._uses_infinity or th2._uses_infinity,
-        _join(th1, th2),
-    )
+    hyps = _union(th1.assumptions, th2.assumptions)
+    return _derive(hyps, mk_eq(mk_comb(f, a), mk_comb(g, b)), th1, th2)
 
 
 @_traced
@@ -377,13 +365,11 @@ def abs_rule(x: Var, th: Theorem) -> Theorem:
         raise IllTyped("abs_rule binder must be a variable")
     if not is_eq(th.conclusion):
         raise NotAnEquation("abs_rule needs an equation")
-    for h in th._hyps:
+    for h in th.assumptions:
         if vfree_in(x, h):
             raise VarFreeInHyps(f"{x.name} occurs free in an assumption")
     a, b = dest_eq(th.conclusion)
-    return _mk(
-        th._hyps, mk_eq(mk_abs(x, a), mk_abs(x, b)), th._uses_infinity, th._thy
-    )
+    return _derive(th.assumptions, mk_eq(mk_abs(x, a), mk_abs(x, b)), th)
 
 
 @_traced
@@ -421,12 +407,7 @@ def eq_mp(th1: Theorem, th2: Theorem) -> Theorem:
     p2, q = dest_eq(th2.conclusion)
     if not alpha_equiv(th1.conclusion, p2):
         raise Mismatch("eq_mp premise does not match the equation's left side")
-    return _mk(
-        _union(th1._hyps, th2._hyps),
-        q,
-        th1._uses_infinity or th2._uses_infinity,
-        _join(th1, th2),
-    )
+    return _derive(_union(th1.assumptions, th2.assumptions), q, th1, th2)
 
 
 @_traced
@@ -435,14 +416,10 @@ def deduct_antisym(th1: Theorem, th2: Theorem) -> Theorem:
     _check_theorem(th1)
     _check_theorem(th2)
     hyps = _union(
-        _remove(th1._hyps, th2.conclusion), _remove(th2._hyps, th1.conclusion)
+        _remove(th1.assumptions, th2.conclusion),
+        _remove(th2.assumptions, th1.conclusion),
     )
-    return _mk(
-        hyps,
-        mk_eq(th1.conclusion, th2.conclusion),
-        th1._uses_infinity or th2._uses_infinity,
-        _join(th1, th2),
-    )
+    return _derive(hyps, mk_eq(th1.conclusion, th2.conclusion), th1, th2)
 
 
 @_traced
@@ -450,8 +427,8 @@ def inst_type_rule(tyin: Mapping[str, HolType], th: Theorem) -> Theorem:
     """Substitute types for type variables in parallel throughout a sequent."""
     _check_theorem(th)
     concl = inst_type(tyin, th.conclusion)
-    hyps = _sorted_unique(inst_type(tyin, h) for h in th._hyps)
-    return _mk(hyps, concl, th._uses_infinity, th._thy)
+    hyps = _sorted_unique(inst_type(tyin, h) for h in th.assumptions)
+    return _derive(hyps, concl, th)
 
 
 @_traced
@@ -461,22 +438,8 @@ def inst_rule(theta: Mapping[Var, Term], th: Theorem) -> Theorem:
     `vsubst` refuses the map unless every image has its variable's type."""
     _check_theorem(th)
     concl = vsubst(theta, th.conclusion)
-    hyps = _sorted_unique(vsubst(theta, h) for h in th._hyps)
-    return _mk(hyps, concl, th._uses_infinity, th._thy)
-
-
-PRIMITIVE_RULES = {
-    "refl": refl,
-    "trans": trans,
-    "mk_comb_rule": mk_comb_rule,
-    "abs_rule": abs_rule,
-    "beta": beta,
-    "assume": assume,
-    "eq_mp": eq_mp,
-    "deduct_antisym": deduct_antisym,
-    "inst_type_rule": inst_type_rule,
-    "inst_rule": inst_rule,
-}
+    hyps = _sorted_unique(vsubst(theta, h) for h in th.assumptions)
+    return _derive(hyps, concl, th)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +703,7 @@ def new_basic_type_definition(
     Returns |- abs (rep a) = a and |- P r = (rep (abs r) = r).
     """
     _check_theorem(inhabitation, "inhabitation proof")
-    if inhabitation._thy is not None and inhabitation._thy is not theory:
+    if inhabitation.theory is not None and inhabitation.theory is not theory:
         raise TheoryMismatch("the inhabitation theorem comes from another theory")
     if inhabitation.assumptions:
         raise MalformedInhabitation("inhabitation theorem must have no assumptions")

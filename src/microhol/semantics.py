@@ -46,7 +46,6 @@ from .syntax import (
     TyApp,
     TyVar,
     Var,
-    fn,
     inst_type,
     type_match,
     type_vars_of_type,
@@ -283,29 +282,6 @@ class _Compiler:
 
     # -- constants with fixed interpretations
 
-    def _equality_value(self, arg_ty: HolType) -> int:
-        n = self.size_of(arg_ty)
-        self.size_of(fn(arg_ty, fn(arg_ty, BOOL)))
-        delta_carrier = self.size_of(fn(arg_ty, BOOL))
-        value = 0
-        mul = 1
-        for a in range(n):
-            value += (1 << a) * mul
-            mul *= delta_carrier
-        return value
-
-    def _choice_value(self, arg_ty: HolType) -> int:
-        n = self.size_of(arg_ty)
-        self.size_of(fn(fn(arg_ty, BOOL), arg_ty))
-        preds = self.size_of(fn(arg_ty, BOOL))
-        value = 0
-        mul = 1
-        for p in range(preds):
-            least = (p & -p).bit_length() - 1 if p else 0
-            value += least * mul
-            mul *= n
-        return value
-
     def _abs_rep_values(self, cty: HolType, name: str) -> int:
         """Table for a type-definition's abs or rep constant."""
         dom_ty, cod_ty = cty.args
@@ -341,25 +317,27 @@ class _Compiler:
     def _const_value(self, t: Const) -> int:
         name, ty = t.name, t.ty
         if name == "=" or name == "@":
-            arg_ty = _fixed_arg_type(t)
-            if arg_ty is None:
+            if _fixed_arg_type(t) is None:
                 what = "equality" if name == "=" else "choice"
                 raise UninterpretableConstant(f"{what} at bad type {ty!r}")
-            if name == "=":
-                return self._equality_value(arg_ty)
-            return self._choice_value(arg_ty)
-        for info in self.theory.typedefs.values():
-            if name in (info.abs_name, info.rep_name):
-                return self._abs_rep_values(ty, name)
-        rhs = self.theory.definitions.get(name)
-        if rhs is None:
-            raise UninterpretableConstant(f"constant {name!r} has no definition")
-        tyin = type_match(self.theory.term_constants[name], ty)
-        if tyin is None:
-            raise UninterpretableConstant(f"constant {name!r} at bad type {ty!r}")
-        # The body is closed, so its value needs no environment of ours.
+            # A bare `=` or `@` is its eta-expansion `\x. c x`, whose body
+            # the equation and choice shortcuts of `compile` evaluate.
+            x = Var("x", ty.args[0])
+            closed = Abs(x, Comb(t, x))
+        else:
+            for info in self.theory.typedefs.values():
+                if name in (info.abs_name, info.rep_name):
+                    return self._abs_rep_values(ty, name)
+            rhs = self.theory.definitions.get(name)
+            if rhs is None:
+                raise UninterpretableConstant(f"constant {name!r} has no definition")
+            tyin = type_match(self.theory.term_constants[name], ty)
+            if tyin is None:
+                raise UninterpretableConstant(f"constant {name!r} at bad type {ty!r}")
+            closed = inst_type(tyin, rhs)
+        # The term is closed, so its value needs no environment of ours.
         sub = self._scratch()
-        body = sub.compile(inst_type(tyin, rhs))
+        body = sub.compile(closed)
         return body([0] * sub.n_slots)
 
     # -- terms

@@ -70,7 +70,6 @@ __all__ = [
     "print_type",
     "print_term",
     "print_sequent",
-    "sequent_text",
 ]
 
 
@@ -522,10 +521,8 @@ def parse_term(src: str, theory=None, free_default: HolType | None = None) -> Te
     return p.whole(p.parse_term, "term")
 
 
-def parse_sequent(
-    src: str, theory=None, free_default: HolType | None = None
-) -> tuple[tuple[Term, ...], Term]:
-    p = _Parser(src, theory, free_default)
+def parse_sequent(src: str, theory=None) -> tuple[tuple[Term, ...], Term]:
+    p = _Parser(src, theory)
     return p.whole(p.parse_sequent, "sequent")
 
 
@@ -558,13 +555,8 @@ def print_term(t: Term) -> str:
 
 
 def print_sequent(hyps, concl) -> str:
-    return sequent_text([print_term(h) for h in hyps], print_term(concl))
-
-
-def sequent_text(hyp_texts, concl_text: str) -> str:
-    """The printing of a sequent whose parts print as the texts given."""
-    left = ", ".join(hyp_texts)
-    return f"{left} |- {concl_text}" if left else f"|- {concl_text}"
+    left = ", ".join(map(print_term, hyps))
+    return f"{left} |- {print_term(concl)}" if left else f"|- {print_term(concl)}"
 
 
 def _binder_token(name: str) -> str:

@@ -353,16 +353,9 @@ def type_of(t: Term) -> HolType:
     return t.ty
 
 
-# Smart constructors.  Comb/Abs already check their invariants; these are the
-# public spellings used throughout.
-
-
-def mk_comb(f: Term, a: Term) -> Comb:
-    return Comb(f, a)
-
-
-def mk_abs(v: Var, body: Term) -> Abs:
-    return Abs(v, body)
+# The public spellings used throughout; Comb and Abs check their invariants.
+mk_comb = Comb
+mk_abs = Abs
 
 
 def eq_const(ty: HolType) -> Const:

@@ -334,14 +334,14 @@ def test_criterion_8_no_forgery():
     class DuckTheorem:
         assumptions = ()
         conclusion = mk_eq(x, x)
-        _hyps = ()
-        _uses_infinity = False
+        uses_infinity = False
+        theory = None
 
     with pytest.raises(kernel.KernelViolation):
         kernel.trans(DuckTheorem(), DuckTheorem())
     th = kernel.refl(x)
     with pytest.raises(AttributeError):
-        th._concl = x
+        th.conclusion = x
     _report(
         8,
         "no-forgery",

@@ -5,9 +5,11 @@ a user in the package or the benchmark, every parameter is read, a theory's
 signature is written only by the two definitional rules, only the
 theory fingerprint builds a term's byte encoding, and the trusted base
 (`kernel.py` and `syntax.py`) stands on its own: it imports nothing else
-of the package outside a `__repr__`, only the kernel makes theorems, and
-the kernel holds no audit, which makes none; and article replay leaves
-the check of parsed input against the signature to the parser."""
+of the package outside a `__repr__`, only the kernel makes theorems, its
+rules leave a theorem's provenance to one helper, its rule table holds
+the ten rules, and the kernel holds no audit, which makes none; and
+article replay leaves the check of parsed input against the signature to
+the parser."""
 
 import ast
 from collections import Counter
@@ -171,8 +173,10 @@ ENCODER_USERS = {
 # The trusted base and the package modules each may import: `surface`
 # only inside a `__repr__`, to print.
 TRUSTED_IMPORTS = {"kernel.py": {"syntax"}, "syntax.py": set()}
-# What only the kernel may name: its theorem maker and the constructor's token.
-KERNEL_PRIVATE = ("_mk", "_RULE_TOKEN")
+# What only the kernel may name: its theorem makers and the constructor's token.
+KERNEL_PRIVATE = ("_mk", "_derive", "_RULE_TOKEN")
+# A theorem's provenance, which the rules leave to `_derive` to decide.
+PROVENANCE = ("uses_infinity", "theory")
 # What makes no theorem and so lives in `audit.py`, not the kernel.
 AUDITS = ("check_type", "check_term", "check_theorem", "replay_trace")
 
@@ -227,6 +231,20 @@ def _names(name: str, strings: bool = False):
         )
 
     return hit
+
+
+def _rules_reading_provenance(tree: ast.Module) -> dict[str, int]:
+    """Each `@_traced` function that names a provenance attribute -> the
+    line of the first."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and any(
+            _names("_traced")(d) for d in node.decorator_list
+        ):
+            for n in ast.walk(node):
+                if any(_names(attr, strings=True)(n) for attr in PROVENANCE):
+                    out.setdefault(node.name, n.lineno)
+    return out
 
 
 def _unused_definitions(module: ast.Module, references: Counter) -> list[str]:
@@ -387,6 +405,19 @@ def test_only_the_kernel_makes_theorems():
     assert not stray, "theorems made outside the kernel:\n" + "\n".join(stray)
 
 
+def test_the_rules_leave_provenance_to_one_helper():
+    stray = _rules_reading_provenance(_tree(PACKAGE / "kernel.py"))
+    assert not stray, f"rules that decide provenance themselves: {stray}"
+
+
+def test_the_rule_table_holds_the_ten_rules():
+    from microhol import kernel
+
+    assert len(kernel.PRIMITIVE_RULES) == 10
+    for name, rule in kernel.PRIMITIVE_RULES.items():
+        assert rule is getattr(kernel, name), name
+
+
 def test_no_module_imports_accel():
     stray = [
         f"{path.name}:{line}"
@@ -506,3 +537,13 @@ def test_checks_catch_what_they_are_for():
     )
     assert sorted(_scopes(tree, _makes_theorems)) == ["build", "forge", "token"]
     assert _scopes(tree, _names("KIND")) == {"Var": 6, "": 7}
+    tree = ast.parse(
+        "@_traced\n"
+        "def good(th): return _derive(th.assumptions, th.conclusion, th)\n"
+        "@_traced\n"
+        "def flag(th): return _mk((), th.conclusion, th.uses_infinity)\n"
+        "@_traced\n"
+        "def thy(th): return _mk((), th.conclusion, False, getattr(th, 'theory'))\n"
+        "def helper(th): return th.theory\n"
+    )
+    assert _rules_reading_provenance(tree) == {"flag": 4, "thy": 6}

@@ -298,8 +298,8 @@ class TestNoForgery:
         class Look:
             assumptions = ()
             conclusion = eq(x, x)
-            _hyps = ()
-            _uses_infinity = False
+            uses_infinity = False
+            theory = None
 
         with pytest.raises(KernelViolation):
             trans(Look(), Look())
@@ -308,6 +308,8 @@ class TestNoForgery:
         th = refl(x)
         with pytest.raises(AttributeError):
             th.conclusion = y
+        with pytest.raises(AttributeError):
+            del th.conclusion
 
 
 class TestAxioms:

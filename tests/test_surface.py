@@ -350,14 +350,14 @@ def _assert_matches_legacy(src):
                 assert _same_terms(new[1], old[1]), src
             else:
                 assert new == old, src
-            new = _outcome(parse_sequent, src, theory, free_default)
-            old = _outcome(legacy_parse_sequent, src, theory, free_default)
-            if new[0] == old[0] == "ok":
-                (h1, c1), (h2, c2) = new[1], old[1]
-                assert len(h1) == len(h2) and all(map(_same_terms, h1, h2)), src
-                assert _same_terms(c1, c2), src
-            else:
-                assert new == old, src
+        new = _outcome(parse_sequent, src, theory)
+        old = _outcome(legacy_parse_sequent, src, theory)
+        if new[0] == old[0] == "ok":
+            (h1, c1), (h2, c2) = new[1], old[1]
+            assert len(h1) == len(h2) and all(map(_same_terms, h1, h2)), src
+            assert _same_terms(c1, c2), src
+        else:
+            assert new == old, src
         assert _outcome(parse_type, src, theory) == _outcome(legacy_parse_type, src, theory), src
 
 
@@ -512,9 +512,9 @@ class TestSignature:
     @settings(max_examples=300, deadline=None)
     def test_whatever_parses_passes_the_audit(self, src, type_text, free_default):
         for theory in (_roundtrip_theory(), _redefined_theory()):
-            for parse in (parse_term, parse_sequent):
+            for parse in (lambda s, t: parse_term(s, t, free_default), parse_sequent):
                 try:
-                    parsed = parse(src, theory, free_default)
+                    parsed = parse(src, theory)
                 except (ParseError, UnknownConstant):
                     continue
                 hyps, concl = parsed if parse is parse_sequent else ((), parsed)
