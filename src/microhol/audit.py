@@ -59,9 +59,10 @@ def check_term(theory: Theory, t: Term):
     else:
         check_type(theory, t.ty)
         if isinstance(t, Const):
-            if not theory.has_constant(t.name):
+            generic = theory.term_constants.get(t.name)
+            if generic is None:
                 raise HolError(f"unregistered constant {t.name!r}")
-            if type_match(theory.constant_type(t.name), t.ty) is None:
+            if type_match(generic, t.ty) is None:
                 raise IllTyped(
                     f"constant {t.name!r} at {print_type(t.ty)} is not an instance "
                     "of its generic type"

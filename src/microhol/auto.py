@@ -621,38 +621,38 @@ class _Clausifier:
         """The clauses of the formula `t`, assumed; their literals refer to
         every Skolem term found so far."""
         out = []
-        for th, universals, src in self.clause_theorems(assume(t), source):
+        for th, universals in self.clause_theorems(assume(t)):
             uset = set(universals)
             lits = tuple(
                 _lit_of(x, uset, self.skolems) for x in _flatten_disj(th.conclusion)
             )
-            out.append(Clause(th, universals, lits, src))
+            out.append(Clause(th, universals, lits, source))
         return out
 
-    def clause_theorems(self, th: Theorem, source: str) -> list[tuple[Theorem, tuple[Var, ...]]]:
+    def clause_theorems(self, th: Theorem) -> list[tuple[Theorem, tuple[Var, ...]]]:
         """Normalize one assumed formula into clause theorems."""
         th = conv_rule(self.nnf_conv, th)
         th = conv_rule(self.pull_conv, th)
-        return self._decompose(th, (), source)
+        return self._decompose(th, ())
 
-    def _decompose(self, th: Theorem, universals: tuple[Var, ...], source: str):
+    def _decompose(self, th: Theorem, universals: tuple[Var, ...]):
         concl = th.conclusion
         if is_forall(concl):
             bv = concl.rand.bvar
             v = self.fresh_var(bv, [concl, *th.assumptions])
-            return self._decompose(self.logic.spec(v, th), universals + (v,), source)
+            return self._decompose(self.logic.spec(v, th), universals + (v,))
         if is_exists(concl):
             witness = mk_comb(
                 Const("@", fn(concl.rand.ty, concl.rand.ty.args[0])), concl.rand
             )
             params = tuple(v for v in universals if v in free_vars(witness))
             self.skolems.append(SkolemEntry(len(self.skolems), witness, params))
-            return self._decompose(self.logic.select_rule(th), universals, source)
+            return self._decompose(self.logic.select_rule(th), universals)
         if is_conj(concl):
-            return self._decompose(
-                self.logic.conjunct1(th), universals, source
-            ) + self._decompose(self.logic.conjunct2(th), universals, source)
-        return [(th, universals, source)]
+            return self._decompose(self.logic.conjunct1(th), universals) + self._decompose(
+                self.logic.conjunct2(th), universals
+            )
+        return [(th, universals)]
 
 
 def _flatten_disj(t: Term) -> list[Term]:

@@ -278,15 +278,20 @@ def _gen_inst_type(rng):
     return _instance((th,), kernel.inst_type_rule(mapping, th), "inst_type")
 
 
-def _gen_inst(rng):
-    g = TermGen(rng)
-    th = _pool_theorem(g, rng)
-    frees = sorted(
+def _sorted_frees(th: Theorem) -> list[Var]:
+    """The variables free in a theorem's assumptions or conclusion, in the
+    term order."""
+    return sorted(
         set().union(*(free_vars(t) for t in (*th.assumptions, th.conclusion))),
         key=cmp_to_key(term_compare),
     )
+
+
+def _gen_inst(rng):
+    g = TermGen(rng)
+    th = _pool_theorem(g, rng)
     mapping: dict[Var, Term] = {}
-    for v in frees:
+    for v in _sorted_frees(th):
         if rng.random() < 0.6:
             mapping[v] = g.term(v.ty, rng.randrange(0, 3))
     return _instance((th,), kernel.inst_rule(mapping, th), "inst")
@@ -368,7 +373,7 @@ def random_kernel_walk(
     report = WalkReport(steps=steps)
 
     false_terms = ()
-    if theory.has_constant("F"):
+    if "F" in theory.term_constants:
         p = Var("p", BOOL)
         forall = Const("forall", fn(fn(BOOL, BOOL), BOOL))
         false_terms = (Const("F", BOOL), mk_comb(forall, mk_abs(p, p)))
@@ -407,15 +412,9 @@ def random_kernel_walk(
                 th = kernel.inst_type_rule(mapping, pick())
             else:
                 base = pick()
-                frees = sorted(
-                    set().union(
-                        *(free_vars(t) for t in (*base.assumptions, base.conclusion))
-                    ),
-                    key=cmp_to_key(term_compare),
-                )
                 mapping = {
                     v: g.term(v.ty, rng.randrange(0, 3))
-                    for v in frees
+                    for v in _sorted_frees(base)
                     if rng.random() < 0.5
                 }
                 th = kernel.inst_rule(mapping, base)

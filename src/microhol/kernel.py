@@ -59,6 +59,7 @@ from .syntax import (
     TyApp,
     TyVar,
     Var,
+    _Frozen,
     alpha_equiv,
     dest_eq,
     fn,
@@ -213,7 +214,7 @@ def _sorted_unique(hyps) -> tuple[Term, ...]:
     return tuple(out)
 
 
-class Theorem:
+class Theorem(_Frozen):
     """A sequent (assumptions |- conclusion) produced by the kernel.
 
     ``uses_infinity`` marks derivations that touched the infinity axiom;
@@ -235,19 +236,13 @@ class Theorem:
     def __init_subclass__(cls, **kwargs):
         raise TypeError("Theorem cannot be subclassed")
 
-    def __setattr__(self, *_):
-        raise AttributeError("Theorem is immutable")
-
-    __delattr__ = __setattr__
-
     def __repr__(self):
         from .surface import print_sequent
 
         return f"<theorem {print_sequent(self.assumptions, self.conclusion)}>"
 
 
-# The slots' own setters: the constructor writes through these, bypassing
-# the `__setattr__` that makes a theorem immutable.
+# The slots' own setters, which bypass `_Frozen` (see `syntax`).
 _set_assumptions = Theorem.assumptions.__set__
 _set_conclusion = Theorem.conclusion.__set__
 _set_uses_infinity = Theorem.uses_infinity.__set__
@@ -462,7 +457,6 @@ class TypeDefInfo:
     """What semantics needs to interpret a defined type constructor."""
 
     tyvars: tuple[str, ...]
-    rep_type: HolType
     predicate: Term
     abs_name: str
     rep_name: str
@@ -491,18 +485,11 @@ class Theory:
         self.definitions: dict[str, Term] = {}
         self.typedefs: dict[str, TypeDefInfo] = {}
 
-    def has_constant(self, name: str) -> bool:
-        return name in self.term_constants
-
-    def constant_type(self, name: str) -> HolType:
-        try:
-            return self.term_constants[name]
-        except KeyError:
-            raise HolError(f"unknown constant {name!r}") from None
-
     def mk_const(self, name: str, tyinst: dict[str, HolType] | None = None) -> Const:
         """The constant at an instance of its generic type."""
-        generic = self.constant_type(name)
+        generic = self.term_constants.get(name)
+        if generic is None:
+            raise HolError(f"unknown constant {name!r}")
         return Const(name, type_subst(tyinst or {}, generic))
 
     def fingerprint(self) -> str:
@@ -730,7 +717,7 @@ def new_basic_type_definition(
         theory.type_constructors[name] = len(tyvars)
         theory.term_constants[abs_name] = abs_c.ty
         theory.term_constants[rep_name] = rep_c.ty
-        theory.typedefs[name] = TypeDefInfo(tyvars, rep_ty, pred, abs_name, rep_name)
+        theory.typedefs[name] = TypeDefInfo(tyvars, pred, abs_name, rep_name)
         theory.definition_log.append(
             DefinitionEvent("type-definition", (name, abs_name, rep_name), pred, witness)
         )

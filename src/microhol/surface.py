@@ -476,20 +476,19 @@ class _Parser:
         return generic
 
     def _ident(self, name: str, at: int, ann: HolType | None):
+        generic = None if self.theory is None else self.theory.term_constants.get(name)
         if ann is None:
             for v in reversed(self.binders):
                 if v.name == name:
                     return v
-            if self.theory is not None and self.theory.has_constant(name):
-                generic = self.theory.constant_type(name)
+            if generic is not None:
                 if type_vars_of_type(generic):
                     return _Unresolved(name, generic, at)
                 return Const(name, generic)
             if self.free_default is not None:
                 return Var(name, self.free_default)
             self.fail(f"unannotated free name {name!r}", at)
-        if self.theory is not None and self.theory.has_constant(name):
-            generic = self.theory.constant_type(name)
+        if generic is not None:
             if type_match(generic, ann) is not None:
                 return Const(name, ann)
             self.fail(f"{name!r} is a constant and {print_type(ann)} does not fit it", at)
@@ -547,7 +546,10 @@ def print_type(ty: HolType, prec: int = 0) -> str:
     return f"({s})" if prec >= 2 else s
 
 
-_INFIX = {"imp": ("==>", _IMP), "or": ("\\/", _DISJ), "and": ("/\\", _CONJ)}
+# Kernel constant name -> the token the printer writes for it; `=` at
+# bool -> bool -> bool is written `<=>`.
+_TOKENS = {name: tok for tok, name in _OP_CONSTS.items() if tok != "<=>"}
+_BINDERS = ("forall", "exists", "@")
 
 
 def print_term(t: Term) -> str:
@@ -557,10 +559,6 @@ def print_term(t: Term) -> str:
 def print_sequent(hyps, concl) -> str:
     left = ", ".join(map(print_term, hyps))
     return f"{left} |- {print_term(concl)}" if left else f"|- {print_term(concl)}"
-
-
-def _binder_token(name: str) -> str:
-    return {"forall": "!", "exists": "?", "@": "@"}[name]
 
 
 def _pt(t: Term, prec: int, binders: list[Var]) -> str:
@@ -580,10 +578,8 @@ def _pt(t: Term, prec: int, binders: list[Var]) -> str:
         s = _pbinder("\\", t.bvar, t.body, binders)
         return f"({s})" if prec > _BINDER else s
     # combinations
-    if isinstance(t.rator, Const) and t.rator.name in ("forall", "exists", "@") and (
-        isinstance(t.rand, Abs)
-    ):
-        s = _pbinder(_binder_token(t.rator.name), t.rand.bvar, t.rand.body, binders)
+    if isinstance(t.rator, Const) and t.rator.name in _BINDERS and isinstance(t.rand, Abs):
+        s = _pbinder(_TOKENS[t.rator.name], t.rand.bvar, t.rand.body, binders)
         return f"({s})" if prec > _BINDER else s
     if isinstance(t.rator, Comb) and isinstance(t.rator.rator, Const):
         op = t.rator.rator
@@ -594,8 +590,9 @@ def _pt(t: Term, prec: int, binders: list[Var]) -> str:
                 return f"({s})" if prec > _IFF else s
             s = f"{_pt(l, _APP, binders)} = {_pt(r, _APP, binders)}"
             return f"({s})" if prec > _EQ else s
-        if op.name in _INFIX and op.ty == _BOOL2:
-            tok, level = _INFIX[op.name]
+        if op.ty == _BOOL2 and _MONO_OPS.get(op.name) == _BOOL2:
+            tok = _TOKENS[op.name]
+            level = _INFIX_LEVEL[tok]
             s = f"{_pt(l, level + 1, binders)} {tok} {_pt(r, level, binders)}"
             return f"({s})" if prec > level else s
     if isinstance(t.rator, Const) and t.rator.name == "not" and t.rator.ty == fn(
@@ -618,19 +615,12 @@ def _pbinder(token: str, v: Var, body: Term, binders: list[Var]) -> str:
 
 def _pconst(t: Const) -> str:
     name, ty = t.name, t.ty
-    if name == "=":
-        if ty == _BOOL2:
-            return "(<=>)"
-        return f"(=:{print_type(ty)})"
-    if name == "@":
-        return f"(@:{print_type(ty)})"
-    if name == "forall":
-        return f"(!:{print_type(ty)})"
-    if name == "exists":
-        return f"(?:{print_type(ty)})"
-    if name in _MONO_OPS and ty == _MONO_OPS[name]:
-        token = {"and": "/\\", "or": "\\/", "imp": "==>", "not": "~"}[name]
-        return f"({token})"
+    if name == "=" and ty == _BOOL2:
+        return "(<=>)"
+    if name == "=" or name in _BINDERS:
+        return f"({_TOKENS[name]}:{print_type(ty)})"
+    if _MONO_OPS.get(name) == ty:
+        return f"({_TOKENS[name]})"
     if name in ("T", "F") and ty == BOOL:
         return name
     return f"({name}:{print_type(ty)})"

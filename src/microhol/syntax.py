@@ -3,12 +3,16 @@ everything else is built on.
 
 Types are interned: `TyVar` and `TyApp` return the one existing object for
 a name or for a (constructor, arguments) pair, so type equality and
-hashing are identity, and each distinct type carries one cached encoding.
-Terms are not interned.  They carry their type intrinsically (computed
-once at construction), so `type_of` is a field read and the node
-constructors can reject ill-typed combinations immediately.  Two
-variables are the same variable exactly when both name and type
-coincide; the same name at two types denotes two unrelated variables.
+hashing are identity.  Terms are not interned.  They carry their type
+intrinsically (computed once at construction), so `type_of` is a field
+read and the node constructors can reject ill-typed combinations
+immediately.  Two variables are the same variable exactly when both name
+and type coincide; the same name at two types denotes two unrelated
+variables.
+
+Types, terms and the kernel's theorems are immutable one way: their base
+`_Frozen` refuses every write and delete of an attribute, and their
+constructors write through their slots' own setters.
 
 Combinations and abstractions cache their free-variable set on first
 use, so `vfree_in` is a membership test and substitution returns any
@@ -25,7 +29,6 @@ module of the package except ``surface``, inside the ``__repr__``s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -77,11 +80,21 @@ class IllTyped(HolError):
 # Types
 
 
-class HolType:
+class _Frozen:
+    """Refuses every write and delete of an attribute.  Types, terms and
+    theorems derive from it; their constructors write through their
+    slots' own setters, which bypass it."""
+
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HolType is immutable")
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class HolType(_Frozen):
+    __slots__ = ()
 
     def __repr__(self):
         from .surface import print_type
@@ -97,14 +110,13 @@ _TYPES: dict = {}
 
 
 class TyVar(HolType):
-    __slots__ = ("name", "_enc")
+    __slots__ = ("name",)
 
     def __new__(cls, name: str):
         ty = _TYPES.get(name)
         if ty is None:
             ty = object.__new__(cls)
-            object.__setattr__(ty, "name", name)
-            object.__setattr__(ty, "_enc", None)
+            _set_tyvar_name(ty, name)
             ty = _TYPES.setdefault(name, ty)
         return ty
 
@@ -113,7 +125,7 @@ class TyVar(HolType):
 
 
 class TyApp(HolType):
-    __slots__ = ("con", "args", "_enc")
+    __slots__ = ("con", "args")
 
     def __new__(cls, con: str, args: Iterable[HolType] = ()):
         args = tuple(args)
@@ -121,14 +133,20 @@ class TyApp(HolType):
         ty = _TYPES.get(key)
         if ty is None:
             ty = object.__new__(cls)
-            object.__setattr__(ty, "con", con)
-            object.__setattr__(ty, "args", args)
-            object.__setattr__(ty, "_enc", None)
+            _set_con(ty, con)
+            _set_args(ty, args)
             ty = _TYPES.setdefault(key, ty)
         return ty
 
     def __reduce__(self):
         return (TyApp, (self.con, self.args))
+
+
+# The slots' own setters: each constructor writes through these, bypassing
+# the `__setattr__` that makes a built type, term or theorem immutable.
+_set_tyvar_name = TyVar.name.__set__
+_set_con = TyApp.con.__set__
+_set_args = TyApp.args.__set__
 
 
 BOOL = TyApp("bool")
@@ -200,7 +218,7 @@ def type_match(
 # Terms
 
 
-class Term:
+class Term(_Frozen):
     __slots__ = ()
 
     def __repr__(self):
@@ -209,46 +227,46 @@ class Term:
         return f"<term {print_term(self)}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Var(Term):
-    name: str
-    ty: HolType
-    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+class _Atom(Term):
+    """A variable or a constant: a name and a type.  Two atoms are equal
+    when class, name and type are; the hash is computed on first use."""
+
+    __slots__ = ("name", "ty", "_h")
+
+    def __init__(self, name: str, ty: HolType):
+        _set_name(self, name)
+        _set_atom_ty(self, ty)
+        _set_atom_h(self, None)
+
+    def __reduce__(self):
+        return (type(self), (self.name, self.ty))
 
     def __eq__(self, other):
         if self is other:
             return True
         return (
-            type(other) is Var and self.name == other.name and self.ty is other.ty
+            type(other) is type(self) and self.name == other.name and self.ty is other.ty
         )
 
     def __hash__(self):
         h = self._h
         if h is None:
-            h = hash((Var, self.name, self.ty))
-            object.__setattr__(self, "_h", h)
+            h = hash((type(self), self.name, self.ty))
+            _set_atom_h(self, h)
         return h
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Const(Term):
-    name: str
-    ty: HolType
-    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+_set_name = _Atom.name.__set__
+_set_atom_ty = _Atom.ty.__set__
+_set_atom_h = _Atom._h.__set__
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Const and self.name == other.name and self.ty is other.ty
-        )
 
-    def __hash__(self):
-        h = self._h
-        if h is None:
-            h = hash((Const, self.name, self.ty))
-            object.__setattr__(self, "_h", h)
-        return h
+class Var(_Atom):
+    __slots__ = ()
+
+
+class Const(_Atom):
+    __slots__ = ()
 
 
 class Comb(Term):
@@ -267,11 +285,6 @@ class Comb(Term):
         _set_comb_ty(self, rty.args[1])
         _set_comb_h(self, None)
         _set_comb_fvs(self, None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Comb is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):  # through the checked constructor
         return (Comb, (self.rator, self.rand))
@@ -294,8 +307,6 @@ class Comb(Term):
         return h
 
 
-# The slots' own setters: the constructor writes through these, bypassing
-# the `__setattr__` that makes a built node immutable.
 _set_rator = Comb.rator.__set__
 _set_rand = Comb.rand.__set__
 _set_comb_ty = Comb.ty.__set__
@@ -314,11 +325,6 @@ class Abs(Term):
         _set_abs_ty(self, fn(bvar.ty, body.ty))
         _set_abs_h(self, None)
         _set_abs_fvs(self, None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Abs is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return (Abs, (self.bvar, self.body))
@@ -594,10 +600,10 @@ def _inst(env: list[tuple[Var, Var]], tyin: Mapping[str, HolType], t: Term) -> T
 #            0x14 bvar-type body  abstraction
 #     name:  u32(len) utf8-bytes
 #
-# Each distinct type's encoding is computed once and cached in its `_enc`
-# slot.  Where two terms differ in node class, the order walk compares
-# these tags, so its order is the encoding's: a bound variable (0x10)
-# ranks below every node class.
+# A type's encoding is built, uncached, only where the order walk meets
+# two different types or the fingerprint encodes a term.  Where two terms
+# differ in node class, the order walk compares these tags, so its order
+# is the encoding's: a bound variable (0x10) ranks below every node class.
 
 _TAG = {Var: 0x11, Const: 0x12, Comb: 0x13, Abs: 0x14}
 
@@ -609,21 +615,17 @@ def _enc_name(name: str, out: bytearray):
 
 
 def _type_enc(ty: HolType) -> bytes:
-    enc = ty._enc
-    if enc is None:
-        out = bytearray()
-        if type(ty) is TyVar:
-            out.append(0x01)
-            _enc_name(ty.name, out)
-        else:
-            out.append(0x02)
-            _enc_name(ty.con, out)
-            out += len(ty.args).to_bytes(4, "big")
-            for a in ty.args:
-                out += _type_enc(a)
-        enc = bytes(out)
-        object.__setattr__(ty, "_enc", enc)
-    return enc
+    out = bytearray()
+    if type(ty) is TyVar:
+        out.append(0x01)
+        _enc_name(ty.name, out)
+    else:
+        out.append(0x02)
+        _enc_name(ty.con, out)
+        out += len(ty.args).to_bytes(4, "big")
+        for a in ty.args:
+            out += _type_enc(a)
+    return bytes(out)
 
 
 def _enc_term(t: Term, out: bytearray, env: dict[Var, int], depth: int):

@@ -389,37 +389,36 @@ class RedecomposingClausifier(_Clausifier):
     through `pull_conv` again, and was decomposed again if that exposed a
     conjunction or a quantifier."""
 
-    def _decompose(self, th, universals, source):
+    def _decompose(self, th, universals):
         concl = th.conclusion
         if is_forall(concl):
             bv = concl.rand.bvar
             v = self.fresh_var(bv, [concl, *th.assumptions])
-            return self._decompose(self.logic.spec(v, th), universals + (v,), source)
+            return self._decompose(self.logic.spec(v, th), universals + (v,))
         if is_exists(concl):
             witness = mk_comb(
                 Const("@", fn(concl.rand.ty, concl.rand.ty.args[0])), concl.rand
             )
             params = tuple(v for v in universals if v in free_vars(witness))
             self.skolems.append(SkolemEntry(len(self.skolems), witness, params))
-            return self._decompose(self.logic.select_rule(th), universals, source)
+            return self._decompose(self.logic.select_rule(th), universals)
         if is_conj(concl):
-            return self._decompose(
-                self.logic.conjunct1(th), universals, source
-            ) + self._decompose(self.logic.conjunct2(th), universals, source)
+            return self._decompose(self.logic.conjunct1(th), universals) + self._decompose(
+                self.logic.conjunct2(th), universals
+            )
         redone = conv_rule(self.pull_conv, th)
         if is_conj(redone.conclusion) or is_forall(redone.conclusion) or is_exists(
             redone.conclusion
         ):
-            return self._decompose(redone, universals, source)
-        return [(redone, universals, source)]
+            return self._decompose(redone, universals)
+        return [(redone, universals)]
 
 
 def redecomposing_clausify(logic, p):
     """(clause theorems with their universals, Skolem entries) for an
     assumed formula, by the re-running clausifier."""
     cl = RedecomposingClausifier(logic, _NormLemmas.get(logic))
-    clauses = [(th, universals) for th, universals, _ in cl.clause_theorems(assume(p), "formula")]
-    return clauses, cl.skolems
+    return cl.clause_theorems(assume(p)), cl.skolems
 
 
 class UnfoldingRules:
@@ -1115,7 +1114,7 @@ class LegacyParser:
         return mk_comb(quant, mk_abs(v, body))
 
     def require_constant(self, name: str, tok: LegacyTok):
-        if self.theory is None or not self.theory.has_constant(name):
+        if self.theory is None or name not in self.theory.term_constants:
             raise UnknownConstant(
                 f"{tok.line}:{tok.col}: constant {name!r} is not in the theory"
             )
@@ -1296,7 +1295,7 @@ class LegacyParser:
             a = TyVar("A")
             return fn(fn(a, BOOL), a)
         self.require_constant(name, tok)
-        return self.theory.constant_type(name)
+        return self.theory.term_constants[name]
 
     def _ident(self, tok: LegacyTok, ann: HolType | None):
         name = tok.text
@@ -1304,16 +1303,16 @@ class LegacyParser:
             for v in reversed(self.binders):
                 if v.name == name:
                     return v
-            if self.theory is not None and self.theory.has_constant(name):
-                generic = self.theory.constant_type(name)
+            if self.theory is not None and name in self.theory.term_constants:
+                generic = self.theory.term_constants[name]
                 if type_vars_of_type(generic):
                     return _LegacyUnresolved(name, generic, tok)
                 return Const(name, generic)
             if self.free_default is not None:
                 return Var(name, self.free_default)
             self.fail(f"unannotated free name {name!r}", tok)
-        if self.theory is not None and self.theory.has_constant(name):
-            generic = self.theory.constant_type(name)
+        if self.theory is not None and name in self.theory.term_constants:
+            generic = self.theory.term_constants[name]
             if type_match(generic, ann) is not None:
                 return Const(name, ann)
             self.fail(f"{name!r} is a constant and {print_type(ann)} does not fit it", tok)

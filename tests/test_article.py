@@ -178,7 +178,7 @@ class TestBasics:
         )
         rep = check_article(text, thy)
         assert rep.ok, rep.failures
-        assert thy.has_constant("myconst")
+        assert "myconst" in thy.term_constants
 
 
 class TestTypedefCommand:

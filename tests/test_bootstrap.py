@@ -70,7 +70,7 @@ class TestInstallation:
     def test_all_constants_present(self, theory):
         for name in ("T", "and", "imp", "forall", "exists", "or", "F", "not",
                      "ONE_ONE", "ONTO"):
-            assert theory.has_constant(name)
+            assert name in theory.term_constants
 
     def test_reinstall_rejected(self, theory):
         with pytest.raises(DuplicateName):
@@ -82,7 +82,7 @@ class TestInstallation:
         ]
         for name, th in logic.defs.items():
             assert th.assumptions == ()
-            assert lhs(th) == Const(name, logic.theory.constant_type(name))
+            assert lhs(th) == Const(name, logic.theory.term_constants[name])
 
     def test_t_true_under_every_valuation(self, theory):
         for n in (1, 2, 3):

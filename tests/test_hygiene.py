@@ -1,15 +1,16 @@
 """Source hygiene, checked with the `ast` module (the project has no
 linter): every import in the package is used, every `__all__` name is
 defined, every top-level function and class and every public method has
-a user in the package or the benchmark, every parameter is read, a theory's
-signature is written only by the two definitional rules, only the
-theory fingerprint builds a term's byte encoding, and the trusted base
-(`kernel.py` and `syntax.py`) stands on its own: it imports nothing else
-of the package outside a `__repr__`, only the kernel makes theorems, its
-rules leave a theorem's provenance to one helper, its rule table holds
-the ten rules, and the kernel holds no audit, which makes none; and
-article replay leaves the check of parsed input against the signature to
-the parser."""
+a user in the package or the benchmark, every parameter is read, every
+slot and dataclass field is read, a theory's signature is written only
+by the two definitional rules, only the theory fingerprint builds a
+term's byte encoding, and the trusted base (`kernel.py` and `syntax.py`)
+stands on its own: it imports nothing else of the package outside a
+`__repr__`, only the kernel makes theorems, its rules leave a theorem's
+provenance to one helper, its rule table holds the ten rules, only its
+frozen base guards attribute writes, and the kernel holds no audit,
+which makes none; and article replay leaves the check of parsed input
+against the signature to the parser."""
 
 import ast
 from collections import Counter
@@ -23,6 +24,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # Where a user of the package may live: the package and the benchmark.  A name
 # only the tests call is dead code unless it is kept below, with its reason.
 USERS = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# Where a field may be read: a field only the tests read is still checked.
+READERS = USERS + sorted((ROOT / "tests").rglob("*.py"))
 UNUSED_BY_DESIGN = {
     "audit.replay_trace": "a test tool: replays a kernel trace through the rules",
     "fuzz.random_kernel_walk": "a test tool: the random kernel walk of criterion 2",
@@ -311,6 +314,56 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
     return out
 
 
+def _fields(tree: ast.AST) -> list[tuple[str, str]]:
+    """(class, field) for each `__slots__` entry and each dataclass field
+    of every class in `tree`."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        dataclass = any(
+            _names("dataclass")(d.func if isinstance(d, ast.Call) else d)
+            for d in cls.decorator_list
+        )
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(map(_names("__slots__"), node.targets)):
+                out += [(cls.name, s) for s in ast.literal_eval(node.value)]
+            elif dataclass and isinstance(node, ast.AnnAssign):
+                out.append((cls.name, node.target.id))
+    return out
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """The attribute names `tree` reads: loaded, or updated in place (`+=`)."""
+    return {
+        n.attr if isinstance(n, ast.Attribute) else n.target.attr
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute))
+    }
+
+
+# What guards an object's attributes; in the trusted base only `_Frozen`,
+# the base of every type, term and theorem, may define or name one.
+ATTRIBUTE_HOOKS = ("__setattr__", "__delattr__")
+
+
+def _attribute_hooks(tree: ast.Module) -> list[str]:
+    """Each class that defines `__setattr__` or `__delattr__`, and each
+    scope that names one (`object.__setattr__`, `__delattr__ = ...`)."""
+    out = {
+        cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            isinstance(node, ast.FunctionDef) and node.name in ATTRIBUTE_HOOKS
+            for node in cls.body
+        )
+    }
+    out |= set(_scopes(tree, lambda n: any(_names(h)(n) for h in ATTRIBUTE_HOOKS)))
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     tree = _tree(path)
@@ -349,6 +402,23 @@ def test_every_parameter_is_read():
         f"{path.name}: {entry}" for path in MODULES for entry in _unread_parameters(_tree(path))
     ]
     assert not unread, "parameters never read:\n" + "\n".join(unread)
+
+
+def test_every_field_is_read():
+    reads = set().union(*(_attribute_reads(_tree(path)) for path in READERS))
+    unread = [
+        f"{path.name}: {cls}.{field}"
+        for path in MODULES
+        for cls, field in _fields(_tree(path))
+        if field not in reads
+    ]
+    assert not unread, "fields never read:\n" + "\n".join(unread)
+
+
+@pytest.mark.parametrize("name", sorted(TRUSTED_IMPORTS))
+def test_only_the_frozen_base_guards_attributes(name):
+    want = ["_Frozen"] if name == "syntax.py" else []
+    assert _attribute_hooks(_tree(PACKAGE / name)) == want
 
 
 def test_only_the_definitional_rules_write_the_signature():
@@ -477,6 +547,34 @@ def test_checks_catch_what_they_are_for():
         "    def __exit__(self, *exc): pass\n"
     )
     assert _unread_parameters(tree) == ["f: b", "f: args", "f: kw", "h.inner: y", "C.m: n"]
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Info:\n"
+        "    tyvars: tuple\n"
+        "    rep_type: object\n"
+        "    def f(self): return self.tyvars\n"
+        "class Node:\n"
+        "    __slots__ = ('rator', '_h')\n"
+        "    def __init__(self): self._h = None\n"
+        "class Plain:\n"
+        "    size: int\n"
+        "def count(r): r.n += 1\n"
+    )
+    assert _fields(tree) == [
+        ("Info", "tyvars"), ("Info", "rep_type"), ("Node", "rator"), ("Node", "_h"),
+    ]
+    assert _attribute_reads(tree) == {"tyvars", "n"}
+    tree = ast.parse(
+        "class _Frozen:\n"
+        "    def __setattr__(self, *_): raise AttributeError\n"
+        "    __delattr__ = __setattr__\n"
+        "class HolType(_Frozen):\n"
+        "    def __delattr__(self, name): pass\n"
+        "class Var(HolType):\n"
+        "    __slots__ = ('name',)\n"
+        "def build(ty): object.__setattr__(ty, '_enc', b'')\n"
+    )
+    assert _attribute_hooks(tree) == ["HolType", "_Frozen", "build"]
     tree = ast.parse(
         "class Theory:\n"
         "    def _add(self, n, t): self.term_constants[n] = t\n"

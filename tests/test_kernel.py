@@ -43,6 +43,7 @@ from microhol.syntax import (
     Abs,
     Comb,
     Const,
+    HolError,
     Substitution,
     TyVar,
     Var,
@@ -310,6 +311,7 @@ class TestNoForgery:
             th.conclusion = y
         with pytest.raises(AttributeError):
             del th.conclusion
+        assert th.conclusion == eq(x, x)
 
 
 class TestAxioms:
@@ -386,8 +388,11 @@ class TestDefinitions:
         rhs = mk_abs(x, x)
         th = new_basic_definition(thy, "myid", rhs)
         assert th.conclusion == eq(Const("myid", rhs.ty), rhs)
-        assert thy.has_constant("myid")
+        assert "myid" in thy.term_constants
         assert len(thy.definition_log) == 1
+        assert thy.mk_const("myid") == Const("myid", rhs.ty)
+        with pytest.raises(HolError, match="unknown constant 'nope'"):
+            thy.mk_const("nope")
 
     def test_not_closed(self):
         with pytest.raises(NotClosed):
@@ -422,7 +427,7 @@ class TestDefinitions:
         assert fp0 != fp1
         rebuilt = _rebuild(thy.definition_log)
         assert rebuilt.fingerprint() == fp1
-        assert rebuilt.constant_type("c") == fn(BOOL, BOOL)
+        assert rebuilt.term_constants["c"] == fn(BOOL, BOOL)
 
 
 def _rebuild(log, thy=None):
@@ -554,7 +559,7 @@ class TestTypeDefinition:
         inhab = _pred_holds(lg, pred, Const("T", BOOL))
         with pytest.raises(DuplicateName):
             new_basic_type_definition(thy, "t", "f", "f", inhab)
-        assert not thy.has_constant("f")
+        assert "f" not in thy.term_constants
         assert "t" not in thy.type_constructors
 
     def test_reusing_builtin_name(self, logic):

@@ -499,8 +499,12 @@ class TestInternedTypes:
     @pytest.mark.parametrize("ty", [TyVar("A"), BOOL, fn(BOOL, IND)])
     @pytest.mark.parametrize("attr", ["name", "con", "args", "_enc", "other"])
     def test_immutable(self, ty, attr):
+        before = [getattr(ty, s) for s in type(ty).__slots__]
         with pytest.raises(AttributeError):
             setattr(ty, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(ty, attr)
+        assert [getattr(ty, s) for s in type(ty).__slots__] == before
 
     def test_copies_are_the_interned_object(self):
         import copy
@@ -542,18 +546,54 @@ class TestInternedTypes:
         assert (_build_type(s1) is _build_type(s2)) == (s1 == s2)
 
 
-@pytest.mark.parametrize("kind", ["Comb", "Abs"])
-@pytest.mark.parametrize("slot", ["rator", "rand", "bvar", "body", "ty", "_h", "_fvs", "other"])
+def _slot_values(t):
+    return [getattr(t, s) for cls in type(t).__mro__ for s in getattr(cls, "__slots__", ())]
+
+
+@pytest.mark.parametrize("kind", ["Var", "Const", "Comb", "Abs"])
+@pytest.mark.parametrize(
+    "slot", ["name", "rator", "rand", "bvar", "body", "ty", "_h", "_fvs", "other"]
+)
 def test_term_nodes_are_immutable(kind, slot):
     x = Var("x", IND)
-    t = mk_comb(Var("f", fn(IND, BOOL)), x) if kind == "Comb" else mk_abs(x, x)
+    t = {
+        "Var": x,
+        "Const": Const("c", fn(IND, BOOL)),
+        "Comb": mk_comb(Var("f", fn(IND, BOOL)), x),
+        "Abs": mk_abs(x, x),
+    }[kind]
     hash(t), free_vars(t)
-    before = [getattr(t, s) for s in type(t).__slots__]
+    before = _slot_values(t)
     with pytest.raises(AttributeError):
         setattr(t, slot, Var("y", IND))
     with pytest.raises(AttributeError):
         delattr(t, slot)
-    assert [getattr(t, s) for s in type(t).__slots__] == before
+    assert _slot_values(t) == before
+
+
+def test_atoms_are_copied_through_their_constructor(monkeypatch):
+    import copy
+    import pickle
+
+    from microhol import syntax
+
+    built = []
+    init = syntax._Atom.__init__
+
+    def recording_init(self, name, ty):
+        built.append((type(self), name, ty))
+        init(self, name, ty)
+
+    monkeypatch.setattr(syntax._Atom, "__init__", recording_init)
+    round_trip = lambda o: pickle.loads(pickle.dumps(o))  # noqa: E731
+    for cls in (Var, Const):
+        a = cls("a", fn(IND, BOOL))
+        hash(a)
+        for clone in (copy.copy, copy.deepcopy, round_trip):
+            built.clear()
+            b = clone(a)
+            assert built == [(cls, "a", a.ty)]
+            assert type(b) is cls and b == a and b.ty is a.ty and hash(b) == hash(a)
 
 
 # The term order, alpha-equivalence and the canonical encoding: encoding
