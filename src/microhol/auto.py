@@ -9,14 +9,16 @@ proved connective tables.
 ``meson`` is bounded model elimination for the first-order fragment
 (quantifiers only over individual types, predicates and functions as
 constants or free variables).  The problem is clausified through
-proof-producing normalization: kernel rewrites to negation normal form,
-prenexing, universal stripping by specialization, and skolemization via
-the choice operator.  The quantifier lemmas behind these rewrites use
-each existential premise through its chosen witness (`select_rule`),
-not by eliminating it at a fresh variable.  Of the eight prenexing
-equations, the four with the quantifier on the left are proved and the
-other four are their mirror images, derived by commuting the
-connective.  T and F are atoms to the search, which is given |- T or
+proof-producing normalization: two bottom-up kernel rewriting passes,
+one to negation normal form and one that pulls quantifiers out and
+distributes \\/ over /\\, in which each node is rewritten by the one
+lemma its head selects; then universal stripping by specialization and
+skolemization via the choice operator.  The quantifier lemmas behind
+these rewrites use each existential premise through its chosen witness
+(`select_rule`), not by eliminating it at a fresh variable.  Of the
+eight prenexing equations, the four with the quantifier on the left are
+proved and the other four are their mirror images, derived by commuting
+the connective.  T and F are atoms to the search, which is given |- T or
 |- ~F as a unit clause where either occurs.  The search runs
 on a lightweight clause representation; a successful refutation is
 replayed through the kernel as equations to F: a literal L of a clause
@@ -41,10 +43,10 @@ from .bootstrap import (
     Logic,
     TRUE,
     ap_term,
+    beta_conv,
     conv_rule,
     dest_disj,
     exhaustive_conv,
-    indexed_first_conv,
     is_conj,
     is_disj,
     is_exists,
@@ -61,7 +63,7 @@ from .bootstrap import (
     prove_hyp,
     rewr_conv,
     rhs,
-    try_beta,
+    settle_nodes,
 )
 from .kernel import Theorem, assume, eq_mp, inst_rule, inst_type_rule
 from .semantics import Model, is_valid
@@ -311,10 +313,12 @@ def _strip_app(t: Term) -> tuple[Term, list[Term]]:
 @dataclass
 class _NormLemmas:
     """The rewrite equations behind clausification, proved once per Logic,
-    and the two rewriting conversions built from them.  The conversions
-    are built here, once, rather than per clausification: each holds a
-    self-calling closure, a reference cycle that would otherwise be left
-    to the cycle collector on every call."""
+    and the two normalizing conversions built from them: one bottom-up
+    pass each (`_normalizer`), in which a node gets the one equation that
+    applies to it, and the lists' order is the order of preference.  The
+    conversions are built here, once, rather than per clausification:
+    each holds a self-calling closure, a reference cycle that would
+    otherwise be left to the cycle collector on every call."""
 
     nnf: list
     pull: list
@@ -322,8 +326,8 @@ class _NormLemmas:
     pull_conv: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.nnf_conv = _rewrite_conv(self.nnf)
-        self.pull_conv = _rewrite_conv(self.pull)
+        self.nnf_conv = _normalizer(self.nnf)
+        self.pull_conv = _normalizer(self.pull)
 
     @classmethod
     def get(cls, logic: Logic) -> "_NormLemmas":
@@ -584,26 +588,66 @@ class MesonTrace:
         return "\n".join(lines)
 
 
-def _rewrite_conv(equations: list[Theorem]):
-    """Rewrite anywhere with the equations, then beta-reduce, to a fixed
-    point; at each node only the equations whose left side has the
-    node's head constant and argument count are tried."""
-    rules = [(lhs(th), rewr_conv(th)) for th in equations]
-    return exhaustive_conv(indexed_first_conv(rules + [(None, try_beta)]))
+def _head_name(t: Term):
+    """(head constant's name, argument count), or None for another head."""
+    head, args = _strip_app(t)
+    return (head.name, len(args)) if isinstance(head, Const) else None
+
+
+def _normalizer(equations: list[Theorem]):
+    """One bottom-up pass (`exhaustive_conv`) that rewrites with the
+    equations to a normal form.
+
+    A node, whose children are already normal, is rewritten by the first
+    equation in list order whose left side fits it: the same head
+    constant, type included, applied to as many arguments, and at each
+    operand that is not a pattern variable the same head name and
+    argument count.  Only the nodes of the equation's right side are then
+    settled, children first, since the subterms its pattern variables
+    stand for are normal.  A beta redex, which a quantifier equation
+    leaves as `(\\y. b) x`, is contracted; `b` is normal and `x` a
+    variable, so the result is.  The clausifier's formulas are
+    first-order (`_check_formula`), so no other redex occurs.
+    """
+    table: dict = {}
+    for th in equations:
+        head, args = _strip_app(lhs(th))
+        need = [(i, _head_name(a)) for i, a in enumerate(args) if not isinstance(a, Var)]
+        table.setdefault((head, len(args)), []).append(
+            (need, rewr_conv(th), th.conclusion.rand)
+        )
+
+    def settle(t: Term) -> Optional[Theorem]:
+        if isinstance(t, Comb) and isinstance(t.rator, Abs):
+            return beta_conv(t)
+        head, args = _strip_app(t)
+        rules = table.get((head, len(args))) if isinstance(head, Const) else None
+        if rules is None:
+            return None
+        names = [_head_name(a) for a in args]
+        for need, conv, shape in rules:
+            if all(names[i] == name for i, name in need):
+                th = conv(t)
+                rest = settle_nodes(shape, rhs(th), settle)
+                return th if rest is None else kernel.trans(th, rest)
+        return None
+
+    return exhaustive_conv(settle)
 
 
 class _Clausifier:
     """Turns an assumed formula into clause theorems: rewrite to negation
-    normal form, pull quantifiers out and distribute \\/ over /\\ (one
-    `pull_conv` run over the whole formula), then strip the prefix.
+    normal form (`nnf_conv`), pull quantifiers out and distribute \\/
+    over /\\ (`pull_conv`), one bottom-up pass each over the whole
+    formula, then strip the prefix.
 
     Each leaf clause is already pull-normal, so it is returned as it is.
-    `exhaustive_conv` runs to a fixed point, so every subterm of the
-    pulled formula is normal.  Every pull pattern is linear and every
-    application in it has a constant head (\\/, /\\, ! or ?).  Stripping
-    only ever takes subterms (`conjunct1/2`) or substitutes a term that
-    no pattern's head matches and that makes no beta redex: a fresh
-    variable (`spec`) or an @-term (`select_rule`).
+    The pull pass leaves every subterm of the formula normal.  Every pull
+    pattern is linear and every application in it has a constant head
+    (\\/, /\\, ! or ?).  Stripping only ever takes subterms
+    (`conjunct1/2`) or substitutes a term that no pattern's head matches
+    and that makes no beta redex: a fresh variable (`spec`) or an @-term
+    (`select_rule`).
     """
 
     def __init__(self, logic: Logic, lemmas: _NormLemmas):

@@ -8,9 +8,10 @@ primitive calls.  FALSE is defined literally as `!p:bool. p`.
 
 Conversions are functions from a term t to a theorem `|- t = t'`; they
 raise ``Inapplicable`` to signal "no change here", and the combinators
-interpret that.  All conversion results are hypothesis-free, which is
-what lets ``exhaustive_conv`` rewrite under a binder past the abstraction
-rule's side condition.
+interpret that.  ``exhaustive_conv`` normalizes in one bottom-up pass
+with a function that settles one node at a time.  All conversion
+results are hypothesis-free, which is what lets it rewrite under a
+binder past the abstraction rule's side condition.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .syntax import (
     alpha_equiv,
     dest_eq,
     fn,
+    free_vars,
     inst_type,
     mk_abs,
     mk_comb,
@@ -69,9 +71,8 @@ __all__ = [
     "try_beta",
     "rand_conv",
     "rator_conv",
-    "first_conv",
-    "indexed_first_conv",
     "rewr_conv",
+    "settle_nodes",
     "exhaustive_conv",
     "head_beta",
     "beta_n",
@@ -315,18 +316,6 @@ def beta_n(n: int):
     return go
 
 
-def first_conv(convs):
-    def go(t: Term) -> Theorem:
-        for c in convs:
-            try:
-                return c(t)
-            except Inapplicable:
-                continue
-        raise Inapplicable
-
-    return go
-
-
 def _match(p: Term, t: Term, tyenv, tenv) -> bool:
     """First-order matching of a rewrite pattern, extending the maps."""
     if isinstance(p, Var):
@@ -357,20 +346,32 @@ def rewr_conv(eq_th: Theorem):
 
     Matching is first-order: pattern variables (the equation's free
     variables) match whole subterms, constants match by name with type
-    instantiation.  Patterns never contain abstractions here.
+    instantiation.  Patterns never contain abstractions here.  A match
+    that binds no type variable makes no type instantiation, and each
+    type instance of the equation is made once per conversion.
     """
     if eq_th.assumptions:
         raise HolError("rewrite equations must have no assumptions")
     pat = lhs(eq_th)
+    instances: dict[tuple, tuple[Theorem, dict[Var, Var]]] = {}
 
     def go(t: Term) -> Theorem:
         tyenv: dict[str, HolType] = {}
         tenv: dict[Var, Term] = {}
         if not _match(pat, t, tyenv, tenv):
             raise Inapplicable
-        th = inst_type_rule(tyenv, eq_th)
-        mapping = {inst_type(tyenv, v): image for v, image in tenv.items()}
-        th = inst_rule(mapping, th)
+        th = eq_th
+        if tyenv:
+            key = tuple(sorted(tyenv.items()))
+            inst = instances.get(key)
+            if inst is None:
+                inst = instances[key] = (
+                    inst_type_rule(tyenv, eq_th),
+                    {v: inst_type(tyenv, v) for v in free_vars(eq_th.conclusion)},
+                )
+            th, renamed = inst
+            tenv = {renamed[v]: image for v, image in tenv.items()}
+        th = inst_rule(tenv, th)
         if not alpha_equiv(lhs(th), t):
             raise Inapplicable  # a nonlinear pattern mismatch
         return th
@@ -378,105 +379,45 @@ def rewr_conv(eq_th: Theorem):
     return go
 
 
-_REWRITE_LIMIT = 100_000
+def settle_nodes(shape: Term, t: Term, settle) -> Theorem | None:
+    """|- t = t', from ``settle`` at each node of ``t`` where ``shape``
+    has a combination or an abstraction, children first, or None when
+    nothing changed.
 
-
-def _head_key(t: Term):
-    """(head constant's name, argument count), or None for another head."""
-    n = 0
-    while isinstance(t, Comb):
-        t = t.rator
-        n += 1
-    return (t.name, n) if isinstance(t, Const) else None
-
-
-def indexed_first_conv(rules):
-    """``first_conv`` over (pattern, conv) pairs, trying at a term only
-    the rules whose pattern can match it.
-
-    A pattern with a constant head matches only terms with that head
-    constant applied to as many arguments, so those rules are bucketed by
-    that key.  A rule whose pattern is None or has any other head goes
-    into every bucket.  Buckets keep the list order, so the rule that
-    applies is the one ``first_conv`` over the whole list would pick.
+    ``shape`` has the form of ``t`` down to its variables and constants,
+    which stand for subterms of ``t`` that are left as they are: ``t``
+    itself walks all of ``t``, and the right side of the equation that
+    built ``t`` walks only the nodes the equation made.  ``settle`` meets
+    each node once, after its children, and returns |- u = u' or None
+    for "unchanged".  Congruences are built only above a change, with
+    ``refl`` for the unchanged side.
     """
-    keys = [None if pat is None else _head_key(pat) for pat, _ in rules]
-
-    def bucket(key):
-        return first_conv(
-            [conv for k, (_, conv) in zip(keys, rules) if k is None or k == key]
-        )
-
-    buckets = {key: bucket(key) for key in keys if key is not None}
-    rest = bucket(None)
-
-    def go(t: Term) -> Theorem:
-        return buckets.get(_head_key(t), rest)(t)
-
-    return go
-
-
-def exhaustive_conv(conv):
-    """Apply a conversion anywhere, repeatedly, until a fixed point.
-
-    One pass works bottom-up and then repeats the conversion at each
-    node; passes repeat while anything changes.  A subterm where nothing
-    was rewritten produces no theorem: congruence rules are built only
-    above a change, with ``refl`` for the unchanged side, and a term that
-    is already normal costs one ``refl``.
-
-    Within one call, a subterm object a pass found irreducible is not
-    visited again, in that pass or a later one: ``refl`` and ``inst_rule``
-    keep unchanged subterms as the same objects, so later passes meet
-    them again.  The memo maps ``id`` to the object, which keeps it alive
-    and its id unique, and it ends with the call.  It assumes ``conv`` is
-    a function of its argument and makes no inference when it raises
-    ``Inapplicable``, as a conversion built from ``rewr_conv`` with linear
-    patterns and ``try_beta`` does.
-    """
-
-    def onepass(t: Term, normal: dict) -> Theorem | None:
-        if id(t) in normal:
-            return None
-        if isinstance(t, Comb):
-            lth = onepass(t.rator, normal)
-            rth = onepass(t.rand, normal)
-            if lth is None and rth is None:
-                th = None
-            else:
-                th = mk_comb_rule(lth or refl(t.rator), rth or refl(t.rand))
-        elif isinstance(t, Abs):
-            bth = onepass(t.body, normal)
-            th = None if bth is None else abs_rule(t.bvar, bth)
-        else:
+    if isinstance(shape, Comb):
+        lth = settle_nodes(shape.rator, t.rator, settle)
+        rth = settle_nodes(shape.rand, t.rand, settle)
+        if lth is None and rth is None:
             th = None
-        current = t if th is None else rhs(th)
-        for _ in range(_REWRITE_LIMIT):
-            try:
-                step = conv(current)
-            except Inapplicable:
-                if th is None:
-                    normal[id(t)] = t
-                return th
-            th = step if th is None else trans(th, step)
-            current = rhs(step)
-        raise HolError("rewriting did not terminate at a node")
+        else:
+            th = mk_comb_rule(lth or refl(t.rator), rth or refl(t.rand))
+    elif isinstance(shape, Abs):
+        bth = settle_nodes(shape.body, t.body, settle)
+        th = None if bth is None else abs_rule(t.bvar, bth)
+    else:
+        return None
+    step = settle(t if th is None else rhs(th))
+    if step is None:
+        return th
+    return step if th is None else trans(th, step)
+
+
+def exhaustive_conv(settle):
+    """Normalize a term in one bottom-up pass: ``settle`` once at each
+    node, after its children (see ``settle_nodes``).  The pass makes no
+    second visit, so ``settle`` must leave a node normal when its
+    children are.  A term that is already normal costs one ``refl``."""
 
     def go(t: Term) -> Theorem:
-        th = None
-        current = t
-        normal: dict[int, Term] = {}
-        for _ in range(_REWRITE_LIMIT):
-            step = onepass(current, normal)
-            if step is None:
-                break
-            new = rhs(step)
-            if alpha_equiv(new, current):
-                break
-            th = step if th is None else trans(th, step)
-            current = new
-        else:
-            raise HolError("rewriting did not terminate")
+        th = settle_nodes(t, t, settle)
         return refl(t) if th is None else th
 
     return go

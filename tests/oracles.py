@@ -9,10 +9,10 @@ the tests were computed with these and then frozen.
 
 The second part keeps the earlier, slower implementations of paths that
 were later made to skip work: substitution that walks a shared subterm
-once per occurrence, the rewriting loop that builds a theorem at every
-node and the one that revisits subterms an earlier pass found
-irreducible, the model elimination search that tries every
-complementary literal, the clausifier that rewrote every stripped clause again,
+once per occurrence, the fixed-point rewriting engine the clausifier
+normalized with before its one-pass structural conversions, the model
+elimination search that tries every complementary literal, the
+clausifier that rewrote every stripped clause again,
 the derived rules that unfold the definitions of /\\ and
 ==> on every call, `ccontr` by cases on excluded middle and
 `select_rule` through the choice axiom on every call, the evaluator
@@ -49,9 +49,11 @@ from microhol.bootstrap import (
     is_conj,
     is_exists,
     is_forall,
+    lhs,
     mk_conj,
     mk_neg,
     prove_hyp,
+    rewr_conv,
     rhs,
     sym,
     try_beta,
@@ -265,56 +267,71 @@ def _legacy_vsubst(sub, t):
     return Abs(v, body)
 
 
-def node_by_node_exhaustive_conv(conv):
-    """exhaustive_conv as it was: a refl at every leaf and a congruence
-    theorem at every node, whether or not anything below it changed."""
-    limit = 100_000
-
-    def onepass(t):
-        if isinstance(t, Comb):
-            th = mk_comb_rule(onepass(t.rator), onepass(t.rand))
-        elif isinstance(t, Abs):
-            th = abs_rule(t.bvar, onepass(t.body))
-        else:
-            th = refl(t)
-        for _ in range(limit):
-            try:
-                th = trans(th, conv(rhs(th)))
-            except Inapplicable:
-                return th
-        raise HolError("rewriting did not terminate at a node")
-
+def first_conv(convs):
     def go(t):
-        th = refl(t)
-        current = t
-        for _ in range(limit):
-            step = onepass(current)
-            new = rhs(step)
-            if alpha_equiv(new, current):
-                return th
-            th = trans(th, step)
-            current = new
-        raise HolError("rewriting did not terminate")
+        for c in convs:
+            try:
+                return c(t)
+            except Inapplicable:
+                continue
+        raise Inapplicable
 
     return go
 
 
-def unmemoised_exhaustive_conv(conv):
-    """exhaustive_conv before it remembered irreducible subterms: each
-    pass visits every node again, including those an earlier pass found
-    irreducible."""
+def _head_key(t):
+    """(head constant's name, argument count), or None for another head."""
+    n = 0
+    while isinstance(t, Comb):
+        t = t.rator
+        n += 1
+    return (t.name, n) if isinstance(t, Const) else None
+
+
+def indexed_first_conv(rules):
+    """``first_conv`` over (pattern, conv) pairs, trying at a term only
+    the rules whose pattern has its head constant and argument count; a
+    rule whose pattern is None is tried everywhere.  Buckets keep the
+    list order."""
+    keys = [None if pat is None else _head_key(pat) for pat, _ in rules]
+
+    def bucket(key):
+        return first_conv(
+            [conv for k, (_, conv) in zip(keys, rules) if k is None or k == key]
+        )
+
+    buckets = {key: bucket(key) for key in keys if key is not None}
+    rest = bucket(None)
+
+    def go(t):
+        return buckets.get(_head_key(t), rest)(t)
+
+    return go
+
+
+def fixed_point_exhaustive_conv(conv):
+    """The rewriting engine the clausifier used before its structural
+    passes: apply a conversion anywhere, repeatedly, until a fixed point.
+
+    One pass works bottom-up and then repeats the conversion at each
+    node; passes repeat while anything changes.  Congruences are built
+    only above a change, and a subterm object a pass found irreducible is
+    not visited again within the call.
+    """
     limit = 100_000
 
-    def onepass(t):
+    def onepass(t, normal):
+        if id(t) in normal:
+            return None
         if isinstance(t, Comb):
-            lth = onepass(t.rator)
-            rth = onepass(t.rand)
+            lth = onepass(t.rator, normal)
+            rth = onepass(t.rand, normal)
             if lth is None and rth is None:
                 th = None
             else:
                 th = mk_comb_rule(lth or refl(t.rator), rth or refl(t.rand))
         elif isinstance(t, Abs):
-            bth = onepass(t.body)
+            bth = onepass(t.body, normal)
             th = None if bth is None else abs_rule(t.bvar, bth)
         else:
             th = None
@@ -323,6 +340,8 @@ def unmemoised_exhaustive_conv(conv):
             try:
                 step = conv(current)
             except Inapplicable:
+                if th is None:
+                    normal[id(t)] = t
                 return th
             th = step if th is None else trans(th, step)
             current = rhs(step)
@@ -331,8 +350,9 @@ def unmemoised_exhaustive_conv(conv):
     def go(t):
         th = None
         current = t
+        normal = {}
         for _ in range(limit):
-            step = onepass(current)
+            step = onepass(current, normal)
             if step is None:
                 break
             new = rhs(step)
@@ -345,6 +365,14 @@ def unmemoised_exhaustive_conv(conv):
         return refl(t) if th is None else th
 
     return go
+
+
+def reference_rewrite_conv(equations):
+    """Rewrite anywhere with the equations, then beta-reduce, to a fixed
+    point, trying the equations in list order: the reference normal form
+    for the clausifier's structural passes."""
+    rules = [(lhs(th), rewr_conv(th)) for th in equations]
+    return fixed_point_exhaustive_conv(indexed_first_conv(rules + [(None, try_beta)]))
 
 
 class UnindexedSearch(_Search):
@@ -385,9 +413,15 @@ class UnindexedSearch(_Search):
 
 
 class RedecomposingClausifier(_Clausifier):
-    """The clausifier as it was: every clause left after stripping went
-    through `pull_conv` again, and was decomposed again if that exposed a
-    conjunction or a quantifier."""
+    """The clausifier as it was: it normalized with the fixed-point engine
+    (`reference_rewrite_conv`), every clause left after stripping went
+    through the pull rewriting again, and was decomposed again if that
+    exposed a conjunction or a quantifier."""
+
+    def __init__(self, logic, lemmas):
+        super().__init__(logic, lemmas)
+        self.nnf_conv = reference_rewrite_conv(lemmas.nnf)
+        self.pull_conv = reference_rewrite_conv(lemmas.pull)
 
     def _decompose(self, th, universals):
         concl = th.conclusion
