@@ -34,7 +34,7 @@ authority.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from typing import Callable, Optional
 
 from . import kernel
@@ -242,10 +242,7 @@ class FirstOrderProblem:
     goal: Term
 
     def __post_init__(self):
-        for t in (*self.axioms, self.goal):
-            if t.ty != BOOL:
-                raise OutOfFragment("problem parts must be boolean")
-            _check_formula(t, bound=[])
+        _Symbols((*self.axioms, self.goal))
 
 
 def _is_individual(ty: HolType) -> bool:
@@ -254,47 +251,54 @@ def _is_individual(ty: HolType) -> bool:
     )
 
 
-def _check_formula(t: Term, bound: list[Var]):
-    args = _connective_args(t)
-    if args is not None:
+class _Symbols:
+    """One walk over boolean formulas that decides the first-order
+    fragment, raising OutOfFragment at the first part outside it, and
+    records in the order met what the equality axioms need: the types
+    equality is used at, and each function and predicate symbol with its
+    arity.  A quantified variable is an individual, so none can head an
+    atom or be applied; the walk keeps no scope."""
+
+    def __init__(self, formulas):
+        self.eq_types: dict[HolType, None] = {}
+        self.functions: dict[Term, int] = {}
+        self.predicates: dict[Term, int] = {}
+        for t in formulas:
+            if t.ty != BOOL:
+                raise OutOfFragment("problem parts must be boolean")
+            self._formula(t)
+
+    def _formula(self, t: Term):
+        args = _connective_args(t)
+        if args is not None:
+            for a in args:
+                self._formula(a)
+        elif is_forall(t) or is_exists(t):
+            v = t.rand.bvar
+            if not _is_individual(v.ty):
+                raise OutOfFragment(f"quantification over {print_term(v)} is not first-order")
+            self._formula(t.rand.body)
+        else:
+            head, args = _strip_app(t)
+            if isinstance(head, Abs):
+                raise OutOfFragment(f"lambda in atom: {print_term(t)}")
+            if is_eq(t):
+                self.eq_types[t.rand.ty] = None
+            elif args:
+                self.predicates[head] = len(args)
+            for a in args:
+                self._term(a)
+
+    def _term(self, t: Term):
+        if not _is_individual(t.ty):
+            raise OutOfFragment(f"higher-order argument: {print_term(t)}")
+        head, args = _strip_app(t)
+        if isinstance(head, Abs):
+            raise OutOfFragment(f"bad term head: {print_term(t)}")
+        if args:
+            self.functions[head] = len(args)
         for a in args:
-            _check_formula(a, bound)
-        return
-    if is_forall(t) or is_exists(t):
-        v = t.rand.bvar
-        if not _is_individual(v.ty):
-            raise OutOfFragment(
-                f"quantification over {print_term(v)} is not first-order"
-            )
-        bound.append(v)
-        _check_formula(t.rand.body, bound)
-        bound.pop()
-        return
-    _check_atom(t, bound)
-
-
-def _check_atom(t: Term, bound: list[Var]):
-    head, args = _strip_app(t)
-    if isinstance(head, Abs):
-        raise OutOfFragment(f"lambda in atom: {print_term(t)}")
-    if not isinstance(head, (Var, Const)):
-        raise OutOfFragment(f"bad atom head: {print_term(t)}")
-    if isinstance(head, Var) and head in bound:
-        raise OutOfFragment(f"quantified variable used as predicate: {head.name}")
-    for a in args:
-        _check_fo_term(a, bound)
-
-
-def _check_fo_term(t: Term, bound: list[Var]):
-    if not _is_individual(t.ty):
-        raise OutOfFragment(f"higher-order argument: {print_term(t)}")
-    head, args = _strip_app(t)
-    if not isinstance(head, (Var, Const)):
-        raise OutOfFragment(f"bad term head: {print_term(t)}")
-    if isinstance(head, Var) and head in bound and args:
-        raise OutOfFragment(f"quantified variable applied as function: {head.name}")
-    for a in args:
-        _check_fo_term(a, bound)
+            self._term(a)
 
 
 def _strip_app(t: Term) -> tuple[Term, list[Term]]:
@@ -607,7 +611,7 @@ def _normalizer(equations: list[Theorem]):
     stand for are normal.  A beta redex, which a quantifier equation
     leaves as `(\\y. b) x`, is contracted; `b` is normal and `x` a
     variable, so the result is.  The clausifier's formulas are
-    first-order (`_check_formula`), so no other redex occurs.
+    first-order (`_Symbols`), so no other redex occurs.
     """
     table: dict = {}
     for th in equations:
@@ -794,7 +798,7 @@ def clausify(logic: Logic, p: Term) -> ClauseSet:
     """Clausify an assumed formula: NNF, prenex pulls, skolemization via
     choice, and distribution, all proof-producing.  The clause theorems
     carry `p` as their only assumption."""
-    _check_formula(p, [])
+    _Symbols((p,))
     cl = _Clausifier(logic, _NormLemmas.get(logic))
     return ClauseSet(clauses=cl.clauses(p, "formula"), skolems=cl.skolems)
 
@@ -1078,42 +1082,15 @@ def meson(
 
 
 def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
-    """Append reflexivity/symmetry/transitivity plus congruence schemes
-    for every function and predicate symbol used with equality's type."""
-    eq_types: set[HolType] = set()
-    fun_syms: dict[Term, int] = {}  # head symbol -> arity
-    pred_syms: dict[Term, int] = {}
-
-    def scan_formula(t: Term):
-        subformulas = _connective_args(t)
-        if subformulas is not None:
-            for a in subformulas:
-                scan_formula(a)
-        elif is_forall(t) or is_exists(t):
-            scan_formula(t.rand.body)
-        else:
-            if is_eq(t):
-                eq_types.add(t.rand.ty)
-            head, args = _strip_app(t)
-            if args and not is_eq(t):
-                pred_syms[head] = len(args)
-            for a in args:
-                scan_term(a)
-
-    def scan_term(t: Term):
-        head, args = _strip_app(t)
-        if args:
-            fun_syms[head] = len(args)
-        for a in args:
-            scan_term(a)
-
-    for t in (*problem.axioms, problem.goal):
-        scan_formula(t)
-    if not eq_types:
+    """Append reflexivity/symmetry/transitivity for every type equality is
+    used at, then a congruence scheme for every function and predicate
+    symbol, when the problem uses equality at all."""
+    symbols = _Symbols((*problem.axioms, problem.goal))
+    if not symbols.eq_types:
         return problem
 
     extra: list[Term] = []
-    probes = sorted((Var("_", ty) for ty in eq_types), key=cmp_to_key(term_compare))
+    probes = sorted((Var("_", ty) for ty in symbols.eq_types), key=cmp_to_key(term_compare))
     for ty in (v.ty for v in probes):
         x = Var("eqx", ty)
         y = Var("eqy", ty)
@@ -1125,41 +1102,17 @@ def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
                 [x, y, z], mk_imp(mk_conj(mk_eq(x, y), mk_eq(y, z)), mk_eq(x, z))
             )
         )
-
-    def congruence(head: Term, arity: int, is_pred: bool) -> Optional[Term]:
-        ty = head.ty
-        doms = []
-        cur = ty
-        for _ in range(arity):
-            doms.append(cur.args[0])
-            cur = cur.args[1]
-        if any(not _is_individual(d) for d in doms):
-            return None
-        xs = [Var(f"cx{i}", d) for i, d in enumerate(doms)]
-        ys = [Var(f"cy{i}", d) for i, d in enumerate(doms)]
-        eqs = None
-        for a, b in zip(xs, ys):
-            e = mk_eq(a, b)
-            eqs = e if eqs is None else mk_conj(eqs, e)
-        appx: Term = head
-        appy: Term = head
-        for a, b in zip(xs, ys):
-            appx = mk_comb(appx, a)
-            appy = mk_comb(appy, b)
-        if is_pred:
-            concl = mk_imp(appx, appy)
-        else:
-            concl = mk_eq(appx, appy)
-        return _list_forall(xs + ys, mk_imp(eqs, concl))
-
-    for head, arity in fun_syms.items():
-        c = congruence(head, arity, is_pred=False)
-        if c is not None:
-            extra.append(c)
-    for head, arity in pred_syms.items():
-        c = congruence(head, arity, is_pred=True)
-        if c is not None:
-            extra.append(c)
+    for table, conclude in ((symbols.functions, mk_eq), (symbols.predicates, mk_imp)):
+        for head, arity in table.items():
+            doms, ty = [], head.ty
+            for _ in range(arity):
+                doms.append(ty.args[0])
+                ty = ty.args[1]
+            xs = [Var(f"cx{i}", d) for i, d in enumerate(doms)]
+            ys = [Var(f"cy{i}", d) for i, d in enumerate(doms)]
+            eqs = reduce(mk_conj, map(mk_eq, xs, ys))
+            concl = conclude(reduce(mk_comb, xs, head), reduce(mk_comb, ys, head))
+            extra.append(_list_forall(xs + ys, mk_imp(eqs, concl)))
     return FirstOrderProblem(problem.axioms + tuple(extra), problem.goal)
 
 

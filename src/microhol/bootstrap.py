@@ -6,12 +6,13 @@ Every function here bottoms out in the ten primitive rules; with kernel
 tracing enabled, any derived-rule output replays as a sequence of
 primitive calls.  FALSE is defined literally as `!p:bool. p`.
 
-Conversions are functions from a term t to a theorem `|- t = t'`; they
-raise ``Inapplicable`` to signal "no change here", and the combinators
-interpret that.  ``exhaustive_conv`` normalizes in one bottom-up pass
-with a function that settles one node at a time.  All conversion
-results are hypothesis-free, which is what lets it rewrite under a
-binder past the abstraction rule's side condition.
+Conversions are functions from a term t to a theorem `|- t = t'`; one
+that does not fit t raises ``Inapplicable``.  The package applies a
+conversion only where it fits, so no code here catches that error.
+``exhaustive_conv`` normalizes in one bottom-up pass with a function
+that settles one node at a time and returns None where nothing changes.
+All conversion results are hypothesis-free, which is what lets it
+rewrite under a binder past the abstraction rule's side condition.
 """
 
 from __future__ import annotations
@@ -474,7 +475,10 @@ class Logic:
     A call instantiates its schema and cuts the premises in with
     ``prove_hyp`` instead of unfolding the connectives' definitions
     again, so it costs a handful of primitive inferences and returns the
-    same sequent the unfolding derivation gave.
+    same sequent the unfolding derivation gave.  ``unfold`` is the one
+    way a definition is unfolded: the schemas above, ``gen``,
+    ``exists_intro``, the negation rules and disjunction introduction
+    all go through it.
     """
 
     def __init__(self, theory: Theory):
@@ -493,7 +497,8 @@ class Logic:
         # {(!) P} |- P x, for P : A -> bool
         a_ty = TyVar("A")
         cap_p = Var("P", fn(a_ty, BOOL))
-        th1 = eq_mp(assume(mk_comb(lhs(self.defs["forall"]), cap_p)), self.forall_eq(cap_p))
+        all_p = mk_comb(lhs(self.defs["forall"]), cap_p)
+        th1 = eq_mp(assume(all_p), self.unfold("forall", cap_p))
         th2 = ap_thm(th1, Var("x", a_ty))
         self._spec_pth = self.eqt_elim(trans(th2, try_beta(rhs(th2))))
 
@@ -508,10 +513,10 @@ class Logic:
         thp = self.eqt_intro(assume(p))
         thq = self.eqt_intro(assume(q))
         th_abs = abs_rule(f, mk_comb_rule(ap_term(f, thp), thq))
-        self._conj_pth = eq_mp(th_abs, sym(self.conj_eq(p, q)))
+        self._conj_pth = eq_mp(th_abs, sym(self.unfold("and", p, q)))
         # {p /\ q} |- p and {p /\ q} |- q, by applying both sides of the
         # unfolded conjunction to a selector \a b. a (or b)
-        expanded = eq_mp(assume(pq), self.conj_eq(p, q))
+        expanded = eq_mp(assume(pq), self.unfold("and", p, q))
         a = Var("a", BOOL)
         b = Var("b", BOOL)
         self._conjunct_pths = tuple(
@@ -519,13 +524,13 @@ class Logic:
             for sel in (mk_abs(a, mk_abs(b, a)), mk_abs(a, mk_abs(b, b)))
         )
         # {p ==> q} |- p = (p /\ q)
-        self._mp_pth = sym(eq_mp(assume(mk_imp(p, q)), self.imp_eq(p, q)))
+        self._mp_pth = sym(eq_mp(assume(mk_imp(p, q)), self.unfold("imp", p, q)))
         # |- ((p /\ q) = p) = (p ==> q)
-        self._disch_pth = sym(self.imp_eq(p, q))
+        self._disch_pth = sym(self.unfold("imp", p, q))
         # {p \/ q} |- (p ==> r) ==> (q ==> r) ==> r
         r = Var("r", BOOL)
         self._disj_cases_pth = self.spec(
-            r, eq_mp(assume(mk_disj(p, q)), self.or_eq(p, q))
+            r, eq_mp(assume(mk_disj(p, q)), self.unfold("or", p, q))
         )
 
         self.EXCLUDED_MIDDLE = self._prove_excluded_middle()
@@ -541,7 +546,8 @@ class Logic:
         self._ccontr_pth = deduct_antisym(self.eqf_intro(np, self._clash_pth), to_p)
         # {(?) P} |- P ((@) P), from the choice axiom |- P x ==> P ((@) P)
         ax = axiom_choice(theory)
-        th1 = eq_mp(assume(mk_comb(lhs(self.defs["exists"]), cap_p)), self.exists_eq(cap_p))
+        some_p = mk_comb(lhs(self.defs["exists"]), cap_p)
+        th1 = eq_mp(assume(some_p), self.unfold("exists", cap_p))
         th2 = self.spec(dest_imp(ax.conclusion)[1], th1)
         self._select_pth = self.mp(th2, self.gen(Var("x", a_ty), ax))
 
@@ -571,41 +577,21 @@ class Logic:
         """{~p, p} |- F."""
         return inst_rule({Var("p", BOOL): p}, self._clash_pth)
 
-    # -- definitional unfolding conversions
+    # -- definitional unfolding
 
-    @staticmethod
-    def _unfold2(defn: Theorem, p: Term, q: Term) -> Theorem:
-        """|- c p q = body[p, q] from |- c = \\p q. body."""
-        th = ap_thm(ap_thm(defn, p), q)
-        return trans(th, beta_n(2)(rhs(th)))
-
-    def conj_eq(self, p: Term, q: Term) -> Theorem:
-        """|- (p /\\ q) = ((\\f. f p q) = (\\f. f T T))."""
-        return self._unfold2(self.defs["and"], p, q)
-
-    def imp_eq(self, p: Term, q: Term) -> Theorem:
-        return self._unfold2(self.defs["imp"], p, q)
-
-    def or_eq(self, p: Term, q: Term) -> Theorem:
-        return self._unfold2(self.defs["or"], p, q)
-
-    def neg_eq(self, p: Term) -> Theorem:
-        th = ap_thm(self.defs["not"], p)
-        return trans(th, beta_n(1)(rhs(th)))
-
-    @staticmethod
-    def _unfold_binder(defn: Theorem, pred: Term) -> Theorem:
-        """|- c pred = body[pred] from |- c = \\P. body, c at pred's type."""
-        def_i = inst_type_rule({"A": dest_pred_ty(pred)}, defn)
-        th = ap_thm(def_i, pred)
-        return trans(th, try_beta(rhs(th)))
-
-    def forall_eq(self, pred: Term) -> Theorem:
-        """|- (!) pred = (pred = \\x. T)."""
-        return self._unfold_binder(self.defs["forall"], pred)
-
-    def exists_eq(self, pred: Term) -> Theorem:
-        return self._unfold_binder(self.defs["exists"], pred)
+    def unfold(self, name: str, *args: Term) -> Theorem:
+        """|- c a1 ... an = body[a1, ..., an] from the definition
+        |- c = \\x1 ... xn. body, at the type instance whose first binder
+        fits a1; e.g. ``unfold("and", p, q)`` gives
+        |- (p /\\ q) = ((\\f. f p q) = (\\f. f T T))."""
+        defn = self.defs[name]
+        tyenv = type_match(rhs(defn).bvar.ty, args[0].ty)
+        if tyenv is None:
+            raise IllTyped(f"{name} does not apply to {args[0]!r}")
+        th = inst_type_rule(tyenv, defn) if tyenv else defn
+        for a in args:
+            th = ap_thm(th, a)
+        return trans(th, beta_n(len(args))(rhs(th)))
 
     # -- conjunction
 
@@ -646,7 +632,7 @@ class Logic:
     def gen(self, x: Var, th: Theorem) -> Theorem:
         th1 = abs_rule(x, self.eqt_intro(th))
         pred = mk_abs(x, th.conclusion)
-        return eq_mp(th1, sym(self.forall_eq(pred)))
+        return eq_mp(th1, sym(self.unfold("forall", pred)))
 
     def spec(self, t: Term, th: Theorem) -> Theorem:
         c = th.conclusion
@@ -668,7 +654,7 @@ class Logic:
     def exists_intro(self, etm: Term, witness: Term, th: Theorem) -> Theorem:
         """From |- p[witness/x] conclude |- ?x. p (etm is the target)."""
         pred = etm.rand
-        eqth = self.exists_eq(pred)
+        eqth = self.unfold("exists", pred)
         qv, body = dest_forall(rhs(eqth))
         avoid = list(th.assumptions) + [th.conclusion, etm]
         q = variant(avoid, qv)
@@ -696,11 +682,11 @@ class Logic:
 
     def not_elim(self, th: Theorem) -> Theorem:
         p = dest_neg(th.conclusion)
-        return eq_mp(th, self.neg_eq(p))
+        return eq_mp(th, self.unfold("not", p))
 
     def not_intro(self, th: Theorem) -> Theorem:
         p, f = dest_imp(th.conclusion)
-        return eq_mp(th, sym(self.neg_eq(p)))
+        return eq_mp(th, sym(self.unfold("not", p)))
 
     # -- disjunction
 
@@ -717,7 +703,7 @@ class Logic:
         th2 = self.disch(mk_imp(q, r), th1)
         th3 = self.disch(mk_imp(p, r), th2)
         th4 = self.gen(r, th3)
-        return eq_mp(th4, sym(self.or_eq(p, q)))
+        return eq_mp(th4, sym(self.unfold("or", p, q)))
 
     def disj_cases(self, th: Theorem, th1: Theorem, th2: Theorem) -> Theorem:
         if not alpha_equiv(th1.conclusion, th2.conclusion):

@@ -15,7 +15,9 @@ elimination search that tries every complementary literal, the
 clausifier that rewrote every stripped clause again,
 the derived rules that unfold the definitions of /\\ and
 ==> on every call, `ccontr` by cases on excluded middle and
-`select_rule` through the choice axiom on every call, the evaluator
+`select_rule` through the choice axiom on every call, meson's front
+end that checked the fragment in one walk and collected the equality
+axioms' symbols in another, the evaluator
 that compiled terms to opcode tuples for an interpreter (with a
 variant that compiles a defined constant's body at every occurrence)
 and the valuation search around it, and the front end that lexed
@@ -27,13 +29,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from microhol.auto import (
+    OutOfFragment,
     SkolemEntry,
     _Clausifier,
+    _connective_args,
     _fo_rename,
+    _is_individual,
+    _list_forall,
     _NormLemmas,
     _Search,
+    _strip_app,
     _unify,
 )
 from microhol.bootstrap import (
@@ -51,6 +59,7 @@ from microhol.bootstrap import (
     is_forall,
     lhs,
     mk_conj,
+    mk_imp,
     mk_neg,
     prove_hyp,
     rewr_conv,
@@ -88,6 +97,7 @@ from microhol.surface import (
     ParseError,
     UnknownConstant,
     _is_tyvar_name,
+    print_term,
     print_type,
 )
 from microhol.syntax import (
@@ -107,9 +117,11 @@ from microhol.syntax import (
     fn,
     free_vars,
     inst_type,
+    is_eq,
     mk_abs,
     mk_comb,
     mk_eq,
+    term_compare,
     type_match,
     type_subst,
     type_vars_of_term,
@@ -470,7 +482,7 @@ class UnfoldingRules:
         thp = lg.eqt_intro(assume(p))
         thq = lg.eqt_intro(assume(q))
         th_ap = mk_comb_rule(mk_comb_rule(refl(f), thp), thq)
-        pth = eq_mp(abs_rule(f, th_ap), sym(lg.conj_eq(p, q)))
+        pth = eq_mp(abs_rule(f, th_ap), sym(lg.unfold("and", p, q)))
         inst = inst_rule(
             Substitution.of_terms({p: th1.conclusion, q: th2.conclusion}), pth
         )
@@ -482,7 +494,7 @@ class UnfoldingRules:
         a = Var("a", BOOL)
         b = Var("b", BOOL)
         sel = mk_abs(a, mk_abs(b, a if first else b))
-        expanded = eq_mp(assume(th.conclusion), lg.conj_eq(p, q))
+        expanded = eq_mp(assume(th.conclusion), lg.unfold("and", p, q))
         reduced = both_sides(ap_thm(expanded, sel), beta_n(3))
         return prove_hyp(th, lg.eqt_elim(reduced))
 
@@ -494,19 +506,19 @@ class UnfoldingRules:
 
     def mp(self, th_imp, th_ant):
         p, q = dest_imp(th_imp.conclusion)
-        th1 = eq_mp(th_imp, self.logic.imp_eq(p, q))
+        th1 = eq_mp(th_imp, self.logic.unfold("imp", p, q))
         return self.conjunct2(eq_mp(th_ant, sym(th1)))
 
     def disch(self, a, th):
         th1 = self.conj(assume(a), th)
         th2 = self.conjunct1(assume(mk_conj(a, th.conclusion)))
         th3 = deduct_antisym(th1, th2)
-        return eq_mp(th3, sym(self.logic.imp_eq(a, th.conclusion)))
+        return eq_mp(th3, sym(self.logic.unfold("imp", a, th.conclusion)))
 
     def spec(self, t, th):
         lg = self.logic
         pred = th.conclusion.rand
-        th1 = eq_mp(th, lg.forall_eq(pred))
+        th1 = eq_mp(th, lg.unfold("forall", pred))
         th2 = ap_thm(th1, t)
         th4 = lg.eqt_elim(trans(th2, try_beta(rhs(th2))))
         if isinstance(pred, Abs):
@@ -515,7 +527,7 @@ class UnfoldingRules:
 
     def disj_cases(self, th, th1, th2):
         p, q = dest_disj(th.conclusion)
-        sp = self.spec(th1.conclusion, eq_mp(th, self.logic.or_eq(p, q)))
+        sp = self.spec(th1.conclusion, eq_mp(th, self.logic.unfold("or", p, q)))
         return self.mp(self.mp(sp, self.disch(p, th1)), self.disch(q, th2))
 
 
@@ -543,12 +555,146 @@ def choice_axiom_select_rule(logic, th):
     ax = inst_rule({p0: pred, x0: xf}, ax)
     gen_ax = logic.gen(xf, ax)  # |- !x. pred x ==> pred (@ pred)
     target = dest_imp(ax.conclusion)[1]  # pred (@ pred)
-    th1 = eq_mp(th, logic.exists_eq(pred))
+    th1 = eq_mp(th, logic.unfold("exists", pred))
     th2 = logic.spec(target, th1)
     th3 = logic.mp(th2, gen_ax)
     if isinstance(pred, Abs):
         return conv_rule(try_beta, th3)
     return th3
+
+
+# ---------------------------------------------------------------------------
+# Meson's front end as it was: the fragment check collects nothing, and a
+# second walk over the same grammar collects the symbols the equality
+# axioms need.
+
+
+def _check_formula(t, bound):
+    args = _connective_args(t)
+    if args is not None:
+        for a in args:
+            _check_formula(a, bound)
+        return
+    if is_forall(t) or is_exists(t):
+        v = t.rand.bvar
+        if not _is_individual(v.ty):
+            raise OutOfFragment(f"quantification over {print_term(v)} is not first-order")
+        bound.append(v)
+        _check_formula(t.rand.body, bound)
+        bound.pop()
+        return
+    _check_atom(t, bound)
+
+
+def _check_atom(t, bound):
+    head, args = _strip_app(t)
+    if isinstance(head, Abs):
+        raise OutOfFragment(f"lambda in atom: {print_term(t)}")
+    if not isinstance(head, (Var, Const)):
+        raise OutOfFragment(f"bad atom head: {print_term(t)}")
+    if isinstance(head, Var) and head in bound:
+        raise OutOfFragment(f"quantified variable used as predicate: {head.name}")
+    for a in args:
+        _check_fo_term(a, bound)
+
+
+def _check_fo_term(t, bound):
+    if not _is_individual(t.ty):
+        raise OutOfFragment(f"higher-order argument: {print_term(t)}")
+    head, args = _strip_app(t)
+    if not isinstance(head, (Var, Const)):
+        raise OutOfFragment(f"bad term head: {print_term(t)}")
+    if isinstance(head, Var) and head in bound and args:
+        raise OutOfFragment(f"quantified variable applied as function: {head.name}")
+    for a in args:
+        _check_fo_term(a, bound)
+
+
+def reference_equality_axioms(axioms, goal):
+    """The axioms `add_equality_axioms` appends to the problem (axioms,
+    goal), by the two walks: the fragment check, which raises
+    OutOfFragment, then the symbol scan."""
+    for t in (*axioms, goal):
+        if t.ty != BOOL:
+            raise OutOfFragment("problem parts must be boolean")
+        _check_formula(t, bound=[])
+    eq_types = set()
+    fun_syms = {}  # head symbol -> arity
+    pred_syms = {}
+
+    def scan_formula(t):
+        subformulas = _connective_args(t)
+        if subformulas is not None:
+            for a in subformulas:
+                scan_formula(a)
+        elif is_forall(t) or is_exists(t):
+            scan_formula(t.rand.body)
+        else:
+            if is_eq(t):
+                eq_types.add(t.rand.ty)
+            head, args = _strip_app(t)
+            if args and not is_eq(t):
+                pred_syms[head] = len(args)
+            for a in args:
+                scan_term(a)
+
+    def scan_term(t):
+        head, args = _strip_app(t)
+        if args:
+            fun_syms[head] = len(args)
+        for a in args:
+            scan_term(a)
+
+    for t in (*axioms, goal):
+        scan_formula(t)
+    if not eq_types:
+        return []
+
+    extra = []
+    probes = sorted((Var("_", ty) for ty in eq_types), key=cmp_to_key(term_compare))
+    for ty in (v.ty for v in probes):
+        x = Var("eqx", ty)
+        y = Var("eqy", ty)
+        z = Var("eqz", ty)
+        extra.append(_list_forall([x], mk_eq(x, x)))
+        extra.append(_list_forall([x, y], mk_imp(mk_eq(x, y), mk_eq(y, x))))
+        extra.append(
+            _list_forall(
+                [x, y, z], mk_imp(mk_conj(mk_eq(x, y), mk_eq(y, z)), mk_eq(x, z))
+            )
+        )
+
+    def congruence(head, arity, is_pred):
+        doms = []
+        cur = head.ty
+        for _ in range(arity):
+            doms.append(cur.args[0])
+            cur = cur.args[1]
+        if any(not _is_individual(d) for d in doms):
+            return None
+        xs = [Var(f"cx{i}", d) for i, d in enumerate(doms)]
+        ys = [Var(f"cy{i}", d) for i, d in enumerate(doms)]
+        eqs = None
+        for a, b in zip(xs, ys):
+            e = mk_eq(a, b)
+            eqs = e if eqs is None else mk_conj(eqs, e)
+        appx = head
+        appy = head
+        for a, b in zip(xs, ys):
+            appx = mk_comb(appx, a)
+            appy = mk_comb(appy, b)
+        concl = mk_imp(appx, appy) if is_pred else mk_eq(appx, appy)
+        return _list_forall(xs + ys, mk_imp(eqs, concl))
+
+    for head, arity in fun_syms.items():
+        c = congruence(head, arity, is_pred=False)
+        if c is not None:
+            extra.append(c)
+    for head, arity in pred_syms.items():
+        c = congruence(head, arity, is_pred=True)
+        if c is not None:
+            extra.append(c)
+    return extra
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ from microhol.surface import print_sequent, print_term
 from .oracles import (
     UnindexedSearch,
     redecomposing_clausify,
+    reference_equality_axioms,
     reference_rewrite_conv,
 )
 from .problems import PROBLEMS
@@ -258,6 +259,8 @@ class TestClausify:
             clausify(logic, mk_forall(g, mk_eq(g, g)))
         with pytest.raises(OutOfFragment):
             clausify(logic, mk_forall(p, p))
+        with pytest.raises(OutOfFragment, match="problem parts must be boolean"):
+            clausify(logic, x)
 
 
 class TestMeson:
@@ -387,6 +390,120 @@ class TestMeson:
                 theory=logic.theory,
             )
             assert verdict.valid, name
+
+
+def _random_problem(rng):
+    """(axioms, goal): random formulas over two individual types, with
+    function and predicate symbols and equality at both types; now and
+    then a part leaves the fragment (a symbol with a function or boolean
+    domain, equality or a quantifier at a function type, a lambda at the
+    head of an atom or a term, an individual where a formula belongs)."""
+    A = TyVar("A")
+    f = Var("f", fn(IND, IND))
+    g = Var("g", fn(IND, fn(A, IND)))
+    h = Var("h", fn(A, A))
+    P = Var("P", fn(IND, BOOL))
+    R = Var("R", fn(IND, fn(A, BOOL)))
+    S = Var("S", fn(BOOL, BOOL))  # with H below, a higher-order domain
+
+    def odd():
+        return rng.random() < 0.005
+
+    fresh = itertools.count()
+
+    def term(ty, scope, depth):
+        if odd():
+            y = Var("y", ty)
+            higher = Var("H", fn(fn(IND, IND), ty))
+            return rng.choice([mk_comb(higher, f), mk_comb(mk_abs(y, y), y)])
+        if depth <= 0 or rng.random() < 0.4:
+            own = [v for v in scope if v.ty == ty]
+            if own and rng.random() < 0.7:
+                return rng.choice(own)
+            return Var("a" if ty == IND else "b", ty)
+        if ty == A:
+            return mk_comb(h, term(A, scope, depth - 1))
+        if rng.random() < 0.5:
+            return mk_comb(f, term(IND, scope, depth - 1))
+        return mk_comb(mk_comb(g, term(IND, scope, depth - 1)), term(A, scope, depth - 1))
+
+    def atom(scope):
+        if odd():
+            return rng.choice([
+                mk_comb(S, mk_comb(P, term(IND, scope, 1))),
+                mk_eq(f, f),
+                mk_comb(mk_abs(x, mk_comb(P, x)), term(IND, scope, 1)),
+            ])
+        roll = rng.randrange(4)
+        if roll == 0:
+            return mk_comb(P, term(IND, scope, 2))
+        if roll == 1:
+            return mk_comb(mk_comb(R, term(IND, scope, 2)), term(A, scope, 2))
+        ty = rng.choice([IND, A])
+        return mk_eq(term(ty, scope, 2), term(ty, scope, 2))
+
+    def formula(scope, depth):
+        if depth <= 0 or rng.random() < 0.3:
+            return atom(scope)
+        op = rng.randrange(7)
+        if op == 0:
+            return mk_neg(formula(scope, depth - 1))
+        if op in (1, 2):
+            ty = fn(IND, IND) if odd() else rng.choice([IND, A])
+            v = Var(f"v{next(fresh)}", ty)
+            body = formula(scope + [v], depth - 1)
+            return (mk_forall if op == 1 else mk_exists)(v, body)
+        l, r = formula(scope, depth - 1), formula(scope, depth - 1)
+        return (mk_conj, mk_disj, mk_imp, mk_eq)[op - 3](l, r)
+
+    axioms = tuple(formula([], 3) for _ in range(rng.randrange(3)))
+    goal = Var("a", IND) if rng.random() < 0.02 else formula([], 3)
+    return axioms, goal
+
+
+def _equality_axioms(build):
+    """The axioms `build` returns, or the OutOfFragment it raises."""
+    try:
+        return tuple(build())
+    except OutOfFragment as exc:
+        return str(exc)
+
+
+class TestEqualityAxiomsOracle:
+    """`add_equality_axioms` reads the symbols the fragment check
+    collects; the two-walk front end it replaced must give the same
+    axioms in the same order, and reject the same problems."""
+
+    @staticmethod
+    def _both(axioms, goal):
+        new = _equality_axioms(
+            lambda: add_equality_axioms(FirstOrderProblem(axioms, goal)).axioms[len(axioms):]
+        )
+        return new, _equality_axioms(lambda: reference_equality_axioms(axioms, goal))
+
+    def test_suite_problems(self):
+        for name, prob, depth in PROBLEMS:
+            new, old = self._both(prob.axioms, prob.goal)
+            assert new == old, name
+
+    def test_random_problems(self):
+        rng = random.Random(27)
+        reasons = {
+            "problem parts must be boolean", "quantification over", "lambda in atom",
+            "higher-order argument", "bad term head",
+        }
+        seen = set()
+        congruences = 0
+        for _ in range(400):
+            axioms, goal = _random_problem(rng)
+            new, old = self._both(axioms, goal)
+            assert new == old, [print_term(t) for t in (*axioms, goal)]
+            if isinstance(new, str):
+                seen |= {r for r in reasons if new.startswith(r)}
+                continue
+            types = sum(is_eq(ax.rand.body) for ax in new)  # one reflexivity each
+            congruences += types > 1 and len(new) > 3 * types + 2
+        assert seen == reasons and congruences >= 100, (seen, congruences)
 
 
 def _random_formula(rng, depth, scope, fresh):

@@ -40,6 +40,7 @@ from microhol.syntax import (
     Comb,
     Const,
     HolError,
+    IllTyped,
     Substitution,
     TyVar,
     Var,
@@ -61,7 +62,16 @@ x = Var("x", IND)
 y = Var("y", IND)
 
 
+# primitive inferences of `install_logic` on a fresh theory
+LOGIC_BUILD_INFERENCES = 1_284
+
+
 class TestInstallation:
+    def test_build_inference_count(self):
+        with tracing() as log:
+            install_logic(Theory())
+        assert len(log) == LOGIC_BUILD_INFERENCES
+
     def test_false_is_literally_forall_p_p(self, theory):
         rhs = theory.definitions["F"]
         want = mk_forall(p, p)
@@ -354,6 +364,39 @@ class TestSchemas:
             "(?:(A -> bool) -> bool) (P:A -> bool) |- "
             "(P:A -> bool) ((@:(A -> bool) -> A) (P:A -> bool))",
         ]
+
+    def test_unfold(self, logic):
+        # every definition unfolds one way: the constant at the instance
+        # that fits the first argument, applied, then one beta per argument
+        P = Var("P", fn(IND, BOOL))
+        Q = Var("Q", fn(TyVar("A"), BOOL))
+        unfolded = [
+            logic.unfold("and", p, q),
+            logic.unfold("imp", p, q),
+            logic.unfold("or", p, q),
+            logic.unfold("not", p),
+            logic.unfold("forall", P),
+            logic.unfold("exists", Q),
+        ]
+        assert [_printed(th) for th in unfolded] == [
+            "|- (p:bool) /\\ (q:bool) <=> (\\f:bool -> bool -> bool. f (p:bool) (q:bool)) = "
+            "(\\f:bool -> bool -> bool. f T T)",
+            "|- (p:bool) ==> (q:bool) <=> (p:bool) /\\ (q:bool) <=> (p:bool)",
+            "|- (p:bool) \\/ (q:bool) <=> "
+            "(!r:bool. ((p:bool) ==> r) ==> ((q:bool) ==> r) ==> r)",
+            "|- ~(p:bool) <=> (p:bool) ==> F",
+            "|- (!:(ind -> bool) -> bool) (P:ind -> bool) <=> (P:ind -> bool) = (\\x:ind. T)",
+            "|- (?:(A -> bool) -> bool) (Q:A -> bool) <=> "
+            "(!q:bool. (!x:A. (Q:A -> bool) x ==> q) ==> q)",
+        ]
+        for name, args in (
+            ("forall", (x,)),
+            ("exists", (Var("f", fn(IND, IND)),)),
+            ("and", (x, q)),
+            ("not", (x,)),
+        ):
+            with pytest.raises(IllTyped):
+                logic.unfold(name, *args)
 
     def test_clash_and_eqf_intro(self, logic):
         assert _printed(logic.clash(mk_conj(q, p))) == (

@@ -9,8 +9,9 @@ stands on its own: it imports nothing else of the package outside a
 `__repr__`, only the kernel makes theorems, its rules leave a theorem's
 provenance to one helper, its rule table holds the ten rules, only its
 frozen base guards attribute writes, and the kernel holds no audit,
-which makes none; and article replay leaves the check of parsed input
-against the signature to the parser."""
+which makes none; article replay leaves the check of parsed input
+against the signature to the parser; and one walk decides meson's
+first-order fragment."""
 
 import ast
 from collections import Counter
@@ -234,6 +235,21 @@ def _names(name: str, strings: bool = False):
         )
 
     return hit
+
+
+def _raises(tree: ast.Module, name: str) -> list[tuple[str, int, str | None]]:
+    """(scope, line, message) of every `raise name(...)` or `raise name`,
+    the message being the first argument when it is a string literal."""
+    out = []
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc
+            call = isinstance(exc, ast.Call)
+            if _names(name)(exc.func if call else exc):
+                first = exc.args[0] if call and exc.args else None
+                message = first.value if isinstance(first, ast.Constant) else None
+                out.append((scope, node.lineno, message))
+    return out
 
 
 def _rules_reading_provenance(tree: ast.Module) -> dict[str, int]:
@@ -488,6 +504,18 @@ def test_the_rule_table_holds_the_ten_rules():
         assert rule is getattr(kernel, name), name
 
 
+def test_the_fragment_is_decided_in_one_place():
+    # one walk over a problem decides meson's fragment; the one other
+    # refusal is meson's own, when the negated goal gives no clauses
+    stray = [
+        f"auto.py:{line} ({scope or 'module'})"
+        for scope, line, message in _raises(_tree(PACKAGE / "auto.py"), "OutOfFragment")
+        if scope.partition(".")[0] != "_Symbols"
+        and (scope, message) != ("meson", "the negated goal produced no clauses")
+    ]
+    assert not stray, "the fragment decided outside `_Symbols`:\n" + "\n".join(stray)
+
+
 def test_no_module_imports_accel():
     stray = [
         f"{path.name}:{line}"
@@ -645,3 +673,12 @@ def test_checks_catch_what_they_are_for():
         "def helper(th): return th.theory\n"
     )
     assert _rules_reading_provenance(tree) == {"flag": 4, "thy": 6}
+    tree = ast.parse(
+        "class W:\n"
+        "    def f(self): raise E('no')\n"
+        "def g(m):\n"
+        "    raise E\n"
+        "def h(m): raise F(m) from E(m)\n"
+        "def k(m): raise errors.E(m)\n"
+    )
+    assert _raises(tree, "E") == [("W.f", 2, "no"), ("g", 4, None), ("k", 6, None)]
