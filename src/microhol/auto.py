@@ -723,8 +723,6 @@ def _term_to_fo(t: Term, universals: set[Var], skolems: list[SkolemEntry]):
     if isinstance(t, Var) and t in universals:
         return ("v", (t, 0))
     head, args = _strip_app(t)
-    if isinstance(head, Var) and head in universals and not args:
-        return ("v", (head, 0))
     sym_: tuple
     if isinstance(head, Const):
         sym_ = ("c", head.name, head.ty)
@@ -815,39 +813,24 @@ class _Search:
 
     Extension tries a goal only against the clause literals that can
     unify with it.  Those are indexed once, by polarity, predicate
-    symbol and arity, keeping clause and literal order in each bucket; a
-    literal whose atom is a variable goes into every bucket of its
-    polarity, and a goal whose atom is (bound to) a variable is tried
-    against every literal of the other polarity.  Literals left out
-    would fail `_unify` without consuming a copy number, so the copies,
-    the solutions and their order are those of trying every literal.
+    symbol and arity, keeping clause and literal order in each bucket.
+    A quantified variable is an individual, so no atom is a variable.
+    Literals left out would fail `_unify` without consuming a copy
+    number, so the copies, the solutions and their order are those of
+    trying every literal.
     """
 
     def __init__(self, clauses: list[Clause]):
         self.clauses = clauses
         self.copies = 0
-        # (polarity, atom key or None, (clause index, literal index,
-        # atom, the clause's other literals)), in clause and literal order
-        entries = [
-            (
-                lpos,
-                None if latom[0] == "v" else (lpos, latom[1], len(latom[2])),
-                (ci, li, latom, clause.lits[:li] + clause.lits[li + 1 :]),
-            )
-            for ci, clause in enumerate(clauses)
-            for li, (lpos, latom) in enumerate(clause.lits)
-        ]
-        self.by_polarity = {
-            pos: [e for p, _, e in entries if p == pos] for pos in (True, False)
-        }
-        self.variable_atoms = {
-            pos: [e for p, k, e in entries if p == pos and k is None]
-            for pos in (True, False)
-        }
-        self.buckets = {
-            key: [e for p, k, e in entries if p == key[0] and k in (None, key)]
-            for key in {k for _, k, _ in entries if k is not None}
-        }
+        # (polarity, predicate symbol, arity) -> (clause index, literal
+        # index, atom, the clause's other literals), in clause and literal order
+        self.buckets: dict[tuple, list] = {}
+        for ci, clause in enumerate(clauses):
+            for li, (lpos, latom) in enumerate(clause.lits):
+                self.buckets.setdefault((lpos, latom[1], len(latom[2])), []).append(
+                    (ci, li, latom, clause.lits[:li] + clause.lits[li + 1 :])
+                )
 
     def start(self, clause: Clause) -> list:
         """The goals of a fresh search from `clause`, as copy 1."""
@@ -876,14 +859,8 @@ class _Search:
         if depth <= 0:
             return
         # extension against every complementary clause literal that can unify
-        walked = _walk(atom, theta)
-        if walked[0] == "v":
-            candidates = self.by_polarity[not pos]
-        else:
-            candidates = self.buckets.get(
-                (not pos, walked[1], len(walked[2])), self.variable_atoms[not pos]
-            )
-        for ci, li, latom, others in candidates:
+        key = (not pos, atom[1], len(atom[2]))
+        for ci, li, latom, others in self.buckets.get(key, ()):
             copy = self.copies + 1
             renamed = _fo_rename(latom, copy)
             theta2 = _unify(atom, renamed, theta)
@@ -1034,8 +1011,6 @@ def meson(
     n_axiom_clauses = len(clauses)
     clauses += cl.clauses(mk_neg(problem.goal), "negated goal")
     goal_clauses = list(range(n_axiom_clauses, len(clauses)))
-    if not goal_clauses:
-        raise OutOfFragment("the negated goal produced no clauses")
     # The search takes T and F for opaque atoms: where one occurs, |- T or
     # |- ~F joins as a unit clause, after the others so none is renumbered.
     atoms = {atom for c in clauses for _, atom in c.lits}
@@ -1084,7 +1059,8 @@ def meson(
 def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
     """Append reflexivity/symmetry/transitivity for every type equality is
     used at, then a congruence scheme for every function and predicate
-    symbol, when the problem uses equality at all."""
+    symbol, when the problem uses equality at all.  An axiom the problem
+    already has, up to bound-variable names, is not appended again."""
     symbols = _Symbols((*problem.axioms, problem.goal))
     if not symbols.eq_types:
         return problem
@@ -1113,7 +1089,8 @@ def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
             eqs = reduce(mk_conj, map(mk_eq, xs, ys))
             concl = conclude(reduce(mk_comb, xs, head), reduce(mk_comb, ys, head))
             extra.append(_list_forall(xs + ys, mk_imp(eqs, concl)))
-    return FirstOrderProblem(problem.axioms + tuple(extra), problem.goal)
+    new = (ax for ax in extra if not any(alpha_equiv(ax, a) for a in problem.axioms))
+    return FirstOrderProblem(problem.axioms + tuple(new), problem.goal)
 
 
 def _list_forall(vs: list[Var], body: Term) -> Term:

@@ -18,17 +18,18 @@ support is empty).  Terms are compiled once per type assignment,
 straight to Python closures: one closure per node, reading variables
 from an environment list by slot (after Feeley & Lapalme, "Using
 Closures for Code Generation", 1987).  A validity check compiles each
-distinct term object once per type assignment and runs its valuation
-loop here, without an interpreter in between.  A defined constant is
-folded to a literal: its body is closed (the kernel rejects free
-variables in definitions), so the compiler evaluates it once, at each
-type it is used at, instead of rebuilding its function table on every
-run.
+distinct term object once per type assignment, then runs one valuation
+loop over the compiled parts, enumerating every valuation or sampling
+them, without an interpreter in between.  A defined constant is folded
+to a literal: its body is closed (the kernel rejects free variables in
+definitions), so the same compiler evaluates it once, at each type it is
+used at, instead of rebuilding its function table on every run.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -171,12 +172,14 @@ class _Compiler:
 
     A compiled term is a closure from an environment list to an element
     index, one closure per node.  Slot numbering is shared across
-    everything compiled by one instance, so a batch of sequent parts can be
-    evaluated against one environment list.  The variables in `free` take
-    slots 0..len(free)-1 in that order; any other free variable gets the
-    next slot when first compiled, and each binder a fresh one.  Carrier
-    sizes, defined-type supports and the closures of constants are cached
-    per type.
+    everything compiled by one instance, so the parts of several sequents
+    can be evaluated against one environment list.  The variables in
+    `free` take slots 0..len(free)-1 in that order; any other free
+    variable gets the next slot when first compiled, and each binder a
+    fresh one.  The closed terms behind constants and defined types are
+    compiled here too, their variables all bound, so `slots` holds only
+    free variables.  Carrier sizes, defined-type supports and the
+    closures of constants are cached per type.
     """
 
     def __init__(
@@ -194,14 +197,6 @@ class _Compiler:
         self._size_cache: dict[HolType, int] = {}
         self._typedef_cache: dict[HolType, tuple[int, ...]] = {}
         self._const_cache: dict[tuple[str, HolType], Callable[[list], int]] = {}
-
-    def _scratch(self) -> "_Compiler":
-        """A compiler with its own slots and this one's caches."""
-        sub = _Compiler(self.model, self.type_sizes, self.theory)
-        sub._size_cache = self._size_cache
-        sub._typedef_cache = self._typedef_cache
-        sub._const_cache = self._const_cache
-        return sub
 
     # -- carriers
 
@@ -247,11 +242,10 @@ class _Compiler:
         tyin = dict(zip(info.tyvars, ty.args))
         pred = inst_type(tyin, info.predicate)
         rep_size = self.size_of(pred.ty.args[0])
-        sub = self._scratch()
         x = Var("r?", pred.ty.args[0])
-        prog = sub.compile(Comb(pred, x))
-        slot = sub.slots[x]
-        env = [0] * sub.n_slots
+        slot = self.fresh_slot()
+        prog = self.compile(Comb(pred, x), {x: slot})
+        env = [0] * self.n_slots
         support = []
         for r in range(rep_size):
             env[slot] = r
@@ -317,9 +311,7 @@ class _Compiler:
     def _const_value(self, t: Const) -> int:
         name, ty = t.name, t.ty
         if name == "=" or name == "@":
-            if _fixed_arg_type(t) is None:
-                what = "equality" if name == "=" else "choice"
-                raise UninterpretableConstant(f"{what} at bad type {ty!r}")
+            self._check_fixed(t)
             # A bare `=` or `@` is its eta-expansion `\x. c x`, whose body
             # the equation and choice shortcuts of `compile` evaluate.
             x = Var("x", ty.args[0])
@@ -335,10 +327,9 @@ class _Compiler:
             if tyin is None:
                 raise UninterpretableConstant(f"constant {name!r} at bad type {ty!r}")
             closed = inst_type(tyin, rhs)
-        # The term is closed, so its value needs no environment of ours.
-        sub = self._scratch()
-        body = sub.compile(closed)
-        return body([0] * sub.n_slots)
+        # The term is closed: its binders take fresh slots, and its value
+        # reads none that a caller fills.
+        return self.compile(closed)([0] * self.n_slots)
 
     # -- terms
 
@@ -517,58 +508,6 @@ class Verdict:
     counterexample: Optional[Counterexample] = None
 
 
-class _SequentBatch:
-    """A group of sequents compiled against one shared environment.
-
-    The free variables `free` take slots 0..n-1, so a valuation listed in
-    that order is stored with one slice assignment.  Each distinct term
-    object is compiled once: a premise's assumptions are usually the same
-    objects as the conclusion's.
-    """
-
-    def __init__(
-        self,
-        sequents: Sequence[Sequent],
-        free: Sequence[Var],
-        model: Model,
-        type_sizes: Mapping[str, int],
-        theory: Theory,
-    ):
-        comp = _Compiler(model, type_sizes, theory, free)
-        compiled: dict[int, Callable[[list], int]] = {}
-        for hyps, concl in sequents:
-            for t in (*hyps, concl):
-                if id(t) not in compiled:
-                    compiled[id(t)] = comp.compile(t)
-        self.compiled = [
-            ([compiled[id(h)] for h in hyps], compiled[id(concl)])
-            for hyps, concl in sequents
-        ]
-        self.free = free
-        self.sizes = [comp.size_of(v.ty) for v in free]
-        self.env = [0] * comp.n_slots
-
-    def space(self) -> int:
-        n = 1
-        for s in self.sizes:
-            n *= s
-        return n
-
-    def set_assignment(self, values: Sequence[int]):
-        self.env[: len(values)] = values
-
-    def holds(self, i: int) -> bool:
-        hyps, concl = self.compiled[i]
-        env = self.env
-        for h in hyps:
-            if h(env) == FALSE_ELEM:
-                return True
-        return concl(env) == TRUE_ELEM
-
-    def assignment(self, values: Sequence[int]) -> dict[Var, int]:
-        return dict(zip(self.free, values))
-
-
 def _scan(t: Term, bound: dict[Var, int], free: dict[Var, None], types: set):
     """Add the free variables of `t` to `free` in the order in which
     `_Compiler.compile` first reaches them, and its leaf types to `types`."""
@@ -597,6 +536,28 @@ def _scan(t: Term, bound: dict[Var, int], free: dict[Var, None], types: set):
             bound[v] -= 1
 
 
+def _valuations(batches, exhaustive: bool, samples: int, rng: random.Random):
+    """(batch, valuations) blocks: the whole product of each batch in
+    turn, or `samples` single valuations drawn from `rng`, each in a
+    batch drawn first."""
+    if exhaustive:
+        for batch in batches:
+            yield batch, itertools.product(*map(range, batch[2]))
+    else:
+        for _ in range(samples):
+            batch = batches[rng.randrange(len(batches))]
+            yield batch, ([rng.randrange(size) for size in batch[2]],)
+
+
+def _premises_hold(parts, n_prem: int, env: list) -> bool:
+    """Whether each of the first `n_prem` sequents holds: some hypothesis
+    is false or the conclusion is true."""
+    return all(
+        not all(h(env) for h in hyps) or concl(env) == TRUE_ELEM
+        for hyps, concl in parts[:n_prem]
+    )
+
+
 def _search(
     sequents: Sequence[Sequent],
     n_prem: int,
@@ -605,15 +566,20 @@ def _search(
     limit: int,
     samples: int,
     rng: random.Random,
-) -> tuple[bool, int, Optional[tuple]]:
+) -> tuple[bool, int, Optional[tuple[dict[str, int], dict[Var, int]]]]:
     """Look for a valuation under which the first `n_prem` sequents hold
     and the one after them fails.
 
-    Every valuation is enumerated when there are at most `limit` of them;
-    otherwise `samples` valuations are drawn from `rng`.  Returns whether
-    the search was exhaustive, the number of valuations evaluated, and the
-    first failure as (type assignment, batch, values), or None.  Raises
-    CarrierOverflow when a carrier exceeds the model's cap.
+    Each type assignment gets one compiler, which compiles each distinct
+    term object once (a premise's assumptions are usually the same
+    objects as the conclusion's), and one batch `(type assignment,
+    compiled parts, carrier sizes, environment)`.  Every valuation is
+    enumerated when there are at most `limit` of them; otherwise
+    `samples` valuations are drawn from `rng`.  Both run the same loop.
+    Returns whether the search was exhaustive, the number of valuations
+    evaluated, and the first failure as (type assignment, {variable:
+    element}), or None.  Raises CarrierOverflow when a carrier exceeds
+    the model's cap.
 
     Free variables are ordered by name, ties by first occurrence; the
     valuations are enumerated in the lexicographic order of that list.
@@ -629,41 +595,37 @@ def _search(
     tyvar_list = sorted(tyvars)
     free_list = sorted(free, key=lambda v: v.name)
     batches = []
-    total = 0
     for sizes in itertools.product(TYVAR_SIZES, repeat=len(tyvar_list)):
         tyassign = dict(zip(tyvar_list, sizes))
-        batch = _SequentBatch(sequents, free_list, model, tyassign, theory)
-        batches.append((tyassign, batch))
-        total += batch.space()
+        comp = _Compiler(model, tyassign, theory, free_list)
+        compiled = {key: comp.compile(t) for key, t in terms.items()}
+        parts = [
+            ([compiled[id(h)] for h in hyps], compiled[id(concl)])
+            for hyps, concl in sequents
+        ]
+        dims = [comp.size_of(v.ty) for v in free_list]
+        batches.append((tyassign, parts, dims, [0] * comp.n_slots))
+    exhaustive = sum(math.prod(batch[2]) for batch in batches) <= limit
 
     # The sequent after the premises is checked first: when it holds (the
     # common case for a sound rule) no premise needs evaluating.
     evaluations = 0
     n = len(free_list)
-    if total <= limit:
-        for tyassign, batch in batches:
-            env = batch.env
-            hyps, concl = batch.compiled[n_prem]
-            for values in itertools.product(*map(range, batch.sizes)):
-                env[:n] = values
-                evaluations += 1
-                for h in hyps:
-                    if not h(env):  # a false assumption: the sequent holds
-                        break
-                else:
-                    if concl(env) != TRUE_ELEM and all(
-                        batch.holds(i) for i in range(n_prem)
-                    ):
-                        return True, evaluations, (tyassign, batch, values)
-        return True, evaluations, None
-    for _ in range(samples):
-        tyassign, batch = batches[rng.randrange(len(batches))]
-        values = [rng.randrange(size) for size in batch.sizes]
-        batch.set_assignment(values)
-        evaluations += 1
-        if not batch.holds(n_prem) and all(batch.holds(i) for i in range(n_prem)):
-            return False, evaluations, (tyassign, batch, values)
-    return False, evaluations, None
+    for (tyassign, parts, _, env), valuations in _valuations(
+        batches, exhaustive, samples, rng
+    ):
+        hyps, concl = parts[n_prem]
+        for values in valuations:
+            env[:n] = values
+            evaluations += 1
+            for h in hyps:
+                if not h(env):  # a false assumption: the sequent holds
+                    break
+            else:
+                if concl(env) != TRUE_ELEM and _premises_hold(parts, n_prem, env):
+                    failure = (tyassign, dict(zip(free_list, values)))
+                    return exhaustive, evaluations, failure
+    return exhaustive, evaluations, None
 
 
 def is_valid(
@@ -681,13 +643,7 @@ def is_valid(
     )
     if failure is None:
         return Verdict(True, exhaustive, checked)
-    tyassign, batch, values = failure
-    return Verdict(
-        False,
-        exhaustive,
-        checked,
-        Counterexample(dict(tyassign), batch.assignment(values)),
-    )
+    return Verdict(False, exhaustive, checked, Counterexample(*failure))
 
 
 # ---------------------------------------------------------------------------
@@ -778,16 +734,13 @@ def fuzz_rule_soundness(
         if failure is not None:
             from .surface import print_sequent
 
-            tyassign, batch, values = failure
             bad.append(
                 FuzzCounterexample(
                     trial=trial,
                     label=inst.label,
                     premises=tuple(print_sequent(h, c) for h, c in inst.premises),
                     conclusion=print_sequent(*inst.conclusion),
-                    valuation=Counterexample(
-                        dict(tyassign), batch.assignment(values)
-                    ).render(),
+                    valuation=Counterexample(*failure).render(),
                 )
             )
 

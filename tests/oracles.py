@@ -613,7 +613,8 @@ def _check_fo_term(t, bound):
 def reference_equality_axioms(axioms, goal):
     """The axioms `add_equality_axioms` appends to the problem (axioms,
     goal), by the two walks: the fragment check, which raises
-    OutOfFragment, then the symbol scan."""
+    OutOfFragment, then the symbol scan; an axiom the problem already has,
+    up to bound-variable names, is left out."""
     for t in (*axioms, goal):
         if t.ty != BOOL:
             raise OutOfFragment("problem parts must be boolean")
@@ -694,7 +695,7 @@ def reference_equality_axioms(axioms, goal):
         c = congruence(head, arity, is_pred=True)
         if c is not None:
             extra.append(c)
-    return extra
+    return [ax for ax in extra if not any(alpha_equiv(ax, a) for a in axioms)]
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,20 @@ class TestMeson:
         th = meson(logic, with_eq, depth_bound=6)
         assert alpha_equiv(th.conclusion, mk_comb(P, b))
 
+    def test_equality_axioms_idempotent(self):
+        # the suite's equality problems already carry their axioms, and a
+        # hand-written axiom with other bound names counts as present
+        for name, prob, _ in PROBLEMS:
+            assert add_equality_axioms(prob) == prob, name
+        a, b, u = Var("a", IND), Var("b", IND), Var("u", IND)
+        P = Var("P", fn(IND, BOOL))
+        refl = mk_forall(u, mk_eq(u, u))
+        prob = FirstOrderProblem((refl, mk_eq(a, b), mk_comb(P, a)), mk_comb(P, b))
+        once = add_equality_axioms(prob)
+        assert add_equality_axioms(once) == once
+        extra = once.axioms[len(prob.axioms) :]
+        assert len(extra) == 3 and not any(alpha_equiv(ax, refl) for ax in extra)
+
     def test_equality_axioms_in_type_order(self):
         # The reflexivity axioms follow the order of `Var("_", ty)`
         # encodings: type variables before constructors, shorter names
@@ -749,10 +763,9 @@ _B = ("w", "b", IND)
 
 
 def _random_clauses(rng):
-    """3-6 clauses over P at two arities, Q, a proposition r and a
-    boolean variable atom p; the first clause has a literal p."""
+    """3-6 clauses over P at two arities, Q and a proposition r; the
+    first clause has a literal r."""
     xs = [Var(n, IND) for n in "xyz"]
-    p_ = Var("p", BOOL)
 
     def term(d):
         roll = rng.random()
@@ -770,15 +783,13 @@ def _random_clauses(rng):
             return ("f", _PX, (term(1), term(1)))
         if roll < 0.6:
             return ("f", _Q, (term(1), term(1)))
-        if roll < 0.75:
-            return ("f", _R, ())
-        return ("v", (p_, 0))
+        return ("f", _R, ())
 
     clauses = []
     for i in range(rng.randint(3, 6)):
         lits = [(rng.random() < 0.5, atom()) for _ in range(rng.randint(1, 3))]
         if i == 0:
-            lits[0] = (rng.random() < 0.5, ("v", (p_, 0)))
+            lits[0] = (rng.random() < 0.5, ("f", _R, ()))
         clauses.append(Clause(None, (), tuple(lits), f"clause {i}"))
     return clauses
 
@@ -808,7 +819,7 @@ class TestSearchIndex:
             clauses = _random_clauses(rng)
             new, old = _Search(clauses), UnindexedSearch(clauses)
             for start in clauses:
-                for depth in (1, 2):  # a variable atom unifies with any
+                for depth in (1, 2):
                     got = _solutions(new, start, depth, 4)
                     assert got == _solutions(old, start, depth, 4)
                     solved += bool(got)

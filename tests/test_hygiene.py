@@ -11,7 +11,8 @@ provenance to one helper, its rule table holds the ten rules, only its
 frozen base guards attribute writes, and the kernel holds no audit,
 which makes none; article replay leaves the check of parsed input
 against the signature to the parser; and one walk decides meson's
-first-order fragment."""
+first-order fragment, and the finite-model evaluator builds its compiler
+in three places."""
 
 import ast
 from collections import Counter
@@ -505,15 +506,30 @@ def test_the_rule_table_holds_the_ten_rules():
 
 
 def test_the_fragment_is_decided_in_one_place():
-    # one walk over a problem decides meson's fragment; the one other
-    # refusal is meson's own, when the negated goal gives no clauses
+    # one walk over a problem decides meson's fragment
     stray = [
         f"auto.py:{line} ({scope or 'module'})"
-        for scope, line, message in _raises(_tree(PACKAGE / "auto.py"), "OutOfFragment")
+        for scope, line, _ in _raises(_tree(PACKAGE / "auto.py"), "OutOfFragment")
         if scope.partition(".")[0] != "_Symbols"
-        and (scope, message) != ("meson", "the negated goal produced no clauses")
     ]
     assert not stray, "the fragment decided outside `_Symbols`:\n" + "\n".join(stray)
+
+
+# Where the finite-model evaluator builds a compiler: once per type
+# assignment of a search, and once per call of its two oracle functions.
+# Closed terms compile in the compiler that meets them.
+COMPILER_BUILDERS = {"semantics.py:_search", "semantics.py:eval_term", "semantics.py:carrier_size"}
+
+
+def test_compilers_are_built_in_three_places():
+    builders = {
+        f"{path.name}:{scope}"
+        for path in MODULES
+        for scope in _scopes(
+            _tree(path), lambda n: isinstance(n, ast.Call) and _names("_Compiler")(n.func)
+        )
+    }
+    assert builders == COMPILER_BUILDERS, f"`_Compiler` built by {sorted(builders)}"
 
 
 def test_no_module_imports_accel():

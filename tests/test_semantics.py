@@ -247,6 +247,47 @@ class TestDefinedConstantsFolded:
         assert checked > 100
 
 
+class TestFoldingAddsNoSlots:
+    """Defined constants and a defined type's predicate are closed terms
+    compiled in the term's own compiler: their bound variables take
+    fresh slots and none of them enters `slots`."""
+
+    def test_slots_are_the_free_variables(self, typedef_theory):
+        from microhol.semantics import _Compiler
+        from microhol.syntax import free_vars
+
+        a = TyVar("A")
+        f, u, v = Var("f", fn(a, a)), Var("u", a), Var("v", a)
+        b = Var("b", BOOL)
+        ident = TyApp("ident", (a,))
+        w = Var("w", ident)
+        mk_id = Const("mk_id", fn(fn(a, a), ident))
+        dest_id = Const("dest_id", fn(ident, fn(a, a)))
+        t = mk_disj(
+            mk_conj(
+                mk_forall(v, mk_eq(mk_comb(mk_comb(dest_id, mk_comb(mk_id, f)), v), v)),
+                mk_eq(mk_comb(mk_id, mk_comb(dest_id, w)), w),
+            ),
+            mk_imp(b, mk_exists(v, mk_eq(mk_comb(f, u), v))),
+        )
+        fvs = sorted(free_vars(t), key=lambda x: x.name)
+        model = Model(ind_size=2)
+        checked = 0
+        for size in (1, 2):
+            tysizes = {"A": size}
+            comp = _Compiler(model, tysizes, typedef_theory)
+            prog = comp.compile(t)
+            assert set(comp.slots) == set(fvs)
+            for values in itertools.product(*(range(comp.size_of(x.ty)) for x in fvs)):
+                env = [0] * comp.n_slots
+                for x, value in zip(fvs, values):
+                    env[comp.slots[x]] = value
+                val = Valuation(model, tysizes, dict(zip(fvs, values)))
+                assert prog(env) == unfolded_eval_term(t, val, typedef_theory)
+                checked += 1
+        assert checked == 2 + 16  # f, u, w, b: 1 * 1 * 1 * 2, then 4 * 2 * 1 * 2
+
+
 class TestSequents:
     def test_p_entails_p(self, theory):
         verdict = is_valid(((x,), x), Model(), theory=theory)
@@ -614,23 +655,24 @@ class TestValuationSearchGolden:
             is_valid(((), mk_eq(f, f)), Model(ind_size=3, cap=16), theory=Theory())
 
 
+@pytest.fixture(scope="module")
+def typedef_theory():
+    # ident A: the functions A -> A equal to the identity, carved by
+    # the closed predicate (=) (\p. p); one element at every size.
+    thy = Theory()
+    install_logic(thy)
+    p = Var("p", TyVar("A"))
+    kernel.new_basic_type_definition(
+        thy, "ident", "mk_id", "dest_id", refl(mk_abs(p, p))
+    )
+    return thy
+
+
 class TestClosuresMatchReference:
     """The closure compiler against the opcode compiler and its interpreter
     it replaced (`oracles.ReferenceCompiler`, `oracles.run_reference`)."""
 
     SIZES = (1, 2, 3)
-
-    @pytest.fixture(scope="class")
-    def typedef_theory(self):
-        # ident A: the functions A -> A equal to the identity, carved by
-        # the closed predicate (=) (\p. p); one element at every size.
-        thy = Theory()
-        install_logic(thy)
-        p = Var("p", TyVar("A"))
-        kernel.new_basic_type_definition(
-            thy, "ident", "mk_id", "dest_id", refl(mk_abs(p, p))
-        )
-        return thy
 
     def agree(self, t, theory, model=Model(ind_size=2)):
         """Compare both evaluators on `t` under every valuation, at every
@@ -721,9 +763,6 @@ class TestSearchMatchesReference:
                 reference_search(sequents, n_prem, model, theory, limit, 20, ref_rng)
             return None
         want = reference_search(sequents, n_prem, model, theory, limit, 20, ref_rng)
-        if failure is not None:
-            tyassign, batch, values = failure
-            failure = (tyassign, batch.assignment(values))
         assert (exhaustive, count, failure) == want
         assert rng.random() == ref_rng.random()
         return count
