@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cmp_to_key
 
 from . import kernel
@@ -124,15 +124,7 @@ class ArticleReport:
         return self
 
     def to_json(self) -> str:
-        payload = {
-            "ok": self.ok,
-            "line_count": self.line_count,
-            "theorems": self.theorems,
-            "uses_infinity": self.uses_infinity,
-            "failures": self.failures,
-            "fingerprint": self.fingerprint,
-            "format": FORMAT_HEADER,
-        }
+        payload = asdict(self) | {"format": FORMAT_HEADER}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def render(self) -> str:

@@ -1059,14 +1059,31 @@ def meson(
 def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
     """Append reflexivity/symmetry/transitivity for every type equality is
     used at, then a congruence scheme for every function and predicate
-    symbol, when the problem uses equality at all.  An axiom the problem
-    already has, up to bound-variable names, is not appended again."""
+    symbol, when the problem uses equality at all.  A congruence states
+    equality at each argument type, so those types count as used.  An
+    axiom the problem already has, up to bound-variable names, is not
+    appended again."""
     symbols = _Symbols((*problem.axioms, problem.goal))
     if not symbols.eq_types:
         return problem
 
+    congruences: list[Term] = []
+    eq_types = set(symbols.eq_types)
+    for table, conclude in ((symbols.functions, mk_eq), (symbols.predicates, mk_imp)):
+        for head, arity in table.items():
+            doms, ty = [], head.ty
+            for _ in range(arity):
+                doms.append(ty.args[0])
+                ty = ty.args[1]
+            eq_types.update(doms)
+            xs = [Var(f"cx{i}", d) for i, d in enumerate(doms)]
+            ys = [Var(f"cy{i}", d) for i, d in enumerate(doms)]
+            eqs = reduce(mk_conj, map(mk_eq, xs, ys))
+            concl = conclude(reduce(mk_comb, xs, head), reduce(mk_comb, ys, head))
+            congruences.append(_list_forall(xs + ys, mk_imp(eqs, concl)))
+
     extra: list[Term] = []
-    probes = sorted((Var("_", ty) for ty in symbols.eq_types), key=cmp_to_key(term_compare))
+    probes = sorted((Var("_", ty) for ty in eq_types), key=cmp_to_key(term_compare))
     for ty in (v.ty for v in probes):
         x = Var("eqx", ty)
         y = Var("eqy", ty)
@@ -1078,17 +1095,7 @@ def add_equality_axioms(problem: FirstOrderProblem) -> FirstOrderProblem:
                 [x, y, z], mk_imp(mk_conj(mk_eq(x, y), mk_eq(y, z)), mk_eq(x, z))
             )
         )
-    for table, conclude in ((symbols.functions, mk_eq), (symbols.predicates, mk_imp)):
-        for head, arity in table.items():
-            doms, ty = [], head.ty
-            for _ in range(arity):
-                doms.append(ty.args[0])
-                ty = ty.args[1]
-            xs = [Var(f"cx{i}", d) for i, d in enumerate(doms)]
-            ys = [Var(f"cy{i}", d) for i, d in enumerate(doms)]
-            eqs = reduce(mk_conj, map(mk_eq, xs, ys))
-            concl = conclude(reduce(mk_comb, xs, head), reduce(mk_comb, ys, head))
-            extra.append(_list_forall(xs + ys, mk_imp(eqs, concl)))
+    extra += congruences
     new = (ax for ax in extra if not any(alpha_equiv(ax, a) for a in problem.axioms))
     return FirstOrderProblem(problem.axioms + tuple(new), problem.goal)
 

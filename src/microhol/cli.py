@@ -2,6 +2,8 @@
 
 Exit codes: 0 = success/proved/valid, 1 = checked-and-failed (falsified
 formula, refuted article, fuzz counterexample), 2 = usage or I/O error.
+A command returns 0 or 1 and raises everything else; `main` alone turns
+what it raises into `error: ...` on stderr and exit 2.
 Reports go to stdout; diagnostics and timing go to stderr.  With --json
 the stdout payload is deterministic for a fixed invocation and seed (no
 timestamps or timings), so identical runs are byte-identical.
@@ -14,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import BACKEND, __version__
 from .article import (
@@ -62,16 +65,16 @@ def _bootstrapped():
     return theory, logic
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def cmd_check(args) -> int:
     payloads = []
     ok = True
     for path in args.files:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        text = _read(path)
         t0 = time.monotonic()
         try:
             report = check_article(text, standard_theory_for(text))
@@ -116,14 +119,10 @@ def cmd_parse(args) -> int:
 
 
 def cmd_prove_taut(args) -> int:
-    from .auto import NotATautology, NotPropositional, taut
+    from .auto import NotATautology, taut
 
     theory, logic = _bootstrapped()
-    try:
-        goal = parse_term(args.term, theory, free_default=BOOL)
-    except HolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    goal = parse_term(args.term, theory, free_default=BOOL)
     t0 = time.monotonic()
     try:
         th = taut(logic, goal)
@@ -133,9 +132,6 @@ def cmd_prove_taut(args) -> int:
         else:
             print(f"not a tautology: {exc}")
         return 1
-    except NotPropositional as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"proved in {time.monotonic()-t0:.3f}s", file=sys.stderr)
     if args.json:
         _print_json({"proved": True, "theorem": print_sequent(th.assumptions, th.conclusion)})
@@ -149,45 +145,40 @@ def _read_problem(path: str, theory):
 
     axioms = []
     goal = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            keyword, space, text = line.partition(" ")
-            if keyword not in ("AXIOM", "GOAL") or not space:
-                raise HolError(f"line {lineno}: expected AXIOM or GOAL")
-            if keyword == "GOAL" and goal is not None:
-                raise HolError(f"line {lineno}: more than one GOAL")
-            try:
-                t = parse_term(text, theory)
-                FirstOrderProblem((), t)  # the fragment check, for this line alone
-            except HolError as exc:
-                if isinstance(exc, ParseError) and exc.line:
-                    # the column in the file line, past its indent and keyword
-                    col = len(raw) - len(raw.lstrip()) + len(keyword) + 1 + exc.col
-                    raise ParseError(exc.message, lineno, col) from None
-                raise HolError(f"line {lineno}: {exc}") from None
-            if keyword == "GOAL":
-                goal = t
-            else:
-                axioms.append(t)
+    for lineno, raw in enumerate(_read(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        keyword, space, text = line.partition(" ")
+        if keyword not in ("AXIOM", "GOAL") or not space:
+            raise HolError(f"line {lineno}: expected AXIOM or GOAL")
+        if keyword == "GOAL" and goal is not None:
+            raise HolError(f"line {lineno}: more than one GOAL")
+        try:
+            t = parse_term(text, theory)
+            FirstOrderProblem((), t)  # the fragment check, for this line alone
+        except HolError as exc:
+            if isinstance(exc, ParseError) and exc.line:
+                # the column in the file line, past its indent and keyword
+                col = len(raw) - len(raw.lstrip()) + len(keyword) + 1 + exc.col
+                raise ParseError(exc.message, lineno, col) from None
+            raise HolError(f"line {lineno}: {exc}") from None
+        if keyword == "GOAL":
+            goal = t
+        else:
+            axioms.append(t)
     if goal is None:
         raise HolError("problem file has no GOAL line")
     return FirstOrderProblem(tuple(axioms), goal)
 
 
 def cmd_prove_meson(args) -> int:
-    from .auto import DepthExhausted, OutOfFragment, add_equality_axioms, meson
+    from .auto import DepthExhausted, add_equality_axioms, meson
 
     theory, logic = _bootstrapped()
-    try:
-        problem = _read_problem(args.file, theory)
-        if args.equality_axioms:
-            problem = add_equality_axioms(problem)
-    except (OSError, HolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    problem = _read_problem(args.file, theory)
+    if args.equality_axioms:
+        problem = add_equality_axioms(problem)
     t0 = time.monotonic()
     try:
         if args.trace:
@@ -203,9 +194,6 @@ def cmd_prove_meson(args) -> int:
             if args.trace:
                 print(exc.trace.render())
         return 1
-    except OutOfFragment as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"proved in {time.monotonic()-t0:.3f}s", file=sys.stderr)
     if args.json:
         payload = {
@@ -227,9 +215,7 @@ def cmd_fuzz(args) -> int:
     seed = _seed_from(args)
     rules = list(RULE_IDS) if args.rule == "all" else [args.rule]
     if args.rule != "all" and args.rule not in RULE_IDS:
-        print(f"error: unknown rule {args.rule!r}; choose from {', '.join(RULE_IDS)}",
-              file=sys.stderr)
-        return 2
+        raise HolError(f"unknown rule {args.rule!r}; choose from {', '.join(RULE_IDS)}")
     if args.ind_size is not None:
         models = (Model(ind_size=args.ind_size, cap=args.cap),)
     else:
@@ -259,16 +245,7 @@ def cmd_fuzz(args) -> int:
                     "ok": r.ok,
                     "evaluations": r.evaluations,
                     "skipped_overflow": r.skipped_overflow,
-                    "counterexamples": [
-                        {
-                            "trial": c.trial,
-                            "label": c.label,
-                            "premises": list(c.premises),
-                            "conclusion": c.conclusion,
-                            "valuation": c.valuation,
-                        }
-                        for c in r.counterexamples
-                    ],
+                    "counterexamples": [asdict(c) for c in r.counterexamples],
                 }
                 for r in reports
             ],
@@ -291,13 +268,7 @@ def cmd_stats(args) -> int:
     if args.files:
         payloads = []
         for path in args.files:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            stats = article_stats(text) | {"path": path}
+            stats = article_stats(_read(path)) | {"path": path}
             payloads.append(stats)
             if not args.json:
                 print(f"== {path}")
@@ -402,7 +373,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except HolError as exc:
+    except (HolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a front door reports, it never shows a traceback

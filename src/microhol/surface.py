@@ -15,11 +15,11 @@ Binder annotations are mandatory; free variables are written annotated,
 `(x:bool)`.  Partially applied operators use the atom forms `(=:ty)`,
 `(/\\)`, and so on.
 
-Over a theory, the parser is where input meets the signature: every
-constant is built at an instance of the theory's type for it, a
-connective token naming its boolean instance, and every type constructor
-is a registered one applied to its arity.  With no theory, `=` and `@`
-are the only constants, and every type constructor but `fun` is nullary.
+The parser is where input meets a theory's signature: every constant
+is built at an instance of the theory's type for it, a connective token
+naming its boolean instance, and every type constructor is a registered
+one applied to its arity.  With no theory given, the signature is a
+fresh theory's: `bool`, `ind` and `fun`, and the constants `=` and `@`.
 
 Printing is deterministic with canonical spacing and minimal
 parentheses, so `print(parse(s))` is a fixed point, and `parse(print(t))`
@@ -40,6 +40,7 @@ from __future__ import annotations
 import re
 from functools import cache
 
+from .kernel import Theory
 from .syntax import (
     BOOL,
     Abs,
@@ -85,8 +86,6 @@ class UnknownConstant(HolError):
     pass
 
 
-_BUILTIN_TYPE_ARITIES = {"bool": 0, "ind": 0, "fun": 2}
-
 # Surface operator token -> kernel constant name.
 _OP_CONSTS = {
     "/\\": "and",
@@ -104,11 +103,8 @@ _BOOL2 = fn(BOOL, fn(BOOL, BOOL))
 # The type each connective token names: the printer writes only these
 # instances with the token, and the parser builds them from it.
 _MONO_OPS = {"and": _BOOL2, "or": _BOOL2, "imp": _BOOL2, "not": fn(BOOL, BOOL)}
-# What the parser knows of constants with no theory: `=` and `@`.
-_BUILTIN_CONSTANTS = {
-    "=": fn(TyVar("A"), fn(TyVar("A"), BOOL)),
-    "@": fn(fn(TyVar("A"), BOOL), TyVar("A")),
-}
+# The signature read when no theory is given; the parser never extends it.
+_FRESH_THEORY = Theory()
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +189,7 @@ class _Parser:
         self.src = src
         self.toks = _lex(src)
         self.pos = 0
-        self.theory = theory
+        self.theory = theory or _FRESH_THEORY
         self.free_default = free_default
         self.binders: list[Var] = []
 
@@ -232,12 +228,10 @@ class _Parser:
     # -- types
 
     def type_arity(self, name: str, at: int) -> int:
-        if self.theory is not None:
-            arity = self.theory.type_constructors.get(name)
-            if arity is None:
-                self.fail(f"unknown type constructor {name!r}", at)
-            return arity
-        return _BUILTIN_TYPE_ARITIES.get(name, 0)
+        arity = self.theory.type_constructors.get(name)
+        if arity is None:
+            self.fail(f"unknown type constructor {name!r}", at)
+        return arity
 
     def parse_type(self) -> HolType:
         at = self.pos
@@ -466,17 +460,15 @@ class _Parser:
         return self.const_at(cname, ann, at, generic)
 
     def _generic_of(self, name: str, at: int) -> HolType:
-        """The theory's type for the constant `name`; with no theory, the
-        type of `=` or `@`, the two constants every theory has."""
-        known = _BUILTIN_CONSTANTS if self.theory is None else self.theory.term_constants
-        generic = known.get(name)
+        """The theory's type for the constant `name`."""
+        generic = self.theory.term_constants.get(name)
         if generic is None:
             line, col = self.where(at)
             raise UnknownConstant(f"{line}:{col}: constant {name!r} is not in the theory")
         return generic
 
     def _ident(self, name: str, at: int, ann: HolType | None):
-        generic = None if self.theory is None else self.theory.term_constants.get(name)
+        generic = self.theory.term_constants.get(name)
         if ann is None:
             for v in reversed(self.binders):
                 if v.name == name:

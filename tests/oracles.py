@@ -91,7 +91,6 @@ from microhol.semantics import (
 )
 from microhol.surface import (
     _BOOL2,
-    _BUILTIN_TYPE_ARITIES,
     _MONO_OPS,
     _OP_CONSTS,
     ParseError,
@@ -650,6 +649,12 @@ def reference_equality_axioms(axioms, goal):
         scan_formula(t)
     if not eq_types:
         return []
+    # a congruence states equality at each of its symbol's argument types
+    for head, arity in (*fun_syms.items(), *pred_syms.items()):
+        cur = head.ty
+        for _ in range(arity):
+            eq_types.add(cur.args[0])
+            cur = cur.args[1]
 
     extra = []
     probes = sorted((Var("_", ty) for ty in eq_types), key=cmp_to_key(term_compare))
@@ -1125,6 +1130,8 @@ class LegacyTok:
 
 
 _MULTI = ("==>", "<=>", "|-", "->", "/\\", "\\/")
+# With no theory, the legacy parser reads every type constructor but `fun` as nullary.
+_LEGACY_TYPE_ARITIES = {"bool": 0, "ind": 0, "fun": 2}
 _SINGLE = "\\().:,=~!?@"
 
 
@@ -1219,7 +1226,7 @@ class LegacyParser:
             if arity is None:
                 self.fail(f"unknown type constructor {name!r}", tok)
             return arity
-        return _BUILTIN_TYPE_ARITIES.get(name, 0)
+        return _LEGACY_TYPE_ARITIES.get(name, 0)
 
     def parse_type(self) -> HolType:
         left = self.parse_tyapp()

@@ -353,6 +353,19 @@ class TestMeson:
         assert add_equality_axioms(once) == once
         extra = once.axioms[len(prob.axioms) :]
         assert len(extra) == 3 and not any(alpha_equiv(ax, refl) for ax in extra)
+        # a congruence for g : ind -> A -> ind states equality at A, which
+        # then gets its reflexivity, symmetry and transitivity at once
+        rng = random.Random(27)
+        checked = 0
+        for _ in range(400):
+            axioms, goal = _random_problem(rng)
+            try:
+                once = add_equality_axioms(FirstOrderProblem(axioms, goal))
+            except OutOfFragment:
+                continue
+            assert add_equality_axioms(once) == once, [print_term(t) for t in (*axioms, goal)]
+            checked += 1
+        assert checked > 300, checked
 
     def test_equality_axioms_in_type_order(self):
         # The reflexivity axioms follow the order of `Var("_", ty)`

@@ -9,6 +9,7 @@ import pytest
 
 from microhol.article import FORMAT_HEADER
 from microhol.cli import main
+from microhol.fuzz import weakened_abs_generator
 from microhol.kernel import Theory
 
 from .test_article import art, deep_comb_chain
@@ -186,6 +187,48 @@ class TestFuzzCommand:
         assert payload["seed"] == 99
 
 
+class TestFuzzCounterexamples:
+    """How a failed rule is reported: `weakened-abs`, ABS without its side
+    condition, stands in for the generator of `abs`."""
+
+    ARGS = ["fuzz", "--rule", "abs", "--trials", "3", "--seed", "3"]
+    LABEL = "abs-without-side-condition"
+    PREMISE = "(x:ind) = (y:ind) |- (x:ind) = (y:ind)"
+    CONCLUSION = "(x:ind) = (y:ind) |- (\\x:ind. x) = (\\x:ind. (y:ind))"
+    VALUATION = "{x:=0, y:=0}"
+
+    @pytest.fixture(autouse=True)
+    def weakened_abs(self, monkeypatch):
+        monkeypatch.setattr("microhol.cli.make_generator", lambda rule: weakened_abs_generator)
+
+    def test_json(self, capsys):
+        assert main([*self.ARGS, "--json"]) == 1
+        (rule,) = json.loads(capsys.readouterr().out)["rules"]
+        assert rule["ok"] is False
+        assert rule["counterexamples"] == [
+            {
+                "trial": trial,
+                "label": self.LABEL,
+                "premises": [self.PREMISE],
+                "conclusion": self.CONCLUSION,
+                "valuation": self.VALUATION,
+            }
+            for trial in (1, 2)
+        ]
+
+    def test_text(self, capsys):
+        assert main(self.ARGS) == 1
+        lines = ["abs              trials=3 evals=3 2 COUNTEREXAMPLES"]
+        for trial in (1, 2):
+            lines += [
+                f"  trial {trial} [{self.LABEL}]",
+                f"    premise    {self.PREMISE}",
+                f"    conclusion {self.CONCLUSION}",
+                f"    valuation  {self.VALUATION}",
+            ]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 class TestStats:
     def test_theory_info(self, capsys):
         assert main(["stats"]) == 0
@@ -356,3 +399,37 @@ class TestNoTraceback:
         monkeypatch.setattr("microhol.cli.cmd_parse", crash)
         assert main(["parse", "x"]) == 2
         assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+
+
+def _os_error(path):
+    """The text of the OSError that opening `path` for reading raises."""
+    try:
+        open(path, encoding="utf-8").close()
+    except OSError as exc:
+        return str(exc)
+    raise AssertionError(f"{path} can be read")
+
+
+class TestMainReportsErrors:
+    """A command raises what is not a failed check, and `main` alone
+    prints it as `error: ...` on stderr, with nothing on stdout, and
+    exits 2."""
+
+    @pytest.mark.parametrize("command", ["check", "stats", "prove-meson"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_file(self, command, target, tmp_path, capsys):
+        path = str(tmp_path / "absent" if target == "missing" else tmp_path)
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: {_os_error(path)}\n")
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ("!x:bool. x", "not a propositional formula: !x:bool. x"),
+            ("(p", "1:3: expected ')', found 'end of input'"),
+        ],
+        ids=["not-propositional", "unparsable"],
+    )
+    def test_prove_taut(self, term, message, capsys):
+        assert main(["prove-taut", term]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

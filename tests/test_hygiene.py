@@ -11,8 +11,8 @@ provenance to one helper, its rule table holds the ten rules, only its
 frozen base guards attribute writes, and the kernel holds no audit,
 which makes none; article replay leaves the check of parsed input
 against the signature to the parser; and one walk decides meson's
-first-order fragment, and the finite-model evaluator builds its compiler
-in three places."""
+first-order fragment, the finite-model evaluator builds its compiler
+in three places, and only the CLI's `main` exits with 2."""
 
 import ast
 from collections import Counter
@@ -560,6 +560,20 @@ def test_no_encoding_cache_on_terms():
     assert not stray, "a `_canon` slot or attribute is back:\n" + "\n".join(stray)
 
 
+def _returns_two(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Return)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value == 2
+    )
+
+
+def test_only_main_exits_with_two():
+    # a command returns 0 or 1 and raises the rest, which `main` reports
+    returns = _scopes(_tree(PACKAGE / "cli.py"), _returns_two)
+    assert list(returns) == ["main"], f"`return 2` in {sorted(returns)}"
+
+
 def test_checks_catch_what_they_are_for():
     tree = ast.parse(
         "import itertools\nfrom .semantics import Valuation, eval_term\n"
@@ -698,3 +712,16 @@ def test_checks_catch_what_they_are_for():
         "def k(m): raise errors.E(m)\n"
     )
     assert _raises(tree, "E") == [("W.f", 2, "no"), ("g", 4, None), ("k", 6, None)]
+    tree = ast.parse(
+        "def main(argv):\n"
+        "    try:\n"
+        "        return run(argv)\n"
+        "    except E:\n"
+        "        return 2\n"
+        "def cmd(args):\n"
+        "    code = 2\n"
+        "    if args.bad:\n"
+        "        return 2\n"
+        "    return 0 if args.ok else 1\n"
+    )
+    assert _scopes(tree, _returns_two) == {"main": 5, "cmd": 9}

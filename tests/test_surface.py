@@ -67,6 +67,13 @@ class TestTypes:
         with pytest.raises(ParseError):
             parse_type("mystery", theory)
 
+    def test_no_theory_reads_a_fresh_theory(self):
+        assert parse_type("ind -> bool") == fn(IND, BOOL)
+        with pytest.raises(ParseError, match="1:1: unknown type constructor 'foo'"):
+            parse_type("foo")
+        with pytest.raises(UnknownConstant, match="1:1: constant 'forall'"):
+            parse_term("!x:bool. x")
+
 
 class TestTermParsing:
     def test_annotated_abstraction(self, theory):
@@ -342,7 +349,7 @@ def _same_terms(a, b):
 
 def _assert_matches_legacy(src):
     assert _outcome(_tokens, src) == _outcome(_legacy_tokens, src), src
-    for theory in (_roundtrip_theory(), None):
+    for theory in (_roundtrip_theory(), Theory()):
         for free_default in (None, BOOL):
             new = _outcome(parse_term, src, theory, free_default)
             old = _outcome(legacy_parse_term, src, theory, free_default)
