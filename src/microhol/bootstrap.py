@@ -6,9 +6,13 @@ Every function here bottoms out in the ten primitive rules; with kernel
 tracing enabled, any derived-rule output replays as a sequence of
 primitive calls.  FALSE is defined literally as `!p:bool. p`.
 
-Conversions are functions from a term t to a theorem `|- t = t'`; one
-that does not fit t raises ``Inapplicable``.  The package applies a
-conversion only where it fits, so no code here catches that error.
+Conversions are functions from a term t to a theorem `|- t = t'`.
+``beta_conv`` contracts one redex and ``beta_n`` n along an application
+spine; the derived rules apply them only where they hold a redex, and
+write congruences out with ``ap_term``/``ap_thm``.  Only ``rewr_conv``
+signals ``Inapplicable``: whether an equation fits is decided by matching
+inside it (a nonlinear pattern, say), and a search that tries equations
+in turn needs that failure.  No package code catches it.
 ``exhaustive_conv`` normalizes in one bottom-up pass with a function
 that settles one node at a time and returns None where nothing changes.
 All conversion results are hypothesis-free, which is what lets it
@@ -69,15 +73,10 @@ __all__ = [
     "beta_conv",
     "prove_hyp",
     "conv_rule",
-    "try_beta",
-    "rand_conv",
-    "rator_conv",
     "rewr_conv",
     "settle_nodes",
     "exhaustive_conv",
-    "head_beta",
     "beta_n",
-    "both_sides",
     "lhs",
     "rhs",
     "TRUE",
@@ -268,53 +267,23 @@ def conv_rule(conv, th: Theorem) -> Theorem:
 
 
 class Inapplicable(HolError):
-    """A conversion made no change at this term."""
+    """``rewr_conv``'s equation does not match this term."""
 
 
-def try_beta(t: Term) -> Theorem:
-    if isinstance(t, Comb) and isinstance(t.rator, Abs):
-        return beta_conv(t)
-    raise Inapplicable
+def beta_n(n: int, t: Term) -> Theorem:
+    """|- t = t' by exactly n contractions of the redex at the head of
+    the application spine; a redex in an argument, or one the last
+    contraction leaves, is not reduced."""
 
+    def head(u: Term) -> Theorem:
+        if isinstance(u, Comb) and not isinstance(u.rator, Abs):
+            return ap_thm(head(u.rator), u.rand)
+        return beta_conv(u)
 
-def rand_conv(conv):
-    def go(t: Term) -> Theorem:
-        if not isinstance(t, Comb):
-            raise Inapplicable
-        return ap_term(t.rator, conv(t.rand))
-
-    return go
-
-
-def rator_conv(conv):
-    def go(t: Term) -> Theorem:
-        if not isinstance(t, Comb):
-            raise Inapplicable
-        return ap_thm(conv(t.rator), t.rand)
-
-    return go
-
-
-def head_beta(t: Term) -> Theorem:
-    """Contract the leftmost-outermost redex on the application spine,
-    leaving argument subterms untouched."""
-    if isinstance(t, Comb):
-        if isinstance(t.rator, Abs):
-            return beta_conv(t)
-        return rator_conv(head_beta)(t)
-    raise Inapplicable
-
-
-def beta_n(n: int):
-    """Exactly n head contractions; never reaches into the residual term."""
-
-    def go(t: Term) -> Theorem:
-        th = head_beta(t)
-        for _ in range(n - 1):
-            th = trans(th, head_beta(rhs(th)))
-        return th
-
-    return go
+    th = head(t)
+    for _ in range(n - 1):
+        th = trans(th, head(rhs(th)))
+    return th
 
 
 def _match(p: Term, t: Term, tyenv, tenv) -> bool:
@@ -424,12 +393,6 @@ def exhaustive_conv(settle):
     return go
 
 
-def both_sides(th: Theorem, conv) -> Theorem:
-    """Normalize both sides of an equation theorem with a conversion."""
-    x, y = dest_eq(th.conclusion)
-    return trans(trans(sym(conv(x)), th), conv(y))
-
-
 # ---------------------------------------------------------------------------
 # The Logic object
 
@@ -500,7 +463,7 @@ class Logic:
         all_p = mk_comb(lhs(self.defs["forall"]), cap_p)
         th1 = eq_mp(assume(all_p), self.unfold("forall", cap_p))
         th2 = ap_thm(th1, Var("x", a_ty))
-        self._spec_pth = self.eqt_elim(trans(th2, try_beta(rhs(th2))))
+        self._spec_pth = self.eqt_elim(trans(th2, beta_conv(rhs(th2))))
 
         # {F} |- p
         fth = eq_mp(assume(FALSE), self.defs["F"])
@@ -519,10 +482,12 @@ class Logic:
         expanded = eq_mp(assume(pq), self.unfold("and", p, q))
         a = Var("a", BOOL)
         b = Var("b", BOOL)
-        self._conjunct_pths = tuple(
-            self.eqt_elim(both_sides(ap_thm(expanded, sel), beta_n(3)))
-            for sel in (mk_abs(a, mk_abs(b, a)), mk_abs(a, mk_abs(b, b)))
-        )
+        pths = []
+        for sel in (mk_abs(a, mk_abs(b, a)), mk_abs(a, mk_abs(b, b))):
+            th = ap_thm(expanded, sel)
+            x, y = dest_eq(th.conclusion)
+            pths.append(self.eqt_elim(trans(trans(sym(beta_n(3, x)), th), beta_n(3, y))))
+        self._conjunct_pths = tuple(pths)
         # {p ==> q} |- p = (p /\ q)
         self._mp_pth = sym(eq_mp(assume(mk_imp(p, q)), self.unfold("imp", p, q)))
         # |- ((p /\ q) = p) = (p ==> q)
@@ -591,7 +556,7 @@ class Logic:
         th = inst_type_rule(tyenv, defn) if tyenv else defn
         for a in args:
             th = ap_thm(th, a)
-        return trans(th, beta_n(len(args))(rhs(th)))
+        return trans(th, beta_n(len(args), rhs(th)))
 
     # -- conjunction
 
@@ -661,8 +626,9 @@ class Logic:
         ante = vsubst({qv: q}, dest_imp(body)[0])
         th1 = assume(ante)
         th2 = self.spec(witness, th1)
-        if isinstance(pred, Abs):
-            th2 = conv_rule(rator_conv(rand_conv(beta_conv)), th2)
+        if isinstance(pred, Abs):  # contract the antecedent, pred witness
+            c = th2.conclusion
+            th2 = eq_mp(th2, ap_thm(ap_term(c.rator.rator, beta_conv(c.rator.rand)), c.rand))
         th3 = self.mp(th2, th)
         th4 = self.disch(ante, th3)
         th5 = self.gen(q, th4)
@@ -675,7 +641,7 @@ class Logic:
         pth = inst_type_rule({"A": a}, self._select_pth)
         th1 = prove_hyp(th, inst_rule({Var("P", fn(a, BOOL)): pred}, pth))
         if isinstance(pred, Abs):
-            return conv_rule(try_beta, th1)
+            return conv_rule(beta_conv, th1)
         return th1
 
     # -- negation
@@ -739,8 +705,10 @@ class Logic:
             p0 = Var("P", fn(BOOL, BOOL))
             x0 = Var("x", BOOL)
             ax = inst_rule({p0: pred, x0: witness}, ax)
-            ax = conv_rule(rator_conv(rand_conv(try_beta)), ax)
-            ax = conv_rule(rand_conv(try_beta), ax)
+            c = ax.conclusion  # pred witness ==> pred (@ pred)
+            ax = eq_mp(ax, ap_thm(ap_term(c.rator.rator, beta_conv(c.rator.rand)), c.rand))
+            c = ax.conclusion
+            ax = eq_mp(ax, ap_term(c.rator, beta_conv(c.rand)))
             return self.mp(ax, wth)
 
         th_u = select_fact(p1, TRUE, self.disj1(refl(TRUE), t))  # |- (u=T) \/ t

@@ -66,8 +66,16 @@ def _bootstrapped():
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text, newlines read as text mode reads them; a byte that
+    is not UTF-8 is an error that names its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + data.count(b"\n", 0, exc.start)
+        raise HolError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def cmd_check(args) -> int:

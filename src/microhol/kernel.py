@@ -452,16 +452,6 @@ class DefinitionEvent:
     witness: Optional[Term] = None  # type definitions: the inhabitation witness
 
 
-@dataclass(frozen=True)
-class TypeDefInfo:
-    """What semantics needs to interpret a defined type constructor."""
-
-    tyvars: tuple[str, ...]
-    predicate: Term
-    abs_name: str
-    rep_name: str
-
-
 _A = TyVar("A")
 
 
@@ -483,7 +473,8 @@ class Theory:
         }
         self.definition_log: list[DefinitionEvent] = []
         self.definitions: dict[str, Term] = {}
-        self.typedefs: dict[str, TypeDefInfo] = {}
+        # each defined type's logged event: names (type, abs, rep), predicate
+        self.typedefs: dict[str, DefinitionEvent] = {}
 
     def mk_const(self, name: str, tyinst: dict[str, HolType] | None = None) -> Const:
         """The constant at an instance of its generic type."""
@@ -717,10 +708,9 @@ def new_basic_type_definition(
         theory.type_constructors[name] = len(tyvars)
         theory.term_constants[abs_name] = abs_c.ty
         theory.term_constants[rep_name] = rep_c.ty
-        theory.typedefs[name] = TypeDefInfo(tyvars, pred, abs_name, rep_name)
-        theory.definition_log.append(
-            DefinitionEvent("type-definition", (name, abs_name, rep_name), pred, witness)
-        )
+        event = DefinitionEvent("type-definition", (name, abs_name, rep_name), pred, witness)
+        theory.typedefs[name] = event
+        theory.definition_log.append(event)
     flag = inhabitation.uses_infinity
     a = Var("a", newty)
     th1 = _mk((), mk_eq(mk_comb(abs_c, mk_comb(rep_c, a)), a), flag, theory)

@@ -49,6 +49,7 @@ from .syntax import (
     Var,
     inst_type,
     type_match,
+    type_vars_of_term,
     type_vars_of_type,
 )
 
@@ -236,11 +237,11 @@ class _Compiler:
         cached = self._typedef_cache.get(ty)
         if cached is not None:
             return cached
-        info = self.theory.typedefs.get(ty.con)
-        if info is None:
+        ev = self.theory.typedefs.get(ty.con)
+        if ev is None:
             raise UninterpretableConstant(f"type constructor {ty.con!r} has no model")
-        tyin = dict(zip(info.tyvars, ty.args))
-        pred = inst_type(tyin, info.predicate)
+        tyin = dict(zip(sorted(type_vars_of_term(ev.term)), ty.args))
+        pred = inst_type(tyin, ev.term)
         rep_size = self.size_of(pred.ty.args[0])
         x = Var("r?", pred.ty.args[0])
         slot = self.fresh_slot()
@@ -282,7 +283,7 @@ class _Compiler:
         self.size_of(cty)
         cod = self.size_of(cod_ty)
         if isinstance(cod_ty, TyApp) and cod_ty.con in self.theory.typedefs and (
-            self.theory.typedefs[cod_ty.con].abs_name == name
+            self.theory.typedefs[cod_ty.con].names[1] == name
         ):
             # abs: representing carrier -> new type
             support = self.typedef_support(cod_ty)
@@ -317,8 +318,8 @@ class _Compiler:
             x = Var("x", ty.args[0])
             closed = Abs(x, Comb(t, x))
         else:
-            for info in self.theory.typedefs.values():
-                if name in (info.abs_name, info.rep_name):
+            for ev in self.theory.typedefs.values():
+                if name in ev.names[1:]:
                     return self._abs_rep_values(ty, name)
             rhs = self.theory.definitions.get(name)
             if rhs is None:

@@ -49,7 +49,6 @@ from microhol.bootstrap import (
     ap_thm,
     beta_conv,
     beta_n,
-    both_sides,
     conv_rule,
     dest_conj,
     dest_disj,
@@ -65,7 +64,6 @@ from microhol.bootstrap import (
     rewr_conv,
     rhs,
     sym,
-    try_beta,
 )
 from microhol.kernel import (
     abs_rule,
@@ -113,6 +111,7 @@ from microhol.syntax import (
     TyVar,
     Var,
     alpha_equiv,
+    dest_eq,
     fn,
     free_vars,
     inst_type,
@@ -276,6 +275,14 @@ def _legacy_vsubst(sub, t):
         sub2[v] = v2
         return Abs(v2, _legacy_vsubst(sub2, t.body))
     return Abs(v, body)
+
+
+def try_beta(t):
+    """Contract t if it is a beta redex; the fall-back the fixed-point
+    engine tries after the equations."""
+    if isinstance(t, Comb) and isinstance(t.rator, Abs):
+        return beta_conv(t)
+    raise Inapplicable
 
 
 def first_conv(convs):
@@ -494,7 +501,9 @@ class UnfoldingRules:
         b = Var("b", BOOL)
         sel = mk_abs(a, mk_abs(b, a if first else b))
         expanded = eq_mp(assume(th.conclusion), lg.unfold("and", p, q))
-        reduced = both_sides(ap_thm(expanded, sel), beta_n(3))
+        th1 = ap_thm(expanded, sel)
+        x, y = dest_eq(th1.conclusion)
+        reduced = trans(trans(sym(beta_n(3, x)), th1), beta_n(3, y))
         return prove_hyp(th, lg.eqt_elim(reduced))
 
     def conjunct1(self, th):
@@ -774,11 +783,11 @@ class ReferenceCompiler:
         cached = self._typedef_cache.get(ty)
         if cached is not None:
             return cached
-        info = self.theory.typedefs.get(ty.con)
-        if info is None:
+        ev = self.theory.typedefs.get(ty.con)
+        if ev is None:
             raise UninterpretableConstant(f"type constructor {ty.con!r} has no model")
-        tyin = dict(zip(info.tyvars, ty.args))
-        pred = inst_type(Substitution.of_types(tyin), info.predicate)
+        tyin = dict(zip(sorted(type_vars_of_term(ev.term)), ty.args))
+        pred = inst_type(Substitution.of_types(tyin), ev.term)
         rep_size = self.size_of(pred.ty.args[0])
         sub = self._scratch()
         x = Var("r?", pred.ty.args[0])
@@ -844,7 +853,7 @@ class ReferenceCompiler:
         self.size_of(cty)
         cod = self.size_of(cod_ty)
         if isinstance(cod_ty, TyApp) and cod_ty.con in self.theory.typedefs and (
-            self.theory.typedefs[cod_ty.con].abs_name == name
+            self.theory.typedefs[cod_ty.con].names[1] == name
         ):
             # abs: representing carrier -> new type
             support = self.typedef_support(cod_ty)
@@ -883,8 +892,8 @@ class ReferenceCompiler:
             if shape is None:
                 raise UninterpretableConstant(f"choice at bad type {ty!r}")
             return (1, self._choice_value(shape["A"]))
-        for info in self.theory.typedefs.values():
-            if name in (info.abs_name, info.rep_name):
+        for ev in self.theory.typedefs.values():
+            if name in ev.names[1:]:
                 return (1, self._abs_rep_values(ty, name))
         rhs = self.theory.definitions.get(name)
         if rhs is None:

@@ -10,6 +10,7 @@ from microhol.bootstrap import (
     FALSE,
     TRUE,
     beta_conv,
+    beta_n,
     install_logic,
     lhs,
     mk_conj,
@@ -164,6 +165,23 @@ class TestDerivedRules:
         via_inst = kernel.inst_rule(Substitution.of_terms({x: y}), prim)
         assert alpha_equiv(via_conv.conclusion, via_inst.conclusion)
         assert via_conv.assumptions == via_inst.assumptions == ()
+
+    def test_beta_n_contracts_exactly_n_head_redexes(self):
+        # t = (\u v. v u) r g, with a redex r in an argument and a
+        # function g that leaves a redex g r after two contractions
+        z, w = Var("z", IND), Var("w", IND)
+        u, v = Var("u", IND), Var("v", fn(IND, IND))
+        r = mk_comb(mk_abs(z, z), x)
+        g = mk_abs(w, w)
+        t = mk_comb(mk_comb(mk_abs(u, mk_abs(v, mk_comb(v, u))), r), g)
+        residuals = [mk_comb(mk_abs(v, mk_comb(v, r)), g), mk_comb(g, r), r, x]
+        for n, residual in enumerate(residuals, start=1):
+            with tracing() as log:
+                th = beta_n(n, t)
+            assert th.conclusion == mk_eq(t, residual) and th.assumptions == ()
+            assert [name for name, _, _ in log].count("beta") == n
+        with pytest.raises(kernel.NotABetaRedex):
+            beta_n(len(residuals) + 1, t)
 
     def test_gen_side_condition(self, logic):
         with pytest.raises(VarFreeInHyps):

@@ -422,6 +422,21 @@ class TestMainReportsErrors:
         assert main([command, path]) == 2
         assert capsys.readouterr() == ("", f"error: {_os_error(path)}\n")
 
+    @pytest.mark.parametrize("command", ["check", "stats", "prove-meson"])
+    @pytest.mark.parametrize(
+        "byte, reason",
+        [(b"\xe9", "invalid continuation byte"), (b"\xff", "invalid start byte")],
+        ids=["0xe9", "0xff"],
+    )
+    def test_file_not_utf8(self, command, byte, reason, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# one\n# caf" + byte + b"\nGOAL T\n")
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: line 2: not UTF-8 ({reason})\n"
+        assert "position" not in err
+
     @pytest.mark.parametrize(
         "term, message",
         [

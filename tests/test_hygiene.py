@@ -11,8 +11,9 @@ provenance to one helper, its rule table holds the ten rules, only its
 frozen base guards attribute writes, and the kernel holds no audit,
 which makes none; article replay leaves the check of parsed input
 against the signature to the parser; and one walk decides meson's
-first-order fragment, the finite-model evaluator builds its compiler
-in three places, and only the CLI's `main` exits with 2."""
+first-order fragment, only `rewr_conv` signals `Inapplicable`, the
+finite-model evaluator builds its compiler in three places, and only
+the CLI's `main` exits with 2."""
 
 import ast
 from collections import Counter
@@ -519,6 +520,24 @@ def test_the_fragment_is_decided_in_one_place():
 # assignment of a search, and once per call of its two oracle functions.
 # Closed terms compile in the compiler that meets them.
 COMPILER_BUILDERS = {"semantics.py:_search", "semantics.py:eval_term", "semantics.py:carrier_size"}
+
+
+def test_only_rewriting_signals_inapplicable():
+    # the other conversions run where their caller holds a redex; only a
+    # match can miss, and only a search that tries equations in turn
+    # needs to hear of it
+    raises = [
+        (path.name, scope, line)
+        for path in MODULES
+        for scope, line, _ in _raises(_tree(path), "Inapplicable")
+    ]
+    stray = [
+        f"{name}:{line} ({scope or 'module'})"
+        for name, scope, line in raises
+        if (name, scope.partition(".")[0]) != ("bootstrap.py", "rewr_conv")
+    ]
+    assert raises, "`rewr_conv` no longer signals `Inapplicable`"
+    assert not stray, "`Inapplicable` raised outside `rewr_conv`:\n" + "\n".join(stray)
 
 
 def test_compilers_are_built_in_three_places():

@@ -746,6 +746,24 @@ class TestClosuresMatchReference:
         for t in terms:
             assert self.agree(t, typedef_theory) > 0, t
 
+    def test_constant_named_like_a_defined_type(self):
+        # a type `t` and a constant `t` share a name: the constant is
+        # evaluated by its definition, and only `mk_t`/`dest_t` as abs/rep
+        thy = Theory()
+        install_logic(thy)
+        p = Var("p", TyVar("A"))
+        kernel.new_basic_type_definition(thy, "t", "mk_t", "dest_t", refl(mk_abs(p, p)))
+        new_basic_definition(thy, "t", mk_neg(FALSE))
+        t_const = Const("t", BOOL)
+        assert eval_term(t_const, Valuation(Model()), thy) == TRUE_ELEM
+        a = TyVar("A")
+        f = Var("f", fn(a, a))
+        ty = TyApp("t", (a,))
+        mk_t = Const("mk_t", fn(fn(a, a), ty))
+        dest_t = Const("dest_t", fn(ty, fn(a, a)))
+        for t in (t_const, mk_conj(t_const, mk_eq(mk_comb(dest_t, mk_comb(mk_t, f)), f))):
+            assert self.agree(t, thy) > 0, t
+
 
 class TestSearchMatchesReference:
     """`_search` enumerates, samples and reports exactly as the search
