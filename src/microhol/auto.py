@@ -709,7 +709,8 @@ def _flatten_disj(t: Term) -> list[Term]:
     return [t]
 
 
-# FO representation: ("v", var_key) | ("f", symbol, args-tuple)
+# FO representation: ("v", var_key) | ("f", symbol, args-tuple), a symbol
+# being the head atom itself or ("sk", i) for the i-th Skolem function.
 
 
 def _term_to_fo(t: Term, universals: set[Var], skolems: list[SkolemEntry]):
@@ -723,16 +724,7 @@ def _term_to_fo(t: Term, universals: set[Var], skolems: list[SkolemEntry]):
     if isinstance(t, Var) and t in universals:
         return ("v", (t, 0))
     head, args = _strip_app(t)
-    sym_: tuple
-    if isinstance(head, Const):
-        sym_ = ("c", head.name, head.ty)
-    else:
-        sym_ = ("w", head.name, head.ty)
-    return (
-        "f",
-        sym_,
-        tuple(_term_to_fo(a, universals, skolems) for a in args),
-    )
+    return ("f", head, tuple(_term_to_fo(a, universals, skolems) for a in args))
 
 
 def _lit_of(t: Term, universals, skolems):
@@ -902,7 +894,7 @@ class _Rebuild:
             return got
         sym_ = fo[1]
         args = [self.hol_of(a) for a in fo[2]]
-        if sym_[0] == "sk":
+        if isinstance(sym_, tuple):  # ("sk", i)
             key = (sym_[1], *args)
             got = self.skolem_terms.get(key)
             if got is None:
@@ -910,8 +902,7 @@ class _Rebuild:
                 got = vsubst(dict(zip(entry.params, args)), entry.witness)
                 self.skolem_terms[key] = got
             return got
-        head = Const(sym_[1], sym_[2]) if sym_[0] == "c" else Var(sym_[1], sym_[2])
-        out: Term = head
+        out: Term = sym_
         for a in args:
             out = mk_comb(out, a)
         return out

@@ -197,7 +197,7 @@ class _Compiler:
         self.n_slots = len(self.slots)
         self._size_cache: dict[HolType, int] = {}
         self._typedef_cache: dict[HolType, tuple[int, ...]] = {}
-        self._const_cache: dict[tuple[str, HolType], Callable[[list], int]] = {}
+        self._const_cache: dict[Const, Callable[[list], int]] = {}
 
     # -- carriers
 
@@ -302,11 +302,10 @@ class _Compiler:
             raise UninterpretableConstant(f"constant {c.name!r} at bad type {c.ty!r}")
 
     def compile_const(self, t: Const) -> Callable[[list], int]:
-        key = (t.name, t.ty)
-        prog = self._const_cache.get(key)
+        prog = self._const_cache.get(t)
         if prog is None:
             prog = _literal(self._const_value(t))
-            self._const_cache[key] = prog
+            self._const_cache[t] = prog
         return prog
 
     def _const_value(self, t: Const) -> int:

@@ -1,14 +1,14 @@
 """Simply typed lambda syntax: HOL types, terms, and the term operations
 everything else is built on.
 
-Types are interned: `TyVar` and `TyApp` return the one existing object for
-a name or for a (constructor, arguments) pair, so type equality and
-hashing are identity.  Terms are not interned.  They carry their type
-intrinsically (computed once at construction), so `type_of` is a field
-read and the node constructors can reject ill-typed combinations
-immediately.  Two variables are the same variable exactly when both name
-and type coincide; the same name at two types denotes two unrelated
-variables.
+Types and atoms are interned: `TyVar` and `TyApp` return the one existing
+object for a name or for a (constructor, arguments) pair, and `Var` and
+`Const` the one for a (name, type) pair, so types, variables and constants
+compare and hash by identity; only combinations and abstractions compare
+structurally.  Terms carry their type intrinsically (computed once at
+construction), so `type_of` is a field read and the node constructors can
+reject ill-typed combinations immediately.  The same name at two types
+denotes two unrelated variables.
 
 Types, terms and the kernel's theorems are immutable one way: their base
 `_Frozen` refuses every write and delete of an attribute, and their
@@ -227,38 +227,35 @@ class Term(_Frozen):
         return f"<term {print_term(self)}>"
 
 
+# Every atom ever built, keyed by (class, name, type), interned as types
+# are.  Neither table ever shrinks, and both stay small: every workload
+# draws its names and types from fixed stocks (the fuzzer's and the article
+# generator's pools, a problem's symbols, and their numbered or primed
+# variants).
+_ATOMS: dict = {}
+
+
 class _Atom(Term):
-    """A variable or a constant: a name and a type.  Two atoms are equal
-    when class, name and type are; the hash is computed on first use."""
+    """A variable or a constant: a name and a type, interned."""
 
-    __slots__ = ("name", "ty", "_h")
+    __slots__ = ("name", "ty")
 
-    def __init__(self, name: str, ty: HolType):
-        _set_name(self, name)
-        _set_atom_ty(self, ty)
-        _set_atom_h(self, None)
+    def __new__(cls, name: str, ty: HolType):
+        key = (cls, name, ty)
+        atom = _ATOMS.get(key)
+        if atom is None:
+            atom = object.__new__(cls)
+            _set_name(atom, name)
+            _set_atom_ty(atom, ty)
+            atom = _ATOMS.setdefault(key, atom)
+        return atom
 
-    def __reduce__(self):
+    def __reduce__(self):  # copies and unpickled atoms are the interned one
         return (type(self), (self.name, self.ty))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is type(self) and self.name == other.name and self.ty is other.ty
-        )
-
-    def __hash__(self):
-        h = self._h
-        if h is None:
-            h = hash((type(self), self.name, self.ty))
-            _set_atom_h(self, h)
-        return h
 
 
 _set_name = _Atom.name.__set__
 _set_atom_ty = _Atom.ty.__set__
-_set_atom_h = _Atom._h.__set__
 
 
 class Var(_Atom):
@@ -335,7 +332,7 @@ class Abs(Term):
         return (
             isinstance(other, Abs)
             and hash(self) == hash(other)
-            and self.bvar == other.bvar
+            and self.bvar is other.bvar
             and self.body == other.body
         )
 
@@ -430,7 +427,7 @@ def free_vars(t: Term) -> frozenset[Var]:
 def vfree_in(v: Var, t: Term) -> bool:
     """True iff v occurs free in t."""
     if isinstance(t, Var):
-        return t == v
+        return t is v
     return v in free_vars(t)
 
 
@@ -492,7 +489,7 @@ def vsubst(theta: Mapping[Var, Term], t: Term) -> Term:
                 f"substitution image for {v.name} has type {im.ty!r}, "
                 f"expected {v.ty!r}"
             )
-        if v != im:
+        if v is not im:
             sub[v] = im
     if not sub:
         return t
@@ -519,7 +516,7 @@ def _vsubst(sub: dict[Var, Term], t: Term, memo: dict[int, Term]) -> Term:
         # Some substituted variable is free in t, so this substitution is
         # non-empty and changes the body.
         if v in sub:
-            sub2 = {x: im for x, im in sub.items() if x != v}
+            sub2 = {x: im for x, im in sub.items() if x is not v}
             body = _vsubst(sub2, t.body, {})
         else:
             sub2 = sub
@@ -557,8 +554,8 @@ def _inst(env: list[tuple[Var, Var]], tyin: Mapping[str, HolType], t: Term) -> T
         ty2 = type_subst(tyin, t.ty)
         t2 = t if ty2 is t.ty else Var(t.name, ty2)
         for old, new in env:
-            if new == t2:
-                if old == t:
+            if new is t2:
+                if old is t:
                     return t2
                 raise _Clash(t2)
         return t2
@@ -574,9 +571,9 @@ def _inst(env: list[tuple[Var, Var]], tyin: Mapping[str, HolType], t: Term) -> T
     env2 = [(y, y2)] + env
     try:
         body = _inst(env2, tyin, t.body)
-        return t if body is t.body and y2 == y else Abs(y2, body)
+        return t if body is t.body and y2 is y else Abs(y2, body)
     except _Clash as clash:
-        if clash.var != y2:
+        if clash.var is not y2:
             raise
         # The instantiated binder collided with an instantiated free variable:
         # rename the binder (at its pre-instantiation type) and retry.
@@ -683,7 +680,7 @@ def _order(t: Term, u: Term, tenv: dict, uenv: dict, depth: int, sync: bool) -> 
         tenv[tv] = depth
         uenv[uv] = depth
         try:
-            return _order(t.body, u.body, tenv, uenv, depth + 1, sync and tv == uv)
+            return _order(t.body, u.body, tenv, uenv, depth + 1, sync and tv is uv)
         finally:
             if tsaved is None:
                 del tenv[tv]

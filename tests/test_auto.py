@@ -923,7 +923,7 @@ def _rebuild_with_duplicate_literal(logic):
     wy = mk_comb(sel, mk_abs(y, mk_comb(Q, y)))
     wz = mk_comb(sel, mk_abs(z, mk_comb(Q, z)))
     py, pz = mk_comb(P, wy), mk_comb(P, wz)
-    atom = ("f", ("w", "P", P.ty), (("f", ("sk", 0), ()),))
+    atom = ("f", P, (("f", ("sk", 0), ()),))
     clauses = [
         Clause(kernel.assume(mk_disj(py, pz)), (), ((True, atom), (True, atom)), "axiom 0"),
         Clause(

@@ -9,6 +9,7 @@ from microhol import kernel
 from microhol.bootstrap import (
     FALSE,
     TRUE,
+    Inapplicable,
     beta_conv,
     beta_n,
     install_logic,
@@ -19,6 +20,7 @@ from microhol.bootstrap import (
     mk_forall,
     mk_imp,
     mk_neg,
+    rewr_conv,
     sym,
 )
 from microhol.audit import replay_trace
@@ -234,6 +236,29 @@ class TestDerivedRules:
         th = logic.ccontr(p, to_f)
         assert th.conclusion == p
         assert th.assumptions == (p,)
+
+
+class TestRewrConv:
+    def test_nonlinear_pattern(self, logic):
+        a = Var("a", TyVar("A"))
+        conv = rewr_conv(logic.eqt_intro(refl(a)))  # |- (a = a) = T
+        assert conv(mk_eq(x, x)).conclusion == mk_eq(mk_eq(x, x), TRUE)
+        with pytest.raises(Inapplicable):
+            conv(mk_eq(x, y))
+
+    def test_type_instance_that_merges_pattern_variables(self, logic):
+        # a:A and a:B are one variable once A and B are both ind, so the
+        # match of each against its own subterm must agree
+        a_a, a_b = Var("a", TyVar("A")), Var("a", TyVar("B"))
+        conv = rewr_conv(refl(mk_conj(mk_eq(a_a, a_a), mk_eq(a_b, a_b))))
+        same = mk_conj(mk_eq(x, x), mk_eq(x, x))
+        assert conv(same).conclusion == mk_eq(same, same)
+        with pytest.raises(Inapplicable):
+            conv(mk_conj(mk_eq(x, x), mk_eq(y, y)))
+
+    def test_pattern_of_another_type(self):
+        with pytest.raises(Inapplicable):
+            rewr_conv(refl(p))(x)
 
 
 class TestSoundnessOfDerived:

@@ -9,11 +9,13 @@ stands on its own: it imports nothing else of the package outside a
 `__repr__`, only the kernel makes theorems, its rules leave a theorem's
 provenance to one helper, its rule table holds the ten rules, only its
 frozen base guards attribute writes, and the kernel holds no audit,
-which makes none; article replay leaves the check of parsed input
-against the signature to the parser; and one walk decides meson's
-first-order fragment, only `rewr_conv` signals `Inapplicable`, the
-finite-model evaluator builds its compiler in three places, and only
-the CLI's `main` exits with 2."""
+which makes none, and only combinations and abstractions compare
+structurally (types and atoms are interned); article replay leaves the
+check of parsed input against the signature to the parser; and one walk
+decides meson's first-order fragment, meson's symbols are the atoms
+themselves, only `rewr_conv` signals `Inapplicable`, the finite-model
+evaluator builds its compiler in three places, and only the CLI's `main`
+exits with 2."""
 
 import ast
 from collections import Counter
@@ -364,22 +366,45 @@ def _attribute_reads(tree: ast.AST) -> set[str]:
 # What guards an object's attributes; in the trusted base only `_Frozen`,
 # the base of every type, term and theorem, may define or name one.
 ATTRIBUTE_HOOKS = ("__setattr__", "__delattr__")
+# What makes equality structural: types and atoms are interned, so in
+# `syntax.py` only `Comb` and `Abs` may define one.
+EQUALITY_HOOKS = ("__eq__", "__hash__")
+
+
+def _classes_defining(tree: ast.AST, hooks: tuple[str, ...]) -> set[str]:
+    """Each class whose body defines or assigns one of `hooks`."""
+    return {
+        cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            (isinstance(node, ast.FunctionDef) and node.name in hooks)
+            or (
+                isinstance(node, ast.Assign)
+                and any(_names(h)(t) for t in node.targets for h in hooks)
+            )
+            for node in cls.body
+        )
+    }
 
 
 def _attribute_hooks(tree: ast.Module) -> list[str]:
     """Each class that defines `__setattr__` or `__delattr__`, and each
     scope that names one (`object.__setattr__`, `__delattr__ = ...`)."""
-    out = {
-        cls.name
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef)
-        and any(
-            isinstance(node, ast.FunctionDef) and node.name in ATTRIBUTE_HOOKS
-            for node in cls.body
-        )
-    }
+    out = _classes_defining(tree, ATTRIBUTE_HOOKS)
     out |= set(_scopes(tree, lambda n: any(_names(h)(n) for h in ATTRIBUTE_HOOKS)))
     return sorted(out)
+
+
+def _re_encoded_atom(node: ast.AST) -> bool:
+    """A tuple that spells a constant or a variable as meson's old
+    `("c" | "w", name, type)` symbol."""
+    return (
+        isinstance(node, ast.Tuple)
+        and bool(node.elts)
+        and isinstance(node.elts[0], ast.Constant)
+        and node.elts[0].value in ("c", "w")
+    )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -437,6 +462,16 @@ def test_every_field_is_read():
 def test_only_the_frozen_base_guards_attributes(name):
     want = ["_Frozen"] if name == "syntax.py" else []
     assert _attribute_hooks(_tree(PACKAGE / name)) == want
+
+
+def test_only_combinations_and_abstractions_compare_structurally():
+    classes = _classes_defining(_tree(PACKAGE / "syntax.py"), EQUALITY_HOOKS)
+    assert sorted(classes) == ["Abs", "Comb"]
+
+
+def test_meson_symbols_are_the_atoms():
+    stray = _scopes(_tree(PACKAGE / "auto.py"), _re_encoded_atom)
+    assert not stray, f"auto.py re-encodes atoms as symbol tuples: {stray}"
 
 
 def test_only_the_definitional_rules_write_the_signature():
@@ -652,6 +687,19 @@ def test_checks_catch_what_they_are_for():
         "def build(ty): object.__setattr__(ty, '_enc', b'')\n"
     )
     assert _attribute_hooks(tree) == ["HolType", "_Frozen", "build"]
+    tree = ast.parse(
+        "class _Atom:\n"
+        "    def __eq__(self, other): return self.name == other.name\n"
+        "class Var(_Atom):\n"
+        "    __hash__ = object.__hash__\n"
+        "class Comb:\n"
+        "    def __hash__(self): return 0\n"
+        "def sym(head): return ('c', head.name, head.ty)\n"
+        "def sk(i): return ('sk', i), ()\n"
+        "w = ('w', 'P', None)\n"
+    )
+    assert _classes_defining(tree, EQUALITY_HOOKS) == {"_Atom", "Var", "Comb"}
+    assert _scopes(tree, _re_encoded_atom) == {"sym": 7, "": 9}
     tree = ast.parse(
         "class Theory:\n"
         "    def _add(self, n, t): self.term_constants[n] = t\n"

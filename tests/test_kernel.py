@@ -44,7 +44,9 @@ from microhol.syntax import (
     Comb,
     Const,
     HolError,
+    IllTyped,
     Substitution,
+    TyApp,
     TyVar,
     Var,
     alpha_equiv,
@@ -153,6 +155,10 @@ class TestAbsRule:
         with pytest.raises(NotAnEquation):
             abs_rule(x, assume(x))
 
+    def test_binder_must_be_a_variable(self):
+        with pytest.raises(IllTyped, match="binder must be a variable"):
+            abs_rule(Const("c", BOOL), refl(x))
+
 
 class TestBeta:
     def test_self_application(self):
@@ -184,6 +190,10 @@ class TestAssume:
     def test_non_boolean(self):
         with pytest.raises(NotBoolean):
             assume(xi)
+
+    def test_non_term(self):
+        with pytest.raises(IllTyped, match="expects a term"):
+            assume("p")
 
     def test_assume_deduct_matches_refl(self):
         # assume then deduct_antisym with itself replays to |- p = p
@@ -572,9 +582,63 @@ class TestTypeDefinition:
         with pytest.raises(DuplicateName):
             new_basic_type_definition(thy, "bool", "mkb", "destb", inhab)
 
+    @pytest.mark.parametrize("abs_name,rep_name", [("T", "dest_t"), ("mk_t", "T")])
+    def test_abs_or_rep_named_as_a_constant(self, abs_name, rep_name):
+        # a type definition may not give `T` a second meaning
+        from microhol.bootstrap import install_logic
+
+        thy = Theory()
+        lg = install_logic(thy)
+        inhab = _pred_holds(lg, self._one_point_pred(lg), Const("T", BOOL))
+        before = _signature(thy)
+        with pytest.raises(DuplicateName, match="constant 'T' already defined"):
+            new_basic_type_definition(thy, "t", abs_name, rep_name, inhab)
+        assert _signature(thy) == before
+
+    def test_inhabitation_must_be_an_application(self):
+        from microhol.bootstrap import install_logic
+
+        thy = Theory()
+        lg = install_logic(thy)
+        before = _signature(thy)
+        with pytest.raises(MalformedInhabitation, match="must be P w"):
+            new_basic_type_definition(thy, "t", "mk_t", "dest_t", lg.TRUTH)  # |- T
+        assert _signature(thy) == before
+
+
+def predicate_type_theory(value: str) -> Theory:
+    """A bootstrapped theory with one parameterised type, `t A`, carved
+    from all of A -> bool by  \\f. f = f  at the witness  \\a:A. value."""
+    from microhol.bootstrap import install_logic
+
+    thy = Theory()
+    lg = install_logic(thy)
+    A = TyVar("A")
+    f = Var("f", fn(A, BOOL))
+    witness = mk_abs(Var("a", A), Const(value, BOOL))
+    inhab = _pred_holds(lg, mk_abs(f, mk_eq(f, f)), witness)
+    new_basic_type_definition(thy, "t", "mk_t", "dest_t", inhab)
+    return thy
+
+
+class TestParameterisedTypeDefinition:
+    def test_signature(self):
+        thy = predicate_type_theory("T")
+        assert thy.type_constructors["t"] == 1
+        t_a = TyApp("t", (TyVar("A"),))
+        assert thy.term_constants["mk_t"] is fn(fn(TyVar("A"), BOOL), t_a)
+
+    def test_fingerprint_is_pinned_and_hashes_the_witness(self):
+        # frozen when first computed: the witness is part of what an
+        # article's `theory` line pins
+        fp = predicate_type_theory("T").fingerprint()
+        assert fp == "79703f66647790355db13665ab33c7c50c660e28e4970b6846f13b97ec508890"
+        assert predicate_type_theory("F").fingerprint() != fp
+
 
 def _pred_holds(lg, pred, witness):
-    """|- pred witness, for pred = \\b. b = witness and a boolean witness."""
+    """|- pred witness, for a pred whose beta-reduct at the witness is
+    witness = witness."""
     from microhol.bootstrap import beta_conv, sym
 
     applied = mk_comb(pred, witness)

@@ -10,6 +10,7 @@ from microhol import fuzz, kernel
 from microhol.bootstrap import (
     FALSE,
     TRUE,
+    beta_conv,
     install_logic,
     mk_conj,
     mk_disj,
@@ -17,6 +18,7 @@ from microhol.bootstrap import (
     mk_forall,
     mk_imp,
     mk_neg,
+    sym,
 )
 from microhol.fuzz import (
     RULE_IDS,
@@ -31,6 +33,7 @@ from microhol.semantics import (
     FALSE_ELEM,
     TRUE_ELEM,
     CarrierOverflow,
+    EmptyCarrier,
     Model,
     UnassignedTypeVar,
     UnassignedVariable,
@@ -452,6 +455,27 @@ class TestTypedefSemantics:
         for th in (th1, th2):
             verdict = is_valid(theorem_sequent(th), Model(), theory=thy)
             assert verdict.valid, verdict
+
+    def test_type_carved_by_the_infinity_axiom(self):
+        # the injective, non-surjective functions on ind: none in a model
+        # of one or two individuals, and at three the predicate's
+        # `ONE_ONE` ranges over more functions than the cap allows
+        thy = Theory()
+        logic = install_logic(thy)
+        ax = kernel.axiom_infinity(thy)  # |- ?f. ONE_ONE f /\ ~ONTO f
+        selected = logic.select_rule(ax)  # |- ONE_ONE w /\ ~ONTO w
+        pred, witness = ax.conclusion.rand, selected.conclusion.rand.rand.rand
+        inhab = kernel.eq_mp(selected, sym(beta_conv(mk_comb(pred, witness))))
+        th1, th2 = kernel.new_basic_type_definition(thy, "inf", "mk_inf", "dest_inf", inhab)
+        assert th1.uses_infinity and th2.uses_infinity
+        newty = th1.conclusion.rand.ty
+        for size in (1, 2):
+            with pytest.raises(EmptyCarrier):
+                carrier_size(newty, Model(ind_size=size), {}, thy)
+            with pytest.raises(EmptyCarrier):
+                is_valid(theorem_sequent(th1), Model(ind_size=size), theory=thy)
+        with pytest.raises(CarrierOverflow):
+            carrier_size(newty, Model(ind_size=3), {}, thy)
 
 
 class TestFuzzer:

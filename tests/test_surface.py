@@ -25,6 +25,7 @@ from microhol.syntax import (
     Abs,
     Comb,
     Const,
+    TyApp,
     TyVar,
     Var,
     alpha_equiv,
@@ -41,6 +42,7 @@ from .oracles import (
     legacy_parse_term,
     legacy_parse_type,
 )
+from .test_kernel import predicate_type_theory
 
 
 class TestTypes:
@@ -62,6 +64,21 @@ class TestTypes:
     def test_roundtrip(self, theory):
         for ty in (fn(fn(BOOL, IND), fn(TyVar("A"), BOOL)), BOOL, TyVar("A")):
             assert parse_type(print_type(ty), theory) == ty
+
+    def test_applied_constructors_roundtrip(self):
+        thy = predicate_type_theory("T")
+        A = TyVar("A")
+
+        def t(arg):
+            return TyApp("t", (arg,))
+
+        for ty, text in (
+            (t(t(A)), "t (t A)"),
+            (fn(t(A), BOOL), "t A -> bool"),
+            (fn(BOOL, t(fn(A, A))), "bool -> t (A -> A)"),
+        ):
+            assert print_type(ty) == text
+            assert parse_type(print_type(ty), thy) is ty
 
     def test_unknown_constructor(self, theory):
         with pytest.raises(ParseError):
@@ -129,6 +146,11 @@ class TestTermParsing:
         assert t == Const("and", fn(BOOL, fn(BOOL, BOOL)))
         t = parse_term("(<=>)", theory)
         assert t == Const("=", fn(BOOL, fn(BOOL, BOOL)))
+
+    def test_bare_iff_roundtrip(self, theory):
+        iff = Const("=", fn(BOOL, fn(BOOL, BOOL)))
+        assert print_term(iff) == "(<=>)"
+        assert parse_term(print_term(iff), theory) is iff
 
     def test_polymorphic_head_inference(self, theory):
         t = parse_term("ONE_ONE (f:ind -> bool)", theory)

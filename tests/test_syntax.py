@@ -571,29 +571,25 @@ def test_term_nodes_are_immutable(kind, slot):
     assert _slot_values(t) == before
 
 
-def test_atoms_are_copied_through_their_constructor(monkeypatch):
+def test_atoms_are_interned():
+    from microhol import syntax
+
+    assert Var("x", BOOL) is Var("x", BOOL)
+    assert Const("c", BOOL) is Const("c", BOOL)
+    assert Var("x", BOOL) is not Const("x", BOOL)
+    assert Var("x", BOOL) is not Var("x", IND)
+    assert syntax._Atom.__slots__ == ("name", "ty")
+
+
+def test_atoms_are_copied_through_their_constructor():
     import copy
     import pickle
 
-    from microhol import syntax
-
-    built = []
-    init = syntax._Atom.__init__
-
-    def recording_init(self, name, ty):
-        built.append((type(self), name, ty))
-        init(self, name, ty)
-
-    monkeypatch.setattr(syntax._Atom, "__init__", recording_init)
     round_trip = lambda o: pickle.loads(pickle.dumps(o))  # noqa: E731
     for cls in (Var, Const):
         a = cls("a", fn(IND, BOOL))
-        hash(a)
         for clone in (copy.copy, copy.deepcopy, round_trip):
-            built.clear()
-            b = clone(a)
-            assert built == [(cls, "a", a.ty)]
-            assert type(b) is cls and b == a and b.ty is a.ty and hash(b) == hash(a)
+            assert clone(a) is a
 
 
 # The term order, alpha-equivalence and the canonical encoding: encoding
