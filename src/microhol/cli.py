@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -157,9 +158,10 @@ def _read_problem(path: str, theory):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        keyword, space, text = line.partition(" ")
-        if keyword not in ("AXIOM", "GOAL") or not space:
+        head = re.match(r"(AXIOM|GOAL)[ \t]+", line)
+        if head is None:
             raise HolError(f"line {lineno}: expected AXIOM or GOAL")
+        keyword, text = head[1], line[head.end() :]
         if keyword == "GOAL" and goal is not None:
             raise HolError(f"line {lineno}: more than one GOAL")
         try:
@@ -167,8 +169,8 @@ def _read_problem(path: str, theory):
             FirstOrderProblem((), t)  # the fragment check, for this line alone
         except HolError as exc:
             if isinstance(exc, ParseError) and exc.line:
-                # the column in the file line, past its indent and keyword
-                col = len(raw) - len(raw.lstrip()) + len(keyword) + 1 + exc.col
+                # the column in the file line, past its indent, keyword and blanks
+                col = len(raw) - len(raw.lstrip()) + head.end() + exc.col
                 raise ParseError(exc.message, lineno, col) from None
             raise HolError(f"line {lineno}: {exc}") from None
         if keyword == "GOAL":

@@ -33,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .kernel import Theorem, Theory
@@ -334,11 +335,9 @@ class _Compiler:
     # -- terms
 
     def compile(
-        self, t: Term, bound: dict[Var, int] | None = None
+        self, t: Term, bound: Mapping[Var, int] = MappingProxyType({})
     ) -> Callable[[list], int]:
         """Compile a term to a closure over the environment list."""
-        if bound is None:
-            bound = {}
         if isinstance(t, Var):
             slot = bound.get(t)
             if slot is None:
@@ -369,10 +368,7 @@ class _Compiler:
                 # Beta shortcut: semantically the table entry at the argument.
                 slot = self.fresh_slot()
                 arg = self.compile(a, bound)
-                saved = bound.get(f.bvar)
-                bound[f.bvar] = slot
-                body = self.compile(f.body, bound)
-                _restore(bound, f.bvar, saved)
+                body = self.compile(f.body, {**bound, f.bvar: slot})
                 return _beta(slot, arg, body)
             self.size_of(f.ty)
             cod = self.size_of(t.ty)
@@ -387,10 +383,7 @@ class _Compiler:
         dom = self.size_of(t.bvar.ty)
         cod = self.size_of(t.body.ty)
         slot = self.fresh_slot()
-        saved = bound.get(t.bvar)
-        bound[t.bvar] = slot
-        body = self.compile(t.body, bound)
-        _restore(bound, t.bvar, saved)
+        body = self.compile(t.body, {**bound, t.bvar: slot})
         return _table(slot, dom, cod, body)
 
 
@@ -438,13 +431,6 @@ def _table(slot: int, dom: int, cod: int, body) -> Callable[[list], int]:
         return acc
 
     return table
-
-
-def _restore(bound: dict, key, saved):
-    if saved is None:
-        bound.pop(key, None)
-    else:
-        bound[key] = saved
 
 
 def carrier_size(
@@ -508,7 +494,7 @@ class Verdict:
     counterexample: Optional[Counterexample] = None
 
 
-def _scan(t: Term, bound: dict[Var, int], free: dict[Var, None], types: set):
+def _scan(t: Term, bound: frozenset[Var], free: dict[Var, None], types: set):
     """Add the free variables of `t` to `free` in the order in which
     `_Compiler.compile` first reaches them, and its leaf types to `types`."""
     if isinstance(t, Var):
@@ -526,14 +512,8 @@ def _scan(t: Term, bound: dict[Var, int], free: dict[Var, None], types: set):
             _scan(f, bound, free, types)
             _scan(t.rand, bound, free, types)
     else:
-        v = t.bvar
-        types.add(v.ty)
-        bound[v] = bound.get(v, 0) + 1
-        _scan(t.body, bound, free, types)
-        if bound[v] == 1:
-            del bound[v]
-        else:
-            bound[v] -= 1
+        types.add(t.bvar.ty)
+        _scan(t.body, bound | {t.bvar}, free, types)
 
 
 def _valuations(batches, exhaustive: bool, samples: int, rng: random.Random):
@@ -588,7 +568,7 @@ def _search(
     free: dict[Var, None] = {}
     types: set[HolType] = set()
     for t in terms.values():
-        _scan(t, {}, free, types)
+        _scan(t, frozenset(), free, types)
     tyvars: set[str] = set()
     for ty in types:
         tyvars |= type_vars_of_type(ty)

@@ -545,7 +545,7 @@ _BINDERS = ("forall", "exists", "@")
 
 
 def print_term(t: Term) -> str:
-    return _pt(t, _BINDER, [])
+    return _pt(t, _BINDER, ())
 
 
 def print_sequent(hyps, concl) -> str:
@@ -553,7 +553,7 @@ def print_sequent(hyps, concl) -> str:
     return f"{left} |- {print_term(concl)}" if left else f"|- {print_term(concl)}"
 
 
-def _pt(t: Term, prec: int, binders: list[Var]) -> str:
+def _pt(t: Term, prec: int, binders: tuple[Var, ...]) -> str:
     if isinstance(t, Var):
         for v in reversed(binders):
             if v.name == t.name:
@@ -567,11 +567,11 @@ def _pt(t: Term, prec: int, binders: list[Var]) -> str:
             return f"({t.name}:{print_type(t.ty)})"
         return _pconst(t)
     if isinstance(t, Abs):
-        s = _pbinder("\\", t.bvar, t.body, binders)
+        s = _pbinder("\\", t, binders)
         return f"({s})" if prec > _BINDER else s
     # combinations
     if isinstance(t.rator, Const) and t.rator.name in _BINDERS and isinstance(t.rand, Abs):
-        s = _pbinder(_TOKENS[t.rator.name], t.rand.bvar, t.rand.body, binders)
+        s = _pbinder(_TOKENS[t.rator.name], t.rand, binders)
         return f"({s})" if prec > _BINDER else s
     if isinstance(t.rator, Comb) and isinstance(t.rator.rator, Const):
         op = t.rator.rator
@@ -596,12 +596,9 @@ def _pt(t: Term, prec: int, binders: list[Var]) -> str:
     return f"({s})" if prec > _APP else s
 
 
-def _pbinder(token: str, v: Var, body: Term, binders: list[Var]) -> str:
-    binders.append(v)
-    try:
-        inner = _pt(body, _BINDER, binders)
-    finally:
-        binders.pop()
+def _pbinder(token: str, t: Abs, binders: tuple[Var, ...]) -> str:
+    v = t.bvar
+    inner = _pt(t.body, _BINDER, (*binders, v))
     return f"{token}{v.name}:{print_type(v.ty)}. {inner}"
 
 

@@ -625,32 +625,25 @@ def _type_enc(ty: HolType) -> bytes:
     return bytes(out)
 
 
-def _enc_term(t: Term, out: bytearray, env: dict[Var, int], depth: int):
+def _enc_term(t: Term, out: bytearray, bound: tuple[Var, ...]):
+    # `bound`: the binders in scope, innermost first, so a bound
+    # variable's de Bruijn index is its position there.
     cls = type(t)
     if cls is Comb:
         out.append(0x13)
-        _enc_term(t.rator, out, env, depth)
-        _enc_term(t.rand, out, env, depth)
+        _enc_term(t.rator, out, bound)
+        _enc_term(t.rand, out, bound)
     elif cls is Abs:
         out.append(0x14)
-        v = t.bvar
-        out += _type_enc(v.ty)
-        saved = env.get(v)
-        env[v] = depth
-        _enc_term(t.body, out, env, depth + 1)
-        if saved is None:
-            del env[v]
-        else:
-            env[v] = saved
+        out += _type_enc(t.bvar.ty)
+        _enc_term(t.body, out, (t.bvar, *bound))
+    elif cls is Var and t in bound:
+        out.append(0x10)
+        out += bound.index(t).to_bytes(4, "big")
     else:
-        level = env.get(t) if cls is Var else None
-        if level is None:
-            out.append(_TAG[cls])
-            _enc_name(t.name, out)
-            out += _type_enc(t.ty)
-        else:
-            out.append(0x10)
-            out += (depth - level - 1).to_bytes(4, "big")
+        out.append(_TAG[cls])
+        _enc_name(t.name, out)
+        out += _type_enc(t.ty)
 
 
 def _order(t: Term, u: Term, tenv: dict, uenv: dict, depth: int, sync: bool) -> int:
@@ -724,7 +717,7 @@ def term_order_key(t: Term) -> bytes:
     A stored value: ``Theory.fingerprint`` hashes it.  Terms are ordered
     by ``term_compare``, which builds no encoding."""
     out = bytearray()
-    _enc_term(t, out, {}, 0)
+    _enc_term(t, out, ())
     return bytes(out)
 
 

@@ -140,6 +140,18 @@ class TestProveMeson:
         path.write_text("AXIOM T\n")
         assert main(["prove-meson", str(path)]) == 2
 
+    def test_tabs_and_spaces_after_the_keyword(self, tmp_path, capsys):
+        # a run of spaces and tabs after the keyword reads as one space
+        texts = []
+        for sep in (" ", "\t", "  "):
+            path = tmp_path / "p.fol"
+            path.write_text(
+                f"AXIOM{sep}(P:ind -> bool) (a:ind)\n GOAL{sep}(P:ind -> bool) (a:ind)\n"
+            )
+            assert main(["prove-meson", str(path)]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+
 
 class TestFuzzCommand:
     def test_single_rule(self, capsys):
@@ -280,8 +292,13 @@ class TestProblemFileErrors:
                 "error: line 2: quantification over (p:bool) is not first-order",
             ),
             (["GOAL (a:ind)"], "error: line 1: problem parts must be boolean"),
+            (
+                ["AXIOM\t((P:ind -> bool) (a:ind)"],
+                "error: 1:31: expected ')', found 'end of input'",
+            ),
+            (["\tGOAL \t (P:ind -> bool) (a:bool)"], "error: 1:33: operand type"),
         ],
-        ids=["unbalanced", "ill-typed", "higher-order", "not-boolean"],
+        ids=["unbalanced", "ill-typed", "higher-order", "not-boolean", "after-tab", "after-run"],
     )
     def test_error_carries_the_file_line(self, tmp_path, lines, expected):
         path = tmp_path / "p.fol"

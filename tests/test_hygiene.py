@@ -14,10 +14,13 @@ structurally (types and atoms are interned); article replay leaves the
 check of parsed input against the signature to the parser; and one walk
 decides meson's first-order fragment, meson's symbols are the atoms
 themselves, only `rewr_conv` signals `Inapplicable`, the finite-model
-evaluator builds its compiler in three places, and only the CLI's `main`
-exits with 2."""
+evaluator builds its compiler in three places, only the CLI's `main`
+exits with 2, and only the order walk writes a binder scope in place.
+The README's line count of the trusted base and its list of the
+package's modules are checked against the files."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -25,6 +28,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "microhol"
+README = ROOT / "README.md"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # Where a user of the package may live: the package and the benchmark.  A name
 # only the tests call is dead code unless it is kept below, with its reason.
@@ -117,6 +121,7 @@ SIGNATURE_WRITERS = {
 }
 _MUTATORS = {
     "append", "extend", "insert", "update", "setdefault", "pop", "popitem", "clear", "remove",
+    "add", "discard",
 }
 
 
@@ -407,6 +412,70 @@ def _re_encoded_atom(node: ast.AST) -> bool:
     )
 
 
+# The parameters that carry the binders in scope down a term walk.  A walker
+# hands each binder's body a new scope value; only the order walk, the hot
+# path behind `alpha_equiv` and `term_compare`, writes one shared scope and
+# restores it.  A walker is a function that opens binders (its own code reads
+# a `.bvar`) or hands one of these parameters to a walker.  Elsewhere these
+# names are no scope: `type_match`'s `env` and `bootstrap._match`'s `tenv`
+# are the matches being built, and the evaluator's closures fill their `env`
+# list by slot.
+SCOPE_PARAMETERS = {"bound", "env", "binders", "tenv", "uenv"}
+SCOPE_WRITERS = {"syntax.py:_order"}
+
+
+def _writes_name(node: ast.AST, names: set[str]) -> bool:
+    """An item of one of `names` assigned or deleted, or a mutating method
+    called on one of them."""
+    if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+        target = node.value
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MUTATORS
+    ):
+        target = node.func.value
+    else:
+        return False
+    return isinstance(target, ast.Name) and target.id in names
+
+
+def _scope_writers(tree: ast.Module) -> dict[str, int]:
+    """Each walker that writes a binder-scope parameter in place -> the
+    line of its first write."""
+    own: dict[str, list[ast.AST]] = {}
+    for scope, node in _scoped_nodes(tree):
+        own.setdefault(scope, []).append(node)
+    params = {}
+    for name, node in _functions(tree):
+        a = node.args
+        params[name] = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)} & SCOPE_PARAMETERS
+    walkers = {
+        name
+        for name in params
+        if any(isinstance(n, ast.Attribute) and n.attr == "bvar" for n in own.get(name, []))
+    }
+    while True:  # a function that hands its scope to a walker walks too
+        short = {name.split(".")[-1] for name in walkers}
+        more = {
+            name
+            for name, scope in params.items()
+            for n in own.get(name, [])
+            if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) in short
+            and any(isinstance(arg, ast.Name) and arg.id in scope for arg in n.args)
+        } - walkers
+        if not more:
+            break
+        walkers |= more
+    out = {}
+    for name in sorted(walkers):
+        lines = [n.lineno for n in own.get(name, []) if _writes_name(n, params[name])]
+        if lines:
+            out[name] = min(lines)
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     tree = _tree(path)
@@ -503,6 +572,21 @@ def test_only_the_fingerprint_encodes_terms(name):
 def test_trusted_base_imports_no_other_module(name):
     stray = _untrusted_imports(_tree(PACKAGE / name), TRUSTED_IMPORTS[name])
     assert not stray, f"{name} imports outside the trusted base:\n" + "\n".join(stray)
+
+
+def test_readme_counts_the_trusted_base():
+    # the figure is `wc -l` of the two files, which counts newlines
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    figure = re.search(r"`kernel\.py` and `syntax\.py`, ([\d,]+) lines together", text)
+    assert figure, "the README gives no line count for the trusted base"
+    files = [(PACKAGE / name).read_text(encoding="utf-8") for name in TRUSTED_IMPORTS]
+    assert int(figure[1].replace(",", "")) == sum(f.count("\n") for f in files)
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    layout = text.split("\nsrc/microhol/\n", 1)[1].split("\n```", 1)[0]
+    assert sorted(re.findall(r"^  (\S+\.py) ", layout, re.M)) == [p.name for p in MODULES]
 
 
 def test_the_kernel_defines_no_audit():
@@ -612,6 +696,15 @@ def test_no_encoding_cache_on_terms():
         for line in _scopes(_tree(path), _names("_canon", strings=True)).values()
     ]
     assert not stray, "a `_canon` slot or attribute is back:\n" + "\n".join(stray)
+
+
+def test_only_the_order_walk_writes_a_binder_scope():
+    writers = {
+        f"{path.name}:{scope}": line
+        for path in MODULES
+        for scope, line in _scope_writers(_tree(path)).items()
+    }
+    assert set(writers) == SCOPE_WRITERS, f"binder scopes written in place: {writers}"
 
 
 def _returns_two(node: ast.AST) -> bool:
@@ -792,3 +885,22 @@ def test_checks_catch_what_they_are_for():
         "    return 0 if args.ok else 1\n"
     )
     assert _scopes(tree, _returns_two) == {"main": 5, "cmd": 9}
+    tree = ast.parse(
+        "def walk(t, bound):\n"
+        "    bound[t.bvar] = 0\n"
+        "    return walk(t.body, bound)\n"
+        "def scan(t, env, binders):\n"
+        "    v = t.bvar\n"
+        "    binders.append(v); walk(t.body, binders); binders.pop(); del env[v]\n"
+        "def count(t, *, tenv): tenv[t.bvar] += 1\n"
+        "def extend(t, uenv): return extend(t.body, {**uenv, t.bvar: 0})\n"
+        "def match(p, tenv): tenv[p] = p\n"
+        "def outer(t, bound):\n"
+        "    def beta(env): env[0] = 1\n"
+        "    return beta, t.bvar, bound\n"
+        "def other(t, seen): seen[t.bvar] = 0\n"
+        "def binder(v, body, binders):\n"
+        "    binders.append(v); return walk(body, binders)\n"
+        "def run(prog, env): env[0] = 1; return prog(env)\n"
+    )
+    assert _scope_writers(tree) == {"binder": 15, "count": 7, "scan": 6, "walk": 2}

@@ -59,6 +59,7 @@ from microhol.syntax import (
     alpha_equiv,
     eq_const,
     fn,
+    free_vars,
     mk_abs,
     mk_comb,
     mk_eq,
@@ -189,8 +190,6 @@ class TestEvalTerm:
         ],
     )
     def test_fixed_constant_at_bad_type_rejected(self, t):
-        from microhol.syntax import free_vars
-
         v = Valuation(Model(), {"A": 2, "B": 2}, {u: 0 for u in free_vars(t)})
         with pytest.raises(UninterpretableConstant):
             eval_term(t, v, Theory())
@@ -376,7 +375,7 @@ class TestSemanticInvariants:
         u = alpha_variant(rng, t)
         assert alpha_equiv(t, u)
         model = Model(ind_size=2)
-        from microhol.syntax import free_vars, type_vars_of_term
+        from microhol.syntax import type_vars_of_term
 
         tyenv = {name: 2 for name in type_vars_of_term(t)}
         try:
@@ -404,7 +403,7 @@ class TestSemanticInvariants:
         target = Var("x", BOOL)
         substituted = vsubst(Substitution.of_terms({target: u}), t)
         model = Model(ind_size=2)
-        from microhol.syntax import free_vars, type_vars_of_term
+        from microhol.syntax import type_vars_of_term
 
         tyenv = {
             name: 2
@@ -427,7 +426,7 @@ class TestSemanticInvariants:
         a = g.term(IND, 2)
         b = g.term(IND, 2)
         model = Model(ind_size=3)
-        from microhol.syntax import free_vars, type_vars_of_term
+        from microhol.syntax import type_vars_of_term
 
         tyenv = {n: 2 for n in type_vars_of_term(a) | type_vars_of_term(b)}
         assignment = {}
@@ -702,7 +701,7 @@ class TestClosuresMatchReference:
         """Compare both evaluators on `t` under every valuation, at every
         assignment of SIZES to its type variables; returns the count."""
         from microhol.semantics import _Compiler
-        from microhol.syntax import free_vars, type_vars_of_term
+        from microhol.syntax import type_vars_of_term
 
         tyvars = sorted(type_vars_of_term(t))
         fvs = sorted(free_vars(t), key=lambda v: v.name)
@@ -831,6 +830,41 @@ class TestSearchMatchesReference:
                 self.compare(
                     [*inst.premises, inst.conclusion], 1, Model(), Theory(), limit, seed
                 )
+
+
+class TestShadowingBinders:
+    """A binder whose variable is also free outside it, or bound by an
+    enclosing binder, reads its own slot: `eval_term` agrees with the
+    reference compiler (`oracles.reference_eval_term`), and `is_valid`
+    finds each term equal to what it means, as the reference search
+    (`oracles.reference_search`) does."""
+
+    y, a, b = Var("y", BOOL), Var("a", BOOL), Var("b", BOOL)
+    # name -> (term, what it means)
+    CASES = {
+        # x = (\x. x) y: the redex's binder shadows the free x
+        "free-redex": (mk_eq(x, mk_comb(mk_abs(x, x), y)), mk_eq(x, y)),
+        # x = ((\x. x) = (\y. y)): the abstraction's binder shadows the free x
+        "free-abstraction": (mk_eq(x, mk_eq(mk_abs(x, x), mk_abs(y, y))), x),
+        # (\x. \x. x) a b: the inner binder shadows the outer one
+        "nested": (mk_comb(mk_comb(mk_abs(x, mk_abs(x, x)), a), b), b),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_eval_term(self, name):
+        t, _ = self.CASES[name]
+        fvs = sorted(free_vars(t), key=lambda v: v.name)
+        for values in itertools.product((0, 1), repeat=len(fvs)):
+            v = Valuation(Model(), term_assignment=dict(zip(fvs, values)))
+            assert eval_term(t, v) == reference_eval_term(t, v, Theory()), values
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_is_valid(self, name):
+        sequent = ((), mk_eq(*self.CASES[name]))
+        verdict = is_valid(sequent, Model())
+        assert verdict.valid
+        want = reference_search([sequent], 0, Model(), Theory(), 100_000, 1_000, None)
+        assert (verdict.exhaustive, verdict.checked, None) == want
 
 
 class TestSharedNameOrder:

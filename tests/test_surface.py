@@ -275,6 +275,25 @@ class TestRoundTrip:
         assert print_term(t) == "\\T:ind. (T:bool)"
         assert parse_term(print_term(t), theory) == t
 
+    @pytest.mark.parametrize(
+        "t, src",
+        [
+            (
+                Abs(Var("x", BOOL), Abs(Var("x", IND), Var("x", IND))),
+                "\\x:bool. \\x:ind. x",
+            ),
+            (
+                # the bound T bare, the constant T annotated
+                Abs(Var("T", BOOL), mk_eq(Var("T", BOOL), Const("T", BOOL))),
+                "\\T:bool. T <=> (T:bool)",
+            ),
+        ],
+        ids=["binder-of-another-type", "truth-named-binder"],
+    )
+    def test_shadowing_binders_print_and_read_back(self, t, src):
+        assert print_term(t) == src
+        assert parse_term(src, _roundtrip_theory()) == t
+
     def test_a_shadowed_constant_named_binder_prints_as_a_free_variable(self):
         # the other exception: the outer `not` under an inner `not` binder
         outer = Var("not", BOOL)

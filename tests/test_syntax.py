@@ -631,6 +631,28 @@ class TestEncodingShape:
             mk_abs(Var("y", BOOL), x)
         )
 
+    # an abstraction over bool or ind: tag, then the binder's type
+    LAM_BOOL = b"\x14\x02\x00\x00\x00\x04bool\x00\x00\x00\x00"
+    LAM_IND = b"\x14\x02\x00\x00\x00\x03ind\x00\x00\x00\x00"
+
+    @pytest.mark.parametrize(
+        "t, key",
+        [
+            # \x. \x. x: the inner binder, index 0
+            (mk_abs(x_bool, mk_abs(x_bool, x_bool)), LAM_BOOL + LAM_BOOL + b"\x10\0\0\0\0"),
+            # \x. \y. x: the outer binder, index 1
+            (mk_abs(x_bool, mk_abs(y_bool, x_bool)), LAM_BOOL + LAM_BOOL + b"\x10\0\0\0\1"),
+            # \x:bool. \x:ind. x, body x:bool: a binder of another type
+            # does not shadow it, index 1
+            (mk_abs(x_bool, mk_abs(x_ind, x_bool)), LAM_BOOL + LAM_IND + b"\x10\0\0\0\1"),
+            # \x:bool. \x:ind. x, body x:ind: index 0
+            (mk_abs(x_bool, mk_abs(x_ind, x_ind)), LAM_BOOL + LAM_IND + b"\x10\0\0\0\0"),
+        ],
+        ids=["shadowed", "outer", "other-type-outer", "other-type-inner"],
+    )
+    def test_shadowing_binders(self, t, key):
+        assert term_order_key(t) == key
+
 
 def _encoding_order(t, u):
     a, b = term_order_key(t), term_order_key(u)
