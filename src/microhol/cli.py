@@ -158,10 +158,12 @@ def _read_problem(path: str, theory):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head = re.match(r"(AXIOM|GOAL)[ \t]+", line)
+        head = re.match(r"(AXIOM|GOAL)([ \t]+|$)", line)
         if head is None:
             raise HolError(f"line {lineno}: expected AXIOM or GOAL")
         keyword, text = head[1], line[head.end() :]
+        if not text:
+            raise HolError(f"line {lineno}: {keyword} has no formula")
         if keyword == "GOAL" and goal is not None:
             raise HolError(f"line {lineno}: more than one GOAL")
         try:

@@ -649,9 +649,15 @@ def _enc_term(t: Term, out: bytearray, bound: tuple[Var, ...]):
 def _order(t: Term, u: Term, tenv: dict, uenv: dict, depth: int, sync: bool) -> int:
     # Compares the encodings component by component; every component is
     # self-delimiting, so the first differing one decides.  `sync`: every
-    # binder pair opened so far is the same variable, so both sides see the
-    # same bound variables at the same levels and a shared subterm equals
-    # itself without a walk.
+    # binder pair opened so far is the same variable.  Then `tenv` and
+    # `uenv` are one injective map from variable to level, so whether two
+    # subterms are equal does not depend on the scope they are met in: it
+    # is alpha-equivalence with each variable free in them, bound further
+    # out or not, equal only to itself, the same interned atom.  So a
+    # shared subterm equals itself without a walk, and an abstraction pair
+    # found equal in sync is walked once however often it repeats: `tenv`
+    # also maps id(t), an int key, to u for each such pair.  The top-level
+    # call owns the maps and its terms keep the ids; errors need no restore.
     if t is u and sync:
         return 0
     cls = type(t)
@@ -664,6 +670,8 @@ def _order(t: Term, u: Term, tenv: dict, uenv: dict, depth: int, sync: bool) -> 
             t.rand, u.rand, tenv, uenv, depth, sync
         )
     if cls is Abs:
+        if sync and tenv.get(id(t)) is u:
+            return 0
         tv, uv = t.bvar, u.bvar
         if tv.ty is not uv.ty:
             a, b = _type_enc(tv.ty), _type_enc(uv.ty)
@@ -672,17 +680,18 @@ def _order(t: Term, u: Term, tenv: dict, uenv: dict, depth: int, sync: bool) -> 
         usaved = uenv.get(uv)
         tenv[tv] = depth
         uenv[uv] = depth
-        try:
-            return _order(t.body, u.body, tenv, uenv, depth + 1, sync and tv is uv)
-        finally:
-            if tsaved is None:
-                del tenv[tv]
-            else:
-                tenv[tv] = tsaved
-            if usaved is None:
-                del uenv[uv]
-            else:
-                uenv[uv] = usaved
+        c = _order(t.body, u.body, tenv, uenv, depth + 1, sync and tv is uv)
+        if tsaved is None:
+            del tenv[tv]
+        else:
+            tenv[tv] = tsaved
+        if usaved is None:
+            del uenv[uv]
+        else:
+            uenv[uv] = usaved
+        if sync and not c:
+            tenv[id(t)] = u
+        return c
     if cls is Var:
         tl = tenv.get(t)
         ul = uenv.get(u)

@@ -100,6 +100,77 @@ def shared_pairs(draw):
     return (u, t) if draw(st.booleans()) else (t, u)
 
 
+def _copy(t, v=None, w=None):
+    """t rebuilt from new combination and abstraction objects (atoms are
+    interned, so they stay the same objects), with v replaced by w where
+    no binder of v covers it, even where a binder of w does."""
+    if t is v:
+        return w
+    if type(t) is Comb:
+        return Comb(_copy(t.rator, v, w), _copy(t.rand, v, w))
+    if type(t) is Abs and t.bvar is not v:
+        return Abs(t.bvar, _copy(t.body, v, w))
+    return t
+
+
+@st.composite
+def copied_dags(draw):
+    """Two separately built copies of one term whose subterms repeat.
+
+    The base term is an abstraction over `x`.  Each layer applies a
+    function variable to two occurrences of the term so far, each bare or
+    under a binder; equal occurrences are one object, so a copy repeats
+    its subterms like a Skolem witness in meson's replay, and is
+    exponentially larger as a tree than as a DAG.  The copies share no
+    combination or abstraction object.  The binders are `x` and `v`, free
+    in the base term where it has a free variable; `w` renames `v`.  The
+    second copy may bind `w` where the first binds `v`, or build one
+    repeated subterm differently: its base term with `v` renamed to `w`,
+    one layer's function variable, or one occurrence of a repeat as a
+    copy with `v` renamed.  So one pair of shared abstractions is met
+    both under equal binders and under renamed ones, and one abstraction
+    of the first copy is met with two of the second, and each may be
+    equal in one meeting and not the other."""
+    s = draw(typed_terms(depth=3))
+    frees = sorted(oracle_free_vars(s), key=lambda v: (v.name, repr(v.ty)))
+    if frees:
+        v = draw(st.sampled_from(frees))
+    else:
+        v = Var(draw(st.sampled_from(_VAR_NAMES)), draw(base_types))
+    names = draw(st.permutations([n for n in _VAR_NAMES if n != v.name]))
+    w, x = Var(names[0], v.ty), Var(names[1], draw(base_types))
+
+    layers = []  # per layer: the two occurrences' binders in each copy
+    for _ in range(draw(st.integers(1, 4))):
+        occurrences = []
+        for _ in range(2):
+            a = b = draw(st.sampled_from((None, x, v)))
+            if a is v and draw(st.booleans()):
+                b = w
+            occurrences.append((a, b))
+        layers.append((occurrences, draw(base_types)))
+    differ = draw(st.sampled_from(("nothing", "base", "function", "repeat")))
+    at = draw(st.integers(1, len(layers)))  # the layer whose function or repeat differs
+    base = (s, _copy(s, v, w) if differ == "base" else s)
+
+    def build(side):
+        t = Abs(x, _copy(base[side]))
+        for i, (occurrences, ty) in enumerate(layers, start=1):
+            made = {}
+            for pair in occurrences:
+                if pair[side] not in made:
+                    made[pair[side]] = t if pair[side] is None else Abs(pair[side], t)
+            a, b = (made[pair[side]] for pair in occurrences)
+            if side and i == at and differ == "repeat":
+                b = _copy(b, v, w)
+            name = "h" if side and i == at and differ == "function" else "g"
+            t = Comb(Comb(Var(name, fn(a.ty, fn(b.ty, ty))), a), b)
+        return t
+
+    t, u = build(0), build(1)
+    return (u, t) if draw(st.booleans()) else (t, u)
+
+
 @st.composite
 def dag_substitutions(draw):
     """A term in which one subterm object occurs many times, and a

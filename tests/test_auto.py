@@ -720,6 +720,23 @@ class TestRewritingSkipsUnchanged:
             meson(logic, prob, depth_bound=depth)
         assert len(log) == PAPER_FORMULA_INFERENCES
 
+    def test_paper_formula_order_walk(self, logic, monkeypatch):
+        # meson's replay compares literals whose Skolem witnesses nest and
+        # repeat; walked as trees they took 74,540 visits of the order walk
+        # here, walked once per pair of shared subterms 11,276
+        name, prob, depth = next(p for p in PROBLEMS if p[0] == "paper-displayed-formula")
+        _NormLemmas.get(logic)
+        calls = [0]
+        real = syntax._order
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(syntax, "_order", counting)
+        meson(logic, prob, depth_bound=depth)
+        assert calls[0] <= 20_000
+
     def test_suite_rewrite_attempts(self, monkeypatch):
         # each node is rewritten only by the equation its heads select, so
         # every attempt matches: the fixed-point engine made 3,507 attempts

@@ -297,8 +297,21 @@ class TestProblemFileErrors:
                 "error: 1:31: expected ')', found 'end of input'",
             ),
             (["\tGOAL \t (P:ind -> bool) (a:bool)"], "error: 1:33: operand type"),
+            (["AXIOM"], "error: line 1: AXIOM has no formula"),
+            (["# no goal yet", "GOAL \t "], "error: line 2: GOAL has no formula"),
+            (["AXIOMS (P:ind -> bool) (a:ind)"], "error: line 1: expected AXIOM or GOAL"),
         ],
-        ids=["unbalanced", "ill-typed", "higher-order", "not-boolean", "after-tab", "after-run"],
+        ids=[
+            "unbalanced",
+            "ill-typed",
+            "higher-order",
+            "not-boolean",
+            "after-tab",
+            "after-run",
+            "bare-keyword",
+            "keyword-then-blanks",
+            "keyword-run-on",
+        ],
     )
     def test_error_carries_the_file_line(self, tmp_path, lines, expected):
         path = tmp_path / "p.fol"

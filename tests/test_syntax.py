@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import microhol
+from microhol import syntax
 from microhol.syntax import (
     BOOL,
     IND,
@@ -44,6 +45,7 @@ from .oracles import (
     oracle_vsubst,
 )
 from .strategies import (
+    copied_dags,
     dag_substitutions,
     hol_types,
     shared_pairs,
@@ -660,7 +662,9 @@ def _encoding_order(t, u):
 
 
 class TestAlphaOrder:
-    @given(st.one_of(st.tuples(typed_terms(), typed_terms()), shared_pairs()))
+    @given(
+        st.one_of(st.tuples(typed_terms(), typed_terms()), shared_pairs(), copied_dags())
+    )
     @settings(max_examples=500, deadline=None)
     def test_agrees_with_encoding(self, pair):
         t, u = pair
@@ -690,3 +694,33 @@ class TestAlphaOrder:
         assert term_compare(t, u) == -1
         assert term_compare(u, t) == 1
         assert term_compare(t, t) == 0
+
+    def test_shared_copies_are_walked_once(self, monkeypatch):
+        # \x. f a a nested 60 deep, built twice: 2^60 nodes as trees, 60
+        # abstractions as DAGs.  Visiting each pair of shared subterms once,
+        # each comparison below takes about five visits a level; walking
+        # the trees would never finish, so the count stops it.
+        calls = [0]
+        real = syntax._order
+
+        def counting(*args):
+            calls[0] += 1
+            assert calls[0] <= 3 * 6 * 60, "the order walk re-walks shared subterms"
+            return real(*args)
+
+        monkeypatch.setattr(syntax, "_order", counting)
+        pred = fn(IND, BOOL)
+        f = Var("f", fn(pred, fn(pred, BOOL)))
+
+        def nested(leaf):
+            a = Abs(x_ind, leaf)
+            for _ in range(60):
+                a = Abs(x_ind, Comb(Comb(f, a), a))
+            return a
+
+        p, q = Var("p", BOOL), Var("q", BOOL)
+        assert alpha_equiv(nested(p), nested(p))
+        sign = term_compare(p, q)
+        assert sign != 0
+        assert term_compare(nested(p), nested(q)) == sign
+        assert term_compare(nested(q), nested(p)) == -sign
