@@ -194,10 +194,12 @@ def _assign_false(logic: Logic, v: Var) -> tuple[bool, Theorem]:
 
 
 def _taut_reconstruct(logic, p, order, asg) -> Theorem:
+    # `asg` maps id() of each variable assigned so far to its value and
+    # G |- v = T/F; variables are interned, so each has one id
     if order:
         v, rest = order[0], order[1:]
-        th_t = _taut_reconstruct(logic, p, rest, {**asg, v: _assign_true(logic, v)})
-        th_f = _taut_reconstruct(logic, p, rest, {**asg, v: _assign_false(logic, v)})
+        th_t = _taut_reconstruct(logic, p, rest, {**asg, id(v): _assign_true(logic, v)})
+        th_f = _taut_reconstruct(logic, p, rest, {**asg, id(v): _assign_false(logic, v)})
         em = inst_rule({Var("t", BOOL): v}, logic.EXCLUDED_MIDDLE)
         return logic.disj_cases(em, th_t, th_f)
     value, th = _eval_formula(logic, p, asg)
@@ -206,22 +208,27 @@ def _taut_reconstruct(logic, p, order, asg) -> Theorem:
     return logic.eqt_elim(th)
 
 
-def _eval_formula(logic, t, asg) -> tuple[bool, Theorem]:
-    """Evaluate a propositional formula under an assignment, returning
-    (value, G |- t = T/F); the value is read off the connective table."""
-    if isinstance(t, Var):
-        return asg[t]
+def _eval_formula(logic, t, leaves) -> tuple[bool, Theorem]:
+    """Evaluate a propositional formula, returning (value, G |- t = T/F).
+    `leaves` maps id() of a subterm object to its (value, G |- leaf = T/F)
+    and is looked up before the connectives; each connective's value is
+    read off the connective table.  (A module function, not a closure: a
+    closure calling itself is a reference cycle, which would keep every
+    theorem it reaches alive until a full collection.)"""
+    got = leaves.get(id(t))
+    if got is not None:
+        return got
     if isinstance(t, Const):
         if t.name == "T":
             return True, logic.eqt_intro(logic.TRUTH)
         return False, logic.eqf_intro(FALSE, assume(FALSE))
     if is_neg(t):
-        val, th = _eval_formula(logic, t.rand, asg)
+        val, th = _eval_formula(logic, t.rand, leaves)
         th = kernel.trans(ap_term(t.rator, th), logic.tables[("not", (val,))])
     else:
         op = t.rator.rator
-        lval, lth = _eval_formula(logic, t.rator.rand, asg)
-        rval, rth = _eval_formula(logic, t.rand, asg)
+        lval, lth = _eval_formula(logic, t.rator.rand, leaves)
+        rval, rth = _eval_formula(logic, t.rand, leaves)
         combined = kernel.mk_comb_rule(ap_term(op, lth), rth)
         opname = "iff" if op.name == "=" else op.name
         th = kernel.trans(combined, logic.tables[(opname, (lval, rval))])
@@ -942,34 +949,18 @@ class _Rebuild:
                 ths.append(self._clash(lt, goal_term))
             else:
                 ths.append(self.refute(next(child_iter), path_terms))
-        # Alpha-equal literals of the instance all take the refuter of the
+        # Each literal L, refuted by {L} u G_L |- F, gives G_L \ {L} |- L = F;
+        # alpha-equal literals of the instance all take the refuter of the
         # last of them.
-        refuters: dict[int, Theorem] = {}
+        leaves: dict[int, tuple[bool, Theorem]] = {}
         for j, lt in enumerate(lits):
             k = next(k for k in reversed(range(j, len(lits))) if alpha_equiv(lt, lits[k]))
-            refuters[id(lt)] = ths[k]
+            leaves[id(lt)] = (False, self.logic.eqf_intro(lt, ths[k]))
         # Cut d in with prove_hyp rather than rewrite inst with d = F: a
         # refuter's assumption alpha-equal to d is then discharged by inst.
         d = inst.conclusion
-        return prove_hyp(inst, eq_mp(assume(d), _falsify(self.logic, d, refuters)))
-
-
-def _falsify(logic: Logic, d: Term, refuters: dict[int, Theorem]) -> Theorem:
-    """G |- d = F for a disjunction d.  Each literal L is refuted by the
-    theorem {L} u G_L |- F keyed by its id (the literal objects are those
-    `_flatten_disj(d)` returned), which gives G_L \\ {L} |- L = F; each
-    \\/ node joins its two sides through |- (F \\/ F) = F.  (A module
-    function, not a closure: a closure calling itself is a reference
-    cycle, which would keep every theorem it reaches alive until a full
-    collection.)"""
-    if is_disj(d):
-        l, r = dest_disj(d)
-        both = kernel.mk_comb_rule(
-            ap_term(d.rator.rator, _falsify(logic, l, refuters)),
-            _falsify(logic, r, refuters),
-        )
-        return kernel.trans(both, logic.tables[("or", (False, False))])
-    return logic.eqf_intro(d, refuters[id(d)])
+        _, d_false = _eval_formula(self.logic, d, leaves)  # G |- d = F
+        return prove_hyp(inst, eq_mp(assume(d), d_false))
 
 
 def _describe_steps(node, out: list[str], rebuild: _Rebuild, indent=0):

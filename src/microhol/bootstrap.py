@@ -59,8 +59,6 @@ from .syntax import (
     mk_comb,
     mk_eq,
     type_match,
-    variant,
-    vsubst,
 )
 
 __all__ = [
@@ -429,7 +427,9 @@ class Logic:
     * {p /\\ q} |- p and {p /\\ q} |- q for ``conjunct1``/``conjunct2``;
     * {p ==> q} |- p = (p /\\ q) for ``mp``;
     * |- ((p /\\ q) = p) = (p ==> q) for ``disch``;
-    * {(!) P} |- P x for ``spec``;
+    * {(!) P} |- P x for ``spec`` and |- (P = \\x. T) = (!) P for ``gen``;
+    * {P x} |- (?) P for ``exists_intro``;
+    * {p} |- p \\/ q and {q} |- p \\/ q for ``disj1``/``disj2``;
     * {p \\/ q} |- (p ==> r) ==> (q ==> r) ==> r for ``disj_cases``;
     * {~p, p} |- F for ``clash``;
     * |- (~p = F) = p for ``ccontr``;
@@ -439,9 +439,8 @@ class Logic:
     ``prove_hyp`` instead of unfolding the connectives' definitions
     again, so it costs a handful of primitive inferences and returns the
     same sequent the unfolding derivation gave.  ``unfold`` is the one
-    way a definition is unfolded: the schemas above, ``gen``,
-    ``exists_intro``, the negation rules and disjunction introduction
-    all go through it.
+    way a definition is unfolded: the schemas above and the negation
+    rules go through it.
     """
 
     def __init__(self, theory: Theory):
@@ -460,10 +459,12 @@ class Logic:
         # {(!) P} |- P x, for P : A -> bool
         a_ty = TyVar("A")
         cap_p = Var("P", fn(a_ty, BOOL))
-        all_p = mk_comb(lhs(self.defs["forall"]), cap_p)
-        th1 = eq_mp(assume(all_p), self.unfold("forall", cap_p))
-        th2 = ap_thm(th1, Var("x", a_ty))
+        x_a = Var("x", a_ty)
+        forall_def = self.unfold("forall", cap_p)  # |- (!) P = (P = \x. T)
+        th2 = ap_thm(eq_mp(assume(lhs(forall_def)), forall_def), x_a)
         self._spec_pth = self.eqt_elim(trans(th2, beta_conv(rhs(th2))))
+        # |- (P = \x. T) = (!) P
+        self._gen_pth = sym(forall_def)
 
         # {F} |- p
         fth = eq_mp(assume(FALSE), self.defs["F"])
@@ -494,9 +495,15 @@ class Logic:
         self._disch_pth = sym(self.unfold("imp", p, q))
         # {p \/ q} |- (p ==> r) ==> (q ==> r) ==> r
         r = Var("r", BOOL)
-        self._disj_cases_pth = self.spec(
-            r, eq_mp(assume(mk_disj(p, q)), self.unfold("or", p, q))
-        )
+        or_def = self.unfold("or", p, q)
+        self._disj_cases_pth = self.spec(r, eq_mp(assume(mk_disj(p, q)), or_def))
+        # {p} |- p \/ q and {q} |- p \/ q
+        pths = []
+        for th in (assume(p), assume(q)):
+            th1 = self.mp(assume(mk_imp(th.conclusion, r)), th)
+            th2 = self.disch(mk_imp(p, r), self.disch(mk_imp(q, r), th1))
+            pths.append(eq_mp(self.gen(r, th2), sym(or_def)))
+        self._disj_pths = tuple(pths)
 
         self.EXCLUDED_MIDDLE = self._prove_excluded_middle()
         self.tables = self._prove_value_tables()
@@ -509,12 +516,17 @@ class Logic:
         refuted = self.contr(p, eq_mp(assume(np), assume(mk_eq(np, FALSE))))
         to_p = self.disj_cases(em, assume(p), refuted)  # {~p = F} |- p
         self._ccontr_pth = deduct_antisym(self.eqf_intro(np, self._clash_pth), to_p)
+        # {P x} |- (?) P, through |- (?) P = !q. (!x. P x ==> q) ==> q
+        exists_def = self.unfold("exists", cap_p)
+        q_var, body = dest_forall(rhs(exists_def))
+        ante = dest_imp(body)[0]
+        th = self.mp(self.spec(x_a, assume(ante)), assume(mk_comb(cap_p, x_a)))
+        self._exists_pth = eq_mp(self.gen(q_var, self.disch(ante, th)), sym(exists_def))
         # {(?) P} |- P ((@) P), from the choice axiom |- P x ==> P ((@) P)
         ax = axiom_choice(theory)
-        some_p = mk_comb(lhs(self.defs["exists"]), cap_p)
-        th1 = eq_mp(assume(some_p), self.unfold("exists", cap_p))
+        th1 = eq_mp(assume(lhs(exists_def)), exists_def)
         th2 = self.spec(dest_imp(ax.conclusion)[1], th1)
-        self._select_pth = self.mp(th2, self.gen(Var("x", a_ty), ax))
+        self._select_pth = self.mp(th2, self.gen(x_a, ax))
 
     # -- equality/truth plumbing
 
@@ -595,9 +607,9 @@ class Logic:
     # -- quantifiers
 
     def gen(self, x: Var, th: Theorem) -> Theorem:
-        th1 = abs_rule(x, self.eqt_intro(th))
-        pred = mk_abs(x, th.conclusion)
-        return eq_mp(th1, sym(self.unfold("forall", pred)))
+        th1 = abs_rule(x, self.eqt_intro(th))  # G |- (\x. p) = (\x. T)
+        pth = inst_type_rule({"A": x.ty}, self._gen_pth)
+        return eq_mp(th1, inst_rule({Var("P", fn(x.ty, BOOL)): lhs(th1)}, pth))
 
     def spec(self, t: Term, th: Theorem) -> Theorem:
         c = th.conclusion
@@ -619,20 +631,15 @@ class Logic:
     def exists_intro(self, etm: Term, witness: Term, th: Theorem) -> Theorem:
         """From |- p[witness/x] conclude |- ?x. p (etm is the target)."""
         pred = etm.rand
-        eqth = self.unfold("exists", pred)
-        qv, body = dest_forall(rhs(eqth))
-        avoid = list(th.assumptions) + [th.conclusion, etm]
-        q = variant(avoid, qv)
-        ante = vsubst({qv: q}, dest_imp(body)[0])
-        th1 = assume(ante)
-        th2 = self.spec(witness, th1)
-        if isinstance(pred, Abs):  # contract the antecedent, pred witness
-            c = th2.conclusion
-            th2 = eq_mp(th2, ap_thm(ap_term(c.rator.rator, beta_conv(c.rator.rand)), c.rand))
-        th3 = self.mp(th2, th)
-        th4 = self.disch(ante, th3)
-        th5 = self.gen(q, th4)
-        return eq_mp(th5, sym(eqth))
+        a = dest_pred_ty(pred)
+        pth = inst_type_rule({"A": a}, self._exists_pth)
+        inst = inst_rule({Var("P", pred.ty): pred, Var("x", a): witness}, pth)
+        redex = mk_comb(pred, witness)
+        if isinstance(pred, Abs):  # th proves the contracted redex
+            th = eq_mp(th, sym(beta_conv(redex)))
+        elif not alpha_equiv(th.conclusion, redex):
+            raise kernel.Mismatch("exists_intro: the theorem does not prove the instance")
+        return prove_hyp(th, inst)
 
     def select_rule(self, th: Theorem) -> Theorem:
         """From |- ?x. p conclude |- p[(@x. p)/x] (choice-based witness)."""
@@ -657,19 +664,10 @@ class Logic:
     # -- disjunction
 
     def disj1(self, th: Theorem, q: Term) -> Theorem:
-        return self._disj_intro(th.conclusion, q, th)
+        return prove_hyp(th, self._inst_pq(self._disj_pths[0], th.conclusion, q))
 
     def disj2(self, p: Term, th: Theorem) -> Theorem:
-        return self._disj_intro(p, th.conclusion, th)
-
-    def _disj_intro(self, p: Term, q: Term, th: Theorem) -> Theorem:
-        """|- p \\/ q from `th`, which proves p or q."""
-        r = variant(list(th.assumptions) + [p, q], Var("r", BOOL))
-        th1 = self.mp(assume(mk_imp(th.conclusion, r)), th)
-        th2 = self.disch(mk_imp(q, r), th1)
-        th3 = self.disch(mk_imp(p, r), th2)
-        th4 = self.gen(r, th3)
-        return eq_mp(th4, sym(self.unfold("or", p, q)))
+        return prove_hyp(th, self._inst_pq(self._disj_pths[1], p, th.conclusion))
 
     def disj_cases(self, th: Theorem, th1: Theorem, th2: Theorem) -> Theorem:
         if not alpha_equiv(th1.conclusion, th2.conclusion):

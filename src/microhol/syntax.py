@@ -533,55 +533,35 @@ def _vsubst(sub: dict[Var, Term], t: Term, memo: dict[int, Term]) -> Term:
     return out
 
 
-class _Clash(Exception):
-    def __init__(self, var: Var):
-        self.var = var
-
-
 def inst_type(tyin: Mapping[str, HolType], t: Term) -> Term:
     """Apply a type substitution throughout a term.
 
-    A binder is renamed when instantiation would identify it with a
-    distinct free variable of the body (same name, types made equal).
-    """
+    Each abstraction settles its binder before it instantiates its body:
+    the binder is renamed exactly when its instance equals that of
+    another free variable of the body (same name, types made equal), so
+    a subterm's instance depends on the subterm alone."""
     if not tyin:
         return t
-    return _inst([], tyin, t)
+    return _inst(tyin, t)
 
 
-def _inst(env: list[tuple[Var, Var]], tyin: Mapping[str, HolType], t: Term) -> Term:
-    if isinstance(t, Var):
+def _inst(tyin: Mapping[str, HolType], t: Term) -> Term:
+    if isinstance(t, (Var, Const)):
         ty2 = type_subst(tyin, t.ty)
-        t2 = t if ty2 is t.ty else Var(t.name, ty2)
-        for old, new in env:
-            if new is t2:
-                if old is t:
-                    return t2
-                raise _Clash(t2)
-        return t2
-    if isinstance(t, Const):
-        ty2 = type_subst(tyin, t.ty)
-        return t if ty2 is t.ty else Const(t.name, ty2)
+        return t if ty2 is t.ty else type(t)(t.name, ty2)
     if isinstance(t, Comb):
-        f = _inst(env, tyin, t.rator)
-        a = _inst(env, tyin, t.rand)
+        f = _inst(tyin, t.rator)
+        a = _inst(tyin, t.rand)
         return t if f is t.rator and a is t.rand else Comb(f, a)
-    y = t.bvar
-    y2 = Var(y.name, type_subst(tyin, y.ty))
-    env2 = [(y, y2)] + env
-    try:
-        body = _inst(env2, tyin, t.body)
-        return t if body is t.body and y2 is y else Abs(y2, body)
-    except _Clash as clash:
-        if clash.var is not y2:
-            raise
-        # The instantiated binder collided with an instantiated free variable:
-        # rename the binder (at its pre-instantiation type) and retry.
-        inst_frees = [_inst([], tyin, fv) for fv in free_vars(t.body)]
-        fresh = variant(inst_frees, y2)
-        z = Var(fresh.name, y.ty)
-        renamed = Abs(z, _vsubst({y: z}, t.body, {}))
-        return _inst(env, tyin, renamed)
+    y, body = t.bvar, t.body
+    y2 = _inst(tyin, y)
+    frees = free_vars(body)
+    if any(v.name == y.name and v is not y and _inst(tyin, v) is y2 for v in frees):
+        # Rename the binder past every free variable's instance, at its original type.
+        y2 = variant([_inst(tyin, v) for v in frees], y2)
+        body = _vsubst({y: Var(y2.name, y.ty)}, body, {})
+    body2 = _inst(tyin, body)
+    return t if y2 is y and body2 is t.body else Abs(y2, body2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ the tests were computed with these and then frozen.
 
 The second part keeps the earlier, slower implementations of paths that
 were later made to skip work: substitution that walks a shared subterm
-once per occurrence, the fixed-point rewriting engine the clausifier
+once per occurrence, type instantiation that renames a binder by
+catching a clash raised inside its body and starting over, the fixed-point rewriting engine the clausifier
 normalized with before its one-pass structural conversions, the model
 elimination search that tries every complementary literal, the
 clausifier that rewrote every stripped clause again,
@@ -46,12 +47,14 @@ from microhol.auto import (
 )
 from microhol.bootstrap import (
     Inapplicable,
+    ap_term,
     ap_thm,
     beta_conv,
     beta_n,
     conv_rule,
     dest_conj,
     dest_disj,
+    dest_forall,
     dest_imp,
     is_conj,
     is_exists,
@@ -126,6 +129,7 @@ from microhol.syntax import (
     type_vars_of_type,
     variant,
     vfree_in,
+    vsubst,
 )
 
 
@@ -275,6 +279,47 @@ def _legacy_vsubst(sub, t):
         sub2[v] = v2
         return Abs(v2, _legacy_vsubst(sub2, t.body))
     return Abs(v, body)
+
+
+class _Clash(Exception):
+    def __init__(self, var):
+        self.var = var
+
+
+def legacy_inst_type(tyin, t):
+    """inst_type as it was, after HOL Light's kernel: the walk carries the
+    (binder, instance) pairs it is under, a variable whose instance is
+    some binder's instance without being that binder raises `_Clash`, and
+    the abstraction whose binder clashed renames it and tries again."""
+    return _legacy_inst([], tyin, t) if tyin else t
+
+
+def _legacy_inst(env, tyin, t):
+    if isinstance(t, Var):
+        t2 = Var(t.name, type_subst(tyin, t.ty))
+        for old, new in env:
+            if new is t2:
+                if old is t:
+                    return t2
+                raise _Clash(t2)
+        return t2
+    if isinstance(t, Const):
+        return Const(t.name, type_subst(tyin, t.ty))
+    if isinstance(t, Comb):
+        f = _legacy_inst(env, tyin, t.rator)
+        a = _legacy_inst(env, tyin, t.rand)
+        return t if f is t.rator and a is t.rand else Comb(f, a)
+    y = t.bvar
+    y2 = Var(y.name, type_subst(tyin, y.ty))
+    try:
+        body = _legacy_inst([(y, y2)] + env, tyin, t.body)
+        return t if body is t.body and y2 is y else Abs(y2, body)
+    except _Clash as clash:
+        if clash.var is not y2:
+            raise
+        inst_frees = [_legacy_inst([], tyin, fv) for fv in free_vars(t.body)]
+        z = Var(variant(inst_frees, y2).name, y.ty)
+        return _legacy_inst(env, tyin, Abs(z, vsubst({y: z}, t.body)))
 
 
 def try_beta(t):
@@ -474,8 +519,9 @@ def redecomposing_clausify(logic, p):
 
 
 class UnfoldingRules:
-    """conj, conjunct1/2, mp, disch, spec and disj_cases as they were
-    derived on every call, by unfolding the connectives' definitions."""
+    """conj, conjunct1/2, mp, disch, spec, disj_cases, gen, exists_intro
+    and disj1/2 as they were derived on every call, by unfolding the
+    connectives' definitions."""
 
     def __init__(self, logic):
         self.logic = logic
@@ -537,6 +583,35 @@ class UnfoldingRules:
         p, q = dest_disj(th.conclusion)
         sp = self.spec(th1.conclusion, eq_mp(th, self.logic.unfold("or", p, q)))
         return self.mp(self.mp(sp, self.disch(p, th1)), self.disch(q, th2))
+
+    def gen(self, x, th):
+        th1 = abs_rule(x, self.logic.eqt_intro(th))
+        return eq_mp(th1, sym(self.logic.unfold("forall", mk_abs(x, th.conclusion))))
+
+    def exists_intro(self, etm, witness, th):
+        pred = etm.rand
+        eqth = self.logic.unfold("exists", pred)
+        qv, body = dest_forall(rhs(eqth))
+        q = variant(list(th.assumptions) + [th.conclusion, etm], qv)
+        ante = vsubst({qv: q}, dest_imp(body)[0])
+        th2 = self.spec(witness, assume(ante))
+        if isinstance(pred, Abs):  # contract the antecedent, pred witness
+            c = th2.conclusion
+            th2 = eq_mp(th2, ap_thm(ap_term(c.rator.rator, beta_conv(c.rator.rand)), c.rand))
+        th4 = self.disch(ante, self.mp(th2, th))
+        return eq_mp(self.gen(q, th4), sym(eqth))
+
+    def _disj_intro(self, p, q, th):
+        r = variant(list(th.assumptions) + [p, q], Var("r", BOOL))
+        th1 = self.mp(assume(mk_imp(th.conclusion, r)), th)
+        th3 = self.disch(mk_imp(p, r), self.disch(mk_imp(q, r), th1))
+        return eq_mp(self.gen(r, th3), sym(self.logic.unfold("or", p, q)))
+
+    def disj1(self, th, q):
+        return self._disj_intro(th.conclusion, q, th)
+
+    def disj2(self, p, th):
+        return self._disj_intro(p, th.conclusion, th)
 
 
 def excluded_middle_ccontr(logic, p, th):

@@ -923,9 +923,11 @@ SUITE_INFERENCES = 4_788
 
 # kernel inferences of `_NormLemmas.build` on a fresh Logic; 4,713 when
 # existential premises were eliminated by unfolding `?` at a fresh
-# variable and contradictions reached F through `not_elim` and `mp`, and
-# 4,266 when negations were introduced through `disch` and `not_intro`
-NORM_LEMMA_INFERENCES = 4_227
+# variable and contradictions reached F through `not_elim` and `mp`,
+# 4,266 when negations were introduced through `disch` and `not_intro`,
+# and 4,227 when `gen`, `exists_intro`, `disj1` and `disj2` unfolded
+# their definitions on every call
+NORM_LEMMA_INFERENCES = 3_321
 
 
 def _rebuild_with_duplicate_literal(logic):

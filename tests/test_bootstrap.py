@@ -53,6 +53,7 @@ from microhol.syntax import (
     mk_comb,
     mk_eq,
     term_order_key,
+    vfree_in,
 )
 from microhol.surface import print_sequent
 
@@ -65,8 +66,10 @@ x = Var("x", IND)
 y = Var("y", IND)
 
 
-# primitive inferences of `install_logic` on a fresh theory
-LOGIC_BUILD_INFERENCES = 1_284
+# primitive inferences of `install_logic` on a fresh theory; 1,284 when
+# `gen`, `exists_intro`, `disj1` and `disj2` unfolded their definitions on
+# every call
+LOGIC_BUILD_INFERENCES = 838
 
 
 class TestInstallation:
@@ -222,6 +225,15 @@ class TestDerivedRules:
         intro = logic.exists_intro(goal, y, assume(mk_comb(pv, y)))
         assert alpha_equiv(intro.conclusion, goal)
 
+    def test_exists_intro_refuses_another_instance(self, logic):
+        # the schema would return {P y} u G |- ?x. P x; the rule refuses
+        # (`\x. P x` is contracted before the check, a bare `P` is not)
+        pv = Var("P", fn(IND, BOOL))
+        bare = mk_comb(Const("exists", fn(fn(IND, BOOL), BOOL)), pv)
+        for etm in (mk_exists(x, mk_comb(pv, x)), bare):
+            with pytest.raises(kernel.Mismatch):
+                logic.exists_intro(etm, y, assume(mk_comb(pv, x)))
+
     def test_select_rule(self, logic):
         pv = Var("P", fn(IND, BOOL))
         goal = mk_exists(x, mk_comb(pv, x))
@@ -366,6 +378,43 @@ class TestSchemaRules:
                 for a, b in ((th1, th2), (th2, th1)):
                     self.same(logic.disj_cases(th, a, b), old.disj_cases(th, a, b))
 
+    def test_gen(self, logic):
+        old = UnfoldingRules(logic)
+        P = Var("P", fn(IND, BOOL))
+        for concl in (mk_comb(P, x), mk_eq(x, y), mk_imp(p, mk_comb(P, x))):
+            for th in self.pool(old, concl) + [refl(concl)]:
+                for v in (x, Var("k", IND), q):
+                    if any(vfree_in(v, h) for h in th.assumptions):
+                        for gen in (logic.gen, old.gen):
+                            with pytest.raises(VarFreeInHyps):
+                                gen(v, th)
+                    else:
+                        self.same(logic.gen(v, th), old.gen(v, th))
+
+    def test_exists_intro(self, logic):
+        old = UnfoldingRules(logic)
+        P = Var("P", fn(IND, BOOL))
+        R = Var("R", fn(IND, fn(IND, BOOL)))
+        cases = (
+            (mk_exists(x, mk_comb(P, x)), y, mk_comb(P, y)),
+            (mk_comb(Const("exists", fn(fn(IND, BOOL), BOOL)), P), x, mk_comb(P, x)),
+            # the witness is named like the bound variable and like the
+            # definition's own binders q and x
+            (mk_exists(y, mk_comb(mk_comb(R, x), y)), x, mk_comb(mk_comb(R, x), x)),
+            (mk_exists(x, mk_conj(q, mk_comb(P, x))), x, mk_conj(q, mk_comb(P, x))),
+        )
+        for etm, witness, concl in cases:
+            for th in self.pool(old, concl):
+                self.same(logic.exists_intro(etm, witness, th), old.exists_intro(etm, witness, th))
+
+    def test_disj_intro(self, logic):
+        old = UnfoldingRules(logic)
+        for a in self.FORMULAS:
+            for th in self.pool(old, a):
+                for other in (p, r, mk_imp(q, r)):
+                    self.same(logic.disj1(th, other), old.disj1(th, other))
+                    self.same(logic.disj2(other, th), old.disj2(other, th))
+
     def test_spec_type_mismatch_rejected(self, logic):
         for spec in (logic.spec, UnfoldingRules(logic).spec):
             with pytest.raises(HolError):
@@ -387,9 +436,12 @@ class TestSchemas:
             logic._mp_pth,
             logic._disch_pth,
             logic._spec_pth,
+            logic._gen_pth,
+            *logic._disj_pths,
             logic._disj_cases_pth,
             logic._clash_pth,
             logic._ccontr_pth,
+            logic._exists_pth,
             logic._select_pth,
         ]
         assert [_printed(th) for th in schemas] == [
@@ -400,10 +452,14 @@ class TestSchemas:
             "(p:bool) ==> (q:bool) |- (p:bool) <=> (p:bool) /\\ (q:bool)",
             "|- ((p:bool) /\\ (q:bool) <=> (p:bool)) <=> (p:bool) ==> (q:bool)",
             "(!:(A -> bool) -> bool) (P:A -> bool) |- (P:A -> bool) (x:A)",
+            "|- (P:A -> bool) = (\\x:A. T) <=> (!:(A -> bool) -> bool) (P:A -> bool)",
+            "(p:bool) |- (p:bool) \\/ (q:bool)",
+            "(q:bool) |- (p:bool) \\/ (q:bool)",
             "(p:bool) \\/ (q:bool) |- ((p:bool) ==> (r:bool)) ==> "
             "((q:bool) ==> (r:bool)) ==> (r:bool)",
             "(p:bool), ~(p:bool) |- F",
             "|- (~(p:bool) <=> F) <=> (p:bool)",
+            "(P:A -> bool) (x:A) |- (?:(A -> bool) -> bool) (P:A -> bool)",
             "(?:(A -> bool) -> bool) (P:A -> bool) |- "
             "(P:A -> bool) ((@:(A -> bool) -> A) (P:A -> bool))",
         ]

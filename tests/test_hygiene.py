@@ -6,16 +6,17 @@ slot and dataclass field is read, a theory's signature is written only
 by the two definitional rules, only the theory fingerprint builds a
 term's byte encoding, and the trusted base (`kernel.py` and `syntax.py`)
 stands on its own: it imports nothing else of the package outside a
-`__repr__`, only the kernel makes theorems, its rules leave a theorem's
-provenance to one helper, its rule table holds the ten rules, only its
-frozen base guards attribute writes, and the kernel holds no audit,
-which makes none, and only combinations and abstractions compare
-structurally (types and atoms are interned); article replay leaves the
-check of parsed input against the signature to the parser; and one walk
-decides meson's first-order fragment, meson's symbols are the atoms
-themselves, only `rewr_conv` signals `Inapplicable`, the finite-model
-evaluator builds its compiler in three places, only the CLI's `main`
-exits with 2, and only the order walk writes a binder scope in place.
+`__repr__` and catches no exception, only the kernel makes theorems, its
+rules leave a theorem's provenance to one helper, its rule table holds
+the ten rules, only its frozen base guards attribute writes, and the
+kernel holds no audit, which makes none, and only combinations and
+abstractions compare structurally (types and atoms are interned);
+article replay leaves the check of parsed input against the signature to
+the parser; and one walk decides meson's first-order fragment, meson's
+symbols are the atoms themselves, only `rewr_conv` signals
+`Inapplicable`, the finite-model evaluator builds its compiler in three
+places, only the CLI's `main` exits with 2, and only the order walk
+writes a binder scope in place.
 The README's line count of the trusted base and its list of the
 package's modules are checked against the files."""
 
@@ -574,6 +575,18 @@ def test_trusted_base_imports_no_other_module(name):
     assert not stray, f"{name} imports outside the trusted base:\n" + "\n".join(stray)
 
 
+def _handlers(tree: ast.Module) -> dict[str, int]:
+    return _scopes(tree, lambda n: isinstance(n, ast.ExceptHandler))
+
+
+@pytest.mark.parametrize("name", sorted(TRUSTED_IMPORTS))
+def test_trusted_base_catches_nothing(name):
+    # each rule and term walk decides locally: no error raised in one
+    # place changes what another computes (`tracing`'s `finally` is no handler)
+    stray = _handlers(_tree(PACKAGE / name))
+    assert not stray, f"{name} catches exceptions: {stray}"
+
+
 def test_readme_counts_the_trusted_base():
     # the figure is `wc -l` of the two files, which counts newlines
     text = " ".join(README.read_text(encoding="utf-8").split())
@@ -885,6 +898,20 @@ def test_checks_catch_what_they_are_for():
         "    return 0 if args.ok else 1\n"
     )
     assert _scopes(tree, _returns_two) == {"main": 5, "cmd": 9}
+    assert _handlers(tree) == {"main": 4}
+    tree = ast.parse(
+        "def tracing(log):\n"
+        "    try:\n"
+        "        yield log\n"
+        "    finally:\n"
+        "        log.clear()\n"
+        "def inst(t):\n"
+        "    try:\n"
+        "        return walk(t)\n"
+        "    except Clash:\n"
+        "        raise\n"
+    )
+    assert _handlers(tree) == {"inst": 9}
     tree = ast.parse(
         "def walk(t, bound):\n"
         "    bound[t.bvar] = 0\n"

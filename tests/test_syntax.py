@@ -38,6 +38,7 @@ from microhol.surface import print_term
 
 from .oracles import (
     debruijn,
+    legacy_inst_type,
     legacy_vsubst,
     oracle_alpha,
     oracle_free_vars,
@@ -194,6 +195,39 @@ class TestVsubst:
         assert alpha_equiv(vsubst(s, t), t)
 
 
+# Type instantiations that merge types (so binders clash with free
+# variables) and ones that keep them apart.
+_A, _B = TyVar("A"), TyVar("B")
+_TYINS = (
+    {"A": BOOL},
+    {"A": BOOL, "B": BOOL},
+    {"B": _A},
+    {"A": _B, "B": _A},
+    {"A": fn(BOOL, BOOL)},
+)
+# Two names, so that renaming must step past a taken one, at three types
+# that the instantiations above identify in several ways.
+_CLASH_VARS = tuple(Var(n, ty) for n in ("x", "x'") for ty in (_A, _B, BOOL))
+
+
+@st.composite
+def _clash_bodies(draw, depth):
+    """A boolean term over `_CLASH_VARS`: `f v` leaves, equations between
+    two bodies, and `P (\v. body)`, so binders nest and shadow."""
+    choice = draw(st.integers(0, 3)) if depth > 0 else 0
+    if choice == 0:
+        v = draw(st.sampled_from(_CLASH_VARS))
+        return mk_comb(Var("f", fn(v.ty, BOOL)), v)
+    if choice == 1:
+        return mk_eq(draw(_clash_bodies(depth - 1)), draw(_clash_bodies(depth - 1)))
+    v = draw(st.sampled_from(_CLASH_VARS))
+    lam = mk_abs(v, draw(_clash_bodies(depth - 1)))
+    return mk_comb(Var("P", fn(lam.ty, BOOL)), lam)
+
+
+clash_cases = st.tuples(st.sampled_from(_TYINS), _clash_bodies(5))
+
+
 class TestInstType:
     def test_var(self):
         s = Substitution.of_types({"A": BOOL})
@@ -223,6 +257,48 @@ class TestInstType:
         s = {"A": BOOL, "B": fn(IND, BOOL)}
         got = inst_type(Substitution.of_types(s), t)
         assert alpha_equiv(got, oracle_inst_type(s, t))
+
+    @given(st.one_of(clash_cases, st.tuples(st.sampled_from(_TYINS), typed_terms(depth=5))))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_legacy_exactly(self, case):
+        # `==` compares binders by identity, so the chosen names must agree
+        tyin, t = case
+        got = inst_type(tyin, t)
+        assert got == legacy_inst_type(tyin, t)
+        assert alpha_equiv(got, oracle_inst_type(tyin, t))
+
+    @pytest.mark.parametrize(
+        "binders, free, want",
+        [
+            # a binder and a free variable made equal
+            (["x:bool"], ["x:A"], ["x'"]),
+            # the free variable is bound further out: \x:A. \x:bool. x:A
+            (["x:A", "x:bool"], ["x:A"], ["x", "x'"]),
+            # both binders clash with the free x:bool
+            (["x:A", "x:B"], ["x:bool"], ["x'", "x'"]),
+            # x' is taken, so the binder steps past it
+            (["x:A"], ["x:bool", "x':bool"], ["x''"]),
+        ],
+    )
+    def test_clash_examples(self, binders, free, want):
+        def var(spec):
+            name, ty = spec.split(":")
+            return Var(name, {"A": _A, "B": _B, "bool": BOOL}[ty])
+
+        leaves = [mk_comb(Var("f", fn(v.ty, BOOL)), v) for v in map(var, free)]
+        body = leaves[0] if len(leaves) == 1 else mk_eq(*leaves)
+        t = body
+        for v in reversed([var(b) for b in binders]):
+            t = mk_abs(v, t)
+        tyin = {"A": BOOL, "B": BOOL}
+        got = inst_type(tyin, t)
+        assert got == legacy_inst_type(tyin, t)
+        names = []
+        while isinstance(got, Abs):
+            names.append(got.bvar.name)
+            got = got.body
+        assert names == want
+        assert got == inst_type(tyin, body)  # the free variables stay free
 
     @given(typed_terms(depth=5))
     @settings(max_examples=100, deadline=None)
