@@ -10,15 +10,18 @@ proved connective tables.
 (quantifiers only over individual types, predicates and functions as
 constants or free variables).  The problem is clausified through
 proof-producing normalization: two bottom-up kernel rewriting passes,
-one to negation normal form and one that pulls quantifiers out and
-distributes \\/ over /\\, in which each node is rewritten by the one
-lemma its head selects; then universal stripping by specialization and
-skolemization via the choice operator.  The quantifier lemmas behind
-these rewrites use each existential premise through its chosen witness
-(`select_rule`), not by eliminating it at a fresh variable.  Of the
-eight prenexing equations, the four with the quantifier on the left are
-proved and the other four are their mirror images, derived by commuting
-the connective.  T and F are atoms to the search, which is given |- T or
+one to negation normal form and one that Skolemizes, pulls universals
+out and distributes \\/ over /\\, in which each node is rewritten by the
+one lemma its head selects; then universal stripping by specialization.
+The second pass rewrites each `?x. M`, once `M` is normal, by
+|- (?) P = P ((@) P), so each Skolem witness `@x. M` holds its own
+subformula and only the universals whose scope contains it (inner
+Skolemization).  The quantifier lemmas behind these rewrites use each
+existential premise through its chosen witness (`select_rule`), not by
+eliminating it at a fresh variable.  Of the four universal-pull
+equations, the two with the quantifier on the left are proved and the
+other two are their mirror images, derived by commuting the
+connective.  T and F are atoms to the search, which is given |- T or
 |- ~F as a unit clause where either occurs.  The search runs
 on a lightweight clause representation; a successful refutation is
 replayed through the kernel as equations to F: a literal L of a clause
@@ -45,7 +48,6 @@ from .bootstrap import (
     ap_term,
     beta_conv,
     conv_rule,
-    dest_disj,
     exhaustive_conv,
     is_conj,
     is_disj,
@@ -86,6 +88,7 @@ from .syntax import (
     mk_comb,
     mk_eq,
     term_compare,
+    type_vars_of_type,
     variant,
     vsubst,
 )
@@ -371,7 +374,7 @@ class _NormLemmas:
             _not_forall_thm(logic),
             _not_exists_thm(logic),
         ]
-        pulls = _pull_theorems(logic)
+        pulls = _pull_theorems(logic) + [_skolem_thm(logic)]
         dists = [
             t_(
                 logic,
@@ -454,27 +457,39 @@ def _not_exists_thm(logic: Logic) -> Theorem:
     return kernel.deduct_antisym(bwd, fwd)
 
 
+def _skolem_thm(logic: Logic) -> Theorem:
+    """|- (?) P = P ((@) P): an existential holds at its chosen witness.
+    The pull pass rewrites each `?x. M` with it once `M` is normal, so the
+    witness `@x. M` holds only its own subformula, and its free universals
+    are those whose scope contains it."""
+    alpha = TyVar("A")
+    P = Var("P", fn(alpha, BOOL))
+    exists_p = mk_comb(Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
+    pw = logic.select_rule(assume(exists_p))  # {(?) P} |- P ((@) P)
+    back = logic.exists_intro(exists_p, pw.conclusion.rand, assume(pw.conclusion))
+    return kernel.deduct_antisym(back, pw)
+
+
 def _pull_theorems(logic: Logic) -> list[Theorem]:
-    """The eight quantifier-pull equations, e.g.
-    |- ((!) P \\/ q) = !x. P x \\/ q.  The four with the quantifier on
+    """The four universal-pull equations, e.g.
+    |- ((!) P \\/ q) = !x. P x \\/ q.  The two with the quantifier on
     the left are proved; each is followed by its mirror image
     |- (q \\/ (!) P) = !x. q \\/ P x, derived from it by commuting the
-    connective outside and under the binder.  An existential premise is
-    used through its chosen witness (`select_rule`), so the existential
-    cases need no eta step."""
+    connective outside and under the binder.  No existential is pulled:
+    the pull pass Skolemizes each one where it stands (`_skolem_thm`)
+    before its parent is rewritten."""
     alpha = TyVar("A")
     P = Var("P", fn(alpha, BOOL))
     p = Var("p", BOOL)
     q = Var("q", BOOL)
     x = Var("x", alpha)
     forall_p = mk_comb(Const("forall", fn(fn(alpha, BOOL), BOOL)), P)
-    exists_p = mk_comb(Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
     px = mk_comb(P, x)
     or_comm = taut(logic, mk_eq(mk_disj(p, q), mk_disj(q, p)))
     and_comm = taut(logic, mk_eq(mk_conj(p, q), mk_conj(q, p)))
 
     def mirrored(prime: Theorem, swap: Theorem) -> list[Theorem]:
-        """[|- Q P op q = Q x. P x op q, |- q op Q P = Q x. q op P x],
+        """[|- (!) P op q = !x. P x op q, |- q op (!) P = !x. q op P x],
         given swap: |- (p op q) = (q op p)."""
         left, right = lhs(prime), prime.conclusion.rand
         swap_left = inst_rule({p: left.rand, q: left.rator.rand}, swap)
@@ -500,25 +515,6 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
     bwd = logic.disj_cases(em, logic.disj2(forall_p, assume(q)), nq_case)
     out = mirrored(kernel.deduct_antisym(bwd, fwd), or_comm)
 
-    # (?) P \/ q  =  ?x. P x \/ q, both ways at the premise's witness
-    lhs_t = mk_disj(exists_p, q)
-    rhs_t = mk_exists(x, mk_disj(px, q))
-    pw = logic.select_rule(assume(exists_p))  # {(?) P} |- P w
-    w = pw.conclusion.rand
-    fwd = logic.disj_cases(
-        assume(lhs_t),
-        logic.exists_intro(rhs_t, w, logic.disj1(pw, q)),
-        logic.exists_intro(rhs_t, w, logic.disj2(pw.conclusion, assume(q))),
-    )
-    some = logic.select_rule(assume(rhs_t))  # {rhs} |- P u \/ q
-    pu = dest_disj(some.conclusion)[0]
-    bwd = logic.disj_cases(
-        some,
-        logic.disj1(logic.exists_intro(exists_p, pu.rand, assume(pu)), q),
-        logic.disj2(exists_p, assume(q)),
-    )
-    out += mirrored(kernel.deduct_antisym(bwd, fwd), or_comm)
-
     # (!) P /\ q  =  !x. P x /\ q
     lhs_t = mk_conj(forall_p, q)
     rhs_t = mk_forall(x, mk_conj(px, q))
@@ -532,20 +528,6 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
     allp = _forall_var(P, logic.gen(x, logic.conjunct1(logic.spec(x, assume(rhs_t)))))
     bwd = logic.conj(allp, logic.conjunct2(logic.spec(x, assume(rhs_t))))
     out += mirrored(kernel.deduct_antisym(bwd, fwd), and_comm)
-
-    # (?) P /\ q  =  ?x. P x /\ q, both ways at the premise's witness
-    lhs_t = mk_conj(exists_p, q)
-    rhs_t = mk_exists(x, mk_conj(px, q))
-    pw = logic.select_rule(logic.conjunct1(assume(lhs_t)))  # {lhs} |- P w
-    fwd = logic.exists_intro(
-        rhs_t, pw.conclusion.rand, logic.conj(pw, logic.conjunct2(assume(lhs_t)))
-    )
-    some = logic.select_rule(assume(rhs_t))  # {rhs} |- P u /\ q
-    pu = logic.conjunct1(some)
-    bwd = logic.conj(
-        logic.exists_intro(exists_p, pu.conclusion.rand, pu), logic.conjunct2(some)
-    )
-    out += mirrored(kernel.deduct_antisym(bwd, fwd), and_comm)
     return out
 
 
@@ -555,9 +537,12 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
 
 @dataclass(frozen=True)
 class SkolemEntry:
+    """A Skolem function: the witness `@x. M` of one existential `?x. M`,
+    registered when a literal first holds it."""
+
     index: int
     witness: Term  # the epsilon-term, with the clause's universals free
-    params: tuple[Var, ...]  # universal variables occurring in the witness
+    params: tuple[Var, ...]  # the clause's universals free in the witness
 
 
 @dataclass
@@ -611,33 +596,38 @@ def _normalizer(equations: list[Theorem]):
 
     A node, whose children are already normal, is rewritten by the first
     equation in list order whose left side fits it: the same head
-    constant, type included, applied to as many arguments, and at each
-    operand that is not a pattern variable the same head name and
-    argument count.  Only the nodes of the equation's right side are then
-    settled, children first, since the subterms its pattern variables
-    stand for are normal.  A beta redex, which a quantifier equation
-    leaves as `(\\y. b) x`, is contracted; `b` is normal and `x` a
-    variable, so the result is.  The clausifier's formulas are
-    first-order (`_Symbols`), so no other redex occurs.
+    constant applied to as many arguments, and at each operand that is
+    not a pattern variable the same head name and argument count.  The
+    head's type must be the same too, unless the equation's head is
+    polymorphic (`?` at `(A -> bool) -> bool` fits every instance), so
+    `<=>`'s equation does not meet `=` at individuals.  Only the nodes of
+    the equation's right side are then settled, children first, since
+    the subterms its pattern variables stand for are normal.  A beta
+    redex, which a quantifier equation leaves as `(\\y. b) x`, is
+    contracted; `b` is normal, and `x` is a variable or the witness
+    `@y. b`, neither of which any equation's pattern matches, so the
+    result is.  The clausifier's formulas are first-order (`_Symbols`),
+    so no other redex occurs.
     """
     table: dict = {}
     for th in equations:
         head, args = _strip_app(lhs(th))
         need = [(i, _head_name(a)) for i, a in enumerate(args) if not isinstance(a, Var)]
-        table.setdefault((head, len(args)), []).append(
-            (need, rewr_conv(th), th.conclusion.rand)
+        ty = None if type_vars_of_type(head.ty) else head.ty
+        table.setdefault((head.name, len(args)), []).append(
+            (ty, need, rewr_conv(th), th.conclusion.rand)
         )
 
     def settle(t: Term) -> Optional[Theorem]:
         if isinstance(t, Comb) and isinstance(t.rator, Abs):
             return beta_conv(t)
         head, args = _strip_app(t)
-        rules = table.get((head, len(args))) if isinstance(head, Const) else None
+        rules = table.get((head.name, len(args))) if isinstance(head, Const) else None
         if rules is None:
             return None
         names = [_head_name(a) for a in args]
-        for need, conv, shape in rules:
-            if all(names[i] == name for i, name in need):
+        for ty, need, conv, shape in rules:
+            if (ty is None or ty is head.ty) and all(names[i] == name for i, name in need):
                 th = conv(t)
                 rest = settle_nodes(shape, rhs(th), settle)
                 return th if rest is None else kernel.trans(th, rest)
@@ -648,24 +638,29 @@ def _normalizer(equations: list[Theorem]):
 
 class _Clausifier:
     """Turns an assumed formula into clause theorems: rewrite to negation
-    normal form (`nnf_conv`), pull quantifiers out and distribute \\/
-    over /\\ (`pull_conv`), one bottom-up pass each over the whole
-    formula, then strip the prefix.
+    normal form (`nnf_conv`), then Skolemize each existential where it
+    stands, pull universals out and distribute \\/ over /\\
+    (`pull_conv`), one bottom-up pass each over the whole formula, then
+    strip the universal prefix.
 
     Each leaf clause is already pull-normal, so it is returned as it is.
-    The pull pass leaves every subterm of the formula normal.  Every pull
-    pattern is linear and every application in it has a constant head
-    (\\/, /\\, ! or ?).  Stripping only ever takes subterms
-    (`conjunct1/2`) or substitutes a term that no pattern's head matches
-    and that makes no beta redex: a fresh variable (`spec`) or an @-term
-    (`select_rule`).
+    The pull pass leaves every subterm of the formula normal, witness
+    bodies included.  Every pull pattern is linear and every application
+    in it has a constant head (\\/, /\\, ! or ?).  Stripping only ever
+    takes subterms (`conjunct1/2`) or substitutes a fresh variable
+    (`spec`), which no pattern's head matches and which makes no beta
+    redex.
+
+    `skolems` maps each witness to its entry, in the order literals first
+    held them.  `_Symbols` refuses `@` in a problem, so every @-term in a
+    clause is a witness.
     """
 
     def __init__(self, logic: Logic, lemmas: _NormLemmas):
         self.logic = logic
         self.nnf_conv = lemmas.nnf_conv
         self.pull_conv = lemmas.pull_conv
-        self.skolems: list[SkolemEntry] = []
+        self.skolems: dict[Term, SkolemEntry] = {}
         self._fresh = 0
 
     def fresh_var(self, base: Var, avoid: list[Term]) -> Var:
@@ -673,13 +668,12 @@ class _Clausifier:
         return variant(avoid, Var(f"{base.name}_{self._fresh}", base.ty))
 
     def clauses(self, t: Term, source: str) -> list[Clause]:
-        """The clauses of the formula `t`, assumed; their literals refer to
-        every Skolem term found so far."""
+        """The clauses of the formula `t`, assumed; their literals register
+        the witnesses they hold."""
         out = []
         for th, universals in self.clause_theorems(assume(t)):
-            uset = set(universals)
             lits = tuple(
-                _lit_of(x, uset, self.skolems) for x in _flatten_disj(th.conclusion)
+                _lit_of(x, universals, self.skolems) for x in _flatten_disj(th.conclusion)
             )
             out.append(Clause(th, universals, lits, source))
         return out
@@ -696,13 +690,6 @@ class _Clausifier:
             bv = concl.rand.bvar
             v = self.fresh_var(bv, [concl, *th.assumptions])
             return self._decompose(self.logic.spec(v, th), universals + (v,))
-        if is_exists(concl):
-            witness = mk_comb(
-                Const("@", fn(concl.rand.ty, concl.rand.ty.args[0])), concl.rand
-            )
-            params = tuple(v for v in universals if v in free_vars(witness))
-            self.skolems.append(SkolemEntry(len(self.skolems), witness, params))
-            return self._decompose(self.logic.select_rule(th), universals)
         if is_conj(concl):
             return self._decompose(self.logic.conjunct1(th), universals) + self._decompose(
                 self.logic.conjunct2(th), universals
@@ -720,17 +707,20 @@ def _flatten_disj(t: Term) -> list[Term]:
 # being the head atom itself or ("sk", i) for the i-th Skolem function.
 
 
-def _term_to_fo(t: Term, universals: set[Var], skolems: list[SkolemEntry]):
-    for sk in skolems:
-        if t == sk.witness:
-            return (
-                "f",
-                ("sk", sk.index),
-                tuple(_term_to_fo(p, universals, skolems) for p in sk.params),
-            )
+def _term_to_fo(t: Term, universals: tuple[Var, ...], skolems: dict[Term, SkolemEntry]):
+    """`t` as an FO term over the clause's `universals`.  A witness is
+    looked up in `skolems`, and registered there when first met, as a
+    function of the universals free in it."""
     if isinstance(t, Var) and t in universals:
         return ("v", (t, 0))
     head, args = _strip_app(t)
+    if isinstance(head, Const) and head.name == "@":
+        sk = skolems.get(t)
+        if sk is None:
+            fvs = free_vars(t)
+            params = tuple(v for v in universals if v in fvs)
+            sk = skolems[t] = SkolemEntry(len(skolems), t, params)
+        return ("f", ("sk", sk.index), tuple(("v", (v, 0)) for v in sk.params))
     return ("f", head, tuple(_term_to_fo(a, universals, skolems) for a in args))
 
 
@@ -792,12 +782,14 @@ def _unify(a, b, theta):
 
 
 def clausify(logic: Logic, p: Term) -> ClauseSet:
-    """Clausify an assumed formula: NNF, prenex pulls, skolemization via
-    choice, and distribution, all proof-producing.  The clause theorems
-    carry `p` as their only assumption."""
+    """Clausify an assumed formula: NNF, Skolemization via choice where
+    each existential stands, universal pulls, and distribution, all
+    proof-producing.  The clause theorems carry `p` as their only
+    assumption."""
     _Symbols((p,))
     cl = _Clausifier(logic, _NormLemmas.get(logic))
-    return ClauseSet(clauses=cl.clauses(p, "formula"), skolems=cl.skolems)
+    clauses = cl.clauses(p, "formula")
+    return ClauseSet(clauses=clauses, skolems=list(cl.skolems.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -848,9 +840,10 @@ class _Search:
 
     def prove(self, goal, path, depth, theta):
         pos, atom = goal
-        # reduction: the complement of an ancestor
+        # reduction: the complement of an ancestor; one with another
+        # predicate symbol or arity would fail `_unify` and use no copy
         for i, (ppos, patom) in enumerate(path):
-            if ppos == pos:
+            if ppos == pos or patom[1] != atom[1] or len(patom[2]) != len(atom[2]):
                 continue
             theta2 = _unify(atom, patom, theta)
             if theta2 is not None:
@@ -993,15 +986,16 @@ def meson(
     n_axiom_clauses = len(clauses)
     clauses += cl.clauses(mk_neg(problem.goal), "negated goal")
     goal_clauses = list(range(n_axiom_clauses, len(clauses)))
+    skolems = list(cl.skolems.values())
     # The search takes T and F for opaque atoms: where one occurs, |- T or
     # |- ~F joins as a unit clause, after the others so none is renumbered.
     atoms = {atom for c in clauses for _, atom in c.lits}
     for const in (TRUE, FALSE):
-        if _term_to_fo(const, set(), []) in atoms:
+        if _term_to_fo(const, (), {}) in atoms:
             th = logic.TRUTH if const == TRUE else logic.eqt_elim(
                 logic.tables[("not", (False,))]
             )
-            clauses.append(Clause(th, (), (_lit_of(th.conclusion, set(), []),), "truth"))
+            clauses.append(Clause(th, (), (_lit_of(th.conclusion, (), {}),), "truth"))
 
     def make_trace(depth_used: Optional[int] = None) -> MesonTrace:
         return MesonTrace(
@@ -1010,7 +1004,7 @@ def meson(
                 + " \\/ ".join(print_term(t) for t in _flatten_disj(c.thm.conclusion))
                 for c in clauses
             ],
-            skolems=[print_term(s.witness) for s in cl.skolems],
+            skolems=[print_term(s.witness) for s in skolems],
             steps=[],
             depth_bound=depth_bound,
             depth_used=depth_used,
@@ -1022,7 +1016,7 @@ def meson(
             start = clauses[start_idx]
             goals = search.start(start)
             for theta, nodes in search.prove_goals(goals, [], depth, {}):
-                rebuild = _Rebuild(logic, clauses, cl.skolems, theta)
+                rebuild = _Rebuild(logic, clauses, skolems, theta)
                 contradiction = rebuild.close(start, 1, nodes, [])
                 result = logic.ccontr(problem.goal, contradiction)
                 if not want_trace:

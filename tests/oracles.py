@@ -34,7 +34,6 @@ from functools import cmp_to_key
 
 from microhol.auto import (
     OutOfFragment,
-    SkolemEntry,
     _Clausifier,
     _connective_args,
     _fo_rename,
@@ -57,8 +56,10 @@ from microhol.bootstrap import (
     dest_forall,
     dest_imp,
     is_conj,
+    is_disj,
     is_exists,
     is_forall,
+    is_neg,
     lhs,
     mk_conj,
     mk_imp,
@@ -492,30 +493,55 @@ class RedecomposingClausifier(_Clausifier):
             bv = concl.rand.bvar
             v = self.fresh_var(bv, [concl, *th.assumptions])
             return self._decompose(self.logic.spec(v, th), universals + (v,))
-        if is_exists(concl):
-            witness = mk_comb(
-                Const("@", fn(concl.rand.ty, concl.rand.ty.args[0])), concl.rand
-            )
-            params = tuple(v for v in universals if v in free_vars(witness))
-            self.skolems.append(SkolemEntry(len(self.skolems), witness, params))
-            return self._decompose(self.logic.select_rule(th), universals)
         if is_conj(concl):
             return self._decompose(self.logic.conjunct1(th), universals) + self._decompose(
                 self.logic.conjunct2(th), universals
             )
         redone = conv_rule(self.pull_conv, th)
-        if is_conj(redone.conclusion) or is_forall(redone.conclusion) or is_exists(
-            redone.conclusion
-        ):
+        if is_conj(redone.conclusion) or is_forall(redone.conclusion):
             return self._decompose(redone, universals)
         return [(redone, universals)]
 
 
+def witnesses_in_order(clause_theorems):
+    """[(witness, params)] for every @-headed argument the clauses'
+    literals hold, outermost first, in the order first met, each with
+    the clause's universals free in it: the Skolem registry read off the
+    clause theorems alone."""
+    found = {}
+
+    def walk(t, universals):
+        head, args = t, []
+        while isinstance(head, Comb):
+            args.append(head.rand)
+            head = head.rator
+        if isinstance(head, Const) and head.name == "@":
+            if t not in found:
+                free = oracle_free_vars(t)
+                found[t] = tuple(v for v in universals if v in free)
+            return
+        for a in reversed(args):
+            walk(a, universals)
+
+    def literals(t):
+        if is_disj(t):
+            left, right = dest_disj(t)
+            return literals(left) + literals(right)
+        return [t]
+
+    for th, universals in clause_theorems:
+        for lit in literals(th.conclusion):
+            walk(lit.rand if is_neg(lit) else lit, universals)
+    return list(found.items())
+
+
 def redecomposing_clausify(logic, p):
-    """(clause theorems with their universals, Skolem entries) for an
-    assumed formula, by the re-running clausifier."""
+    """(clause theorems with their universals, [(witness, params)]) for
+    an assumed formula, by the re-running clausifier and
+    `witnesses_in_order`."""
     cl = RedecomposingClausifier(logic, _NormLemmas.get(logic))
-    return cl.clause_theorems(assume(p)), cl.skolems
+    clause_theorems = cl.clause_theorems(assume(p))
+    return clause_theorems, witnesses_in_order(clause_theorems)
 
 
 class UnfoldingRules:

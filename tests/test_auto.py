@@ -85,14 +85,18 @@ y = Var("y", IND)
 
 # kernel inferences meson makes on paper-displayed-formula once the
 # clausifier lemmas exist, on a fresh Logic; 2,734 when refutations were
-# replayed by disj_cases and ccontr went through excluded middle, and
-# 1,183 when the clausifier rewrote to a fixed point
-PAPER_FORMULA_INFERENCES = 876
+# replayed by disj_cases and ccontr went through excluded middle, 1,183
+# when the clausifier rewrote to a fixed point, and 876 when existentials
+# were pulled to the front before they were Skolemized
+PAPER_FORMULA_INFERENCES = 679
 
-# sha256 of `_suite_transcript`, recorded before leaf clauses were taken
-# as they are and before Skolem instances were shared
+# sha256 of `_suite_transcript`; it was
+# 82afe54d458fbcd534cb2f77897b0fc967691ae016b7d02dd76122e04c6fc321 when
+# existentials were pulled to the front before they were Skolemized: the
+# clause and Skolem-term text differs, and paper-displayed-formula now
+# proves at depth 2, not 3, with every conclusion and assumption the same
 SUITE_TRANSCRIPT_SHA256 = (
-    "82afe54d458fbcd534cb2f77897b0fc967691ae016b7d02dd76122e04c6fc321"
+    "12779859e18655c3068ac174d4002725c39b7b0bc22944fc1389748836712070"
 )
 
 
@@ -194,6 +198,29 @@ class TestTaut:
                     taut(logic, formula)
 
 
+def _check_equisatisfiable(logic, formula, tables):
+    """Brute force over a 2-element domain: for every interpretation of
+    the symbols (each with its number of tables), `formula` holds iff
+    every skolemized clause holds for all values of its universals."""
+    cs = clausify(logic, formula)
+    model = Model(ind_size=2)
+    for choice in itertools.product(*map(range, tables.values())):
+        symbols = dict(zip(tables, choice))
+        orig = eval_term(formula, Valuation(model, {}, symbols), logic.theory)
+        clauses_all = all(
+            eval_term(
+                clause.thm.conclusion,
+                Valuation(model, {}, {**symbols, **dict(zip(clause.universals, elems))}),
+                logic.theory,
+            )
+            == TRUE_ELEM
+            for clause in cs.clauses
+            for elems in itertools.product(range(2), repeat=len(clause.universals))
+        )
+        assert (orig == TRUE_ELEM) == clauses_all, symbols
+    return cs
+
+
 class TestClausify:
     def test_negated_disjunction(self, logic):
         cs = clausify(logic, mk_neg(mk_disj(p, q)))
@@ -222,30 +249,45 @@ class TestClausify:
         assert len(sk.params) == 1  # the universal x
         assert len(cs.clauses[0].universals) == 1
 
+    def test_witness_holds_its_own_subformula(self, logic):
+        # each existential is Skolemized where it stands: its witness is
+        # over its own body, with only the universals whose scope holds it
+        P = Var("P", fn(IND, BOOL))
+        Q = Var("Q", fn(IND, BOOL))
+        R = Var("R", fn(IND, fn(IND, BOOL)))
+        z = Var("z", IND)
+        sel = Const("@", fn(fn(IND, BOOL), IND))
+        cs = clausify(logic, mk_disj(mk_forall(x, mk_comb(P, x)), mk_exists(y, mk_comb(Q, y))))
+        assert [(sk.witness, sk.params) for sk in cs.skolems] == [
+            (mk_comb(sel, mk_abs(y, mk_comb(Q, y))), ())
+        ]
+        formula = mk_forall(
+            x,
+            mk_conj(mk_exists(y, mk_comb(mk_comb(R, x), y)), mk_exists(z, mk_comb(Q, z))),
+        )
+        cs = clausify(logic, formula)
+        (xk,) = cs.clauses[0].universals
+        assert [(sk.witness, sk.params) for sk in cs.skolems] == [
+            (mk_comb(sel, mk_abs(y, mk_comb(mk_comb(R, xk), y))), (xk,)),
+            (mk_comb(sel, mk_abs(z, mk_comb(Q, z))), ()),
+        ]
+
     def test_skolem_equisatisfiable_on_two_elements(self, logic):
-        # brute force: for every interpretation of R over a 2-element
-        # domain, the original formula holds iff the skolemized clause
-        # holds for all values of its universal variable
         R = Var("R", fn(IND, fn(IND, BOOL)))
         formula = mk_forall(x, mk_exists(y, mk_comb(mk_comb(R, x), y)))
-        cs = clausify(logic, formula)
-        clause = cs.clauses[0]
-        u = clause.universals[0]
-        model = Model(ind_size=2)
-        n_tables = 16  # (2^2)^2 tables for R
-        for table in range(n_tables):
-            v = Valuation(model, {}, {R: table})
-            orig = eval_term(formula, v, logic.theory) == TRUE_ELEM
-            clause_all = all(
-                eval_term(
-                    clause.thm.conclusion,
-                    Valuation(model, {}, {R: table, u: elem}),
-                    logic.theory,
-                )
-                == TRUE_ELEM
-                for elem in range(2)
-            )
-            assert orig == clause_all, table
+        _check_equisatisfiable(logic, formula, {R: 16})  # (2^2)^2 tables for R
+
+    def test_skolem_equisatisfiable_at_two_scopes(self, logic):
+        # one existential outside every universal, one under a universal
+        R = Var("R", fn(IND, fn(IND, BOOL)))
+        P = Var("P", fn(IND, BOOL))
+        z = Var("z", IND)
+        formula = mk_disj(
+            mk_exists(z, mk_conj(mk_comb(P, z), mk_neg(mk_comb(mk_comb(R, z), z)))),
+            mk_forall(x, mk_exists(y, mk_comb(mk_comb(R, x), y))),
+        )
+        cs = _check_equisatisfiable(logic, formula, {R: 16, P: 4})
+        assert [sk.params for sk in cs.skolems] == [(), cs.clauses[0].universals]
 
     def test_clause_theorems_assume_original(self, logic):
         formula = mk_neg(mk_disj(p, q))
@@ -695,9 +737,9 @@ class TestRewritingSkipsUnchanged:
             for c, (ref, _) in zip(cs.clauses, ref_clauses, strict=True):
                 assert _same_sequent(c.thm, ref), print_term(formula)
             assert len(cs.skolems) == len(ref_skolems)
-            for sk, ref in zip(cs.skolems, ref_skolems):
-                assert alpha_equiv(sk.witness, ref.witness)
-                assert sk.params == ref.params
+            for sk, (witness, params) in zip(cs.skolems, ref_skolems):
+                assert alpha_equiv(sk.witness, witness)
+                assert sk.params == params
 
     def test_normal_term_costs_one_inference(self, logic):
         nnf_conv = _NormLemmas.get(logic).nnf_conv
@@ -721,9 +763,11 @@ class TestRewritingSkipsUnchanged:
         assert len(log) == PAPER_FORMULA_INFERENCES
 
     def test_paper_formula_order_walk(self, logic, monkeypatch):
-        # meson's replay compares literals whose Skolem witnesses nest and
-        # repeat; walked as trees they took 74,540 visits of the order walk
-        # here, walked once per pair of shared subterms 11,276
+        # meson's replay compares literals that hold Skolem witnesses; when
+        # each witness held the rest of the prenex formula, walked as trees
+        # they took 74,540 visits of the order walk here, walked once per
+        # pair of shared subterms 11,276 (pinned at 20,000); with each
+        # witness over its own subformula, 1,978
         name, prob, depth = next(p for p in PROBLEMS if p[0] == "paper-displayed-formula")
         _NormLemmas.get(logic)
         calls = [0]
@@ -735,7 +779,7 @@ class TestRewritingSkipsUnchanged:
 
         monkeypatch.setattr(syntax, "_order", counting)
         meson(logic, prob, depth_bound=depth)
-        assert calls[0] <= 20_000
+        assert calls[0] <= 3_000
 
     def test_suite_rewrite_attempts(self, monkeypatch):
         # each node is rewritten only by the equation its heads select, so
@@ -842,6 +886,30 @@ class TestSearchIndex:
                     break
             assert found, name
 
+    def test_suite_unify_calls(self, logic, monkeypatch):
+        # reduction tries only the ancestors with the goal's predicate
+        # symbol and arity: one suite pass made 815 top-level `_unify`
+        # calls when it tried every complementary ancestor, 169 of them
+        # against another symbol or arity, and 5,938 (1,557) when
+        # existentials were pulled to the front before they were Skolemized
+        real = auto._unify
+        calls, nested = [0], [False]
+
+        def counting(a, b, theta):
+            if nested[0]:
+                return real(a, b, theta)
+            calls[0] += 1
+            nested[0] = True
+            try:
+                return real(a, b, theta)
+            finally:
+                nested[0] = False
+
+        monkeypatch.setattr(auto, "_unify", counting)
+        for name, prob, depth in PROBLEMS:
+            meson(logic, prob, depth_bound=depth)
+        assert calls[0] == SUITE_UNIFY_CALLS
+
     def test_random_clause_sets(self):
         rng = random.Random(5)
         solved = 0
@@ -877,15 +945,13 @@ NORM_LEMMAS = [
     r"((p:bool) <=> (q:bool)) <=> (~(p:bool) \/ (q:bool)) /\ (~(q:bool) \/ (p:bool))",
     r"~(!:(A -> bool) -> bool) (P:A -> bool) <=> (?x:A. ~(P:A -> bool) x)",
     r"~(?:(A -> bool) -> bool) (P:A -> bool) <=> (!x:A. ~(P:A -> bool) x)",
-    # pull: each quantifier-left equation, then its mirror image
+    # pull: each universal-left equation, then its mirror image
     r"(!:(A -> bool) -> bool) (P:A -> bool) \/ (q:bool) <=> (!x:A. (P:A -> bool) x \/ (q:bool))",
     r"(q:bool) \/ (!:(A -> bool) -> bool) (P:A -> bool) <=> (!x:A. (q:bool) \/ (P:A -> bool) x)",
-    r"(?:(A -> bool) -> bool) (P:A -> bool) \/ (q:bool) <=> (?x:A. (P:A -> bool) x \/ (q:bool))",
-    r"(q:bool) \/ (?:(A -> bool) -> bool) (P:A -> bool) <=> (?x:A. (q:bool) \/ (P:A -> bool) x)",
     r"(!:(A -> bool) -> bool) (P:A -> bool) /\ (q:bool) <=> (!x:A. (P:A -> bool) x /\ (q:bool))",
     r"(q:bool) /\ (!:(A -> bool) -> bool) (P:A -> bool) <=> (!x:A. (q:bool) /\ (P:A -> bool) x)",
-    r"(?:(A -> bool) -> bool) (P:A -> bool) /\ (q:bool) <=> (?x:A. (P:A -> bool) x /\ (q:bool))",
-    r"(q:bool) /\ (?:(A -> bool) -> bool) (P:A -> bool) <=> (?x:A. (q:bool) /\ (P:A -> bool) x)",
+    # pull: Skolemization where the existential stands
+    r"(?:(A -> bool) -> bool) (P:A -> bool) <=> (P:A -> bool) ((@:(A -> bool) -> A) (P:A -> bool))",
     # pull: distribution
     r"(p:bool) \/ (q:bool) /\ (r:bool) <=> ((p:bool) \/ (q:bool)) /\ ((p:bool) \/ (r:bool))",
     r"(q:bool) /\ (r:bool) \/ (p:bool) <=> ((q:bool) \/ (p:bool)) /\ ((r:bool) \/ (p:bool))",
@@ -895,9 +961,10 @@ NORM_LEMMAS = [
 class TestLemmaBasePinned:
     def test_equations_in_order(self, logic):
         # a node gets the first equation in list order that fits it, so
-        # the order is the normalizing passes' dispatch priority
+        # the order is the normalizing passes' dispatch priority; the pull
+        # list had 10 when existentials were pulled by four equations
         lemmas = _NormLemmas.build(logic)
-        assert (len(lemmas.nnf), len(lemmas.pull)) == (7, 10)
+        assert (len(lemmas.nnf), len(lemmas.pull)) == (7, 7)
         for th, expected in zip(lemmas.nnf + lemmas.pull, NORM_LEMMAS, strict=True):
             assert th.assumptions == ()
             assert print_term(th.conclusion) == expected
@@ -917,17 +984,22 @@ class TestMesonOutputPinned:
 
 # kernel inferences of one pass of the suite once the clausifier lemmas
 # exist, on a fresh Logic; 12,617 when refuted literals were eliminated by
-# disj_cases chains rather than turned into L = F equations, and 6,055
-# when the clausifier rewrote to a fixed point
-SUITE_INFERENCES = 4_788
+# disj_cases chains rather than turned into L = F equations, 6,055 when
+# the clausifier rewrote to a fixed point, and 4,788 when existentials
+# were pulled to the front before they were Skolemized
+SUITE_INFERENCES = 4_430
 
 # kernel inferences of `_NormLemmas.build` on a fresh Logic; 4,713 when
 # existential premises were eliminated by unfolding `?` at a fresh
 # variable and contradictions reached F through `not_elim` and `mp`,
 # 4,266 when negations were introduced through `disch` and `not_intro`,
-# and 4,227 when `gen`, `exists_intro`, `disj1` and `disj2` unfolded
-# their definitions on every call
-NORM_LEMMA_INFERENCES = 3_321
+# 4,227 when `gen`, `exists_intro`, `disj1` and `disj2` unfolded their
+# definitions on every call, and 3,321 when four equations pulled
+# existentials out
+NORM_LEMMA_INFERENCES = 3_121
+
+# top-level `_unify` calls of one suite pass (see TestSearchIndex)
+SUITE_UNIFY_CALLS = 646
 
 
 def _rebuild_with_duplicate_literal(logic):
@@ -1017,9 +1089,7 @@ def _check_clause_form(logic, formula):
     assert [
         (c.thm.conclusion, c.thm.assumptions, c.universals) for c in cs.clauses
     ] == [(th.conclusion, th.assumptions, u) for th, u in ref_clauses]
-    assert [(sk.witness, sk.params) for sk in cs.skolems] == [
-        (sk.witness, sk.params) for sk in ref_skolems
-    ]
+    assert [(sk.witness, sk.params) for sk in cs.skolems] == ref_skolems
     pull = _NormLemmas.get(logic).pull_conv
     for c in cs.clauses:
         concl = c.thm.conclusion
