@@ -9,11 +9,15 @@ proved connective tables.
 ``meson`` is bounded model elimination for the first-order fragment
 (quantifiers only over individual types, predicates and functions as
 constants or free variables).  The problem is clausified through
-proof-producing normalization: two bottom-up kernel rewriting passes,
-one to negation normal form and one that Skolemizes, pulls universals
-out and distributes \\/ over /\\, in which each node is rewritten by the
-one lemma its head selects; then universal stripping by specialization.
-The second pass rewrites each `?x. M`, once `M` is normal, by
+proof-producing normalization in two steps.  The first is negation
+normal form by polarity (`_PolarityNNF`): each distinct subformula gets
+|- t = t+ and |- ~t = t- at most once, each connective and each negated
+connective or quantifier through one lemma instance, so `~(p <=> q)`
+goes straight to (p+ \\/ q+) /\\ (p- \\/ q-).  The second is one bottom-up
+kernel rewriting pass that Skolemizes, pulls universals out and
+distributes \\/ over /\\, in which each node is rewritten by the one lemma
+its head selects; then universal stripping by specialization.  That
+pass rewrites each `?x. M`, once `M` is normal, by
 |- (?) P = P ((@) P), so each Skolem witness `@x. M` holds its own
 subformula and only the universals whose scope contains it (inner
 Skolemization).  The quantifier lemmas behind these rewrites use each
@@ -21,9 +25,12 @@ existential premise through its chosen witness (`select_rule`), not by
 eliminating it at a fresh variable.  Of the four universal-pull
 equations, the two with the quantifier on the left are proved and the
 other two are their mirror images, derived by commuting the
-connective.  T and F are atoms to the search, which is given |- T or
-|- ~F as a unit clause where either occurs.  The search runs
-on a lightweight clause representation; a successful refutation is
+connective.  Before the search, a clause whose literal set holds a
+literal and its negation, or is an earlier clause's literal set, is
+dropped from the search's list; its theorem is never cited.  T and F
+are atoms to the search, which is given |- T or |- ~F as a unit clause
+where either occurs.  The search runs on a lightweight clause
+representation; a successful refutation is
 replayed through the kernel as equations to F: a literal L of a clause
 instance, refuted by {L} u G |- F, gives G |- L = F; the literals'
 equations are joined through |- (F \\/ F) = F into G |- d = F for the
@@ -323,24 +330,27 @@ def _strip_app(t: Term) -> tuple[Term, list[Term]]:
 # ---------------------------------------------------------------------------
 # Proof-producing clausification
 
+_NOT = Const("not", fn(BOOL, BOOL))
+_P = Var("p", BOOL)
+_Q = Var("q", BOOL)
+
 
 @dataclass
 class _NormLemmas:
-    """The rewrite equations behind clausification, proved once per Logic,
-    and the two normalizing conversions built from them: one bottom-up
-    pass each (`_normalizer`), in which a node gets the one equation that
-    applies to it, and the lists' order is the order of preference.  The
-    conversions are built here, once, rather than per clausification:
-    each holds a self-calling closure, a reference cycle that would
-    otherwise be left to the cycle collector on every call."""
+    """The equations behind clausification, proved once per Logic.
+
+    `nnf` holds the negation-normal-form lemmas in the order
+    `_PolarityNNF` takes them.  `pull` holds the pull pass's equations in
+    order of preference, and `pull_conv` is that pass (`_normalizer`),
+    built here, once, rather than per clausification: it holds a
+    self-calling closure, a reference cycle that would otherwise be left
+    to the cycle collector on every call."""
 
     nnf: list
     pull: list
-    nnf_conv: Callable = field(init=False, repr=False)
     pull_conv: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.nnf_conv = _normalizer(self.nnf)
         self.pull_conv = _normalizer(self.pull)
 
     @classmethod
@@ -357,11 +367,22 @@ class _NormLemmas:
         q = Var("q", BOOL)
         r = Var("r", BOOL)
         t_ = taut
+        not_not = t_(logic, mk_eq(mk_neg(mk_neg(p)), p))
+        not_or = t_(logic, mk_eq(mk_neg(mk_disj(p, q)), mk_conj(mk_neg(p), mk_neg(q))))
+        imp = t_(logic, mk_eq(mk_imp(p, q), mk_disj(mk_neg(p), q)))
         props = [
-            t_(logic, mk_eq(mk_neg(mk_neg(p)), p)),
+            not_not,
             t_(logic, mk_eq(mk_neg(mk_conj(p, q)), mk_disj(mk_neg(p), mk_neg(q)))),
-            t_(logic, mk_eq(mk_neg(mk_disj(p, q)), mk_conj(mk_neg(p), mk_neg(q)))),
-            t_(logic, mk_eq(mk_imp(p, q), mk_disj(mk_neg(p), q))),
+            not_or,
+            _not_imp_thm(not_not, not_or, imp),
+            t_(
+                logic,
+                mk_eq(
+                    mk_neg(mk_eq(p, q)),
+                    mk_conj(mk_disj(p, q), mk_disj(mk_neg(p), mk_neg(q))),
+                ),
+            ),
+            imp,
             t_(
                 logic,
                 mk_eq(
@@ -394,6 +415,16 @@ class _NormLemmas:
         return cls(nnf=props + quants, pull=pulls + dists)
 
 
+def _not_imp_thm(not_not: Theorem, not_or: Theorem, imp: Theorem) -> Theorem:
+    """|- ~(p ==> q) = p /\\ ~q, from |- (p ==> q) = ~p \\/ q, De Morgan's
+    |- ~(p \\/ q) = ~p /\\ ~q at ~p, and |- ~~p = p."""
+    step = kernel.trans(ap_term(_NOT, imp), inst_rule({_P: mk_neg(_P)}, not_or))
+    both = rhs(step)  # ~~p /\ ~q
+    return kernel.trans(
+        step, kernel.mk_comb_rule(ap_term(both.rator.rator, not_not), kernel.refl(both.rand))
+    )
+
+
 def _forall_var(pred: Var, th: Theorem) -> Theorem:
     """Repackage G |- !x. P x (an explicit abstraction over an application)
     as G |- (!) P for a predicate variable P, through the eta axiom
@@ -406,7 +437,7 @@ def _forall_var(pred: Var, th: Theorem) -> Theorem:
 
 def _not_intro(logic: Logic, p: Term, th: Theorem) -> Theorem:
     """From G u {p} |- F conclude G |- ~p, through p = F and |- ~F = T."""
-    neg = ap_term(Const("not", fn(BOOL, BOOL)), logic.eqf_intro(p, th))  # ~p = ~F
+    neg = ap_term(_NOT, logic.eqf_intro(p, th))  # ~p = ~F
     return logic.eqt_elim(kernel.trans(neg, logic.tables[("not", (False,))]))
 
 
@@ -561,17 +592,27 @@ class ClauseSet:
 
 @dataclass
 class MesonTrace:
-    """Clausified problem plus the extension/reduction steps of a search."""
+    """Clausified problem plus the extension/reduction steps of a search.
+    `clauses` are the clauses searched, numbered as the steps cite them;
+    `dropped` counts the tautologies and the repeated clauses left out."""
 
     clauses: list[str]
     skolems: list[str]
     steps: list[str]
     depth_bound: int
+    dropped: tuple[int, int]
     depth_used: Optional[int] = None
 
     def render(self) -> str:
         lines = ["clauses:"]
         lines += [f"  {i}: {c}" for i, c in enumerate(self.clauses)]
+        tautologies, repeats = self.dropped
+        if tautologies or repeats:
+            lines.append(
+                f"dropped {tautologies + repeats} clauses: {tautologies} tautologies"
+                f" (a literal and its negation), {repeats} repeats (an earlier"
+                " clause's literal set)"
+            )
         if self.skolems:
             lines.append("skolem terms:")
             lines += [f"  {s}" for s in self.skolems]
@@ -599,15 +640,14 @@ def _normalizer(equations: list[Theorem]):
     constant applied to as many arguments, and at each operand that is
     not a pattern variable the same head name and argument count.  The
     head's type must be the same too, unless the equation's head is
-    polymorphic (`?` at `(A -> bool) -> bool` fits every instance), so
-    `<=>`'s equation does not meet `=` at individuals.  Only the nodes of
-    the equation's right side are then settled, children first, since
-    the subterms its pattern variables stand for are normal.  A beta
-    redex, which a quantifier equation leaves as `(\\y. b) x`, is
-    contracted; `b` is normal, and `x` is a variable or the witness
-    `@y. b`, neither of which any equation's pattern matches, so the
-    result is.  The clausifier's formulas are first-order (`_Symbols`),
-    so no other redex occurs.
+    polymorphic (`?` at `(A -> bool) -> bool` fits every instance).
+    Only the nodes of the equation's right side are then settled,
+    children first, since the subterms its pattern variables stand for
+    are normal.  A beta redex, which a quantifier equation leaves as
+    `(\\y. b) x`, is contracted; `b` is normal, and `x` is a variable or
+    the witness `@y. b`, neither of which any equation's pattern matches,
+    so the result is.  The clausifier's formulas are first-order
+    (`_Symbols`), so no other redex occurs.
     """
     table: dict = {}
     for th in equations:
@@ -636,12 +676,149 @@ def _normalizer(equations: list[Theorem]):
     return exhaustive_conv(settle)
 
 
+def _then(th: Theorem, rest: Optional[Theorem]) -> Theorem:
+    """|- a = c from th: |- a = b and rest: |- b = c, or th when rest is
+    None ("unchanged")."""
+    return th if rest is None else kernel.trans(th, rest)
+
+
+def _cong(s: Term, lth: Optional[Theorem], rth: Optional[Theorem]) -> Optional[Theorem]:
+    """|- op l r = op l' r' for s = op l r, from lth: |- l = l' and
+    rth: |- r = r', each None for "unchanged"; None when both are."""
+    if lth is None:
+        return None if rth is None else kernel.mk_comb_rule(kernel.refl(s.rator), rth)
+    return kernel.mk_comb_rule(ap_term(s.rator.rator, lth), rth or kernel.refl(s.rand))
+
+
+def _is_iff(t: Term) -> bool:
+    return is_eq(t) and t.rand.ty is BOOL
+
+
+class _PolarityNNF:
+    """Negation normal form by polarity, proof-producing (Harrison's
+    `nnf`): `norm(t, True)` is |- t = t+ and `norm(t, False)` is
+    |- ~t = t-, each None when that side is already normal (`t` itself,
+    or `~t` over an atom).
+
+    A connective, or a negation over one, takes one instance of its
+    lemma, whose right side is then rebuilt by congruence (`_cong`) from
+    its operands' theorems at the polarities it holds them; /\\, \\/ and
+    the quantifiers are rebuilt from their operands' theorems alone.  So
+    `p <=> q` gives (p- \\/ q+) /\\ (q- \\/ p+), and `~(p <=> q)` goes
+    straight to (p+ \\/ q+) /\\ (p- \\/ q-), with no negation to push
+    through the positive form.  A negated quantifier's lemma leaves the
+    redex `(\\y. b) x` under its new binder; the body is reduced by the
+    primitive `beta` at the quantifier's own binder `y`, and `trans`
+    meets the two by alpha-equivalence, so the result keeps `y`.
+
+    `memo` maps each (subformula, polarity) pair met to its result, so
+    each is normalized at most once, however often it occurs: an iff's
+    operands are met at both polarities, and a chain of iffs shares
+    them.  The memo, and the quantifier lemmas' type instances, live as
+    long as the instance: one meson or clausify call."""
+
+    def __init__(self, lemmas: _NormLemmas):
+        (
+            self.not_not,
+            self.not_and,
+            self.not_or,
+            self.not_imp,
+            self.not_iff,
+            self.imp,
+            self.iff,
+            not_forall,
+            not_exists,
+        ) = lemmas.nnf
+        self.quantifier_lemmas = {"forall": not_forall, "exists": not_exists}
+        self.typed: dict[tuple[str, HolType], Theorem] = {}
+        self.memo: dict[tuple[Term, bool], Optional[Theorem]] = {}
+
+    def __call__(self, t: Term) -> Theorem:
+        """|- t = t+, by `refl` when `t` is normal."""
+        th = self.norm(t, True)
+        return kernel.refl(t) if th is None else th
+
+    def norm(self, t: Term, positive: bool) -> Optional[Theorem]:
+        key = (t, positive)
+        got = self.memo.get(key, self)  # `self`: not met yet
+        if got is self:
+            got = self.memo[key] = self._positive(t) if positive else self._negative(t)
+        return got
+
+    def _positive(self, t: Term) -> Optional[Theorem]:
+        if is_conj(t) or is_disj(t):
+            return _cong(t, self.norm(t.rator.rand, True), self.norm(t.rand, True))
+        if is_neg(t):
+            return self.norm(t.rand, False)
+        if is_forall(t) or is_exists(t):
+            body = self.norm(t.rand.body, True)
+            return None if body is None else ap_term(t.rator, kernel.abs_rule(t.rand.bvar, body))
+        if is_imp(t):
+            return self._binary(self.imp, t, False, True)
+        if _is_iff(t):
+            a, b = t.rator.rand, t.rand
+            return self._iff(self.iff, t, ((a, False), (b, True)), ((b, False), (a, True)))
+        return None
+
+    def _negative(self, t: Term) -> Optional[Theorem]:
+        if is_neg(t):
+            return _then(inst_rule({_P: t.rand}, self.not_not), self.norm(t.rand, True))
+        if is_conj(t):
+            return self._binary(self.not_and, t, False, False)
+        if is_disj(t):
+            return self._binary(self.not_or, t, False, False)
+        if is_imp(t):
+            return self._binary(self.not_imp, t, True, False)
+        if _is_iff(t):
+            a, b = t.rator.rand, t.rand
+            return self._iff(self.not_iff, t, ((a, True), (b, True)), ((a, False), (b, False)))
+        if is_forall(t) or is_exists(t):
+            return self._quantifier(t)
+        return None
+
+    def _binary(self, lemma: Theorem, t: Term, left: bool, right: bool) -> Theorem:
+        """`lemma` at t = op a b, whose right side is op' A B with A over a
+        at polarity `left` and B over b at polarity `right`."""
+        a, b = t.rator.rand, t.rand
+        th = inst_rule({_P: a, _Q: b}, lemma)
+        return _then(th, _cong(rhs(th), self.norm(a, left), self.norm(b, right)))
+
+    def _iff(self, lemma: Theorem, t: Term, first: tuple, second: tuple) -> Theorem:
+        """`lemma` at an iff or its negation, whose right side is
+        (A1 \\/ B1) /\\ (A2 \\/ B2); `first` and `second` give the
+        operand and polarity under each of A1, B1 and A2, B2."""
+        th = inst_rule({_P: t.rator.rand, _Q: t.rand}, lemma)
+        s = rhs(th)
+        (a1, b1), (a2, b2) = first, second
+        return _then(
+            th,
+            _cong(
+                s,
+                _cong(s.rator.rand, self.norm(*a1), self.norm(*b1)),
+                _cong(s.rand, self.norm(*a2), self.norm(*b2)),
+            ),
+        )
+
+    def _quantifier(self, t: Term) -> Theorem:
+        """|- ~(Q y. b) = Q' y. b-, through |- ~(Q P) = Q' x. ~(P x) at
+        P := \\y. b, where Q' is the other quantifier."""
+        lam = t.rand
+        y = lam.bvar
+        key = (t.rator.name, y.ty)
+        lemma = self.typed.get(key)
+        if lemma is None:
+            lemma = self.typed[key] = inst_type_rule({"A": y.ty}, self.quantifier_lemmas[key[0]])
+        th = inst_rule({Var("P", fn(y.ty, BOOL)): lam}, lemma)  # ... x. ~((\y. b) x)
+        body = _then(ap_term(_NOT, kernel.beta(mk_comb(lam, y))), self.norm(lam.body, False))
+        return kernel.trans(th, ap_term(rhs(th).rator, kernel.abs_rule(y, body)))
+
+
 class _Clausifier:
-    """Turns an assumed formula into clause theorems: rewrite to negation
-    normal form (`nnf_conv`), then Skolemize each existential where it
-    stands, pull universals out and distribute \\/ over /\\
-    (`pull_conv`), one bottom-up pass each over the whole formula, then
-    strip the universal prefix.
+    """Turns an assumed formula into clause theorems: negation normal form
+    by polarity (`_PolarityNNF`), then Skolemize each existential where
+    it stands, pull universals out and distribute \\/ over /\\
+    (`pull_conv`, one bottom-up pass over the whole formula), then strip
+    the universal prefix.
 
     Each leaf clause is already pull-normal, so it is returned as it is.
     The pull pass leaves every subterm of the formula normal, witness
@@ -651,14 +828,15 @@ class _Clausifier:
     (`spec`), which no pattern's head matches and which makes no beta
     redex.
 
-    `skolems` maps each witness to its entry, in the order literals first
-    held them.  `_Symbols` refuses `@` in a problem, so every @-term in a
-    clause is a witness.
+    One `_PolarityNNF`, and so one memo, serves every formula of the
+    clausifier: one meson or clausify call.  `skolems` maps each witness
+    to its entry, in the order literals first held them.  `_Symbols`
+    refuses `@` in a problem, so every @-term in a clause is a witness.
     """
 
     def __init__(self, logic: Logic, lemmas: _NormLemmas):
         self.logic = logic
-        self.nnf_conv = lemmas.nnf_conv
+        self.nnf = _PolarityNNF(lemmas)
         self.pull_conv = lemmas.pull_conv
         self.skolems: dict[Term, SkolemEntry] = {}
         self._fresh = 0
@@ -680,7 +858,7 @@ class _Clausifier:
 
     def clause_theorems(self, th: Theorem) -> list[tuple[Theorem, tuple[Var, ...]]]:
         """Normalize one assumed formula into clause theorems."""
-        th = conv_rule(self.nnf_conv, th)
+        th = conv_rule(self.nnf, th)
         th = conv_rule(self.pull_conv, th)
         return self._decompose(th, ())
 
@@ -782,10 +960,10 @@ def _unify(a, b, theta):
 
 
 def clausify(logic: Logic, p: Term) -> ClauseSet:
-    """Clausify an assumed formula: NNF, Skolemization via choice where
-    each existential stands, universal pulls, and distribution, all
-    proof-producing.  The clause theorems carry `p` as their only
-    assumption."""
+    """Clausify an assumed formula: NNF by polarity, Skolemization via
+    choice where each existential stands, universal pulls, and
+    distribution, all proof-producing.  The clause theorems carry `p` as
+    their only assumption."""
     _Symbols((p,))
     cl = _Clausifier(logic, _NormLemmas.get(logic))
     clauses = cl.clauses(p, "formula")
@@ -970,6 +1148,39 @@ def _describe_steps(node, out: list[str], rebuild: _Rebuild, indent=0):
         _describe_steps(ch, out, rebuild, indent + 1)
 
 
+def _drop_redundant(clauses: list[Clause], first_goal: int):
+    """(kept clauses, indices of the start clauses among them, (tautologies,
+    repeats) dropped): each clause whose literal set holds a literal and
+    its negation, or is an earlier clause's literal set, is left out, and
+    the clauses from `first_goal` on, those of the negated goal, are the
+    start clauses.  A goal clause that repeats an axiom clause makes that
+    clause a start clause, so every search the dropped one began is still
+    made.
+
+    The clause theorems stay as they are; the filter touches only the
+    search's list, and reconstruction cites only clauses the search used.
+    A tautology holds in every model and a repeat adds nothing, so an
+    unsatisfiable set stays unsatisfiable."""
+    kept: list[Clause] = []
+    starts: list[int] = []
+    first_seen: dict[frozenset, int] = {}
+    tautologies = repeats = 0
+    for i, clause in enumerate(clauses):
+        lits = frozenset(clause.lits)
+        if any((not pos, atom) in lits for pos, atom in lits):
+            tautologies += 1
+            continue
+        at = first_seen.get(lits)
+        if at is None:
+            at = first_seen[lits] = len(kept)
+            kept.append(clause)
+        else:
+            repeats += 1
+        if i >= first_goal and at not in starts:
+            starts.append(at)
+    return kept, starts, (tautologies, repeats)
+
+
 def meson(
     logic: Logic,
     problem: FirstOrderProblem,
@@ -985,7 +1196,7 @@ def meson(
         clauses += cl.clauses(ax, f"axiom {i}")
     n_axiom_clauses = len(clauses)
     clauses += cl.clauses(mk_neg(problem.goal), "negated goal")
-    goal_clauses = list(range(n_axiom_clauses, len(clauses)))
+    clauses, goal_clauses, dropped = _drop_redundant(clauses, n_axiom_clauses)
     skolems = list(cl.skolems.values())
     # The search takes T and F for opaque atoms: where one occurs, |- T or
     # |- ~F joins as a unit clause, after the others so none is renumbered.
@@ -1007,6 +1218,7 @@ def meson(
             skolems=[print_term(s.witness) for s in skolems],
             steps=[],
             depth_bound=depth_bound,
+            dropped=dropped,
             depth_used=depth_used,
         )
 

@@ -59,9 +59,13 @@ from microhol.bootstrap import (
     is_disj,
     is_exists,
     is_forall,
+    is_imp,
     is_neg,
     lhs,
     mk_conj,
+    mk_disj,
+    mk_exists,
+    mk_forall,
     mk_imp,
     mk_neg,
     prove_hyp,
@@ -439,6 +443,104 @@ def reference_rewrite_conv(equations):
     return fixed_point_exhaustive_conv(indexed_first_conv(rules + [(None, try_beta)]))
 
 
+def reference_nnf(t, positive=True):
+    """Negation normal form by polarity on terms, with no kernel:
+    Harrison's `nnf` (Handbook of Practical Logic and Automated
+    Reasoning, 2009, ch. 2) with the iff taken to
+    (~p \\/ q) /\\ (~q \\/ p) and its negation to
+    (p \\/ q) /\\ (~p \\/ ~q), and `~(p ==> q)` to `p /\\ ~q`.  The
+    normal form of `t` when `positive`, else of `~t`; binders keep their
+    names."""
+    if is_neg(t):
+        return reference_nnf(t.rand, not positive)
+    if is_conj(t) or is_disj(t):
+        a, b = t.rator.rand, t.rand
+        op = mk_conj if is_conj(t) == positive else mk_disj
+        return op(reference_nnf(a, positive), reference_nnf(b, positive))
+    if is_imp(t):
+        a, b = dest_imp(t)
+        if positive:
+            return mk_disj(reference_nnf(a, False), reference_nnf(b, True))
+        return mk_conj(reference_nnf(a, True), reference_nnf(b, False))
+    if is_eq(t) and t.rand.ty == BOOL:
+        a, b = dest_eq(t)
+        if positive:
+            return mk_conj(
+                mk_disj(reference_nnf(a, False), reference_nnf(b, True)),
+                mk_disj(reference_nnf(b, False), reference_nnf(a, True)),
+            )
+        return mk_conj(
+            mk_disj(reference_nnf(a, True), reference_nnf(b, True)),
+            mk_disj(reference_nnf(a, False), reference_nnf(b, False)),
+        )
+    if is_forall(t) or is_exists(t):
+        v, body = t.rand.bvar, t.rand.body
+        universal = is_forall(t) == positive
+        return (mk_forall if universal else mk_exists)(v, reference_nnf(body, positive))
+    return t if positive else mk_neg(t)
+
+
+def top_down_rewrite_conv(equations):
+    """Rewrite with the equations outside in, to a fixed point: at each
+    node the first equation in list order that matches, with every beta
+    redex of its result contracted at once, until none matches; then the
+    node's children.  Passes repeat until one changes nothing.  A node
+    is rewritten before its operands, so `~(p <=> q)` meets its own
+    equation before the iff below it meets the positive one."""
+    rewrite = first_conv([rewr_conv(th) for th in equations])
+    beta_normal = fixed_point_exhaustive_conv(try_beta)
+
+    def at_node(t):
+        th = None
+        while True:
+            try:
+                step = rewrite(t if th is None else rhs(th))
+            except Inapplicable:
+                return th
+            step = trans(step, beta_normal(rhs(step)))
+            th = step if th is None else trans(th, step)
+
+    def walk(t):
+        th = at_node(t)
+        u = t if th is None else rhs(th)
+        if isinstance(u, Comb):
+            lth, rth = walk(u.rator), walk(u.rand)
+            below = None
+            if lth is not None or rth is not None:
+                below = mk_comb_rule(lth or refl(u.rator), rth or refl(u.rand))
+        elif isinstance(u, Abs):
+            bth = walk(u.body)
+            below = None if bth is None else abs_rule(u.bvar, bth)
+        else:
+            below = None
+        if below is None:
+            return th
+        return below if th is None else trans(th, below)
+
+    def go(t):
+        th = refl(t)
+        while True:
+            step = walk(rhs(th))
+            if step is None:
+                return th
+            th = trans(th, step)
+
+    return go
+
+
+def reference_nnf_conv(equations):
+    """|- t = reference_nnf(t), with that term exactly as the right side:
+    top-down rewriting with the equations proves t equal to a normal
+    form, and `trans` with `refl` of the oracle's term goes through only
+    if the kernel finds the two alpha-equivalent."""
+    rewrite = top_down_rewrite_conv(equations)
+
+    def go(t):
+        return trans(rewrite(t), refl(reference_nnf(t)))
+
+    return go
+
+
 class UnindexedSearch(_Search):
     """Model elimination as it was before extension candidates were
     indexed: every complementary literal of every clause is renamed and
@@ -477,14 +579,16 @@ class UnindexedSearch(_Search):
 
 
 class RedecomposingClausifier(_Clausifier):
-    """The clausifier as it was: it normalized with the fixed-point engine
-    (`reference_rewrite_conv`), every clause left after stripping went
-    through the pull rewriting again, and was decomposed again if that
-    exposed a conjunction or a quantifier."""
+    """The clausifier as it was, normalizing through the oracles: its
+    negation normal form is `reference_nnf`'s term (`reference_nnf_conv`),
+    its pull pass the fixed-point engine (`reference_rewrite_conv`), and
+    every clause left after stripping went through the pull rewriting
+    again, and was decomposed again if that exposed a conjunction or a
+    quantifier."""
 
     def __init__(self, logic, lemmas):
         super().__init__(logic, lemmas)
-        self.nnf_conv = reference_rewrite_conv(lemmas.nnf)
+        self.nnf = reference_nnf_conv(lemmas.nnf)
         self.pull_conv = reference_rewrite_conv(lemmas.pull)
 
     def _decompose(self, th, universals):

@@ -2,7 +2,9 @@ import gc
 import hashlib
 import itertools
 import random
+import time
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +20,10 @@ from microhol.auto import (
     SkolemEntry,
     _Clausifier,
     _NormLemmas,
+    _PolarityNNF,
     _Rebuild,
     _Search,
+    _drop_redundant,
     _flatten_disj,
     add_equality_axioms,
     clausify,
@@ -35,6 +39,7 @@ from microhol.bootstrap import (
     is_forall,
     is_imp,
     is_neg,
+    lhs,
     rhs,
     mk_conj,
     mk_disj,
@@ -67,12 +72,13 @@ from microhol.syntax import (
     mk_comb,
     mk_eq,
 )
-from microhol.surface import print_sequent, print_term
+from microhol.surface import parse_term, print_sequent, print_term
 
 from .oracles import (
     UnindexedSearch,
     redecomposing_clausify,
     reference_equality_axioms,
+    reference_nnf,
     reference_rewrite_conv,
 )
 from .problems import PROBLEMS
@@ -86,17 +92,22 @@ y = Var("y", IND)
 # kernel inferences meson makes on paper-displayed-formula once the
 # clausifier lemmas exist, on a fresh Logic; 2,734 when refutations were
 # replayed by disj_cases and ccontr went through excluded middle, 1,183
-# when the clausifier rewrote to a fixed point, and 876 when existentials
-# were pulled to the front before they were Skolemized
-PAPER_FORMULA_INFERENCES = 679
+# when the clausifier rewrote to a fixed point, 876 when existentials
+# were pulled to the front before they were Skolemized, and 679 when
+# negation normal form was one bottom-up rewriting pass
+PAPER_FORMULA_INFERENCES = 584
 
 # sha256 of `_suite_transcript`; it was
 # 82afe54d458fbcd534cb2f77897b0fc967691ae016b7d02dd76122e04c6fc321 when
-# existentials were pulled to the front before they were Skolemized: the
-# clause and Skolem-term text differs, and paper-displayed-formula now
-# proves at depth 2, not 3, with every conclusion and assumption the same
+# existentials were pulled to the front before they were Skolemized, and
+# 12779859e18655c3068ac174d4002725c39b7b0bc22944fc1389748836712070 when
+# negation normal form was one bottom-up rewriting pass and no clause was
+# dropped before the search: the clause text differs, propositional-
+# contrapose drops one repeated clause, and paper-displayed-formula proves
+# at its recorded depth 3 again, not 2, with every conclusion and
+# assumption the same
 SUITE_TRANSCRIPT_SHA256 = (
-    "12779859e18655c3068ac174d4002725c39b7b0bc22944fc1389748836712070"
+    "6bdef7088824ec608489c7422e98f44919330b09d47514453ed795cf40e62f29"
 )
 
 
@@ -359,12 +370,30 @@ class TestMeson:
         assert isinstance(th, Theorem)
 
     def test_minimal_depth_is_minimal(self, logic):
-        # spot-check a recorded minimal depth: one less must exhaust
-        name, prob, depth = PROBLEMS[0]
-        assert depth > 1
-        with pytest.raises(DepthExhausted):
-            meson(logic, prob, depth_bound=depth - 1)
-        meson(logic, prob, depth_bound=depth)
+        # each recorded depth above 1 is minimal: it proves, and one less
+        # exhausts
+        deep = [(name, prob, depth) for name, prob, depth in PROBLEMS if depth > 1]
+        for name, prob, depth in deep:
+            with pytest.raises(DepthExhausted):
+                meson(logic, prob, depth_bound=depth - 1)
+            _, trace = meson(logic, prob, depth_bound=depth, want_trace=True)
+            assert trace.depth_used == depth, name
+        assert len(deep) == 12
+
+    def test_pelletier_12_within_a_second(self, logic):
+        # ((p <=> q) <=> r) <=> (p <=> (q <=> r)), each letter an atom: 441
+        # clauses when negation normal form was one bottom-up pass, and
+        # depth 1 alone took 3.5 s
+        a = Var("a", IND)
+        pa, qa, ra = (mk_comb(Var(n, fn(IND, BOOL)), a) for n in "PQR")
+        goal = mk_eq(mk_eq(mk_eq(pa, qa), ra), mk_eq(pa, mk_eq(qa, ra)))
+        start = time.perf_counter()
+        th, trace = meson(logic, FirstOrderProblem((), goal), want_trace=True)
+        assert time.perf_counter() - start < 1.0
+        assert th.assumptions == () and alpha_equiv(th.conclusion, goal)
+        assert trace.depth_used == 3
+        assert (len(trace.clauses), trace.dropped) == (8, (24, 0))
+        assert "dropped 24 clauses: 24 tautologies" in trace.render()
 
     def test_trace_steps_reference_clauses(self, logic):
         name, prob, depth = PROBLEMS[0]
@@ -719,17 +748,18 @@ def _same_sequent(th, ref):
 
 
 class TestRewritingSkipsUnchanged:
-    """The clausifier's one-pass structural conversions against the
-    fixed-point rewriting engine they replaced."""
+    """The clausifier's conversions against the oracles: the polarity NNF
+    against `reference_nnf`, the one-pass pull against the fixed-point
+    rewriting engine it replaced."""
 
     def test_same_normal_forms(self, logic):
         lemmas = _NormLemmas.get(logic)
-        nnf_ref = reference_rewrite_conv(lemmas.nnf)
         pull_ref = reference_rewrite_conv(lemmas.pull)
         for formula in _formulas(81, 12) + _formulas(23, 12) + _suite_formulas():
-            nnf = lemmas.nnf_conv(formula)
-            assert _same_sequent(nnf, nnf_ref(formula)), print_term(formula)
+            nnf = _PolarityNNF(lemmas)(formula)
+            assert nnf.assumptions == () and lhs(nnf) == formula
             normal = rhs(nnf)
+            assert normal == reference_nnf(formula), print_term(formula)
             assert _same_sequent(lemmas.pull_conv(normal), pull_ref(normal))
             cs = clausify(logic, formula)
             ref_clauses, ref_skolems = redecomposing_clausify(logic, formula)
@@ -742,11 +772,11 @@ class TestRewritingSkipsUnchanged:
                 assert sk.params == params
 
     def test_normal_term_costs_one_inference(self, logic):
-        nnf_conv = _NormLemmas.get(logic).nnf_conv
+        lemmas = _NormLemmas.get(logic)
         for formula in _formulas(5, 6):
-            normal = rhs(nnf_conv(formula))
+            normal = rhs(_PolarityNNF(lemmas)(formula))
             with kernel.tracing() as log:
-                th = nnf_conv(normal)
+                th = _PolarityNNF(lemmas)(normal)
             assert [name for name, _, _ in log] == ["refl"]
             assert th.conclusion == mk_eq(normal, normal)
 
@@ -806,6 +836,78 @@ class TestRewritingSkipsUnchanged:
         for name, prob, depth in PROBLEMS:
             meson(logic, prob, depth_bound=depth)
         assert attempts[0] == attempts[1] > 0
+
+
+def _negative_iff(t, positive=True) -> bool:
+    """Whether an iff occurs negatively in `t`: below an odd number of
+    negations and antecedents, or as an operand of an iff, which holds
+    its operands at both polarities."""
+    if is_neg(t):
+        return _negative_iff(t.rand, not positive)
+    if is_imp(t):
+        return _negative_iff(t.rator.rand, not positive) or _negative_iff(t.rand, positive)
+    if is_conj(t) or is_disj(t):
+        return any(_negative_iff(a, positive) for a in (t.rator.rand, t.rand))
+    if is_eq(t) and t.rand.ty == BOOL:
+        return not positive or any(
+            _negative_iff(a, s) for a in (t.rator.rand, t.rand) for s in (True, False)
+        )
+    if is_forall(t) or is_exists(t):
+        return _negative_iff(t.rand.body, positive)
+    return False
+
+
+def _bottom_up_nnf_clauses(logic, formula):
+    """The clause theorems, with their universals, by the route the
+    polarity NNF replaced: the NNF lemmas rewritten bottom-up to a fixed
+    point, then the pull pass and stripping.  The negated implication's
+    and the negated iff's lemmas never fire there, since an operand is
+    normal before the negation above it is met."""
+    lemmas = _NormLemmas.get(logic)
+    th = bootstrap.conv_rule(reference_rewrite_conv(lemmas.nnf), kernel.assume(formula))
+    th = bootstrap.conv_rule(lemmas.pull_conv, th)
+    return _Clausifier(logic, lemmas)._decompose(th, ())
+
+
+def _named_apart(th, universals):
+    """th's conclusion with its universals renamed u0, u1, ... in order."""
+    return syntax.vsubst({u: Var(f"u{i}", u.ty) for i, u in enumerate(universals)}, th.conclusion)
+
+
+class TestPolarityNNF:
+    """Each subformula is normalized once per polarity, so only a
+    negatively occurring iff changes the clauses."""
+
+    def test_negated_iff_goes_straight_to_clause_form(self, logic):
+        cs = clausify(logic, mk_neg(mk_eq(p, q)))
+        assert [c.thm.conclusion for c in cs.clauses] == [
+            mk_disj(p, q),
+            mk_disj(mk_neg(p), mk_neg(q)),
+        ]
+
+    @given(st.integers(0, 10**9), st.sampled_from((2, 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_positive_iffs_keep_the_bottom_up_clauses(self, logic, seed, depth):
+        # up to the names of bound variables and universals: a negated
+        # quantifier keeps its own binder here, and took the lemma's
+        formula = _random_formula(random.Random(seed), depth, [], [0])
+        hypothesis.assume(not _negative_iff(formula))
+        cs = clausify(logic, formula)
+        before = _bottom_up_nnf_clauses(logic, formula)
+        assert len(cs.clauses) == len(before), print_term(formula)
+        for c, (th, universals) in zip(cs.clauses, before):
+            assert c.thm.assumptions == th.assumptions
+            assert len(c.universals) == len(universals)
+            assert alpha_equiv(_named_apart(c.thm, c.universals), _named_apart(th, universals))
+
+    def test_found_tautology_clause_count(self, logic):
+        # 820 clauses when negation normal form was one bottom-up pass
+        goal = parse_term(
+            r"~~(q <=> q) <=> ((T <=> p) <=> F <=> r) \/ ~F \/ (p ==> T)",
+            logic.theory,
+            free_default=BOOL,
+        )
+        assert len(clausify(logic, mk_neg(goal)).clauses) <= 40
 
 
 def _meson_clauses(logic, prob):
@@ -924,6 +1026,59 @@ class TestSearchIndex:
         assert solved > 100
 
 
+def _provable(clauses, starts, depth) -> bool:
+    """Whether a search from one of the start clauses closes within `depth`."""
+    search = _Search(clauses)
+    return any(
+        next(search.prove_goals(search.start(clauses[i]), [], depth, {}), None) is not None
+        for i in starts
+    )
+
+
+class TestClauseFilter:
+    """Meson searches no tautology and no repeated literal set."""
+
+    def test_drops_tautologies_and_repeats(self):
+        atom = ("f", r, ())
+        lits = [(True, atom), (False, atom)]
+        clauses = [
+            Clause(None, (), (lits[0],), "axiom 0"),
+            Clause(None, (), (lits[1], lits[0]), "axiom 1"),  # tautology
+            Clause(None, (), (lits[1],), "negated goal"),
+            Clause(None, (), (lits[0], lits[0]), "negated goal"),  # repeats axiom 0
+        ]
+        kept, starts, dropped = _drop_redundant(clauses, 2)
+        assert [c.lits for c in kept] == [(lits[0],), (lits[1],)]
+        # the repeated goal clause's search starts from the axiom it repeats
+        assert (starts, dropped) == ([1, 0], (1, 1))
+
+    def test_random_problems_keep_provability(self, logic):
+        # filtered and unfiltered search agree at every depth bound up to
+        # 3.  Problems of more than 30 clauses are left out for time: the
+        # unfiltered search exhausts depth 3 on one of 42 clauses in 40 s.
+        rng = random.Random(1)
+        checked = filtered = proved = 0
+        for _ in range(200):
+            axioms, goal = _random_problem(rng)
+            try:
+                prob = FirstOrderProblem(axioms, goal)
+            except OutOfFragment:
+                continue
+            clauses, starts = _meson_clauses(logic, prob)
+            if len(clauses) > 30:
+                continue
+            kept, kept_starts, _ = _drop_redundant(clauses, starts.start)
+            for depth in (1, 2, 3):
+                found = _provable(clauses, starts, depth)
+                assert _provable(kept, kept_starts, depth) == found, (
+                    [print_term(t) for t in (*axioms, goal)], depth
+                )
+            checked += 1
+            filtered += len(kept) < len(clauses)
+            proved += found
+        assert checked > 150 and filtered > 5 and proved > 1, (checked, filtered, proved)
+
+
 def _suite_transcript(logic) -> str:
     """Every suite problem's proved conclusion, assumptions and trace."""
     lines = []
@@ -941,6 +1096,8 @@ NORM_LEMMAS = [
     r"~~(p:bool) <=> (p:bool)",
     r"~((p:bool) /\ (q:bool)) <=> ~(p:bool) \/ ~(q:bool)",
     r"~((p:bool) \/ (q:bool)) <=> ~(p:bool) /\ ~(q:bool)",
+    r"~((p:bool) ==> (q:bool)) <=> (p:bool) /\ ~(q:bool)",
+    r"~((p:bool) <=> (q:bool)) <=> ((p:bool) \/ (q:bool)) /\ (~(p:bool) \/ ~(q:bool))",
     r"(p:bool) ==> (q:bool) <=> ~(p:bool) \/ (q:bool)",
     r"((p:bool) <=> (q:bool)) <=> (~(p:bool) \/ (q:bool)) /\ (~(q:bool) \/ (p:bool))",
     r"~(!:(A -> bool) -> bool) (P:A -> bool) <=> (?x:A. ~(P:A -> bool) x)",
@@ -960,11 +1117,13 @@ NORM_LEMMAS = [
 
 class TestLemmaBasePinned:
     def test_equations_in_order(self, logic):
-        # a node gets the first equation in list order that fits it, so
-        # the order is the normalizing passes' dispatch priority; the pull
-        # list had 10 when existentials were pulled by four equations
+        # a pull node gets the first equation in list order that fits it,
+        # so that order is the pass's dispatch priority, and `_PolarityNNF`
+        # takes the nnf list by position; the pull list had 10 when
+        # existentials were pulled by four equations, and the nnf list 7
+        # before the negated implication and iff had their own
         lemmas = _NormLemmas.build(logic)
-        assert (len(lemmas.nnf), len(lemmas.pull)) == (7, 7)
+        assert (len(lemmas.nnf), len(lemmas.pull)) == (9, 7)
         for th, expected in zip(lemmas.nnf + lemmas.pull, NORM_LEMMAS, strict=True):
             assert th.assumptions == ()
             assert print_term(th.conclusion) == expected
@@ -985,21 +1144,25 @@ class TestMesonOutputPinned:
 # kernel inferences of one pass of the suite once the clausifier lemmas
 # exist, on a fresh Logic; 12,617 when refuted literals were eliminated by
 # disj_cases chains rather than turned into L = F equations, 6,055 when
-# the clausifier rewrote to a fixed point, and 4,788 when existentials
-# were pulled to the front before they were Skolemized
-SUITE_INFERENCES = 4_430
+# the clausifier rewrote to a fixed point, 4,788 when existentials were
+# pulled to the front before they were Skolemized, and 4,430 when negation
+# normal form was one bottom-up rewriting pass
+SUITE_INFERENCES = 3_294
 
 # kernel inferences of `_NormLemmas.build` on a fresh Logic; 4,713 when
 # existential premises were eliminated by unfolding `?` at a fresh
 # variable and contradictions reached F through `not_elim` and `mp`,
 # 4,266 when negations were introduced through `disch` and `not_intro`,
 # 4,227 when `gen`, `exists_intro`, `disj1` and `disj2` unfolded their
-# definitions on every call, and 3,321 when four equations pulled
-# existentials out
-NORM_LEMMA_INFERENCES = 3_121
+# definitions on every call, 3,321 when four equations pulled
+# existentials out, and 3,121 before the negated implication and iff had
+# their own lemmas
+NORM_LEMMA_INFERENCES = 3_420
 
-# top-level `_unify` calls of one suite pass (see TestSearchIndex)
-SUITE_UNIFY_CALLS = 646
+# top-level `_unify` calls of one suite pass (see TestSearchIndex); 646
+# when negation normal form was one bottom-up rewriting pass and no clause
+# was dropped before the search
+SUITE_UNIFY_CALLS = 392
 
 
 def _rebuild_with_duplicate_literal(logic):
