@@ -9,23 +9,22 @@ proved connective tables.
 ``meson`` is bounded model elimination for the first-order fragment
 (quantifiers only over individual types, predicates and functions as
 constants or free variables).  The problem is clausified through
-proof-producing normalization in two steps.  The first is negation
-normal form by polarity (`_PolarityNNF`): each distinct subformula gets
+proof-producing normalization in one walk (`_ClauseForm`): negation
+normal form by polarity, in which each distinct subformula gets
 |- t = t+ and |- ~t = t- at most once, each connective and each negated
 connective or quantifier through one lemma instance, so `~(p <=> q)`
-goes straight to (p+ \\/ q+) /\\ (p- \\/ q-).  The second is one bottom-up
-kernel rewriting pass that Skolemizes, pulls universals out and
-distributes \\/ over /\\, in which each node is rewritten by the one lemma
-its head selects; then universal stripping by specialization.  That
-pass rewrites each `?x. M`, once `M` is normal, by
-|- (?) P = P ((@) P), so each Skolem witness `@x. M` holds its own
-subformula and only the universals whose scope contains it (inner
-Skolemization).  The quantifier lemmas behind these rewrites use each
-existential premise through its chosen witness (`select_rule`), not by
-eliminating it at a fresh variable.  Of the four universal-pull
-equations, the two with the quantifier on the left are proved and the
-other two are their mirror images, derived by commuting the
-connective.  Before the search, a clause whose literal set holds a
+goes straight to (p+ \\/ q+) /\\ (p- \\/ q-).  Each node the walk builds
+is settled at once by the one equation its heads select: an existential
+`?x. M`, once `M` is normal, is Skolemized by |- (?) P = P ((@) P), so
+each Skolem witness `@x. M` holds its own subformula and only the
+universals whose scope contains it (inner Skolemization); universals
+are pulled out of \\/ and /\\; \\/ is distributed over /\\.  Then the
+universal prefix is stripped by specialization.  The quantifier lemmas
+behind these rewrites use each existential premise through its chosen
+witness (`select_rule`), not by eliminating it at a fresh variable.  Of
+the four universal-pull equations, the two with the quantifier on the
+left are proved and the other two are their mirror images, derived by
+commuting the connective.  Before the search, a clause whose literal set holds a
 literal and its negation, or is an earlier clause's literal set, is
 dropped from the search's list; its theorem is never cited.  T and F
 are atoms to the search, which is given |- T or |- ~F as a unit clause
@@ -43,9 +42,9 @@ authority.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key, reduce
-from typing import Callable, Optional
+from typing import Optional
 
 from . import kernel
 from .bootstrap import (
@@ -95,7 +94,6 @@ from .syntax import (
     mk_comb,
     mk_eq,
     term_compare,
-    type_vars_of_type,
     variant,
     vsubst,
 )
@@ -111,6 +109,9 @@ __all__ = [
     "clausify",
     "meson",
     "add_equality_axioms",
+    # bound for the benchmark's tracer alone (`perfbench/layers.py`), which
+    # wraps it by name; no module calls it (ROADMAP item 1)
+    "exhaustive_conv",
 ]
 
 
@@ -339,19 +340,12 @@ _Q = Var("q", BOOL)
 class _NormLemmas:
     """The equations behind clausification, proved once per Logic.
 
-    `nnf` holds the negation-normal-form lemmas in the order
-    `_PolarityNNF` takes them.  `pull` holds the pull pass's equations in
-    order of preference, and `pull_conv` is that pass (`_normalizer`),
-    built here, once, rather than per clausification: it holds a
-    self-calling closure, a reference cycle that would otherwise be left
-    to the cycle collector on every call."""
+    `nnf` holds the negation-normal-form lemmas and `pull` the
+    Skolemization, universal-pull and distribution equations, each in the
+    order `_ClauseForm` takes them."""
 
     nnf: list
     pull: list
-    pull_conv: Callable = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.pull_conv = _normalizer(self.pull)
 
     @classmethod
     def get(cls, logic: Logic) -> "_NormLemmas":
@@ -490,9 +484,9 @@ def _not_exists_thm(logic: Logic) -> Theorem:
 
 def _skolem_thm(logic: Logic) -> Theorem:
     """|- (?) P = P ((@) P): an existential holds at its chosen witness.
-    The pull pass rewrites each `?x. M` with it once `M` is normal, so the
-    witness `@x. M` holds only its own subformula, and its free universals
-    are those whose scope contains it."""
+    The clause-form walk rewrites each `?x. M` with it once `M` is
+    normal, so the witness `@x. M` holds only its own subformula, and its
+    free universals are those whose scope contains it."""
     alpha = TyVar("A")
     P = Var("P", fn(alpha, BOOL))
     exists_p = mk_comb(Const("exists", fn(fn(alpha, BOOL), BOOL)), P)
@@ -507,8 +501,8 @@ def _pull_theorems(logic: Logic) -> list[Theorem]:
     the left are proved; each is followed by its mirror image
     |- (q \\/ (!) P) = !x. q \\/ P x, derived from it by commuting the
     connective outside and under the binder.  No existential is pulled:
-    the pull pass Skolemizes each one where it stands (`_skolem_thm`)
-    before its parent is rewritten."""
+    the clause-form walk Skolemizes each one where it stands
+    (`_skolem_thm`) before its parent is rewritten."""
     alpha = TyVar("A")
     P = Var("P", fn(alpha, BOOL))
     p = Var("p", BOOL)
@@ -625,83 +619,27 @@ class MesonTrace:
         return "\n".join(lines)
 
 
-def _head_name(t: Term):
-    """(head constant's name, argument count), or None for another head."""
-    head, args = _strip_app(t)
-    return (head.name, len(args)) if isinstance(head, Const) else None
-
-
-def _normalizer(equations: list[Theorem]):
-    """One bottom-up pass (`exhaustive_conv`) that rewrites with the
-    equations to a normal form.
-
-    A node, whose children are already normal, is rewritten by the first
-    equation in list order whose left side fits it: the same head
-    constant applied to as many arguments, and at each operand that is
-    not a pattern variable the same head name and argument count.  The
-    head's type must be the same too, unless the equation's head is
-    polymorphic (`?` at `(A -> bool) -> bool` fits every instance).
-    Only the nodes of the equation's right side are then settled,
-    children first, since the subterms its pattern variables stand for
-    are normal.  A beta redex, which a quantifier equation leaves as
-    `(\\y. b) x`, is contracted; `b` is normal, and `x` is a variable or
-    the witness `@y. b`, neither of which any equation's pattern matches,
-    so the result is.  The clausifier's formulas are first-order
-    (`_Symbols`), so no other redex occurs.
-    """
-    table: dict = {}
-    for th in equations:
-        head, args = _strip_app(lhs(th))
-        need = [(i, _head_name(a)) for i, a in enumerate(args) if not isinstance(a, Var)]
-        ty = None if type_vars_of_type(head.ty) else head.ty
-        table.setdefault((head.name, len(args)), []).append(
-            (ty, need, rewr_conv(th), th.conclusion.rand)
-        )
-
-    def settle(t: Term) -> Optional[Theorem]:
-        if isinstance(t, Comb) and isinstance(t.rator, Abs):
-            return beta_conv(t)
-        head, args = _strip_app(t)
-        rules = table.get((head.name, len(args))) if isinstance(head, Const) else None
-        if rules is None:
-            return None
-        names = [_head_name(a) for a in args]
-        for ty, need, conv, shape in rules:
-            if (ty is None or ty is head.ty) and all(names[i] == name for i, name in need):
-                th = conv(t)
-                rest = settle_nodes(shape, rhs(th), settle)
-                return th if rest is None else kernel.trans(th, rest)
-        return None
-
-    return exhaustive_conv(settle)
-
-
-def _then(th: Theorem, rest: Optional[Theorem]) -> Theorem:
-    """|- a = c from th: |- a = b and rest: |- b = c, or th when rest is
-    None ("unchanged")."""
+def _then(th: Optional[Theorem], rest: Optional[Theorem]) -> Optional[Theorem]:
+    """|- a = c from th: |- a = b and rest: |- b = c, each None for
+    "unchanged"; None when both are."""
+    if th is None:
+        return rest
     return th if rest is None else kernel.trans(th, rest)
-
-
-def _cong(s: Term, lth: Optional[Theorem], rth: Optional[Theorem]) -> Optional[Theorem]:
-    """|- op l r = op l' r' for s = op l r, from lth: |- l = l' and
-    rth: |- r = r', each None for "unchanged"; None when both are."""
-    if lth is None:
-        return None if rth is None else kernel.mk_comb_rule(kernel.refl(s.rator), rth)
-    return kernel.mk_comb_rule(ap_term(s.rator.rator, lth), rth or kernel.refl(s.rand))
 
 
 def _is_iff(t: Term) -> bool:
     return is_eq(t) and t.rand.ty is BOOL
 
 
-class _PolarityNNF:
-    """Negation normal form by polarity, proof-producing (Harrison's
-    `nnf`): `norm(t, True)` is |- t = t+ and `norm(t, False)` is
-    |- ~t = t-, each None when that side is already normal (`t` itself,
-    or `~t` over an atom).
+class _ClauseForm:
+    """Clause normal form in one walk, proof-producing: negation normal
+    form by polarity (Harrison's `nnf`), with each node settled
+    (`settle`) as it is built.  `norm(t, True)` is |- t = t+ and
+    `norm(t, False)` is |- ~t = t-, each None when that side is already
+    normal (`t` itself, or `~t` over an atom).
 
     A connective, or a negation over one, takes one instance of its
-    lemma, whose right side is then rebuilt by congruence (`_cong`) from
+    lemma, whose right side is then rebuilt by congruence (`_node`) from
     its operands' theorems at the polarities it holds them; /\\, \\/ and
     the quantifiers are rebuilt from their operands' theorems alone.  So
     `p <=> q` gives (p- \\/ q+) /\\ (q- \\/ p+), and `~(p <=> q)` goes
@@ -714,8 +652,9 @@ class _PolarityNNF:
     `memo` maps each (subformula, polarity) pair met to its result, so
     each is normalized at most once, however often it occurs: an iff's
     operands are met at both polarities, and a chain of iffs shares
-    them.  The memo, and the quantifier lemmas' type instances, live as
-    long as the instance: one meson or clausify call."""
+    them.  The memo, the quantifier lemmas' type instances and the
+    rewriting conversions live as long as the instance: one meson or
+    clausify call."""
 
     def __init__(self, lemmas: _NormLemmas):
         (
@@ -730,6 +669,15 @@ class _PolarityNNF:
             not_exists,
         ) = lemmas.nnf
         self.quantifier_lemmas = {"forall": not_forall, "exists": not_exists}
+        or_left, or_right, and_left, and_right, self.skolem, over_right, over_left = (
+            (rewr_conv(th), rhs(th)) for th in lemmas.pull
+        )
+        # per connective: pull a universal left operand, a right one, then
+        # distribute over a conjunction on the right, on the left
+        self.rules = {
+            "or": (or_left, or_right, over_right, over_left),
+            "and": (and_left, and_right, None, None),
+        }
         self.typed: dict[tuple[str, HolType], Theorem] = {}
         self.memo: dict[tuple[Term, bool], Optional[Theorem]] = {}
 
@@ -745,14 +693,65 @@ class _PolarityNNF:
             got = self.memo[key] = self._positive(t) if positive else self._negative(t)
         return got
 
+    def settle(self, t: Term) -> Optional[Theorem]:
+        """|- t = t' for a node whose operands are normal, by the equation
+        its heads select (`_rule`), then on the nodes of that equation's
+        right side, children first; None when no equation fits.  A beta
+        redex, which a quantifier equation leaves as `(\\y. b) x`, is
+        contracted; `b` is normal, and `x` is a variable or the witness
+        `@y. b`, which no equation's pattern matches, so the result is.
+        The formulas are first-order (`_Symbols`): no other redex occurs."""
+        if isinstance(t, Comb) and isinstance(t.rator, Abs):
+            return beta_conv(t)
+        rule = self._rule(t)
+        if rule is None:
+            return None
+        conv, shape = rule
+        th = conv(t)
+        return _then(th, settle_nodes(shape, rhs(th), self.settle))
+
+    def _rule(self, t: Term):
+        """(conversion, right side) of the equation for the node `t`, or
+        None: |- (?) P = P ((@) P) at an existential; at \\/ or /\\ the
+        pull of a universal operand, the left one first; at \\/
+        distribution over a conjunct, the right one first."""
+        if is_exists(t):
+            return self.skolem
+        if not (is_conj(t) or is_disj(t)):
+            return None
+        left, right = t.rator.rand, t.rand
+        pull_left, pull_right, over_right, over_left = self.rules[t.rator.rator.name]
+        if is_forall(left):
+            return pull_left
+        if is_forall(right):
+            return pull_right
+        if is_conj(right):
+            return over_right
+        return over_left if is_conj(left) else None
+
+    def _node(self, s: Term, lth: Optional[Theorem], rth: Optional[Theorem]):
+        """|- op l r = u for s = op l r: the congruence from lth: |- l = l'
+        and rth: |- r = r', each None for "unchanged", then op l' r'
+        settled; None when nothing changed."""
+        if lth is None:
+            th = None if rth is None else kernel.mk_comb_rule(kernel.refl(s.rator), rth)
+        else:
+            th = kernel.mk_comb_rule(ap_term(s.rator.rator, lth), rth or kernel.refl(s.rand))
+        return self._settled(th, s)
+
+    def _settled(self, th: Optional[Theorem], t: Term) -> Optional[Theorem]:
+        """th: |- a = u, or None when u is `t`, then the node u settled."""
+        return _then(th, self.settle(t if th is None else rhs(th)))
+
     def _positive(self, t: Term) -> Optional[Theorem]:
         if is_conj(t) or is_disj(t):
-            return _cong(t, self.norm(t.rator.rand, True), self.norm(t.rand, True))
+            return self._node(t, self.norm(t.rator.rand, True), self.norm(t.rand, True))
         if is_neg(t):
             return self.norm(t.rand, False)
         if is_forall(t) or is_exists(t):
             body = self.norm(t.rand.body, True)
-            return None if body is None else ap_term(t.rator, kernel.abs_rule(t.rand.bvar, body))
+            th = None if body is None else ap_term(t.rator, kernel.abs_rule(t.rand.bvar, body))
+            return self._settled(th, t)
         if is_imp(t):
             return self._binary(self.imp, t, False, True)
         if _is_iff(t):
@@ -781,7 +780,7 @@ class _PolarityNNF:
         at polarity `left` and B over b at polarity `right`."""
         a, b = t.rator.rand, t.rand
         th = inst_rule({_P: a, _Q: b}, lemma)
-        return _then(th, _cong(rhs(th), self.norm(a, left), self.norm(b, right)))
+        return _then(th, self._node(rhs(th), self.norm(a, left), self.norm(b, right)))
 
     def _iff(self, lemma: Theorem, t: Term, first: tuple, second: tuple) -> Theorem:
         """`lemma` at an iff or its negation, whose right side is
@@ -792,16 +791,16 @@ class _PolarityNNF:
         (a1, b1), (a2, b2) = first, second
         return _then(
             th,
-            _cong(
+            self._node(
                 s,
-                _cong(s.rator.rand, self.norm(*a1), self.norm(*b1)),
-                _cong(s.rand, self.norm(*a2), self.norm(*b2)),
+                self._node(s.rator.rand, self.norm(*a1), self.norm(*b1)),
+                self._node(s.rand, self.norm(*a2), self.norm(*b2)),
             ),
         )
 
     def _quantifier(self, t: Term) -> Theorem:
         """|- ~(Q y. b) = Q' y. b-, through |- ~(Q P) = Q' x. ~(P x) at
-        P := \\y. b, where Q' is the other quantifier."""
+        P := \\y. b, where Q' is the other quantifier; then settled."""
         lam = t.rand
         y = lam.bvar
         key = (t.rator.name, y.ty)
@@ -810,25 +809,23 @@ class _PolarityNNF:
             lemma = self.typed[key] = inst_type_rule({"A": y.ty}, self.quantifier_lemmas[key[0]])
         th = inst_rule({Var("P", fn(y.ty, BOOL)): lam}, lemma)  # ... x. ~((\y. b) x)
         body = _then(ap_term(_NOT, kernel.beta(mk_comb(lam, y))), self.norm(lam.body, False))
-        return kernel.trans(th, ap_term(rhs(th).rator, kernel.abs_rule(y, body)))
+        th = kernel.trans(th, ap_term(rhs(th).rator, kernel.abs_rule(y, body)))
+        return _then(th, self.settle(rhs(th)))
 
 
 class _Clausifier:
-    """Turns an assumed formula into clause theorems: negation normal form
-    by polarity (`_PolarityNNF`), then Skolemize each existential where
-    it stands, pull universals out and distribute \\/ over /\\
-    (`pull_conv`, one bottom-up pass over the whole formula), then strip
-    the universal prefix.
+    """Turns an assumed formula into clause theorems: clause normal form
+    in one walk (`_ClauseForm`), then strip the universal prefix.
 
-    Each leaf clause is already pull-normal, so it is returned as it is.
-    The pull pass leaves every subterm of the formula normal, witness
-    bodies included.  Every pull pattern is linear and every application
+    Each leaf clause is already normal, so it is returned as it is.  The
+    walk leaves every subterm of the formula normal, witness bodies
+    included.  Every equation's left side is linear and every application
     in it has a constant head (\\/, /\\, ! or ?).  Stripping only ever
     takes subterms (`conjunct1/2`) or substitutes a fresh variable
-    (`spec`), which no pattern's head matches and which makes no beta
+    (`spec`), which no equation's head matches and which makes no beta
     redex.
 
-    One `_PolarityNNF`, and so one memo, serves every formula of the
+    One `_ClauseForm`, and so one memo, serves every formula of the
     clausifier: one meson or clausify call.  `skolems` maps each witness
     to its entry, in the order literals first held them.  `_Symbols`
     refuses `@` in a problem, so every @-term in a clause is a witness.
@@ -836,8 +833,7 @@ class _Clausifier:
 
     def __init__(self, logic: Logic, lemmas: _NormLemmas):
         self.logic = logic
-        self.nnf = _PolarityNNF(lemmas)
-        self.pull_conv = lemmas.pull_conv
+        self.form = _ClauseForm(lemmas)
         self.skolems: dict[Term, SkolemEntry] = {}
         self._fresh = 0
 
@@ -858,9 +854,7 @@ class _Clausifier:
 
     def clause_theorems(self, th: Theorem) -> list[tuple[Theorem, tuple[Var, ...]]]:
         """Normalize one assumed formula into clause theorems."""
-        th = conv_rule(self.nnf, th)
-        th = conv_rule(self.pull_conv, th)
-        return self._decompose(th, ())
+        return self._decompose(conv_rule(self.form, th), ())
 
     def _decompose(self, th: Theorem, universals: tuple[Var, ...]):
         concl = th.conclusion

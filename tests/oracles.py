@@ -579,17 +579,22 @@ class UnindexedSearch(_Search):
 
 
 class RedecomposingClausifier(_Clausifier):
-    """The clausifier as it was, normalizing through the oracles: its
-    negation normal form is `reference_nnf`'s term (`reference_nnf_conv`),
-    its pull pass the fixed-point engine (`reference_rewrite_conv`), and
-    every clause left after stripping went through the pull rewriting
-    again, and was decomposed again if that exposed a conjunction or a
-    quantifier."""
+    """The clausifier as it was, in two passes through the oracles: first
+    negation normal form, `reference_nnf`'s term (`reference_nnf_conv`),
+    then the pull pass over the whole result, the fixed-point engine
+    (`reference_rewrite_conv`); every clause left after stripping went
+    through the pull rewriting again, and was decomposed again if that
+    exposed a conjunction or a quantifier."""
 
     def __init__(self, logic, lemmas):
         super().__init__(logic, lemmas)
         self.nnf = reference_nnf_conv(lemmas.nnf)
         self.pull_conv = reference_rewrite_conv(lemmas.pull)
+
+    def clause_theorems(self, th):
+        th = conv_rule(self.nnf, th)
+        th = conv_rule(self.pull_conv, th)
+        return self._decompose(th, ())
 
     def _decompose(self, th, universals):
         concl = th.conclusion

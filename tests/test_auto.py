@@ -18,9 +18,9 @@ from microhol.auto import (
     NotPropositional,
     OutOfFragment,
     SkolemEntry,
+    _ClauseForm,
     _Clausifier,
     _NormLemmas,
-    _PolarityNNF,
     _Rebuild,
     _Search,
     _drop_redundant,
@@ -90,12 +90,14 @@ x = Var("x", IND)
 y = Var("y", IND)
 
 # kernel inferences meson makes on paper-displayed-formula once the
-# clausifier lemmas exist, on a fresh Logic; 2,734 when refutations were
+# clausifier lemmas exist; 2,734 when refutations were
 # replayed by disj_cases and ccontr went through excluded middle, 1,183
 # when the clausifier rewrote to a fixed point, 876 when existentials
-# were pulled to the front before they were Skolemized, and 679 when
-# negation normal form was one bottom-up rewriting pass
-PAPER_FORMULA_INFERENCES = 584
+# were pulled to the front before they were Skolemized, 679 when
+# negation normal form was one bottom-up rewriting pass, and 584 when a
+# second bottom-up pass over the whole normal form Skolemized, pulled
+# and distributed
+PAPER_FORMULA_INFERENCES = 571
 
 # sha256 of `_suite_transcript`; it was
 # 82afe54d458fbcd534cb2f77897b0fc967691ae016b7d02dd76122e04c6fc321 when
@@ -748,19 +750,17 @@ def _same_sequent(th, ref):
 
 
 class TestRewritingSkipsUnchanged:
-    """The clausifier's conversions against the oracles: the polarity NNF
-    against `reference_nnf`, the one-pass pull against the fixed-point
-    rewriting engine it replaced."""
+    """The clausifier's walk against the oracles: `reference_nnf`, then
+    the fixed-point rewriting engine it replaced over the whole result."""
 
     def test_same_normal_forms(self, logic):
         lemmas = _NormLemmas.get(logic)
         pull_ref = reference_rewrite_conv(lemmas.pull)
         for formula in _formulas(81, 12) + _formulas(23, 12) + _suite_formulas():
-            nnf = _PolarityNNF(lemmas)(formula)
-            assert nnf.assumptions == () and lhs(nnf) == formula
-            normal = rhs(nnf)
-            assert normal == reference_nnf(formula), print_term(formula)
-            assert _same_sequent(lemmas.pull_conv(normal), pull_ref(normal))
+            th = _ClauseForm(lemmas)(formula)
+            assert th.assumptions == () and lhs(th) == formula
+            expected = pull_ref(reference_nnf(formula))
+            assert alpha_equiv(rhs(th), rhs(expected)), print_term(formula)
             cs = clausify(logic, formula)
             ref_clauses, ref_skolems = redecomposing_clausify(logic, formula)
             assert [c.universals for c in cs.clauses] == [u for _, u in ref_clauses]
@@ -774,19 +774,19 @@ class TestRewritingSkipsUnchanged:
     def test_normal_term_costs_one_inference(self, logic):
         lemmas = _NormLemmas.get(logic)
         for formula in _formulas(5, 6):
-            normal = rhs(_PolarityNNF(lemmas)(formula))
+            normal = rhs(_ClauseForm(lemmas)(formula))
             with kernel.tracing() as log:
-                th = _PolarityNNF(lemmas)(normal)
+                th = _ClauseForm(lemmas)(normal)
             assert [name for name, _, _ in log] == ["refl"]
             assert th.conclusion == mk_eq(normal, normal)
 
-    def test_paper_formula_inference_count(self):
+    def test_paper_formula_inference_count(self, logic):
         # rewriting node by node and unfolding the connectives on every
-        # derived-rule call took 61,508 inferences here.  A fresh Logic,
-        # because each rewriting conversion makes a type instance of its
-        # equation once and then reuses it.
+        # derived-rule call took 61,508 inferences here.  The rewriting
+        # conversions, and so their type instances, are built per call, so
+        # earlier calls on the Logic do not change the count; when they
+        # were built with the lemmas, a second call took 580, not 584.
         name, prob, depth = next(p for p in PROBLEMS if p[0] == "paper-displayed-formula")
-        logic = bootstrap.install_logic(kernel.Theory())
         _NormLemmas.get(logic)
         with kernel.tracing() as log:
             meson(logic, prob, depth_bound=depth)
@@ -810,6 +810,26 @@ class TestRewritingSkipsUnchanged:
         monkeypatch.setattr(syntax, "_order", counting)
         meson(logic, prob, depth_bound=depth)
         assert calls[0] <= 3_000
+
+    def test_suite_settle_calls(self, monkeypatch):
+        # `settle_nodes` walks only the nodes an equation made; a second
+        # bottom-up pass over the whole normal form would add one call per
+        # node of every formula
+        calls = [0]
+        real = bootstrap.settle_nodes
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bootstrap, "settle_nodes", counting)
+        monkeypatch.setattr(auto, "settle_nodes", counting)
+        logic = bootstrap.install_logic(kernel.Theory())
+        _NormLemmas.get(logic)
+        calls[0] = 0
+        for name, prob, depth in PROBLEMS:
+            meson(logic, prob, depth_bound=depth)
+        assert calls[0] == SUITE_SETTLE_CALLS
 
     def test_suite_rewrite_attempts(self, monkeypatch):
         # each node is rewritten only by the equation its heads select, so
@@ -860,12 +880,12 @@ def _negative_iff(t, positive=True) -> bool:
 def _bottom_up_nnf_clauses(logic, formula):
     """The clause theorems, with their universals, by the route the
     polarity NNF replaced: the NNF lemmas rewritten bottom-up to a fixed
-    point, then the pull pass and stripping.  The negated implication's
-    and the negated iff's lemmas never fire there, since an operand is
-    normal before the negation above it is met."""
+    point, then the pull equations the same way, and stripping.  The
+    negated implication's and the negated iff's lemmas never fire there,
+    since an operand is normal before the negation above it is met."""
     lemmas = _NormLemmas.get(logic)
     th = bootstrap.conv_rule(reference_rewrite_conv(lemmas.nnf), kernel.assume(formula))
-    th = bootstrap.conv_rule(lemmas.pull_conv, th)
+    th = bootstrap.conv_rule(reference_rewrite_conv(lemmas.pull), th)
     return _Clausifier(logic, lemmas)._decompose(th, ())
 
 
@@ -1117,9 +1137,9 @@ NORM_LEMMAS = [
 
 class TestLemmaBasePinned:
     def test_equations_in_order(self, logic):
-        # a pull node gets the first equation in list order that fits it,
-        # so that order is the pass's dispatch priority, and `_PolarityNNF`
-        # takes the nnf list by position; the pull list had 10 when
+        # `_ClauseForm` takes both lists by position: the nnf list by
+        # connective, the pull list as the equations its per-node step picks
+        # by the operands' heads; the pull list had 10 when
         # existentials were pulled by four equations, and the nnf list 7
         # before the negated implication and iff had their own
         lemmas = _NormLemmas.build(logic)
@@ -1145,9 +1165,16 @@ class TestMesonOutputPinned:
 # exist, on a fresh Logic; 12,617 when refuted literals were eliminated by
 # disj_cases chains rather than turned into L = F equations, 6,055 when
 # the clausifier rewrote to a fixed point, 4,788 when existentials were
-# pulled to the front before they were Skolemized, and 4,430 when negation
-# normal form was one bottom-up rewriting pass
-SUITE_INFERENCES = 3_294
+# pulled to the front before they were Skolemized, 4,430 when negation
+# normal form was one bottom-up rewriting pass, and 3,294 when a second
+# bottom-up pass over the whole normal form Skolemized, pulled and
+# distributed
+SUITE_INFERENCES = 3_189
+
+# `bootstrap.settle_nodes` calls of one suite pass (see
+# TestRewritingSkipsUnchanged); 1,780 when a second bottom-up pass walked
+# the whole normal form, atoms included
+SUITE_SETTLE_CALLS = 739
 
 # kernel inferences of `_NormLemmas.build` on a fresh Logic; 4,713 when
 # existential premises were eliminated by unfolding `?` at a fresh
@@ -1245,26 +1272,29 @@ def _is_literal(t):
 
 
 def _check_clause_form(logic, formula):
-    """Each clause theorem is pull-normal and a disjunction of literals,
-    and equals what the clausifier that re-normalised every clause gave."""
+    """Each clause theorem is normal and a disjunction of literals, and
+    equals what the two-pass clausifier that re-normalised every clause
+    gave."""
     cs = clausify(logic, formula)
     ref_clauses, ref_skolems = redecomposing_clausify(logic, formula)
     assert [
         (c.thm.conclusion, c.thm.assumptions, c.universals) for c in cs.clauses
     ] == [(th.conclusion, th.assumptions, u) for th, u in ref_clauses]
     assert [(sk.witness, sk.params) for sk in cs.skolems] == ref_skolems
-    pull = _NormLemmas.get(logic).pull_conv
+    walk = _ClauseForm(_NormLemmas.get(logic))
     for c in cs.clauses:
         concl = c.thm.conclusion
         with kernel.tracing() as log:
-            th = pull(concl)
+            th = walk(concl)
         assert [name for name, _, _ in log] == ["refl"]
         assert th.conclusion == mk_eq(concl, concl)
         assert all(_is_literal(t) for t in _flatten_disj(concl)), print_term(concl)
 
 
 class TestClauseForm:
-    """Leaf clauses are returned without another `pull_conv` run."""
+    """The one walk gives the clauses of the two passes it replaced
+    (`RedecomposingClausifier`), and leaves each one normal: walking a
+    clause again costs one `refl`."""
 
     @given(st.integers(0, 10**9), st.sampled_from((2, 3)))
     @settings(max_examples=60, deadline=None)
@@ -1279,8 +1309,10 @@ class TestClauseForm:
 
 class TestNoReferenceCycles:
     def test_meson_and_clausify_leave_no_cycle(self, logic):
-        # The rewriting conversions hold a self-calling closure; built per
-        # call, each meson or clausify left ~119 objects to the collector.
+        # The walk and its rewriting conversions are built per call and hold
+        # no self-calling closure; the pull pass held one, and built per
+        # call it left ~119 objects to the collector on every meson or
+        # clausify.
         name, prob, depth = next(p for p in PROBLEMS if p[0] == "paper-displayed-formula")
         _NormLemmas.get(logic)
         gc.collect()

@@ -14,9 +14,9 @@ abstractions compare structurally (types and atoms are interned);
 article replay leaves the check of parsed input against the signature to
 the parser; and one walk decides meson's first-order fragment, meson's
 symbols are the atoms themselves, only `rewr_conv` signals
-`Inapplicable`, the finite-model evaluator builds its compiler in three
-places, only the CLI's `main` exits with 2, and only the order walk
-writes a binder scope in place.
+`Inapplicable`, no module calls `exhaustive_conv`, the finite-model
+evaluator builds its compiler in three places, only the CLI's `main`
+exits with 2, and only the order walk writes a binder scope in place.
 The README's line count of the trusted base and its list of the
 package's modules are checked against the files."""
 
@@ -245,6 +245,11 @@ def _names(name: str, strings: bool = False):
         )
 
     return hit
+
+
+def _calls(name: str):
+    """A test for calls of `name`, as a variable or an attribute."""
+    return lambda node: isinstance(node, ast.Call) and _names(name)(node.func)
 
 
 def _raises(tree: ast.Module, name: str) -> list[tuple[str, int, str | None]]:
@@ -676,9 +681,7 @@ def test_compilers_are_built_in_three_places():
     builders = {
         f"{path.name}:{scope}"
         for path in MODULES
-        for scope in _scopes(
-            _tree(path), lambda n: isinstance(n, ast.Call) and _names("_Compiler")(n.func)
-        )
+        for scope in _scopes(_tree(path), _calls("_Compiler"))
     }
     assert builders == COMPILER_BUILDERS, f"`_Compiler` built by {sorted(builders)}"
 
@@ -690,6 +693,16 @@ def test_no_module_imports_accel():
         for line in _scopes(_tree(path), lambda n: "_accel" in _package_imports(n)).values()
     ]
     assert not stray, "`_accel` imported:\n" + "\n".join(stray)
+
+
+def test_no_module_calls_exhaustive_conv():
+    # `auto` binds the name only for the benchmark's tracer, which wraps it
+    stray = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        for line in _scopes(_tree(path), _calls("exhaustive_conv")).values()
+    ]
+    assert not stray, "`exhaustive_conv` called:\n" + "\n".join(stray)
 
 
 def test_no_kind_tags():
@@ -845,6 +858,12 @@ def test_checks_catch_what_they_are_for():
         ": _accel", ": auto", ": fuzz", "Theorem.show: surface",
     ]
     assert _scopes(tree, lambda n: "_accel" in _package_imports(n)) == {"": 4}
+    tree = ast.parse(
+        "from .bootstrap import exhaustive_conv\n"
+        "norm = exhaustive_conv(settle)\n"
+        "def bound(): return exhaustive_conv\n"
+    )
+    assert _scopes(tree, _calls("exhaustive_conv")) == {"": 2}
     tree = ast.parse(
         "from .audit import check_term\n"
         "import microhol.audit as a\n"
