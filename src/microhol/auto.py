@@ -24,14 +24,16 @@ behind these rewrites use each existential premise through its chosen
 witness (`select_rule`), not by eliminating it at a fresh variable.  Of
 the four universal-pull equations, the two with the quantifier on the
 left are proved and the other two are their mirror images, derived by
-commuting the connective.  Before the search, a clause whose literal set holds a
+commuting the connective.  Before the search, each clause is condensed
+(`_condensed`), then a clause whose literal set holds a
 literal and its negation, or is an earlier clause's literal set, is
 dropped from the search's list; its theorem is never cited.  T and F
 are atoms to the search, which is given |- T or |- ~F as a unit clause
 where either occurs.  The search runs on a lightweight clause
 representation; a successful refutation is
 replayed through the kernel as equations to F: a literal L of a clause
-instance, refuted by {L} u G |- F, gives G |- L = F; the literals'
+instance, refuted by {L} u G |- F, gives G |- L = F, once for
+alpha-equal ones; the literals'
 equations are joined through |- (F \\/ F) = F into G |- d = F for the
 whole instance d, which cuts d from the refutation; and the negated
 goal's equation |- ~goal = F yields the goal.  So every result is an
@@ -42,7 +44,7 @@ authority.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cmp_to_key, reduce
 from typing import Optional
 
@@ -574,8 +576,12 @@ class SkolemEntry:
 class Clause:
     thm: Theorem  # G |- L1 \/ ... \/ Lk, free universals
     universals: tuple[Var, ...]
-    lits: tuple[tuple[bool, tuple], ...]  # (positive, fo-atom)
+    lits: tuple[tuple[bool, tuple], ...]  # search literals: (positive, fo-atom)
     source: str
+    # condensing (`_condensed`): the renaming of universals that merges
+    # literals, and each disjunct's search-literal index; None is one each
+    merge: dict[Var, Var] = field(default_factory=dict)
+    positions: Optional[tuple[int, ...]] = None
 
 
 @dataclass
@@ -587,19 +593,25 @@ class ClauseSet:
 @dataclass
 class MesonTrace:
     """Clausified problem plus the extension/reduction steps of a search.
-    `clauses` are the clauses searched, numbered as the steps cite them;
-    `dropped` counts the tautologies and the repeated clauses left out."""
+    `clauses` are the clauses searched, with their search literals,
+    numbered as the steps cite them; `condensed` counts the clauses that
+    lost literals and the literals merged; `dropped` counts the
+    tautologies and the repeated clauses left out."""
 
     clauses: list[str]
     skolems: list[str]
     steps: list[str]
     depth_bound: int
+    condensed: tuple[int, int]
     dropped: tuple[int, int]
     depth_used: Optional[int] = None
 
     def render(self) -> str:
         lines = ["clauses:"]
         lines += [f"  {i}: {c}" for i, c in enumerate(self.clauses)]
+        shrunk, merged = self.condensed
+        if shrunk:
+            lines.append(f"condensed {shrunk} clauses ({merged} literals merged)")
         tautologies, repeats = self.dropped
         if tautologies or repeats:
             lines.append(
@@ -1098,34 +1110,54 @@ class _Rebuild:
 
     def close(self, clause, copy, children, path_terms, goal=None, li=None) -> Theorem:
         """{clause's assumptions, goal, path} |- F for `copy` of the clause:
-        the literal at `li` clashes with `goal`, and `children` refute the
+        search literal `li` clashes with `goal`, and `children` refute the
         others in order, below `path_terms` plus the goal.  Meson's start
         clause has no goal."""
-        mapping = {v: self.hol_of(("v", (v, copy))) for v in clause.universals}
+        merge = clause.merge
+        mapping = {v: self.hol_of(("v", (merge.get(v, v), copy))) for v in clause.universals}
         inst = inst_rule(mapping, clause.thm)
         if goal is not None:
             goal_term = self.lit_term(goal)
             path_terms = path_terms + [goal_term]
-        lits = _flatten_disj(inst.conclusion)
-        ths = []
-        child_iter = iter(children)
-        for j, lt in enumerate(lits):
-            if j == li:
-                ths.append(self._clash(lt, goal_term))
-            else:
-                ths.append(self.refute(next(child_iter), path_terms))
-        # Each literal L, refuted by {L} u G_L |- F, gives G_L \ {L} |- L = F;
-        # alpha-equal literals of the instance all take the refuter of the
-        # last of them.
-        leaves: dict[int, tuple[bool, Theorem]] = {}
-        for j, lt in enumerate(lits):
-            k = next(k for k in reversed(range(j, len(lits))) if alpha_equiv(lt, lits[k]))
-            leaves[id(lt)] = (False, self.logic.eqf_intro(lt, ths[k]))
+        disjuncts = _flatten_disj(inst.conclusion)
+        positions = clause.positions or range(len(disjuncts))
+        terms = [None] * len(clause.lits)  # each search literal's instance
+        for d, i in zip(disjuncts, positions):
+            terms[i] = d
+        nodes = list(children)
+        if li is not None:
+            nodes.insert(li, None)
+        # Alpha-equal literals of the instance all take the refuter of the
+        # last of them, which alone is built.
+        last = [
+            next(k for k in reversed(range(i, len(terms))) if alpha_equiv(t, terms[k]))
+            for i, t in enumerate(terms)
+        ]
+        refuters = {
+            k: self._clash(terms[k], goal_term) if k == li else self.refute(nodes[k], path_terms)
+            for k in sorted(set(last))
+        }
+        if len(disjuncts) == 1:
+            return prove_hyp(inst, refuters[0])
+        # Each literal L, refuted by {L} u G_L |- F, gives G_L \ {L} |- L = F.
         # Cut d in with prove_hyp rather than rewrite inst with d = F: a
         # refuter's assumption alpha-equal to d is then discharged by inst.
+        eqs = {k: (False, self.logic.eqf_intro(terms[k], th)) for k, th in refuters.items()}
+        leaves = {id(d): eqs[last[i]] for d, i in zip(disjuncts, positions)}
         d = inst.conclusion
         _, d_false = _eval_formula(self.logic, d, leaves)  # G |- d = F
         return prove_hyp(inst, eq_mp(assume(d), d_false))
+
+
+def _search_literal_terms(clause: Clause) -> list[Term]:
+    """One disjunct of the clause theorem for each search literal, merged."""
+    disjuncts = _flatten_disj(clause.thm.conclusion)
+    if clause.positions is None:
+        return disjuncts
+    first: dict[int, Term] = {}
+    for d, i in zip(disjuncts, clause.positions):
+        first.setdefault(i, d)
+    return [vsubst(clause.merge, first[i]) for i in range(len(clause.lits))]
 
 
 def _describe_steps(node, out: list[str], rebuild: _Rebuild, indent=0):
@@ -1140,6 +1172,85 @@ def _describe_steps(node, out: list[str], rebuild: _Rebuild, indent=0):
     )
     for ch in children:
         _describe_steps(ch, out, rebuild, indent + 1)
+
+
+def _match_vars(pat, target, sigma):
+    """`sigma`, a map from variable keys to FO variables, extended so that
+    it renames `pat` to `target`; None when no such renaming exists."""
+    if pat[0] == "v":
+        got = sigma.get(pat[1])
+        if got is not None:
+            return sigma if got == target else None
+        return {**sigma, pat[1]: target} if target[0] == "v" else None
+    if target[0] != "f" or pat[1] != target[1] or len(pat[2]) != len(target[2]):
+        return None
+    for a, b in zip(pat[2], target[2]):
+        sigma = _match_vars(a, b, sigma)
+        if sigma is None:
+            return None
+    return sigma
+
+
+def _fit(lits, targets, sigma):
+    """`sigma` extended so that it renames each of `lits` to one of
+    `targets`, by backtracking; None when none does."""
+    if not lits:
+        return sigma
+    (pos, atom), rest = lits[0], lits[1:]
+    for tpos, tatom in targets:
+        if tpos == pos:
+            got = _match_vars(atom, tatom, sigma)
+            if got is not None and (got := _fit(rest, targets, got)) is not None:
+                return got
+    return None
+
+
+def _shrinking_renaming(lits):
+    """A renaming of variables onto variables that maps the distinct
+    literals `lits` into themselves and onto fewer, or None.  A power of
+    such a renaming fixes its image, so it sends some literal to another
+    that it fixes: trying each such pair, and fitting the other literals,
+    finds one whenever one exists, and never a swap that only permutes
+    the set."""
+    for i, (pos, atom) in enumerate(lits):
+        for j, (pos2, atom2) in enumerate(lits):
+            if i == j or pos != pos2:
+                continue
+            # atom2 stays put and atom goes to it
+            sigma = _match_vars(atom, atom2, _match_vars(atom2, atom2, {}))
+            if sigma is not None:
+                sigma = _fit([l for k, l in enumerate(lits) if k not in (i, j)], lits, sigma)
+                if sigma is not None:
+                    return sigma
+    return None
+
+
+def _fo_subst(fo, sigma):
+    if fo[0] == "v":
+        return sigma.get(fo[1], fo)
+    return ("f", fo[1], tuple(_fo_subst(a, sigma) for a in fo[2]))
+
+
+def _condensed(clause: Clause) -> Clause:
+    """The clause searching its condensation: renamings of universals onto
+    universals that shrink its literal set are applied until none does,
+    and exact repeats dropped (Joyner 1976).  The condensation is an
+    instance of the clause and a subset of it, so the two are equivalent.
+    The theorem stays as it is; `close` applies the merge."""
+    lits = list(dict.fromkeys(clause.lits))
+    sigma: dict = {}
+    while (step := _shrinking_renaming(lits)) is not None:
+        sigma = {**step, **{k: _fo_subst(v, step) for k, v in sigma.items()}}
+        lits = list(dict.fromkeys((pos, _fo_subst(atom, step)) for pos, atom in lits))
+    if len(lits) == len(clause.lits):
+        return clause
+    index = {lit: i for i, lit in enumerate(lits)}
+    return replace(
+        clause,
+        lits=tuple(lits),
+        merge={k[0]: v[1][0] for k, v in sigma.items() if k != v[1]},
+        positions=tuple(index[pos, _fo_subst(atom, sigma)] for pos, atom in clause.lits),
+    )
 
 
 def _drop_redundant(clauses: list[Clause], first_goal: int):
@@ -1190,6 +1301,7 @@ def meson(
         clauses += cl.clauses(ax, f"axiom {i}")
     n_axiom_clauses = len(clauses)
     clauses += cl.clauses(mk_neg(problem.goal), "negated goal")
+    clauses = [_condensed(c) for c in clauses]
     clauses, goal_clauses, dropped = _drop_redundant(clauses, n_axiom_clauses)
     skolems = list(cl.skolems.values())
     # The search takes T and F for opaque atoms: where one occurs, |- T or
@@ -1203,15 +1315,16 @@ def meson(
             clauses.append(Clause(th, (), (_lit_of(th.conclusion, (), {}),), "truth"))
 
     def make_trace(depth_used: Optional[int] = None) -> MesonTrace:
+        shrunk = [c for c in clauses if c.positions is not None]
         return MesonTrace(
             clauses=[
-                f"{c.source}: "
-                + " \\/ ".join(print_term(t) for t in _flatten_disj(c.thm.conclusion))
+                f"{c.source}: " + " \\/ ".join(map(print_term, _search_literal_terms(c)))
                 for c in clauses
             ],
             skolems=[print_term(s.witness) for s in skolems],
             steps=[],
             depth_bound=depth_bound,
+            condensed=(len(shrunk), sum(len(c.positions) - len(c.lits) for c in shrunk)),
             dropped=dropped,
             depth_used=depth_used,
         )

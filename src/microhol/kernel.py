@@ -204,11 +204,17 @@ def _remove(hyps: tuple[Term, ...], t: Term) -> tuple[Term, ...]:
     return tuple(h for h in hyps if not alpha_equiv(h, t))
 
 
-def _sorted_unique(hyps) -> tuple[Term, ...]:
-    """One sort (stable, so the first of alpha-equivalent terms leads)
-    and one pass that drops adjacent alpha-duplicates."""
+def _instantiated(hyps: tuple[Term, ...], new: list[Term]) -> tuple[Term, ...]:
+    """The assumptions `new`, the images of `hyps`, by one sort (stable, so
+    the first of alpha-equivalent terms leads) and one pass that drops
+    adjacent alpha-duplicates; `hyps` itself, already so, when no
+    assumption changed."""
+    if all(h is n for h, n in zip(hyps, new)):
+        return hyps
+    if len(new) < 2:
+        return tuple(new)
     out: list[Term] = []
-    for h in sorted(hyps, key=cmp_to_key(term_compare)):
+    for h in sorted(new, key=cmp_to_key(term_compare)):
         if not out or term_compare(out[-1], h):
             out.append(h)
     return tuple(out)
@@ -331,8 +337,8 @@ def trans(th1: Theorem, th2: Theorem) -> Theorem:
     _check_theorem(th2)
     if not (is_eq(th1.conclusion) and is_eq(th2.conclusion)):
         raise NotAnEquation("trans needs two equations")
-    a, b = dest_eq(th1.conclusion)
-    b2, c = dest_eq(th2.conclusion)
+    a, b = th1.conclusion.rator.rand, th1.conclusion.rand
+    b2, c = th2.conclusion.rator.rand, th2.conclusion.rand
     if not alpha_equiv(b, b2):
         raise MiddleMismatch("middle terms are not alpha-equivalent")
     hyps = _union(th1.assumptions, th2.assumptions)
@@ -346,8 +352,8 @@ def mk_comb_rule(th1: Theorem, th2: Theorem) -> Theorem:
     _check_theorem(th2)
     if not (is_eq(th1.conclusion) and is_eq(th2.conclusion)):
         raise NotAnEquation("mk_comb_rule needs two equations")
-    f, g = dest_eq(th1.conclusion)
-    a, b = dest_eq(th2.conclusion)
+    f, g = th1.conclusion.rator.rand, th1.conclusion.rand
+    a, b = th2.conclusion.rator.rand, th2.conclusion.rand
     hyps = _union(th1.assumptions, th2.assumptions)
     return _derive(hyps, mk_eq(mk_comb(f, a), mk_comb(g, b)), th1, th2)
 
@@ -399,7 +405,7 @@ def eq_mp(th1: Theorem, th2: Theorem) -> Theorem:
     _check_theorem(th2)
     if not is_eq(th2.conclusion):
         raise NotAnEquation("eq_mp needs an equation as second argument")
-    p2, q = dest_eq(th2.conclusion)
+    p2, q = th2.conclusion.rator.rand, th2.conclusion.rand
     if not alpha_equiv(th1.conclusion, p2):
         raise Mismatch("eq_mp premise does not match the equation's left side")
     return _derive(_union(th1.assumptions, th2.assumptions), q, th1, th2)
@@ -422,7 +428,7 @@ def inst_type_rule(tyin: Mapping[str, HolType], th: Theorem) -> Theorem:
     """Substitute types for type variables in parallel throughout a sequent."""
     _check_theorem(th)
     concl = inst_type(tyin, th.conclusion)
-    hyps = _sorted_unique(inst_type(tyin, h) for h in th.assumptions)
+    hyps = _instantiated(th.assumptions, [inst_type(tyin, h) for h in th.assumptions])
     return _derive(hyps, concl, th)
 
 
@@ -433,7 +439,7 @@ def inst_rule(theta: Mapping[Var, Term], th: Theorem) -> Theorem:
     `vsubst` refuses the map unless every image has its variable's type."""
     _check_theorem(th)
     concl = vsubst(theta, th.conclusion)
-    hyps = _sorted_unique(vsubst(theta, h) for h in th.assumptions)
+    hyps = _instantiated(th.assumptions, [vsubst(theta, h) for h in th.assumptions])
     return _derive(hyps, concl, th)
 
 

@@ -361,9 +361,15 @@ mk_comb = Comb
 mk_abs = Abs
 
 
+_EQ_CONSTS: dict[HolType, Const] = {}  # interned argument type -> its `=`
+
+
 def eq_const(ty: HolType) -> Const:
     """The equality constant instantiated at argument type `ty`."""
-    return Const("=", fn(ty, fn(ty, BOOL)))
+    c = _EQ_CONSTS.get(ty)
+    if c is None:
+        c = _EQ_CONSTS.setdefault(ty, Const("=", fn(ty, fn(ty, BOOL))))
+    return c
 
 
 def mk_eq(lhs: Term, rhs: Term) -> Comb:

@@ -10,7 +10,9 @@ the tests were computed with these and then frozen.
 The second part keeps the earlier, slower implementations of paths that
 were later made to skip work: substitution that walks a shared subterm
 once per occurrence, type instantiation that renames a binder by
-catching a clash raised inside its body and starting over, the fixed-point rewriting engine the clausifier
+catching a clash raised inside its body and starting over, instance
+rules that sort an assumption tuple again when no assumption changed,
+the fixed-point rewriting engine the clausifier
 normalized with before its one-pass structural conversions, the model
 elimination search that tries every complementary literal, the
 clausifier that rewrote every stripped clause again,
@@ -325,6 +327,17 @@ def _legacy_inst(env, tyin, t):
         inst_frees = [_legacy_inst([], tyin, fv) for fv in free_vars(t.body)]
         z = Var(variant(inst_frees, y2).name, y.ty)
         return _legacy_inst(env, tyin, Abs(z, vsubst({y: z}, t.body)))
+
+
+def legacy_sorted_unique(hyps):
+    """The assumptions of an instance as the instance rules built them:
+    every tuple sorted again and its adjacent alpha-duplicates dropped,
+    even when no assumption changed."""
+    out = []
+    for h in sorted(hyps, key=cmp_to_key(term_compare)):
+        if not out or term_compare(out[-1], h):
+            out.append(h)
+    return tuple(out)
 
 
 def try_beta(t):

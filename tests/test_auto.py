@@ -23,6 +23,7 @@ from microhol.auto import (
     _NormLemmas,
     _Rebuild,
     _Search,
+    _condensed,
     _drop_redundant,
     _flatten_disj,
     add_equality_axioms,
@@ -94,10 +95,12 @@ y = Var("y", IND)
 # replayed by disj_cases and ccontr went through excluded middle, 1,183
 # when the clausifier rewrote to a fixed point, 876 when existentials
 # were pulled to the front before they were Skolemized, 679 when
-# negation normal form was one bottom-up rewriting pass, and 584 when a
+# negation normal form was one bottom-up rewriting pass, 584 when a
 # second bottom-up pass over the whole normal form Skolemized, pulled
-# and distributed
-PAPER_FORMULA_INFERENCES = 571
+# and distributed, and 571 when the search took its start clause
+# ~P x1 \/ Q x2 \/ ~P x3 \/ Q x4 uncondensed and so refuted each literal
+# twice (28 steps, not 8)
+PAPER_FORMULA_INFERENCES = 385
 
 # sha256 of `_suite_transcript`; it was
 # 82afe54d458fbcd534cb2f77897b0fc967691ae016b7d02dd76122e04c6fc321 when
@@ -107,9 +110,14 @@ PAPER_FORMULA_INFERENCES = 571
 # dropped before the search: the clause text differs, propositional-
 # contrapose drops one repeated clause, and paper-displayed-formula proves
 # at its recorded depth 3 again, not 2, with every conclusion and
-# assumption the same
+# assumption the same; and
+# 6bdef7088824ec608489c7422e98f44919330b09d47514453ed795cf40e62f29 before
+# clauses were condensed: the clause lines list the search literals, a
+# `condensed` line follows them in seven problems, and the steps that
+# refuted a repeated literal again are gone, with every conclusion,
+# assumption and depth the same
 SUITE_TRANSCRIPT_SHA256 = (
-    "6bdef7088824ec608489c7422e98f44919330b09d47514453ed795cf40e62f29"
+    "0e31eb9118d9eed48ca95af610a7da43eba23379a34e350090b08e63198b6821"
 )
 
 
@@ -396,6 +404,10 @@ class TestMeson:
         assert trace.depth_used == 3
         assert (len(trace.clauses), trace.dropped) == (8, (24, 0))
         assert "dropped 24 clauses: 24 tautologies" in trace.render()
+        # distribution wrote each literal of a searched clause twice
+        for line in trace.clauses:
+            lits = line.split(": ", 1)[1].split(" \\/ ")
+            assert len(set(lits)) == len(lits), line
 
     def test_trace_steps_reference_clauses(self, logic):
         name, prob, depth = PROBLEMS[0]
@@ -1099,6 +1111,77 @@ class TestClauseFilter:
         assert checked > 150 and filtered > 5 and proved > 1, (checked, filtered, proved)
 
 
+def _clauses_of(logic, formula):
+    return _Clausifier(logic, _NormLemmas.get(logic)).clauses(formula, "axiom 0")
+
+
+class TestCondensing:
+    """Meson searches each clause's condensation: the literal set left when
+    renamings of its universals onto one another shrink it no further."""
+
+    def test_unit_cases(self, logic):
+        P = Var("P", fn(IND, BOOL))
+        R = Var("R", fn(IND, fn(IND, BOOL)))
+        f = Var("f", fn(IND, IND))
+        (both,) = _clauses_of(
+            logic, mk_forall(x, mk_forall(y, mk_disj(mk_comb(P, x), mk_comb(P, y))))
+        )
+        one = _condensed(both)
+        assert len(one.lits) == 1 and one.positions == (0, 0)
+        assert one.thm is both.thm and len(one.merge) == 1
+        # swapping x and y maps the set onto itself without shrinking it
+        swap = mk_forall(
+            x, mk_forall(y, mk_disj(mk_comb(mk_comb(R, x), y), mk_comb(mk_comb(R, y), x)))
+        )
+        # x := f x is no renaming, so P x \/ P (f x) stays
+        nested = mk_forall(x, mk_disj(mk_comb(P, x), mk_comb(P, mk_comb(f, x))))
+        for formula in (swap, nested):
+            (clause,) = _clauses_of(logic, formula)
+            assert _condensed(clause) is clause, print_term(formula)
+        a = Var("a", IND)
+        th = meson(logic, FirstOrderProblem((swap,), mk_comb(mk_comb(R, a), a)))
+        assert th.assumptions == (swap,)
+
+    def test_paper_formula_start_clause(self, logic):
+        # ~P x1 \/ Q x2 \/ ~P x3 \/ Q x4: the two negated P literals merge,
+        # and so do the two Q literals
+        name, prob, depth = next(p for p in PROBLEMS if p[0] == "paper-displayed-formula")
+        clauses, starts = _meson_clauses(logic, prob)
+        (wide,) = [clauses[i] for i in starts if len(clauses[i].lits) == 4]
+        narrow = _condensed(wide)
+        assert len(narrow.lits) == 2 and narrow.positions == (0, 1, 0, 1)
+        assert sorted(pos for pos, _ in narrow.lits) == [False, True]
+
+    def test_random_problems_prove_no_deeper(self, logic):
+        # wherever the uncondensed clauses prove within depth 3, meson on
+        # the condensed ones proves the goal from the axioms at the same or
+        # a smaller depth
+        rng = random.Random(1)
+        checked = condensed = proved = 0
+        for _ in range(200):
+            axioms, goal = _random_problem(rng)
+            try:
+                prob = FirstOrderProblem(axioms, goal)
+            except OutOfFragment:
+                continue
+            clauses, starts = _meson_clauses(logic, prob)
+            if len(clauses) > 30:
+                continue
+            checked += 1
+            condensed += any(_condensed(c) is not c for c in clauses)
+            kept, kept_starts, _ = _drop_redundant(clauses, starts.start)
+            depth = next((d for d in (1, 2, 3) if _provable(kept, kept_starts, d)), None)
+            if depth is None:
+                continue
+            th, trace = meson(logic, prob, depth_bound=depth, want_trace=True)
+            shown = [print_term(t) for t in (*axioms, goal)]
+            assert trace.depth_used <= depth, shown
+            assert alpha_equiv(th.conclusion, goal), shown
+            assert all(any(alpha_equiv(h, ax) for ax in axioms) for h in th.assumptions), shown
+            proved += 1
+        assert checked > 150 and condensed > 5 and proved > 1, (checked, condensed, proved)
+
+
 def _suite_transcript(logic) -> str:
     """Every suite problem's proved conclusion, assumptions and trace."""
     lines = []
@@ -1166,10 +1249,12 @@ class TestMesonOutputPinned:
 # disj_cases chains rather than turned into L = F equations, 6,055 when
 # the clausifier rewrote to a fixed point, 4,788 when existentials were
 # pulled to the front before they were Skolemized, 4,430 when negation
-# normal form was one bottom-up rewriting pass, and 3,294 when a second
+# normal form was one bottom-up rewriting pass, 3,294 when a second
 # bottom-up pass over the whole normal form Skolemized, pulled and
-# distributed
-SUITE_INFERENCES = 3_189
+# distributed, and 3,189 when the search took clauses uncondensed and
+# reconstruction refuted every literal of a clause instance, a unit
+# instance included, through its own L = F equation
+SUITE_INFERENCES = 2_699
 
 # `bootstrap.settle_nodes` calls of one suite pass (see
 # TestRewritingSkipsUnchanged); 1,780 when a second bottom-up pass walked
@@ -1188,8 +1273,8 @@ NORM_LEMMA_INFERENCES = 3_420
 
 # top-level `_unify` calls of one suite pass (see TestSearchIndex); 646
 # when negation normal form was one bottom-up rewriting pass and no clause
-# was dropped before the search
-SUITE_UNIFY_CALLS = 392
+# was dropped before the search, and 392 before clauses were condensed
+SUITE_UNIFY_CALLS = 229
 
 
 def _rebuild_with_duplicate_literal(logic):

@@ -135,6 +135,25 @@ class TestProveMeson:
         out = capsys.readouterr().out
         assert "clauses:" in out and "steps:" in out
 
+    def test_trace_shows_condensed_clauses(self, tmp_path, capsys):
+        # the axiom's clause P x \/ P y is searched as one literal, the one
+        # the step cites; the proved sequent is the axiom's
+        path = tmp_path / "p.fol"
+        path.write_text(
+            "AXIOM !x:ind. !y:ind. (P:ind -> bool) x \\/ (P:ind -> bool) y\n"
+            "GOAL (P:ind -> bool) (a:ind)\n"
+        )
+        assert main(["prove-meson", str(path)]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(["prove-meson", str(path), "--trace"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == plain[0] == (
+            "!x:ind. !y:ind. (P:ind -> bool) x \\/ (P:ind -> bool) y |- (P:ind -> bool) (a:ind)"
+        )
+        assert out[2] == "  0: axiom 0: (P:ind -> bool) (y_2:ind)"
+        assert "condensed 1 clauses (1 literals merged)" in out
+        assert out[-1] == "  0: extend  ~(P:ind -> bool) (a:ind) by clause 0 literal 0"
+
     def test_missing_goal(self, tmp_path):
         path = tmp_path / "p.fol"
         path.write_text("AXIOM T\n")

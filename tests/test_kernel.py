@@ -54,9 +54,12 @@ from microhol.syntax import (
     mk_abs,
     mk_comb,
     mk_eq,
+    inst_type,
     term_order_key,
+    vsubst,
 )
 
+from .oracles import legacy_sorted_unique
 from .strategies import typed_terms
 
 x = Var("x", BOOL)
@@ -275,6 +278,30 @@ class TestInstRules:
         # substituting y := x makes the two assumptions equal
         merged = inst_rule(Substitution.of_terms({y: x}), both)
         assert len(merged.assumptions) == 1
+
+    def test_untouched_assumptions_are_the_premises(self):
+        # the premise's tuple is already sorted and alpha-unique
+        th = deduct_antisym(assume(eq(x, y)), assume(z))
+        assert inst_rule({Var("u", BOOL): x}, th).assumptions is th.assumptions
+        assert inst_type_rule({"A": BOOL}, th).assumptions is th.assumptions
+        assert inst_rule({z: x}, th).assumptions == (x, eq(x, y))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_instance_assumptions_as_sorted_afresh(self, data):
+        atom = typed_terms(ty=BOOL, depth=3)
+        th = assume(data.draw(atom))
+        for _ in range(data.draw(st.integers(0, 3))):
+            th = deduct_antisym(th, assume(data.draw(atom)))
+        v = Var(data.draw(st.sampled_from(("x", "y", "z", "u"))), BOOL)
+        theta = {v: data.draw(atom)}
+        tyin = {"A": data.draw(st.sampled_from((BOOL, IND, TyVar("B"))))}
+        assert inst_rule(theta, th).assumptions == legacy_sorted_unique(
+            vsubst(theta, h) for h in th.assumptions
+        )
+        assert inst_type_rule(tyin, th).assumptions == legacy_sorted_unique(
+            inst_type(tyin, h) for h in th.assumptions
+        )
 
     # An ill-typed map would make {x:bool} |- x into {} |- y:ind, a
     # "theorem" that is not boolean; every entry is checked, used or not.
