@@ -17,6 +17,10 @@ for REFL to DEDUCT the kernel rule it calls):
     INST t v=tm ... | AXIOM name | DEFINE name t | TYPEDEF ty abs rep t |
     SND t | THM t <sequent>
 
+An INSTTYPE pair names a type variable (a capital letter, then any
+digits: A, B1) and an INST pair a variable's TERM line; each type
+variable or variable is given at most once per line.
+
 A TYPEDEF line holds the abs/rep bijection theorem; SND on that line
 number retrieves the second (predicate characterization) theorem.
 Lines are numbered consecutively from 1 and may only reference strictly
@@ -47,9 +51,10 @@ from functools import cmp_to_key
 
 from . import kernel
 from .kernel import Theorem, Theory
-from .surface import parse_sequent, parse_term, parse_type, print_sequent
+from .surface import _is_tyvar_name, parse_sequent, parse_term, parse_type, print_sequent
 from .syntax import (
     HolError,
+    HolType,
     Term,
     Var,
     alpha_equiv,
@@ -316,7 +321,13 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
         return ("term", replay.term(args[0]))
     if cmd == "INSTTYPE":
         th, pairs = args
-        types = {name: replay.ref(ref, no, "type") for name, ref in pairs}
+        types: dict[str, HolType] = {}
+        for name, ref in pairs:
+            if not _is_tyvar_name(name):
+                raise ReplayError(no, f"{name!r} is not a type variable name")
+            if name in types:
+                raise ReplayError(no, f"type variable {name} is given twice")
+            types[name] = replay.ref(ref, no, "type")
         return ("thm", kernel.inst_type_rule(types, th))
     if cmd == "INST":
         th, pairs = args
@@ -325,6 +336,8 @@ def _execute(replay: _Replay, no: int, cmd: str, rest: str, report: ArticleRepor
             v = replay.ref(vref, no, "term")
             if not isinstance(v, Var):
                 raise ReplayError(no, f"INST domain line {vref} is not a variable")
+            if v in terms:
+                raise ReplayError(no, f"INST domain line {vref} repeats variable {v.name}")
             terms[v] = replay.ref(tref, no, "term")
         return ("thm", kernel.inst_rule(terms, th))
     if cmd == "AXIOM":

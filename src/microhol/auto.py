@@ -243,8 +243,7 @@ def _eval_formula(logic, t, leaves) -> tuple[bool, Theorem]:
         lval, lth = _eval_formula(logic, t.rator.rand, leaves)
         rval, rth = _eval_formula(logic, t.rand, leaves)
         combined = kernel.mk_comb_rule(ap_term(op, lth), rth)
-        opname = "iff" if op.name == "=" else op.name
-        th = kernel.trans(combined, logic.tables[(opname, (lval, rval))])
+        th = kernel.trans(combined, logic.tables[(op.name, (lval, rval))])
     return rhs(th) == TRUE, th
 
 
@@ -342,11 +341,12 @@ _Q = Var("q", BOOL)
 class _NormLemmas:
     """The equations behind clausification, proved once per Logic.
 
-    `nnf` holds the negation-normal-form lemmas and `pull` the
-    Skolemization, universal-pull and distribution equations, each in the
-    order `_ClauseForm` takes them."""
+    `nnf` holds the negation-normal-form lemmas, each keyed by the head
+    and polarity of its left side (`_left_key`), and `pull` the
+    Skolemization, universal-pull and distribution equations in the order
+    `_ClauseForm` takes them."""
 
-    nnf: list
+    nnf: dict[tuple[str, bool], Theorem]
     pull: list
 
     @classmethod
@@ -362,63 +362,33 @@ class _NormLemmas:
         p = Var("p", BOOL)
         q = Var("q", BOOL)
         r = Var("r", BOOL)
-        t_ = taut
-        not_not = t_(logic, mk_eq(mk_neg(mk_neg(p)), p))
-        not_or = t_(logic, mk_eq(mk_neg(mk_disj(p, q)), mk_conj(mk_neg(p), mk_neg(q))))
-        imp = t_(logic, mk_eq(mk_imp(p, q), mk_disj(mk_neg(p), q)))
         props = [
-            not_not,
-            t_(logic, mk_eq(mk_neg(mk_conj(p, q)), mk_disj(mk_neg(p), mk_neg(q)))),
-            not_or,
-            _not_imp_thm(not_not, not_or, imp),
-            t_(
-                logic,
-                mk_eq(
-                    mk_neg(mk_eq(p, q)),
-                    mk_conj(mk_disj(p, q), mk_disj(mk_neg(p), mk_neg(q))),
-                ),
-            ),
-            imp,
-            t_(
-                logic,
-                mk_eq(
-                    mk_eq(p, q),
-                    mk_conj(mk_disj(mk_neg(p), q), mk_disj(mk_neg(q), p)),
-                ),
-            ),
+            mk_eq(mk_neg(mk_neg(p)), p),
+            mk_eq(mk_neg(mk_conj(p, q)), mk_disj(mk_neg(p), mk_neg(q))),
+            mk_eq(mk_neg(mk_disj(p, q)), mk_conj(mk_neg(p), mk_neg(q))),
+            mk_eq(mk_neg(mk_imp(p, q)), mk_conj(p, mk_neg(q))),
+            mk_eq(mk_neg(mk_eq(p, q)), mk_conj(mk_disj(p, q), mk_disj(mk_neg(p), mk_neg(q)))),
+            mk_eq(mk_imp(p, q), mk_disj(mk_neg(p), q)),
+            mk_eq(mk_eq(p, q), mk_conj(mk_disj(mk_neg(p), q), mk_disj(mk_neg(q), p))),
         ]
-        quants = [
+        nnf = [taut(logic, t) for t in props] + [
             _not_forall_thm(logic),
             _not_exists_thm(logic),
         ]
         pulls = _pull_theorems(logic) + [_skolem_thm(logic)]
         dists = [
-            t_(
-                logic,
-                mk_eq(
-                    mk_disj(p, mk_conj(q, r)),
-                    mk_conj(mk_disj(p, q), mk_disj(p, r)),
-                ),
-            ),
-            t_(
-                logic,
-                mk_eq(
-                    mk_disj(mk_conj(q, r), p),
-                    mk_conj(mk_disj(q, p), mk_disj(r, p)),
-                ),
-            ),
+            taut(logic, mk_eq(mk_disj(p, mk_conj(q, r)), mk_conj(mk_disj(p, q), mk_disj(p, r)))),
+            taut(logic, mk_eq(mk_disj(mk_conj(q, r), p), mk_conj(mk_disj(q, p), mk_disj(r, p)))),
         ]
-        return cls(nnf=props + quants, pull=pulls + dists)
+        return cls(nnf={_left_key(th): th for th in nnf}, pull=pulls + dists)
 
 
-def _not_imp_thm(not_not: Theorem, not_or: Theorem, imp: Theorem) -> Theorem:
-    """|- ~(p ==> q) = p /\\ ~q, from |- (p ==> q) = ~p \\/ q, De Morgan's
-    |- ~(p \\/ q) = ~p /\\ ~q at ~p, and |- ~~p = p."""
-    step = kernel.trans(ap_term(_NOT, imp), inst_rule({_P: mk_neg(_P)}, not_or))
-    both = rhs(step)  # ~~p /\ ~q
-    return kernel.trans(
-        step, kernel.mk_comb_rule(ap_term(both.rator.rator, not_not), kernel.refl(both.rand))
-    )
+def _left_key(th: Theorem) -> tuple[str, bool]:
+    """(name of the head constant, polarity) of an equation's left side:
+    `~(p /\\ q)` gives ("and", False), `p ==> q` ("imp", True)."""
+    left = lhs(th)
+    positive = not is_neg(left)
+    return _strip_app(left if positive else left.rand)[0].name, positive
 
 
 def _forall_var(pred: Var, th: Theorem) -> Theorem:
@@ -639,27 +609,25 @@ def _then(th: Optional[Theorem], rest: Optional[Theorem]) -> Optional[Theorem]:
     return th if rest is None else kernel.trans(th, rest)
 
 
-def _is_iff(t: Term) -> bool:
-    return is_eq(t) and t.rand.ty is BOOL
-
-
 class _ClauseForm:
     """Clause normal form in one walk, proof-producing: negation normal
     form by polarity (Harrison's `nnf`), with each node settled
     (`settle`) as it is built.  `norm(t, True)` is |- t = t+ and
     `norm(t, False)` is |- ~t = t-, each None when that side is already
-    normal (`t` itself, or `~t` over an atom).
+    normal (`t` itself, or `~t` over an atom); `norm` takes `~a` at
+    positive polarity as `a` at negative polarity.
 
-    A connective, or a negation over one, takes one instance of its
-    lemma, whose right side is then rebuilt by congruence (`_node`) from
-    its operands' theorems at the polarities it holds them; /\\, \\/ and
-    the quantifiers are rebuilt from their operands' theorems alone.  So
-    `p <=> q` gives (p- \\/ q+) /\\ (q- \\/ p+), and `~(p <=> q)` goes
-    straight to (p+ \\/ q+) /\\ (p- \\/ q-), with no negation to push
-    through the positive form.  A negated quantifier's lemma leaves the
-    redex `(\\y. b) x` under its new binder; the body is reduced by the
-    primitive `beta` at the quantifier's own binder `y`, and `trans`
-    meets the two by alpha-equivalence, so the result keeps `y`.
+    /\\, \\/ and the quantifiers are rebuilt by congruence (`_node`) from
+    their operands' theorems.  Every other connective, and a negation over
+    any connective, takes one lemma step (`_lemma`): the lemma keyed by
+    its head and polarity, instantiated at its operands, then its right
+    side normalized positively.  So `p <=> q` gives (p- \\/ q+) /\\
+    (q- \\/ p+), and `~(p <=> q)` goes straight to (p+ \\/ q+) /\\
+    (p- \\/ q-), with no negation to push through the positive form.  A
+    negated quantifier's lemma leaves the redex `(\\y. b) x` under its new
+    binder; the body is reduced by the primitive `beta` at the
+    quantifier's own binder `y`, and `trans` meets the two by
+    alpha-equivalence, so the result keeps `y`.
 
     `memo` maps each (subformula, polarity) pair met to its result, so
     each is normalized at most once, however often it occurs: an iff's
@@ -669,18 +637,7 @@ class _ClauseForm:
     clausify call."""
 
     def __init__(self, lemmas: _NormLemmas):
-        (
-            self.not_not,
-            self.not_and,
-            self.not_or,
-            self.not_imp,
-            self.not_iff,
-            self.imp,
-            self.iff,
-            not_forall,
-            not_exists,
-        ) = lemmas.nnf
-        self.quantifier_lemmas = {"forall": not_forall, "exists": not_exists}
+        self.lemmas = lemmas.nnf
         or_left, or_right, and_left, and_right, self.skolem, over_right, over_left = (
             (rewr_conv(th), rhs(th)) for th in lemmas.pull
         )
@@ -699,6 +656,8 @@ class _ClauseForm:
         return kernel.refl(t) if th is None else th
 
     def norm(self, t: Term, positive: bool) -> Optional[Theorem]:
+        if positive and is_neg(t):
+            t, positive = t.rand, False
         key = (t, positive)
         got = self.memo.get(key, self)  # `self`: not met yet
         if got is self:
@@ -758,57 +717,27 @@ class _ClauseForm:
     def _positive(self, t: Term) -> Optional[Theorem]:
         if is_conj(t) or is_disj(t):
             return self._node(t, self.norm(t.rator.rand, True), self.norm(t.rand, True))
-        if is_neg(t):
-            return self.norm(t.rand, False)
         if is_forall(t) or is_exists(t):
             body = self.norm(t.rand.body, True)
             th = None if body is None else ap_term(t.rator, kernel.abs_rule(t.rand.bvar, body))
             return self._settled(th, t)
-        if is_imp(t):
-            return self._binary(self.imp, t, False, True)
-        if _is_iff(t):
-            a, b = t.rator.rand, t.rand
-            return self._iff(self.iff, t, ((a, False), (b, True)), ((b, False), (a, True)))
-        return None
+        return self._lemma(t, True)
 
     def _negative(self, t: Term) -> Optional[Theorem]:
-        if is_neg(t):
-            return _then(inst_rule({_P: t.rand}, self.not_not), self.norm(t.rand, True))
-        if is_conj(t):
-            return self._binary(self.not_and, t, False, False)
-        if is_disj(t):
-            return self._binary(self.not_or, t, False, False)
-        if is_imp(t):
-            return self._binary(self.not_imp, t, True, False)
-        if _is_iff(t):
-            a, b = t.rator.rand, t.rand
-            return self._iff(self.not_iff, t, ((a, True), (b, True)), ((a, False), (b, False)))
         if is_forall(t) or is_exists(t):
             return self._quantifier(t)
-        return None
+        return self._lemma(t, False)
 
-    def _binary(self, lemma: Theorem, t: Term, left: bool, right: bool) -> Theorem:
-        """`lemma` at t = op a b, whose right side is op' A B with A over a
-        at polarity `left` and B over b at polarity `right`."""
-        a, b = t.rator.rand, t.rand
-        th = inst_rule({_P: a, _Q: b}, lemma)
-        return _then(th, self._node(rhs(th), self.norm(a, left), self.norm(b, right)))
-
-    def _iff(self, lemma: Theorem, t: Term, first: tuple, second: tuple) -> Theorem:
-        """`lemma` at an iff or its negation, whose right side is
-        (A1 \\/ B1) /\\ (A2 \\/ B2); `first` and `second` give the
-        operand and polarity under each of A1, B1 and A2, B2."""
-        th = inst_rule({_P: t.rator.rand, _Q: t.rand}, lemma)
-        s = rhs(th)
-        (a1, b1), (a2, b2) = first, second
-        return _then(
-            th,
-            self._node(
-                s,
-                self._node(s.rator.rand, self.norm(*a1), self.norm(*b1)),
-                self._node(s.rand, self.norm(*a2), self.norm(*b2)),
-            ),
-        )
+    def _lemma(self, t: Term, positive: bool) -> Optional[Theorem]:
+        """|- t = t+ or |- ~t = t- for a connective `t`: the lemma for its
+        head at that polarity, at p, q := its operands, then the lemma's
+        right side normalized positively; None for an atom."""
+        args = _connective_args(t)
+        if args is None:
+            return None
+        head = t.rator if len(args) == 1 else t.rator.rator
+        th = inst_rule(dict(zip((_P, _Q), args)), self.lemmas[head.name, positive])
+        return _then(th, self.norm(rhs(th), True))
 
     def _quantifier(self, t: Term) -> Theorem:
         """|- ~(Q y. b) = Q' y. b-, through |- ~(Q P) = Q' x. ~(P x) at
@@ -818,7 +747,7 @@ class _ClauseForm:
         key = (t.rator.name, y.ty)
         lemma = self.typed.get(key)
         if lemma is None:
-            lemma = self.typed[key] = inst_type_rule({"A": y.ty}, self.quantifier_lemmas[key[0]])
+            lemma = self.typed[key] = inst_type_rule({"A": y.ty}, self.lemmas[key[0], False])
         th = inst_rule({Var("P", fn(y.ty, BOOL)): lam}, lemma)  # ... x. ~((\y. b) x)
         body = _then(ap_term(_NOT, kernel.beta(mk_comb(lam, y))), self.norm(lam.body, False))
         th = kernel.trans(th, ap_term(rhs(th).rator, kernel.abs_rule(y, body)))

@@ -765,14 +765,14 @@ class Logic:
             self.disch(FALSE, assume(FALSE))
         )
         # iff (equality on bool)
-        tables[("iff", (True, True))] = self.eqt_intro(refl(TRUE))
-        tables[("iff", (True, False))] = self.eqf_intro(
+        tables[("=", (True, True))] = self.eqt_intro(refl(TRUE))
+        tables[("=", (True, False))] = self.eqf_intro(
             mk_eq(TRUE, FALSE), eq_mp(truth, assume(mk_eq(TRUE, FALSE)))
         )
-        tables[("iff", (False, True))] = self.eqf_intro(
+        tables[("=", (False, True))] = self.eqf_intro(
             mk_eq(FALSE, TRUE), eq_mp(truth, sym(assume(mk_eq(FALSE, TRUE))))
         )
-        tables[("iff", (False, False))] = self.eqt_intro(refl(FALSE))
+        tables[("=", (False, False))] = self.eqt_intro(refl(FALSE))
         # not
         tables[("not", (True,))] = self.eqf_intro(
             mk_neg(TRUE), self.mp(self.not_elim(assume(mk_neg(TRUE))), truth)

@@ -152,7 +152,7 @@ def _position(src: str, i: int) -> tuple[int, int]:
 
 def _is_tyvar_name(name: str) -> bool:
     """A single capital letter, optionally followed by digits (A, B, A12)."""
-    return name[0].isupper() and (len(name) == 1 or name[1:].isdigit())
+    return name[:1].isupper() and (len(name) == 1 or name[1:].isdigit())
 
 
 # Binding strength, loosest first; shared by the parser and the printer.

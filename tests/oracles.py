@@ -601,7 +601,7 @@ class RedecomposingClausifier(_Clausifier):
 
     def __init__(self, logic, lemmas):
         super().__init__(logic, lemmas)
-        self.nnf = reference_nnf_conv(lemmas.nnf)
+        self.nnf = reference_nnf_conv(lemmas.nnf.values())
         self.pull_conv = reference_rewrite_conv(lemmas.pull)
 
     def clause_theorems(self, th):

@@ -265,6 +265,19 @@ class TestValidation:
         assert "error at line 6: INST: substitution image for x has type" in out.out
         assert "Traceback" not in out.out + out.err
 
+    def test_inst_names_each_variable_once(self, tmp_path, capsys):
+        # lines 1 and 5 hold the same variable, so `5=4` would silently
+        # replace `1=3`
+        from microhol.cli import main
+
+        lines = ["TERM x:bool", "ASSUME 1", "TERM y:bool", "TERM z:bool", "TERM x:bool"]
+        path = tmp_path / "twice.art"
+        path.write_text(art(Theory(), *lines, "INST 2 1=3 5=4"))
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr()
+        assert "error at line 8: INST: line 6: INST domain line 5 repeats variable x" in out.out
+        assert "Traceback" not in out.out + out.err
+
     def test_mismatch_reported_at_the_theory_line(self, tmp_path, capsys):
         from microhol.cli import main
 
@@ -365,6 +378,9 @@ _FAILURES = [
     ("INSTTYPE 4 A=5", "INSTTYPE: line 5: reference 5 is not strictly earlier"),
     ("INSTTYPE 0 A=1", "INSTTYPE: line 5: no line 0"),
     ("INSTTYPE 4 A", "INSTTYPE: line 5: malformed substitution pair 'A'"),
+    ("INSTTYPE 4 bool=1", "INSTTYPE: line 5: 'bool' is not a type variable name"),
+    ("INSTTYPE 4 =1", "INSTTYPE: line 5: '' is not a type variable name"),
+    ("INSTTYPE 4 A=1 A=1", "INSTTYPE: line 5: type variable A is given twice"),
     ("INST", "INST: line 5: INST takes at least 1 arguments, got 0"),
     ("INST 2 2=2", "INST: line 5: line 2 holds a term, expected a thm"),
     ("INST 4 2=4", "INST: line 5: line 4 holds a thm, expected a term"),
@@ -372,6 +388,7 @@ _FAILURES = [
     ("INST 4 0=2", "INST: line 5: no line 0"),
     ("INST 4 3=2", "INST: line 5: INST domain line 3 is not a variable"),
     ("INST 4 2", "INST: line 5: malformed substitution pair '2'"),
+    ("INST 4 2=2 2=3", "INST: line 5: INST domain line 2 repeats variable x"),
     ("AXIOM", "AXIOM: line 5: AXIOM takes 1 argument, got 0"),
     ("AXIOM choice choice", "AXIOM: line 5: AXIOM takes 1 argument, got 2"),
     ("AXIOM nope", "AXIOM: line 5: unknown axiom 'nope'"),

@@ -26,6 +26,7 @@ from microhol.auto import (
     _condensed,
     _drop_redundant,
     _flatten_disj,
+    _strip_app,
     add_equality_axioms,
     clausify,
     meson,
@@ -896,7 +897,7 @@ def _bottom_up_nnf_clauses(logic, formula):
     negated implication's and the negated iff's lemmas never fire there,
     since an operand is normal before the negation above it is met."""
     lemmas = _NormLemmas.get(logic)
-    th = bootstrap.conv_rule(reference_rewrite_conv(lemmas.nnf), kernel.assume(formula))
+    th = bootstrap.conv_rule(reference_rewrite_conv(lemmas.nnf.values()), kernel.assume(formula))
     th = bootstrap.conv_rule(reference_rewrite_conv(lemmas.pull), th)
     return _Clausifier(logic, lemmas)._decompose(th, ())
 
@@ -1220,14 +1221,16 @@ NORM_LEMMAS = [
 
 class TestLemmaBasePinned:
     def test_equations_in_order(self, logic):
-        # `_ClauseForm` takes both lists by position: the nnf list by
-        # connective, the pull list as the equations its per-node step picks
-        # by the operands' heads; the pull list had 10 when
-        # existentials were pulled by four equations, and the nnf list 7
-        # before the negated implication and iff had their own
+        # `_ClauseForm` looks each nnf lemma up by its left side's head and
+        # polarity (`TestLemmaTable`), and takes the pull list as the
+        # equations its per-node step picks by the operands' heads; the pull
+        # list had 10 when existentials were pulled by four equations, and
+        # the nnf list 7 before the negated implication and iff had their own
         lemmas = _NormLemmas.build(logic)
         assert (len(lemmas.nnf), len(lemmas.pull)) == (9, 7)
-        for th, expected in zip(lemmas.nnf + lemmas.pull, NORM_LEMMAS, strict=True):
+        for th, expected in zip(
+            [*lemmas.nnf.values(), *lemmas.pull], NORM_LEMMAS, strict=True
+        ):
             assert th.assumptions == ()
             assert print_term(th.conclusion) == expected
 
@@ -1236,6 +1239,26 @@ class TestLemmaBasePinned:
         with kernel.tracing() as log:
             _NormLemmas.build(logic)
         assert len(log) == NORM_LEMMA_INFERENCES
+
+
+class TestLemmaTable:
+    """The nnf lemmas keyed by the head constant and polarity of their
+    left sides, the key `_ClauseForm._lemma` looks them up by."""
+
+    KEYS = [
+        (name, False) for name in ("not", "and", "or", "imp", "=", "forall", "exists")
+    ] + [("imp", True), ("=", True)]
+
+    def test_keys(self, logic):
+        assert sorted(_NormLemmas.get(logic).nnf) == sorted(self.KEYS)
+
+    def test_each_key_heads_its_lemma(self, logic):
+        for (name, positive), th in _NormLemmas.get(logic).nnf.items():
+            left = lhs(th)
+            if not positive:
+                assert is_neg(left)
+                left = left.rand
+            assert _strip_app(left)[0].name == name
 
 
 class TestMesonOutputPinned:
@@ -1267,9 +1290,10 @@ SUITE_SETTLE_CALLS = 739
 # 4,266 when negations were introduced through `disch` and `not_intro`,
 # 4,227 when `gen`, `exists_intro`, `disj1` and `disj2` unfolded their
 # definitions on every call, 3,321 when four equations pulled
-# existentials out, and 3,121 before the negated implication and iff had
-# their own lemmas
-NORM_LEMMA_INFERENCES = 3_420
+# existentials out, 3,121 before the negated implication and iff had
+# their own lemmas, and 3,420 when the negated implication's lemma was
+# derived by hand from three others rather than proved by `taut`
+NORM_LEMMA_INFERENCES = 3_657
 
 # top-level `_unify` calls of one suite pass (see TestSearchIndex); 646
 # when negation normal form was one bottom-up rewriting pass and no clause

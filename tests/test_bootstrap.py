@@ -149,6 +149,15 @@ class TestTruthTables:
                                theory=logic.theory)
             assert verdict.valid, (name, args)
 
+    def test_table_keys_name_their_constants(self, logic):
+        # each value lemma |- op args = V is keyed by the name of its own
+        # connective, a constant of the bootstrapped theory
+        for (name, args), th in logic.tables.items():
+            left = lhs(th)
+            op = left.rator if len(args) == 1 else left.rator.rator
+            assert op.name == name
+            assert name in logic.theory.term_constants, name
+
 
 class TestDerivedRules:
     def test_mp_from_self_implication(self, logic):
